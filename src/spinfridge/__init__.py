@@ -1,13 +1,21 @@
 """Transient cooling of a three-qubit absorption refrigerator in spin-star baths."""
 
-from .engine import (
+import os
+
+# One BLAS thread per process: the grid kernel's small matrix products run
+# slower threaded, and the scaling sweep already runs one process per core.
+# Takes effect only when this package is imported before numpy; a value the
+# user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .engine import (  # noqa: E402
     RefrigeratorEngine,
     RefrigeratorParams,
     TimeSeries,
     TripleSectorLabel,
     enumerate_triple_sectors,
 )
-from .spinstar import SingleStarParams, local_temperature
+from .spinstar import SingleStarParams, local_temperature  # noqa: E402
 
 __version__ = "0.1.0"
 

@@ -87,7 +87,7 @@ def _run_single(config: RunConfig) -> None:
 def _run_evolve(config: RunConfig) -> None:
     engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
     times = config.time_grid.points()
-    series = [engine.temperature_series(i, times) for i in (1, 2, 3)]
+    series = engine.qubit_series((1, 2, 3), times)
     currents = thermo.heat_current_series(engine, times)
     header = (
         ["t", "T1", "T2", "T3", "r1", "r2", "r3"]

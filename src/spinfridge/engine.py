@@ -12,7 +12,7 @@ eight-dimensional sectors.
 
 Every sector is diagonalized once per parameter set; populations and
 currents are then exact trigonometric sums over spectral gaps, so a dense
-time grid costs one fused recurrence instead of repeated evolutions.
+time grid costs a few matrix products instead of repeated evolutions.
 Weighted reductions run in a fixed lexicographic sector order, which keeps
 repeated runs bit-identical.
 """
@@ -26,7 +26,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .linalg import Spectrum
-from .spinstar import SingleStarParams, sector_log_weights, temperature_array
+from .spinstar import SingleStarParams, sector_log_weights, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
 _INTERACTION_BITS = ((0, 1, 0), (1, 0, 1))
@@ -305,59 +305,121 @@ def _build_groups(params, pairs, idx, fractions) -> list[SectorGroupData]:
 # Trigonometric series evaluation
 # ---------------------------------------------------------------------------
 
+# Bytes of scratch one term chunk of the blocked grid kernel may use.
+_CHUNK_BYTES = 1 << 20
+
+
+def _series_rows(const, amps):
+    """(k,) constants, (k, m) amplitudes, and whether the input was one series."""
+    amps = np.asarray(amps, dtype=float)
+    squeeze = amps.ndim == 1
+    amps = np.atleast_2d(amps)
+    const_vec = np.broadcast_to(np.asarray(const, dtype=float).ravel(), (amps.shape[0],))
+    return const_vec, amps, squeeze
+
+
+def _cis(x: np.ndarray) -> np.ndarray:
+    """e^{ix} from a direct cos and sin."""
+    out = np.empty(x.shape, dtype=complex)
+    out.real = np.cos(x)
+    out.imag = np.sin(x)
+    return out
+
+
+def _doubled(first: np.ndarray, factors: np.ndarray, count: int) -> np.ndarray:
+    """Rows j < count of first * prod(factors[p] for each set bit p of j).
+
+    With factors[p] = e^{iw 2^p s} this is the phase table
+    e^{iw s j} * first, built by doubling: rows [2^p, 2^(p+1)) are rows
+    [0, 2^p) times factors[p].  Every entry is a product of at most
+    log2(count) + 1 given phases, so its rounding error grows with
+    log(count), not with count.
+    """
+    table = np.empty((count,) + first.shape, dtype=complex)
+    table[0] = first
+    filled = 1
+    for factor in factors[:(count - 1).bit_length()]:
+        width = min(filled, count - filled)
+        np.multiply(table[:width], factor, out=table[filled:filled + width])
+        filled += width
+    return table
+
+
 def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
                         kind: str = "cos") -> np.ndarray:
     """Evaluate const + sum_j amps[.,j]*trig(omegas[j]*t) on a uniform grid.
 
-    Uses the exact two-term recurrence f(t+dt) = 2 cos(w dt) f(t) - f(t-dt),
-    shared by cosine and sine, so a dense grid costs one multiply-add per
-    term per step instead of a transcendental call.  ``amps`` may be a
-    (k, m) matrix evaluating k series over shared frequencies; the output
-    then has shape (k, n).
+    The grid t = t0 + (b*B + q)*dt is cut into blocks of B points, B the
+    power of two at or above sqrt(n).  Since
+    e^{iwt} = e^{iw(t0 + bB dt)} e^{iwq dt}, one chunk of terms costs one
+    real matrix product over interleaved (cos, sin) pairs: the
+    amplitude-weighted block phases (a cos, a sin) (rows: series x block)
+    against the in-block phases (cos, -sin) for cosines or (sin, cos) for
+    sines.  Both phase tables are doubled (``_doubled``) from the phases
+    e^{iw 2^p dt}, each taken from a direct cos/sin, and chunks are sized
+    so the scratch stays near ``_CHUNK_BYTES``.  The absolute error is a
+    few ulps times sum|amps|.  ``amps`` may be a (k, m) matrix evaluating k
+    series over shared frequencies; the output then has shape (k, n).
     """
-    amps = np.asarray(amps, dtype=float)
-    squeeze = amps.ndim == 1
-    amps = np.atleast_2d(amps)
+    const_vec, amps, squeeze = _series_rows(const, amps)
     omegas = np.asarray(omegas, dtype=float)
-    const_vec = np.broadcast_to(np.asarray(const, dtype=float).ravel(), (amps.shape[0],))
-    fun = np.cos if kind == "cos" else np.sin
-    out = np.empty((amps.shape[0], n))
+    rows = amps.shape[0]
+    out = np.empty((rows, n))
+    out[:] = const_vec[:, None]
     if omegas.size == 0 or n == 0:
-        out[:] = const_vec[:, None]
         return out[0] if squeeze else out
-    prev = fun(omegas * t0)
-    out[:, 0] = const_vec + amps @ prev
-    if n > 1:
-        cur = fun(omegas * (t0 + dt))
-        out[:, 1] = const_vec + amps @ cur
-        two_cos = 2.0 * np.cos(omegas * dt)
-        scratch = np.empty_like(prev)
-        for k in range(2, n):
-            np.multiply(two_cos, cur, out=scratch)
-            scratch -= prev
-            prev, cur, scratch = cur, scratch, prev
-            out[:, k] = const_vec + amps @ cur
+    block = 1 << math.isqrt(n - 1).bit_length()
+    n_blocks = -(-n // block)
+    inner_levels = block.bit_length() - 1
+    steps = dt * 2.0 ** np.arange(inner_levels + (n_blocks - 1).bit_length())
+    per_term = 16 * (len(steps) + n_blocks + block + rows * (n_blocks + 1))
+    chunk = max(1, _CHUNK_BYTES // per_term)
+    acc = np.zeros((rows * n_blocks, block))
+    for start in range(0, omegas.size, chunk):
+        w = omegas[start:start + chunk]
+        doubling = _cis(np.multiply.outer(steps, w))
+        outer = _doubled(_cis(w * t0), doubling[inner_levels:], n_blocks).view(float)
+        inner = _doubled(np.ones(w.size, dtype=complex), doubling, block)
+        np.conjugate(inner, out=inner)
+        if kind != "cos":
+            inner *= 1j
+        weights = np.repeat(amps[:, start:start + chunk], 2, axis=1)
+        left = (weights[:, None, :] * outer[None, :, :]).reshape(rows * n_blocks, -1)
+        acc += left @ inner.view(float).T
+    out += acc.reshape(rows, n_blocks * block)[:, :n]
     return out[0] if squeeze else out
 
 
 def trig_series_at(const, amps, omegas, times, kind: str = "cos") -> np.ndarray:
-    """Direct evaluation of the trigonometric sum at arbitrary times."""
+    """Direct evaluation of the trigonometric sum at arbitrary times.
+
+    Like ``trig_series_uniform``, (k, m) amplitudes give a (k, len(times))
+    result.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    const_vec, amps, squeeze = _series_rows(const, amps)
+    omegas = np.asarray(omegas, dtype=float)
     fun = np.cos if kind == "cos" else np.sin
-    out = np.full(times.shape, float(const))
+    out = np.empty(times.shape + (amps.shape[0],))
+    out[:] = const_vec
     if omegas.size:
         chunk = max(1, int(4e6) // max(len(times), 1))
         for start in range(0, len(omegas), chunk):
             sl = slice(start, start + chunk)
-            out += fun(np.outer(times, omegas[sl])) @ amps[sl]
-    return out
+            out += fun(np.outer(times, omegas[sl])) @ amps[:, sl].T
+    return out[:, 0] if squeeze else out.T
 
 
 @dataclass(frozen=True)
 class SeriesTerms:
-    """Aggregated trigonometric representation of one observable."""
+    """Aggregated trigonometric representation of one or several observables.
 
-    const: float
+    A single observable has a float ``const`` and (m,) ``amps``; k
+    observables over shared gaps have (k,) ``const`` and (k, m) ``amps``,
+    and every evaluation returns one row per observable.
+    """
+
+    const: float | np.ndarray
     amps: np.ndarray
     omegas: np.ndarray
     kind: str
@@ -367,6 +429,14 @@ class SeriesTerms:
 
     def on_grid(self, t0: float, dt: float, n: int) -> np.ndarray:
         return trig_series_uniform(self.const, self.amps, self.omegas, t0, dt, n, self.kind)
+
+    def evaluate(self, times) -> np.ndarray:
+        """Values at ``times``: the grid kernel when they are uniform, else direct."""
+        times = np.asarray(times, dtype=float)
+        t0, dt, n = _uniform_grid(times)
+        if n is not None:
+            return self.on_grid(t0, dt, n)
+        return self.at(times)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +478,8 @@ class RefrigeratorEngine:
         bits = np.array([state[k] for state in group.basis], dtype=float)
         if kind == "pop":
             return np.broadcast_to(1.0 - bits, (group.size, group.dim))
+        if kind == "exc":
+            return np.broadcast_to(bits, (group.size, group.dim))
         if kind == "hs":
             return np.broadcast_to(
                 self.params.epsilon[k] * (bits - 0.5), (group.size, group.dim)
@@ -443,63 +515,82 @@ class RefrigeratorEngine:
             return o
         raise KeyError(key)
 
+    def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray | None:
+        """V^T O V per sector, shape (size, dim, dim); None if O is absent."""
+        if key[0] in ("pop", "exc", "hs", "hb"):
+            diag = self._diag_observable(group, key)
+            return np.einsum("gka,gk,gkb->gab", group.vecs, diag, group.vecs, optimize=True)
+        dense = self._offdiag_observable(group, key)
+        if dense is None:
+            return None
+        return np.matmul(np.matmul(group.vecs.transpose(0, 2, 1), dense), group.vecs)
+
     def series_terms(self, key: tuple, kind: str) -> SeriesTerms:
         """Trig terms of Tr[rho(t) O] (kind="cos") or Tr[drho/dt O] ("sin").
 
-        Keys: ("pop", i) ground projector of qubit i; ("hs", i) and
-        ("hb", i) the local qubit/bath Hamiltonians; ("hsb", i) the XY
-        coupling block; ("hint",) the collective interaction.  Values are
-        normalized by the retained weight.
+        Keys: ("pop", i) and ("exc", i) the ground and excited projectors
+        of qubit i; ("hs", i) and ("hb", i) the local qubit/bath
+        Hamiltonians; ("hsb", i) the XY coupling block; ("hint",) the
+        collective interaction.  Values are normalized by the retained
+        weight.
+
+        ``key`` may also be a tuple of keys: the result then has one row per
+        key over the union of their gaps (zero where a key's observable is
+        absent), compressed on the magnitudes summed over rows, so each
+        row's error stays below ``series_amp_tol`` times the total magnitude
+        of all rows.
         """
-        cache_key = (key, kind)
+        single = isinstance(key[0], str)
+        keys = (key,) if single else tuple(key)
+        cache_key = (keys, single, kind)
         if cache_key in self._series_cache:
             return self._series_cache[cache_key]
-        const = 0.0
+        const = np.zeros(len(keys))
         amp_parts = []
         omega_parts = []
         for group in self.groups:
-            if key[0] in ("pop", "hs", "hb"):
-                diag = self._diag_observable(group, key)
-                o_tilde = np.einsum(
-                    "gka,gk,gkb->gab", group.vecs, diag, group.vecs, optimize=True
-                )
-            else:
-                dense = self._offdiag_observable(group, key)
-                if dense is None:
+            amp = None  # this group's (rows, gaps) block, made on first use
+            for row, row_key in enumerate(keys):
+                o_tilde = self._observable_in_eigenbasis(group, row_key)
+                if o_tilde is None:
                     continue
-                o_tilde = np.matmul(
-                    np.matmul(group.vecs.transpose(0, 2, 1), dense), group.vecs
-                )
-            f = group.m_matrix * o_tilde
-            if kind == "cos":
-                const += float(np.dot(group.weights, np.trace(f, axis1=1, axis2=2)))
-            if group.dim > 1:
-                iu, ju = np.triu_indices(group.dim, k=1)
-                gaps = group.lam[:, ju] - group.lam[:, iu]  # nonnegative
+                f = group.m_matrix * o_tilde
+                if kind == "cos":
+                    const[row] += float(np.dot(group.weights, np.trace(f, axis1=1, axis2=2)))
+                if group.dim == 1:
+                    continue
+                if amp is None:
+                    iu, ju = np.triu_indices(group.dim, k=1)
+                    gaps = group.lam[:, ju] - group.lam[:, iu]  # nonnegative
+                    amp = np.zeros((len(keys), gaps.size))
+                    amp_parts.append(amp)
+                    omega_parts.append(gaps.ravel())
                 pair_f = f[:, iu, ju]
                 if kind == "cos":
-                    amp = 2.0 * group.weights[:, None] * pair_f
+                    amp[row] = (2.0 * group.weights[:, None] * pair_f).ravel()
                 else:
-                    amp = -2.0 * group.weights[:, None] * pair_f * gaps
-                amp_parts.append(amp.ravel())
-                omega_parts.append(gaps.ravel())
-        amps = np.concatenate(amp_parts) if amp_parts else np.empty(0)
+                    amp[row] = (-2.0 * group.weights[:, None] * pair_f * gaps).ravel()
+        amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
         amps, omegas = self._compress(amps, omegas)
         scale = 1.0 / self.weight_total
-        terms = SeriesTerms(const * scale, amps * scale, omegas, kind)
+        if single:
+            terms = SeriesTerms(float(const[0]) * scale, amps[0] * scale, omegas, kind)
+        else:
+            terms = SeriesTerms(const * scale, amps * scale, omegas, kind)
         self._series_cache[cache_key] = terms
         return terms
 
     def _compress(self, amps: np.ndarray, omegas: np.ndarray):
+        """Drop the terms of smallest row-summed magnitude, see ``series_terms``."""
         if self.series_amp_tol <= 0.0 or amps.size == 0:
             return amps, omegas
-        magnitude = np.abs(amps)
+        magnitude = np.abs(amps).sum(axis=0)
         order = np.argsort(magnitude, kind="stable")
         cum = np.cumsum(magnitude[order])
         n_drop = int(np.searchsorted(cum, self.series_amp_tol * cum[-1], side="left"))
         keep = np.sort(order[n_drop:])
-        return amps[keep], omegas[keep]
+        return amps[:, keep], omegas[keep]
 
     # -- populations and temperatures -------------------------------------------
 
@@ -509,26 +600,35 @@ class RefrigeratorEngine:
         return float(terms.at([t])[0])
 
     def ground_population_series(self, qubit: int, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        terms = self.series_terms(("pop", qubit), "cos")
-        t0, dt, n = _uniform_grid(times)
-        if n is not None:
-            return terms.on_grid(t0, dt, n)
-        return terms.at(times)
+        return self.series_terms(("pop", qubit), "cos").evaluate(times)
 
     def reduced_qubit_state(self, qubit: int, t: float) -> np.ndarray:
         r = self.ground_population(qubit, t)
         return np.diag([r, 1.0 - r])
 
     def temperature(self, qubit: int, t: float) -> float:
-        r = np.array([self.ground_population(qubit, t)])
-        return float(temperature_array(r, self.params.epsilon[qubit - 1])[0])
+        p = self.series_terms(("exc", qubit), "cos").at([t])
+        return float(temperature_from_excited(p, self.params.epsilon[qubit - 1])[0])
 
     def temperature_series(self, qubit: int, times) -> TimeSeries:
+        return self.qubit_series((qubit,), times)[0]
+
+    def qubit_series(self, qubits, times) -> list[TimeSeries]:
+        """Ground populations and temperatures of several qubits in one pass.
+
+        Temperatures come from the excited population p = 1 - r, which keeps
+        its relative precision where r rounds to 1 at low temperature.
+        """
         times = np.asarray(times, dtype=float)
-        r = self.ground_population_series(qubit, times)
-        temperature = temperature_array(r, self.params.epsilon[qubit - 1])
-        return TimeSeries(qubit, times, r, temperature)
+        keys = tuple(("exc", q) for q in qubits)
+        p = self.series_terms(keys, "cos").evaluate(times)
+        return [
+            TimeSeries(
+                q, times, 1.0 - p[row],
+                temperature_from_excited(p[row], self.params.epsilon[q - 1]),
+            )
+            for row, q in enumerate(qubits)
+        ]
 
     # -- per-sector evaluation (bath states and diagnostics) ---------------------
 

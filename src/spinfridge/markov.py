@@ -31,6 +31,10 @@ class WeakCouplingWarning(UserWarning):
     """Largest decay rate above 1% of the smallest system scale."""
 
 
+class WeakCouplingError(ValueError):
+    """Largest decay rate at or above 10% of the smallest system scale."""
+
+
 @dataclass(frozen=True)
 class MarkovParams:
     """Qubit energies, three-body coupling, Ohmic strengths and bath temperatures."""
@@ -154,7 +158,7 @@ def build_jump_channels(params: MarkovParams) -> list[JumpChannel]:
     scale = min(min(params.epsilon), params.g) if params.g > 0 else min(params.epsilon)
     gamma_max = max(ch.rate for ch in channels)
     if gamma_max >= 0.1 * scale:
-        raise ValueError(
+        raise WeakCouplingError(
             f"largest rate {gamma_max:.3e} breaks weak coupling "
             f"(>= 10% of the smallest system scale {scale:.3e})"
         )
@@ -283,11 +287,6 @@ def temperature_trajectories(params: MarkovParams, traj: MarkovTrajectory):
     return r, temps
 
 
-def cold_qubit_temperature(params: MarkovParams, traj: MarkovTrajectory, t: float) -> float:
-    r = ground_populations(traj.state_at(t))[0]
-    return float(temperature_array(np.array([r]), params.epsilon[0])[0])
-
-
 @dataclass(frozen=True)
 class MarkovOptimum:
     """Best Ohmic strengths and coupling with the optimal time and temperature."""
@@ -309,7 +308,9 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
     dense-grid scan of each integrated trajectory followed by golden
     polish, the four couplings a seeded Sobol multistart with Nelder-Mead
     refinement.  Weak-coupling warnings from exploratory parameter points
-    are suppressed inside the objective.
+    are suppressed inside the objective, and points whose rates break weak
+    coupling (``WeakCouplingError``) score +inf, so the search avoids them
+    instead of aborting.
     """
     from .analysis import golden_section_min, minimize_box
 
@@ -322,7 +323,10 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
-            traj = integrate_gksl(params, thermal_product_state(params), times)
+            try:
+                traj = integrate_gksl(params, thermal_product_state(params), times)
+            except WeakCouplingError:
+                return math.inf, math.nan
             r, _ = temperature_trajectories(params, traj)
             k = int(np.argmax(r[0]))
             if 0 < k < len(times) - 1:
@@ -350,6 +354,10 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
     x_best, f_best, evals, restarts, _ = minimize_box(
         value_only, bounds, budget, seed
     )
+    if not math.isfinite(f_best):
+        raise WeakCouplingError(
+            f"every one of {evals} evaluated points breaks weak coupling"
+        )
     t1_value, t_best = cache[tuple(np.round(np.asarray(x_best, dtype=float), 14))]
     return MarkovOptimum(
         alpha=(float(x_best[0]), float(x_best[1]), float(x_best[2])),

@@ -306,3 +306,17 @@ def temperature_array(r: np.ndarray, epsilon: float) -> np.ndarray:
         raise ValueError("ground population outside the open interval (0, 1)")
     with np.errstate(divide="ignore"):
         return np.where(r == 0.5, np.inf, epsilon / np.log(r / (1.0 - r)))
+
+
+def temperature_from_excited(p: np.ndarray, epsilon: float) -> np.ndarray:
+    """Vectorized temperature epsilon / ln((1 - p)/p) from the excited population.
+
+    Unlike ``temperature_array`` of r = 1 - p, this keeps the relative
+    precision of a small p, where r would round to 1 at low temperature.
+    p = 0 maps to 0 (the T -> 0+ limit) and p = 1/2 to +inf.
+    """
+    p = np.asarray(p, dtype=float)
+    if np.any(p < 0.0) or np.any(p >= 1.0):
+        raise ValueError("excited population outside the interval [0, 1)")
+    with np.errstate(divide="ignore"):
+        return np.where(p == 0.5, np.inf, epsilon / np.log((1.0 - p) / p))

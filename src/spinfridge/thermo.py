@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RefrigeratorEngine, _uniform_grid
+from .engine import RefrigeratorEngine
 
-_CHANNEL_KEYS = (
-    ("hs", 1), ("hs", 2), ("hs", 3),
-    ("hb", 1), ("hb", 2), ("hb", 3),
-    ("hsb", 1), ("hsb", 2), ("hsb", 3),
-    ("hint",),
-)
+_HEAT_KEYS = (("hs", 1), ("hs", 2), ("hs", 3), ("hb", 1), ("hb", 2), ("hb", 3))
+_CHANNEL_KEYS = _HEAT_KEYS + (("hsb", 1), ("hsb", 2), ("hsb", 3), ("hint",))
 
 
 @dataclass(frozen=True)
@@ -43,33 +39,15 @@ class HeatCurrentSeries:
 
 def heat_currents(engine: RefrigeratorEngine, t: float) -> HeatCurrentSample:
     """Exact (qubit, bath) heat currents at time t."""
-    qdot_s = np.array([
-        float(engine.series_terms(("hs", i), "sin").at([t])[0]) for i in (1, 2, 3)
-    ])
-    qdot_b = np.array([
-        float(engine.series_terms(("hb", i), "sin").at([t])[0]) for i in (1, 2, 3)
-    ])
-    return HeatCurrentSample(t, qdot_s, qdot_b)
+    values = engine.series_terms(_HEAT_KEYS, "sin").at([t])[:, 0]
+    return HeatCurrentSample(t, values[:3], values[3:])
 
 
 def heat_current_series(engine: RefrigeratorEngine, times) -> HeatCurrentSeries:
-    """Heat currents along ``times`` via the cached spectral sine series."""
+    """Heat currents along ``times``, all six from one pass of the sine series."""
     times = np.asarray(times, dtype=float)
-    qdot_s = np.stack([
-        _series_on(engine, ("hs", i), times) for i in (1, 2, 3)
-    ])
-    qdot_b = np.stack([
-        _series_on(engine, ("hb", i), times) for i in (1, 2, 3)
-    ])
-    return HeatCurrentSeries(times, qdot_s, qdot_b)
-
-
-def _series_on(engine: RefrigeratorEngine, key, times: np.ndarray) -> np.ndarray:
-    terms = engine.series_terms(key, "sin")
-    t0, dt, n = _uniform_grid(times)
-    if n is not None:
-        return terms.on_grid(t0, dt, n)
-    return terms.at(times)
+    values = engine.series_terms(_HEAT_KEYS, "sin").evaluate(times)
+    return HeatCurrentSeries(times, values[:3], values[3:])
 
 
 def coupling_flow(engine: RefrigeratorEngine, pair: int, t: float) -> float:

@@ -1,10 +1,14 @@
 """Config parsing, CLI commands, output determinism and provenance."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinfridge
 from spinfridge.cli import main
 from spinfridge.config import (
     ConfigError,
@@ -253,3 +257,24 @@ class TestCliCommands:
         })
         assert main(["evolve", cfg, "--output", str(target)]) == 0
         assert target.exists()
+
+
+class TestBlasThreadPolicy:
+    @staticmethod
+    def _threads_after_import(preset):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spinfridge.__file__))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, spinfridge; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        return done.stdout.strip()
+
+    def test_import_defaults_to_one_thread(self):
+        assert self._threads_after_import(None) == "1"
+
+    def test_user_setting_wins(self):
+        assert self._threads_after_import("2") == "2"

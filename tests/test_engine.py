@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinfridge import oracle
 from spinfridge.engine import (
@@ -15,7 +16,11 @@ from spinfridge.engine import (
     trig_series_at,
     trig_series_uniform,
 )
-from spinfridge.spinstar import SectorCoupling, sector_hamiltonian
+from spinfridge.spinstar import (
+    SectorCoupling,
+    sector_hamiltonian,
+    temperature_from_excited,
+)
 
 
 def fridge(n=(1, 1, 1), **kw):
@@ -294,3 +299,118 @@ class TestTrigSeries:
     def test_empty_series_is_constant(self):
         out = trig_series_uniform(0.7, np.empty(0), np.empty(0), 0.0, 0.1, 5, "cos")
         assert np.allclose(out, 0.7)
+
+
+@st.composite
+def _series_case(draw):
+    """Grid, frequencies and (rows, m) amplitudes, with omega = 0 and omega*dt near pi."""
+    n = draw(st.sampled_from([1, 2, 3, 49, 53]))
+    dt = draw(st.floats(0.05, 0.5))
+    t0 = draw(st.floats(-3.0, 3.0))
+    near_pi = st.floats(-1e-6, 1e-6).map(lambda d: math.pi / dt * (1.0 + d))
+    omega = st.one_of(st.just(0.0), st.floats(0.0, 20.0), near_pi)
+    omegas = np.array(draw(st.lists(omega, max_size=40)), dtype=float)
+    rows = draw(st.integers(1, 3))
+    amp = st.floats(-1.0, 1.0)
+    amps = np.array(draw(st.lists(
+        st.lists(amp, min_size=omegas.size, max_size=omegas.size),
+        min_size=rows, max_size=rows,
+    )), dtype=float).reshape(rows, omegas.size)
+    const = np.array(draw(st.lists(amp, min_size=rows, max_size=rows)))
+    return n, dt, t0, omegas, amps, const
+
+
+class TestGridKernelProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_series_case(), st.sampled_from(["cos", "sin"]))
+    def test_matches_direct_evaluation(self, case, kind):
+        n, dt, t0, omegas, amps, const = case
+        grid = trig_series_uniform(const, amps, omegas, t0, dt, n, kind)
+        direct = trig_series_at(const, amps, omegas, t0 + np.arange(n) * dt, kind)
+        assert grid.shape == direct.shape == (amps.shape[0], n)
+        bound = 1e-12 * (np.abs(amps).sum(axis=1) + np.abs(const))
+        assert np.all(np.abs(grid - direct) <= bound[:, None])
+        single = trig_series_uniform(const[0], amps[0], omegas, t0, dt, n, kind)
+        assert np.all(np.abs(single - direct[0]) <= bound[0])
+
+
+class TestMultiKeySeries:
+    def test_rows_equal_single_key_terms(self):
+        eng = RefrigeratorEngine(fridge(n=(2, 1, 1)), prune_tol=0.0)
+        keys = (("exc", 1), ("pop", 2), ("hs", 3), ("hb", 1))
+        for kind in ("cos", "sin"):
+            multi = eng.series_terms(keys, kind)
+            assert multi.amps.shape[0] == len(keys)
+            for row, key in enumerate(keys):
+                single = eng.series_terms(key, kind)
+                assert multi.const[row] == single.const
+                assert np.array_equal(multi.amps[row], single.amps)
+                assert np.array_equal(multi.omegas, single.omegas)
+
+    def test_rows_with_absent_observables_evaluate_equal(self):
+        # hsb of an edge pair and hint outside full sectors contribute no
+        # terms on their own, so the shared gaps carry zero amplitudes there
+        eng = RefrigeratorEngine(fridge(n=(2, 1, 1)), prune_tol=0.0)
+        keys = (("hsb", 1), ("hint",), ("hs", 2))
+        times = np.linspace(0.0, 5.0, 37)
+        multi = eng.series_terms(keys, "sin")
+        for row, key in enumerate(keys):
+            single = eng.series_terms(key, "sin")
+            assert np.allclose(multi.evaluate(times)[row], single.evaluate(times),
+                               rtol=0.0, atol=1e-14)
+            assert np.allclose(multi.at([1.7])[row], single.at([1.7]), rtol=0.0, atol=1e-14)
+
+    def test_compression_bounds_each_row_by_total_magnitude(self):
+        p = fridge(n=(4, 4, 4))
+        tol = 1e-6
+        keys = (("exc", 1), ("exc", 2), ("exc", 3))
+        exact = RefrigeratorEngine(p, prune_tol=0.0).series_terms(keys, "cos")
+        squeezed = RefrigeratorEngine(p, prune_tol=0.0, series_amp_tol=tol)
+        terms = squeezed.series_terms(keys, "cos")
+        assert terms.omegas.size < exact.omegas.size
+        times = np.arange(0.0, 10.0, 0.1)
+        gap = np.abs(terms.evaluate(times) - exact.evaluate(times))
+        assert np.max(gap) <= tol * np.abs(exact.amps).sum() + 1e-14
+
+
+class TestLowTemperature:
+    COLD = dict(
+        epsilon=(1.0, 2.0, 1.0),
+        bath_energy=(2.0, 4.0, 2.0),
+        coupling=(0.4, 0.6, 0.5),
+        g=0.05,
+        beta=(40.0, 40.0, 20.0),
+    )
+
+    def test_cold_production_config_runs(self):
+        # r = 1 - p rounds to 1 here; the sectors kept at prune_tol=1e-9
+        # hold no excited population of qubits 1 and 2, so T reads the
+        # T -> 0+ limit there instead of raising
+        p = RefrigeratorParams(n_bath=(30, 30, 30), **self.COLD)
+        eng = RefrigeratorEngine(p, prune_tol=1e-9)
+        times = np.arange(0.0, 10.0 + 0.0025, 0.005)
+        for series in eng.qubit_series((1, 2, 3), times):
+            assert np.all(np.isfinite(series.temperature))
+            assert np.all(series.temperature >= 0.0)
+        assert eng.temperature_series(3, times).temperature[0] == pytest.approx(0.05, abs=1e-9)
+
+    def test_cold_small_bath_matches_dense_oracle(self):
+        p = RefrigeratorParams(n_bath=(2, 2, 2), **self.COLD)
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        model = oracle.build_dense(p)
+        spectrum = model.spectrum()
+        times = np.array([0.0, 2.0, 5.0])
+        for series in eng.qubit_series((1, 2, 3), times):
+            qubit = series.qubit
+            eps = p.epsilon[qubit - 1]
+            assert series.temperature[0] == pytest.approx(1.0 / p.beta[qubit - 1], rel=1e-12)
+            for k, t in enumerate(times):
+                dense = oracle.dense_evolve_and_trace(
+                    model, t, 2 * (qubit - 1), spectrum=spectrum
+                )
+                p_exc = dense[1, 1].real
+                assert 0.0 < p_exc < 1e-8
+                assert eng.temperature(qubit, t) == pytest.approx(series.temperature[k], rel=1e-12)
+                assert series.temperature[k] == pytest.approx(
+                    temperature_from_excited(p_exc, eps), rel=1e-10
+                )

@@ -1,13 +1,16 @@
 """GKSL baseline: jump channels, rates, master-equation integration."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from spinfridge.cli import main
 from spinfridge.markov import (
     MarkovParams,
+    WeakCouplingError,
     WeakCouplingWarning,
     bose_occupation,
     build_jump_channels,
@@ -198,6 +201,36 @@ class TestOptimize:
         second = markov_optimize(p, seed=12, **kwargs)
         assert first.best_t1 < 1.0
         assert abs(first.best_t1 - second.best_t1) < 2e-3
+
+    def test_weak_coupling_probes_score_infeasible(self, tmp_path):
+        # optimizer seed 0 at budget 80 probes the small-g corner of the
+        # default box, where the largest rate exceeds 10% of g
+        out = tmp_path / "mopt.json"
+        cfg = tmp_path / "mopt.json.in"
+        cfg.write_text(json.dumps({
+            "mode": "markov",
+            "action": "optimize",
+            "params": {
+                "epsilon": [1, 2, 1], "g": 0.0,
+                "alpha": [0, 0, 0], "temperature": [1, 1, 2],
+            },
+            "time_grid": {"start": 0, "stop": 40, "step": 0.05},
+            "optimization": {"budget": 80, "seed": 0},
+            "output": {"path": str(out)},
+        }))
+        assert main(["markov", str(cfg)]) == 0
+        best = json.loads(out.read_text())["results"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakCouplingWarning)
+            build_jump_channels(params(
+                alpha=tuple(best["best_alpha"]), g=best["best_g"], beta=(1.0, 1.0, 0.5)
+            ))
+
+    def test_box_without_weak_coupling_is_an_error(self):
+        p = params(alpha=(0.0, 0.0, 0.0), g=0.0)
+        with pytest.raises(WeakCouplingError, match="every one of 1"):
+            markov_optimize(p, alpha_range=(1e-4, 1e-4), g_range=(1e-5, 1e-5),
+                            budget=5, time_grid=(0.0, 1.0, 0.1))
 
     def test_temperatures_follow_populations(self):
         p = params()

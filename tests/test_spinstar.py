@@ -26,6 +26,7 @@ from spinfridge.spinstar import (
     sector_state_analytic,
     sector_weights,
     temperature_array,
+    temperature_from_excited,
 )
 
 
@@ -248,6 +249,19 @@ class TestLocalTemperature:
     def test_domain_errors(self, r):
         with pytest.raises(ValueError):
             local_temperature(r, 1.0)
+
+    def test_excited_population_form(self):
+        p = np.array([0.3, 0.5, 0.7])
+        assert np.allclose(temperature_from_excited(p, 2.0),
+                           temperature_array(1.0 - p, 2.0), rtol=1e-14)
+        # r = 1 - p rounds to 1 here, but p keeps its precision
+        assert temperature_from_excited(np.array([math.exp(-40.0)]), 1.0)[0] == (
+            pytest.approx(1.0 / 40.0, rel=1e-14)
+        )
+        assert temperature_from_excited(np.array([0.0]), 1.0)[0] == 0.0
+        for bad in (-1e-20, 1.0):
+            with pytest.raises(ValueError):
+                temperature_from_excited(np.array([bad]), 1.0)
 
 
 class TestParamValidation:
