@@ -22,7 +22,7 @@ from scipy.optimize import curve_fit, minimize
 from scipy.stats import qmc
 
 from .engine import RefrigeratorEngine, RefrigeratorParams
-from .spinstar import temperature_array
+from .spinstar import temperature_from_excited
 
 DEFAULT_TIME_GRID = (0.0, 10.0, 0.005)
 DEFAULT_RANGES = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 0.1))
@@ -77,8 +77,9 @@ def first_local_min(times, values, objective=None, tol: float = 1e-6):
     """First local minimum of a sampled series, or None if the series is monotone.
 
     Finds the first k with values[k] < values[k-1] and values[k] <= values[k+1],
-    then refines by golden-section search on the continuous ``objective``
-    inside (times[k-1], times[k+1]) when one is supplied.
+    then polishes it by golden-section search on the continuous
+    ``objective`` inside (times[k-1], times[k+1]) when one is supplied; the
+    polish never loses to the grid.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -86,15 +87,34 @@ def first_local_min(times, values, objective=None, tol: float = 1e-6):
         raise ValueError("need at least three samples to locate a local minimum")
     for k in range(1, len(values) - 1):
         if values[k] < values[k - 1] and values[k] <= values[k + 1]:
-            if objective is None:
-                return LocalMinimum(float(times[k]), float(values[k]), k)
-            t_best, v_best = golden_section_min(
-                objective, float(times[k - 1]), float(times[k + 1]), tol=tol
-            )
-            if v_best > values[k]:  # refinement must never lose to the grid
-                t_best, v_best = float(times[k]), float(values[k])
-            return LocalMinimum(t_best, v_best, k)
+            return LocalMinimum(*_polish(values, objective, times, k, tol), k)
     return None
+
+
+def _best_time_on_grid(values, value_at, grid, refine_tol: float = 1e-5
+                       ) -> tuple[float, float]:
+    """(time, value) of the minimum of a series sampled on ``grid``.
+
+    The grid minimum, the first one on ties, is polished as in ``_polish``.
+    """
+    return _polish(values, value_at, grid, int(np.argmin(values)), refine_tol)
+
+
+def _polish(values, value_at, grid, k: int, tol: float) -> tuple[float, float]:
+    """(time, value) of grid point k, polished between its neighbours.
+
+    Golden-section search of ``value_at`` on (grid[k-1], grid[k+1]); the
+    polish never loses to the grid, and an end point of the grid or a
+    missing ``value_at`` keeps the grid value.
+    """
+    t_best, v_best = float(grid[k]), float(values[k])
+    if value_at is not None and 0 < k < len(grid) - 1:
+        t_gold, v_gold = golden_section_min(
+            value_at, float(grid[k - 1]), float(grid[k + 1]), tol=tol
+        )
+        if v_gold <= v_best:
+            t_best, v_best = t_gold, float(v_gold)
+    return t_best, v_best
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +283,14 @@ class OptimizationResult:
     incumbent_history: np.ndarray
 
 
-def _best_time_on_grid(engine: RefrigeratorEngine, qubit: int, grid: np.ndarray,
-                       refine_tol: float = 1e-5) -> tuple[float, float]:
-    """Time of maximal ground population: dense scan plus golden polish."""
-    r = engine.ground_population_series(qubit, grid)
-    k = int(np.argmax(r))
-    if 0 < k < len(grid) - 1:
-        t_best, neg_r = golden_section_min(
-            lambda t: -engine.ground_population(qubit, t),
-            float(grid[k - 1]), float(grid[k + 1]), tol=refine_tol,
-        )
-        r_best = -neg_r
-        if r_best < r[k]:
-            t_best, r_best = float(grid[k]), float(r[k])
-    else:
-        t_best, r_best = float(grid[k]), float(r[k])
-    return t_best, r_best
-
-
 def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
                 seed: int = 0, time_grid=DEFAULT_TIME_GRID) -> OptimizationResult:
     """Minimize the cold-qubit temperature over couplings and time.
 
     ``engine_factory`` maps a coupling vector (A1, A2, A3, g) to a
     RefrigeratorEngine.  For each candidate the temperature is minimized
-    over the dense time grid (equivalently the ground population is
-    maximized; the map r -> T is strictly decreasing), then the couplings
+    over the dense time grid (equivalently the excited population p1 is
+    minimized; the map p -> T is strictly increasing), then the couplings
     are searched by seeded multistart Nelder-Mead.  Deterministic for a
     fixed seed.
     """
@@ -300,22 +302,23 @@ def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
         key = tuple(np.round(np.asarray(x, dtype=float), 14))
         if key not in cache:
             engine = engine_factory(np.asarray(x, dtype=float))
-            t_best, r_best = _best_time_on_grid(engine, 1, grid)
-            t1_value = float(
-                temperature_array(np.array([r_best]), engine.params.epsilon[0])[0]
+            terms = engine.excited_terms((1,))
+            t_best, p_best = _best_time_on_grid(
+                terms.evaluate(grid)[0], lambda t: terms.at([t])[0, 0], grid
             )
-            cache[key] = (t1_value, t_best, r_best)
+            t1_value = float(temperature_from_excited(p_best, engine.params.epsilon[0]))
+            cache[key] = (t1_value, t_best, p_best)
         return cache[key]
 
     x_best, f_best, evals, restarts, history = minimize_box(
         lambda x: evaluate(x)[0], ranges, budget, seed
     )
-    t1_value, t_best, r_best = evaluate(x_best)
+    t1_value, t_best, p_best = evaluate(x_best)
     return OptimizationResult(
         best_params=np.asarray(x_best, dtype=float),
         best_time=t_best,
         best_t1=t1_value,
-        best_ground_population=r_best,
+        best_ground_population=1.0 - p_best,
         evaluations=evals,
         restarts=restarts,
         incumbent_history=history,

@@ -35,11 +35,11 @@ from .markov import (
 from .oracle import build_dense, dense_evolve_and_trace
 from .spinstar import (
     SingleStarParams,
-    ground_population_series,
+    excited_population_series,
     heat_current_series,
     reduced_bath_populations,
     reduced_spin_state,
-    temperature_array,
+    temperature_from_excited,
 )
 from . import thermo
 
@@ -73,14 +73,14 @@ def _write_json(path: str, config: RunConfig, results: dict) -> None:
 def _run_single(config: RunConfig) -> None:
     params = config.single
     times = config.time_grid.points()
-    r = ground_population_series(params, times)
-    temps = temperature_array(r, params.epsilon)
+    p = excited_population_series(params, times)
+    temps = temperature_from_excited(p, params.epsilon)
     qdot_s, qdot_b = heat_current_series(params, times)
     _write_csv(
         config.output_path,
         config,
         ["t", "T1", "r1", "QdotS1", "QdotB1"],
-        [times, temps, r, qdot_s, qdot_b],
+        [times, temps, 1.0 - p, qdot_s, qdot_b],
     )
 
 

@@ -26,7 +26,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .linalg import Spectrum
-from .spinstar import SingleStarParams, sector_log_weights, temperature_from_excited
+from .spinstar import SingleStarParams, sector_arrays, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
 _INTERACTION_BITS = ((0, 1, 0), (1, 0, 1))
@@ -116,44 +116,13 @@ class TimeSeries:
     ground_population: np.ndarray
     temperature: np.ndarray
 
-    @property
-    def inverted(self) -> np.ndarray:
-        return self.ground_population < 0.5
-
 
 # ---------------------------------------------------------------------------
-# Per-pair sector arrays and sector enumeration
+# Sector enumeration
 # ---------------------------------------------------------------------------
-
-def _pair_sector_arrays(p: SingleStarParams) -> dict:
-    """Vectorized per-sector data of one qubit-bath pair, ascending two_m."""
-    two_m, logw = sector_log_weights(p)
-    m = 0.5 * two_m
-    n = p.n_bath
-    dim = np.where(np.abs(two_m) == n + 1, 1, 2)
-    b_minus = -0.5 * p.epsilon + p.bath_energy * (m + 0.5)
-    b_plus = 0.5 * p.epsilon + p.bath_energy * (m - 0.5)
-    inner = (0.5 * n + m + 0.5) * (0.5 * n - m + 0.5)
-    u = p.coupling * np.sqrt(np.clip(inner, 0.0, None))
-    edge_energy = np.where(two_m > 0, b_plus, b_minus)
-    edge_state = np.where(two_m > 0, 1, 0)  # level surviving in an edge sector
-    p_ground = 1.0 / (1.0 + math.exp(min(p.beta * (p.bath_energy - p.epsilon), 700.0)))
-    return {
-        "two_m": two_m,
-        "m": m,
-        "dim": dim,
-        "b_minus": b_minus,
-        "b_plus": b_plus,
-        "u": u,
-        "edge_energy": edge_energy,
-        "edge_state": edge_state,
-        "logw": logw,
-        "p_ground": p_ground,
-    }
-
 
 def _enumerate_arrays(params: RefrigeratorParams, prune_tol: float):
-    """Kept sector index triples, weight fractions and the retained total.
+    """Kept sector index triples, their weight fractions and the dropped weight.
 
     Sector weights are products of per-pair Boltzmann weights (thermal trace
     factors included), normalized to the full sum.  Sectors are dropped
@@ -163,7 +132,7 @@ def _enumerate_arrays(params: RefrigeratorParams, prune_tol: float):
     """
     if not 0.0 <= prune_tol < 1.0:
         raise ValueError(f"prune_tol must lie in [0, 1), got {prune_tol}")
-    pairs = [_pair_sector_arrays(params.pair(i)) for i in (1, 2, 3)]
+    pairs = [sector_arrays(params.pair(i)) for i in (1, 2, 3)]
     logw = (
         pairs[0]["logw"][:, None, None]
         + pairs[1]["logw"][None, :, None]
@@ -178,14 +147,14 @@ def _enumerate_arrays(params: RefrigeratorParams, prune_tol: float):
     keep = np.sort(order[n_drop:])
     shape = tuple(len(p["logw"]) for p in pairs)
     idx = np.unravel_index(keep, shape)
-    return pairs, idx, fractions[keep], 1.0 - dropped
+    return pairs, idx, fractions[keep], dropped
 
 
 def enumerate_triple_sectors(
     params: RefrigeratorParams, prune_tol: float = DEFAULT_PRUNE_TOL
 ) -> SectorSet:
     """All (m1, m2, m3) sector labels above the pruning cut."""
-    pairs, idx, fractions, retained = _enumerate_arrays(params, prune_tol)
+    pairs, idx, fractions, dropped = _enumerate_arrays(params, prune_tol)
     labels = []
     for a1, a2, a3, w in zip(*idx, fractions):
         two_m = (
@@ -199,8 +168,12 @@ def enumerate_triple_sectors(
             int(pairs[2]["dim"][a3]),
         )
         labels.append(TripleSectorLabel(two_m, dims, float(w)))
-    total = (params.n_bath[0] + 2) * (params.n_bath[1] + 2) * (params.n_bath[2] + 2)
-    return SectorSet(labels, retained, total)
+    return SectorSet(labels, 1.0 - dropped, _sector_count(params))
+
+
+def _sector_count(params: RefrigeratorParams) -> int:
+    """Number of (m1, m2, m3) sectors before pruning."""
+    return math.prod(n + 2 for n in params.n_bath)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +218,7 @@ def _make_group(params, pairs, sel, weights, dims, sides) -> SectorGroupData:
                 np.stack([pk["b_minus"][sel[k]], pk["b_plus"][sel[k]]], axis=1)
             )
             u_values.append(np.asarray(pk["u"][sel[k]], dtype=float))
-            p_level.append(np.array([pk["p_ground"], 1.0 - pk["p_ground"]]))
+            p_level.append(np.array(pk["p_level"]))
         else:
             e = pk["edge_energy"][sel[k]]
             level_energy.append(np.stack([e, e], axis=1))
@@ -463,8 +436,10 @@ class RefrigeratorEngine:
         self.params = params
         self.prune_tol = prune_tol
         self.series_amp_tol = series_amp_tol
-        pairs, idx, fractions, retained = _enumerate_arrays(params, prune_tol)
-        self.retained_fraction = retained
+        pairs, idx, fractions, dropped = _enumerate_arrays(params, prune_tol)
+        self.retained_fraction = 1.0 - dropped
+        self.dropped_weight = dropped
+        self.dropped_sectors = _sector_count(params) - len(fractions)
         self.groups = _build_groups(params, pairs, idx, fractions)
         self.weight_total = float(sum(g.weights.sum() for g in self.groups))
         self._series_cache: dict[tuple, SeriesTerms] = {}
@@ -599,29 +574,42 @@ class RefrigeratorEngine:
         terms = self.series_terms(("pop", qubit), "cos")
         return float(terms.at([t])[0])
 
-    def ground_population_series(self, qubit: int, times) -> np.ndarray:
-        return self.series_terms(("pop", qubit), "cos").evaluate(times)
-
     def reduced_qubit_state(self, qubit: int, t: float) -> np.ndarray:
         r = self.ground_population(qubit, t)
         return np.diag([r, 1.0 - r])
 
+    def excited_terms(self, qubits) -> SeriesTerms:
+        """Excited populations p_i(t) of ``qubits``, one series row each.
+
+        Every temperature is read from these rows.  A row that is zero
+        because pruning dropped every sector holding that excitation is an
+        error, not T = 0: ``prune_tol`` bounds the absolute error of p, not
+        its relative error, on which T depends.
+        """
+        terms = self.series_terms(tuple(("exc", q) for q in qubits), "cos")
+        if self.dropped_sectors:
+            for q, const, amps in zip(qubits, terms.const, terms.amps):
+                if const == 0.0 and not np.any(amps):
+                    raise ValueError(
+                        f"qubit {q} has no excited population in the kept "
+                        f"sectors: prune_tol={self.prune_tol:g} dropped "
+                        f"{self.dropped_sectors} of {_sector_count(self.params)} "
+                        f"sectors, of weight {self.dropped_weight:.3g}; lower "
+                        "prune_tol to read its temperature"
+                    )
+        return terms
+
     def temperature(self, qubit: int, t: float) -> float:
-        p = self.series_terms(("exc", qubit), "cos").at([t])
+        p = self.excited_terms((qubit,)).at([t])[0]
         return float(temperature_from_excited(p, self.params.epsilon[qubit - 1])[0])
 
     def temperature_series(self, qubit: int, times) -> TimeSeries:
         return self.qubit_series((qubit,), times)[0]
 
     def qubit_series(self, qubits, times) -> list[TimeSeries]:
-        """Ground populations and temperatures of several qubits in one pass.
-
-        Temperatures come from the excited population p = 1 - r, which keeps
-        its relative precision where r rounds to 1 at low temperature.
-        """
+        """Ground populations and temperatures of several qubits in one pass."""
         times = np.asarray(times, dtype=float)
-        keys = tuple(("exc", q) for q in qubits)
-        p = self.series_terms(keys, "cos").evaluate(times)
+        p = self.excited_terms(qubits).evaluate(times)
         return [
             TimeSeries(
                 q, times, 1.0 - p[row],
@@ -716,7 +704,7 @@ def build_sector_hamiltonian(
     params: RefrigeratorParams, label: TripleSectorLabel
 ) -> TripleSectorSystem:
     """Assemble one sector's Hamiltonian block, spectrum and initial state."""
-    pairs = [_pair_sector_arrays(params.pair(i)) for i in (1, 2, 3)]
+    pairs = [sector_arrays(params.pair(i)) for i in (1, 2, 3)]
     sel = []
     for k in range(3):
         pos = np.where(pairs[k]["two_m"] == label.two_m[k])[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .spinstar import temperature_array
+from .spinstar import temperature_from_excited
 
 DEFAULT_CUTOFF = 1e3
 DEFAULT_TIME_GRID = (0.0, 40.0, 0.05)
@@ -228,8 +228,8 @@ def integrate_gksl(params: MarkovParams, initial_state, times) -> MarkovTrajecto
 
     Tolerances rtol=1e-9 / atol=1e-12; the dynamics at weak rates is not
     stiff and the slowest relevant oscillation (the three-body swap, period
-    about pi/g) is well resolved.  Trace and Hermiticity are checked at the
-    requested sample times to 1e-8.
+    about pi/g) is well resolved.  Trace and Hermiticity are checked at
+    every requested sample time to 1e-8.
     """
     times = np.asarray(times, dtype=float)
     rho0 = np.asarray(initial_state, dtype=complex)
@@ -259,32 +259,32 @@ def integrate_gksl(params: MarkovParams, initial_state, times) -> MarkovTrajecto
             f"{solution.message}"
         )
     states = solution.y.T.reshape(-1, 8, 8)
-    for k in (0, len(times) // 2, len(times) - 1):
-        state = states[k]
-        if abs(np.trace(state) - 1.0) > 1e-8 or np.max(np.abs(state - state.conj().T)) > 1e-8:
-            raise RuntimeError(
-                f"integrator lost trace or Hermiticity at t={times[k]:.6g}"
-            )
+    trace_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    herm_err = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
+    bad = np.flatnonzero((trace_err > 1e-8) | (herm_err > 1e-8))
+    if bad.size:
+        raise RuntimeError(
+            f"integrator lost trace or Hermiticity at t={times[bad[0]]:.6g}"
+        )
     return MarkovTrajectory(times, states, solution.sol)
 
 
-def ground_populations(state: np.ndarray) -> np.ndarray:
-    """Ground (lower-level) population of each qubit for one 8x8 state."""
-    diag = np.diag(state).real
-    pops = np.empty(3)
-    for k in range(3):
-        mask = [(idx >> (2 - k)) & 1 == 1 for idx in range(8)]
-        pops[k] = diag[mask].sum()
-    return pops
+# _UPPER[k, idx] = 1 where basis state idx holds qubit k + 1 in its upper level |0>
+_UPPER = np.array([[1.0 - ((idx >> (2 - k)) & 1) for idx in range(8)] for k in range(3)])
+
+
+def excited_populations(states) -> np.ndarray:
+    """Upper-level population of each qubit, shape (..., 8, 8) -> (..., 3)."""
+    return np.diagonal(np.asarray(states), axis1=-2, axis2=-1).real @ _UPPER.T
 
 
 def temperature_trajectories(params: MarkovParams, traj: MarkovTrajectory):
-    """(r, T) arrays of shape (3, n) along the trajectory."""
-    r = np.stack([ground_populations(s) for s in traj.states], axis=1)
+    """(r, T) arrays of shape (3, n) along the trajectory, T read from p = 1 - r."""
+    p = excited_populations(traj.states).T
     temps = np.stack([
-        temperature_array(r[k], params.epsilon[k]) for k in range(3)
+        temperature_from_excited(p[k], params.epsilon[k]) for k in range(3)
     ])
-    return r, temps
+    return 1.0 - p, temps
 
 
 @dataclass(frozen=True)
@@ -304,15 +304,15 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
                     time_grid=DEFAULT_TIME_GRID) -> MarkovOptimum:
     """Minimize the cold-qubit temperature over (alpha1..3, g) and time.
 
-    Same search strategy as the spin-star optimizer: the time axis is a
-    dense-grid scan of each integrated trajectory followed by golden
-    polish, the four couplings a seeded Sobol multistart with Nelder-Mead
-    refinement.  Weak-coupling warnings from exploratory parameter points
-    are suppressed inside the objective, and points whose rates break weak
+    Same search strategy as the spin-star optimizer: the best time comes
+    from the same ``_best_time_on_grid``, on the excited population of
+    qubit 1 along each integrated trajectory, and the four couplings from a
+    seeded Sobol multistart with Nelder-Mead refinement.  Weak-coupling
+    warnings from exploratory parameter points are suppressed inside the objective, and points whose rates break weak
     coupling (``WeakCouplingError``) score +inf, so the search avoids them
     instead of aborting.
     """
-    from .analysis import golden_section_min, minimize_box
+    from .analysis import _best_time_on_grid, minimize_box
 
     t0, t1, dt = time_grid
     times = np.arange(t0, t1 + 0.5 * dt, dt)
@@ -327,19 +327,12 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
                 traj = integrate_gksl(params, thermal_product_state(params), times)
             except WeakCouplingError:
                 return math.inf, math.nan
-            r, _ = temperature_trajectories(params, traj)
-            k = int(np.argmax(r[0]))
-            if 0 < k < len(times) - 1:
-                t_best, neg = golden_section_min(
-                    lambda t: -ground_populations(traj.state_at(t))[0],
-                    float(times[k - 1]), float(times[k + 1]), tol=1e-4,
-                )
-                r_best = -neg
-                if r_best < r[0][k]:
-                    t_best, r_best = float(times[k]), float(r[0][k])
-            else:
-                t_best, r_best = float(times[k]), float(r[0][k])
-        t1_value = float(temperature_array(np.array([r_best]), base.epsilon[0])[0])
+            t_best, p_best = _best_time_on_grid(
+                excited_populations(traj.states)[:, 0],
+                lambda t: excited_populations(traj.state_at(t))[0],
+                times, refine_tol=1e-4,
+            )
+        t1_value = float(temperature_from_excited(p_best, base.epsilon[0]))
         return t1_value, t_best
 
     cache: dict[tuple, tuple] = {}

@@ -199,43 +199,65 @@ def sector_state_analytic(params: SingleStarParams, two_m: int, t: float) -> Sec
     return SectorState(two_m, c_gg, c_ee, c_ge)
 
 
-def _sector_population_terms(params: SingleStarParams):
-    """Per-sector decomposition c_gg(t) = const + amp*cos(2*theta*t).
+def sector_arrays(p: SingleStarParams) -> dict:
+    """Vectorized :func:`sector_hamiltonian` and weights of one pair, ascending two_m.
 
-    Returns arrays (labels, const, amp, omega) with omega = 2*theta; edge
-    sectors carry amp = 0.  This is the exact eigenstructure of the 2x2
+    ``p_level`` holds the in-sector thermal (ground, excited) populations,
+    each from its own ``expit`` so neither rounds to 0 when the other nears 1.
+    """
+    two_m, logw = sector_log_weights(p)
+    m = 0.5 * two_m
+    n = p.n_bath
+    b_minus = -0.5 * p.epsilon + p.bath_energy * (m + 0.5)
+    b_plus = 0.5 * p.epsilon + p.bath_energy * (m - 0.5)
+    inner = (0.5 * n + m + 0.5) * (0.5 * n - m + 0.5)
+    x = p.beta * (p.epsilon - p.bath_energy)
+    return {
+        "two_m": two_m,
+        "m": m,
+        "dim": np.where(np.abs(two_m) == n + 1, 1, 2),
+        "b_minus": b_minus,
+        "b_plus": b_plus,
+        "u": p.coupling * np.sqrt(np.clip(inner, 0.0, None)),
+        "edge_energy": np.where(two_m > 0, b_plus, b_minus),
+        "edge_state": np.where(two_m > 0, 1, 0),  # level surviving in an edge sector
+        "logw": logw,
+        "p_level": (float(expit(x)), float(expit(-x))),
+    }
+
+
+def _sector_population_terms(params: SingleStarParams):
+    """Per-sector decomposition c_ee(t) = const + amp*cos(omega*t).
+
+    Returns arrays (labels, const, amp, omega) for the qubit's excited
+    population, with omega = 2*theta and theta = hypot(u, (b_minus -
+    b_plus)/2); edge sectors carry amp = 0 and const = 1 for the upper
+    edge, 0 for the lower.  This is the exact eigenstructure of the 2x2
     blocks, shared by the time-series and heat-current evaluations.
     """
-    labels = np.array(sector_labels(params))
-    const = np.empty(labels.shape)
-    amp = np.zeros(labels.shape)
-    omega = np.zeros(labels.shape)
-    for i, two_m in enumerate(labels):
-        block = sector_hamiltonian(params, int(two_m))
-        if isinstance(block, SectorLevel):
-            const[i] = 1.0 if two_m < 0 else 0.0
-            continue
-        theta = block.theta
-        sin2_mix = (block.u / theta) ** 2 if theta > 0 else 0.0
-        p_g, p_e = sector_initial_populations(params, int(two_m))
-        amp[i] = 0.5 * (p_g - p_e) * sin2_mix
-        const[i] = p_g - amp[i]
-        omega[i] = 2.0 * theta
-    return labels, const, amp, omega
+    table = sector_arrays(params)
+    u = table["u"]
+    theta = np.hypot(u, 0.5 * (table["b_minus"] - table["b_plus"]))
+    interior = table["dim"] == 2
+    sin2_mix = np.divide(u * u, theta * theta, out=np.zeros_like(theta), where=theta > 0)
+    p_g, p_e = table["p_level"]
+    amp = np.where(interior, -0.5 * (p_g - p_e) * sin2_mix, 0.0)
+    const = np.where(interior, p_e - amp, (table["two_m"] > 0).astype(float))
+    omega = np.where(interior, 2.0 * theta, 0.0)
+    return table["two_m"], const, amp, omega
 
 
-def ground_population(params: SingleStarParams, t: float) -> float:
-    """Weighted ground population r(t) of the central qubit."""
-    labels, w = sector_weights(params)
-    _, const, amp, omega = _sector_population_terms(params)
-    return float(np.dot(w, const + amp * np.cos(omega * t)))
-
-
-def ground_population_series(params: SingleStarParams, times) -> np.ndarray:
+def excited_population_series(params: SingleStarParams, times) -> np.ndarray:
+    """Weighted excited population p(t) = 1 - r(t) of the central qubit."""
     times = np.asarray(times, dtype=float)
     _, w = sector_weights(params)
     _, const, amp, omega = _sector_population_terms(params)
     return (w * const).sum() + np.cos(np.outer(times, omega)) @ (w * amp)
+
+
+def ground_population(params: SingleStarParams, t: float) -> float:
+    """Weighted ground population r(t) of the central qubit."""
+    return float(1.0 - excited_population_series(params, [t])[0])
 
 
 def heat_current_series(params: SingleStarParams, times) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +270,7 @@ def heat_current_series(params: SingleStarParams, times) -> tuple[np.ndarray, np
     times = np.asarray(times, dtype=float)
     _, w = sector_weights(params)
     _, _, amp, omega = _sector_population_terms(params)
-    r_dot = np.sin(np.outer(times, omega)) @ (-(w * amp * omega))
+    r_dot = np.sin(np.outer(times, omega)) @ (w * amp * omega)
     return -params.epsilon * r_dot, params.bath_energy * r_dot
 
 
@@ -299,21 +321,12 @@ def local_temperature(r: float, epsilon: float) -> float:
     return temperature
 
 
-def temperature_array(r: np.ndarray, epsilon: float) -> np.ndarray:
-    """Vectorized local temperature; r = 1/2 maps to +inf, no warnings emitted."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or np.any(r >= 1.0):
-        raise ValueError("ground population outside the open interval (0, 1)")
-    with np.errstate(divide="ignore"):
-        return np.where(r == 0.5, np.inf, epsilon / np.log(r / (1.0 - r)))
-
-
 def temperature_from_excited(p: np.ndarray, epsilon: float) -> np.ndarray:
     """Vectorized temperature epsilon / ln((1 - p)/p) from the excited population.
 
-    Unlike ``temperature_array`` of r = 1 - p, this keeps the relative
-    precision of a small p, where r would round to 1 at low temperature.
-    p = 0 maps to 0 (the T -> 0+ limit) and p = 1/2 to +inf.
+    Every reported temperature is read here rather than from r = 1 - p,
+    which rounds to 1 at low temperature while p keeps its relative
+    precision.  p = 0 maps to 0 (the T -> 0+ limit) and p = 1/2 to +inf.
     """
     p = np.asarray(p, dtype=float)
     if np.any(p < 0.0) or np.any(p >= 1.0):

@@ -200,8 +200,8 @@ def test_criterion_3_conservation_suite():
             )
     grid = np.arange(0.0, 10.0 + 2.5e-3, 0.005)
     prune_dev = float(np.max(np.abs(
-        full.ground_population_series(1, grid)
-        - pruned.ground_population_series(1, grid)
+        full.series_terms(("pop", 1), "cos").evaluate(grid)
+        - pruned.series_terms(("pop", 1), "cos").evaluate(grid)
     )))
     ok = (
         trace_dev < 1e-12 and charge_dev < 1e-10

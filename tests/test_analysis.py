@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinfridge.analysis import (
+    _best_time_on_grid,
     fit_power_law,
     first_local_min,
     golden_section_min,
@@ -55,6 +56,36 @@ class TestFirstLocalMin:
         values = np.cos(times) + 0.01 * times  # dips near pi, 3*pi, ...
         result = first_local_min(times, values)
         assert result.time < 4.0
+
+
+class TestBestTimeOnGrid:
+    def test_minimum_at_grid_edge_is_not_polished(self):
+        grid = np.linspace(0.0, 1.0, 11)
+
+        def never(t):
+            raise AssertionError("an edge minimum needs no polish")
+
+        assert _best_time_on_grid(grid, never, grid) == (0.0, 0.0)
+        assert _best_time_on_grid(-grid, never, grid) == (1.0, -1.0)
+
+    def test_tie_resolves_to_first_index(self):
+        grid = np.arange(5.0)
+        values = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
+        t_best, v_best = _best_time_on_grid(values, lambda t: 5.0, grid)
+        assert (t_best, v_best) == (1.0, 1.0)
+
+    def test_polish_never_loses_to_the_grid(self):
+        grid = np.arange(5.0)
+        values = np.array([3.0, 2.0, 1.0, 2.0, 3.0])
+        # a continuous objective above the sampled value everywhere
+        t_best, v_best = _best_time_on_grid(values, lambda t: 1.5 + (t - 2.0) ** 2, grid)
+        assert (t_best, v_best) == (2.0, 1.0)
+
+    def test_polish_refines_between_grid_points(self):
+        grid = np.arange(0.0, 6.0, 0.5)
+        t_best, v_best = _best_time_on_grid(np.cos(grid), np.cos, grid, refine_tol=1e-9)
+        assert t_best == pytest.approx(math.pi, abs=1e-6)
+        assert v_best < np.cos(grid).min()
 
 
 class TestMinimizeBox:

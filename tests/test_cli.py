@@ -259,6 +259,86 @@ class TestCliCommands:
         assert target.exists()
 
 
+class TestLowTemperatureCommands:
+    """beta = 40: r = 1 - p rounds to 1, so every T is read from p."""
+
+    COLD = {
+        "epsilon": [1, 2, 1], "bath_energy": [2, 4, 2],
+        "coupling": [0.4, 0.6, 0.5], "g": 0.05, "beta": [40, 40, 20],
+    }
+
+    def test_optimize_matches_dense_oracle(self, tmp_path):
+        from spinfridge import oracle
+        from spinfridge.engine import RefrigeratorParams
+        from spinfridge.spinstar import temperature_from_excited
+
+        out = tmp_path / "opt.json"
+        cfg = write_config(tmp_path, "opt.json.in", {
+            "mode": "optimize",
+            "params": dict(self.COLD, n_bath=[2, 2, 2]),
+            "prune_tol": 0.0,
+            "time_grid": {"start": 0, "stop": 10, "step": 0.05},
+            "optimization": {"budget": 12, "seed": 0},
+            "output": {"path": str(out)},
+        })
+        assert main(["optimize", cfg]) == 0
+        best = json.loads(out.read_text())["results"]
+        params = RefrigeratorParams(
+            epsilon=(1, 2, 1), bath_energy=(2, 4, 2),
+            coupling=tuple(best["best_coupling"]), g=best["best_g"],
+            n_bath=(2, 2, 2), beta=(40, 40, 20),
+        )
+        rho1 = oracle.dense_evolve_and_trace(oracle.build_dense(params), best["best_time"], 0)
+        p_exc = rho1[1, 1].real
+        assert 0.0 < p_exc < 1e-8
+        assert best["best_t1"] == pytest.approx(
+            float(temperature_from_excited(p_exc, 1.0)), rel=1e-10
+        )
+
+    def test_markov_evolve_starts_at_bath_temperatures(self, tmp_path):
+        out = tmp_path / "markov.csv"
+        cfg = write_config(tmp_path, "markov.json", {
+            "mode": "markov",
+            "params": {
+                "epsilon": [1, 2, 1], "g": 0.08,
+                "alpha": [1e-5, 2e-5, 3e-5], "beta": [40, 40, 20],
+            },
+            "time_grid": {"start": 0, "stop": 5, "step": 1.0},
+            "output": {"path": str(out)},
+        })
+        assert main(["markov", cfg]) == 0
+        first = [float(v) for v in out.read_text().splitlines()[3].split(",")]
+        assert first[1:4] == pytest.approx([1 / 40, 1 / 40, 1 / 20], rel=1e-12)
+
+    def test_single_starts_at_bath_temperature(self, tmp_path):
+        out = tmp_path / "single.csv"
+        cfg = write_config(tmp_path, "single.json", {
+            "mode": "single",
+            "params": {
+                "epsilon": 1.0, "bath_energy": 2.0, "coupling": 0.5,
+                "n_bath": 5, "beta": 40.0,
+            },
+            "time_grid": {"start": 0, "stop": 2, "step": 0.5},
+            "output": {"path": str(out)},
+        })
+        assert main(["single", cfg]) == 0
+        first = [float(v) for v in out.read_text().splitlines()[3].split(",")]
+        assert first[1] == pytest.approx(1 / 40, rel=1e-12)
+
+    def test_pruned_excitation_is_a_precise_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "evolve.json", {
+            "mode": "evolve",
+            "params": dict(self.COLD, n_bath=[30, 30, 30]),
+            "prune_tol": 1e-9,
+            "time_grid": {"start": 0, "stop": 1, "step": 0.5},
+            "output": {"path": str(tmp_path / "never.csv")},
+        })
+        assert main(["evolve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "qubit 1 has no excited population in the kept sectors" in err
+        assert "prune_tol=1e-09 dropped 32766 of 32768 sectors" in err
+
+
 class TestBlasThreadPolicy:
     @staticmethod
     def _threads_after_import(preset):

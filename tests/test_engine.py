@@ -251,7 +251,7 @@ class TestReducedDynamics:
     def test_series_matches_single_time_queries(self):
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         times = np.arange(0.0, 3.0, 0.01)
-        series = eng.ground_population_series(1, times)
+        series = eng.series_terms(("pop", 1), "cos").evaluate(times)
         for k in (0, 117, 250):
             assert series[k] == pytest.approx(
                 eng.ground_population(1, float(times[k])), abs=1e-11
@@ -260,7 +260,7 @@ class TestReducedDynamics:
     def test_nonuniform_grid_accepted(self):
         eng = RefrigeratorEngine(fridge(n=(1, 1, 1)))
         times = np.array([0.0, 0.3, 1.0, 2.7])
-        series = eng.ground_population_series(1, times)
+        series = eng.series_terms(("pop", 1), "cos").evaluate(times)
         assert series.shape == (4,)
 
     def test_amplitude_compression_bounds_error(self):
@@ -269,8 +269,8 @@ class TestReducedDynamics:
         squeezed = RefrigeratorEngine(p, prune_tol=0.0, series_amp_tol=1e-8)
         times = np.arange(0.0, 10.0, 0.1)
         gap = np.max(np.abs(
-            exact.ground_population_series(1, times)
-            - squeezed.ground_population_series(1, times)
+            exact.series_terms(("pop", 1), "cos").evaluate(times)
+            - squeezed.series_terms(("pop", 1), "cos").evaluate(times)
         ))
         assert gap < 1e-7
 
@@ -383,15 +383,19 @@ class TestLowTemperature:
     )
 
     def test_cold_production_config_runs(self):
-        # r = 1 - p rounds to 1 here; the sectors kept at prune_tol=1e-9
-        # hold no excited population of qubits 1 and 2, so T reads the
-        # T -> 0+ limit there instead of raising
+        # the sectors kept at prune_tol=1e-9 hold no excited population of
+        # qubits 1 and 2, so their temperature is a pruning error, not T = 0
         p = RefrigeratorParams(n_bath=(30, 30, 30), **self.COLD)
         eng = RefrigeratorEngine(p, prune_tol=1e-9)
         times = np.arange(0.0, 10.0 + 0.0025, 0.005)
-        for series in eng.qubit_series((1, 2, 3), times):
-            assert np.all(np.isfinite(series.temperature))
-            assert np.all(series.temperature >= 0.0)
+        for qubit in (1, 2):
+            message = f"qubit {qubit} .* prune_tol=1e-09 dropped 32766 of 32768 sectors"
+            with pytest.raises(ValueError, match=message):
+                eng.temperature_series(qubit, times)
+            with pytest.raises(ValueError, match=message):
+                eng.temperature(qubit, 1.0)
+        with pytest.raises(ValueError, match="qubit 1 "):
+            eng.qubit_series((1, 2, 3), times)
         assert eng.temperature_series(3, times).temperature[0] == pytest.approx(0.05, abs=1e-9)
 
     def test_cold_small_bath_matches_dense_oracle(self):

@@ -15,7 +15,7 @@ from spinfridge.markov import (
     bose_occupation,
     build_jump_channels,
     decay_rate,
-    ground_populations,
+    excited_populations,
     integrate_gksl,
     liouvillian_matrix,
     markov_optimize,
@@ -116,7 +116,7 @@ class TestHamiltonian:
 
     def test_thermal_state_prefers_lower_level(self):
         rho = thermal_product_state(params())
-        r = ground_populations(rho)
+        r = 1.0 - excited_populations(rho)
         assert r[0] == pytest.approx(math.exp(0.5) / (2 * math.cosh(0.5)), abs=1e-12)
         assert np.all(r > 0.5)
 
@@ -141,7 +141,7 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
             traj = integrate_gksl(p, cold_start, times)
-        r_end = ground_populations(traj.states[-1])[0]
+        r_end = 1.0 - excited_populations(traj.states[-1])[0]
         expected = math.exp(0.5) / (2.0 * math.cosh(0.5))
         assert r_end == pytest.approx(expected, abs=1e-6)
 
@@ -180,6 +180,21 @@ class TestIntegration:
             integrate_gksl(p, np.eye(4) / 4.0, np.linspace(0, 1, 5))
         with pytest.raises(ValueError, match="trace"):
             integrate_gksl(p, np.eye(8), np.linspace(0, 1, 5))
+
+    def test_every_sample_is_checked(self, monkeypatch):
+        import spinfridge.markov as markov
+
+        real = markov.solve_ivp
+
+        def drifting(*args, **kwargs):
+            solution = real(*args, **kwargs)
+            solution.y[0, 1] += 1e-6  # trace error at the second sample only
+            return solution
+
+        monkeypatch.setattr(markov, "solve_ivp", drifting)
+        p = params()
+        with pytest.raises(RuntimeError, match="t=0.25"):
+            integrate_gksl(p, thermal_product_state(p), np.linspace(0.0, 1.0, 5))
 
     def test_interpolant_matches_samples(self):
         p = params()
@@ -231,6 +246,20 @@ class TestOptimize:
         with pytest.raises(WeakCouplingError, match="every one of 1"):
             markov_optimize(p, alpha_range=(1e-4, 1e-4), g_range=(1e-5, 1e-5),
                             budget=5, time_grid=(0.0, 1.0, 0.1))
+
+    def test_vectorized_reduction_equals_per_state_sum(self):
+        p = params()
+        times = np.linspace(0.0, 5.0, 6)
+        states = integrate_gksl(p, thermal_product_state(p), times).states
+        pops = excited_populations(states)
+        assert pops.shape == (6, 3)
+        for n, state in enumerate(states):
+            for k in range(3):
+                upper = [idx for idx in range(8) if not (idx >> (2 - k)) & 1]
+                assert pops[n, k] == pytest.approx(
+                    sum(state[idx, idx].real for idx in upper), abs=1e-15
+                )
+        assert np.array_equal(excited_populations(states[2]), pops[2])
 
     def test_temperatures_follow_populations(self):
         p = params()

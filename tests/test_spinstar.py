@@ -1,6 +1,7 @@
 """Single qubit-bath pair: sectors, exact evolution, reduced states, temperature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from spinfridge.spinstar import (
     SectorLevel,
     SingleStarParams,
     evolve_sector,
+    excited_population_series,
     ground_population,
-    ground_population_series,
     heat_current_series,
     local_temperature,
     reduced_bath_populations,
@@ -25,7 +26,6 @@ from spinfridge.spinstar import (
     sector_labels,
     sector_state_analytic,
     sector_weights,
-    temperature_array,
     temperature_from_excited,
 )
 
@@ -209,9 +209,32 @@ class TestReducedStates:
     def test_series_matches_pointwise(self):
         p = make(n=3)
         times = np.linspace(0.0, 4.0, 23)
-        series = ground_population_series(p, times)
+        series = 1.0 - excited_population_series(p, times)
         direct = [ground_population(p, float(t)) for t in times]
         assert np.allclose(series, direct, atol=1e-12)
+
+    def test_vectorized_terms_match_scalar_sectors(self):
+        from spinfridge.spinstar import _sector_population_terms
+
+        for p in (make(n=4), make(eps=2.0, bath_e=1.0, n=3, beta=3.0), make(a=0.0)):
+            labels, const, amp, omega = _sector_population_terms(p)
+            for t in (0.0, 0.8, 2.9):
+                scalar = [sector_state_analytic(p, int(m), t).c_ee for m in labels]
+                assert np.allclose(const + amp * np.cos(omega * t), scalar,
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_cold_excited_population_matches_dense_oracle(self):
+        # r = 1 - p rounds to 1 at beta = 40; p keeps its relative precision
+        p = make(n=3, beta=40.0)
+        model = oracle.build_dense(p)
+        spectrum = model.spectrum()
+        times = np.array([0.0, 0.7, 3.1])
+        series = excited_population_series(p, times)
+        for k, t in enumerate(times):
+            dense = oracle.dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
+            assert 0.0 < dense[1, 1].real < 1e-16
+            assert series[k] == pytest.approx(dense[1, 1].real, rel=1e-10)
+        assert temperature_from_excited(series[0], 1.0) == pytest.approx(1 / 40, rel=1e-12)
 
     def test_heat_currents_match_population_derivative(self):
         p = make(n=3)
@@ -238,7 +261,7 @@ class TestLocalTemperature:
 
     def test_half_population_is_infinite(self):
         assert math.isinf(local_temperature(0.5, 1.0))
-        assert temperature_array(np.array([0.5]), 1.0)[0] == np.inf
+        assert temperature_from_excited(np.array([0.5]), 1.0)[0] == np.inf
 
     def test_inversion_flagged_negative(self):
         with pytest.warns(PopulationInversionWarning):
@@ -252,8 +275,10 @@ class TestLocalTemperature:
 
     def test_excited_population_form(self):
         p = np.array([0.3, 0.5, 0.7])
-        assert np.allclose(temperature_from_excited(p, 2.0),
-                           temperature_array(1.0 - p, 2.0), rtol=1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PopulationInversionWarning)
+            expected = [local_temperature(1.0 - x, 2.0) for x in p]
+        assert np.allclose(temperature_from_excited(p, 2.0), expected, rtol=1e-14)
         # r = 1 - p rounds to 1 here, but p keeps its precision
         assert temperature_from_excited(np.array([math.exp(-40.0)]), 1.0)[0] == (
             pytest.approx(1.0 / 40.0, rel=1e-14)
