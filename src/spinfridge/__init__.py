@@ -12,8 +12,6 @@ from .engine import (  # noqa: E402
     RefrigeratorEngine,
     RefrigeratorParams,
     TimeSeries,
-    TripleSectorLabel,
-    enumerate_triple_sectors,
 )
 from .spinstar import SingleStarParams, local_temperature  # noqa: E402
 
@@ -24,8 +22,6 @@ __all__ = [
     "RefrigeratorParams",
     "SingleStarParams",
     "TimeSeries",
-    "TripleSectorLabel",
-    "enumerate_triple_sectors",
     "local_temperature",
     "__version__",
 ]

@@ -10,22 +10,25 @@ same nesting order (qubit 1 most significant).  The collective interaction
 couples indices 2 = (0,1,0) and 5 = (1,0,1) and exists only in full
 eight-dimensional sectors.
 
-Every sector is diagonalized once per parameter set; populations and
-currents are then exact trigonometric sums over spectral gaps, so a dense
-time grid costs a few matrix products instead of repeated evolutions.
+Which sectors exist, their weights, basis and level energies do not
+depend on the couplings: that layout is built once per (epsilon, E, N,
+beta, prune_tol) and shared, and each coupling set only fills and
+diagonalizes the sector blocks.  Populations and currents are then exact
+trigonometric sums over spectral gaps, so a dense time grid costs a few
+matrix products instead of repeated evolutions.
 Weighted reductions run in a fixed lexicographic sector order, which keeps
 repeated runs bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
 
-from .linalg import Spectrum
 from .spinstar import SingleStarParams, sector_arrays, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
@@ -72,42 +75,6 @@ class RefrigeratorParams:
 
 
 @dataclass(frozen=True)
-class TripleSectorLabel:
-    """One (m1, m2, m3) sector: doubled labels, local dimensions, weight.
-
-    ``weight`` is the sector's fraction of the total Boltzmann weight
-    (thermal trace factors included).  Fractions rather than raw Boltzmann
-    factors are stored because the raw products overflow double precision
-    once beta*E*N grows past a few hundred.
-    """
-
-    two_m: tuple[int, int, int]
-    dims: tuple[int, int, int]
-    weight: float
-
-    @property
-    def dimension(self) -> int:
-        return self.dims[0] * self.dims[1] * self.dims[2]
-
-
-@dataclass(frozen=True)
-class SectorSet:
-    labels: list[TripleSectorLabel]
-    retained_fraction: float
-    total_labels: int
-
-
-@dataclass(frozen=True)
-class TripleSectorSystem:
-    """One assembled sector: Hamiltonian block, spectrum and initial state."""
-
-    label: TripleSectorLabel
-    hamiltonian: np.ndarray
-    spectrum: Spectrum
-    initial_state: np.ndarray
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Sampled trajectory of one qubit's ground population and temperature."""
 
@@ -118,11 +85,11 @@ class TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# Sector enumeration
+# Sector layout: everything the couplings do not change
 # ---------------------------------------------------------------------------
 
-def _enumerate_arrays(params: RefrigeratorParams, prune_tol: float):
-    """Kept sector index triples, their weight fractions and the dropped weight.
+def _enumerate_arrays(pairs, prune_tol: float):
+    """Kept flat sector indices, their weight fractions and the dropped weight.
 
     Sector weights are products of per-pair Boltzmann weights (thermal trace
     factors included), normalized to the full sum.  Sectors are dropped
@@ -132,7 +99,6 @@ def _enumerate_arrays(params: RefrigeratorParams, prune_tol: float):
     """
     if not 0.0 <= prune_tol < 1.0:
         raise ValueError(f"prune_tol must lie in [0, 1), got {prune_tol}")
-    pairs = [sector_arrays(params.pair(i)) for i in (1, 2, 3)]
     logw = (
         pairs[0]["logw"][:, None, None]
         + pairs[1]["logw"][None, :, None]
@@ -145,133 +111,199 @@ def _enumerate_arrays(params: RefrigeratorParams, prune_tol: float):
     n_drop = int(np.searchsorted(cum, prune_tol, side="left"))
     dropped = float(cum[n_drop - 1]) if n_drop else 0.0
     keep = np.sort(order[n_drop:])
-    shape = tuple(len(p["logw"]) for p in pairs)
-    idx = np.unravel_index(keep, shape)
-    return pairs, idx, fractions[keep], dropped
+    return keep, fractions[keep], dropped
 
 
-def enumerate_triple_sectors(
-    params: RefrigeratorParams, prune_tol: float = DEFAULT_PRUNE_TOL
-) -> SectorSet:
-    """All (m1, m2, m3) sector labels above the pruning cut."""
-    pairs, idx, fractions, dropped = _enumerate_arrays(params, prune_tol)
-    labels = []
-    for a1, a2, a3, w in zip(*idx, fractions):
-        two_m = (
-            int(pairs[0]["two_m"][a1]),
-            int(pairs[1]["two_m"][a2]),
-            int(pairs[2]["two_m"][a3]),
-        )
-        dims = (
-            int(pairs[0]["dim"][a1]),
-            int(pairs[1]["dim"][a2]),
-            int(pairs[2]["dim"][a3]),
-        )
-        labels.append(TripleSectorLabel(two_m, dims, float(w)))
-    return SectorSet(labels, 1.0 - dropped, _sector_count(params))
+@dataclass(frozen=True, eq=False)
+class SectorGroup:
+    """Kept sectors sharing a (dims, edge-side) signature, couplings left out.
+
+    Rows are sectors in lexicographic (two_m1, two_m2, two_m3) order.
+    ``basis`` holds the (b1, b2, b3) bits of each basis state,
+    ``level_energy`` the diagonal of every sector block and ``p0`` the
+    initial populations, which are the same in every row.  The XY coupling
+    of pair k sits at the entries of ``flip_masks[k]`` with strength A_k
+    times ``unit_coupling[k]`` (one ladder factor per row), the interaction
+    at ``interaction_mask`` with strength g; either is None where the group
+    has no such coupling.
+    """
+
+    dims: tuple[int, int, int]
+    basis: np.ndarray
+    weights: np.ndarray
+    m_values: np.ndarray
+    level_energy: np.ndarray
+    p0: np.ndarray
+    unit_coupling: tuple
+    flip_masks: tuple
+    interaction_mask: np.ndarray | None
+
+    @property
+    def size(self) -> int:
+        return len(self.weights)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
-def _sector_count(params: RefrigeratorParams) -> int:
-    """Number of (m1, m2, m3) sectors before pruning."""
-    return math.prod(n + 2 for n in params.n_bath)
+@dataclass(frozen=True, eq=False)
+class SectorLayout:
+    """The kept sector groups in signature order, and what pruning dropped."""
+
+    groups: tuple[SectorGroup, ...]
+    kept: int
+    dropped: int
+    dropped_weight: float
 
 
-# ---------------------------------------------------------------------------
-# Batched sector groups
-# ---------------------------------------------------------------------------
-
-def _basis_states(dims, sides) -> list[tuple[int, int, int]]:
-    """Canonical basis as (s1, s2, s3) bit tuples, qubit 1 most significant."""
-    choices = []
-    for k in range(3):
-        choices.append((0, 1) if dims[k] == 2 else (int(sides[k]),))
-    return list(iter_product(*choices))
-
-
-class SectorGroupData:
-    """Batched eigendata of kept sectors sharing a (dims, edge-side) signature."""
-
-    __slots__ = (
-        "dims", "sides", "size", "dim", "basis", "weights", "m_values",
-        "hamiltonians", "lam", "vecs", "m_matrix", "u_values", "p0",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
-
-
-def _make_group(params, pairs, sel, weights, dims, sides) -> SectorGroupData:
-    """Assemble and diagonalize the sectors selected by per-pair indices."""
-    size = len(weights)
-    dim = dims[0] * dims[1] * dims[2]
-    basis = _basis_states(dims, sides)
-    m_values = np.stack([pairs[k]["m"][sel[k]] for k in range(3)], axis=1)
-
-    level_energy = []
-    u_values = []
-    p_level = []
-    for k in range(3):
-        pk = pairs[k]
+def _layout_group(pairs, sel, weights, dims, sides) -> SectorGroup:
+    """Coupling-independent arrays of the sectors selected by per-pair indices."""
+    basis = np.array(list(iter_product(*(
+        (0, 1) if dims[k] == 2 else (sides[k],) for k in range(3)
+    ))))
+    flips = basis[:, None, :] != basis[None, :, :]
+    single_flip = flips.sum(axis=2) == 1
+    level_energy = np.zeros((len(weights), len(basis)))
+    p0 = np.ones(len(basis))
+    unit_coupling = []
+    flip_masks = []
+    for k, pk in enumerate(pairs):
         if dims[k] == 2:
-            level_energy.append(
-                np.stack([pk["b_minus"][sel[k]], pk["b_plus"][sel[k]]], axis=1)
-            )
-            u_values.append(np.asarray(pk["u"][sel[k]], dtype=float))
-            p_level.append(np.array(pk["p_level"]))
+            levels = np.stack([pk["b_minus"][sel[k]], pk["b_plus"][sel[k]]], axis=1)
+            p_level = np.array(pk["p_level"])
+            unit_coupling.append(pk["u"][sel[k]])
+            flip_masks.append(flips[:, :, k] & single_flip)
         else:
-            e = pk["edge_energy"][sel[k]]
-            level_energy.append(np.stack([e, e], axis=1))
-            u_values.append(None)
-            p_level.append(np.array([1.0, 1.0]))
-
-    h = np.zeros((size, dim, dim))
-    p0 = np.ones((size, dim))
-    for b, state in enumerate(basis):
-        for k in range(3):
-            h[:, b, b] += level_energy[k][:, state[k]]
-            p0[:, b] *= p_level[k][state[k]]
-    for b, state in enumerate(basis):
-        for c in range(b + 1, dim):
-            flips = [k for k in range(3) if state[k] != basis[c][k]]
-            if len(flips) == 1 and dims[flips[0]] == 2:
-                h[:, b, c] = u_values[flips[0]]
-                h[:, c, b] = u_values[flips[0]]
+            edge = pk["edge_energy"][sel[k]]
+            levels = np.stack([edge, edge], axis=1)
+            p_level = np.ones(2)
+            unit_coupling.append(None)
+            flip_masks.append(None)
+        level_energy += levels[:, basis[:, k]]
+        p0 *= p_level[basis[:, k]]
+    interaction_mask = None
     if dims == (2, 2, 2):
-        a = basis.index(_INTERACTION_BITS[0])
-        b = basis.index(_INTERACTION_BITS[1])
-        h[:, a, b] += params.g
-        h[:, b, a] += params.g
-
-    lam, vecs = np.linalg.eigh(h)
-    m_matrix = np.einsum("gka,gk,gkb->gab", vecs, p0, vecs, optimize=True)
-    return SectorGroupData(
-        dims=dims, sides=sides, size=size, dim=dim, basis=basis,
-        weights=np.asarray(weights, dtype=float), m_values=m_values,
-        hamiltonians=h, lam=lam, vecs=vecs, m_matrix=m_matrix,
-        u_values=u_values, p0=p0,
+        lower, upper = ((basis == bits).all(axis=1) for bits in _INTERACTION_BITS)
+        interaction_mask = np.outer(lower, upper) | np.outer(upper, lower)
+    group = SectorGroup(
+        dims=dims, basis=basis, weights=weights,
+        m_values=np.stack([pairs[k]["m"][sel[k]] for k in range(3)], axis=1),
+        level_energy=level_energy, p0=p0, unit_coupling=tuple(unit_coupling),
+        flip_masks=tuple(flip_masks), interaction_mask=interaction_mask,
     )
+    arrays = [basis, weights, group.m_values, level_energy, p0, interaction_mask]
+    for array in arrays + unit_coupling + flip_masks:
+        if array is not None:
+            array.setflags(write=False)
+    return group
 
 
-def _build_groups(params, pairs, idx, fractions) -> list[SectorGroupData]:
-    """Bucket kept sectors by (dims, edge-side) signature, preserving order."""
-    dims_per_pair = [pairs[k]["dim"][idx[k]] for k in range(3)]
-    side_per_pair = [
-        np.where(dims_per_pair[k] == 1, pairs[k]["edge_state"][idx[k]], 0)
+# bounded: an unpruned N=30 layout holds a few MB
+@functools.lru_cache(maxsize=16)
+def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> SectorLayout:
+    """The sector layout for per-pair epsilon, E, N, beta and one prune_tol.
+
+    Which sectors are kept, their weights, grouping, basis, level energies
+    and initial populations depend on none of the couplings (A1, A2, A3, g),
+    so the layout is built once and shared by every engine on the same
+    arguments; its arrays are read-only.
+    """
+    # coupling 1 makes the table's "u" the bare ladder factor of each sector
+    pairs = [
+        sector_arrays(SingleStarParams(
+            epsilon=epsilon[k], bath_energy=bath_energy[k], coupling=1.0,
+            n_bath=n_bath[k], beta=beta[k],
+        ))
         for k in range(3)
     ]
-    signature = np.stack(dims_per_pair + side_per_pair, axis=1)
-    buckets: dict[tuple, list[int]] = {}
-    for row in range(len(fractions)):
-        key = tuple(int(x) for x in signature[row])
-        buckets.setdefault(key, []).append(row)
+    keep, fractions, dropped = _enumerate_arrays(pairs, prune_tol)
+    idx = np.unravel_index(keep, tuple(len(p["two_m"]) for p in pairs))
+    dims = np.stack([pairs[k]["dim"][idx[k]] for k in range(3)], axis=1)
+    sides = np.stack([
+        np.where(dims[:, k] == 1, pairs[k]["edge_state"][idx[k]], 0) for k in range(3)
+    ], axis=1)
+    signatures, inverse = np.unique(
+        np.hstack([dims, sides]), axis=0, return_inverse=True
+    )
     groups = []
-    for key in sorted(buckets):
-        rows = np.array(buckets[key])
-        dims, sides = key[:3], key[3:]
+    for g, signature in enumerate(signatures.tolist()):
+        rows = np.flatnonzero(inverse == g)
         sel = [idx[k][rows] for k in range(3)]
-        groups.append(_make_group(params, pairs, sel, fractions[rows], dims, sides))
-    return groups
+        groups.append(_layout_group(
+            pairs, sel, fractions[rows], tuple(signature[:3]), tuple(signature[3:])
+        ))
+    kept = len(keep)
+    return SectorLayout(
+        tuple(groups), kept, math.prod(n + 2 for n in n_bath) - kept, dropped
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per-coupling spectra
+# ---------------------------------------------------------------------------
+
+_COUPLING_KEYS = (("hsb", 1), ("hsb", 2), ("hsb", 3), ("hint",))
+
+
+def _coupling_term(params: RefrigeratorParams, sectors: SectorGroup, key):
+    """(strength, mask) of one coupling term of a group; None where it is absent.
+
+    The term holds ``strength`` at the entries of ``mask``: A_k times the
+    rows' ladder factors for ("hsb", k), g for ("hint",).
+    """
+    if key[0] == "hsb":
+        k = key[1] - 1
+        if sectors.flip_masks[k] is None:
+            return None
+        return (params.coupling[k] * sectors.unit_coupling[k])[:, None], sectors.flip_masks[k]
+    if key[0] == "hint":
+        if sectors.interaction_mask is None or params.g == 0.0:
+            return None
+        return params.g, sectors.interaction_mask
+    raise KeyError(key)
+
+
+def _rotated_diagonal(vecs: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """V^T diag(d) V per sector, shape (size, dim, dim)."""
+    return np.matmul(vecs.transpose(0, 2, 1) * diag[..., None, :], vecs)
+
+
+@dataclass(frozen=True, eq=False)
+class SectorGroupData:
+    """One layout group with its Hamiltonians and spectra for one coupling set."""
+
+    sectors: SectorGroup
+    hamiltonians: np.ndarray
+    lam: np.ndarray
+    vecs: np.ndarray
+    m_matrix: np.ndarray  # V^T diag(p0) V, the initial state in the eigenbasis
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.sectors.dims
+
+    @property
+    def size(self) -> int:
+        return self.sectors.size
+
+    @property
+    def dim(self) -> int:
+        return self.sectors.dim
+
+
+def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGroupData:
+    """Fill one group's Hamiltonians from its layout and diagonalize them."""
+    h = np.zeros((sectors.size, sectors.dim, sectors.dim))
+    diagonal = np.arange(sectors.dim)
+    h[:, diagonal, diagonal] = sectors.level_energy
+    for key in _COUPLING_KEYS:
+        term = _coupling_term(params, sectors, key)
+        if term is not None:
+            strength, mask = term
+            h[:, mask] = strength
+    lam, vecs = np.linalg.eigh(h)
+    return SectorGroupData(sectors, h, lam, vecs, _rotated_diagonal(vecs, sectors.p0))
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +451,10 @@ class SeriesTerms:
 class RefrigeratorEngine:
     """Immutable sector-resolved simulator for one parameter set.
 
-    Spectra of all retained sectors are computed once at construction and
-    cached; a parameter change means building a new engine.  All queries are
-    pure, so concurrent reads are safe.
+    Spectra of all retained sectors are computed once at construction, on
+    the sector layout shared by every engine with the same epsilon, E, N,
+    beta and ``prune_tol``; a parameter change means building a new engine.
+    All queries are pure, so concurrent reads are safe.
 
     ``series_amp_tol`` optionally compresses aggregated trigonometric
     series: the smallest-amplitude terms are dropped while their cumulative
@@ -436,66 +469,46 @@ class RefrigeratorEngine:
         self.params = params
         self.prune_tol = prune_tol
         self.series_amp_tol = series_amp_tol
-        pairs, idx, fractions, dropped = _enumerate_arrays(params, prune_tol)
-        self.retained_fraction = 1.0 - dropped
-        self.dropped_weight = dropped
-        self.dropped_sectors = _sector_count(params) - len(fractions)
-        self.groups = _build_groups(params, pairs, idx, fractions)
-        self.weight_total = float(sum(g.weights.sum() for g in self.groups))
+        self.layout = sector_layout(
+            params.epsilon, params.bath_energy, params.n_bath, params.beta, prune_tol
+        )
+        self.groups = [_diagonalize(params, sectors) for sectors in self.layout.groups]
+        self.weight_total = float(sum(s.weights.sum() for s in self.layout.groups))
         self._series_cache: dict[tuple, SeriesTerms] = {}
 
     # -- observables ----------------------------------------------------------
 
-    def _diag_observable(self, group: SectorGroupData, key) -> np.ndarray:
-        """Observable diagonal in the sector basis, shape (size, dim)."""
+    def _diag_observable(self, sectors: SectorGroup, key) -> np.ndarray:
+        """Observable diagonal in the sector basis, shape (dim,) or (size, dim)."""
         kind, i = key
         k = i - 1
-        bits = np.array([state[k] for state in group.basis], dtype=float)
+        bits = sectors.basis[:, k].astype(float)
         if kind == "pop":
-            return np.broadcast_to(1.0 - bits, (group.size, group.dim))
+            return 1.0 - bits
         if kind == "exc":
-            return np.broadcast_to(bits, (group.size, group.dim))
+            return bits
         if kind == "hs":
-            return np.broadcast_to(
-                self.params.epsilon[k] * (bits - 0.5), (group.size, group.dim)
-            )
+            return self.params.epsilon[k] * (bits - 0.5)
         if kind == "hb":
-            bath_level = group.m_values[:, k:k + 1] - (bits[None, :] - 0.5)
+            bath_level = sectors.m_values[:, k:k + 1] - (bits[None, :] - 0.5)
             return self.params.bath_energy[k] * bath_level
         raise KeyError(key)
 
-    def _offdiag_observable(self, group: SectorGroupData, key) -> np.ndarray | None:
+    def _offdiag_observable(self, sectors: SectorGroup, key) -> np.ndarray | None:
         """Dense coupling observable, shape (size, dim, dim); None if absent."""
-        kind = key[0]
-        if kind == "hsb":
-            k = key[1] - 1
-            if group.dims[k] != 2:
-                return None
-            o = np.zeros((group.size, group.dim, group.dim))
-            for b, state in enumerate(group.basis):
-                for c in range(b + 1, group.dim):
-                    flips = [j for j in range(3) if state[j] != group.basis[c][j]]
-                    if flips == [k]:
-                        o[:, b, c] = group.u_values[k]
-                        o[:, c, b] = group.u_values[k]
-            return o
-        if kind == "hint":
-            if group.dims != (2, 2, 2) or self.params.g == 0.0:
-                return None
-            o = np.zeros((group.size, group.dim, group.dim))
-            a = group.basis.index(_INTERACTION_BITS[0])
-            b = group.basis.index(_INTERACTION_BITS[1])
-            o[:, a, b] = self.params.g
-            o[:, b, a] = self.params.g
-            return o
-        raise KeyError(key)
+        term = _coupling_term(self.params, sectors, key)
+        if term is None:
+            return None
+        strength, mask = term
+        o = np.zeros((sectors.size, sectors.dim, sectors.dim))
+        o[:, mask] = strength
+        return o
 
     def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray | None:
         """V^T O V per sector, shape (size, dim, dim); None if O is absent."""
         if key[0] in ("pop", "exc", "hs", "hb"):
-            diag = self._diag_observable(group, key)
-            return np.einsum("gka,gk,gkb->gab", group.vecs, diag, group.vecs, optimize=True)
-        dense = self._offdiag_observable(group, key)
+            return _rotated_diagonal(group.vecs, self._diag_observable(group.sectors, key))
+        dense = self._offdiag_observable(group.sectors, key)
         if dense is None:
             return None
         return np.matmul(np.matmul(group.vecs.transpose(0, 2, 1), dense), group.vecs)
@@ -524,6 +537,7 @@ class RefrigeratorEngine:
         amp_parts = []
         omega_parts = []
         for group in self.groups:
+            weights = group.sectors.weights
             amp = None  # this group's (rows, gaps) block, made on first use
             for row, row_key in enumerate(keys):
                 o_tilde = self._observable_in_eigenbasis(group, row_key)
@@ -531,7 +545,7 @@ class RefrigeratorEngine:
                     continue
                 f = group.m_matrix * o_tilde
                 if kind == "cos":
-                    const[row] += float(np.dot(group.weights, np.trace(f, axis1=1, axis2=2)))
+                    const[row] += float(np.dot(weights, np.trace(f, axis1=1, axis2=2)))
                 if group.dim == 1:
                     continue
                 if amp is None:
@@ -542,9 +556,9 @@ class RefrigeratorEngine:
                     omega_parts.append(gaps.ravel())
                 pair_f = f[:, iu, ju]
                 if kind == "cos":
-                    amp[row] = (2.0 * group.weights[:, None] * pair_f).ravel()
+                    amp[row] = (2.0 * weights[:, None] * pair_f).ravel()
                 else:
-                    amp[row] = (-2.0 * group.weights[:, None] * pair_f * gaps).ravel()
+                    amp[row] = (-2.0 * weights[:, None] * pair_f * gaps).ravel()
         amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
         amps, omegas = self._compress(amps, omegas)
@@ -587,14 +601,15 @@ class RefrigeratorEngine:
         its relative error, on which T depends.
         """
         terms = self.series_terms(tuple(("exc", q) for q in qubits), "cos")
-        if self.dropped_sectors:
+        layout = self.layout
+        if layout.dropped:
             for q, const, amps in zip(qubits, terms.const, terms.amps):
                 if const == 0.0 and not np.any(amps):
                     raise ValueError(
                         f"qubit {q} has no excited population in the kept "
                         f"sectors: prune_tol={self.prune_tol:g} dropped "
-                        f"{self.dropped_sectors} of {_sector_count(self.params)} "
-                        f"sectors, of weight {self.dropped_weight:.3g}; lower "
+                        f"{layout.dropped} of {layout.kept + layout.dropped} "
+                        f"sectors, of weight {layout.dropped_weight:.3g}; lower "
                         "prune_tol to read its temperature"
                     )
         return terms
@@ -640,18 +655,19 @@ class RefrigeratorEngine:
         n = self.params.n_bath[k]
         pops = np.zeros(n + 1)
         for group in self.groups:
+            sectors = group.sectors
             diag = self._group_populations(group, t)
-            two_m = np.rint(2.0 * group.m_values[:, k]).astype(int)
-            for b, state in enumerate(group.basis):
+            two_m = np.rint(2.0 * sectors.m_values[:, k]).astype(int)
+            for b, state in enumerate(sectors.basis):
                 # ground bit pairs with level m + 1/2, excited with m - 1/2
                 two_m_b = two_m + (1 if state[k] == 0 else -1)
-                np.add.at(pops, (two_m_b + n) // 2, group.weights * diag[:, b])
+                np.add.at(pops, (two_m_b + n) // 2, sectors.weights * diag[:, b])
         return pops / self.weight_total
 
     def total_trace(self, t: float) -> float:
         """Weighted total trace at time t; equals one up to rounding."""
         total = sum(
-            float(np.dot(g.weights, self._group_populations(g, t).sum(axis=1)))
+            float(np.dot(g.sectors.weights, self._group_populations(g, t).sum(axis=1)))
             for g in self.groups
         )
         return total / self.weight_total
@@ -661,7 +677,7 @@ class RefrigeratorEngine:
         k = pair - 1
         total = sum(
             float(np.dot(
-                g.weights * g.m_values[:, k],
+                g.sectors.weights * g.sectors.m_values[:, k],
                 self._group_populations(g, t).sum(axis=1),
             ))
             for g in self.groups
@@ -680,7 +696,7 @@ class RefrigeratorEngine:
             energies = np.einsum(
                 "gab,gba->g", rho, group.hamiltonians.astype(complex)
             ).real
-            total += float(np.dot(group.weights, energies))
+            total += float(np.dot(group.sectors.weights, energies))
         return total / self.weight_total
 
 
@@ -694,38 +710,3 @@ def _uniform_grid(times: np.ndarray):
     if np.max(np.abs(np.diff(times) - dt)) > 1e-12 * max(abs(dt), 1.0):
         return None, None, None
     return float(times[0]), float(dt), len(times)
-
-
-# ---------------------------------------------------------------------------
-# Public single-sector constructors
-# ---------------------------------------------------------------------------
-
-def build_sector_hamiltonian(
-    params: RefrigeratorParams, label: TripleSectorLabel
-) -> TripleSectorSystem:
-    """Assemble one sector's Hamiltonian block, spectrum and initial state."""
-    pairs = [sector_arrays(params.pair(i)) for i in (1, 2, 3)]
-    sel = []
-    for k in range(3):
-        pos = np.where(pairs[k]["two_m"] == label.two_m[k])[0]
-        if len(pos) != 1:
-            raise ValueError(f"two_m={label.two_m[k]} is not a sector of pair {k + 1}")
-        sel.append(pos)
-    dims = tuple(int(pairs[k]["dim"][sel[k][0]]) for k in range(3))
-    if dims != tuple(label.dims):
-        raise ValueError(f"label dims {label.dims} disagree with parameters {dims}")
-    sides = tuple(
-        int(pairs[k]["edge_state"][sel[k][0]]) if dims[k] == 1 else 0 for k in range(3)
-    )
-    group = _make_group(params, pairs, sel, np.array([label.weight]), dims, sides)
-    spectrum = Spectrum(group.lam[0].copy(), group.vecs[0].copy())
-    return TripleSectorSystem(
-        label, group.hamiltonians[0], spectrum, np.diag(group.p0[0])
-    )
-
-
-def initial_sector_state(
-    params: RefrigeratorParams, label: TripleSectorLabel
-) -> np.ndarray:
-    """Unit-trace diagonal initial state of one sector."""
-    return build_sector_hamiltonian(params, label).initial_state

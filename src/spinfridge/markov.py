@@ -223,6 +223,9 @@ class MarkovTrajectory:
         return np.asarray(self._interpolant(t)).reshape(8, 8)
 
 
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(8, k=1)
+
+
 def integrate_gksl(params: MarkovParams, initial_state, times) -> MarkovTrajectory:
     """Integrate the master equation with adaptive explicit Runge-Kutta.
 
@@ -260,7 +263,13 @@ def integrate_gksl(params: MarkovParams, initial_state, times) -> MarkovTrajecto
         )
     states = solution.y.T.reshape(-1, 8, 8)
     trace_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    herm_err = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
+    # each strictly-upper element against its lower mirror, plus Im of the diagonal
+    upper = states[:, _UPPER_ROWS, _UPPER_COLS]
+    lower = states[:, _UPPER_COLS, _UPPER_ROWS]
+    herm_err = np.maximum(
+        np.abs(upper - lower.conj()).max(axis=1),
+        2.0 * np.abs(np.diagonal(states, axis1=1, axis2=2).imag).max(axis=1),
+    )
     bad = np.flatnonzero((trace_err > 1e-8) | (herm_err > 1e-8))
     if bad.size:
         raise RuntimeError(
@@ -308,9 +317,10 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
     from the same ``_best_time_on_grid``, on the excited population of
     qubit 1 along each integrated trajectory, and the four couplings from a
     seeded Sobol multistart with Nelder-Mead refinement.  Weak-coupling
-    warnings from exploratory parameter points are suppressed inside the objective, and points whose rates break weak
-    coupling (``WeakCouplingError``) score +inf, so the search avoids them
-    instead of aborting.
+    warnings from exploratory parameter points are suppressed inside the
+    objective, and points whose rates break weak coupling
+    (``WeakCouplingError``) score +inf, so the search avoids them instead of
+    aborting.
     """
     from .analysis import _best_time_on_grid, minimize_box
 

@@ -1,18 +1,17 @@
 """Triple-sector engine: enumeration, pruning, assembly, reduced dynamics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinfridge import oracle
+from spinfridge import oracle, thermo
 from spinfridge.engine import (
     RefrigeratorEngine,
     RefrigeratorParams,
-    build_sector_hamiltonian,
-    enumerate_triple_sectors,
-    initial_sector_state,
+    sector_layout,
     trig_series_at,
     trig_series_uniform,
 )
@@ -56,24 +55,34 @@ class TestParams:
         assert pair2.coupling == 0.4
 
 
+def layout(p, prune_tol=0.0):
+    return sector_layout(p.epsilon, p.bath_energy, p.n_bath, p.beta, prune_tol)
+
+
+def kept_sectors(eng):
+    """(group, row, two_m triple) of every kept sector, as the engine holds them."""
+    for group in eng.groups:
+        for row, m in enumerate(group.sectors.m_values):
+            yield group, row, tuple(int(x) for x in np.rint(2.0 * m))
+
+
 class TestEnumeration:
     def test_counts_without_pruning(self):
-        assert len(enumerate_triple_sectors(fridge(), 0.0).labels) == 27
-        big = enumerate_triple_sectors(fridge(n=(30, 30, 30)), 0.0)
-        assert len(big.labels) == 32768
-        assert big.total_labels == 32768
-        assert big.retained_fraction == 1.0
+        assert layout(fridge()).kept == 27
+        big = layout(fridge(n=(30, 30, 30)))
+        assert big.kept == sum(s.size for s in big.groups) == 32768
+        assert big.dropped == 0
+        assert big.dropped_weight == 0.0
 
     def test_weights_are_normalized_fractions(self):
-        sectors = enumerate_triple_sectors(fridge(n=(2, 2, 2)), 0.0)
-        total = sum(label.weight for label in sectors.labels)
+        total = sum(s.weights.sum() for s in layout(fridge(n=(2, 2, 2))).groups)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_pruning_drops_low_weight_sectors(self):
-        p = fridge(n=(6, 6, 6))
-        pruned = enumerate_triple_sectors(p, 1e-9)
-        assert len(pruned.labels) < 8 ** 3
-        assert pruned.retained_fraction >= 1.0 - 1e-9
+        pruned = layout(fridge(n=(6, 6, 6)), 1e-9)
+        assert pruned.kept == sum(s.size for s in pruned.groups) < 8 ** 3
+        assert pruned.kept + pruned.dropped == 8 ** 3
+        assert pruned.dropped_weight <= 1e-9
 
     def test_pruning_perturbs_population_below_budget(self):
         p = fridge(n=(6, 6, 6))
@@ -85,42 +94,43 @@ class TestEnumeration:
             ) < 1e-10
 
     def test_pruning_at_production_size(self):
-        # N=(30,30,30): pruning keeps a small fraction of the 32768 labels
+        # N=(30,30,30): pruning keeps a small fraction of the 32768 sectors
         # while retaining all but 1e-12 of the weight, and the cold-qubit
         # population moves by less than the conservation budget
         p = fridge(n=(30, 30, 30), coupling=(0.6, 0.5, 0.4), g=0.08)
-        pruned_set = enumerate_triple_sectors(p, 1e-12)
-        assert len(pruned_set.labels) < 32768
-        assert pruned_set.retained_fraction >= 1.0 - 1e-12
+        pruned_layout = layout(p, 1e-12)
+        assert pruned_layout.kept < 32768
+        assert pruned_layout.dropped_weight <= 1e-12
         full = RefrigeratorEngine(p, prune_tol=0.0)
         pruned = RefrigeratorEngine(p, prune_tol=1e-12)
+        assert pruned.layout is pruned_layout
         assert abs(
             full.ground_population(1, 5.0) - pruned.ground_population(1, 5.0)
         ) < 1e-10
 
     def test_dims_flag_edges(self):
-        labels = {
-            tuple(label.two_m): label.dims
-            for label in enumerate_triple_sectors(fridge(), 0.0).labels
-        }
-        assert labels[(-2, -2, -2)] == (1, 1, 1)
-        assert labels[(0, 0, 0)] == (2, 2, 2)
-        assert labels[(2, 0, -2)] == (1, 2, 1)
+        dims = {two_m: group.dims for group, _, two_m in kept_sectors(
+            RefrigeratorEngine(fridge(), prune_tol=0.0)
+        )}
+        assert dims[(-2, -2, -2)] == (1, 1, 1)
+        assert dims[(0, 0, 0)] == (2, 2, 2)
+        assert dims[(2, 0, -2)] == (1, 2, 1)
 
     def test_prune_tol_validation(self):
         with pytest.raises(ValueError):
-            enumerate_triple_sectors(fridge(), 1.5)
+            layout(fridge(), 1.5)
+        with pytest.raises(ValueError):
+            RefrigeratorEngine(fridge(), prune_tol=-1e-3)
 
 
 class TestSectorAssembly:
     def test_decoupled_blocks_are_kron_sums(self):
         p = fridge(g=0.0, n=(2, 2, 2))
         pairs = [p.pair(i) for i in (1, 2, 3)]
-        for label in enumerate_triple_sectors(p, 0.0).labels:
-            system = build_sector_hamiltonian(p, label)
+        for group, row, two_m in kept_sectors(RefrigeratorEngine(p, prune_tol=0.0)):
             addends = []
             for k in range(3):
-                block = sector_hamiltonian(pairs[k], label.two_m[k])
+                block = sector_hamiltonian(pairs[k], two_m[k])
                 addends.append(
                     block.matrix() if isinstance(block, SectorCoupling)
                     else np.array([[block.energy]])
@@ -131,49 +141,53 @@ class TestSectorAssembly:
                 for b in np.linalg.eigvalsh(addends[1])
                 for c in np.linalg.eigvalsh(addends[2])
             )
-            assert np.allclose(system.spectrum.eigenvalues, expected, atol=1e-12)
+            assert np.allclose(group.lam[row], expected, atol=1e-12)
 
     def test_autonomous_interaction_states_degenerate(self):
         p = fridge(n=(3, 3, 3), g=0.07)
         assert p.is_autonomous()
-        for label in enumerate_triple_sectors(p, 0.0).labels:
-            if label.dims != (2, 2, 2):
-                continue
-            h = build_sector_hamiltonian(p, label).hamiltonian
-            assert h[2, 2] == pytest.approx(h[5, 5], abs=1e-12)
-            assert h[2, 5] == pytest.approx(p.g)
+        full = [g for g in RefrigeratorEngine(p, prune_tol=0.0).groups if g.dims == (2, 2, 2)]
+        assert full
+        for group in full:
+            h = group.hamiltonians
+            assert np.allclose(h[:, 2, 2], h[:, 5, 5], rtol=0.0, atol=1e-12)
+            assert np.allclose(h[:, 2, 5], p.g, rtol=0.0, atol=1e-15)
 
     def test_interaction_absent_in_edge_sectors(self):
         # sectors missing a basis bit carry no collective coupling: their
         # blocks are identical with and without g
         p = fridge(n=(1, 1, 1), g=0.3)
-        p_free = fridge(n=(1, 1, 1), g=0.0)
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        eng_free = RefrigeratorEngine(fridge(n=(1, 1, 1), g=0.0), prune_tol=0.0)
+        assert eng_free.layout is eng.layout
         touched = 0
-        for label in enumerate_triple_sectors(p, 0.0).labels:
-            h = build_sector_hamiltonian(p, label).hamiltonian
-            h_free = build_sector_hamiltonian(p_free, label).hamiltonian
-            if label.dims == (2, 2, 2):
-                assert np.max(np.abs(h - h_free)) == pytest.approx(0.3)
+        for group, group_free in zip(eng.groups, eng_free.groups):
+            gap = np.abs(group.hamiltonians - group_free.hamiltonians).max(axis=(1, 2))
+            if group.dims == (2, 2, 2):
+                assert gap == pytest.approx(0.3)
             else:
-                assert np.max(np.abs(h - h_free)) == 0.0
-                touched += 1
+                assert np.all(gap == 0.0)
+                touched += group.size
         assert touched == 26  # all but the single full sector at N=(1,1,1)
 
     def test_initial_sector_state_normalized(self):
-        p = fridge(n=(2, 2, 2))
-        for label in enumerate_triple_sectors(p, 0.0).labels:
-            rho = initial_sector_state(p, label)
-            assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
-            assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
+        # the engine evolves m_matrix = V^T diag(p0) V; rotated back it must
+        # be a unit-trace state diagonal in the sector basis
+        eng = RefrigeratorEngine(fridge(n=(2, 2, 2)), prune_tol=0.0)
+        for group in eng.groups:
+            rho = group.vecs @ group.m_matrix @ group.vecs.transpose(0, 2, 1)
+            assert np.allclose(np.trace(rho, axis1=1, axis2=2), 1.0, rtol=0.0, atol=1e-12)
+            off = rho - np.einsum("gk,kl->gkl", np.diagonal(rho, axis1=1, axis2=2),
+                                  np.eye(group.dim))
+            assert np.max(np.abs(off)) < 1e-14
+            assert np.allclose(np.diagonal(rho, axis1=1, axis2=2), group.sectors.p0,
+                               rtol=0.0, atol=1e-14)
 
     def test_flat_initial_state_when_gaps_vanish(self):
         p = fridge(epsilon=(1.0, 2.0, 1.0), bath_energy=(1.0, 2.0, 1.0))
-        label = [
-            lab for lab in enumerate_triple_sectors(p, 0.0).labels
-            if lab.dims == (2, 2, 2)
-        ][0]
-        rho = initial_sector_state(p, label)
-        assert np.allclose(np.diag(rho).real, 1.0 / 8.0, atol=1e-12)
+        full = [s for s in layout(p).groups if s.dims == (2, 2, 2)]
+        assert len(full) == 1
+        assert np.allclose(full[0].p0, 1.0 / 8.0, atol=1e-12)
 
     def test_weight_reassembly_reproduces_product_state(self):
         # weighted embedding of all sector initial states rebuilds the
@@ -181,11 +195,55 @@ class TestSectorAssembly:
         p = fridge(n=(1, 1, 1))
         model = oracle.build_dense(p)
         rebuilt = np.zeros_like(model.initial_state)
-        for label in enumerate_triple_sectors(p, 0.0).labels:
-            idx = oracle.sector_basis_indices(p, label.two_m)
-            rho = initial_sector_state(p, label)
-            rebuilt[np.ix_(idx, idx)] += label.weight * rho
+        for group, row, two_m in kept_sectors(RefrigeratorEngine(p, prune_tol=0.0)):
+            idx = oracle.sector_basis_indices(p, two_m)
+            sectors = group.sectors
+            rebuilt[np.ix_(idx, idx)] += sectors.weights[row] * np.diag(sectors.p0)
         assert np.max(np.abs(rebuilt - model.initial_state)) < 1e-14
+
+
+class TestLayoutSharing:
+    def test_engines_on_one_base_share_the_layout(self):
+        first = RefrigeratorEngine(fridge(n=(2, 1, 1)), prune_tol=1e-6)
+        second = RefrigeratorEngine(
+            fridge(n=(2, 1, 1), coupling=(0.1, 0.9, 0.0), g=0.0), prune_tol=1e-6
+        )
+        assert second.layout is first.layout
+        assert [g.sectors for g in second.groups] == list(first.layout.groups)
+
+    def test_layout_arrays_are_read_only(self):
+        for sectors in layout(fridge(n=(2, 1, 3))).groups:
+            arrays = [sectors.basis, sectors.weights, sectors.m_values,
+                      sectors.level_energy, sectors.p0, sectors.interaction_mask]
+            arrays += list(sectors.unit_coupling) + list(sectors.flip_masks)
+            for array in arrays:
+                if array is not None:
+                    assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                sectors.weights[0] = 1.0
+
+    def test_base_change_gives_a_new_layout(self):
+        base = layout(fridge(n=(2, 2, 2)), 1e-9)
+        assert layout(fridge(n=(2, 2, 2)), 1e-9) is base
+        assert layout(fridge(n=(2, 2, 2), beta=(1.0, 2.0, 0.5)), 1e-9) is not base
+        assert layout(fridge(n=(2, 3, 2)), 1e-9) is not base
+        assert layout(fridge(n=(2, 2, 2)), 1e-12) is not base
+
+    def test_reused_layout_gives_identical_series(self):
+        p = fridge(n=(3, 2, 2), coupling=(0.2, 0.7, 0.4), g=0.06)
+        for coupling in ((0.5, 0.1, 0.9), (0.0, 0.3, 0.3)):
+            RefrigeratorEngine(replace(p, coupling=coupling), prune_tol=1e-9)
+        reused = RefrigeratorEngine(p, prune_tol=1e-9)
+        sector_layout.cache_clear()
+        fresh = RefrigeratorEngine(p, prune_tol=1e-9)
+        assert fresh.layout is not reused.layout
+        for keys, kind in (((("exc", 1), ("hs", 2)), "cos"),
+                           ((("hsb", 1), ("hint",)), "sin")):
+            a = reused.series_terms(keys, kind)
+            b = fresh.series_terms(keys, kind)
+            assert np.array_equal(a.const, b.const)
+            assert np.array_equal(a.amps, b.amps)
+            assert np.array_equal(a.omegas, b.omegas)
 
 
 class TestReducedDynamics:
@@ -418,3 +476,38 @@ class TestLowTemperature:
                 assert series.temperature[k] == pytest.approx(
                     temperature_from_excited(p_exc, eps), rel=1e-10
                 )
+
+
+def _triple(values):
+    return st.tuples(values, values, values)
+
+
+# small baths, with zero couplings and non-autonomous gaps allowed
+_SMALL_FRIDGE = st.builds(
+    RefrigeratorParams,
+    epsilon=_triple(st.floats(0.5, 2.0)),
+    bath_energy=_triple(st.floats(0.5, 4.0)),
+    coupling=_triple(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+    n_bath=_triple(st.sampled_from([1, 2])),
+    beta=_triple(st.floats(0.2, 5.0)),
+)
+
+
+class TestOracleProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(_SMALL_FRIDGE, st.floats(0.0, 10.0))
+    def test_matches_dense_oracle_and_conserves(self, p, t):
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        model = oracle.build_dense(p)
+        spectrum = model.spectrum()
+        for i in (1, 2, 3):
+            dense_q = oracle.dense_evolve_and_trace(model, t, 2 * (i - 1), spectrum=spectrum)
+            assert np.max(np.abs(dense_q - eng.reduced_qubit_state(i, t))) < 1e-10
+            dense_b = oracle.dense_evolve_and_trace(model, t, 2 * i - 1, spectrum=spectrum)
+            assert np.max(np.abs(
+                np.diag(dense_b).real - eng.reduced_bath_populations(i, t)
+            )) < 1e-10
+            assert abs(eng.conserved_charge(i, t) - eng.conserved_charge(i, 0.0)) < 1e-12
+        assert abs(eng.total_trace(t) - 1.0) < 1e-12
+        assert abs(thermo.energy_balance(eng, t)) < 1e-10

@@ -196,6 +196,21 @@ class TestIntegration:
         with pytest.raises(RuntimeError, match="t=0.25"):
             integrate_gksl(p, thermal_product_state(p), np.linspace(0.0, 1.0, 5))
 
+    def test_one_broken_coherence_is_caught(self, monkeypatch):
+        import spinfridge.markov as markov
+
+        real = markov.solve_ivp
+
+        def skewed(*args, **kwargs):
+            solution = real(*args, **kwargs)
+            solution.y[0 * 8 + 3, 2] += 1e-6  # rho[0, 3] at the third sample only
+            return solution
+
+        monkeypatch.setattr(markov, "solve_ivp", skewed)
+        p = params()
+        with pytest.raises(RuntimeError, match="Hermiticity at t=0.5"):
+            integrate_gksl(p, thermal_product_state(p), np.linspace(0.0, 1.0, 5))
+
     def test_interpolant_matches_samples(self):
         p = params()
         times = np.linspace(0.0, 10.0, 11)

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from spinfridge import oracle
-from spinfridge.engine import (
-    RefrigeratorParams,
-    build_sector_hamiltonian,
-    enumerate_triple_sectors,
-)
+from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
 from spinfridge.spinstar import SingleStarParams, sector_hamiltonian, sector_labels
 from spinfridge.spinstar import SectorCoupling
 
@@ -73,22 +69,27 @@ class TestBuildDense:
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
 
 
+def engine_sectors(p):
+    """(group, row, two_m triple) of every sector of an unpruned engine."""
+    for group in RefrigeratorEngine(p, prune_tol=0.0).groups:
+        for row, m in enumerate(group.sectors.m_values):
+            yield group, row, tuple(int(x) for x in np.rint(2.0 * m))
+
+
 class TestSectorEmbedding:
     def test_sector_dimensions_cover_dense_space(self):
         p = fridge(n=(2, 1, 1))
-        sectors = enumerate_triple_sectors(p, 0.0)
-        total = sum(label.dimension for label in sectors.labels)
+        total = sum(group.dim for group, _, _ in engine_sectors(p))
         assert total == oracle.build_dense(p).dimension
 
     def test_dense_hamiltonian_restricted_to_sectors(self):
         p = fridge(n=(2, 1, 1))
         model = oracle.build_dense(p)
-        for label in enumerate_triple_sectors(p, 0.0).labels:
-            idx = oracle.sector_basis_indices(p, label.two_m)
-            assert len(idx) == label.dimension
+        for group, row, two_m in engine_sectors(p):
+            idx = oracle.sector_basis_indices(p, two_m)
+            assert len(idx) == group.dim
             block = model.hamiltonian[np.ix_(idx, idx)]
-            system = build_sector_hamiltonian(p, label)
-            assert np.max(np.abs(block - system.hamiltonian)) < 1e-12
+            assert np.max(np.abs(block - group.hamiltonians[row])) < 1e-12
 
     def test_single_star_sector_blocks_match(self):
         p = single(n=3)
@@ -105,9 +106,9 @@ class TestSectorEmbedding:
     def test_off_sector_blocks_vanish(self):
         p = fridge(n=(1, 1, 1))
         model = oracle.build_dense(p)
-        labels = enumerate_triple_sectors(p, 0.0).labels
-        idx_a = oracle.sector_basis_indices(p, labels[0].two_m)
-        idx_b = oracle.sector_basis_indices(p, labels[5].two_m)
+        labels = sorted(two_m for _, _, two_m in engine_sectors(p))
+        idx_a = oracle.sector_basis_indices(p, labels[0])
+        idx_b = oracle.sector_basis_indices(p, labels[5])
         assert np.max(np.abs(model.hamiltonian[np.ix_(idx_a, idx_b)])) == 0.0
 
 
