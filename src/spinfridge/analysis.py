@@ -35,7 +35,10 @@ def worker_count() -> int:
     """Worker processes for parallel sweeps, from SPINFRIDGE_WORKERS or cores."""
     raw = os.environ.get(WORKERS_ENV, "")
     if raw.strip():
-        count = int(raw)
+        try:
+            count = int(raw)
+        except ValueError:
+            count = 0
         if count < 1:
             raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
         return count
@@ -200,46 +203,26 @@ def minimize_box(func, bounds, budget: int, seed: int,
 
     restarts = 0
     per_start = max((budget - tracker.used) // max(n_starts, 1), 20)
-    while not tracker.spent() and ranked:
-        x0 = probes[ranked.pop(0)]
+    polished = False
+    while not tracker.spent() and not polished:
         budget_left = budget - tracker.used
-        maxfev = min(per_start, budget_left)
-        if budget_left < per_start and restarts >= n_starts:
-            # not enough left for a fresh start: polish the incumbent instead
+        if ranked and (budget_left >= per_start or restarts < n_starts):
+            # refine the next best probe
+            x0, scale = probes[ranked.pop(0)], 0.08
+            options = {"maxfev": min(per_start, budget_left), "xatol": 1e-7, "fatol": 1e-12}
+            restarts += 1
+        elif tracker.best_x is not None:
+            # no probe left, or not enough budget for a fresh start: spend
+            # whatever remains tightening the incumbent
+            x0, scale = tracker.best_x, 0.01
+            options = {"maxfev": budget_left, "xatol": 1e-9, "fatol": 1e-13}
+            polished = True
+        else:
             break
         try:
-            minimize(
-                wrapped,
-                x0,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={
-                    "maxfev": maxfev,
-                    "xatol": 1e-7,
-                    "fatol": 1e-12,
-                    "initial_simplex": _initial_simplex(x0, lo, hi),
-                },
-            )
-        except _BudgetExhausted:
-            pass
-        restarts += 1
-    if not tracker.spent() and tracker.best_x is not None:
-        # spend whatever remains tightening the incumbent
-        try:
-            minimize(
-                wrapped,
-                tracker.best_x,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={
-                    "maxfev": budget - tracker.used,
-                    "xatol": 1e-9,
-                    "fatol": 1e-13,
-                    "initial_simplex": _initial_simplex(
-                        tracker.best_x, lo, hi, scale=0.01
-                    ),
-                },
-            )
+            minimize(wrapped, x0, method="Nelder-Mead", bounds=bounds, options={
+                **options, "initial_simplex": _initial_simplex(x0, lo, hi, scale),
+            })
         except _BudgetExhausted:
             pass
     return (
@@ -272,7 +255,11 @@ def _initial_simplex(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best couplings (A1, A2, A3, g), the best time, and search diagnostics."""
+    """Best point of the search box, the best time, and search diagnostics.
+
+    The point is (A1, A2, A3, g) for the spin-star refrigerator and
+    (alpha1, alpha2, alpha3, g) for the Markov baseline.
+    """
 
     best_params: np.ndarray
     best_time: float
@@ -283,37 +270,50 @@ class OptimizationResult:
     incumbent_history: np.ndarray
 
 
-def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
-                seed: int = 0, time_grid=DEFAULT_TIME_GRID) -> OptimizationResult:
-    """Minimize the cold-qubit temperature over couplings and time.
+_INFEASIBLE = (math.inf, math.nan, math.nan)
 
-    ``engine_factory`` maps a coupling vector (A1, A2, A3, g) to a
-    RefrigeratorEngine.  For each candidate the temperature is minimized
-    over the dense time grid (equivalently the excited population p1 is
-    minimized; the map p -> T is strictly increasing), then the couplings
-    are searched by seeded multistart Nelder-Mead.  Deterministic for a
-    fixed seed.
+
+def minimize_t1(excited, bounds, budget: int, seed: int,
+                time_grid=DEFAULT_TIME_GRID, refine_tol: float = 1e-5
+                ) -> OptimizationResult:
+    """Minimize the qubit-1 temperature over the points x of a box and over time.
+
+    ``excited(x, grid)`` returns, for point x, qubit 1's excited population
+    on the time grid, a pointwise evaluator of it and qubit 1's gap, or
+    None when x is infeasible, which scores +inf.  Each point's best time
+    comes from ``_best_time_on_grid`` (minimizing p1 minimizes T1: the map
+    p -> T is strictly increasing) and its T1 is read from p1 there; the
+    points are searched by ``minimize_box``.  Points are memoized by their
+    coordinates rounded to 14 decimals, so the winner is not evaluated
+    again.  When no evaluated point is feasible, ``best_t1`` is +inf and
+    the other values NaN.  Deterministic for a fixed seed.
     """
     t0, t1, dt = time_grid
     grid = np.arange(t0, t1 + 0.5 * dt, dt)
-    cache: dict[tuple, tuple] = {}
+    memo: dict[tuple, tuple] = {}
 
-    def evaluate(x) -> tuple:
-        key = tuple(np.round(np.asarray(x, dtype=float), 14))
-        if key not in cache:
-            engine = engine_factory(np.asarray(x, dtype=float))
-            terms = engine.excited_terms((1,))
-            t_best, p_best = _best_time_on_grid(
-                terms.evaluate(grid)[0], lambda t: terms.at([t])[0, 0], grid
-            )
-            t1_value = float(temperature_from_excited(p_best, engine.params.epsilon[0]))
-            cache[key] = (t1_value, t_best, p_best)
-        return cache[key]
+    def score(x) -> tuple:
+        x = np.asarray(x, dtype=float)
+        key = tuple(np.round(x, 14))
+        if key not in memo:
+            found = excited(x, grid)
+            if found is None:
+                memo[key] = _INFEASIBLE
+            else:
+                values, value_at, epsilon = found
+                t_best, p_best = _best_time_on_grid(values, value_at, grid, refine_tol)
+                t1_value = float(temperature_from_excited(p_best, epsilon))
+                memo[key] = (t1_value, t_best, p_best)
+        return memo[key]
 
-    x_best, f_best, evals, restarts, history = minimize_box(
-        lambda x: evaluate(x)[0], ranges, budget, seed
+    x_best, _, evals, restarts, history = minimize_box(
+        lambda x: score(x)[0], bounds, budget, seed
     )
-    t1_value, t_best, p_best = evaluate(x_best)
+    if x_best is None:  # no evaluated point was feasible
+        x_best = np.full(len(bounds), math.nan)
+        t1_value, t_best, p_best = _INFEASIBLE
+    else:
+        t1_value, t_best, p_best = score(x_best)
     return OptimizationResult(
         best_params=np.asarray(x_best, dtype=float),
         best_time=t_best,
@@ -323,6 +323,25 @@ def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
         restarts=restarts,
         incumbent_history=history,
     )
+
+
+def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
+                seed: int = 0, time_grid=DEFAULT_TIME_GRID) -> OptimizationResult:
+    """Minimize the cold-qubit temperature over couplings and time.
+
+    ``engine_factory`` maps a coupling vector (A1, A2, A3, g) to a
+    RefrigeratorEngine, whose ("exc", 1) series ``minimize_t1`` scans and
+    polishes; the couplings are searched by seeded multistart Nelder-Mead.
+    Deterministic for a fixed seed.
+    """
+
+    def excited(x, grid):
+        engine = engine_factory(x)
+        terms = engine.excited_terms((1,))
+        return (terms.evaluate(grid)[0], lambda t: terms.at([t])[0, 0],
+                engine.params.epsilon[0])
+
+    return minimize_t1(excited, ranges, budget, seed, time_grid)
 
 
 def coupling_engine_factory(base: RefrigeratorParams, prune_tol: float,

@@ -203,8 +203,8 @@ def _run_markov(config: RunConfig) -> None:
             time_grid=(grid.start, grid.stop, grid.step),
         )
         _write_json(config.output_path, config, {
-            "best_alpha": list(result.alpha),
-            "best_g": result.g,
+            "best_alpha": [float(v) for v in result.best_params[:3]],
+            "best_g": float(result.best_params[3]),
             "best_time": result.best_time,
             "best_t1": result.best_t1,
             "evaluations": result.evaluations,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -20,6 +20,7 @@ from .markov import DEFAULT_CUTOFF, MarkovParams
 from .spinstar import SingleStarParams
 
 MODES = ("single", "evolve", "optimize", "scaling", "markov", "validate")
+JSON_COMMANDS = ("optimize", "scaling", "validate", "markov optimize")
 
 
 class ConfigError(ValueError):
@@ -111,7 +112,6 @@ class RunConfig:
     n_list: tuple[int, ...] = ()
     output_path: str = "out"
     output_format: str = "csv"
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def _parse_refrigerator(data: dict, path: str) -> RefrigeratorParams:
@@ -224,13 +224,20 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         ),
     )
 
+    markov_action = data.get("action", "evolve")
+    if cfg_mode == "markov" and markov_action not in ("evolve", "optimize"):
+        raise ConfigError(f"action: expected 'evolve' or 'optimize', got {markov_action!r}")
+
     output = data.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output: expected an object")
-    output_format = output.get("format", "json" if cfg_mode in
-                               ("optimize", "scaling", "validate") else "csv")
-    if output_format not in ("csv", "json"):
-        raise ConfigError(f"output.format: expected 'csv' or 'json', got {output_format!r}")
+    # the command decides the format: JSON reports, CSV time series
+    command = f"markov {markov_action}" if cfg_mode == "markov" else cfg_mode
+    output_format = "json" if command in JSON_COMMANDS else "csv"
+    if output.get("format", output_format) != output_format:
+        raise ConfigError(
+            f"output.format: {command!r} writes {output_format}, got {output['format']!r}"
+        )
     output_path = output.get("path", f"{cfg_mode}-out.{output_format}")
     if not isinstance(output_path, str) or not output_path:
         raise ConfigError("output.path: expected a nonempty string")
@@ -253,9 +260,6 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         single = _parse_single(_require(data, "params", ""), "params")
     if cfg_mode == "markov":
         markov = _parse_markov(_require(data, "params", ""), "params")
-    markov_action = data.get("action", "evolve")
-    if cfg_mode == "markov" and markov_action not in ("evolve", "optimize"):
-        raise ConfigError(f"action: expected 'evolve' or 'optimize', got {markov_action!r}")
 
     return RunConfig(
         mode=cfg_mode,
@@ -269,7 +273,6 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         n_list=n_list,
         output_path=output_path,
         output_format=output_format,
-        raw=data,
     )
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .analysis import OptimizationResult, minimize_t1
 from .spinstar import temperature_from_excited
 
 DEFAULT_CUTOFF = 1e3
@@ -296,38 +297,22 @@ def temperature_trajectories(params: MarkovParams, traj: MarkovTrajectory):
     return 1.0 - p, temps
 
 
-@dataclass(frozen=True)
-class MarkovOptimum:
-    """Best Ohmic strengths and coupling with the optimal time and temperature."""
-
-    alpha: tuple[float, float, float]
-    g: float
-    best_time: float
-    best_t1: float
-    evaluations: int
-    restarts: int
-
-
 def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
                     g_range=DEFAULT_G_RANGE, budget: int = 300, seed: int = 0,
-                    time_grid=DEFAULT_TIME_GRID) -> MarkovOptimum:
+                    time_grid=DEFAULT_TIME_GRID) -> OptimizationResult:
     """Minimize the cold-qubit temperature over (alpha1..3, g) and time.
 
-    Same search strategy as the spin-star optimizer: the best time comes
-    from the same ``_best_time_on_grid``, on the excited population of
-    qubit 1 along each integrated trajectory, and the four couplings from a
-    seeded Sobol multistart with Nelder-Mead refinement.  Weak-coupling
-    warnings from exploratory parameter points are suppressed inside the
-    objective, and points whose rates break weak coupling
-    (``WeakCouplingError``) score +inf, so the search avoids them instead of
-    aborting.
+    Same search as the spin-star optimizer, through the same
+    ``analysis.minimize_t1``, on the excited population of qubit 1 along
+    each integrated trajectory; returns its ``OptimizationResult`` with
+    ``best_params`` = (alpha1, alpha2, alpha3, g).  Weak-coupling warnings
+    from exploratory parameter points are suppressed, and points whose
+    rates break weak coupling (``WeakCouplingError``) score +inf, so the
+    search avoids them instead of aborting; when every evaluated point
+    does, ``WeakCouplingError`` is raised.
     """
-    from .analysis import _best_time_on_grid, minimize_box
 
-    t0, t1, dt = time_grid
-    times = np.arange(t0, t1 + 0.5 * dt, dt)
-
-    def objective(x) -> tuple[float, float]:
+    def excited(x, times):
         params = replace(
             base, alpha=(float(x[0]), float(x[1]), float(x[2])), g=float(x[3])
         )
@@ -336,37 +321,15 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
             try:
                 traj = integrate_gksl(params, thermal_product_state(params), times)
             except WeakCouplingError:
-                return math.inf, math.nan
-            t_best, p_best = _best_time_on_grid(
-                excited_populations(traj.states)[:, 0],
+                return None
+        return (excited_populations(traj.states)[:, 0],
                 lambda t: excited_populations(traj.state_at(t))[0],
-                times, refine_tol=1e-4,
-            )
-        t1_value = float(temperature_from_excited(p_best, base.epsilon[0]))
-        return t1_value, t_best
-
-    cache: dict[tuple, tuple] = {}
-
-    def value_only(x) -> float:
-        key = tuple(np.round(np.asarray(x, dtype=float), 14))
-        if key not in cache:
-            cache[key] = objective(x)
-        return cache[key][0]
+                base.epsilon[0])
 
     bounds = [alpha_range, alpha_range, alpha_range, g_range]
-    x_best, f_best, evals, restarts, _ = minimize_box(
-        value_only, bounds, budget, seed
-    )
-    if not math.isfinite(f_best):
+    result = minimize_t1(excited, bounds, budget, seed, time_grid, refine_tol=1e-4)
+    if not math.isfinite(result.best_t1):
         raise WeakCouplingError(
-            f"every one of {evals} evaluated points breaks weak coupling"
+            f"every one of {result.evaluations} evaluated points breaks weak coupling"
         )
-    t1_value, t_best = cache[tuple(np.round(np.asarray(x_best, dtype=float), 14))]
-    return MarkovOptimum(
-        alpha=(float(x_best[0]), float(x_best[1]), float(x_best[2])),
-        g=float(x_best[3]),
-        best_time=t_best,
-        best_t1=t1_value,
-        evaluations=evals,
-        restarts=restarts,
-    )
+    return result

@@ -55,11 +55,6 @@ def coupling_flow(engine: RefrigeratorEngine, pair: int, t: float) -> float:
     return float(engine.series_terms(("hsb", pair), "sin").at([t])[0])
 
 
-def interaction_flow(engine: RefrigeratorEngine, t: float) -> float:
-    """Energy flow into the collective interaction term."""
-    return float(engine.series_terms(("hint",), "sin").at([t])[0])
-
-
 def energy_balance(engine: RefrigeratorEngine, t: float) -> float:
     """Total d<H>/dt assembled from every energy-flow channel.
 

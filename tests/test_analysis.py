@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinfridge import analysis
 from spinfridge.analysis import (
     _best_time_on_grid,
     fit_power_law,
     first_local_min,
     golden_section_min,
     minimize_box,
+    minimize_t1,
     neville_extrapolate,
     neville_lower_diagonal_diffs,
     optimize_t1,
@@ -19,6 +21,7 @@ from spinfridge.analysis import (
 )
 from spinfridge.analysis import coupling_engine_factory
 from spinfridge.engine import RefrigeratorParams
+from spinfridge.spinstar import temperature_from_excited
 
 
 class TestGoldenSection:
@@ -182,12 +185,75 @@ class TestOptimizeT1:
                              time_grid=(0.0, 10.0, 0.02))
         assert np.allclose(result.best_params, [0.4, 0.3, 0.2, 0.05])
 
+    def test_tiny_run_reproduces_recorded_result(self, base):
+        # exact values of a seeded run: any change to the scoring or the
+        # search shows here
+        factory = coupling_engine_factory(base, prune_tol=1e-9)
+        result = optimize_t1(factory, budget=12, seed=0, time_grid=(0.0, 2.0, 0.01))
+        assert result.best_params == pytest.approx([
+            0.9405854671820999, 0.9828415012452751,
+            0.3327175902947784, 0.04545501602441072,
+        ], rel=1e-12)
+        assert result.best_time == pytest.approx(1.1053515456300997, rel=1e-12)
+        assert result.best_t1 == pytest.approx(0.5075084125346581, rel=1e-12)
+        assert result.best_ground_population == pytest.approx(
+            0.8776552182066182, rel=1e-12
+        )
+        assert (result.evaluations, result.restarts) == (12, 1)
+        assert result.incumbent_history == pytest.approx(
+            [0.516992104145156] * 5 + [0.5084482186677982] * 6
+            + [0.5075084125346581], rel=1e-12
+        )
+
     def test_seed_stability(self, base):
         factory = coupling_engine_factory(base, prune_tol=1e-9)
         kwargs = dict(budget=250, time_grid=(0.0, 10.0, 0.02))
         first = optimize_t1(factory, seed=1, **kwargs)
         second = optimize_t1(factory, seed=42, **kwargs)
         assert abs(first.best_t1 - second.best_t1) < 2e-3
+
+
+class TestMinimizeT1:
+    @staticmethod
+    def excited(x, grid):
+        """Half the box (x0 < 0.5) is infeasible; p is least at (0.7, 0.3), t = 1."""
+        if x[0] < 0.5:
+            return None
+
+        def p(t):
+            return 0.1 + 0.05 * ((x[0] - 0.7) ** 2 + (x[1] - 0.3) ** 2) + 0.01 * (t - 1.0) ** 2
+
+        return p(grid), p, 1.0
+
+    def test_infeasible_half_scores_inf(self, monkeypatch):
+        objectives = []
+        real = analysis.minimize_box
+
+        def spy(func, *args, **kwargs):
+            objectives.append(func)
+            return real(func, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "minimize_box", spy)
+        result = minimize_t1(self.excited, [(0.0, 1.0), (0.0, 1.0)], budget=150,
+                             seed=0, time_grid=(0.0, 2.0, 0.05))
+        score = objectives[0]
+        assert score(np.array([0.2, 0.3])) == math.inf
+        assert score(np.array([0.49, 0.9])) == math.inf
+        assert math.isfinite(score(np.array([0.5, 0.3])))
+        assert result.best_params[0] >= 0.5
+        assert result.best_params == pytest.approx([0.7, 0.3], abs=1e-3)
+        assert result.best_time == pytest.approx(1.0, abs=1e-4)
+        assert result.best_t1 == pytest.approx(
+            float(temperature_from_excited(0.1, 1.0)), rel=1e-6
+        )
+
+    def test_no_feasible_point_reads_inf(self):
+        result = minimize_t1(self.excited, [(0.0, 0.4), (0.0, 1.0)], budget=10,
+                             seed=0, time_grid=(0.0, 2.0, 0.05))
+        assert result.best_t1 == math.inf
+        assert np.isnan(result.best_params).all() and len(result.best_params) == 2
+        assert math.isnan(result.best_time)
+        assert result.evaluations == 10
 
 
 def test_scaling_sweep_parallel_path_matches_serial(base):
@@ -323,8 +389,9 @@ class TestNeville:
 def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("SPINFRIDGE_WORKERS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("SPINFRIDGE_WORKERS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
+    for raw in ("0", "two", "1.5"):
+        monkeypatch.setenv("SPINFRIDGE_WORKERS", raw)
+        with pytest.raises(ValueError, match=f"SPINFRIDGE_WORKERS .* got '{raw}'"):
+            worker_count()
     monkeypatch.delenv("SPINFRIDGE_WORKERS")
     assert worker_count() >= 1

@@ -214,6 +214,43 @@ class TestCliCommands:
         report = json.loads(out.read_text())
         assert report["results"]["best_t1"] < 1.0
 
+    def test_markov_optimize_default_path_is_json(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "mopt.in", {
+            "mode": "markov",
+            "action": "optimize",
+            "params": {
+                "epsilon": [1, 2, 1], "g": 0.0,
+                "alpha": [0, 0, 0], "temperature": [1, 1, 2],
+            },
+            "time_grid": {"start": 0, "stop": 2, "step": 0.1},
+            "optimization": {"budget": 4, "g_range": [0.005, 0.1]},
+        })
+        assert main(["markov", cfg]) == 0
+        report = json.loads((tmp_path / "markov-out.json").read_text())
+        assert report["config"]["output"] == {"format": "json", "path": "markov-out.json"}
+        assert not (tmp_path / "markov-out.csv").exists()
+
+    @pytest.mark.parametrize("mode, extra, fmt", [
+        ("optimize", {}, "csv"),
+        ("evolve", {}, "json"),
+        ("markov", {"action": "optimize"}, "csv"),
+        ("markov", {}, "json"),
+    ])
+    def test_format_other_than_the_command_writes_is_exit_1(
+            self, tmp_path, capsys, mode, extra, fmt):
+        params = fridge_params() if mode != "markov" else {
+            "epsilon": [1, 2, 1], "g": 0.08,
+            "alpha": [1e-5, 2e-5, 3e-5], "temperature": [1, 1, 2],
+        }
+        cfg = write_config(tmp_path, "bad.json", {
+            "mode": mode, **extra, "params": params,
+            "output": {"path": str(tmp_path / f"never.{fmt}"), "format": fmt},
+        })
+        assert main([mode, cfg]) == 1
+        assert "output.format" in capsys.readouterr().err
+        assert not (tmp_path / f"never.{fmt}").exists()
+
     def test_scaling_command(self, tmp_path):
         out = tmp_path / "scaling.json"
         cfg = write_config(tmp_path, "scaling.json.in", {

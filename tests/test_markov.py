@@ -256,6 +256,20 @@ class TestOptimize:
                 alpha=tuple(best["best_alpha"]), g=best["best_g"], beta=(1.0, 1.0, 0.5)
             ))
 
+    def test_tiny_run_reproduces_recorded_result(self):
+        # exact values of a seeded run: any change to the scoring or the
+        # search shows here
+        p = params(alpha=(0.0, 0.0, 0.0), g=0.0)
+        result = markov_optimize(p, g_range=(0.005, 0.1), budget=12, seed=0,
+                                 time_grid=(0.0, 4.0, 0.05))
+        assert result.best_params == pytest.approx([
+            5.0200249388813976e-05, 5.4888443037867535e-05,
+            6.960237915068867e-05, 0.1,
+        ], rel=1e-12)
+        assert result.best_time == pytest.approx(4.0, rel=1e-12)
+        assert result.best_t1 == pytest.approx(0.9732931324977135, rel=1e-12)
+        assert (result.evaluations, result.restarts) == (12, 1)
+
     def test_box_without_weak_coupling_is_an_error(self):
         p = params(alpha=(0.0, 0.0, 0.0), g=0.0)
         with pytest.raises(WeakCouplingError, match="every one of 1"):
