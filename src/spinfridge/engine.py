@@ -14,8 +14,8 @@ Which sectors exist, their weights, basis and level energies do not
 depend on the couplings: that layout is built once per (epsilon, E, N,
 beta, prune_tol) and shared, and each coupling set only fills and
 diagonalizes the sector blocks.  Populations and currents are then exact
-trigonometric sums over spectral gaps, so a dense time grid costs a few
-matrix products instead of repeated evolutions.
+trigonometric sums over spectral gaps (``series.SeriesTerms``), so a dense
+time grid costs a few matrix products instead of repeated evolutions.
 Weighted reductions run in a fixed lexicographic sector order, which keeps
 repeated runs bit-identical.
 """
@@ -29,6 +29,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .series import SeriesTerms
 from .spinstar import SingleStarParams, sector_arrays, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
@@ -307,144 +308,6 @@ def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGrou
 
 
 # ---------------------------------------------------------------------------
-# Trigonometric series evaluation
-# ---------------------------------------------------------------------------
-
-# Bytes of scratch one term chunk of the blocked grid kernel may use.
-_CHUNK_BYTES = 1 << 20
-
-
-def _series_rows(const, amps):
-    """(k,) constants, (k, m) amplitudes, and whether the input was one series."""
-    amps = np.asarray(amps, dtype=float)
-    squeeze = amps.ndim == 1
-    amps = np.atleast_2d(amps)
-    const_vec = np.broadcast_to(np.asarray(const, dtype=float).ravel(), (amps.shape[0],))
-    return const_vec, amps, squeeze
-
-
-def _cis(x: np.ndarray) -> np.ndarray:
-    """e^{ix} from a direct cos and sin."""
-    out = np.empty(x.shape, dtype=complex)
-    out.real = np.cos(x)
-    out.imag = np.sin(x)
-    return out
-
-
-def _doubled(first: np.ndarray, factors: np.ndarray, count: int) -> np.ndarray:
-    """Rows j < count of first * prod(factors[p] for each set bit p of j).
-
-    With factors[p] = e^{iw 2^p s} this is the phase table
-    e^{iw s j} * first, built by doubling: rows [2^p, 2^(p+1)) are rows
-    [0, 2^p) times factors[p].  Every entry is a product of at most
-    log2(count) + 1 given phases, so its rounding error grows with
-    log(count), not with count.
-    """
-    table = np.empty((count,) + first.shape, dtype=complex)
-    table[0] = first
-    filled = 1
-    for factor in factors[:(count - 1).bit_length()]:
-        width = min(filled, count - filled)
-        np.multiply(table[:width], factor, out=table[filled:filled + width])
-        filled += width
-    return table
-
-
-def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
-                        kind: str = "cos") -> np.ndarray:
-    """Evaluate const + sum_j amps[.,j]*trig(omegas[j]*t) on a uniform grid.
-
-    The grid t = t0 + (b*B + q)*dt is cut into blocks of B points, B the
-    power of two at or above sqrt(n).  Since
-    e^{iwt} = e^{iw(t0 + bB dt)} e^{iwq dt}, one chunk of terms costs one
-    real matrix product over interleaved (cos, sin) pairs: the
-    amplitude-weighted block phases (a cos, a sin) (rows: series x block)
-    against the in-block phases (cos, -sin) for cosines or (sin, cos) for
-    sines.  Both phase tables are doubled (``_doubled``) from the phases
-    e^{iw 2^p dt}, each taken from a direct cos/sin, and chunks are sized
-    so the scratch stays near ``_CHUNK_BYTES``.  The absolute error is a
-    few ulps times sum|amps|.  ``amps`` may be a (k, m) matrix evaluating k
-    series over shared frequencies; the output then has shape (k, n).
-    """
-    const_vec, amps, squeeze = _series_rows(const, amps)
-    omegas = np.asarray(omegas, dtype=float)
-    rows = amps.shape[0]
-    out = np.empty((rows, n))
-    out[:] = const_vec[:, None]
-    if omegas.size == 0 or n == 0:
-        return out[0] if squeeze else out
-    block = 1 << math.isqrt(n - 1).bit_length()
-    n_blocks = -(-n // block)
-    inner_levels = block.bit_length() - 1
-    steps = dt * 2.0 ** np.arange(inner_levels + (n_blocks - 1).bit_length())
-    per_term = 16 * (len(steps) + n_blocks + block + rows * (n_blocks + 1))
-    chunk = max(1, _CHUNK_BYTES // per_term)
-    acc = np.zeros((rows * n_blocks, block))
-    for start in range(0, omegas.size, chunk):
-        w = omegas[start:start + chunk]
-        doubling = _cis(np.multiply.outer(steps, w))
-        outer = _doubled(_cis(w * t0), doubling[inner_levels:], n_blocks).view(float)
-        inner = _doubled(np.ones(w.size, dtype=complex), doubling, block)
-        np.conjugate(inner, out=inner)
-        if kind != "cos":
-            inner *= 1j
-        weights = np.repeat(amps[:, start:start + chunk], 2, axis=1)
-        left = (weights[:, None, :] * outer[None, :, :]).reshape(rows * n_blocks, -1)
-        acc += left @ inner.view(float).T
-    out += acc.reshape(rows, n_blocks * block)[:, :n]
-    return out[0] if squeeze else out
-
-
-def trig_series_at(const, amps, omegas, times, kind: str = "cos") -> np.ndarray:
-    """Direct evaluation of the trigonometric sum at arbitrary times.
-
-    Like ``trig_series_uniform``, (k, m) amplitudes give a (k, len(times))
-    result.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    const_vec, amps, squeeze = _series_rows(const, amps)
-    omegas = np.asarray(omegas, dtype=float)
-    fun = np.cos if kind == "cos" else np.sin
-    out = np.empty(times.shape + (amps.shape[0],))
-    out[:] = const_vec
-    if omegas.size:
-        chunk = max(1, int(4e6) // max(len(times), 1))
-        for start in range(0, len(omegas), chunk):
-            sl = slice(start, start + chunk)
-            out += fun(np.outer(times, omegas[sl])) @ amps[:, sl].T
-    return out[:, 0] if squeeze else out.T
-
-
-@dataclass(frozen=True)
-class SeriesTerms:
-    """Aggregated trigonometric representation of one or several observables.
-
-    A single observable has a float ``const`` and (m,) ``amps``; k
-    observables over shared gaps have (k,) ``const`` and (k, m) ``amps``,
-    and every evaluation returns one row per observable.
-    """
-
-    const: float | np.ndarray
-    amps: np.ndarray
-    omegas: np.ndarray
-    kind: str
-
-    def at(self, times) -> np.ndarray:
-        return trig_series_at(self.const, self.amps, self.omegas, times, self.kind)
-
-    def on_grid(self, t0: float, dt: float, n: int) -> np.ndarray:
-        return trig_series_uniform(self.const, self.amps, self.omegas, t0, dt, n, self.kind)
-
-    def evaluate(self, times) -> np.ndarray:
-        """Values at ``times``: the grid kernel when they are uniform, else direct."""
-        times = np.asarray(times, dtype=float)
-        t0, dt, n = _uniform_grid(times)
-        if n is not None:
-            return self.on_grid(t0, dt, n)
-        return self.at(times)
-
-
-# ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
 
@@ -698,15 +561,3 @@ class RefrigeratorEngine:
             ).real
             total += float(np.dot(group.sectors.weights, energies))
         return total / self.weight_total
-
-
-def _uniform_grid(times: np.ndarray):
-    """(t0, dt, n) when ``times`` is a uniform ascending grid, else Nones."""
-    if times.ndim != 1 or len(times) < 3:
-        return None, None, None
-    dt = times[1] - times[0]
-    if dt <= 0:
-        return None, None, None
-    if np.max(np.abs(np.diff(times) - dt)) > 1e-12 * max(abs(dt), 1.0):
-        return None, None, None
-    return float(times[0]), float(dt), len(times)

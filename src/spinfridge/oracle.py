@@ -5,19 +5,114 @@ Hamiltonian with collective ladder operators on the (N+1)-dimensional
 symmetric bath ladder, evolves the exact thermal product state by dense
 eigendecomposition, and partial-traces explicitly.  Dimensions are capped
 at 1000; this module is for small baths only.
+
+The eigendecomposition and the unitary evolution are checked: algebraic
+identities are held to 1e-12, spectral reconstructions to 1e-10.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .engine import RefrigeratorParams
-from .linalg import eig_hermitian, evolve_density, Spectrum
 from .spinstar import SingleStarParams
 
 DIMENSION_CAP = 1000
+HERMITICITY_ATOL = 1e-12
+SPECTRUM_ATOL = 1e-10
+DENSITY_ATOL = 1e-10
+
+
+class HermiticityError(ValueError):
+    """Matrix expected to be Hermitian is not, within tolerance."""
+
+
+class ConvergenceError(RuntimeError):
+    """Eigensolver failed or returned an unusable spectrum."""
+
+
+class Spectrum(NamedTuple):
+    """Eigenvalues (ascending) and the matrix whose columns are eigenvectors."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def require_hermitian(h, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """Return ``h`` as an array, raising HermiticityError if h != h^dagger."""
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    deviation = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    if deviation > atol:
+        raise HermiticityError(
+            f"matrix deviates from Hermiticity by {deviation:.3e} "
+            f"(tolerance {atol:.1e})"
+        )
+    return h
+
+
+def eig_hermitian(h) -> Spectrum:
+    """Validated eigendecomposition of a Hermitian matrix.
+
+    The returned eigenvector columns are orthonormal to 1e-10 and
+    reconstruct the input to 1e-10 relative to its largest entry; a
+    spectrum that fails either check raises ConvergenceError naming the
+    matrix dimension.
+    """
+    h = require_hermitian(h)
+    n = h.shape[0]
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigendecomposition failed for a {n}x{n} matrix: {exc}"
+        ) from exc
+    ortho = float(np.max(np.abs(eigenvectors.conj().T @ eigenvectors - np.eye(n))))
+    scale = max(float(np.max(np.abs(h))), 1.0)
+    recon = float(np.max(np.abs((eigenvectors * eigenvalues) @ eigenvectors.conj().T - h)))
+    if ortho > SPECTRUM_ATOL or recon > SPECTRUM_ATOL * scale:
+        raise ConvergenceError(
+            f"unreliable spectrum for a {n}x{n} matrix "
+            f"(orthonormality {ortho:.3e}, reconstruction {recon:.3e})"
+        )
+    return Spectrum(eigenvalues, eigenvectors)
+
+
+def require_density(rho, atol: float = DENSITY_ATOL) -> np.ndarray:
+    """Check trace one, Hermiticity and positive semidefiniteness of a state."""
+    rho = np.asarray(rho, dtype=complex)
+    require_hermitian(rho, atol=atol)
+    trace = complex(np.trace(rho))
+    if abs(trace - 1.0) > atol:
+        raise ValueError(f"density matrix trace {trace} differs from 1 beyond {atol:.1e}")
+    lowest = float(np.linalg.eigvalsh(rho)[0])
+    if lowest < -atol:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
+    return rho
+
+
+def evolve_density(h, rho0, t: float, *, spectrum: Spectrum | None = None) -> np.ndarray:
+    """Unitary evolution rho(t) = U rho0 U^dagger with U = exp(-i h t).
+
+    Pass a precomputed ``spectrum`` of ``h`` to amortize the
+    eigendecomposition over many evaluation times; the evolution itself is
+    exact up to the spectral factorization, so the trace is preserved to
+    1e-12 and no step-size enters.
+    """
+    if spectrum is None:
+        spectrum = eig_hermitian(h)
+    eigenvalues, v = spectrum
+    n = eigenvalues.shape[0]
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (n, n):
+        raise ValueError(f"dimension mismatch: state {rho0.shape} vs Hamiltonian ({n}, {n})")
+    require_density(rho0)
+    phased = v * np.exp(-1j * eigenvalues * t)
+    return phased @ (v.conj().T @ rho0 @ v) @ phased.conj().T
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,6 @@ _CHANNEL_KEYS = _HEAT_KEYS + (("hsb", 1), ("hsb", 2), ("hsb", 3), ("hint",))
 
 
 @dataclass(frozen=True)
-class HeatCurrentSample:
-    """System and bath heat currents at one time."""
-
-    time: float
-    qdot_s: np.ndarray  # (3,)
-    qdot_b: np.ndarray  # (3,)
-
-
-@dataclass(frozen=True)
 class HeatCurrentSeries:
     """Heat currents sampled along a time grid."""
 
@@ -37,22 +28,11 @@ class HeatCurrentSeries:
     qdot_b: np.ndarray  # (3, n)
 
 
-def heat_currents(engine: RefrigeratorEngine, t: float) -> HeatCurrentSample:
-    """Exact (qubit, bath) heat currents at time t."""
-    values = engine.series_terms(_HEAT_KEYS, "sin").at([t])[:, 0]
-    return HeatCurrentSample(t, values[:3], values[3:])
-
-
 def heat_current_series(engine: RefrigeratorEngine, times) -> HeatCurrentSeries:
     """Heat currents along ``times``, all six from one pass of the sine series."""
     times = np.asarray(times, dtype=float)
     values = engine.series_terms(_HEAT_KEYS, "sin").evaluate(times)
     return HeatCurrentSeries(times, values[:3], values[3:])
-
-
-def coupling_flow(engine: RefrigeratorEngine, pair: int, t: float) -> float:
-    """Energy flow into the XY coupling term of one pair."""
-    return float(engine.series_terms(("hsb", pair), "sin").at([t])[0])
 
 
 def energy_balance(engine: RefrigeratorEngine, t: float) -> float:

@@ -5,21 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinfridge import oracle, thermo
-from spinfridge.engine import (
-    RefrigeratorEngine,
-    RefrigeratorParams,
-    sector_layout,
-    trig_series_at,
-    trig_series_uniform,
-)
-from spinfridge.spinstar import (
-    SectorCoupling,
-    sector_hamiltonian,
-    temperature_from_excited,
-)
+from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, sector_layout
+from spinfridge.series import trig_series_at, trig_series_uniform
+from spinfridge.spinstar import sector_arrays, temperature_from_excited
 
 
 def fridge(n=(1, 1, 1), **kw):
@@ -123,18 +114,23 @@ class TestEnumeration:
             RefrigeratorEngine(fridge(), prune_tol=-1e-3)
 
 
+def pair_block(table, j):
+    """Hamiltonian block of sector row j of a ``sector_arrays`` table."""
+    if table["dim"][j] == 1:
+        return np.array([[table["edge_energy"][j]]])
+    return np.array([[table["b_minus"][j], table["u"][j]],
+                     [table["u"][j], table["b_plus"][j]]])
+
+
 class TestSectorAssembly:
     def test_decoupled_blocks_are_kron_sums(self):
         p = fridge(g=0.0, n=(2, 2, 2))
-        pairs = [p.pair(i) for i in (1, 2, 3)]
+        tables = [sector_arrays(p.pair(i)) for i in (1, 2, 3)]
         for group, row, two_m in kept_sectors(RefrigeratorEngine(p, prune_tol=0.0)):
-            addends = []
-            for k in range(3):
-                block = sector_hamiltonian(pairs[k], two_m[k])
-                addends.append(
-                    block.matrix() if isinstance(block, SectorCoupling)
-                    else np.array([[block.energy]])
-                )
+            # rows run over two_m = -(N+1), -(N-1), ..., N+1
+            addends = [
+                pair_block(tables[k], (two_m[k] + p.n_bath[k] + 1) // 2) for k in range(3)
+            ]
             expected = sorted(
                 a + b + c
                 for a in np.linalg.eigvalsh(addends[0])
@@ -381,12 +377,15 @@ def _series_case(draw):
 class TestGridKernelProperty:
     @settings(max_examples=150, deadline=None)
     @given(_series_case(), st.sampled_from(["cos", "sin"]))
+    # a subnormal amplitude: the relative bound alone underflows to 0
+    @example((2, 0.5, 1.0, np.array([1.0]), np.array([[5e-324]]), np.array([0.0])), "cos")
     def test_matches_direct_evaluation(self, case, kind):
         n, dt, t0, omegas, amps, const = case
         grid = trig_series_uniform(const, amps, omegas, t0, dt, n, kind)
         direct = trig_series_at(const, amps, omegas, t0 + np.arange(n) * dt, kind)
         assert grid.shape == direct.shape == (amps.shape[0], n)
-        bound = 1e-12 * (np.abs(amps).sum(axis=1) + np.abs(const))
+        floor = 64 * np.finfo(float).smallest_subnormal
+        bound = 1e-12 * (np.abs(amps).sum(axis=1) + np.abs(const)) + floor
         assert np.all(np.abs(grid - direct) <= bound[:, None])
         single = trig_series_uniform(const[0], amps[0], omegas, t0, dt, n, kind)
         assert np.all(np.abs(single - direct[0]) <= bound[0])

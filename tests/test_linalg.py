@@ -1,4 +1,4 @@
-"""Eigendecomposition and unitary-evolution contracts."""
+"""Eigendecomposition and unitary-evolution contracts of the oracle's checked linear algebra."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinfridge.linalg import (
+from spinfridge.oracle import (
     ConvergenceError,
     HermiticityError,
     eig_hermitian,

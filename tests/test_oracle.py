@@ -7,8 +7,7 @@ import pytest
 
 from spinfridge import oracle
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
-from spinfridge.spinstar import SingleStarParams, sector_hamiltonian, sector_labels
-from spinfridge.spinstar import SectorCoupling
+from spinfridge.spinstar import SingleStarParams, sector_arrays
 
 
 def single(n=1, **kw):
@@ -29,6 +28,14 @@ def fridge(n=(1, 1, 1), **kw):
     return RefrigeratorParams(n_bath=n, **defaults)
 
 
+def pair_block(table, j):
+    """Hamiltonian block of sector row j of a ``sector_arrays`` table."""
+    if table["dim"][j] == 1:
+        return np.array([[table["edge_energy"][j]]])
+    return np.array([[table["b_minus"][j], table["u"][j]],
+                     [table["u"][j], table["b_plus"][j]]])
+
+
 class TestBuildDense:
     def test_single_star_n1_ladder_factors(self):
         model = oracle.build_dense(single(n=1))
@@ -45,13 +52,10 @@ class TestBuildDense:
         p = single(n=2)
         model = oracle.build_dense(p)
         dense = np.sort(np.linalg.eigvalsh(model.hamiltonian))
+        table = sector_arrays(p)
         collected = []
-        for two_m in sector_labels(p):
-            block = sector_hamiltonian(p, two_m)
-            if isinstance(block, SectorCoupling):
-                collected.extend(np.linalg.eigvalsh(block.matrix()))
-            else:
-                collected.append(block.energy)
+        for j in range(len(table["two_m"])):
+            collected.extend(np.linalg.eigvalsh(pair_block(table, j)))
         assert np.allclose(dense, np.sort(collected), atol=1e-12)
 
     def test_refrigerator_dimension(self):
@@ -94,14 +98,13 @@ class TestSectorEmbedding:
     def test_single_star_sector_blocks_match(self):
         p = single(n=3)
         model = oracle.build_dense(p)
-        for two_m in sector_labels(p):
-            idx = oracle.sector_basis_indices(p, two_m)
+        table = sector_arrays(p)
+        for j, two_m in enumerate(table["two_m"]):
+            idx = oracle.sector_basis_indices(p, int(two_m))
             block = model.hamiltonian[np.ix_(idx, idx)]
-            expected = sector_hamiltonian(p, two_m)
-            if isinstance(expected, SectorCoupling):
-                assert np.max(np.abs(block - expected.matrix())) < 1e-12
-            else:
-                assert block[0, 0] == pytest.approx(expected.energy, abs=1e-12)
+            expected = pair_block(table, j)
+            assert block.shape == expected.shape
+            assert np.max(np.abs(block - expected)) < 1e-12
 
     def test_off_sector_blocks_vanish(self):
         p = fridge(n=(1, 1, 1))
@@ -125,9 +128,7 @@ class TestEvolution:
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
         one = oracle.dense_evolve(model, 1.3, spectrum=spectrum)
-        import spinfridge.linalg as linalg
-
-        stepped = linalg.evolve_density(model.hamiltonian, one, 2.1, spectrum=spectrum)
+        stepped = oracle.evolve_density(model.hamiltonian, one, 2.1, spectrum=spectrum)
         direct = oracle.dense_evolve(model, 3.4, spectrum=spectrum)
         assert np.max(np.abs(stepped - direct)) < 1e-10
 

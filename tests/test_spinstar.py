@@ -7,24 +7,17 @@ import numpy as np
 import pytest
 
 from spinfridge import oracle
-from spinfridge.linalg import evolve_density
+from spinfridge.series import SeriesTerms, trig_series_at
 from spinfridge.spinstar import (
     PopulationInversionWarning,
-    SectorCoupling,
-    SectorLevel,
     SingleStarParams,
-    evolve_sector,
+    _sector_population_terms,
     excited_population_series,
-    ground_population,
     heat_current_series,
     local_temperature,
     reduced_bath_populations,
     reduced_spin_state,
-    sector_dim,
-    sector_hamiltonian,
-    sector_initial_populations,
-    sector_labels,
-    sector_state_analytic,
+    sector_arrays,
     sector_weights,
     temperature_from_excited,
 )
@@ -34,52 +27,62 @@ def make(eps=1.0, bath_e=2.0, a=0.5, n=2, beta=1.0):
     return SingleStarParams(eps, bath_e, a, n, beta)
 
 
+def row(table, two_m):
+    """Index of sector two_m in a ``sector_arrays`` table."""
+    return int(np.flatnonzero(table["two_m"] == two_m)[0])
+
+
+def block(table, j):
+    """2x2 Hamiltonian block of interior sector row j."""
+    return np.array([[table["b_minus"][j], table["u"][j]],
+                     [table["u"][j], table["b_plus"][j]]])
+
+
+def ground_population(p, t):
+    return reduced_spin_state(p, t)[0, 0]
+
+
 class TestSectors:
     def test_smallest_bath_labels(self):
-        p = make(n=1)
-        assert sector_labels(p) == [-2, 0, 2]  # m in {-1, 0, 1}
-        assert sector_dim(p, -2) == 1
-        assert sector_dim(p, 2) == 1
-        assert sector_dim(p, 0) == 2
+        table = sector_arrays(make(n=1))
+        assert table["two_m"].tolist() == [-2, 0, 2]  # m in {-1, 0, 1}
+        assert table["dim"].tolist() == [1, 2, 1]
 
     def test_label_count_is_n_plus_2(self):
-        assert len(sector_labels(make(n=2))) == 4
-        assert len(sector_labels(make(n=30))) == 32
-
-    def test_invalid_label_rejected(self):
-        with pytest.raises(ValueError):
-            sector_dim(make(n=2), 2)  # parity mismatch for even N
-        with pytest.raises(ValueError):
-            sector_hamiltonian(make(n=2), 99)
+        assert len(sector_arrays(make(n=2))["two_m"]) == 4
+        assert len(sector_arrays(make(n=30))["two_m"]) == 32
 
     def test_block_fields_match_definitions(self):
         # epsilon = E = 1, N = 2, m = 1/2: levels degenerate, u = A*sqrt(2)
         p = make(eps=1.0, bath_e=1.0, a=0.7, n=2)
-        block = sector_hamiltonian(p, 1)
-        assert isinstance(block, SectorCoupling)
-        assert block.b_minus - block.b_plus == pytest.approx(0.0, abs=1e-15)
-        assert block.u == pytest.approx(0.7 * math.sqrt(2.0))
-        assert block.theta == pytest.approx(0.7 * math.sqrt(2.0))
+        table = sector_arrays(p)
+        j = row(table, 1)
+        assert table["dim"][j] == 2
+        assert table["b_minus"][j] - table["b_plus"][j] == pytest.approx(0.0, abs=1e-15)
+        assert table["u"][j] == pytest.approx(0.7 * math.sqrt(2.0))
+        _, _, _, omega = _sector_population_terms(p)
+        assert 0.5 * omega[j] == pytest.approx(0.7 * math.sqrt(2.0))
 
     def test_level_difference_is_bath_minus_qubit_gap(self):
-        p = make(eps=1.0, bath_e=2.0, n=4)
+        table = sector_arrays(make(eps=1.0, bath_e=2.0, n=4))
         for two_m in (-3, -1, 1, 3):
-            block = sector_hamiltonian(p, two_m)
-            assert block.b_minus - block.b_plus == pytest.approx(1.0)
+            j = row(table, two_m)
+            assert table["b_minus"][j] - table["b_plus"][j] == pytest.approx(1.0)
 
     def test_decoupled_limit(self):
         p = make(eps=1.0, bath_e=2.0, a=0.0, n=3)
-        block = sector_hamiltonian(p, 0)
-        assert block.u == 0.0
-        assert block.theta == pytest.approx(0.5)  # |E - eps| / 2
+        table = sector_arrays(p)
+        j = row(table, 0)
+        assert table["u"][j] == 0.0
+        _, _, _, omega = _sector_population_terms(p)
+        assert 0.5 * omega[j] == pytest.approx(0.5)  # |E - eps| / 2
 
     def test_edge_sectors_expose_single_level(self):
-        p = make(eps=1.0, bath_e=2.0, n=2)
-        top = sector_hamiltonian(p, 3)
-        bottom = sector_hamiltonian(p, -3)
-        assert isinstance(top, SectorLevel)
-        assert top.energy == pytest.approx(0.5 * 1.0 + 2.0 * 1.0)
-        assert bottom.energy == pytest.approx(-0.5 * 1.0 - 2.0 * 1.0)
+        table = sector_arrays(make(eps=1.0, bath_e=2.0, n=2))
+        top, bottom = row(table, 3), row(table, -3)
+        assert table["dim"][top] == table["dim"][bottom] == 1
+        assert table["edge_energy"][top] == pytest.approx(0.5 * 1.0 + 2.0 * 1.0)
+        assert table["edge_energy"][bottom] == pytest.approx(-0.5 * 1.0 - 2.0 * 1.0)
 
     def test_weights_reproduce_partition_functions(self):
         p = make(eps=0.7, bath_e=1.3, n=4, beta=0.9)
@@ -92,36 +95,28 @@ class TestSectors:
 class TestSectorEvolution:
     def test_initial_state_is_sector_thermal(self):
         p = make(eps=1.0, bath_e=2.0, beta=1.3)
-        state = evolve_sector(p, 1, 0.0)
-        assert state.c_gg == pytest.approx(1.0 / (1.0 + math.exp(1.3)), abs=1e-12)
-        assert state.c_gg + state.c_ee == pytest.approx(1.0, abs=1e-13)
-        assert abs(state.c_ge) < 1e-14
+        p_g, p_e = sector_arrays(p)["p_level"]
+        assert p_g == pytest.approx(1.0 / (1.0 + math.exp(1.3)), abs=1e-12)
+        assert p_g + p_e == pytest.approx(1.0, abs=1e-13)
+        _, const, amp, _ = _sector_population_terms(p)
+        interior = sector_arrays(p)["dim"] == 2
+        assert np.allclose((const + amp)[interior], p_e, rtol=0.0, atol=1e-15)
 
     def test_decoupled_sector_is_stationary(self):
-        p = make(a=0.0)
-        ref = evolve_sector(p, 1, 0.0)
-        for t in (0.5, 2.0, 9.0):
-            state = evolve_sector(p, 1, t)
-            assert state.c_gg == pytest.approx(ref.c_gg, abs=1e-12)
-            assert abs(state.c_ge) < 1e-14
+        _, _, amp, _ = _sector_population_terms(make(a=0.0))
+        assert np.all(amp == 0.0)
 
     def test_resonant_sector_rabi(self):
         # pure ground start on resonance flips with sin^2(u t); brute-force
         # matrix evolution is the reference
         p = make(eps=1.5, bath_e=1.5, a=0.4, n=2)
-        block = sector_hamiltonian(p, 1)
+        table = sector_arrays(p)
+        j = row(table, 1)
         for t in (0.3, 1.1, 2.9):
-            rho = evolve_density(block.matrix(), np.diag([1.0, 0.0]), t)
+            rho = oracle.evolve_density(block(table, j), np.diag([1.0, 0.0]), t)
             assert rho[1, 1].real == pytest.approx(
-                math.sin(block.u * t) ** 2, abs=1e-12
+                math.sin(table["u"][j] * t) ** 2, abs=1e-12
             )
-
-    def test_per_sector_trace_is_one_at_all_times(self):
-        p = make(n=5, beta=0.6)
-        for two_m in sector_labels(p):
-            for t in (0.0, 0.7, 3.1, 12.0):
-                state = evolve_sector(p, two_m, t)
-                assert state.c_gg + state.c_ee == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_closed_form_matches_eigendecomposition(self, n):
@@ -130,28 +125,16 @@ class TestSectorEvolution:
                 for a in (0.1, 0.5):
                     for beta in (0.5, 1.0):
                         p = make(eps, bath_e, a, n, beta)
-                        for two_m in sector_labels(p):
-                            for t in (0.0, 0.7, 3.1):
-                                routed = evolve_sector(p, two_m, t)
-                                closed = sector_state_analytic(p, two_m, t)
-                                assert routed.c_gg == pytest.approx(
-                                    closed.c_gg, abs=1e-10
+                        table = sector_arrays(p)
+                        rho0 = np.diag(table["p_level"])
+                        _, const, amp, omega = _sector_population_terms(p)
+                        for t in (0.0, 0.7, 3.1):
+                            c_ee = const + amp * np.cos(omega * t)
+                            for j in np.flatnonzero(table["dim"] == 2):
+                                rho = oracle.evolve_density(block(table, j), rho0, t)
+                                assert c_ee[j] == pytest.approx(
+                                    rho[1, 1].real, abs=1e-10
                                 )
-                                assert routed.c_ee == pytest.approx(
-                                    closed.c_ee, abs=1e-10
-                                )
-                                assert abs(routed.c_ge - closed.c_ge) < 1e-10
-
-    def test_coherence_hermiticity(self):
-        p = make(n=3, beta=0.8)
-        state = evolve_sector(p, 0, 1.7)
-        block = sector_hamiltonian(p, 0)
-        rho = evolve_density(
-            block.matrix(),
-            np.diag(sector_initial_populations(p, 0)).astype(complex),
-            1.7,
-        )
-        assert rho[1, 0] == pytest.approx(np.conj(state.c_ge), abs=1e-14)
 
 
 class TestReducedStates:
@@ -193,14 +176,11 @@ class TestReducedStates:
 
     def test_conserved_total_z(self):
         p = make(n=4, beta=0.7)
-        labels, w = sector_weights(p)
+        m_bath = 0.5 * np.arange(-p.n_bath, p.n_bath + 1, 2)
 
         def charge(t):
-            total = 0.0
-            for two_m, weight in zip(labels, w):
-                state = evolve_sector(p, int(two_m), t)
-                total += weight * 0.5 * two_m * (state.c_gg + state.c_ee)
-            return total
+            qubit = np.diag(reduced_spin_state(p, t)) @ np.array([-0.5, 0.5])
+            return qubit + m_bath @ reduced_bath_populations(p, t)
 
         ref = charge(0.0)
         for t in (0.9, 4.2, 8.8):
@@ -213,28 +193,43 @@ class TestReducedStates:
         direct = [ground_population(p, float(t)) for t in times]
         assert np.allclose(series, direct, atol=1e-12)
 
-    def test_vectorized_terms_match_scalar_sectors(self):
-        from spinfridge.spinstar import _sector_population_terms
+    def test_uniform_grid_matches_direct_evaluation(self, monkeypatch):
+        # 4001 uniform times take the grid kernel; trig_series_at is the reference
+        p = make(n=50)
+        times = np.arange(4001) * 0.01
+        w, const, amp, omega = _sector_population_terms(p)
 
-        for p in (make(n=4), make(eps=2.0, bath_e=1.0, n=3, beta=3.0), make(a=0.0)):
-            labels, const, amp, omega = _sector_population_terms(p)
-            for t in (0.0, 0.8, 2.9):
-                scalar = [sector_state_analytic(p, int(m), t).c_ee for m in labels]
-                assert np.allclose(const + amp * np.cos(omega * t), scalar,
-                                   rtol=1e-13, atol=1e-15)
+        def direct_only(*args):
+            raise AssertionError("a uniform grid must not be evaluated pointwise")
+
+        monkeypatch.setattr(SeriesTerms, "at", direct_only)
+        excited = excited_population_series(p, times)
+        qdot_s, qdot_b = heat_current_series(p, times)
+        monkeypatch.undo()
+        pop_amps = w * amp
+        direct = trig_series_at((w * const).sum(), pop_amps, omega, times, "cos")
+        assert np.max(np.abs(excited - direct)) <= 1e-12 * np.abs(pop_amps).sum()
+        for scale, current in ((-p.epsilon, qdot_s), (p.bath_energy, qdot_b)):
+            amps = scale * pop_amps * omega
+            direct = trig_series_at(0.0, amps, omega, times, "sin")
+            assert np.max(np.abs(current - direct)) <= 1e-12 * np.abs(amps).sum()
 
     def test_cold_excited_population_matches_dense_oracle(self):
-        # r = 1 - p rounds to 1 at beta = 40; p keeps its relative precision
+        # r = 1 - p rounds to 1 at beta = 40; p keeps its relative precision.
+        # Three scattered times are evaluated directly, 41 uniform ones on
+        # the grid kernel.
         p = make(n=3, beta=40.0)
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
-        times = np.array([0.0, 0.7, 3.1])
-        series = excited_population_series(p, times)
-        for k, t in enumerate(times):
-            dense = oracle.dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
-            assert 0.0 < dense[1, 1].real < 1e-16
-            assert series[k] == pytest.approx(dense[1, 1].real, rel=1e-10)
-        assert temperature_from_excited(series[0], 1.0) == pytest.approx(1 / 40, rel=1e-12)
+        for times in (np.array([0.0, 0.7, 3.1]), np.arange(41) * 0.1):
+            series = excited_population_series(p, times)
+            for k, t in enumerate(times):
+                dense = oracle.dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
+                assert 0.0 < dense[1, 1].real < 1e-16
+                assert series[k] == pytest.approx(dense[1, 1].real, rel=1e-10)
+            assert temperature_from_excited(series[0], 1.0) == pytest.approx(
+                1 / 40, rel=1e-12
+            )
 
     def test_heat_currents_match_population_derivative(self):
         p = make(n=3)

@@ -19,6 +19,12 @@ def fridge(n=(2, 1, 1), **kw):
     return RefrigeratorParams(n_bath=n, **defaults)
 
 
+def currents_at(engine, t):
+    """(qdot_s, qdot_b) at one time; a single time is evaluated directly, not on a grid."""
+    series = thermo.heat_current_series(engine, [t])
+    return series.qdot_s[:, 0], series.qdot_b[:, 0]
+
+
 @pytest.fixture(scope="module")
 def engine():
     return RefrigeratorEngine(fridge(), prune_tol=0.0)
@@ -27,48 +33,48 @@ def engine():
 class TestHeatCurrents:
     def test_stationary_state_has_zero_currents(self):
         eng = RefrigeratorEngine(fridge(coupling=(0, 0, 0), g=0.0), prune_tol=0.0)
-        sample = thermo.heat_currents(eng, 1.3)
-        assert np.max(np.abs(sample.qdot_s)) == 0.0
-        assert np.max(np.abs(sample.qdot_b)) == 0.0
+        qdot_s, qdot_b = currents_at(eng, 1.3)
+        assert np.max(np.abs(qdot_s)) == 0.0
+        assert np.max(np.abs(qdot_b)) == 0.0
 
     def test_initial_product_state_has_zero_currents(self, engine):
         # the diagonal initial state commutes entrywise with any diagonal
         # observable, so every current starts at exactly zero
-        sample = thermo.heat_currents(engine, 0.0)
-        assert np.max(np.abs(sample.qdot_s)) < 1e-14
-        assert np.max(np.abs(sample.qdot_b)) < 1e-14
+        qdot_s, qdot_b = currents_at(engine, 0.0)
+        assert np.max(np.abs(qdot_s)) < 1e-14
+        assert np.max(np.abs(qdot_b)) < 1e-14
 
     def test_qubit_current_is_population_derivative(self, engine):
         h = 1e-6
         for t in (0.4, 2.2, 7.0):
-            sample = thermo.heat_currents(engine, t)
+            qdot_s, _ = currents_at(engine, t)
             for i in (1, 2, 3):
                 drdt = (
                     engine.ground_population(i, t + h)
                     - engine.ground_population(i, t - h)
                 ) / (2 * h)
                 eps = engine.params.epsilon[i - 1]
-                assert sample.qdot_s[i - 1] == pytest.approx(-eps * drdt, abs=1e-8)
+                assert qdot_s[i - 1] == pytest.approx(-eps * drdt, abs=1e-8)
 
     def test_bath_current_from_level_motion(self, engine):
         # every exchanged quantum moves one bath rung: Qdot_B = -(E/eps) Qdot_S
         for t in (0.7, 3.3):
-            sample = thermo.heat_currents(engine, t)
+            qdot_s, qdot_b = currents_at(engine, t)
             for i in (1, 2, 3):
                 ratio = (
                     engine.params.bath_energy[i - 1] / engine.params.epsilon[i - 1]
                 )
-                assert sample.qdot_b[i - 1] == pytest.approx(
-                    -ratio * sample.qdot_s[i - 1], abs=1e-12
+                assert qdot_b[i - 1] == pytest.approx(
+                    -ratio * qdot_s[i - 1], abs=1e-12
                 )
 
     def test_series_matches_pointwise(self, engine):
         times = np.arange(0.0, 2.0, 0.05)
         series = thermo.heat_current_series(engine, times)
         for k in (3, 17, 30):
-            sample = thermo.heat_currents(engine, float(times[k]))
-            assert np.allclose(series.qdot_s[:, k], sample.qdot_s, atol=1e-11)
-            assert np.allclose(series.qdot_b[:, k], sample.qdot_b, atol=1e-11)
+            qdot_s, qdot_b = currents_at(engine, float(times[k]))
+            assert np.allclose(series.qdot_s[:, k], qdot_s, atol=1e-11)
+            assert np.allclose(series.qdot_b[:, k], qdot_b, atol=1e-11)
 
 
 class TestEnergyBalance:
@@ -80,11 +86,11 @@ class TestEnergyBalance:
         eng = RefrigeratorEngine(fridge(g=0.0), prune_tol=0.0)
         for t in (0.9, 4.1):
             for i in (1, 2, 3):
-                sample = thermo.heat_currents(eng, t)
+                qdot_s, qdot_b = currents_at(eng, t)
                 closed = (
-                    sample.qdot_s[i - 1]
-                    + sample.qdot_b[i - 1]
-                    + thermo.coupling_flow(eng, i, t)
+                    qdot_s[i - 1]
+                    + qdot_b[i - 1]
+                    + eng.series_terms(("hsb", i), "sin").at([t])[0]
                 )
                 assert abs(closed) < 1e-10
 
@@ -116,8 +122,8 @@ class TestEnergyBalance:
             r_up = oracle.dense_evolve_and_trace(model, t + step, 0, spectrum=spectrum)
             r_dn = oracle.dense_evolve_and_trace(model, t - step, 0, spectrum=spectrum)
             drdt = (r_up[0, 0] - r_dn[0, 0]).real / (2 * step)
-            sample = thermo.heat_currents(eng, t)
-            assert sample.qdot_s[0] == pytest.approx(-1.0 * drdt, abs=1e-7)
+            qdot_s, _ = currents_at(eng, t)
+            assert qdot_s[0] == pytest.approx(-1.0 * drdt, abs=1e-7)
 
 
 class TestSignStructure:
