@@ -13,7 +13,7 @@ from .engine import (  # noqa: E402
     RefrigeratorParams,
     TimeSeries,
 )
-from .spinstar import SingleStarParams, local_temperature  # noqa: E402
+from .spinstar import SingleStarParams  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,5 @@ __all__ = [
     "RefrigeratorParams",
     "SingleStarParams",
     "TimeSeries",
-    "local_temperature",
     "__version__",
 ]

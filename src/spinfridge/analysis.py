@@ -400,12 +400,13 @@ def _sweep_point(args) -> ScalingRow:
     result = optimize_t1(
         factory, budget=budget, seed=seed, time_grid=time_grid
     )
-    engine = factory(result.best_params)
+    terms = factory(result.best_params).excited_terms((1,))
+    eps = params.epsilon[0]
     t0, t1, dt = time_grid
     grid = np.arange(t0, t1 + 0.5 * dt, dt)
-    series = engine.temperature_series(1, grid)
     local = first_local_min(
-        grid, series.temperature, objective=lambda t: engine.temperature(1, t)
+        grid, temperature_from_excited(terms.evaluate(grid)[0], eps),
+        objective=lambda t: float(temperature_from_excited(terms.at([t])[0], eps)[0]),
     )
     if local is None:  # no interior dip: fall back to the global best
         local = LocalMinimum(result.best_time, result.best_t1, -1)

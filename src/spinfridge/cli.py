@@ -134,7 +134,7 @@ def _run_scaling(config: RunConfig) -> None:
         config.n_list,
         per_n_budget=opt.budget,
         seed=opt.seed,
-        prune_tol=max(config.prune_tol, 1e-9),
+        prune_tol=config.prune_tol,
         time_grid=(grid.start, grid.stop, grid.step),
     )
     ns, t1 = report.table()

@@ -41,9 +41,10 @@ def _finite_number(value: Any, path: str) -> float:
     return float(value)
 
 
-def _positive_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{path}: expected a positive integer, got {value!r}")
+def _integer(value: Any, path: str, least: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least == 1 else "nonnegative"
+        raise ConfigError(f"{path}: expected a {kind} integer, got {value!r}")
     return value
 
 
@@ -51,7 +52,7 @@ def _triple(value: Any, path: str, kind="number") -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{path}: expected a list of three entries, got {value!r}")
     if kind == "int":
-        return tuple(_positive_int(v, f"{path}[{k}]") for k, v in enumerate(value))
+        return tuple(_integer(v, f"{path}[{k}]") for k, v in enumerate(value))
     return tuple(_finite_number(v, f"{path}[{k}]") for k, v in enumerate(value))
 
 
@@ -144,7 +145,7 @@ def _parse_single(data: dict, path: str) -> SingleStarParams:
                 _require(data, "bath_energy", f"{path}."), f"{path}.bath_energy"
             ),
             coupling=_finite_number(data.get("coupling", 0.0), f"{path}.coupling"),
-            n_bath=_positive_int(_require(data, "n_bath", f"{path}."), f"{path}.n_bath"),
+            n_bath=_integer(_require(data, "n_bath", f"{path}."), f"{path}.n_bath"),
             beta=beta,
         )
     except ValueError as exc:
@@ -217,11 +218,8 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         alpha_range=_parse_range(
             opt_data.get("alpha_range", [0.0, 1e-4]), "optimization.alpha_range"
         ),
-        budget=_positive_int(opt_data.get("budget", 2000), "optimization.budget"),
-        seed=(
-            0 if "seed" not in opt_data
-            else int(_finite_number(opt_data["seed"], "optimization.seed"))
-        ),
+        budget=_integer(opt_data.get("budget", 2000), "optimization.budget"),
+        seed=_integer(opt_data.get("seed", 0), "optimization.seed", least=0),
     )
 
     markov_action = data.get("action", "evolve")
@@ -254,8 +252,12 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         if not isinstance(raw_list, list) or not raw_list:
             raise ConfigError("n_list: expected a nonempty list of integers")
         n_list = tuple(
-            _positive_int(v, f"n_list[{k}]") for k, v in enumerate(raw_list)
+            _integer(v, f"n_list[{k}]") for k, v in enumerate(raw_list)
         )
+        if len(set(n_list)) < 2:
+            raise ConfigError(
+                f"n_list: the extrapolation needs at least two distinct sizes, got {list(n_list)}"
+            )
     if cfg_mode == "single":
         single = _parse_single(_require(data, "params", ""), "params")
     if cfg_mode == "markov":

@@ -245,6 +245,10 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
 # ---------------------------------------------------------------------------
 
 _COUPLING_KEYS = (("hsb", 1), ("hsb", 2), ("hsb", 3), ("hint",))
+# every term of H: local qubits, local baths, couplings and interaction
+ENERGY_KEYS = (
+    tuple((kind, i) for kind in ("hs", "hb") for i in (1, 2, 3)) + _COUPLING_KEYS
+)
 
 
 def _coupling_term(params: RefrigeratorParams, sectors: SectorGroup, key):
@@ -343,7 +347,7 @@ class RefrigeratorEngine:
 
     def _diag_observable(self, sectors: SectorGroup, key) -> np.ndarray:
         """Observable diagonal in the sector basis, shape (dim,) or (size, dim)."""
-        kind, i = key
+        kind, i = key[:2]
         k = i - 1
         bits = sectors.basis[:, k].astype(float)
         if kind == "pop":
@@ -352,9 +356,11 @@ class RefrigeratorEngine:
             return bits
         if kind == "hs":
             return self.params.epsilon[k] * (bits - 0.5)
+        bath_level = sectors.m_values[:, k:k + 1] - (bits[None, :] - 0.5)
         if kind == "hb":
-            bath_level = sectors.m_values[:, k:k + 1] - (bits[None, :] - 0.5)
             return self.params.bath_energy[k] * bath_level
+        if kind == "bath":  # projector on level j, m_B = j - N/2
+            return (bath_level == key[2] - 0.5 * self.params.n_bath[k]).astype(float)
         raise KeyError(key)
 
     def _offdiag_observable(self, sectors: SectorGroup, key) -> np.ndarray | None:
@@ -369,7 +375,7 @@ class RefrigeratorEngine:
 
     def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray | None:
         """V^T O V per sector, shape (size, dim, dim); None if O is absent."""
-        if key[0] in ("pop", "exc", "hs", "hb"):
+        if key[0] in ("pop", "exc", "hs", "hb", "bath"):
             return _rotated_diagonal(group.vecs, self._diag_observable(group.sectors, key))
         dense = self._offdiag_observable(group.sectors, key)
         if dense is None:
@@ -380,10 +386,10 @@ class RefrigeratorEngine:
         """Trig terms of Tr[rho(t) O] (kind="cos") or Tr[drho/dt O] ("sin").
 
         Keys: ("pop", i) and ("exc", i) the ground and excited projectors
-        of qubit i; ("hs", i) and ("hb", i) the local qubit/bath
-        Hamiltonians; ("hsb", i) the XY coupling block; ("hint",) the
-        collective interaction.  Values are normalized by the retained
-        weight.
+        of qubit i; ("bath", i, j) the projector on level j of bath i;
+        ("hs", i) and ("hb", i) the local qubit/bath Hamiltonians;
+        ("hsb", i) the XY coupling block; ("hint",) the collective
+        interaction.  Values are normalized by the retained weight.
 
         ``key`` may also be a tuple of keys: the result then has one row per
         key over the union of their gaps (zero where a key's observable is
@@ -477,13 +483,6 @@ class RefrigeratorEngine:
                     )
         return terms
 
-    def temperature(self, qubit: int, t: float) -> float:
-        p = self.excited_terms((qubit,)).at([t])[0]
-        return float(temperature_from_excited(p, self.params.epsilon[qubit - 1])[0])
-
-    def temperature_series(self, qubit: int, times) -> TimeSeries:
-        return self.qubit_series((qubit,), times)[0]
-
     def qubit_series(self, qubits, times) -> list[TimeSeries]:
         """Ground populations and temperatures of several qubits in one pass."""
         times = np.asarray(times, dtype=float)
@@ -496,68 +495,22 @@ class RefrigeratorEngine:
             for row, q in enumerate(qubits)
         ]
 
-    # -- per-sector evaluation (bath states and diagnostics) ---------------------
-
-    def _group_rho_tilde(self, group: SectorGroupData, t: float) -> np.ndarray:
-        phase = np.exp(-1j * group.lam * t)
-        return group.m_matrix * (phase[:, :, None] * phase[:, None, :].conj())
-
-    def _group_populations(self, group: SectorGroupData, t: float) -> np.ndarray:
-        """Diagonal of rho(t) in the sector basis, shape (size, dim)."""
-        return np.einsum(
-            "gab,gka,gkb->gk",
-            self._group_rho_tilde(group, t),
-            group.vecs,
-            group.vecs,
-            optimize=True,
-        ).real
+    # -- bath states and invariants -------------------------------------------
 
     def reduced_bath_populations(self, bath: int, t: float) -> np.ndarray:
         """Bath level populations over m_B = -N/2..N/2 for one bath (1-based)."""
-        k = bath - 1
-        n = self.params.n_bath[k]
-        pops = np.zeros(n + 1)
-        for group in self.groups:
-            sectors = group.sectors
-            diag = self._group_populations(group, t)
-            two_m = np.rint(2.0 * sectors.m_values[:, k]).astype(int)
-            for b, state in enumerate(sectors.basis):
-                # ground bit pairs with level m + 1/2, excited with m - 1/2
-                two_m_b = two_m + (1 if state[k] == 0 else -1)
-                np.add.at(pops, (two_m_b + n) // 2, sectors.weights * diag[:, b])
-        return pops / self.weight_total
+        n = self.params.n_bath[bath - 1]
+        keys = tuple(("bath", bath, j) for j in range(n + 1))
+        return self.series_terms(keys, "cos").at([t])[:, 0]
 
     def total_trace(self, t: float) -> float:
-        """Weighted total trace at time t; equals one up to rounding."""
-        total = sum(
-            float(np.dot(g.sectors.weights, self._group_populations(g, t).sum(axis=1)))
-            for g in self.groups
-        )
-        return total / self.weight_total
+        """Weighted total trace at time t; equals one up to rounding.
 
-    def conserved_charge(self, pair: int, t: float) -> float:
-        """Weighted expectation of S^z_i + J^z_i, evaluated from rho(t)."""
-        k = pair - 1
-        total = sum(
-            float(np.dot(
-                g.sectors.weights * g.sectors.m_values[:, k],
-                self._group_populations(g, t).sum(axis=1),
-            ))
-            for g in self.groups
-        )
-        return total / self.weight_total
+        Summed from qubit 1's two level populations: bath 1's N + 1 level
+        rows would hold N + 1 dense copies of the gap terms.
+        """
+        return float(self.series_terms((("pop", 1), ("exc", 1)), "cos").at([t]).sum())
 
     def total_energy(self, t: float) -> float:
-        """Weighted Tr[rho(t) H] against the original-basis Hamiltonians."""
-        total = 0.0
-        for group in self.groups:
-            rho_tilde = self._group_rho_tilde(group, t)
-            rho = np.matmul(
-                np.matmul(group.vecs.astype(complex), rho_tilde),
-                group.vecs.transpose(0, 2, 1).astype(complex),
-            )
-            energies = np.einsum(
-                "gab,gba->g", rho, group.hamiltonians.astype(complex)
-            ).real
-            total += float(np.dot(group.sectors.weights, energies))
-        return total / self.weight_total
+        """Tr[rho(t) H] as the sum of the energy channels' cosine series."""
+        return float(self.series_terms(ENERGY_KEYS, "cos").at([t]).sum())

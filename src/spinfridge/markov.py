@@ -4,7 +4,9 @@ Works in the computational basis |q1 q2 q3> (index q1*4 + q2*2 + q3) in
 which |1> is the *lower* level of each qubit: the local Hamiltonians are
 (eps_i/2) * sigma_z_i with sigma_z = |0><0| - |1><1|, the three-body
 interaction couples |010> and |101>, and the tabulated jump operators then
-lower the dressed energy by exactly their labelled frequency.  Rates follow
+lower the dressed energy by exactly their labelled frequency.  That holds
+only at the autonomous point eps2 = eps1 + eps3, where |010> and |101> are
+degenerate; elsewhere the channels are an error.  Rates follow
 the Ohmic spectral density J(w) = alpha * w * exp(-w/cutoff) with the
 Bose-Einstein occupation, which is the unique choice obeying detailed
 balance gamma(-w) = exp(-beta w) * gamma(w).
@@ -134,8 +136,9 @@ def build_jump_channels(params: MarkovParams) -> list[JumpChannel]:
 
     Positive-frequency channels carry gamma(w) = J(w)(1+f); the adjoint
     (absorption) channels carry gamma(-w).  Any nonpositive transition
-    frequency is an error; a largest rate above 10% of min(eps_i, g) is an
-    error and above 1% a WeakCouplingWarning.
+    frequency is an error, and so is |eps2 - (eps1 + eps3)| > 1e-12, where
+    the operators are no eigenoperators of H; a largest rate above 10% of
+    min(eps_i, g) is an error and above 1% a WeakCouplingWarning.
     """
     channels = []
     for qubit, tag, op in _tabulated_operators():
@@ -156,6 +159,11 @@ def build_jump_channels(params: MarkovParams) -> list[JumpChannel]:
             qubit, -frequency, op.T.copy(),
             decay_rate(-frequency, alpha, beta, params.cutoff),
         ))
+    eps1, eps2, eps3 = params.epsilon
+    if abs(eps2 - (eps1 + eps3)) > 1e-12:  # RefrigeratorParams.is_autonomous's tolerance
+        raise ValueError(
+            f"the jump operators need eps2 = eps1 + eps3, got epsilon={params.epsilon}"
+        )
     scale = min(min(params.epsilon), params.g) if params.g > 0 else min(params.epsilon)
     gamma_max = max(ch.rate for ch in channels)
     if gamma_max >= 0.1 * scale:

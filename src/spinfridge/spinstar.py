@@ -17,17 +17,12 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .series import SeriesTerms
-
-
-class PopulationInversionWarning(UserWarning):
-    """Ground population below one half: the assigned temperature is negative."""
 
 
 @dataclass(frozen=True)
@@ -165,27 +160,6 @@ def reduced_bath_populations(params: SingleStarParams, t: float) -> np.ndarray:
     c_ee = w * (const + amp * np.cos(omega * t))
     c_gg = w - c_ee
     return c_gg[:-1] + c_ee[1:]
-
-
-def local_temperature(r: float, epsilon: float) -> float:
-    """Temperature read off a diagonal qubit state: epsilon / ln(r/(1-r)).
-
-    r = 1/2 maps to +inf (infinite temperature); r below 1/2 yields a
-    negative temperature and emits PopulationInversionWarning; r outside
-    (0, 1) is a domain error.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"ground population {r} outside the open interval (0, 1)")
-    if r == 0.5:
-        return math.inf
-    temperature = epsilon / math.log(r / (1.0 - r))
-    if r < 0.5:
-        warnings.warn(
-            f"population inversion (r={r}): negative temperature",
-            PopulationInversionWarning,
-            stacklevel=2,
-        )
-    return temperature
 
 
 def temperature_from_excited(p: np.ndarray, epsilon: float) -> np.ndarray:

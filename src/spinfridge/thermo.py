@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RefrigeratorEngine
+from .engine import ENERGY_KEYS, RefrigeratorEngine
 
-_HEAT_KEYS = (("hs", 1), ("hs", 2), ("hs", 3), ("hb", 1), ("hb", 2), ("hb", 3))
-_CHANNEL_KEYS = _HEAT_KEYS + (("hsb", 1), ("hsb", 2), ("hsb", 3), ("hint",))
+_HEAT_KEYS = ENERGY_KEYS[:6]  # ("hs", i) then ("hb", i)
 
 
 @dataclass(frozen=True)
@@ -43,5 +42,5 @@ def energy_balance(engine: RefrigeratorEngine, t: float) -> float:
     conserves <H>, so the sum is a pure numerical residual.
     """
     return float(sum(
-        engine.series_terms(key, "sin").at([t])[0] for key in _CHANNEL_KEYS
+        engine.series_terms(key, "sin").at([t])[0] for key in ENERGY_KEYS
     ))

@@ -172,9 +172,7 @@ class TestOptimizeT1:
         result = optimize_t1(factory, budget=120, seed=7, time_grid=(0.0, 10.0, 0.02))
         engine = factory(result.best_params)
         r = engine.ground_population(1, result.best_time)
-        from spinfridge.spinstar import local_temperature
-
-        assert local_temperature(r, base.epsilon[0]) == pytest.approx(
+        assert float(temperature_from_excited(1.0 - r, base.epsilon[0])) == pytest.approx(
             result.best_t1, abs=1e-9
         )
 

@@ -271,6 +271,53 @@ class TestCliCommands:
         assert "neville_t1" in results
         assert "extrapolated" in results["neville_t1"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("optimization.seed", 1.5),
+        ("optimization.seed", -1),
+        ("n_list", [1]),
+        ("n_list", [1, 1]),
+    ])
+    def test_bad_seed_or_n_list_is_exit_1(self, tmp_path, capsys, field, value):
+        data = {
+            "mode": "scaling",
+            "params": fridge_params(),
+            "n_list": [1, 2],
+            "optimization": {"budget": 4},
+            "output": {"path": str(tmp_path / "never.json")},
+        }
+        if field == "n_list":
+            data["n_list"] = value
+        else:
+            data["optimization"]["seed"] = value
+        assert main(["scaling", write_config(tmp_path, "bad.json", data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
+        assert not (tmp_path / "never.json").exists()
+
+    def test_scaling_uses_configured_prune_tol(self, tmp_path, monkeypatch):
+        import spinfridge.cli as cli
+
+        seen = []
+        real = cli.scaling_sweep
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["prune_tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "scaling_sweep", spy)
+        monkeypatch.setenv("SPINFRIDGE_WORKERS", "1")
+        cfg = write_config(tmp_path, "scaling.json", {
+            "mode": "scaling",
+            "params": fridge_params(),
+            "n_list": [1, 2],
+            "prune_tol": 1e-11,
+            "time_grid": {"start": 0, "stop": 2, "step": 0.1},
+            "optimization": {"budget": 4},
+            "output": {"path": str(tmp_path / "out.json")},
+        })
+        assert main(["scaling", cfg]) == 0
+        assert seen == [1e-11]
+
     def test_numerical_failure_is_exit_2(self, tmp_path, capsys):
         # qubit energy below g makes a dressed transition frequency negative
         cfg = write_config(tmp_path, "bad_markov.json", {

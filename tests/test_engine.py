@@ -25,6 +25,14 @@ def fridge(n=(1, 1, 1), **kw):
     return RefrigeratorParams(n_bath=n, **defaults)
 
 
+def charge(eng, i, t):
+    """S^z_i + J^z_i read from the reduced qubit and bath states at t."""
+    n = eng.params.n_bath[i - 1]
+    m_bath = np.arange(n + 1) - 0.5 * n
+    p = eng.excited_terms((i,)).at([t])[0, 0]
+    return p - 0.5 + m_bath @ eng.reduced_bath_populations(i, t)
+
+
 class TestParams:
     def test_autonomous_condition(self):
         assert fridge().is_autonomous()
@@ -287,18 +295,18 @@ class TestReducedDynamics:
     def test_temperature_series_starts_at_bath_temperature(self):
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         for i, beta in zip((1, 2, 3), (1.0, 1.0, 0.5)):
-            series = eng.temperature_series(i, np.array([0.0, 0.1, 0.2]))
+            series = eng.qubit_series((i,), np.array([0.0, 0.1, 0.2]))[0]
             assert series.temperature[0] == pytest.approx(1.0 / beta, abs=1e-9)
 
     def test_conservation(self):
         eng = RefrigeratorEngine(fridge(n=(3, 2, 2), g=0.09), prune_tol=0.0)
         e0 = eng.total_energy(0.0)
-        charges0 = [eng.conserved_charge(i, 0.0) for i in (1, 2, 3)]
+        charges0 = [charge(eng, i, 0.0) for i in (1, 2, 3)]
         for t in (1.1, 4.4, 9.7):
             assert eng.total_trace(t) == pytest.approx(1.0, abs=1e-12)
             assert eng.total_energy(t) == pytest.approx(e0, abs=1e-10)
             for i in (1, 2, 3):
-                assert eng.conserved_charge(i, t) == pytest.approx(
+                assert charge(eng, i, t) == pytest.approx(
                     charges0[i - 1], abs=1e-10
                 )
 
@@ -448,12 +456,10 @@ class TestLowTemperature:
         for qubit in (1, 2):
             message = f"qubit {qubit} .* prune_tol=1e-09 dropped 32766 of 32768 sectors"
             with pytest.raises(ValueError, match=message):
-                eng.temperature_series(qubit, times)
-            with pytest.raises(ValueError, match=message):
-                eng.temperature(qubit, 1.0)
+                eng.qubit_series((qubit,), times)
         with pytest.raises(ValueError, match="qubit 1 "):
             eng.qubit_series((1, 2, 3), times)
-        assert eng.temperature_series(3, times).temperature[0] == pytest.approx(0.05, abs=1e-9)
+        assert eng.qubit_series((3,), times)[0].temperature[0] == pytest.approx(0.05, abs=1e-9)
 
     def test_cold_small_bath_matches_dense_oracle(self):
         p = RefrigeratorParams(n_bath=(2, 2, 2), **self.COLD)
@@ -471,7 +477,10 @@ class TestLowTemperature:
                 )
                 p_exc = dense[1, 1].real
                 assert 0.0 < p_exc < 1e-8
-                assert eng.temperature(qubit, t) == pytest.approx(series.temperature[k], rel=1e-12)
+                p_at = eng.excited_terms((qubit,)).at([t])[0]
+                assert temperature_from_excited(p_at, eps)[0] == pytest.approx(
+                    series.temperature[k], rel=1e-12
+                )
                 assert series.temperature[k] == pytest.approx(
                     temperature_from_excited(p_exc, eps), rel=1e-10
                 )
@@ -507,6 +516,6 @@ class TestOracleProperty:
             assert np.max(np.abs(
                 np.diag(dense_b).real - eng.reduced_bath_populations(i, t)
             )) < 1e-10
-            assert abs(eng.conserved_charge(i, t) - eng.conserved_charge(i, 0.0)) < 1e-12
+            assert abs(charge(eng, i, t) - charge(eng, i, 0.0)) < 1e-12
         assert abs(eng.total_trace(t) - 1.0) < 1e-12
         assert abs(thermo.energy_balance(eng, t)) < 1e-10

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinfridge.cli import main
 from spinfridge.markov import (
@@ -96,6 +97,21 @@ class TestChannels:
         with pytest.raises(ValueError, match="nonpositive frequency"):
             build_jump_channels(params(epsilon=(0.05, 2.0, 1.0), g=0.08))
 
+    def test_non_autonomous_gaps_rejected(self, tmp_path, capsys):
+        bad = params(epsilon=(1.0, 2.5, 1.0), g=0.05, beta=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=r"eps2 = eps1 \+ eps3"):
+            build_jump_channels(bad)
+        cfg = tmp_path / "markov.json"
+        cfg.write_text(json.dumps({
+            "mode": "markov",
+            "params": {"epsilon": [1, 2.5, 1], "g": 0.05,
+                       "alpha": [1e-5, 1e-5, 1e-5], "beta": [1, 1, 1]},
+            "time_grid": {"start": 0, "stop": 1, "step": 0.5},
+            "output": {"path": str(tmp_path / "never.csv")},
+        }))
+        assert main(["markov", str(cfg)]) == 2
+        assert "eps2 = eps1 + eps3" in capsys.readouterr().err
+
     def test_weak_coupling_warning_and_error(self):
         with pytest.warns(WeakCouplingWarning):
             build_jump_channels(params(alpha=(8e-4, 0.0, 0.0)))
@@ -106,6 +122,27 @@ class TestChannels:
         assert spectral_density(2.0, 0.5, 1000.0) == pytest.approx(
             1.0 * math.exp(-0.002)
         )
+
+
+class TestDetailedBalance:
+    # alpha is kept off zero: the spectral gap of L, and with it the
+    # conditioning of its null vector, closes as the rates vanish
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.02, 0.1),
+        st.tuples(*[st.floats(1e-6, 1e-5)] * 3), st.floats(0.2, 5.0),
+    )
+    def test_common_temperature_steady_state_is_gibbs(self, eps1, eps3, g, alpha, beta):
+        p = params(epsilon=(eps1, eps1 + eps3, eps3), g=g, alpha=alpha, beta=(beta,) * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WeakCouplingWarning)
+            lv = liouvillian_matrix(p)
+        steady = np.linalg.svd(lv)[2][-1].conj().reshape(8, 8)
+        steady /= np.trace(steady)
+        w, v = np.linalg.eigh(system_hamiltonian(p))
+        boltzmann = np.exp(-beta * (w - w.min()))
+        gibbs = (v * boltzmann) @ v.T / boltzmann.sum()
+        assert np.max(np.abs(steady - gibbs)) < 1e-8
 
 
 class TestHamiltonian:

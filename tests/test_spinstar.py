@@ -1,7 +1,6 @@
 """Single qubit-bath pair: sectors, exact evolution, reduced states, temperature."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +8,10 @@ import pytest
 from spinfridge import oracle
 from spinfridge.series import SeriesTerms, trig_series_at
 from spinfridge.spinstar import (
-    PopulationInversionWarning,
     SingleStarParams,
     _sector_population_terms,
     excited_population_series,
     heat_current_series,
-    local_temperature,
     reduced_bath_populations,
     reduced_spin_state,
     sector_arrays,
@@ -244,35 +241,26 @@ class TestReducedStates:
             assert qdot_b[k] == pytest.approx(p.bath_energy * drdt, abs=1e-8)
 
 
+def thermal_temperature(r, epsilon):
+    """Reference read-out epsilon / ln(r/(1 - r)) from the ground population r."""
+    return epsilon / math.log(r / (1.0 - r))
+
+
 class TestLocalTemperature:
     def test_inverse_of_thermal_population(self):
-        r = math.e / (1.0 + math.e)
-        assert local_temperature(r, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert local_temperature(r, 2.0) == pytest.approx(2.0, abs=1e-12)
+        p = np.array([1.0 / (1.0 + math.e)])
+        assert temperature_from_excited(p, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert temperature_from_excited(p, 2.0)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_pure_ground_limit(self):
-        assert local_temperature(1.0 - 1e-12, 1.0) < 0.04
-        assert local_temperature(1.0 - 1e-12, 1.0) > 0.0
+        assert 0.0 < temperature_from_excited(np.array([1e-12]), 1.0)[0] < 0.04
 
     def test_half_population_is_infinite(self):
-        assert math.isinf(local_temperature(0.5, 1.0))
         assert temperature_from_excited(np.array([0.5]), 1.0)[0] == np.inf
 
-    def test_inversion_flagged_negative(self):
-        with pytest.warns(PopulationInversionWarning):
-            t = local_temperature(0.3, 1.0)
-        assert t < 0
-
-    @pytest.mark.parametrize("r", [-0.1, 0.0, 1.0, 1.7])
-    def test_domain_errors(self, r):
-        with pytest.raises(ValueError):
-            local_temperature(r, 1.0)
-
     def test_excited_population_form(self):
-        p = np.array([0.3, 0.5, 0.7])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PopulationInversionWarning)
-            expected = [local_temperature(1.0 - x, 2.0) for x in p]
+        p = np.array([0.3, 0.7])
+        expected = [thermal_temperature(1.0 - x, 2.0) for x in p]
         assert np.allclose(temperature_from_excited(p, 2.0), expected, rtol=1e-14)
         # r = 1 - p rounds to 1 here, but p keeps its precision
         assert temperature_from_excited(np.array([math.exp(-40.0)]), 1.0)[0] == (

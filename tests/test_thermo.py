@@ -133,7 +133,7 @@ class TestSignStructure:
             fridge(n=(4, 4, 4), coupling=(0.9, 0.8, 0.5), g=0.1), prune_tol=1e-12
         )
         times = np.arange(0.0, 10.0, 0.01)
-        series = eng.temperature_series(1, times)
+        series = eng.qubit_series((1,), times)[0]
         currents = thermo.heat_current_series(eng, times)
         dt_dt = np.gradient(series.temperature, times)
         cooling = dt_dt < -1e-6
