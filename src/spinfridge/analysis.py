@@ -2,19 +2,24 @@
 
 The coupling search is a seeded quasi-random multistart with Nelder-Mead
 simplex refinement; time is not a search dimension.  For each coupling set
-the cold-qubit temperature is scanned on a dense cached time grid (the
-sector spectra are reused across the whole grid, making the scan nearly
-free) and polished by golden-section search, which removes the most
-oscillatory direction from the simplex.
+the best time of qubit 1's excited population (whose minimum is the
+cold-qubit temperature's) is found over the time grid and polished by
+golden-section search, which removes the most oscillatory direction from
+the simplex.  A spectral series is scanned on a coarse sub-grid, and only
+the cells a curvature bound cannot rule out are refined, from local Taylor
+expansions (``_best_time_on_series``); a sampled trajectory is searched on
+every grid point (``_best_time_on_grid``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product as iter_product
 
 import numpy as np
@@ -22,6 +27,7 @@ from scipy.optimize import curve_fit, minimize
 from scipy.stats import qmc
 
 from .engine import RefrigeratorEngine, RefrigeratorParams
+from .series import SeriesTerms
 from .spinstar import temperature_from_excited
 
 DEFAULT_TIME_GRID = (0.0, 10.0, 0.005)
@@ -29,6 +35,47 @@ DEFAULT_RANGES = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 0.1))
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 WORKERS_ENV = "SPINFRIDGE_WORKERS"
+
+
+def _openblas_functions(name: str) -> list:
+    """The ``name`` entry point (e.g. "set_num_threads") of every loaded OpenBLAS.
+
+    Found through /proc/self/maps, so empty off Linux; the symbol prefix
+    and suffix differ between OpenBLAS builds.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in iter_product(("scipy_openblas", "openblas"), ("64_", "")):
+            function = getattr(lib, f"{prefix}_{name}{suffix}", None)
+            if function is not None:
+                found.append(function)
+                break
+    return found
+
+
+def _one_blas_thread() -> None:
+    """Sweep pool initializer: run every loaded OpenBLAS on one thread.
+
+    ``import spinfridge`` defaults OPENBLAS_NUM_THREADS to 1, but OpenBLAS
+    reads it only when it is loaded: a program that imported numpy first
+    would fork workers that each run threaded BLAS on the same cores.  A
+    thread count the user set is left alone.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return
+    for set_threads in _openblas_functions("set_num_threads"):
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
 
 
 def worker_count() -> int:
@@ -90,7 +137,7 @@ def first_local_min(times, values, objective=None, tol: float = 1e-6):
         raise ValueError("need at least three samples to locate a local minimum")
     for k in range(1, len(values) - 1):
         if values[k] < values[k - 1] and values[k] <= values[k + 1]:
-            return LocalMinimum(*_polish(values, objective, times, k, tol), k)
+            return LocalMinimum(*_polish(values[k], objective, times, k, tol), k)
     return None
 
 
@@ -100,17 +147,18 @@ def _best_time_on_grid(values, value_at, grid, refine_tol: float = 1e-5
 
     The grid minimum, the first one on ties, is polished as in ``_polish``.
     """
-    return _polish(values, value_at, grid, int(np.argmin(values)), refine_tol)
+    k = int(np.argmin(values))
+    return _polish(values[k], value_at, grid, k, refine_tol)
 
 
-def _polish(values, value_at, grid, k: int, tol: float) -> tuple[float, float]:
-    """(time, value) of grid point k, polished between its neighbours.
+def _polish(value, value_at, grid, k: int, tol: float) -> tuple[float, float]:
+    """(time, value) of grid point k, whose grid value is ``value``, polished.
 
     Golden-section search of ``value_at`` on (grid[k-1], grid[k+1]); the
     polish never loses to the grid, and an end point of the grid or a
     missing ``value_at`` keeps the grid value.
     """
-    t_best, v_best = float(grid[k]), float(values[k])
+    t_best, v_best = float(grid[k]), float(value)
     if value_at is not None and 0 < k < len(grid) - 1:
         t_gold, v_gold = golden_section_min(
             value_at, float(grid[k - 1]), float(grid[k + 1]), tol=tol
@@ -118,6 +166,116 @@ def _polish(values, value_at, grid, k: int, tol: float) -> tuple[float, float]:
         if v_gold <= v_best:
             t_best, v_best = t_gold, float(v_gold)
     return t_best, v_best
+
+
+# Largest omega_max * r of a Taylor expansion in the series time search: its
+# degree is then at most 18 (``series._taylor_degree``) and its rounding stays
+# within a few ulps times e * sum|a|.
+_TAYLOR_REACH = 1.0
+# Largest stride, in grid steps, of the coarse scan of ``_best_time_on_series``.
+_MAX_STRIDE = 16
+# Rounding slack of a cell's lower bound, in units of sum|a|: the error bound
+# the tests hold the grid kernel to.
+_SCAN_SLACK = 1e-12
+
+
+def _stride(terms, dt: float) -> int:
+    """Stride s of the coarse scan of a series on a grid of step dt.
+
+    The largest s up to ``_MAX_STRIDE`` for which an expansion about a
+    cell's midpoint reaching a step beyond the cell's ends, of radius
+    r = (s/2 + 1) dt, keeps w_max r within ``_TAYLOR_REACH``; 0 when not
+    even s = 1 does.
+    """
+    step = (float(terms.omegas.max()) if terms.omegas.size else 0.0) * dt
+    if step * (_MAX_STRIDE + 2) <= 2.0 * _TAYLOR_REACH:
+        return _MAX_STRIDE
+    return max(0, math.floor(2.0 * _TAYLOR_REACH / step) - 2)
+
+
+def _series_value(terms, t: float) -> float:
+    """A one-row series at time t, by direct evaluation."""
+    return float(np.ravel(terms.at([t]))[0])
+
+
+def _polynomial(coef, centre: float):
+    """t -> sum_k coef[k] (t - centre)^k, by Horner's rule."""
+    reversed_coef = coef[::-1].tolist()
+
+    def value(t: float) -> float:
+        x, out = t - centre, 0.0
+        for c in reversed_coef:
+            out = out * x + c
+        return out
+
+    return value
+
+
+def _polish_series_point(terms, grid, k: int, value, tol: float) -> tuple[float, float]:
+    """(time, value) of grid point k of a one-row series, polished as in ``_polish``.
+
+    The golden-section search runs on the Taylor expansion about grid[k],
+    of radius dt, or on direct values when w_max dt is too large for it
+    (``_stride`` 0); the value at the time found is one direct evaluation.
+    """
+    centre, dt = float(grid[k]), float(grid[1] - grid[0])
+    if _stride(terms, dt):
+        value_at = _polynomial(terms.taylor([centre], dt).ravel(), centre)
+    else:
+        value_at = partial(_series_value, terms)
+    t_best, _ = _polish(value, value_at, grid, k, tol)
+    return t_best, _series_value(terms, t_best)
+
+
+def _best_time_on_series(terms, grid, refine_tol: float = 1e-5) -> tuple[float, float]:
+    """(time, value) of the minimum of a one-row series over a uniform ``grid``.
+
+    Finds the point ``_best_time_on_grid`` finds on the sampled series with
+    a pointwise polish, without sampling every grid point:
+
+    - scan every s-th point (``_stride``), the last cell overhanging the
+      grid end when s does not divide n - 1;
+    - drop each cell whose lower bound min(ends) - L2 h^2/8, L2 = sum|a|w^2
+      bounding |p''| on a cell of length h, minus ``_SCAN_SLACK`` sum|a|, is
+      not below the coarse minimum: no point in it can beat that minimum;
+    - take the grid values of the other cells from a Taylor expansion about
+      each cell's midpoint, of radius (s/2 + 1) dt, so it also covers the
+      neighbours of the cell's end points;
+    - polish the grid minimum, the first one on ties, by golden-section
+      search on its cell's polynomial, and read the value at the time found
+      from one direct evaluation.
+
+    Grids of fewer than three points, and series whose w_max dt is too large
+    for an expansion per grid step, take ``_best_time_on_grid``.
+    """
+    n = len(grid)
+    dt = float(grid[1] - grid[0]) if n > 1 else 0.0
+    stride = _stride(terms, dt)
+    if n < 3 or stride == 0:
+        return _best_time_on_grid(np.ravel(terms.evaluate(grid)), partial(_series_value, terms),
+                                  grid, refine_tol)
+    t0 = float(grid[0])
+    cells = -(-(n - 1) // stride)
+    coarse = np.ravel(terms.on_grid(t0, stride * dt, cells + 1))
+    best = coarse[:(n - 1) // stride + 1].min()
+    amps = np.abs(np.ravel(terms.amps))
+    curvature = float(np.sum(amps * terms.omegas ** 2))  # L2, bounds |p''|
+    lower = (np.minimum(coarse[:-1], coarse[1:]) - curvature * (stride * dt) ** 2 / 8
+             - _SCAN_SLACK * float(np.sum(amps)))
+    live = np.flatnonzero(lower < best)
+    if live.size == 0:  # a constant series: no point beats the first
+        return t0, _series_value(terms, t0)
+    centres = t0 + (live + 0.5) * stride * dt
+    coef = terms.taylor(centres, (0.5 * stride + 1) * dt).reshape(live.size, -1)
+    steps = np.arange(stride + 1)
+    offsets = (steps - 0.5 * stride) * dt
+    fine = coef @ (offsets[:, None] ** np.arange(coef.shape[1])).T
+    index = live[:, None] * stride + steps  # rows ascend, so argmin keeps the first tie
+    j = int(np.argmin(np.where(index < n, fine, np.inf)))
+    cell = j // (stride + 1)
+    t_best, _ = _polish(fine.flat[j], _polynomial(coef[cell], float(centres[cell])),
+                        grid, int(index.flat[j]), refine_tol)
+    return t_best, _series_value(terms, t_best)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +437,16 @@ def minimize_t1(excited, bounds, budget: int, seed: int,
     """Minimize the qubit-1 temperature over the points x of a box and over time.
 
     ``excited(x, grid)`` returns, for point x, qubit 1's excited population
-    on the time grid, a pointwise evaluator of it and qubit 1's gap, or
-    None when x is infeasible, which scores +inf.  Each point's best time
-    comes from ``_best_time_on_grid`` (minimizing p1 minimizes T1: the map
-    p -> T is strictly increasing) and its T1 is read from p1 there; the
-    points are searched by ``minimize_box``.  Points are memoized by their
-    coordinates rounded to 14 decimals, so the winner is not evaluated
-    again.  When no evaluated point is feasible, ``best_t1`` is +inf and
-    the other values NaN.  Deterministic for a fixed seed.
+    p1, a pointwise evaluator of it and qubit 1's gap, or None when x is
+    infeasible, which scores +inf.  p1 is either its values on the time
+    grid, searched by ``_best_time_on_grid``, or its one-row
+    ``SeriesTerms`` (the evaluator then unused), searched by
+    ``_best_time_on_series``.  Minimizing p1 minimizes T1, as the map
+    p -> T is strictly increasing, and T1 is read from p1 at the best
+    time; the points are searched by ``minimize_box``.  Points are
+    memoized by their coordinates rounded to 14 decimals, so the winner is
+    not evaluated again.  When no evaluated point is feasible, ``best_t1``
+    is +inf and the other values NaN.  Deterministic for a fixed seed.
     """
     t0, t1, dt = time_grid
     grid = np.arange(t0, t1 + 0.5 * dt, dt)
@@ -300,8 +460,11 @@ def minimize_t1(excited, bounds, budget: int, seed: int,
             if found is None:
                 memo[key] = _INFEASIBLE
             else:
-                values, value_at, epsilon = found
-                t_best, p_best = _best_time_on_grid(values, value_at, grid, refine_tol)
+                p1, value_at, epsilon = found
+                if isinstance(p1, SeriesTerms):
+                    t_best, p_best = _best_time_on_series(p1, grid, refine_tol)
+                else:
+                    t_best, p_best = _best_time_on_grid(p1, value_at, grid, refine_tol)
                 t1_value = float(temperature_from_excited(p_best, epsilon))
                 memo[key] = (t1_value, t_best, p_best)
         return memo[key]
@@ -330,16 +493,14 @@ def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
     """Minimize the cold-qubit temperature over couplings and time.
 
     ``engine_factory`` maps a coupling vector (A1, A2, A3, g) to a
-    RefrigeratorEngine, whose ("exc", 1) series ``minimize_t1`` scans and
-    polishes; the couplings are searched by seeded multistart Nelder-Mead.
-    Deterministic for a fixed seed.
+    RefrigeratorEngine, whose ("exc", 1) series ``minimize_t1`` searches
+    over time with ``_best_time_on_series``; the couplings are searched by
+    seeded multistart Nelder-Mead.  Deterministic for a fixed seed.
     """
 
     def excited(x, grid):
         engine = engine_factory(x)
-        terms = engine.excited_terms((1,))
-        return (terms.evaluate(grid)[0], lambda t: terms.at([t])[0, 0],
-                engine.params.epsilon[0])
+        return engine.excited_terms((1,)), None, engine.params.epsilon[0]
 
     return minimize_t1(excited, ranges, budget, seed, time_grid)
 
@@ -404,12 +565,14 @@ def _sweep_point(args) -> ScalingRow:
     eps = params.epsilon[0]
     t0, t1, dt = time_grid
     grid = np.arange(t0, t1 + 0.5 * dt, dt)
-    local = first_local_min(
-        grid, temperature_from_excited(terms.evaluate(grid)[0], eps),
-        objective=lambda t: float(temperature_from_excited(terms.at([t])[0], eps)[0]),
-    )
+    p1 = terms.evaluate(grid)[0]
+    local = first_local_min(grid, temperature_from_excited(p1, eps))
     if local is None:  # no interior dip: fall back to the global best
         local = LocalMinimum(result.best_time, result.best_t1, -1)
+    else:  # polish p1, whose minima are T1's: T is strictly increasing in p
+        k = local.grid_index
+        t_local, p_local = _polish_series_point(terms, grid, k, p1[k], 1e-6)
+        local = LocalMinimum(t_local, float(temperature_from_excited(p_local, eps)), k)
     return ScalingRow(
         n=n,
         best_params=result.best_params,
@@ -440,7 +603,7 @@ def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = 2000,
     ]
     workers = workers if workers is not None else worker_count()
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from spinfridge import analysis
 from spinfridge.analysis import (
     _best_time_on_grid,
+    _best_time_on_series,
     fit_power_law,
     first_local_min,
     golden_section_min,
@@ -21,6 +22,7 @@ from spinfridge.analysis import (
 )
 from spinfridge.analysis import coupling_engine_factory
 from spinfridge.engine import RefrigeratorParams
+from spinfridge.series import SeriesTerms
 from spinfridge.spinstar import temperature_from_excited
 
 
@@ -89,6 +91,99 @@ class TestBestTimeOnGrid:
         t_best, v_best = _best_time_on_grid(np.cos(grid), np.cos, grid, refine_tol=1e-9)
         assert t_best == pytest.approx(math.pi, abs=1e-6)
         assert v_best < np.cos(grid).min()
+
+
+def _reference_best_time(terms, grid, refine_tol=1e-5):
+    """The sampled search on every grid point, polished on direct values."""
+    values = np.ravel(terms.evaluate(grid))
+    return _best_time_on_grid(values, lambda t: float(np.ravel(terms.at([t]))[0]),
+                              grid, refine_tol)
+
+
+def _rounding_bound(terms) -> float:
+    """What the series search may lose to the reference: 1e-12 sum|a| plus ulps of const."""
+    const_ulp = float(np.spacing(np.max(np.abs(terms.const))))
+    return (1e-12 * float(np.sum(np.abs(terms.amps))) + 4 * const_ulp
+            + 64 * np.finfo(float).smallest_subnormal)
+
+
+@st.composite
+def _search_case(draw):
+    """A random series (w <= 60) of either row shape and a uniform grid."""
+    m = draw(st.integers(0, 12))
+    omegas = np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=m, max_size=m)))
+    amps = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    const = draw(st.floats(-1.0, 1.0))
+    kind = draw(st.sampled_from(["cos", "sin"]))
+    if draw(st.booleans()):
+        terms = SeriesTerms(np.array([const]), amps[None, :], omegas, kind)
+    else:
+        terms = SeriesTerms(const, amps, omegas, kind)
+    n = draw(st.one_of(st.integers(1, 4), st.integers(5, 400)))
+    dt = draw(st.floats(0.002, 0.1))
+    t0 = draw(st.floats(-2.0, 2.0))
+    return terms, t0 + np.arange(n) * dt
+
+
+class TestBestTimeOnSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(_search_case())
+    def test_never_above_the_sampled_search(self, case):
+        terms, grid = case
+        t_best, p_best = _best_time_on_series(terms, grid)
+        t_ref, p_ref = _reference_best_time(terms, grid)
+        assert grid[0] <= t_best <= grid[-1]
+        bound = _rounding_bound(terms)
+        assert p_best == pytest.approx(float(np.ravel(terms.at([t_best]))[0]), abs=bound)
+        assert p_best <= p_ref + bound
+
+    def test_zero_amplitudes_return_the_first_time_without_refining(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a constant series has no cell to refine")
+
+        monkeypatch.setattr(SeriesTerms, "taylor", never)
+        terms = SeriesTerms(0.25, np.zeros(3), np.array([1.0, 2.0, 5.0]), "cos")
+        assert _best_time_on_series(terms, 0.5 + np.arange(101) * 0.01) == (0.5, 0.25)
+
+    @pytest.mark.parametrize("sign, end", [(1.0, 0), (-1.0, -1)])
+    def test_monotone_series_ends_at_the_grid_edge(self, sign, end):
+        # sin(0.1 t) rises on [0, 10]: the minimum is the first or last point
+        terms = SeriesTerms(0.5, np.array([sign * 0.3]), np.array([0.1]), "sin")
+        grid = np.arange(1001) * 0.01
+        t_best, p_best = _best_time_on_series(terms, grid)
+        assert t_best == grid[end]
+        assert p_best == pytest.approx(0.5 + sign * 0.3 * math.sin(0.1 * grid[end]),
+                                       abs=1e-15)
+
+    def test_minimum_in_a_last_cell_shorter_than_the_stride(self):
+        terms = SeriesTerms(0.0, np.array([1.0, 1e-3]), np.array([3.0, 7.0]), "cos")
+        dt = 0.01
+        stride = analysis._stride(terms, dt)
+        n = 10 * stride + 6
+        assert stride > 1 and (n - 1) % stride
+        # cos(3 t) dips at pi/3, placed three steps before the grid end
+        grid = math.pi / 3 + 3.4 * dt + (np.arange(n) - (n - 1)) * dt
+        t_best, p_best = _best_time_on_series(terms, grid)
+        t_ref, p_ref = _reference_best_time(terms, grid)
+        assert t_best == pytest.approx(t_ref, abs=1e-9)
+        assert grid[-1] - 4 * dt < t_best < grid[-1]
+        assert p_best <= p_ref + _rounding_bound(terms)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_points(self, n):
+        terms = SeriesTerms(0.1, np.array([0.4, -0.2]), np.array([2.0, 9.0]), "cos")
+        grid = 0.3 + np.arange(n) * 0.05
+        assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
+
+    def test_fast_series_takes_the_sampled_search(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("w_max dt is too large for an expansion")
+
+        monkeypatch.setattr(SeriesTerms, "taylor", never)
+        terms = SeriesTerms(0.0, np.array([1.0, 0.5]), np.array([60.0, 3.0]), "cos")
+        grid = np.arange(41) * 0.05
+        assert analysis._stride(terms, 0.05) == 0
+        assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
 
 
 class TestMinimizeBox:

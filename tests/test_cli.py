@@ -1,9 +1,11 @@
 """Config parsing, CLI commands, output determinism and provenance."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -442,3 +444,26 @@ class TestBlasThreadPolicy:
 
     def test_user_setting_wins(self):
         assert self._threads_after_import("2") == "2"
+
+    def test_sweep_workers_run_one_thread_after_numpy_first(self):
+        # numpy loads OpenBLAS before spinfridge sets its default; the sweep
+        # pool's initializer must still give each forked worker one thread
+        code = textwrap.dedent("""
+            import numpy
+            from spinfridge import analysis
+
+            def threads(job):
+                return [f() for f in analysis._openblas_functions("get_num_threads")]
+
+            analysis._sweep_point = threads
+            print(analysis.scaling_sweep(None, [1, 2], workers=2).rows)
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spinfridge.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        rows = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+        assert len(rows) == 2
+        assert all(count == 1 for row in rows for count in row)

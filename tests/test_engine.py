@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinfridge import oracle, thermo
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, sector_layout
-from spinfridge.series import trig_series_at, trig_series_uniform
+from spinfridge.series import trig_series_at, trig_series_taylor, trig_series_uniform
 from spinfridge.spinstar import sector_arrays, temperature_from_excited
 
 
@@ -350,6 +350,30 @@ class TestTrigSeries:
         grid_sin = trig_series_uniform(0.0, amps, omegas, 0.5, 0.02, 400, "sin")
         direct_sin = trig_series_at(0.0, amps, omegas, 0.5 + np.arange(400) * 0.02, "sin")
         assert np.max(np.abs(grid_sin - direct_sin)) < 1e-13 * scale
+
+    def test_long_grid_with_fast_terms(self):
+        # n = 2001 doubles the phases over 11 levels, squaring between anchors
+        rng = np.random.default_rng(4)
+        omegas = rng.uniform(0.0, 500.0, size=400)
+        amps = rng.normal(size=400)
+        grid = trig_series_uniform(0.1, amps, omegas, 0.0, 0.005, 2001, "cos")
+        direct = trig_series_at(0.1, amps, omegas, np.arange(2001) * 0.005, "cos")
+        assert np.max(np.abs(grid - direct)) < 1e-12 * np.sum(np.abs(amps))
+
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    def test_taylor_expansion_matches_direct(self, kind):
+        rng = np.random.default_rng(5)
+        omegas = rng.uniform(0.0, 50.0, size=300)
+        amps = rng.normal(size=(2, 300))
+        centres, radius = np.array([0.0, 3.7]), 1.0 / 50.0
+        coef = trig_series_taylor([0.3, -0.1], amps, omegas, centres, radius, kind)
+        assert coef.shape[:2] == (2, 2)
+        x = np.linspace(-radius, radius, 9)
+        poly = coef @ (x[:, None] ** np.arange(coef.shape[2])).T
+        for c, centre in enumerate(centres):
+            direct = trig_series_at([0.3, -0.1], amps, omegas, centre + x, kind)
+            bound = 1e-14 * np.abs(amps).sum(axis=1)
+            assert np.all(np.abs(poly[:, c] - direct) <= bound[:, None])
 
     def test_multi_row_amplitudes(self):
         omegas = np.array([1.0, 2.0])
