@@ -123,13 +123,11 @@ class LocalMinimum:
     grid_index: int
 
 
-def first_local_min(times, values, objective=None, tol: float = 1e-6):
+def first_local_min(times, values):
     """First local minimum of a sampled series, or None if the series is monotone.
 
-    Finds the first k with values[k] < values[k-1] and values[k] <= values[k+1],
-    then polishes it by golden-section search on the continuous
-    ``objective`` inside (times[k-1], times[k+1]) when one is supplied; the
-    polish never loses to the grid.
+    The first grid point k with values[k] < values[k-1] and
+    values[k] <= values[k+1], unpolished.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -137,7 +135,7 @@ def first_local_min(times, values, objective=None, tol: float = 1e-6):
         raise ValueError("need at least three samples to locate a local minimum")
     for k in range(1, len(values) - 1):
         if values[k] < values[k - 1] and values[k] <= values[k + 1]:
-            return LocalMinimum(*_polish(values[k], objective, times, k, tol), k)
+            return LocalMinimum(float(times[k]), float(values[k]), k)
     return None
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    PLATEAU_MIN_N,
     coupling_engine_factory,
-    first_local_min,
     fit_power_law,
     neville_extrapolate,
     neville_lower_diagonal_diffs,
@@ -25,7 +25,7 @@ from .analysis import (
     scaling_sweep,
 )
 from .config import ConfigError, RunConfig, dump_canonical, load_config
-from .engine import RefrigeratorEngine
+from .engine import RefrigeratorEngine, RefrigeratorParams
 from .markov import (
     integrate_gksl,
     markov_optimize,
@@ -33,14 +33,7 @@ from .markov import (
     thermal_product_state,
 )
 from .oracle import build_dense, dense_evolve_and_trace
-from .spinstar import (
-    SingleStarParams,
-    excited_population_series,
-    heat_current_series,
-    reduced_bath_populations,
-    reduced_spin_state,
-    temperature_from_excited,
-)
+from .spinstar import SingleStarParams
 from . import thermo
 
 ORACLE_TOLERANCE = 1e-9
@@ -70,35 +63,26 @@ def _write_json(path: str, config: RunConfig, results: dict) -> None:
         fh.write("\n")
 
 
-def _run_single(config: RunConfig) -> None:
-    params = config.single
-    times = config.time_grid.points()
-    p = excited_population_series(params, times)
-    temps = temperature_from_excited(p, params.epsilon)
-    qdot_s, qdot_b = heat_current_series(params, times)
-    _write_csv(
-        config.output_path,
-        config,
-        ["t", "T1", "r1", "QdotS1", "QdotB1"],
-        [times, temps, 1.0 - p, qdot_s, qdot_b],
-    )
-
-
 def _run_evolve(config: RunConfig) -> None:
-    engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
+    """Time series of every qubit: the refrigerator's three, a single star's one."""
+    if config.single is not None:
+        # unpruned: a default prune_tol drops every excited sector at low temperature
+        engine = RefrigeratorEngine(RefrigeratorParams.from_pairs(config.single), prune_tol=0.0)
+    else:
+        engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
     times = config.time_grid.points()
-    series = engine.qubit_series((1, 2, 3), times)
+    qubits = range(1, engine.params.pairs + 1)
+    series = engine.qubit_series(qubits, times)
     currents = thermo.heat_current_series(engine, times)
-    header = (
-        ["t", "T1", "T2", "T3", "r1", "r2", "r3"]
-        + ["QdotS1", "QdotS2", "QdotS3", "QdotB1", "QdotB2", "QdotB3"]
-    )
+    header = ["t"] + [
+        f"{name}{i}" for name in ("T", "r", "QdotS", "QdotB") for i in qubits
+    ]
     columns = (
         [times]
         + [s.temperature for s in series]
         + [s.ground_population for s in series]
-        + [currents.qdot_s[k] for k in range(3)]
-        + [currents.qdot_b[k] for k in range(3)]
+        + list(currents.qdot_s)
+        + list(currents.qdot_b)
     )
     _write_csv(config.output_path, config, header, columns)
 
@@ -169,7 +153,7 @@ def _run_scaling(config: RunConfig) -> None:
     }
     if len(ns) >= 4:
         try:
-            t_inf = "plateau" if np.any(ns >= 35) else tab.extrapolated
+            t_inf = "plateau" if np.any(ns >= PLATEAU_MIN_N) else tab.extrapolated
             fit = fit_power_law(ns, t1, t_inf=t_inf)
             results["t1_fit"] = {
                 "t_inf": fit.t_inf, "a": fit.a, "b": fit.b,
@@ -230,14 +214,15 @@ def _validate_single_star(report: dict) -> float:
     for params in cases:
         model = build_dense(params)
         spectrum = model.spectrum()
+        engine = RefrigeratorEngine(RefrigeratorParams.from_pairs(params), prune_tol=0.0)
         for t in (0.0, 0.7, 3.1):
             spin = np.max(np.abs(
                 dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
-                - reduced_spin_state(params, t)
+                - engine.reduced_qubit_state(1, t)
             ))
             bath = np.max(np.abs(
                 np.diag(dense_evolve_and_trace(model, t, 1, spectrum=spectrum)).real
-                - reduced_bath_populations(params, t)
+                - engine.reduced_bath_populations(1, t)
             ))
             worst = max(worst, float(spin), float(bath))
     report["single_star_max_deviation"] = worst
@@ -282,7 +267,7 @@ def _run_validate(config: RunConfig) -> None:
 
 
 _RUNNERS = {
-    "single": _run_single,
+    "single": _run_evolve,
     "evolve": _run_evolve,
     "optimize": _run_optimize,
     "scaling": _run_scaling,

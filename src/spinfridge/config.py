@@ -258,6 +258,11 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
             raise ConfigError(
                 f"n_list: the extrapolation needs at least two distinct sizes, got {list(n_list)}"
             )
+        if len(time_grid.points()) < 3:
+            raise ConfigError(
+                "time_grid: the local minimum needs at least three time points, "
+                f"got {len(time_grid.points())}"
+            )
     if cfg_mode == "single":
         single = _parse_single(_require(data, "params", ""), "params")
     if cfg_mode == "markov":

@@ -1,14 +1,16 @@
-"""Sector-resolved dynamics of the three-qubit spin-star refrigerator.
+"""Sector-resolved dynamics of qubits in spin-star baths: one pair or three.
 
-The conserved per-pair total z spins split the joint Hilbert space into
-(m1, m2, m3) sectors of dimension at most 8 = 2*2*2.  Basis convention
+One qubit-bath pair is a single spin star; three pairs joined by the
+collective interaction are the refrigerator.  The conserved per-pair total
+z spins split the joint Hilbert space into (m1, ...) sectors of dimension
+at most 2 per pair, so 8 = 2*2*2 for the refrigerator.  Basis convention
 inside a sector: qubit i contributes bit b_i (0 = qubit in its lower level
 paired with bath level m_i + 1/2, 1 = upper level with bath level
 m_i - 1/2) and the basis index is b1*4 + b2*2 + b3 when all three pairs are
-two-dimensional; one-dimensional edge pairs contribute no bit but keep the
-same nesting order (qubit 1 most significant).  The collective interaction
-couples indices 2 = (0,1,0) and 5 = (1,0,1) and exists only in full
-eight-dimensional sectors.
+two-dimensional (b1 for one pair); one-dimensional edge pairs contribute no
+bit but keep the same nesting order (qubit 1 most significant).  The
+collective interaction couples indices 2 = (0,1,0) and 5 = (1,0,1) and
+exists only in full eight-dimensional sectors.
 
 Which sectors exist, their weights, basis and level energies do not
 depend on the couplings: that layout is built once per (epsilon, E, N,
@@ -38,25 +40,43 @@ _INTERACTION_BITS = ((0, 1, 0), (1, 0, 1))
 
 @dataclass(frozen=True)
 class RefrigeratorParams:
-    """All Hamiltonian and thermal parameters of the three-pair refrigerator."""
+    """Hamiltonian and thermal parameters of one qubit-bath pair or three.
 
-    epsilon: tuple[float, float, float]
-    bath_energy: tuple[float, float, float]
-    coupling: tuple[float, float, float]
+    Each per-pair field holds one entry per pair.  Three pairs are the
+    refrigerator; one pair is a single spin star, which has no interaction,
+    so its g must be 0.
+    """
+
+    epsilon: tuple[float, ...]
+    bath_energy: tuple[float, ...]
+    coupling: tuple[float, ...]
     g: float
-    n_bath: tuple[int, int, int]
-    beta: tuple[float, float, float]
+    n_bath: tuple[int, ...]
+    beta: tuple[float, ...]
 
     def __post_init__(self):
         for name in ("epsilon", "bath_energy", "coupling", "n_bath", "beta"):
             value = tuple(getattr(self, name))
-            if len(value) != 3:
-                raise ValueError(f"{name} must have three entries, got {value}")
+            if len(value) not in (1, 3) or len(value) != len(self.n_bath):
+                raise ValueError(f"{name} needs one entry per pair, one or three: {value}")
             object.__setattr__(self, name, value)
         if self.g < 0 or not math.isfinite(self.g):
             raise ValueError(f"g must be finite and nonnegative, got {self.g}")
-        for i in (1, 2, 3):
+        if self.pairs == 1 and self.g != 0.0:
+            raise ValueError(f"g couples three pairs; one pair needs g = 0, got {self.g}")
+        for i in range(1, self.pairs + 1):
             self.pair(i)  # delegates per-pair validation
+
+    @property
+    def pairs(self) -> int:
+        """Number of qubit-bath pairs, one or three."""
+        return len(self.n_bath)
+
+    @classmethod
+    def from_pairs(cls, *pairs: SingleStarParams, g: float = 0.0) -> RefrigeratorParams:
+        """Parameters joining the given qubit-bath pairs; the inverse of ``pair``."""
+        fields = ("epsilon", "bath_energy", "coupling", "n_bath", "beta")
+        return cls(g=g, **{name: tuple(getattr(p, name) for p in pairs) for name in fields})
 
     def pair(self, i: int) -> SingleStarParams:
         """Parameters of qubit-bath pair i (1-based)."""
@@ -70,9 +90,9 @@ class RefrigeratorParams:
         )
 
     def is_autonomous(self, tol: float = 1e-12) -> bool:
-        """Whether the two interaction-coupled states are degenerate."""
-        gaps = [self.bath_energy[k] - self.epsilon[k] for k in range(3)]
-        return abs(gaps[1] - (gaps[0] + gaps[2])) <= tol
+        """Whether the two interaction-coupled states are degenerate (never for one pair)."""
+        gaps = [self.bath_energy[k] - self.epsilon[k] for k in range(self.pairs)]
+        return self.pairs == 3 and abs(gaps[1] - (gaps[0] + gaps[2])) <= tol
 
 
 @dataclass(frozen=True)
@@ -93,18 +113,15 @@ def _enumerate_arrays(pairs, prune_tol: float):
     """Kept flat sector indices, their weight fractions and the dropped weight.
 
     Sector weights are products of per-pair Boltzmann weights (thermal trace
-    factors included), normalized to the full sum.  Sectors are dropped
-    greedily from the smallest weight up while the dropped cumulative
-    fraction stays strictly below ``prune_tol``; the kept set is returned in
-    lexicographic (two_m1, two_m2, two_m3) order.
+    factors included), normalized to the full sum; the log weights add in
+    pair order.  Sectors are dropped greedily from the smallest weight up
+    while the dropped cumulative fraction stays strictly below
+    ``prune_tol``; the kept set is returned in lexicographic (two_m1, ...)
+    order.
     """
     if not 0.0 <= prune_tol < 1.0:
         raise ValueError(f"prune_tol must lie in [0, 1), got {prune_tol}")
-    logw = (
-        pairs[0]["logw"][:, None, None]
-        + pairs[1]["logw"][None, :, None]
-        + pairs[2]["logw"][None, None, :]
-    ).ravel()
+    logw = functools.reduce(np.add.outer, [p["logw"] for p in pairs]).ravel()
     w = np.exp(logw - logw.max())
     fractions = w / w.sum()
     order = np.argsort(fractions, kind="stable")
@@ -119,8 +136,8 @@ def _enumerate_arrays(pairs, prune_tol: float):
 class SectorGroup:
     """Kept sectors sharing a (dims, edge-side) signature, couplings left out.
 
-    Rows are sectors in lexicographic (two_m1, two_m2, two_m3) order.
-    ``basis`` holds the (b1, b2, b3) bits of each basis state,
+    Rows are sectors in lexicographic (two_m1, ...) order.  ``basis`` holds
+    the bits (b1, ...) of each basis state, one per pair,
     ``level_energy`` the diagonal of every sector block and ``p0`` the
     initial populations, which are the same in every row.  The XY coupling
     of pair k sits at the entries of ``flip_masks[k]`` with strength A_k
@@ -129,7 +146,7 @@ class SectorGroup:
     has no such coupling.
     """
 
-    dims: tuple[int, int, int]
+    dims: tuple[int, ...]
     basis: np.ndarray
     weights: np.ndarray
     m_values: np.ndarray
@@ -161,7 +178,7 @@ class SectorLayout:
 def _layout_group(pairs, sel, weights, dims, sides) -> SectorGroup:
     """Coupling-independent arrays of the sectors selected by per-pair indices."""
     basis = np.array(list(iter_product(*(
-        (0, 1) if dims[k] == 2 else (sides[k],) for k in range(3)
+        (0, 1) if dims[k] == 2 else (sides[k],) for k in range(len(pairs))
     ))))
     flips = basis[:, None, :] != basis[None, :, :]
     single_flip = flips.sum(axis=2) == 1
@@ -189,7 +206,7 @@ def _layout_group(pairs, sel, weights, dims, sides) -> SectorGroup:
         interaction_mask = np.outer(lower, upper) | np.outer(upper, lower)
     group = SectorGroup(
         dims=dims, basis=basis, weights=weights,
-        m_values=np.stack([pairs[k]["m"][sel[k]] for k in range(3)], axis=1),
+        m_values=np.stack([pk["m"][sel[k]] for k, pk in enumerate(pairs)], axis=1),
         level_energy=level_energy, p0=p0, unit_coupling=tuple(unit_coupling),
         flip_masks=tuple(flip_masks), interaction_mask=interaction_mask,
     )
@@ -205,8 +222,9 @@ def _layout_group(pairs, sel, weights, dims, sides) -> SectorGroup:
 def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> SectorLayout:
     """The sector layout for per-pair epsilon, E, N, beta and one prune_tol.
 
-    Which sectors are kept, their weights, grouping, basis, level energies
-    and initial populations depend on none of the couplings (A1, A2, A3, g),
+    The per-pair tuples hold one entry per pair, one or three.  Which
+    sectors are kept, their weights, grouping, basis, level energies and
+    initial populations depend on none of the couplings (A_k and g),
     so the layout is built once and shared by every engine on the same
     arguments; its arrays are read-only.
     """
@@ -216,13 +234,14 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
             epsilon=epsilon[k], bath_energy=bath_energy[k], coupling=1.0,
             n_bath=n_bath[k], beta=beta[k],
         ))
-        for k in range(3)
+        for k in range(len(n_bath))
     ]
     keep, fractions, dropped = _enumerate_arrays(pairs, prune_tol)
     idx = np.unravel_index(keep, tuple(len(p["two_m"]) for p in pairs))
-    dims = np.stack([pairs[k]["dim"][idx[k]] for k in range(3)], axis=1)
+    dims = np.stack([p["dim"][i] for p, i in zip(pairs, idx)], axis=1)
     sides = np.stack([
-        np.where(dims[:, k] == 1, pairs[k]["edge_state"][idx[k]], 0) for k in range(3)
+        np.where(dims[:, k] == 1, p["edge_state"][i], 0)
+        for k, (p, i) in enumerate(zip(pairs, idx))
     ], axis=1)
     signatures, inverse = np.unique(
         np.hstack([dims, sides]), axis=0, return_inverse=True
@@ -230,9 +249,10 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
     groups = []
     for g, signature in enumerate(signatures.tolist()):
         rows = np.flatnonzero(inverse == g)
-        sel = [idx[k][rows] for k in range(3)]
+        sel = [i[rows] for i in idx]
         groups.append(_layout_group(
-            pairs, sel, fractions[rows], tuple(signature[:3]), tuple(signature[3:])
+            pairs, sel, fractions[rows],
+            tuple(signature[:len(pairs)]), tuple(signature[len(pairs):]),
         ))
     kept = len(keep)
     return SectorLayout(
@@ -244,11 +264,11 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
 # Per-coupling spectra
 # ---------------------------------------------------------------------------
 
-_COUPLING_KEYS = (("hsb", 1), ("hsb", 2), ("hsb", 3), ("hint",))
-# every term of H: local qubits, local baths, couplings and interaction
-ENERGY_KEYS = (
-    tuple((kind, i) for kind in ("hs", "hb") for i in (1, 2, 3)) + _COUPLING_KEYS
-)
+def energy_keys(pairs: int) -> tuple:
+    """Every term of H: local qubits, local baths, couplings, then the
+    interaction, which joins three pairs and is absent for one."""
+    keys = tuple((kind, i) for kind in ("hs", "hb", "hsb") for i in range(1, pairs + 1))
+    return keys + ((("hint",),) if pairs == 3 else ())
 
 
 def _coupling_term(params: RefrigeratorParams, sectors: SectorGroup, key):
@@ -285,7 +305,7 @@ class SectorGroupData:
     m_matrix: np.ndarray  # V^T diag(p0) V, the initial state in the eigenbasis
 
     @property
-    def dims(self) -> tuple[int, int, int]:
+    def dims(self) -> tuple[int, ...]:
         return self.sectors.dims
 
     @property
@@ -302,7 +322,7 @@ def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGrou
     h = np.zeros((sectors.size, sectors.dim, sectors.dim))
     diagonal = np.arange(sectors.dim)
     h[:, diagonal, diagonal] = sectors.level_energy
-    for key in _COUPLING_KEYS:
+    for key in energy_keys(params.pairs)[2 * params.pairs:]:  # the off-diagonal terms
         term = _coupling_term(params, sectors, key)
         if term is not None:
             strength, mask = term
@@ -487,6 +507,10 @@ class RefrigeratorEngine:
         """Ground populations and temperatures of several qubits in one pass."""
         times = np.asarray(times, dtype=float)
         p = self.excited_terms(qubits).evaluate(times)
+        if np.any(p < 0.0):  # the true p lies below the rounding of its series
+            q = list(qubits)[int(p.min(axis=1).argmin())]
+            raise ValueError(f"qubit {q}'s excited population reads {p.min():.3g}, "
+                             "below the rounding of its series")
         return [
             TimeSeries(
                 q, times, 1.0 - p[row],
@@ -513,4 +537,4 @@ class RefrigeratorEngine:
 
     def total_energy(self, t: float) -> float:
         """Tr[rho(t) H] as the sum of the energy channels' cosine series."""
-        return float(self.series_terms(ENERGY_KEYS, "cos").at([t]).sum())
+        return float(self.series_terms(energy_keys(self.params.pairs), "cos").at([t]).sum())

@@ -190,22 +190,18 @@ def _check_cap(dim: int) -> None:
         )
 
 
-def build_dense(params) -> DenseModel:
-    """Dense model for SingleStarParams or RefrigeratorParams."""
+def _pairs(params) -> list[SingleStarParams]:
+    """The qubit-bath pairs of SingleStarParams or RefrigeratorParams."""
     if isinstance(params, SingleStarParams):
-        _check_cap(2 * (params.n_bath + 1))
-        return DenseModel(
-            (2, params.n_bath + 1),
-            _pair_hamiltonian(params),
-            _pair_thermal_state(params),
-        )
+        return [params]
     if isinstance(params, RefrigeratorParams):
-        return _build_dense_refrigerator(params)
+        return [params.pair(i) for i in range(1, params.pairs + 1)]
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 
-def _build_dense_refrigerator(params: RefrigeratorParams) -> DenseModel:
-    pairs = [params.pair(i) for i in (1, 2, 3)]
+def build_dense(params) -> DenseModel:
+    """Dense model for SingleStarParams, or RefrigeratorParams of one or three pairs."""
+    pairs = _pairs(params)
     dims = tuple(d for p in pairs for d in (2, p.n_bath + 1))
     dim = int(np.prod(dims))
     _check_cap(dim)
@@ -213,12 +209,13 @@ def _build_dense_refrigerator(params: RefrigeratorParams) -> DenseModel:
     h = np.zeros((dim, dim))
     for i, p in enumerate(pairs):
         h += _embed(_pair_hamiltonian(p), i, tuple(pair_dims))
-    # Interaction: couples (qubit down, bath m+1/2) with (qubit up, bath m-1/2)
-    # patterns across the three pairs, with unit bath matrix elements.
-    lower = [np.kron(_SM, _bath_shift(p.n_bath)) for p in pairs]   # up -> down, bath +1
-    raiser = [np.kron(_SP, _bath_shift(p.n_bath).T) for p in pairs]
-    hop = _kron_all([lower[0], raiser[1], lower[2]])
-    h += params.g * (hop + hop.T)
+    if len(pairs) == 3:
+        # Interaction: couples (qubit down, bath m+1/2) with (qubit up, bath
+        # m-1/2) patterns across the three pairs, with unit bath matrix elements.
+        lower = [np.kron(_SM, _bath_shift(p.n_bath)) for p in pairs]   # up -> down, bath +1
+        raiser = [np.kron(_SP, _bath_shift(p.n_bath).T) for p in pairs]
+        hop = _kron_all([lower[0], raiser[1], lower[2]])
+        h += params.g * (hop + hop.T)
     rho0 = _kron_all([_pair_thermal_state(p) for p in pairs])
     return DenseModel(dims, h, rho0)
 
@@ -253,22 +250,18 @@ def dense_evolve_and_trace(model: DenseModel, t: float, subsystem: int,
 def sector_basis_indices(params, label) -> list[int]:
     """Dense-basis indices of a sector's basis states, in canonical order.
 
-    For a single star, ``label`` is two_m and the order is (ground, excited);
-    for the refrigerator, ``label`` is the (two_m1, two_m2, two_m3) triple and
+    For SingleStarParams, ``label`` is two_m and the order is (ground,
+    excited); for RefrigeratorParams, ``label`` holds one two_m per pair and
     the order is the engine's bit order (qubit 1 the most significant bit,
     bit 0 = ground).  Used to check that the dense Hamiltonian restricted to
     each sector reproduces the sector blocks.
     """
     if isinstance(params, SingleStarParams):
         return _single_sector_indices(params, label)
-    pairs = [params.pair(i) for i in (1, 2, 3)]
-    per_pair = [_single_sector_indices(p, two_m) for p, two_m in zip(pairs, label)]
-    pair_dims = [2 * (p.n_bath + 1) for p in pairs]
-    out = []
-    for i1 in per_pair[0]:
-        for i2 in per_pair[1]:
-            for i3 in per_pair[2]:
-                out.append((i1 * pair_dims[1] + i2) * pair_dims[2] + i3)
+    out = [0]
+    for p, two_m in zip(_pairs(params), label):
+        pair_indices = _single_sector_indices(p, two_m)
+        out = [i * 2 * (p.n_bath + 1) + j for i in out for j in pair_indices]
     return out
 
 

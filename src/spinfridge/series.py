@@ -1,7 +1,7 @@
 """Trigonometric series const + sum_j a_j trig(omega_j t), evaluated on time grids.
 
-Every population and current of the exact engine and of the single star is
-such a series over spectral gaps.  ``SeriesTerms`` holds one (or several,
+Every population and current of the exact engine, for one star or three,
+is such a series over spectral gaps.  ``SeriesTerms`` holds one (or several,
 over shared gaps) and evaluates it with the blocked grid kernel
 ``trig_series_uniform`` on a uniform grid, directly with
 ``trig_series_at`` at arbitrary times, or as local Taylor polynomials with

@@ -1,4 +1,5 @@
-"""Exact dynamics of one qubit exchange-coupled to a finite spin-star bath.
+"""One qubit exchange-coupled to a finite spin-star bath: its sector table,
+and the temperature read-out of every qubit.
 
 The total z spin of the qubit and its bath is conserved, so the joint
 Hilbert space (bath restricted to the fully symmetric ladder of N spin-1/2s)
@@ -10,8 +11,8 @@ exact.  Within a sector the Hamiltonian is the real symmetric block
 
 in the basis {qubit down & bath level m+1/2, qubit up & bath level m-1/2},
 and the full state is a Boltzmann-weighted sum of independently evolving
-sector states.  Weighted reductions always run in ascending two_m order so
-repeated runs are bit-identical.
+sector states.  The dynamics of one star or three live in ``engine``, which
+builds its sectors from ``sector_arrays``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-
-from .series import SeriesTerms
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,6 @@ def sector_log_weights(params: SingleStarParams) -> tuple[np.ndarray, np.ndarray
     return labels, logw
 
 
-def sector_weights(params: SingleStarParams) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized sector weights (summing to one), ascending two_m order."""
-    labels, logw = sector_log_weights(params)
-    w = np.exp(logw - logw.max())
-    return labels, w / w.sum()
-
-
 def sector_arrays(p: SingleStarParams) -> dict:
     """Sector blocks and weights of one pair, ascending two_m.
 
@@ -100,66 +92,6 @@ def sector_arrays(p: SingleStarParams) -> dict:
         "logw": logw,
         "p_level": (float(expit(x)), float(expit(-x))),
     }
-
-
-def _sector_population_terms(params: SingleStarParams):
-    """Sector weights w and the decomposition c_ee(t) = const + amp*cos(omega*t).
-
-    Returns arrays (w, const, amp, omega), ascending two_m, for the qubit's
-    excited population, with omega = 2*theta and theta = hypot(u, (b_minus -
-    b_plus)/2); edge sectors carry amp = 0 and const = 1 for the upper
-    edge, 0 for the lower.  This is the exact eigenstructure of the 2x2
-    blocks, shared by the populations and heat currents.
-    """
-    table = sector_arrays(params)
-    u = table["u"]
-    theta = np.hypot(u, 0.5 * (table["b_minus"] - table["b_plus"]))
-    interior = table["dim"] == 2
-    sin2_mix = np.divide(u * u, theta * theta, out=np.zeros_like(theta), where=theta > 0)
-    p_g, p_e = table["p_level"]
-    amp = np.where(interior, -0.5 * (p_g - p_e) * sin2_mix, 0.0)
-    const = np.where(interior, p_e - amp, (table["two_m"] > 0).astype(float))
-    omega = np.where(interior, 2.0 * theta, 0.0)
-    _, w = sector_weights(params)
-    return w, const, amp, omega
-
-
-def excited_population_series(params: SingleStarParams, times) -> np.ndarray:
-    """Weighted excited population p(t) = 1 - r(t) of the central qubit."""
-    w, const, amp, omega = _sector_population_terms(params)
-    return SeriesTerms((w * const).sum(), w * amp, omega, "cos").evaluate(times)
-
-
-def heat_current_series(params: SingleStarParams, times) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (qubit, bath) heat currents along ``times``.
-
-    d<rho>/dt = -i[H, rho] per sector gives dr/dt analytically; the qubit
-    current is -epsilon*dr/dt and the bath current +E*dr/dt (each exchanged
-    quantum moves one bath rung).
-    """
-    w, _, amp, omega = _sector_population_terms(params)
-    r_dot = SeriesTerms(0.0, w * amp * omega, omega, "sin").evaluate(times)
-    return -params.epsilon * r_dot, params.bath_energy * r_dot
-
-
-def reduced_spin_state(params: SingleStarParams, t: float) -> np.ndarray:
-    """2x2 reduced density matrix of the qubit (diagonal by superselection)."""
-    p = excited_population_series(params, [t])[0]
-    return np.diag([1.0 - p, p])
-
-
-def reduced_bath_populations(params: SingleStarParams, t: float) -> np.ndarray:
-    """Bath level populations over m_B = -N/2..N/2 (ascending).
-
-    The qubit ground level pairs with bath level m + 1/2 and the excited
-    level with m - 1/2, so sector j (two_m = 2j - N - 1) puts its weighted
-    c_gg on bath index j and its c_ee on index j - 1.  The edge sectors'
-    out-of-range shares are exactly zero.
-    """
-    w, const, amp, omega = _sector_population_terms(params)
-    c_ee = w * (const + amp * np.cos(omega * t))
-    c_gg = w - c_ee
-    return c_gg[:-1] + c_ee[1:]
 
 
 def temperature_from_excited(p: np.ndarray, epsilon: float) -> np.ndarray:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ENERGY_KEYS, RefrigeratorEngine
-
-_HEAT_KEYS = ENERGY_KEYS[:6]  # ("hs", i) then ("hb", i)
+from .engine import RefrigeratorEngine, energy_keys
 
 
 @dataclass(frozen=True)
@@ -23,24 +21,27 @@ class HeatCurrentSeries:
     """Heat currents sampled along a time grid."""
 
     time: np.ndarray
-    qdot_s: np.ndarray  # (3, n)
-    qdot_b: np.ndarray  # (3, n)
+    qdot_s: np.ndarray  # (pairs, n)
+    qdot_b: np.ndarray  # (pairs, n)
 
 
 def heat_current_series(engine: RefrigeratorEngine, times) -> HeatCurrentSeries:
-    """Heat currents along ``times``, all six from one pass of the sine series."""
+    """Heat currents along ``times``, all of them from one pass of the sine series."""
     times = np.asarray(times, dtype=float)
-    values = engine.series_terms(_HEAT_KEYS, "sin").evaluate(times)
-    return HeatCurrentSeries(times, values[:3], values[3:])
+    pairs = engine.params.pairs
+    heat_keys = energy_keys(pairs)[:2 * pairs]  # ("hs", i) then ("hb", i)
+    values = engine.series_terms(heat_keys, "sin").evaluate(times)
+    return HeatCurrentSeries(times, values[:pairs], values[pairs:])
 
 
 def energy_balance(engine: RefrigeratorEngine, t: float) -> float:
     """Total d<H>/dt assembled from every energy-flow channel.
 
-    The channels are the three local qubit terms, three local bath terms,
-    three coupling terms and the collective interaction; unitary evolution
+    The channels are each pair's local qubit, local bath and coupling terms,
+    and for three pairs the collective interaction; unitary evolution
     conserves <H>, so the sum is a pure numerical residual.
     """
     return float(sum(
-        engine.series_terms(key, "sin").at([t])[0] for key in ENERGY_KEYS
+        engine.series_terms(key, "sin").at([t])[0]
+        for key in energy_keys(engine.params.pairs)
     ))

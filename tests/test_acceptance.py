@@ -6,7 +6,7 @@ The default profile is a reduced smoke run sized for a single core
 (bath-size sweep capped at N = 14, extrapolation-only asymptote check at
 +-0.03).  Set SPINFRIDGE_ACCEPTANCE=full for the full-depth profile
 (N up to 50, fit and extrapolation at the tight tolerances); it took
-105 s on 2 vCPUs.
+166 s on 2 vCPUs.
 """
 
 import os
@@ -17,7 +17,6 @@ import pytest
 from spinfridge import oracle, thermo
 from spinfridge.analysis import (
     coupling_engine_factory,
-    first_local_min,
     fit_power_law,
     neville_extrapolate,
     neville_lower_diagonal_diffs,
@@ -32,11 +31,7 @@ from spinfridge.markov import (
     temperature_trajectories,
     thermal_product_state,
 )
-from spinfridge.spinstar import (
-    SingleStarParams,
-    reduced_bath_populations,
-    reduced_spin_state,
-)
+from spinfridge.spinstar import SingleStarParams
 
 FULL = os.environ.get("SPINFRIDGE_ACCEPTANCE", "").lower() == "full"
 SEED = 20260809
@@ -110,18 +105,24 @@ def test_criterion_1_single_star_oracle():
                 for a in (0.1, 0.5):
                     for beta in (0.5, 1.0):
                         p = SingleStarParams(eps, bath_e, a, n, beta)
+                        engine = RefrigeratorEngine(
+                            RefrigeratorParams.from_pairs(p), prune_tol=0.0
+                        )
                         model = oracle.build_dense(p)
                         spectrum = model.spectrum()
                         for t in (0.0, 0.7, 3.1):
                             spin = oracle.dense_evolve_and_trace(
                                 model, t, 0, spectrum=spectrum
                             )
-                            dev = np.max(np.abs(spin - reduced_spin_state(p, t)))
+                            dev = np.max(np.abs(
+                                spin - engine.reduced_qubit_state(1, t)
+                            ))
                             bath = oracle.dense_evolve_and_trace(
                                 model, t, 1, spectrum=spectrum
                             )
                             dev_b = np.max(np.abs(
-                                np.diag(bath).real - reduced_bath_populations(p, t)
+                                np.diag(bath).real
+                                - engine.reduced_bath_populations(1, t)
                             ))
                             worst = max(worst, float(dev), float(dev_b))
     ok = worst < 1e-9

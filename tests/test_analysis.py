@@ -35,10 +35,12 @@ class TestGoldenSection:
 
 class TestFirstLocalMin:
     def test_cosine_dip_near_pi(self):
+        # the grid point nearest pi, unpolished
         times = np.arange(0.0, 10.0, 0.01)
-        result = first_local_min(times, np.cos(times), objective=np.cos)
-        assert result.time == pytest.approx(math.pi, abs=1e-3)
-        assert result.value == pytest.approx(-1.0, abs=1e-9)
+        result = first_local_min(times, np.cos(times))
+        assert result.grid_index == 314
+        assert result.time == times[314]
+        assert result.value == np.cos(times[314])
 
     def test_monotone_series_has_no_minimum(self):
         assert first_local_min([0, 1, 2, 3], [0.0, 0.1, 0.2, 0.3]) is None

@@ -296,6 +296,20 @@ class TestCliCommands:
         assert err.startswith("config error") and field in err
         assert not (tmp_path / "never.json").exists()
 
+    def test_scaling_grid_below_three_points_is_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "scaling.json", {
+            "mode": "scaling",
+            "params": fridge_params(),
+            "n_list": [1, 2],
+            "time_grid": {"start": 0, "stop": 1, "step": 0.8},
+            "output": {"path": str(tmp_path / "never.json")},
+        })
+        assert main(["scaling", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: time_grid: ")
+        assert "at least three time points, got 2" in err
+        assert not (tmp_path / "never.json").exists()
+
     def test_scaling_uses_configured_prune_tol(self, tmp_path, monkeypatch):
         import spinfridge.cli as cli
 

@@ -46,12 +46,23 @@ class TestParams:
         with pytest.raises(ValueError):
             fridge(n=(0, 1, 1))
 
+    def test_one_pair(self):
+        one = dict(epsilon=(1.0,), bath_energy=(2.0,), coupling=(0.5,), beta=(1.0,))
+        star = RefrigeratorParams(n_bath=(3,), g=0.0, **one)
+        assert star.pairs == 1
+        assert not star.is_autonomous()
+        with pytest.raises(ValueError, match="one pair needs g = 0"):
+            RefrigeratorParams(n_bath=(3,), g=0.05, **one)
+        with pytest.raises(ValueError, match="one entry per pair"):
+            fridge(n=(3,))
+
     def test_pair_extraction(self):
         p = fridge()
         pair2 = p.pair(2)
         assert pair2.epsilon == 2.0
         assert pair2.bath_energy == 4.0
         assert pair2.coupling == 0.4
+        assert RefrigeratorParams.from_pairs(p.pair(1), p.pair(2), p.pair(3), g=p.g) == p
 
 
 def layout(p, prune_tol=0.0):
@@ -543,3 +554,35 @@ class TestOracleProperty:
             assert abs(charge(eng, i, t) - charge(eng, i, 0.0)) < 1e-12
         assert abs(eng.total_trace(t) - 1.0) < 1e-12
         assert abs(thermo.energy_balance(eng, t)) < 1e-10
+
+
+# pair 1 alone coupled: A2 = A3 = g = 0, baths up to N = 6
+_DECOUPLED_FRIDGE = st.builds(
+    RefrigeratorParams,
+    epsilon=_triple(st.floats(0.5, 2.0)),
+    bath_energy=_triple(st.floats(0.5, 4.0)),
+    coupling=st.tuples(st.floats(0.0, 1.0), st.just(0.0), st.just(0.0)),
+    g=st.just(0.0),
+    n_bath=_triple(st.integers(1, 6)),
+    beta=_triple(st.floats(0.2, 40.0)),
+)
+
+
+class TestOnePairProperty:
+    # At epsilon = E the in-sector populations are equal, so every amplitude
+    # is rounding noise; the absolute floor covers it.
+    @example(
+        RefrigeratorParams(epsilon=(1.0, 1.0, 1.0), bath_energy=(1.0, 1.0, 2.0),
+                           coupling=(1.0, 0.0, 0.0), g=0.0, n_bath=(1, 1, 1),
+                           beta=(1.0, 1.0, 1.0)),
+        [1.0],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(_DECOUPLED_FRIDGE, st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5))
+    def test_decoupled_qubit_matches_one_pair_engine(self, p, times):
+        three = RefrigeratorEngine(p, prune_tol=0.0)
+        one = RefrigeratorEngine(RefrigeratorParams.from_pairs(p.pair(1)), prune_tol=0.0)
+        for key, kind in ((("exc", 1), "cos"), (("hs", 1), "sin"), (("hb", 1), "sin")):
+            a, b = three.series_terms(key, kind), one.series_terms(key, kind)
+            magnitude = max(abs(s.const) + np.abs(s.amps).sum() for s in (a, b))
+            assert np.max(np.abs(a.at(times) - b.at(times))) <= 1e-12 * magnitude + 1e-13

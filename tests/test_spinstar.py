@@ -1,27 +1,42 @@
-"""Single qubit-bath pair: sectors, exact evolution, reduced states, temperature."""
+"""Single qubit-bath pair: its sector table, its dynamics on the one-pair
+engine, reduced states and the temperature read-out."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spinfridge import oracle
+from spinfridge import oracle, thermo
+from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, sector_layout
 from spinfridge.series import SeriesTerms, trig_series_at
 from spinfridge.spinstar import (
     SingleStarParams,
-    _sector_population_terms,
-    excited_population_series,
-    heat_current_series,
-    reduced_bath_populations,
-    reduced_spin_state,
     sector_arrays,
-    sector_weights,
+    sector_log_weights,
     temperature_from_excited,
 )
 
 
 def make(eps=1.0, bath_e=2.0, a=0.5, n=2, beta=1.0):
     return SingleStarParams(eps, bath_e, a, n, beta)
+
+
+def star(p):
+    """The unpruned one-pair engine of a single star."""
+    return RefrigeratorEngine(RefrigeratorParams.from_pairs(p), prune_tol=0.0)
+
+
+def interior(eng):
+    """The engine's group of two-level sectors."""
+    (group,) = [g for g in eng.groups if g.dims == (2,)]
+    return group
+
+
+def sector_gap(p, two_m):
+    """Level splitting 2*theta of interior sector two_m on the engine."""
+    group = interior(star(p))
+    j = int(np.flatnonzero(np.rint(2.0 * group.sectors.m_values[:, 0]) == two_m)[0])
+    return group.lam[j, 1] - group.lam[j, 0]
 
 
 def row(table, two_m):
@@ -36,7 +51,7 @@ def block(table, j):
 
 
 def ground_population(p, t):
-    return reduced_spin_state(p, t)[0, 0]
+    return star(p).reduced_qubit_state(1, t)[0, 0]
 
 
 class TestSectors:
@@ -57,8 +72,7 @@ class TestSectors:
         assert table["dim"][j] == 2
         assert table["b_minus"][j] - table["b_plus"][j] == pytest.approx(0.0, abs=1e-15)
         assert table["u"][j] == pytest.approx(0.7 * math.sqrt(2.0))
-        _, _, _, omega = _sector_population_terms(p)
-        assert 0.5 * omega[j] == pytest.approx(0.7 * math.sqrt(2.0))
+        assert 0.5 * sector_gap(p, 1) == pytest.approx(0.7 * math.sqrt(2.0))
 
     def test_level_difference_is_bath_minus_qubit_gap(self):
         table = sector_arrays(make(eps=1.0, bath_e=2.0, n=4))
@@ -71,8 +85,7 @@ class TestSectors:
         table = sector_arrays(p)
         j = row(table, 0)
         assert table["u"][j] == 0.0
-        _, _, _, omega = _sector_population_terms(p)
-        assert 0.5 * omega[j] == pytest.approx(0.5)  # |E - eps| / 2
+        assert 0.5 * sector_gap(p, 0) == pytest.approx(0.5)  # |E - eps| / 2
 
     def test_edge_sectors_expose_single_level(self):
         table = sector_arrays(make(eps=1.0, bath_e=2.0, n=2))
@@ -83,9 +96,15 @@ class TestSectors:
 
     def test_weights_reproduce_partition_functions(self):
         p = make(eps=0.7, bath_e=1.3, n=4, beta=0.9)
-        labels, w = sector_weights(p)
+        labels, logw = sector_log_weights(p)
+        z_qubit = 2.0 * math.cosh(0.5 * p.beta * p.epsilon)
+        j = np.arange(p.n_bath + 1) - 0.5 * p.n_bath
+        z_bath = np.exp(-p.beta * p.bath_energy * j).sum()
+        assert np.exp(logw).sum() == pytest.approx(z_qubit * z_bath, rel=1e-13)
+        layout = sector_layout((p.epsilon,), (p.bath_energy,), (p.n_bath,), (p.beta,), 0.0)
+        w = np.concatenate([group.weights for group in layout.groups])
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
-        assert len(labels) == p.n_bath + 2
+        assert len(labels) == layout.kept == p.n_bath + 2
         assert np.all(w > 0)
 
 
@@ -95,13 +114,11 @@ class TestSectorEvolution:
         p_g, p_e = sector_arrays(p)["p_level"]
         assert p_g == pytest.approx(1.0 / (1.0 + math.exp(1.3)), abs=1e-12)
         assert p_g + p_e == pytest.approx(1.0, abs=1e-13)
-        _, const, amp, _ = _sector_population_terms(p)
-        interior = sector_arrays(p)["dim"] == 2
-        assert np.allclose((const + amp)[interior], p_e, rtol=0.0, atol=1e-15)
+        assert tuple(interior(star(p)).sectors.p0) == (p_g, p_e)
 
     def test_decoupled_sector_is_stationary(self):
-        _, _, amp, _ = _sector_population_terms(make(a=0.0))
-        assert np.all(amp == 0.0)
+        terms = star(make(a=0.0)).series_terms(("exc", 1), "cos")
+        assert np.all(terms.amps == 0.0)
 
     def test_resonant_sector_rabi(self):
         # pure ground start on resonance flips with sin^2(u t); brute-force
@@ -114,24 +131,6 @@ class TestSectorEvolution:
             assert rho[1, 1].real == pytest.approx(
                 math.sin(table["u"][j] * t) ** 2, abs=1e-12
             )
-
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_closed_form_matches_eigendecomposition(self, n):
-        for eps in (0.5, 1.0, 2.0):
-            for bath_e in (0.5, 1.0, 2.0):
-                for a in (0.1, 0.5):
-                    for beta in (0.5, 1.0):
-                        p = make(eps, bath_e, a, n, beta)
-                        table = sector_arrays(p)
-                        rho0 = np.diag(table["p_level"])
-                        _, const, amp, omega = _sector_population_terms(p)
-                        for t in (0.0, 0.7, 3.1):
-                            c_ee = const + amp * np.cos(omega * t)
-                            for j in np.flatnonzero(table["dim"] == 2):
-                                rho = oracle.evolve_density(block(table, j), rho0, t)
-                                assert c_ee[j] == pytest.approx(
-                                    rho[1, 1].real, abs=1e-10
-                                )
 
 
 class TestReducedStates:
@@ -147,37 +146,39 @@ class TestReducedStates:
         for t in (1.0, 5.0):
             assert ground_population(p, t) == pytest.approx(r0, abs=1e-13)
             assert np.allclose(
-                reduced_bath_populations(p, t),
-                reduced_bath_populations(p, 0.0),
+                star(p).reduced_bath_populations(1, t),
+                star(p).reduced_bath_populations(1, 0.0),
                 atol=1e-13,
             )
 
     def test_bath_thermal_at_t0(self):
         p = SingleStarParams(1.0, 1.0, 0.5, 1, 1.0)
-        pops = reduced_bath_populations(p, 0.0)
+        pops = star(p).reduced_bath_populations(1, 0.0)
         expected = np.array([math.exp(0.5), math.exp(-0.5)])
         expected /= expected.sum()
         assert np.allclose(pops, expected, atol=1e-12)
 
     def test_matches_dense_oracle(self):
         p = make(eps=1.0, bath_e=2.0, a=0.5, n=2, beta=1.0)
+        eng = star(p)
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
         for t in (0.0, 1.0, 3.1):
             spin = oracle.dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
-            assert np.max(np.abs(spin - reduced_spin_state(p, t))) < 1e-9
+            assert np.max(np.abs(spin - eng.reduced_qubit_state(1, t))) < 1e-9
             bath = oracle.dense_evolve_and_trace(model, t, 1, spectrum=spectrum)
             assert np.max(np.abs(
-                np.diag(bath).real - reduced_bath_populations(p, t)
+                np.diag(bath).real - eng.reduced_bath_populations(1, t)
             )) < 1e-9
 
     def test_conserved_total_z(self):
         p = make(n=4, beta=0.7)
+        eng = star(p)
         m_bath = 0.5 * np.arange(-p.n_bath, p.n_bath + 1, 2)
 
         def charge(t):
-            qubit = np.diag(reduced_spin_state(p, t)) @ np.array([-0.5, 0.5])
-            return qubit + m_bath @ reduced_bath_populations(p, t)
+            qubit = np.diag(eng.reduced_qubit_state(1, t)) @ np.array([-0.5, 0.5])
+            return qubit + m_bath @ eng.reduced_bath_populations(1, t)
 
         ref = charge(0.0)
         for t in (0.9, 4.2, 8.8):
@@ -186,40 +187,43 @@ class TestReducedStates:
     def test_series_matches_pointwise(self):
         p = make(n=3)
         times = np.linspace(0.0, 4.0, 23)
-        series = 1.0 - excited_population_series(p, times)
+        (series,) = star(p).qubit_series((1,), times)
+        series = series.ground_population
         direct = [ground_population(p, float(t)) for t in times]
         assert np.allclose(series, direct, atol=1e-12)
 
     def test_uniform_grid_matches_direct_evaluation(self, monkeypatch):
         # 4001 uniform times take the grid kernel; trig_series_at is the reference
         p = make(n=50)
+        eng = star(p)
         times = np.arange(4001) * 0.01
-        w, const, amp, omega = _sector_population_terms(p)
 
         def direct_only(*args):
             raise AssertionError("a uniform grid must not be evaluated pointwise")
 
         monkeypatch.setattr(SeriesTerms, "at", direct_only)
-        excited = excited_population_series(p, times)
-        qdot_s, qdot_b = heat_current_series(p, times)
+        excited = eng.excited_terms((1,)).evaluate(times)[0]
+        currents = thermo.heat_current_series(eng, times)
         monkeypatch.undo()
-        pop_amps = w * amp
-        direct = trig_series_at((w * const).sum(), pop_amps, omega, times, "cos")
-        assert np.max(np.abs(excited - direct)) <= 1e-12 * np.abs(pop_amps).sum()
-        for scale, current in ((-p.epsilon, qdot_s), (p.bath_energy, qdot_b)):
-            amps = scale * pop_amps * omega
-            direct = trig_series_at(0.0, amps, omega, times, "sin")
-            assert np.max(np.abs(current - direct)) <= 1e-12 * np.abs(amps).sum()
+        for key, kind, values in (
+            (("exc", 1), "cos", excited),
+            (("hs", 1), "sin", currents.qdot_s[0]),
+            (("hb", 1), "sin", currents.qdot_b[0]),
+        ):
+            terms = eng.series_terms(key, kind)
+            direct = trig_series_at(terms.const, terms.amps, terms.omegas, times, kind)
+            assert np.max(np.abs(values - direct)) <= 1e-12 * np.abs(terms.amps).sum()
 
     def test_cold_excited_population_matches_dense_oracle(self):
         # r = 1 - p rounds to 1 at beta = 40; p keeps its relative precision.
         # Three scattered times are evaluated directly, 41 uniform ones on
         # the grid kernel.
         p = make(n=3, beta=40.0)
+        eng = star(p)
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
         for times in (np.array([0.0, 0.7, 3.1]), np.arange(41) * 0.1):
-            series = excited_population_series(p, times)
+            series = eng.excited_terms((1,)).evaluate(times)[0]
             for k, t in enumerate(times):
                 dense = oracle.dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
                 assert 0.0 < dense[1, 1].real < 1e-16
@@ -231,7 +235,8 @@ class TestReducedStates:
     def test_heat_currents_match_population_derivative(self):
         p = make(n=3)
         times = np.array([0.4, 1.3, 2.8])
-        qdot_s, qdot_b = heat_current_series(p, times)
+        currents = thermo.heat_current_series(star(p), times)
+        qdot_s, qdot_b = currents.qdot_s[0], currents.qdot_b[0]
         h = 1e-6
         for k, t in enumerate(times):
             drdt = (
