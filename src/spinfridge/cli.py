@@ -66,10 +66,10 @@ def _write_json(path: str, config: RunConfig, results: dict) -> None:
 def _run_evolve(config: RunConfig) -> None:
     """Time series of every qubit: the refrigerator's three, a single star's one."""
     if config.single is not None:
-        # unpruned: a default prune_tol drops every excited sector at low temperature
-        engine = RefrigeratorEngine(RefrigeratorParams.from_pairs(config.single), prune_tol=0.0)
+        params = RefrigeratorParams.from_pairs(config.single)
     else:
-        engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
+        params = config.refrigerator
+    engine = RefrigeratorEngine(params, prune_tol=config.prune_tol)
     times = config.time_grid.points()
     qubits = range(1, engine.params.pairs + 1)
     series = engine.qubit_series(qubits, times)

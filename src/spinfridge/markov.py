@@ -10,6 +10,13 @@ degenerate; elsewhere the channels are an error.  Rates follow
 the Ohmic spectral density J(w) = alpha * w * exp(-w/cutoff) with the
 Bose-Einstein occupation, which is the unique choice obeying detailed
 balance gamma(-w) = exp(-beta w) * gamma(w).
+
+In the dressed basis, the computational one with |101>, |010> replaced by
+|+-> = (|101> +- |010>)/sqrt(2), each jump operator maps distinct states to
+distinct states.  So the dressed populations obey dP/dt = W P, solved exactly
+by uniformization (Xue and Ye, Math. Comp. 82, 1577 (2013)), and the one
+coherence a state may carry, rho_{+-}, rotates at 2g and decays at
+(W++ + W--)/2.  ``oracle.liouvillian_matrix`` is the tests' reference.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .analysis import OptimizationResult, minimize_t1
 from .spinstar import temperature_from_excited
@@ -75,37 +81,37 @@ class JumpChannel:
 
 
 def _ket(bits: str) -> np.ndarray:
-    v = np.zeros(8)
-    v[int(bits, 2)] = 1.0
-    return v
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.outer(a, b)
+    return np.eye(8)[int(bits, 2)]
 
 
 _PLUS = (_ket("101") + _ket("010")) / math.sqrt(2.0)
 _MINUS = (_ket("101") - _ket("010")) / math.sqrt(2.0)
 
-
-def _tabulated_operators() -> list[tuple[int, str, np.ndarray]]:
-    """The nine positive-frequency jump operators in the dressed basis.
-
-    Frequencies are tagged symbolically: "e" for eps_i, "e+g"/"e-g" for the
-    dressed pair split by the interaction.
-    """
-    s = 1.0 / math.sqrt(2.0)
-    return [
-        (1, "e", _outer(_ket("111"), _ket("011")) + _outer(_ket("100"), _ket("000"))),
-        (1, "e+g", s * (_outer(_ket("110"), _PLUS) + _outer(_MINUS, _ket("001")))),
-        (1, "e-g", s * (_outer(_PLUS, _ket("001")) - _outer(_ket("110"), _MINUS))),
-        (2, "e", _outer(_ket("110"), _ket("100")) + _outer(_ket("011"), _ket("001"))),
-        (2, "e+g", s * (_outer(_ket("111"), _PLUS) - _outer(_MINUS, _ket("000")))),
-        (2, "e-g", s * (_outer(_PLUS, _ket("000")) + _outer(_ket("111"), _MINUS))),
-        (3, "e", _outer(_ket("111"), _ket("110")) + _outer(_ket("001"), _ket("000"))),
-        (3, "e+g", s * (_outer(_ket("011"), _PLUS) + _outer(_MINUS, _ket("100")))),
-        (3, "e-g", s * (_outer(_PLUS, _ket("100")) - _outer(_ket("011"), _MINUS))),
-    ]
+# The nine positive-frequency jump operators, shared read-only by every channel
+# list, tagged "e" for eps_i and "e+g"/"e-g" for the pair split by the interaction.
+_S = 1.0 / math.sqrt(2.0)
+_OPERATORS = [
+    (1, "e", np.outer(_ket("111"), _ket("011")) + np.outer(_ket("100"), _ket("000"))),
+    (1, "e+g", _S * (np.outer(_ket("110"), _PLUS) + np.outer(_MINUS, _ket("001")))),
+    (1, "e-g", _S * (np.outer(_PLUS, _ket("001")) - np.outer(_ket("110"), _MINUS))),
+    (2, "e", np.outer(_ket("110"), _ket("100")) + np.outer(_ket("011"), _ket("001"))),
+    (2, "e+g", _S * (np.outer(_ket("111"), _PLUS) - np.outer(_MINUS, _ket("000")))),
+    (2, "e-g", _S * (np.outer(_PLUS, _ket("000")) + np.outer(_ket("111"), _MINUS))),
+    (3, "e", np.outer(_ket("111"), _ket("110")) + np.outer(_ket("001"), _ket("000"))),
+    (3, "e+g", _S * (np.outer(_ket("011"), _PLUS) + np.outer(_MINUS, _ket("100")))),
+    (3, "e-g", _S * (np.outer(_PLUS, _ket("100")) - np.outer(_ket("011"), _MINUS))),
+]
+for _, _, _op in _OPERATORS:
+    _op.flags.writeable = False
+# Dressed kets as columns, |+> and |-> in the places of |101> and |010>; row c of
+# _TRANSITIONS is |<i|L_c|j>|^2 there, flat in [i, j], for ``build_jump_channels``' c.
+_P, _M = 0b101, 0b010
+_DRESS = np.eye(8)
+_DRESS[:, _P], _DRESS[:, _M] = _PLUS, _MINUS
+_TRANSITIONS = np.stack([
+    m.ravel() for _, _, op in _OPERATORS
+    for m in ((_DRESS.T @ op @ _DRESS) ** 2, (_DRESS.T @ op.T @ _DRESS) ** 2)
+])
 
 
 def spectral_density(omega: float, alpha: float, cutoff: float) -> float:
@@ -124,9 +130,7 @@ def bose_occupation(omega: float, beta: float) -> float:
 def decay_rate(omega: float, alpha: float, beta: float, cutoff: float) -> float:
     """Rate gamma(w): emission J(w)(1+f) for w > 0, absorption J(|w|)f for w < 0."""
     if omega > 0:
-        return spectral_density(omega, alpha, cutoff) * (
-            1.0 + bose_occupation(omega, beta)
-        )
+        return spectral_density(omega, alpha, cutoff) * (1.0 + bose_occupation(omega, beta))
     mag = abs(omega)
     return spectral_density(mag, alpha, cutoff) * bose_occupation(mag, beta)
 
@@ -141,57 +145,29 @@ def build_jump_channels(params: MarkovParams) -> list[JumpChannel]:
     min(eps_i, g) is an error and above 1% a WeakCouplingWarning.
     """
     channels = []
-    for qubit, tag, op in _tabulated_operators():
-        eps = params.epsilon[qubit - 1]
+    for qubit, tag, op in _OPERATORS:
+        eps, alpha, beta = (getattr(params, f)[qubit - 1] for f in ("epsilon", "alpha", "beta"))
         frequency = {"e": eps, "e+g": eps + params.g, "e-g": eps - params.g}[tag]
         if frequency <= 0:
-            raise ValueError(
-                f"channel (qubit {qubit}, {tag}) has nonpositive frequency "
-                f"{frequency}"
-            )
-        alpha = params.alpha[qubit - 1]
-        beta = params.beta[qubit - 1]
-        channels.append(JumpChannel(
-            qubit, frequency, op,
-            decay_rate(frequency, alpha, beta, params.cutoff),
-        ))
-        channels.append(JumpChannel(
-            qubit, -frequency, op.T.copy(),
-            decay_rate(-frequency, alpha, beta, params.cutoff),
-        ))
+            raise ValueError(f"channel (qubit {qubit}, {tag}) has nonpositive "
+                             f"frequency {frequency}")
+        for omega, l_op in ((frequency, op), (-frequency, op.T)):
+            rate = decay_rate(omega, alpha, beta, params.cutoff)
+            channels.append(JumpChannel(qubit, omega, l_op, rate))
     eps1, eps2, eps3 = params.epsilon
     if abs(eps2 - (eps1 + eps3)) > 1e-12:  # RefrigeratorParams.is_autonomous's tolerance
         raise ValueError(
-            f"the jump operators need eps2 = eps1 + eps3, got epsilon={params.epsilon}"
-        )
+            f"the jump operators need eps2 = eps1 + eps3, got epsilon={params.epsilon}")
     scale = min(min(params.epsilon), params.g) if params.g > 0 else min(params.epsilon)
     gamma_max = max(ch.rate for ch in channels)
     if gamma_max >= 0.1 * scale:
-        raise WeakCouplingError(
-            f"largest rate {gamma_max:.3e} breaks weak coupling "
-            f"(>= 10% of the smallest system scale {scale:.3e})"
-        )
+        raise WeakCouplingError(f"largest rate {gamma_max:.3e} breaks weak coupling "
+                                f"(>= 10% of the smallest system scale {scale:.3e})")
     if gamma_max > 0.01 * scale:
-        warnings.warn(
-            f"largest rate {gamma_max:.3e} above 1% of the smallest system "
-            f"scale {scale:.3e}; the weak-coupling description degrades",
-            WeakCouplingWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"largest rate {gamma_max:.3e} above 1% of the smallest system "
+                      f"scale {scale:.3e}; the weak-coupling description degrades",
+                      WeakCouplingWarning, stacklevel=2)
     return channels
-
-
-def system_hamiltonian(params: MarkovParams) -> np.ndarray:
-    """Free part plus the three-body interaction g(|010><101| + h.c.)."""
-    h = np.zeros((8, 8))
-    for idx in range(8):
-        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-        h[idx, idx] = sum(
-            0.5 * params.epsilon[k] * (1.0 - 2.0 * bits[k]) for k in range(3)
-        )
-    h[0b010, 0b101] += params.g
-    h[0b101, 0b010] += params.g
-    return h
 
 
 def thermal_product_state(params: MarkovParams) -> np.ndarray:
@@ -204,104 +180,132 @@ def thermal_product_state(params: MarkovParams) -> np.ndarray:
     return np.diag(rho).astype(complex)
 
 
-def liouvillian_matrix(params: MarkovParams) -> np.ndarray:
-    """The GKSL generator as a 64x64 matrix acting on vec(rho), row-major."""
-    h = system_hamiltonian(params).astype(complex)
-    eye = np.eye(8)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for ch in build_jump_channels(params):
-        l_op = ch.operator.astype(complex)
-        ld_l = l_op.conj().T @ l_op
-        lv += ch.rate * (
-            np.kron(l_op, l_op.conj())
-            - 0.5 * np.kron(ld_l, eye)
-            - 0.5 * np.kron(eye, ld_l.T)
-        )
-    return lv
+def rate_matrix(params: MarkovParams) -> np.ndarray:
+    """Generator W of the dressed populations, dP/dt = W P; raises as ``build_jump_channels``."""
+    w = (np.array([ch.rate for ch in build_jump_channels(params)]) @ _TRANSITIONS).reshape(8, 8)
+    return w - np.diag(w.sum(axis=0))
+
+
+def _rate_expm(w: np.ndarray, t: float) -> np.ndarray:
+    """exp(W t), t >= 0, to relative precision in every entry, by uniformization.
+
+    With q = max(-W_ii) every Taylor term of e^(-q tau) exp((W + qI) tau) is
+    nonnegative.  At q tau <= 1, terms run until each is below 2^-53 of the
+    sum in every entry; an entry first reached at order j fails that at j.
+    """
+    q = float(-w.diagonal().min())
+    squarings = max(0, math.ceil(math.log2(q * t))) if q * t > 0 else 0
+    a = (w + q * np.eye(8)) * (t / 2.0 ** squarings)
+    term = total = np.eye(8)
+    for j in range(1, 40):
+        term = term @ a / j
+        total = total + term
+        if np.all(term <= 2.0 ** -53 * total):
+            break
+    step = math.exp(-q * t / 2.0 ** squarings) * total
+    for _ in range(squarings):
+        step = step @ step
+    return step
+
+
+def _propagate(w, rate, pops0, coherence0, times):
+    """Dressed populations P^k pops0, P = exp(W dt), rho_{+-} and bare populations.
+
+    P^1..P^B are stacked once and applied to the last sample of each block
+    of B; rho_101, rho_010 = (P+ + P-)/2 +- Re rho_{+-}.
+    """
+    n = times.size
+    pops = np.empty((n, 8))
+    pops[0] = pops0
+    if n > 1:
+        block = min(n - 1, 64)
+        powers = np.empty((block, 8, 8))
+        powers[0] = _rate_expm(w, (times[-1] - times[0]) / (n - 1))
+        for j in range(1, block):
+            powers[j] = powers[j - 1] @ powers[0]
+        for start in range(1, n, block):
+            pops[start:start + block] = powers[:n - start] @ pops[start - 1]
+    coherence = coherence0 * np.exp(rate * (times - times[0]))
+    diagonal = pops.copy()
+    mean = 0.5 * (pops[:, _P] + pops[:, _M])
+    diagonal[:, _P], diagonal[:, _M] = mean + coherence.real, mean - coherence.real
+    return pops, coherence, diagonal
 
 
 @dataclass(frozen=True)
 class MarkovTrajectory:
-    """States sampled on a grid plus a continuous interpolant."""
+    """The state on an even time grid: dressed populations (|+> at index
+    0b101, |-> at 0b010), rho_{+-} and the bare (computational) populations."""
 
     time: np.ndarray
-    states: np.ndarray  # (n, 8, 8)
-    _interpolant: object
+    populations: np.ndarray  # (n, 8)
+    coherence: np.ndarray  # (n,)
+    diagonal: np.ndarray  # (n, 8)
+    generator: np.ndarray  # W
+    coherence_rate: complex
 
-    def state_at(self, t: float) -> np.ndarray:
-        return np.asarray(self._interpolant(t)).reshape(8, 8)
-
-
-_UPPER_ROWS, _UPPER_COLS = np.triu_indices(8, k=1)
+    def diagonal_at(self, t: float) -> np.ndarray:
+        """Bare populations at t >= time[0], exact from the last sample at or before t."""
+        k = int(np.searchsorted(self.time, t, side="right")) - 1
+        if k < 0:
+            raise ValueError(f"t={t} precedes the trajectory's start {self.time[0]}")
+        if t == self.time[k]:
+            return self.diagonal[k]
+        return _propagate(self.generator, self.coherence_rate, self.populations[k],
+                          self.coherence[k], np.array([self.time[k], t]))[2][1]
 
 
 def integrate_gksl(params: MarkovParams, initial_state, times) -> MarkovTrajectory:
-    """Integrate the master equation with adaptive explicit Runge-Kutta.
+    """Propagate the master equation exactly on the evenly spaced ``times``.
 
-    Tolerances rtol=1e-9 / atol=1e-12; the dynamics at weak rates is not
-    stiff and the slowest relevant oscillation (the three-body swap, period
-    about pi/g) is well resolved.  Trace and Hermiticity are checked at
-    every requested sample time to 1e-8.
+    The initial state may carry no dressed-basis coherence but rho_{+-}.  At
+    times[0] the bare populations are the initial state's own, as forming a
+    rho_101 far below rho_010 (or the reverse) from the dressed pair would
+    cancel.  Every sample is checked to be a density matrix: trace within
+    1e-8 of 1, and, to rounding, P >= 0 and |rho_{+-}|^2 <= P+ P-.
     """
     times = np.asarray(times, dtype=float)
     rho0 = np.asarray(initial_state, dtype=complex)
     if rho0.shape != (8, 8):
         raise ValueError(f"initial state must be 8x8, got {rho0.shape}")
-    trace = complex(np.trace(rho0))
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"initial state trace {trace} differs from 1")
-    lv = liouvillian_matrix(params)
-
-    def rhs(_t, y):
-        return lv @ y
-
-    solution = solve_ivp(
-        rhs,
-        (float(times[0]), float(times[-1])),
-        rho0.ravel(),
-        method="RK45",
-        t_eval=times,
-        rtol=1e-9,
-        atol=1e-12,
-        dense_output=True,
-    )
-    if not solution.success:
-        raise RuntimeError(
-            f"master-equation integration failed at t={solution.t[-1]:.6g}: "
-            f"{solution.message}"
-        )
-    states = solution.y.T.reshape(-1, 8, 8)
-    trace_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    # each strictly-upper element against its lower mirror, plus Im of the diagonal
-    upper = states[:, _UPPER_ROWS, _UPPER_COLS]
-    lower = states[:, _UPPER_COLS, _UPPER_ROWS]
-    herm_err = np.maximum(
-        np.abs(upper - lower.conj()).max(axis=1),
-        2.0 * np.abs(np.diagonal(states, axis1=1, axis2=2).imag).max(axis=1),
-    )
-    bad = np.flatnonzero((trace_err > 1e-8) | (herm_err > 1e-8))
+    if abs(np.trace(rho0) - 1.0) > 1e-10:
+        raise ValueError(f"initial state trace {complex(np.trace(rho0))} differs from 1")
+    dressed = _DRESS.T @ rho0 @ _DRESS
+    model = np.diag(dressed.diagonal().real).astype(complex)
+    model[_P, _M], model[_M, _P] = dressed[_P, _M], np.conj(dressed[_P, _M])
+    if np.abs(dressed - model).max() > 1e-12:
+        raise ValueError("initial state is not Hermitian or has a dressed-basis "
+                         "coherence other than rho_{+-}")
+    n = times.size
+    step = (times[-1] - times[0]) / max(n - 1, 1)
+    if n > 1 and not (step > 0 and np.abs(times - times[0] - step * np.arange(n)).max()
+                      <= 1e-12 * np.abs(times).max()):
+        raise ValueError("times must be increasing and evenly spaced")
+    w = rate_matrix(params)
+    rate = 0.5 * (w[_P, _P] + w[_M, _M]) - 2j * params.g
+    pops, coherence, diagonal = _propagate(w, rate, model.diagonal().real, model[_P, _M], times)
+    bad = np.flatnonzero(
+        (np.abs(pops.sum(axis=1) - 1.0) > 1e-8) | (pops.min(axis=1) < -1e-12)
+        | (np.abs(coherence) ** 2 > (1.0 + 1e-12) * pops[:, _P] * pops[:, _M]))
     if bad.size:
-        raise RuntimeError(
-            f"integrator lost trace or Hermiticity at t={times[bad[0]]:.6g}"
-        )
-    return MarkovTrajectory(times, states, solution.sol)
+        raise RuntimeError(f"propagator lost trace or positivity at t={times[bad[0]]:.6g}")
+    diagonal[0] = rho0.diagonal().real
+    return MarkovTrajectory(times, pops, coherence, diagonal, w, rate)
 
 
 # _UPPER[k, idx] = 1 where basis state idx holds qubit k + 1 in its upper level |0>
 _UPPER = np.array([[1.0 - ((idx >> (2 - k)) & 1) for idx in range(8)] for k in range(3)])
 
 
-def excited_populations(states) -> np.ndarray:
-    """Upper-level population of each qubit, shape (..., 8, 8) -> (..., 3)."""
-    return np.diagonal(np.asarray(states), axis1=-2, axis2=-1).real @ _UPPER.T
+def excited_populations(diagonal) -> np.ndarray:
+    """Upper-level population of each qubit from the bare populations, (..., 8) -> (..., 3)."""
+    return np.einsum("...i,ki->...k", diagonal, _UPPER)
 
 
 def temperature_trajectories(params: MarkovParams, traj: MarkovTrajectory):
     """(r, T) arrays of shape (3, n) along the trajectory, T read from p = 1 - r."""
-    p = excited_populations(traj.states).T
-    temps = np.stack([
-        temperature_from_excited(p[k], params.epsilon[k]) for k in range(3)
-    ])
+    p = excited_populations(traj.diagonal).T
+    temps = np.stack([temperature_from_excited(p[k], params.epsilon[k]) for k in range(3)])
     return 1.0 - p, temps
 
 
@@ -310,34 +314,29 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
                     time_grid=DEFAULT_TIME_GRID) -> OptimizationResult:
     """Minimize the cold-qubit temperature over (alpha1..3, g) and time.
 
-    Same search as the spin-star optimizer, through the same
-    ``analysis.minimize_t1``, on the excited population of qubit 1 along
-    each integrated trajectory; returns its ``OptimizationResult`` with
-    ``best_params`` = (alpha1, alpha2, alpha3, g).  Weak-coupling warnings
-    from exploratory parameter points are suppressed, and points whose
-    rates break weak coupling (``WeakCouplingError``) score +inf, so the
-    search avoids them instead of aborting; when every evaluated point
-    does, ``WeakCouplingError`` is raised.
+    Same search as the spin-star optimizer, through ``analysis.minimize_t1``,
+    on qubit 1's excited population along each propagated trajectory,
+    polished by ``MarkovTrajectory.diagonal_at``; ``best_params`` =
+    (alpha1, alpha2, alpha3, g).  Weak-coupling warnings from exploratory
+    points are suppressed, and points whose rates break weak coupling
+    (``WeakCouplingError``) score +inf, so the search avoids them instead of
+    aborting; when every evaluated point does, ``WeakCouplingError`` is raised.
     """
 
     def excited(x, times):
-        params = replace(
-            base, alpha=(float(x[0]), float(x[1]), float(x[2])), g=float(x[3])
-        )
+        params = replace(base, alpha=(float(x[0]), float(x[1]), float(x[2])), g=float(x[3]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
             try:
                 traj = integrate_gksl(params, thermal_product_state(params), times)
             except WeakCouplingError:
                 return None
-        return (excited_populations(traj.states)[:, 0],
-                lambda t: excited_populations(traj.state_at(t))[0],
-                base.epsilon[0])
+        return (excited_populations(traj.diagonal)[:, 0],
+                lambda t: excited_populations(traj.diagonal_at(t))[0], base.epsilon[0])
 
     bounds = [alpha_range, alpha_range, alpha_range, g_range]
     result = minimize_t1(excited, bounds, budget, seed, time_grid, refine_tol=1e-4)
     if not math.isfinite(result.best_t1):
-        raise WeakCouplingError(
-            f"every one of {result.evaluations} evaluated points breaks weak coupling"
-        )
+        raise WeakCouplingError(f"every one of {result.evaluations} evaluated points "
+                                "breaks weak coupling")
     return result

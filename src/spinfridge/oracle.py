@@ -8,6 +8,10 @@ at 1000; this module is for small baths only.
 
 The eigendecomposition and the unitary evolution are checked: algebraic
 identities are held to 1e-12, spectral reconstructions to 1e-10.
+
+The Markov baseline's reference lives here too: its Hamiltonian and the
+full 64x64 GKSL generator, against which ``markov.integrate_gksl`` is
+tested.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import RefrigeratorParams
+from .markov import MarkovParams, build_jump_channels
 from .spinstar import SingleStarParams
 
 DIMENSION_CAP = 1000
@@ -275,3 +280,32 @@ def _single_sector_indices(params: SingleStarParams, two_m: int) -> list[int]:
     if abs(two_m_b_excited) <= n:
         indices.append(1 * (n + 1) + (two_m_b_excited + n) // 2)
     return indices
+
+
+def system_hamiltonian(params: MarkovParams) -> np.ndarray:
+    """Markov baseline: free part plus the three-body interaction g(|010><101| + h.c.)."""
+    h = np.zeros((8, 8))
+    for idx in range(8):
+        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
+        h[idx, idx] = sum(
+            0.5 * params.epsilon[k] * (1.0 - 2.0 * bits[k]) for k in range(3)
+        )
+    h[0b010, 0b101] += params.g
+    h[0b101, 0b010] += params.g
+    return h
+
+
+def liouvillian_matrix(params: MarkovParams) -> np.ndarray:
+    """The Markov baseline's GKSL generator as a 64x64 matrix on vec(rho), row-major."""
+    h = system_hamiltonian(params).astype(complex)
+    eye = np.eye(8)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for ch in build_jump_channels(params):
+        l_op = ch.operator.astype(complex)
+        ld_l = l_op.conj().T @ l_op
+        lv += ch.rate * (
+            np.kron(l_op, l_op.conj())
+            - 0.5 * np.kron(ld_l, eye)
+            - 0.5 * np.kron(eye, ld_l.T)
+        )
+    return lv

@@ -425,6 +425,28 @@ class TestLowTemperatureCommands:
         first = [float(v) for v in out.read_text().splitlines()[3].split(",")]
         assert first[1] == pytest.approx(1 / 40, rel=1e-12)
 
+    def test_single_runs_unpruned_and_says_so(self, tmp_path, capsys):
+        out = tmp_path / "single.csv"
+        config = {
+            "mode": "single",
+            "params": {
+                "epsilon": 1.0, "bath_energy": 2.0, "coupling": 0.5,
+                "n_bath": 5, "beta": 40.0,
+            },
+            "time_grid": {"start": 0, "stop": 1, "step": 0.5},
+            "output": {"path": str(out)},
+        }
+        cfg = write_config(tmp_path, "single.json", dict(config, prune_tol=1e-9))
+        assert main(["single", cfg]) == 1
+        assert "prune_tol" in capsys.readouterr().err
+        assert not out.exists()
+        # the header records the tolerance the run used, and re-running it works
+        cfg = write_config(tmp_path, "single.json", config)
+        assert main(["single", cfg]) == 0
+        recorded = parse_config(json.loads(dump_canonical(load_config(cfg))))
+        assert recorded.prune_tol == 0.0
+        assert '"prune_tol":0.0' in out.read_text().splitlines()[1]
+
     def test_pruned_excitation_is_a_precise_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "evolve.json", {
             "mode": "evolve",

@@ -1,4 +1,4 @@
-"""GKSL baseline: jump channels, rates, master-equation integration."""
+"""GKSL baseline: jump channels, rates, exact master-equation propagation."""
 
 import json
 import math
@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from spinfridge.cli import main
 from spinfridge.markov import (
@@ -18,13 +19,12 @@ from spinfridge.markov import (
     decay_rate,
     excited_populations,
     integrate_gksl,
-    liouvillian_matrix,
     markov_optimize,
     spectral_density,
-    system_hamiltonian,
     temperature_trajectories,
     thermal_product_state,
 )
+from spinfridge.oracle import liouvillian_matrix, system_hamiltonian
 
 
 def params(**kw):
@@ -42,6 +42,24 @@ def ket(bits):
     v = np.zeros(8)
     v[int(bits, 2)] = 1.0
     return v
+
+
+def full_states(traj):
+    """Computational-basis density matrices from the dressed populations and rho_{+-}."""
+    dress = np.eye(8)
+    dress[:, 0b101] = (ket("101") + ket("010")) / math.sqrt(2.0)
+    dress[:, 0b010] = (ket("101") - ket("010")) / math.sqrt(2.0)
+    dressed = np.zeros((len(traj.time), 8, 8), dtype=complex)
+    dressed[:, range(8), range(8)] = traj.populations
+    dressed[:, 0b101, 0b010] = traj.coherence
+    dressed[:, 0b010, 0b101] = traj.coherence.conj()
+    return dress @ dressed @ dress.T
+
+
+def oracle_states(p, rho0, times):
+    """expm of the 64x64 Liouvillian applied to the initial state."""
+    lv = liouvillian_matrix(p)
+    return np.array([(expm(lv * t) @ rho0.ravel()).reshape(8, 8) for t in times])
 
 
 class TestChannels:
@@ -153,7 +171,7 @@ class TestHamiltonian:
 
     def test_thermal_state_prefers_lower_level(self):
         rho = thermal_product_state(params())
-        r = 1.0 - excited_populations(rho)
+        r = 1.0 - excited_populations(rho.diagonal().real)
         assert r[0] == pytest.approx(math.exp(0.5) / (2 * math.cosh(0.5)), abs=1e-12)
         assert np.all(r > 0.5)
 
@@ -167,9 +185,14 @@ class TestIntegration:
         times = np.linspace(0.0, 20.0, 9)
         traj = integrate_gksl(p, rho0, times)
         pops0 = np.diag(v.T @ rho0.real @ v)
-        for state in traj.states:
+        for state in full_states(traj):
             pops = np.diag(v.T @ state.real @ v)
             assert np.allclose(pops, pops0, atol=1e-8)
+        # frozen dressed populations; rho_{+-} only rotates, at E+ - E- = 2g
+        assert np.array_equal(traj.populations, np.tile(traj.populations[0], (9, 1)))
+        rotation = np.exp(-2j * p.g * times)
+        assert np.max(np.abs(traj.coherence - traj.coherence[0] * rotation)) < 1e-15
+        assert np.max(np.abs(full_states(traj) - oracle_states(p, rho0, times))) < 1e-12
 
     def test_single_bath_relaxation_to_thermal(self):
         p = params(g=0.0, alpha=(5e-4, 0.0, 0.0))
@@ -178,7 +201,7 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
             traj = integrate_gksl(p, cold_start, times)
-        r_end = 1.0 - excited_populations(traj.states[-1])[0]
+        r_end = 1.0 - excited_populations(traj.diagonal[-1])[0]
         expected = math.exp(0.5) / (2.0 * math.cosh(0.5))
         assert r_end == pytest.approx(expected, abs=1e-6)
 
@@ -186,7 +209,7 @@ class TestIntegration:
         p = params()
         times = np.linspace(0.0, 50.0, 26)
         traj = integrate_gksl(p, thermal_product_state(p), times)
-        for state in traj.states:
+        for state in full_states(traj):
             assert abs(np.trace(state) - 1.0) < 1e-8
             assert np.max(np.abs(state - state.conj().T)) < 1e-8
             assert np.linalg.eigvalsh(state)[0] > -1e-7
@@ -203,7 +226,7 @@ class TestIntegration:
             traj = integrate_gksl(p, thermal_product_state(p), times)
         window = max(2, int(35.0 / (times[1] - times[0])))
         norms = np.array([
-            np.linalg.norm(lv @ s.ravel()) for s in traj.states
+            np.linalg.norm(lv @ s.ravel()) for s in full_states(traj)
         ])
         checkpoints = np.unique(
             np.geomspace(len(times) // 10, len(times) - window - 1, 5).astype(int)
@@ -218,17 +241,43 @@ class TestIntegration:
         with pytest.raises(ValueError, match="trace"):
             integrate_gksl(p, np.eye(8), np.linspace(0, 1, 5))
 
+    def test_dressed_coherences_other_than_plus_minus_rejected(self):
+        p = params()
+        rho0 = thermal_product_state(p)
+        rho0[0b000, 0b001] = rho0[0b001, 0b000] = 1e-3
+        with pytest.raises(ValueError, match=r"coherence other than rho_\{\+-\}"):
+            integrate_gksl(p, rho0, np.linspace(0, 1, 5))
+        rho0 = thermal_product_state(p)
+        rho0[0b000, 0b001] = 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            integrate_gksl(p, rho0, np.linspace(0, 1, 5))
+        # a coherence between |101> and |010> is one in rho_{+-} and P+ - P-
+        rho0 = thermal_product_state(p)
+        rho0[0b101, 0b010] = 0.01 + 0.02j
+        rho0[0b010, 0b101] = 0.01 - 0.02j
+        times = np.linspace(0.0, 40.0, 9)
+        traj = integrate_gksl(p, rho0, times)
+        assert np.max(np.abs(full_states(traj) - oracle_states(p, rho0, times))) < 1e-12
+
+    def test_uneven_times_rejected(self):
+        p = params()
+        with pytest.raises(ValueError, match="evenly spaced"):
+            integrate_gksl(p, thermal_product_state(p), [0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="evenly spaced"):
+            integrate_gksl(p, thermal_product_state(p), [1.0, 0.5, 0.0])
+
     def test_every_sample_is_checked(self, monkeypatch):
         import spinfridge.markov as markov
 
-        real = markov.solve_ivp
+        real = markov._propagate
 
         def drifting(*args, **kwargs):
-            solution = real(*args, **kwargs)
-            solution.y[0, 1] += 1e-6  # trace error at the second sample only
-            return solution
+            pops, coherence, diagonal = real(*args, **kwargs)
+            if len(pops) > 2:
+                pops[1, 0] += 1e-6  # trace error at the second sample only
+            return pops, coherence, diagonal
 
-        monkeypatch.setattr(markov, "solve_ivp", drifting)
+        monkeypatch.setattr(markov, "_propagate", drifting)
         p = params()
         with pytest.raises(RuntimeError, match="t=0.25"):
             integrate_gksl(p, thermal_product_state(p), np.linspace(0.0, 1.0, 5))
@@ -236,23 +285,82 @@ class TestIntegration:
     def test_one_broken_coherence_is_caught(self, monkeypatch):
         import spinfridge.markov as markov
 
-        real = markov.solve_ivp
+        real = markov._propagate
 
         def skewed(*args, **kwargs):
-            solution = real(*args, **kwargs)
-            solution.y[0 * 8 + 3, 2] += 1e-6  # rho[0, 3] at the third sample only
-            return solution
+            pops, coherence, diagonal = real(*args, **kwargs)
+            if len(pops) > 2:
+                coherence[2] += 0.5  # |rho_{+-}|^2 > P+ P- at the third sample only
+            return pops, coherence, diagonal
 
-        monkeypatch.setattr(markov, "solve_ivp", skewed)
+        monkeypatch.setattr(markov, "_propagate", skewed)
         p = params()
-        with pytest.raises(RuntimeError, match="Hermiticity at t=0.5"):
+        with pytest.raises(RuntimeError, match="positivity at t=0.5"):
             integrate_gksl(p, thermal_product_state(p), np.linspace(0.0, 1.0, 5))
 
-    def test_interpolant_matches_samples(self):
+    def test_polish_point_at_grid_time_equals_sample(self):
         p = params()
+        rho0 = thermal_product_state(p)
         times = np.linspace(0.0, 10.0, 11)
-        traj = integrate_gksl(p, thermal_product_state(p), times)
-        assert np.max(np.abs(traj.state_at(5.0) - traj.states[5])) < 1e-9
+        traj = integrate_gksl(p, rho0, times)
+        assert np.array_equal(traj.diagonal_at(5.0), traj.diagonal[5])
+        assert np.array_equal(traj.diagonal_at(0.0), rho0.diagonal().real)
+        between = np.diagonal(oracle_states(p, rho0, [5.37])[0]).real
+        assert np.max(np.abs(traj.diagonal_at(5.37) - between)) < 1e-14
+        with pytest.raises(ValueError, match="precedes"):
+            traj.diagonal_at(-0.1)
+
+
+class TestExactPropagation:
+    def test_low_temperature_regression(self):
+        # p2 is about 6e-29 at t = 40: the old adaptive integrator read
+        # T2(40) = 0.0339 here against expm's 0.0308
+        p = params(beta=(40.0, 40.0, 20.0))
+        rho0 = thermal_product_state(p)
+        times = np.linspace(0.0, 40.0, 801)
+        traj = integrate_gksl(p, rho0, times)
+        _, temps = temperature_trajectories(p, traj)
+        for k in range(3):
+            assert temps[k, 0] == pytest.approx(1.0 / p.beta[k], rel=1e-12)
+        ref = np.diagonal(oracle_states(p, rho0, [40.0])[0]).real
+        t2_ref = p.epsilon[1] / math.log((1.0 - excited_populations(ref)[1])
+                                         / excited_populations(ref)[1])
+        assert temps[1, -1] == pytest.approx(t2_ref, rel=1e-9)
+        assert temps[1, -1] == pytest.approx(0.0308, abs=1e-4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1e-4))] * 3),
+        st.one_of(st.just(0.0), st.floats(0.005, 0.1)),
+        st.tuples(*[st.floats(0.5, 40.0)] * 3),
+    )
+    def test_matches_liouvillian_exponential(self, alpha, g, beta):
+        p = params(alpha=alpha, g=g, beta=beta)
+        rho0 = thermal_product_state(p)
+        times = np.linspace(0.0, 40.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakCouplingWarning)
+            traj = integrate_gksl(p, rho0, times)
+            ref = oracle_states(p, rho0, times)
+        assert np.max(np.abs(traj.diagonal - np.diagonal(ref, axis1=1, axis2=2).real)) < 1e-12
+        assert np.max(np.abs(full_states(traj) - ref)) < 1e-12
+        assert np.max(np.abs(traj.diagonal.sum(axis=1) - 1.0)) < 1e-12
+        assert traj.populations.min() >= 0.0
+        # rho_101, rho_010 = (P+ + P-)/2 +- Re rho_{+-}: where no rotation
+        # mixes the pair (g = 0), the smaller keeps the larger's rounding only
+        assert traj.diagonal.min() >= -1e-15
+
+    @pytest.mark.parametrize("g", [0.0, 1.0 - 1e-9])
+    def test_degenerate_edges_match_liouvillian_exponential(self, g):
+        # g = 0: |+> and |-> are degenerate; g -> eps1 from below: the e-g
+        # channels of qubits 1 and 3 approach zero frequency
+        p = params(g=g, alpha=(1e-5, 0.0, 3e-5))
+        rho0 = thermal_product_state(p)
+        times = np.linspace(0.0, 40.0, 9)
+        traj = integrate_gksl(p, rho0, times)
+        ref = oracle_states(p, rho0, times)
+        assert np.max(np.abs(full_states(traj) - ref)) < 1e-12
+        assert traj.populations.min() >= 0.0
 
 
 class TestOptimize:
@@ -304,7 +412,7 @@ class TestOptimize:
             6.960237915068867e-05, 0.1,
         ], rel=1e-12)
         assert result.best_time == pytest.approx(4.0, rel=1e-12)
-        assert result.best_t1 == pytest.approx(0.9732931324977135, rel=1e-12)
+        assert result.best_t1 == pytest.approx(0.9732931325220329, rel=1e-12)
         assert (result.evaluations, result.restarts) == (12, 1)
 
     def test_box_without_weak_coupling_is_an_error(self):
@@ -316,16 +424,16 @@ class TestOptimize:
     def test_vectorized_reduction_equals_per_state_sum(self):
         p = params()
         times = np.linspace(0.0, 5.0, 6)
-        states = integrate_gksl(p, thermal_product_state(p), times).states
-        pops = excited_populations(states)
+        diagonal = integrate_gksl(p, thermal_product_state(p), times).diagonal
+        pops = excited_populations(diagonal)
         assert pops.shape == (6, 3)
-        for n, state in enumerate(states):
+        for n, diag in enumerate(diagonal):
             for k in range(3):
                 upper = [idx for idx in range(8) if not (idx >> (2 - k)) & 1]
                 assert pops[n, k] == pytest.approx(
-                    sum(state[idx, idx].real for idx in upper), abs=1e-15
+                    sum(diag[idx] for idx in upper), abs=1e-15
                 )
-        assert np.array_equal(excited_populations(states[2]), pops[2])
+        assert np.array_equal(excited_populations(diagonal[2]), pops[2])
 
     def test_temperatures_follow_populations(self):
         p = params()
