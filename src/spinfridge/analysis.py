@@ -16,15 +16,13 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize
-from scipy.stats import qmc
+import numpy.random  # noqa: F401  (numpy 2 loads it on first use: at import, not in a run)
 
 from .engine import RefrigeratorEngine, RefrigeratorParams
 from .series import SeriesTerms
@@ -68,7 +66,8 @@ def _one_blas_thread() -> None:
     ``import spinfridge`` defaults OPENBLAS_NUM_THREADS to 1, but OpenBLAS
     reads it only when it is loaded: a program that imported numpy first
     would fork workers that each run threaded BLAS on the same cores.  A
-    thread count the user set is left alone.
+    thread count the user set is left alone.  The program itself loads
+    only numpy's OpenBLAS; any other a host program loaded is pinned too.
     """
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return
@@ -280,6 +279,143 @@ def _best_time_on_series(terms, grid, refine_tol: float = 1e-5) -> tuple[float, 
 # Bound-constrained derivative-free minimization
 # ---------------------------------------------------------------------------
 
+# Joe and Kuo's primitive polynomials and initial direction numbers
+# (SIAM J. Sci. Comput. 30, 2635 (2008), file new-joe-kuo-6.21201) of the
+# first Sobol' dimensions; the first dimension is van der Corput's.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+                (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19))
+_SOBOL_BITS = 30
+
+
+@cache
+def _sobol_directions(d: int) -> np.ndarray:
+    """Direction numbers of the first d dimensions, (d, 30) uint32, column j
+    holding bit 29 - j and below (Bratley and Fox's recurrence)."""
+    if not 1 <= d <= len(_SOBOL_POLY):
+        raise ValueError(f"Sobol' dimension must be in 1..{len(_SOBOL_POLY)}, got {d}")
+    bits = _SOBOL_BITS
+    table = [[1] * bits]
+    for poly, vinit in zip(_SOBOL_POLY[1:d], _SOBOL_VINIT[1:d]):
+        degree = len(vinit)
+        v = list(vinit)
+        for j in range(degree, bits):
+            new = v[j - degree]
+            for k in range(degree):
+                if (poly >> (degree - 1 - k)) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        table.append(v)
+    return np.array(table, dtype=np.uint32) << np.arange(bits - 1, -1, -1, dtype=np.uint32)
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each 32-bit unsigned integer."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint32(shift))
+    return x & np.uint32(1)
+
+
+def _sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of d-dimensional scrambled Sobol', (n, d) in [0, 1).
+
+    Bit-identical to ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
+    .random(n)``: direction numbers under a linear matrix scramble and a
+    digital shift, both drawn from ``np.random.default_rng(seed)``, and the
+    points in Gray-code order, the shift first.
+    """
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = np.dot(rng.integers(0, 2, size=(d, bits), dtype=np.uint32),
+                   2 ** np.arange(bits, dtype=np.uint32))
+    ltm = np.tril(rng.integers(0, 2, size=(d, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    weights = np.uint32(1) << np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    rows = (ltm * weights).sum(axis=2, dtype=np.uint32)  # row p of each matrix, bit 29 first
+    # bit 29 - p of scrambled direction j is the parity of row p AND direction j
+    mixed = _parity(rows[:, None, :] & _sobol_directions(d)[:, :, None])
+    directions = (mixed * weights).sum(axis=2, dtype=np.uint32)  # (d, bits)
+    k = np.arange(n, dtype=np.uint32)
+    gray = (k ^ (k >> np.uint32(1)))[:, None] >> np.arange(bits, dtype=np.uint32) & np.uint32(1)
+    quasi = np.bitwise_xor.reduce(
+        np.where(gray[:, None, :] == 1, directions, np.uint32(0)), axis=2
+    ) ^ shift
+    return quasi * (1.0 / 2 ** bits)
+
+
+class _MaxFevReached(Exception):
+    pass
+
+
+def _nelder_mead(func, sim: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 maxfev: int, xatol: float, fatol: float) -> None:
+    """Nelder-Mead from the initial simplex ``sim``, every vertex clipped to [lo, hi].
+
+    A port of SciPy's bounded ``_minimize_neldermead`` (non-adaptive, no
+    iteration cap), step for step: vertices above ``hi`` are first reflected
+    off it, at most ``maxfev`` calls are made, and the vertices are ordered
+    by ``np.argsort`` after every step.  ``func`` reports the best point
+    itself, so nothing is returned.
+    """
+    rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    calls = [0]
+
+    def f(x):
+        if calls[0] >= maxfev:
+            raise _MaxFevReached
+        calls[0] += 1
+        return func(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFevReached:
+        pass
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while calls[0] < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # inside contraction
+                    xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = f(sim[j])
+        except _MaxFevReached:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
 @dataclass
 class _Budget:
     limit: int
@@ -300,8 +436,11 @@ def minimize_box(func, bounds, budget: int, seed: int,
                  n_starts: int | None = None):
     """Seeded multistart minimization over a box.
 
-    Sobol points probe the box, the best probes seed Nelder-Mead
-    refinements, and every function evaluation counts against ``budget``.
+    Scrambled Sobol' points (``_sobol``) probe the box, the best probes seed
+    bounded Nelder-Mead refinements (``_nelder_mead``), and every function
+    evaluation counts against ``budget``.  Both are in-house ports that
+    reproduce SciPy's ``qmc.Sobol`` and ``minimize(method="Nelder-Mead")``
+    call for call, so results do not depend on an installed SciPy.
     Returns (x_best, f_best, evaluations, restarts, incumbent_history).
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -336,11 +475,7 @@ def minimize_box(func, bounds, budget: int, seed: int,
     if n_starts is None:
         n_starts = max(2, min(10, budget // 150))
     n_probe = min(max(2 * n_starts, budget // 8), max(budget - 1, 1))
-    sampler = qmc.Sobol(d=ndim, scramble=True, seed=seed)
-    with warnings.catch_warnings():
-        # probe counts are budget-driven, not powers of two
-        warnings.simplefilter("ignore", UserWarning)
-        probes = lo + sampler.random(n_probe) * span
+    probes = lo + _sobol(ndim, n_probe, seed) * span
     # deterministic structural probes: box corners and center guard against
     # optima pinned to the bounds, which simplex refinement reaches slowly
     if n_probe >= 2 ** ndim + 1:
@@ -376,9 +511,7 @@ def minimize_box(func, bounds, budget: int, seed: int,
         else:
             break
         try:
-            minimize(wrapped, x0, method="Nelder-Mead", bounds=bounds, options={
-                **options, "initial_simplex": _initial_simplex(x0, lo, hi, scale),
-            })
+            _nelder_mead(wrapped, _initial_simplex(x0, lo, hi, scale), lo, hi, **options)
         except _BudgetExhausted:
             pass
     return (
@@ -613,6 +746,10 @@ def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = 2000,
 # ---------------------------------------------------------------------------
 
 PLATEAU_MIN_N = 35
+# Newton steps the fit may take (the benchmark's sweeps need 3 to 5), and
+# the relative size of the last one.
+_FIT_MAX_STEPS = 100
+_FIT_LAST_STEP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -632,15 +769,17 @@ def fit_power_law(ns, values, t_inf="plateau") -> FitResult:
 
     ``t_inf`` is either an explicit float or "plateau", which averages all
     points with N >= 35 (the asymptotically flat region).  With t_inf
-    fixed, (a, b) start from linear least squares on ln(value - t_inf)
-    versus ln N and are polished by nonlinear least squares on the original
-    model; sigma**2 = sum of squared residuals / (d - p) with p = 2.
+    fixed, b starts from linear least squares on ln(value - t_inf) versus
+    ln N, and (a, b) are then the least-squares fit of the original model
+    to machine precision (``_fit_exponent``); sigma**2 = sum of squared
+    residuals / (d - p) with p = 2.
 
     An explicit t_inf at or above any data value is an error (the log-space
     seed has no non-positive residuals to take).  Under the plateau policy
     the averaged points straddle their own mean by construction, so the
     seed fit uses only the strictly positive residuals (at least two are
-    required); the nonlinear polish always uses every point.
+    required); the nonlinear fit always uses every point.  A fit that does
+    not converge is a ValueError too.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -667,18 +806,56 @@ def fit_power_law(ns, values, t_inf="plateau") -> FitResult:
             )
         positive = np.ones(len(ns), dtype=bool)
     residual = values - t_inf_value
-    slope, intercept = np.polyfit(
-        np.log(ns[positive]), np.log(residual[positive]), 1
-    )
-    a0, b0 = math.exp(intercept), -slope
-
-    def model(n, a, b):
-        return t_inf_value + a * np.power(n, -b)
-
-    (a, b), _ = curve_fit(model, ns, values, p0=(a0, b0), maxfev=20000)
+    slope, _ = np.polyfit(np.log(ns[positive]), np.log(residual[positive]), 1)
+    a, b = _fit_exponent(ns, residual, -float(slope))
     dof = len(ns) - 2
-    sigma = math.sqrt(float(np.sum((model(ns, a, b) - values) ** 2)) / dof)
-    return FitResult(t_inf_value, float(a), float(b), sigma, len(ns))
+    sigma = math.sqrt(float(np.sum((t_inf_value + a * ns ** -b - values) ** 2)) / dof)
+    return FitResult(t_inf_value, a, b, sigma, len(ns))
+
+
+def _fit_exponent(ns, y, b: float) -> tuple[float, float]:
+    """Least-squares (a, b) of y = a N^-b, by variable projection from ``b``.
+
+    For fixed b the best a is (y.phi)/(phi.phi) with phi = N^-b, leaving the
+    residual sum f(b) of one variable (Golub and Pereyra, SIAM J. Numer.
+    Anal. 10, 413 (1973)).  Newton steps on f, halved until f does not rise,
+    run until a step moves b by at most ``_FIT_LAST_STEP`` relative: Newton
+    converges quadratically, so b is then within rounding of the minimum,
+    below which the steps only follow the rounding of f'.  Raises ValueError
+    when that takes more than ``_FIT_MAX_STEPS`` steps or b leaves the
+    finite numbers.
+    """
+    logs = np.log(ns)
+
+    def profile(b):
+        phi = ns ** -b
+        a = float(y @ phi / (phi @ phi))
+        r = y - a * phi
+        return a, phi, r, float(r @ r)
+
+    a, phi, r, f = profile(b)
+    for _ in range(_FIT_MAX_STEPS):
+        if not math.isfinite(b):
+            break
+        lphi = logs * phi
+        # f' = 2a r.(L phi), and f'' from a' = (2a phi.(L phi) - y.(L phi)) / phi.phi
+        a_prime = (2.0 * a * float(lphi @ phi) - float(y @ lphi)) / float(phi @ phi)
+        grad = 2.0 * a * float(r @ lphi)
+        curv = (2.0 * a_prime * float(r @ lphi) - 2.0 * a * a_prime * float(lphi @ phi)
+                + 2.0 * a * a * float(lphi @ lphi) - 2.0 * a * float(r @ (logs * lphi)))
+        if grad == 0.0:
+            return a, b
+        step = -grad / curv if curv > 0.0 else -math.copysign(0.5 * max(abs(b), 1.0), grad)
+        if curv > 0.0 and abs(step) <= _FIT_LAST_STEP * max(abs(b), 1.0):
+            b += step
+            return profile(b)[0], b
+        trial = profile(b + step)
+        while trial[3] > f and abs(step) > _FIT_LAST_STEP * max(abs(b), 1.0):
+            step *= 0.5
+            trial = profile(b + step)
+        b += step
+        a, phi, r, f = trial
+    raise ValueError(f"power-law fit did not converge (b = {b!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +896,7 @@ def neville_extrapolate(xs, ys, target: float = 0.0) -> NevilleTableau:
     if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
         raise ValueError("need matching 1-d arrays with at least two points")
     n = len(xs)
-    if len(np.unique(xs)) != n:
+    if len(set(xs.tolist())) != n:
         raise ValueError("duplicate x values")
     tableau = [ys.astype(float).copy()]
     d_diffs: list[np.ndarray] = []

@@ -9,7 +9,9 @@ configs (and seeds) produce byte-identical files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 
 import numpy as np
@@ -281,7 +283,37 @@ def run(config: RunConfig) -> None:
     _RUNNERS[config.mode](config)
 
 
+# glibc's mallopt parameters, and the largest freed block kept for reuse.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP_BYTES = 32 << 20
+_MALLOC_SETTINGS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _keep_freed_blocks() -> bool:
+    """Let glibc serve freed blocks up to 32 MB again instead of unmapping them.
+
+    glibc maps every block above its mmap threshold (128 kB at start) afresh
+    and unmaps it when freed, raising the threshold only as larger blocks
+    are freed, and returns free heap above its trim threshold to the
+    system.  Each engine's megabyte temporaries then cost fresh page
+    faults: 29k minor faults and 0.08 s of system time in one N=30
+    ``optimize`` of 60 evaluations, against 550 with both thresholds set
+    here.  Linux only; a process that sets glibc's malloc tunables itself
+    is left alone.  Returns whether the thresholds were set.
+    """
+    if not sys.platform.startswith("linux") or any(v in os.environ for v in _MALLOC_SETTINGS):
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP_BYTES)
+                and mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_KEEP_BYTES))
+
+
 def main(argv=None) -> int:
+    _keep_freed_blocks()
     parser = argparse.ArgumentParser(
         prog="spinfridge",
         description="Spin-star absorption refrigerator simulations",

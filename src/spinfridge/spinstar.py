@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,16 @@ def sector_arrays(p: SingleStarParams) -> dict:
         "edge_energy": np.where(two_m > 0, b_plus, b_minus),
         "edge_state": np.where(two_m > 0, 1, 0),  # level surviving in an edge sector
         "logw": logw,
-        "p_level": (float(expit(x)), float(expit(-x))),
+        "p_level": (expit(x), expit(-x)),
     }
+
+
+def expit(x: float) -> float:
+    """The logistic function 1 / (1 + e^-x) of a float, 0.0 where e^-x overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def temperature_from_excited(p: np.ndarray, epsilon: float) -> np.ndarray:

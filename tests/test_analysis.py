@@ -58,6 +58,16 @@ class TestFirstLocalMin:
         with pytest.raises(ValueError):
             first_local_min([0, 1], [1.0, 0.0])
 
+    @pytest.mark.parametrize("values, index", [
+        ([1.0, 1.0, 1.0, 1.0], None),          # constant: no dip
+        ([1.0, 1.0, 2.0, 3.0], None),          # leading plateau: no strict drop into it
+        ([3.0, 2.0, 1.0, 1.0], 2),             # flat tail counts at its first point
+        ([3.0, 1.0, 1.0, 1.0, 2.0], 1),        # flat bottom counts at its first point
+    ])
+    def test_plateaus(self, values, index):
+        result = first_local_min(np.arange(len(values)), values)
+        assert (result and result.grid_index) == index
+
     def test_picks_first_of_several_dips(self):
         times = np.arange(0.0, 20.0, 0.01)
         values = np.cos(times) + 0.01 * times  # dips near pi, 3*pi, ...
@@ -400,6 +410,14 @@ class TestFitPowerLaw:
     def test_explicit_t_inf_above_data_is_error(self):
         with pytest.raises(ValueError, match="non-positive residual"):
             fit_power_law([2, 4, 7, 14], [0.5, 0.48, 0.47, 0.46], t_inf=0.47)
+
+    def test_no_convergence_is_a_value_error(self, monkeypatch):
+        ns = np.array([2.0, 4.0, 7.0, 10.0])
+        values = 0.4 + 0.5 * ns ** -1.2
+        assert fit_power_law(ns, values, t_inf=0.4).b == pytest.approx(1.2, rel=1e-12)
+        monkeypatch.setattr(analysis, "_FIT_MAX_STEPS", 0)
+        with pytest.raises(ValueError, match="did not converge"):
+            fit_power_law(ns, values, t_inf=0.4)
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):

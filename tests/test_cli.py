@@ -334,6 +334,28 @@ class TestCliCommands:
         assert main(["scaling", cfg]) == 0
         assert seen == [1e-11]
 
+    def test_failed_fit_is_recorded_not_fatal(self, tmp_path, monkeypatch):
+        from spinfridge import analysis
+
+        # no step allowed: the fit cannot converge, and must not discard
+        # the sweep that ran
+        monkeypatch.setattr(analysis, "_FIT_MAX_STEPS", 0)
+        monkeypatch.setenv("SPINFRIDGE_WORKERS", "1")
+        out = tmp_path / "scaling.json"
+        cfg = write_config(tmp_path, "scaling.json.in", {
+            "mode": "scaling",
+            "params": fridge_params(),
+            "n_list": [1, 3, 6, 10],
+            "time_grid": {"start": 0, "stop": 6, "step": 0.05},
+            "optimization": {"budget": 12, "seed": 5},
+            "output": {"path": str(out)},
+        })
+        assert main(["scaling", cfg]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert len(results["sweep"]) == 4
+        # every local-minimum time lies above its extrapolation, so that fit runs
+        assert "did not converge" in results["local_min_time_fit"]["error"]
+
     def test_numerical_failure_is_exit_2(self, tmp_path, capsys):
         # qubit energy below g makes a dressed transition frequency negative
         cfg = write_config(tmp_path, "bad_markov.json", {
@@ -459,6 +481,23 @@ class TestLowTemperatureCommands:
         err = capsys.readouterr().err
         assert "qubit 1 has no excited population in the kept sectors" in err
         assert "prune_tol=1e-09 dropped 32766 of 32768 sectors" in err
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt")
+    def test_sets_thresholds_on_linux(self, monkeypatch):
+        import spinfridge.cli as cli
+
+        for name in cli._MALLOC_SETTINGS:
+            monkeypatch.delenv(name, raising=False)
+        assert cli._keep_freed_blocks()
+
+    @pytest.mark.parametrize("name", ["MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"])
+    def test_user_setting_wins(self, monkeypatch, name):
+        import spinfridge.cli as cli
+
+        monkeypatch.setenv(name, "131072" if name.startswith("MALLOC") else "")
+        assert not cli._keep_freed_blocks()
 
 
 class TestBlasThreadPolicy:

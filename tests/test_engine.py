@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinfridge import oracle, thermo
-from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, sector_layout
+from spinfridge.engine import (
+    RefrigeratorEngine,
+    RefrigeratorParams,
+    energy_keys,
+    sector_layout,
+)
 from spinfridge.series import trig_series_at, trig_series_taylor, trig_series_uniform
 from spinfridge.spinstar import sector_arrays, temperature_from_excited
 
@@ -586,3 +591,75 @@ class TestOnePairProperty:
             a, b = three.series_terms(key, kind), one.series_terms(key, kind)
             magnitude = max(abs(s.const) + np.abs(s.amps).sum() for s in (a, b))
             assert np.max(np.abs(a.at(times) - b.at(times))) <= 1e-12 * magnitude + 1e-13
+
+
+def entropy_production(eng, times):
+    """sigma(t) = sum_k beta_k (E_k(t) - E_k(0)), E_k = <H_S,k + H_B,k>, and its scale.
+
+    From the ("hs", k) and ("hb", k) cosine rows: E_k(t) - E_k(0) =
+    -2 sum_j a_kj sin^2(w_j t / 2), so sigma has no cancellation against
+    its value at t = 0.  The scale is sum_j |sum_k beta_k a_kj|, which
+    bounds the terms the sum rounds.
+    """
+    pairs = eng.params.pairs
+    terms = eng.series_terms(energy_keys(pairs)[:2 * pairs], "cos")
+    amps = np.array(eng.params.beta * 2) @ terms.amps  # hs rows, then hb rows
+    phase = np.multiply.outer(np.asarray(times, dtype=float), 0.5 * terms.omegas)
+    return -2.0 * np.sin(phase) ** 2 @ amps, float(np.abs(amps).sum())
+
+
+def dense_relative_entropy(p, t):
+    """D(rho(t) || rho(0)) = Tr[(rho(0) - rho(t)) ln rho(0)] from the dense model."""
+    model = oracle.build_dense(p)
+    rho0 = model.initial_state
+    vals, vecs = np.linalg.eigh(rho0)
+    log_rho0 = (vecs * np.log(vals)) @ vecs.conj().T
+    return float(np.real(np.trace((rho0 - oracle.dense_evolve(model, t)) @ log_rho0)))
+
+
+_STAR_FRIDGE = st.builds(
+    RefrigeratorParams,
+    epsilon=_triple(st.floats(0.5, 2.0)),
+    bath_energy=_triple(st.floats(0.5, 4.0)),
+    coupling=_triple(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+    n_bath=_triple(st.integers(1, 30)),
+    beta=_triple(st.floats(0.2, 5.0)),
+)
+
+
+class TestSecondLaw:
+    """The initial state is a product of Gibbs states at beta_k and the
+    evolution is unitary, so sigma(t) = D(rho(t) || rho(0)) >= 0 exactly
+    (Esposito, Lindenberg and Van den Broeck, NJP 12, 013013 (2010)); the
+    kept sectors carry the same identity, as each is a Gibbs block."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_STAR_FRIDGE, st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8))
+    def test_entropy_production_is_nonnegative(self, p, times):
+        eng = RefrigeratorEngine(p, prune_tol=1e-9)
+        sigma, scale = entropy_production(eng, np.concatenate([times, np.linspace(0, 20, 81)]))
+        assert sigma.min() >= -8 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("n", [(1, 1, 1), (2, 1, 1)])
+    def test_equals_the_dense_relative_entropy(self, n):
+        # N = 1: two of each pair's three sectors are one-level edge sectors
+        p = fridge(n=n, epsilon=(1.0, 1.7, 0.8), bath_energy=(2.0, 3.0, 1.5),
+                   coupling=(0.3, 0.6, 0.2), g=0.08, beta=(0.8, 1.2, 0.6))
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        times = [0.0, 0.4, 2.0, 7.3]
+        sigma, _ = entropy_production(eng, times)
+        for t, value in zip(times, sigma):
+            assert value == pytest.approx(dense_relative_entropy(p, t), abs=1e-10)
+        assert sigma[1:].min() > 0.0
+
+    def test_zero_couplings_produce_nothing(self):
+        eng = RefrigeratorEngine(fridge(n=(30, 30, 30), coupling=(0, 0, 0), g=0.0),
+                                 prune_tol=1e-9)
+        times = np.linspace(0.0, 10.0, 11)
+        sigma, scale = entropy_production(eng, times)
+        assert scale == 0.0 and not sigma.any()
+        currents = thermo.heat_current_series(eng, times)
+        assert not currents.qdot_s.any() and not currents.qdot_b.any()
+        for s in eng.qubit_series((1, 2, 3), times):
+            assert np.all(s.temperature == s.temperature[0])
