@@ -13,6 +13,7 @@ from .engine import (  # noqa: E402
     RefrigeratorParams,
     TimeSeries,
 )
+from .series import TimeGrid  # noqa: E402
 from .spinstar import SingleStarParams  # noqa: E402
 
 __version__ = "0.1.0"
@@ -21,6 +22,7 @@ __all__ = [
     "RefrigeratorEngine",
     "RefrigeratorParams",
     "SingleStarParams",
+    "TimeGrid",
     "TimeSeries",
     "__version__",
 ]

@@ -25,10 +25,10 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it on first use: at import, not in a run)
 
 from .engine import RefrigeratorEngine, RefrigeratorParams
-from .series import SeriesTerms
+from .series import SeriesTerms, TimeGrid
 from .spinstar import temperature_from_excited
 
-DEFAULT_TIME_GRID = (0.0, 10.0, 0.005)
+DEFAULT_TIME_GRID = TimeGrid(0.0, 10.0, 0.005)
 DEFAULT_RANGES = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 0.1))
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -125,40 +125,47 @@ class LocalMinimum:
 def first_local_min(times, values):
     """First local minimum of a sampled series, or None if the series is monotone.
 
-    The first grid point k with values[k] < values[k-1] and
-    values[k] <= values[k+1], unpolished.
+    The first interior grid point k with values[k] < values[k-1] whose run
+    of equal values k..j is followed by a rise, values[j+1] > values[k], or
+    reaches the end of the series; unpolished.  A run followed by a further
+    drop is a shoulder, not a minimum.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    n = len(values)
     if len(times) < 3:
         raise ValueError("need at least three samples to locate a local minimum")
-    for k in range(1, len(values) - 1):
-        if values[k] < values[k - 1] and values[k] <= values[k + 1]:
-            return LocalMinimum(float(times[k]), float(values[k]), k)
+    for k in range(1, n - 1):
+        if values[k] < values[k - 1]:
+            j = k
+            while j + 1 < n and values[j + 1] == values[k]:
+                j += 1
+            if j == n - 1 or values[j + 1] > values[k]:
+                return LocalMinimum(float(times[k]), float(values[k]), k)
     return None
 
 
-def _best_time_on_grid(values, value_at, grid, refine_tol: float = 1e-5
+def _best_time_on_grid(values, value_at, times, refine_tol: float = 1e-5
                        ) -> tuple[float, float]:
-    """(time, value) of the minimum of a series sampled on ``grid``.
+    """(time, value) of the minimum of a series sampled at ``times``.
 
-    The grid minimum, the first one on ties, is polished as in ``_polish``.
+    The sampled minimum, the first one on ties, is polished as in ``_polish``.
     """
     k = int(np.argmin(values))
-    return _polish(values[k], value_at, grid, k, refine_tol)
+    return _polish(values[k], value_at, times, k, refine_tol)
 
 
-def _polish(value, value_at, grid, k: int, tol: float) -> tuple[float, float]:
-    """(time, value) of grid point k, whose grid value is ``value``, polished.
+def _polish(value, value_at, times, k: int, tol: float) -> tuple[float, float]:
+    """(time, value) of sample k, whose sampled value is ``value``, polished.
 
-    Golden-section search of ``value_at`` on (grid[k-1], grid[k+1]); the
-    polish never loses to the grid, and an end point of the grid or a
-    missing ``value_at`` keeps the grid value.
+    Golden-section search of ``value_at`` on (times[k-1], times[k+1]); the
+    polish never loses to the sample, and an end point of ``times`` or a
+    missing ``value_at`` keeps the sampled value.
     """
-    t_best, v_best = float(grid[k]), float(value)
-    if value_at is not None and 0 < k < len(grid) - 1:
+    t_best, v_best = float(times[k]), float(value)
+    if value_at is not None and 0 < k < len(times) - 1:
         t_gold, v_gold = golden_section_min(
-            value_at, float(grid[k - 1]), float(grid[k + 1]), tol=tol
+            value_at, float(times[k - 1]), float(times[k + 1]), tol=tol
         )
         if v_gold <= v_best:
             t_best, v_best = t_gold, float(v_gold)
@@ -192,7 +199,7 @@ def _stride(terms, dt: float) -> int:
 
 def _series_value(terms, t: float) -> float:
     """A one-row series at time t, by direct evaluation."""
-    return float(np.ravel(terms.at([t]))[0])
+    return float(terms.at([t])[0, 0])
 
 
 def _polynomial(coef, centre: float):
@@ -208,24 +215,27 @@ def _polynomial(coef, centre: float):
     return value
 
 
-def _polish_series_point(terms, grid, k: int, value, tol: float) -> tuple[float, float]:
+def _polish_series_point(terms, grid: TimeGrid, k: int, value, tol: float
+                         ) -> tuple[float, float]:
     """(time, value) of grid point k of a one-row series, polished as in ``_polish``.
 
-    The golden-section search runs on the Taylor expansion about grid[k],
+    The golden-section search runs on the Taylor expansion about point k,
     of radius dt, or on direct values when w_max dt is too large for it
     (``_stride`` 0); the value at the time found is one direct evaluation.
     """
-    centre, dt = float(grid[k]), float(grid[1] - grid[0])
-    if _stride(terms, dt):
-        value_at = _polynomial(terms.taylor([centre], dt).ravel(), centre)
+    times = grid.points()
+    centre = float(times[k])
+    if _stride(terms, grid.step):
+        value_at = _polynomial(terms.taylor([centre], grid.step)[0, 0], centre)
     else:
         value_at = partial(_series_value, terms)
-    t_best, _ = _polish(value, value_at, grid, k, tol)
+    t_best, _ = _polish(value, value_at, times, k, tol)
     return t_best, _series_value(terms, t_best)
 
 
-def _best_time_on_series(terms, grid, refine_tol: float = 1e-5) -> tuple[float, float]:
-    """(time, value) of the minimum of a one-row series over a uniform ``grid``.
+def _best_time_on_series(terms, grid: TimeGrid, refine_tol: float = 1e-5
+                         ) -> tuple[float, float]:
+    """(time, value) of the minimum of a one-row series over ``grid``.
 
     Finds the point ``_best_time_on_grid`` finds on the sampled series with
     a pointwise polish, without sampling every grid point:
@@ -245,25 +255,24 @@ def _best_time_on_series(terms, grid, refine_tol: float = 1e-5) -> tuple[float, 
     Grids of fewer than three points, and series whose w_max dt is too large
     for an expansion per grid step, take ``_best_time_on_grid``.
     """
-    n = len(grid)
-    dt = float(grid[1] - grid[0]) if n > 1 else 0.0
+    times = grid.points()
+    n, t0, dt = len(times), grid.start, grid.step
     stride = _stride(terms, dt)
     if n < 3 or stride == 0:
-        return _best_time_on_grid(np.ravel(terms.evaluate(grid)), partial(_series_value, terms),
-                                  grid, refine_tol)
-    t0 = float(grid[0])
+        return _best_time_on_grid(terms.on_grid(t0, dt, n)[0], partial(_series_value, terms),
+                                  times, refine_tol)
     cells = -(-(n - 1) // stride)
-    coarse = np.ravel(terms.on_grid(t0, stride * dt, cells + 1))
+    coarse = terms.on_grid(t0, stride * dt, cells + 1)[0]
     best = coarse[:(n - 1) // stride + 1].min()
-    amps = np.abs(np.ravel(terms.amps))
+    amps = np.abs(terms.amps[0])
     curvature = float(np.sum(amps * terms.omegas ** 2))  # L2, bounds |p''|
     lower = (np.minimum(coarse[:-1], coarse[1:]) - curvature * (stride * dt) ** 2 / 8
              - _SCAN_SLACK * float(np.sum(amps)))
     live = np.flatnonzero(lower < best)
     if live.size == 0:  # a constant series: no point beats the first
-        return t0, _series_value(terms, t0)
+        return float(times[0]), _series_value(terms, t0)
     centres = t0 + (live + 0.5) * stride * dt
-    coef = terms.taylor(centres, (0.5 * stride + 1) * dt).reshape(live.size, -1)
+    coef = terms.taylor(centres, (0.5 * stride + 1) * dt)[0]
     steps = np.arange(stride + 1)
     offsets = (steps - 0.5 * stride) * dt
     fine = coef @ (offsets[:, None] ** np.arange(coef.shape[1])).T
@@ -271,7 +280,7 @@ def _best_time_on_series(terms, grid, refine_tol: float = 1e-5) -> tuple[float, 
     j = int(np.argmin(np.where(index < n, fine, np.inf)))
     cell = j // (stride + 1)
     t_best, _ = _polish(fine.flat[j], _polynomial(coef[cell], float(centres[cell])),
-                        grid, int(index.flat[j]), refine_tol)
+                        times, int(index.flat[j]), refine_tol)
     return t_best, _series_value(terms, t_best)
 
 
@@ -428,20 +437,17 @@ class _Budget:
         return self.used >= self.limit
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def minimize_box(func, bounds, budget: int, seed: int,
-                 n_starts: int | None = None):
+def minimize_box(func, bounds, budget: int, seed: int):
     """Seeded multistart minimization over a box.
 
     Scrambled Sobol' points (``_sobol``) probe the box, the best probes seed
     bounded Nelder-Mead refinements (``_nelder_mead``), and every function
     evaluation counts against ``budget``.  Both are in-house ports that
     reproduce SciPy's ``qmc.Sobol`` and ``minimize(method="Nelder-Mead")``
-    call for call, so results do not depend on an installed SciPy.
-    Returns (x_best, f_best, evaluations, restarts, incumbent_history).
+    call for call, so results do not depend on an installed SciPy.  The
+    probes number at most budget - 1 (one for a one-call budget), and each
+    refinement's ``maxfev`` is at most the budget left, so no call exceeds
+    the budget.  Returns (x_best, f_best, evaluations, restarts, incumbent_history).
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     for lo, hi in bounds:
@@ -457,8 +463,6 @@ def minimize_box(func, bounds, budget: int, seed: int,
     tracker = _Budget(limit=budget)
 
     def wrapped(x):
-        if tracker.spent():
-            raise _BudgetExhausted
         x = np.clip(x, lo, hi)
         value = float(func(x))
         tracker.used += 1
@@ -472,8 +476,7 @@ def minimize_box(func, bounds, budget: int, seed: int,
         wrapped(lo)
         return lo, tracker.best_value, tracker.used, 0, np.array(tracker.history)
 
-    if n_starts is None:
-        n_starts = max(2, min(10, budget // 150))
+    n_starts = max(2, min(10, budget // 150))
     n_probe = min(max(2 * n_starts, budget // 8), max(budget - 1, 1))
     probes = lo + _sobol(ndim, n_probe, seed) * span
     # deterministic structural probes: box corners and center guard against
@@ -484,16 +487,11 @@ def minimize_box(func, bounds, budget: int, seed: int,
         )
         probes[: len(corners)] = corners
         probes[len(corners)] = lo + 0.5 * span
-    probe_values = []
-    try:
-        for x in probes:
-            probe_values.append(wrapped(x))
-    except _BudgetExhausted:
-        pass
+    probe_values = [wrapped(x) for x in probes]
     ranked = list(np.argsort(probe_values, kind="stable"))
 
     restarts = 0
-    per_start = max((budget - tracker.used) // max(n_starts, 1), 20)
+    per_start = max((budget - tracker.used) // n_starts, 20)
     polished = False
     while not tracker.spent() and not polished:
         budget_left = budget - tracker.used
@@ -510,10 +508,7 @@ def minimize_box(func, bounds, budget: int, seed: int,
             polished = True
         else:
             break
-        try:
-            _nelder_mead(wrapped, _initial_simplex(x0, lo, hi, scale), lo, hi, **options)
-        except _BudgetExhausted:
-            pass
+        _nelder_mead(wrapped, _initial_simplex(x0, lo, hi, scale), lo, hi, **options)
     return (
         tracker.best_x,
         tracker.best_value,
@@ -563,15 +558,15 @@ _INFEASIBLE = (math.inf, math.nan, math.nan)
 
 
 def minimize_t1(excited, bounds, budget: int, seed: int,
-                time_grid=DEFAULT_TIME_GRID, refine_tol: float = 1e-5
+                time_grid: TimeGrid = DEFAULT_TIME_GRID, refine_tol: float = 1e-5
                 ) -> OptimizationResult:
     """Minimize the qubit-1 temperature over the points x of a box and over time.
 
-    ``excited(x, grid)`` returns, for point x, qubit 1's excited population
-    p1, a pointwise evaluator of it and qubit 1's gap, or None when x is
-    infeasible, which scores +inf.  p1 is either its values on the time
-    grid, searched by ``_best_time_on_grid``, or its one-row
-    ``SeriesTerms`` (the evaluator then unused), searched by
+    ``excited(x, time_grid)`` returns, for point x, qubit 1's excited
+    population p1, a pointwise evaluator of it and qubit 1's gap, or None
+    when x is infeasible, which scores +inf.  p1 is either its values at
+    ``time_grid.points()``, searched by ``_best_time_on_grid``, or its
+    one-row ``SeriesTerms`` (the evaluator then unused), searched by
     ``_best_time_on_series``.  Minimizing p1 minimizes T1, as the map
     p -> T is strictly increasing, and T1 is read from p1 at the best
     time; the points are searched by ``minimize_box``.  Points are
@@ -579,23 +574,22 @@ def minimize_t1(excited, bounds, budget: int, seed: int,
     not evaluated again.  When no evaluated point is feasible, ``best_t1``
     is +inf and the other values NaN.  Deterministic for a fixed seed.
     """
-    t0, t1, dt = time_grid
-    grid = np.arange(t0, t1 + 0.5 * dt, dt)
+    times = time_grid.points()
     memo: dict[tuple, tuple] = {}
 
     def score(x) -> tuple:
         x = np.asarray(x, dtype=float)
         key = tuple(np.round(x, 14))
         if key not in memo:
-            found = excited(x, grid)
+            found = excited(x, time_grid)
             if found is None:
                 memo[key] = _INFEASIBLE
             else:
                 p1, value_at, epsilon = found
                 if isinstance(p1, SeriesTerms):
-                    t_best, p_best = _best_time_on_series(p1, grid, refine_tol)
+                    t_best, p_best = _best_time_on_series(p1, time_grid, refine_tol)
                 else:
-                    t_best, p_best = _best_time_on_grid(p1, value_at, grid, refine_tol)
+                    t_best, p_best = _best_time_on_grid(p1, value_at, times, refine_tol)
                 t1_value = float(temperature_from_excited(p_best, epsilon))
                 memo[key] = (t1_value, t_best, p_best)
         return memo[key]
@@ -620,7 +614,8 @@ def minimize_t1(excited, bounds, budget: int, seed: int,
 
 
 def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
-                seed: int = 0, time_grid=DEFAULT_TIME_GRID) -> OptimizationResult:
+                seed: int = 0, time_grid: TimeGrid = DEFAULT_TIME_GRID
+                ) -> OptimizationResult:
     """Minimize the cold-qubit temperature over couplings and time.
 
     ``engine_factory`` maps a coupling vector (A1, A2, A3, g) to a
@@ -629,7 +624,7 @@ def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
     seeded multistart Nelder-Mead.  Deterministic for a fixed seed.
     """
 
-    def excited(x, grid):
+    def excited(x, time_grid):
         engine = engine_factory(x)
         return engine.excited_terms((1,)), None, engine.params.epsilon[0]
 
@@ -686,18 +681,15 @@ class ScalingReport:
 
 
 def _sweep_point(args) -> ScalingRow:
-    (base, n, budget, seed, prune_tol, series_amp_tol, time_grid) = args
+    (base, n, budget, seed, prune_tol, series_amp_tol, grid) = args
     params = replace(base, n_bath=(n, n, n))
     factory = coupling_engine_factory(params, prune_tol, series_amp_tol)
-    result = optimize_t1(
-        factory, budget=budget, seed=seed, time_grid=time_grid
-    )
+    result = optimize_t1(factory, budget=budget, seed=seed, time_grid=grid)
     terms = factory(result.best_params).excited_terms((1,))
     eps = params.epsilon[0]
-    t0, t1, dt = time_grid
-    grid = np.arange(t0, t1 + 0.5 * dt, dt)
-    p1 = terms.evaluate(grid)[0]
-    local = first_local_min(grid, temperature_from_excited(p1, eps))
+    times = grid.points()
+    p1 = terms.on_grid(grid.start, grid.step, len(times))[0]
+    local = first_local_min(times, temperature_from_excited(p1, eps))
     if local is None:  # no interior dip: fall back to the global best
         local = LocalMinimum(result.best_time, result.best_t1, -1)
     else:  # polish p1, whose minima are T1's: T is strictly increasing in p
@@ -718,7 +710,7 @@ def _sweep_point(args) -> ScalingRow:
 def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = 2000,
                   seed: int = 0, prune_tol: float = 1e-9,
                   series_amp_tol: float = 1e-9,
-                  time_grid=DEFAULT_TIME_GRID,
+                  time_grid: TimeGrid = DEFAULT_TIME_GRID,
                   workers: int | None = None) -> ScalingReport:
     """Optimize the cold-qubit temperature for each bath size N1=N2=N3=N.
 
@@ -822,21 +814,26 @@ def _fit_exponent(ns, y, b: float) -> tuple[float, float]:
     run until a step moves b by at most ``_FIT_LAST_STEP`` relative: Newton
     converges quadratically, so b is then within rounding of the minimum,
     below which the steps only follow the rounding of f'.  Raises ValueError
-    when that takes more than ``_FIT_MAX_STEPS`` steps or b leaves the
-    finite numbers.
+    when that takes more than ``_FIT_MAX_STEPS`` steps, when N^-b underflows
+    or overflows at every N (phi.phi zero or not finite), or when the
+    Jacobian [N^-b, -a ln N N^-b] at the result is numerically
+    rank-deficient, as when one N carries all of phi: a and b are then not
+    both determined by the data.
     """
     logs = np.log(ns)
 
     def profile(b):
-        phi = ns ** -b
-        a = float(y @ phi / (phi @ phi))
+        with np.errstate(over="ignore"):
+            phi = ns ** -b
+        norm = float(phi @ phi)
+        if not 0.0 < norm < math.inf:  # N^-b underflows or overflows everywhere
+            raise ValueError(f"power-law fit diverged (b = {b!r})")
+        a = float(y @ phi / norm)
         r = y - a * phi
         return a, phi, r, float(r @ r)
 
     a, phi, r, f = profile(b)
     for _ in range(_FIT_MAX_STEPS):
-        if not math.isfinite(b):
-            break
         lphi = logs * phi
         # f' = 2a r.(L phi), and f'' from a' = (2a phi.(L phi) - y.(L phi)) / phi.phi
         a_prime = (2.0 * a * float(lphi @ phi) - float(y @ lphi)) / float(phi @ phi)
@@ -844,18 +841,27 @@ def _fit_exponent(ns, y, b: float) -> tuple[float, float]:
         curv = (2.0 * a_prime * float(r @ lphi) - 2.0 * a * a_prime * float(lphi @ phi)
                 + 2.0 * a * a * float(lphi @ lphi) - 2.0 * a * float(r @ (logs * lphi)))
         if grad == 0.0:
-            return a, b
+            break
         step = -grad / curv if curv > 0.0 else -math.copysign(0.5 * max(abs(b), 1.0), grad)
         if curv > 0.0 and abs(step) <= _FIT_LAST_STEP * max(abs(b), 1.0):
             b += step
-            return profile(b)[0], b
+            a, phi = profile(b)[:2]
+            break
         trial = profile(b + step)
         while trial[3] > f and abs(step) > _FIT_LAST_STEP * max(abs(b), 1.0):
             step *= 0.5
             trial = profile(b + step)
         b += step
         a, phi, r, f = trial
-    raise ValueError(f"power-law fit did not converge (b = {b!r})")
+    else:
+        raise ValueError(f"power-law fit did not converge (b = {b!r})")
+    # columns d/da and d/db of a N^-b: parallel when one N carries all of phi
+    jac = np.stack([phi, -a * logs * phi], axis=1)
+    scale = np.linalg.norm(jac, axis=0)
+    if not np.all(scale > 0.0) or np.linalg.matrix_rank(jac / scale) < 2:
+        raise ValueError(f"power-law fit is degenerate: a and b are not both "
+                         f"determined at b = {b!r}, a = {a!r}")
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -72,15 +72,14 @@ def _run_evolve(config: RunConfig) -> None:
     else:
         params = config.refrigerator
     engine = RefrigeratorEngine(params, prune_tol=config.prune_tol)
-    times = config.time_grid.points()
     qubits = range(1, engine.params.pairs + 1)
-    series = engine.qubit_series(qubits, times)
-    currents = thermo.heat_current_series(engine, times)
+    series = engine.qubit_series(qubits, config.time_grid)
+    currents = thermo.heat_current_series(engine, config.time_grid)
     header = ["t"] + [
         f"{name}{i}" for name in ("T", "r", "QdotS", "QdotB") for i in qubits
     ]
     columns = (
-        [times]
+        [currents.time]
         + [s.temperature for s in series]
         + [s.ground_population for s in series]
         + list(currents.qdot_s)
@@ -93,13 +92,12 @@ def _run_optimize(config: RunConfig) -> None:
     opt = config.optimization
     factory = coupling_engine_factory(config.refrigerator, config.prune_tol)
     ranges = (opt.coupling_range,) * 3 + (opt.g_range,)
-    grid = config.time_grid
     result = optimize_t1(
         factory,
         ranges=ranges,
         budget=opt.budget,
         seed=opt.seed,
-        time_grid=(grid.start, grid.stop, grid.step),
+        time_grid=config.time_grid,
     )
     _write_json(config.output_path, config, {
         "best_coupling": [float(v) for v in result.best_params[:3]],
@@ -114,14 +112,13 @@ def _run_optimize(config: RunConfig) -> None:
 
 def _run_scaling(config: RunConfig) -> None:
     opt = config.optimization
-    grid = config.time_grid
     report = scaling_sweep(
         config.refrigerator,
         config.n_list,
         per_n_budget=opt.budget,
         seed=opt.seed,
         prune_tol=config.prune_tol,
-        time_grid=(grid.start, grid.stop, grid.step),
+        time_grid=config.time_grid,
     )
     ns, t1 = report.table()
     _, tl = report.local_min_table()
@@ -176,17 +173,15 @@ def _run_scaling(config: RunConfig) -> None:
 
 def _run_markov(config: RunConfig) -> None:
     params = config.markov
-    times = config.time_grid.points()
     if config.markov_action == "optimize":
         opt = config.optimization
-        grid = config.time_grid
         result = markov_optimize(
             params,
             alpha_range=opt.alpha_range,
             g_range=opt.g_range,
             budget=opt.budget,
             seed=opt.seed,
-            time_grid=(grid.start, grid.stop, grid.step),
+            time_grid=config.time_grid,
         )
         _write_json(config.output_path, config, {
             "best_alpha": [float(v) for v in result.best_params[:3]],
@@ -197,67 +192,51 @@ def _run_markov(config: RunConfig) -> None:
             "restarts": result.restarts,
         })
         return
-    traj = integrate_gksl(params, thermal_product_state(params), times)
+    traj = integrate_gksl(params, thermal_product_state(params), config.time_grid)
     r, temps = temperature_trajectories(params, traj)
     _write_csv(
         config.output_path,
         config,
         ["t", "T1", "T2", "T3", "r1", "r2", "r3"],
-        [times, temps[0], temps[1], temps[2], r[0], r[1], r[2]],
+        [traj.time, temps[0], temps[1], temps[2], r[0], r[1], r[2]],
     )
 
 
-def _validate_single_star(report: dict) -> float:
-    worst = 0.0
-    cases = []
-    for n in (1, 2, 3):
-        for eps, bath_e in ((1.0, 2.0), (2.0, 1.0)):
-            cases.append(SingleStarParams(eps, bath_e, 0.5, n, 1.0))
-    for params in cases:
-        model = build_dense(params)
-        spectrum = model.spectrum()
-        engine = RefrigeratorEngine(RefrigeratorParams.from_pairs(params), prune_tol=0.0)
-        for t in (0.0, 0.7, 3.1):
-            spin = np.max(np.abs(
-                dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
-                - engine.reduced_qubit_state(1, t)
-            ))
-            bath = np.max(np.abs(
-                np.diag(dense_evolve_and_trace(model, t, 1, spectrum=spectrum)).real
-                - engine.reduced_bath_populations(1, t)
-            ))
-            worst = max(worst, float(spin), float(bath))
-    report["single_star_max_deviation"] = worst
-    return worst
+def _oracle_deviation(params: RefrigeratorParams, times) -> tuple[float, int]:
+    """Largest deviation of every qubit state and bath population from the dense
+    oracle at ``times``, and the oracle's dimension.
 
-
-def _validate_refrigerator(config: RunConfig, report: dict) -> float:
-    params = config.refrigerator
+    Qubit q is the oracle's subsystem 2(q - 1) and its bath 2q - 1, for one
+    pair (a single star) as for three.
+    """
     model = build_dense(params)
     spectrum = model.spectrum()
     engine = RefrigeratorEngine(params, prune_tol=0.0)
     worst = 0.0
-    for t in (0.0, 2.0, 5.0):
-        for qubit in (1, 2, 3):
+    for t in times:
+        for q in range(1, params.pairs + 1):
             dev_q = np.max(np.abs(
-                dense_evolve_and_trace(model, t, 2 * (qubit - 1), spectrum=spectrum)
-                - engine.reduced_qubit_state(qubit, t)
+                dense_evolve_and_trace(model, t, 2 * (q - 1), spectrum=spectrum)
+                - engine.reduced_qubit_state(q, t)
             ))
             dev_b = np.max(np.abs(
-                np.diag(dense_evolve_and_trace(model, t, 2 * qubit - 1,
-                                               spectrum=spectrum)).real
-                - engine.reduced_bath_populations(qubit, t)
+                np.diag(dense_evolve_and_trace(model, t, 2 * q - 1, spectrum=spectrum)).real
+                - engine.reduced_bath_populations(q, t)
             ))
             worst = max(worst, float(dev_q), float(dev_b))
-    report["refrigerator_max_deviation"] = worst
-    report["refrigerator_dense_dimension"] = model.dimension
-    return worst
+    return worst, model.dimension
 
 
 def _run_validate(config: RunConfig) -> None:
     report: dict = {"tolerance": ORACLE_TOLERANCE}
-    worst = _validate_single_star(report)
-    worst = max(worst, _validate_refrigerator(config, report))
+    stars = [RefrigeratorParams.from_pairs(SingleStarParams(eps, bath_e, 0.5, n, 1.0))
+             for n in (1, 2, 3) for eps, bath_e in ((1.0, 2.0), (2.0, 1.0))]
+    single = max(_oracle_deviation(star, (0.0, 0.7, 3.1))[0] for star in stars)
+    fridge, dimension = _oracle_deviation(config.refrigerator, (0.0, 2.0, 5.0))
+    report["single_star_max_deviation"] = single
+    report["refrigerator_max_deviation"] = fridge
+    report["refrigerator_dense_dimension"] = dimension
+    worst = max(single, fridge)
     report["max_deviation"] = worst
     report["passed"] = bool(worst < ORACLE_TOLERANCE)
     _write_json(config.output_path, config, report)

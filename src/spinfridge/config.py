@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
+from .analysis import DEFAULT_TIME_GRID
 from .engine import RefrigeratorParams
 from .markov import DEFAULT_CUTOFF, MarkovParams
+from .series import TimeGrid
 from .spinstar import SingleStarParams
 
 MODES = ("single", "evolve", "optimize", "scaling", "markov", "validate")
@@ -76,22 +76,6 @@ def _resolve_beta(data: dict, path: str, triple: bool):
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ConfigError("time_grid.step: must be positive")
-        if self.stop <= self.start:
-            raise ConfigError("time_grid.stop: must exceed time_grid.start")
-
-    def points(self) -> np.ndarray:
-        return np.arange(self.start, self.stop + 0.5 * self.step, self.step)
-
-
-@dataclass(frozen=True)
 class OptimizationConfig:
     coupling_range: tuple[float, float] = (0.0, 1.0)
     g_range: tuple[float, float] = (0.0, 0.1)
@@ -107,7 +91,7 @@ class RunConfig:
     single: SingleStarParams | None = None
     markov: MarkovParams | None = None
     markov_action: str = "evolve"
-    time_grid: TimeGrid = TimeGrid(0.0, 10.0, 0.005)
+    time_grid: TimeGrid = DEFAULT_TIME_GRID
     prune_tol: float = 1e-12
     optimization: OptimizationConfig = OptimizationConfig()
     n_list: tuple[int, ...] = ()
@@ -197,11 +181,12 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     grid_data = data.get("time_grid", {})
     if not isinstance(grid_data, dict):
         raise ConfigError("time_grid: expected an object")
-    time_grid = TimeGrid(
-        _finite_number(grid_data.get("start", 0.0), "time_grid.start"),
-        _finite_number(grid_data.get("stop", 10.0), "time_grid.stop"),
-        _finite_number(grid_data.get("step", 0.005), "time_grid.step"),
-    )
+    fields = [_finite_number(grid_data.get(name, getattr(DEFAULT_TIME_GRID, name)),
+                             f"time_grid.{name}") for name in ("start", "stop", "step")]
+    try:
+        time_grid = TimeGrid(*fields)
+    except ValueError as exc:  # the message names the field
+        raise ConfigError(str(exc)) from exc
 
     prune_tol = _finite_number(data.get("prune_tol", 1e-12), "prune_tol")
     if not 0.0 <= prune_tol < 1.0:
@@ -263,10 +248,10 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
             raise ConfigError(
                 f"n_list: the extrapolation needs at least two distinct sizes, got {list(n_list)}"
             )
-        if len(time_grid.points()) < 3:
+        if len(time_grid) < 3:
             raise ConfigError(
                 "time_grid: the local minimum needs at least three time points, "
-                f"got {len(time_grid.points())}"
+                f"got {len(time_grid)}"
             )
     if cfg_mode == "single":
         single = _parse_single(_require(data, "params", ""), "params")

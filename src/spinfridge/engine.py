@@ -31,7 +31,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .series import SeriesTerms
+from .series import SeriesTerms, TimeGrid
 from .spinstar import SingleStarParams, sector_arrays, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
@@ -402,8 +402,8 @@ class RefrigeratorEngine:
             return None
         return np.matmul(np.matmul(group.vecs.transpose(0, 2, 1), dense), group.vecs)
 
-    def series_terms(self, key: tuple, kind: str) -> SeriesTerms:
-        """Trig terms of Tr[rho(t) O] (kind="cos") or Tr[drho/dt O] ("sin").
+    def series_terms(self, keys: tuple, kind: str) -> SeriesTerms:
+        """Trig terms of Tr[rho(t) O] (kind="cos") or Tr[drho/dt O] ("sin"), one row per key.
 
         Keys: ("pop", i) and ("exc", i) the ground and excited projectors
         of qubit i; ("bath", i, j) the projector on level j of bath i;
@@ -411,15 +411,13 @@ class RefrigeratorEngine:
         ("hsb", i) the XY coupling block; ("hint",) the collective
         interaction.  Values are normalized by the retained weight.
 
-        ``key`` may also be a tuple of keys: the result then has one row per
-        key over the union of their gaps (zero where a key's observable is
-        absent), compressed on the magnitudes summed over rows, so each
-        row's error stays below ``series_amp_tol`` times the total magnitude
-        of all rows.
+        The rows share the union of the keys' gaps (zero where a key's
+        observable is absent) and are compressed on the magnitudes summed
+        over rows, so each row's error stays below ``series_amp_tol`` times
+        the total magnitude of all rows.
         """
-        single = isinstance(key[0], str)
-        keys = (key,) if single else tuple(key)
-        cache_key = (keys, single, kind)
+        keys = tuple(keys)
+        cache_key = (keys, kind)
         if cache_key in self._series_cache:
             return self._series_cache[cache_key]
         const = np.zeros(len(keys))
@@ -452,10 +450,7 @@ class RefrigeratorEngine:
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
         amps, omegas = self._compress(amps, omegas)
         scale = 1.0 / self.weight_total
-        if single:
-            terms = SeriesTerms(float(const[0]) * scale, amps[0] * scale, omegas, kind)
-        else:
-            terms = SeriesTerms(const * scale, amps * scale, omegas, kind)
+        terms = SeriesTerms(const * scale, amps * scale, omegas, kind)
         self._series_cache[cache_key] = terms
         return terms
 
@@ -474,8 +469,7 @@ class RefrigeratorEngine:
 
     def ground_population(self, qubit: int, t: float) -> float:
         """Ground population r_i(t) of one qubit (1-based index)."""
-        terms = self.series_terms(("pop", qubit), "cos")
-        return float(terms.at([t])[0])
+        return float(self.series_terms((("pop", qubit),), "cos").at([t])[0, 0])
 
     def reduced_qubit_state(self, qubit: int, t: float) -> np.ndarray:
         r = self.ground_population(qubit, t)
@@ -503,10 +497,10 @@ class RefrigeratorEngine:
                     )
         return terms
 
-    def qubit_series(self, qubits, times) -> list[TimeSeries]:
-        """Ground populations and temperatures of several qubits in one pass."""
-        times = np.asarray(times, dtype=float)
-        p = self.excited_terms(qubits).evaluate(times)
+    def qubit_series(self, qubits, grid: TimeGrid) -> list[TimeSeries]:
+        """Ground populations and temperatures of several qubits on ``grid`` in one pass."""
+        times = grid.points()
+        p = self.excited_terms(qubits).on_grid(grid.start, grid.step, len(times))
         if np.any(p < 0.0):  # the true p lies below the rounding of its series
             q = list(qubits)[int(p.min(axis=1).argmin())]
             raise ValueError(f"qubit {q}'s excited population reads {p.min():.3g}, "

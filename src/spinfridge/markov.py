@@ -28,10 +28,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import OptimizationResult, minimize_t1
+from .series import TimeGrid
 from .spinstar import temperature_from_excited
 
 DEFAULT_CUTOFF = 1e3
-DEFAULT_TIME_GRID = (0.0, 40.0, 0.05)
+DEFAULT_TIME_GRID = TimeGrid(0.0, 40.0, 0.05)
 DEFAULT_ALPHA_RANGE = (0.0, 1e-4)
 DEFAULT_G_RANGE = (0.0, 0.1)
 
@@ -208,11 +209,12 @@ def _rate_expm(w: np.ndarray, t: float) -> np.ndarray:
     return step
 
 
-def _propagate(w, rate, pops0, coherence0, times):
-    """Dressed populations P^k pops0, P = exp(W dt), rho_{+-} and bare populations.
+def _propagate(w, rate, pops0, coherence0, times, step: float):
+    """Dressed populations P^k pops0, P = exp(W step), rho_{+-} and bare populations.
 
-    P^1..P^B are stacked once and applied to the last sample of each block
-    of B; rho_101, rho_010 = (P+ + P-)/2 +- Re rho_{+-}.
+    ``times`` are times[0] + k step.  P^1..P^B are stacked once and applied
+    to the last sample of each block of B; rho_101, rho_010 =
+    (P+ + P-)/2 +- Re rho_{+-}.
     """
     n = times.size
     pops = np.empty((n, 8))
@@ -220,7 +222,7 @@ def _propagate(w, rate, pops0, coherence0, times):
     if n > 1:
         block = min(n - 1, 64)
         powers = np.empty((block, 8, 8))
-        powers[0] = _rate_expm(w, (times[-1] - times[0]) / (n - 1))
+        powers[0] = _rate_expm(w, step)
         for j in range(1, block):
             powers[j] = powers[j - 1] @ powers[0]
         for start in range(1, n, block):
@@ -234,7 +236,7 @@ def _propagate(w, rate, pops0, coherence0, times):
 
 @dataclass(frozen=True)
 class MarkovTrajectory:
-    """The state on an even time grid: dressed populations (|+> at index
+    """The state on a ``TimeGrid``'s points: dressed populations (|+> at index
     0b101, |-> at 0b010), rho_{+-} and the bare (computational) populations."""
 
     time: np.ndarray
@@ -252,19 +254,19 @@ class MarkovTrajectory:
         if t == self.time[k]:
             return self.diagonal[k]
         return _propagate(self.generator, self.coherence_rate, self.populations[k],
-                          self.coherence[k], np.array([self.time[k], t]))[2][1]
+                          self.coherence[k], np.array([self.time[k], t]),
+                          t - self.time[k])[2][1]
 
 
-def integrate_gksl(params: MarkovParams, initial_state, times) -> MarkovTrajectory:
-    """Propagate the master equation exactly on the evenly spaced ``times``.
+def integrate_gksl(params: MarkovParams, initial_state, grid: TimeGrid) -> MarkovTrajectory:
+    """Propagate the master equation exactly on ``grid``.
 
     The initial state may carry no dressed-basis coherence but rho_{+-}.  At
-    times[0] the bare populations are the initial state's own, as forming a
-    rho_101 far below rho_010 (or the reverse) from the dressed pair would
-    cancel.  Every sample is checked to be a density matrix: trace within
+    the grid's start the bare populations are the initial state's own, as
+    forming a rho_101 far below rho_010 (or the reverse) from the dressed
+    pair would cancel.  Every sample is checked to be a density matrix: trace within
     1e-8 of 1, and, to rounding, P >= 0 and |rho_{+-}|^2 <= P+ P-.
     """
-    times = np.asarray(times, dtype=float)
     rho0 = np.asarray(initial_state, dtype=complex)
     if rho0.shape != (8, 8):
         raise ValueError(f"initial state must be 8x8, got {rho0.shape}")
@@ -276,14 +278,11 @@ def integrate_gksl(params: MarkovParams, initial_state, times) -> MarkovTrajecto
     if np.abs(dressed - model).max() > 1e-12:
         raise ValueError("initial state is not Hermitian or has a dressed-basis "
                          "coherence other than rho_{+-}")
-    n = times.size
-    step = (times[-1] - times[0]) / max(n - 1, 1)
-    if n > 1 and not (step > 0 and np.abs(times - times[0] - step * np.arange(n)).max()
-                      <= 1e-12 * np.abs(times).max()):
-        raise ValueError("times must be increasing and evenly spaced")
+    times = grid.points()
     w = rate_matrix(params)
     rate = 0.5 * (w[_P, _P] + w[_M, _M]) - 2j * params.g
-    pops, coherence, diagonal = _propagate(w, rate, model.diagonal().real, model[_P, _M], times)
+    pops, coherence, diagonal = _propagate(w, rate, model.diagonal().real, model[_P, _M],
+                                           times, grid.step)
     bad = np.flatnonzero(
         (np.abs(pops.sum(axis=1) - 1.0) > 1e-8) | (pops.min(axis=1) < -1e-12)
         | (np.abs(coherence) ** 2 > (1.0 + 1e-12) * pops[:, _P] * pops[:, _M]))
@@ -311,7 +310,7 @@ def temperature_trajectories(params: MarkovParams, traj: MarkovTrajectory):
 
 def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
                     g_range=DEFAULT_G_RANGE, budget: int = 300, seed: int = 0,
-                    time_grid=DEFAULT_TIME_GRID) -> OptimizationResult:
+                    time_grid: TimeGrid = DEFAULT_TIME_GRID) -> OptimizationResult:
     """Minimize the cold-qubit temperature over (alpha1..3, g) and time.
 
     Same search as the spin-star optimizer, through ``analysis.minimize_t1``,
@@ -323,12 +322,12 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
     aborting; when every evaluated point does, ``WeakCouplingError`` is raised.
     """
 
-    def excited(x, times):
+    def excited(x, grid):
         params = replace(base, alpha=(float(x[0]), float(x[1]), float(x[2])), g=float(x[3]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
             try:
-                traj = integrate_gksl(params, thermal_product_state(params), times)
+                traj = integrate_gksl(params, thermal_product_state(params), grid)
             except WeakCouplingError:
                 return None
         return (excited_populations(traj.diagonal)[:, 0],

@@ -1,11 +1,12 @@
-"""Trigonometric series const + sum_j a_j trig(omega_j t), evaluated on time grids.
+"""Trigonometric series const + sum_j a_j trig(omega_j t), and the time grid.
 
 Every population and current of the exact engine, for one star or three,
-is such a series over spectral gaps.  ``SeriesTerms`` holds one (or several,
-over shared gaps) and evaluates it with the blocked grid kernel
-``trig_series_uniform`` on a uniform grid, directly with
+is such a series over spectral gaps.  ``SeriesTerms`` holds one or several
+over shared gaps, one row each, and evaluates them with the blocked grid
+kernel ``trig_series_uniform`` on a ``TimeGrid``, directly with
 ``trig_series_at`` at arbitrary times, or as local Taylor polynomials with
-``trig_series_taylor``.
+``trig_series_taylor``.  ``TimeGrid`` is the one uniform grid a run reads
+every result on, from its configuration down to the kernel.
 """
 
 from __future__ import annotations
@@ -22,13 +23,31 @@ _CHUNK_BYTES = 1 << 20
 _ANCHOR_EVERY = 4
 
 
+@dataclass(frozen=True)
+class TimeGrid:
+    """The uniform grid start, start + step, ... through stop (to half a step)."""
+
+    start: float
+    stop: float
+    step: float
+
+    def __post_init__(self):
+        if not self.step > 0:
+            raise ValueError("time_grid.step: must be positive")
+        if not self.stop > self.start:
+            raise ValueError("time_grid.stop: must exceed time_grid.start")
+
+    def points(self) -> np.ndarray:
+        return np.arange(self.start, self.stop + 0.5 * self.step, self.step)
+
+    def __len__(self) -> int:
+        return len(self.points())
+
+
 def _series_rows(const, amps):
-    """(k,) constants, (k, m) amplitudes, and whether the input was one series."""
-    amps = np.asarray(amps, dtype=float)
-    squeeze = amps.ndim == 1
-    amps = np.atleast_2d(amps)
-    const_vec = np.broadcast_to(np.asarray(const, dtype=float).ravel(), (amps.shape[0],))
-    return const_vec, amps, squeeze
+    """(k,) constants and (k, m) amplitudes; one (m,) series is one row."""
+    amps = np.atleast_2d(np.asarray(amps, dtype=float))
+    return np.broadcast_to(np.asarray(const, dtype=float).ravel(), (amps.shape[0],)), amps
 
 
 def _cis(x: np.ndarray) -> np.ndarray:
@@ -93,17 +112,16 @@ def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
     about 2^_ANCHOR_EVERY ulps and each table entry is a product of at most
     log2(n) + 1 of them, so the absolute error is a few tens of ulps times
     sum|amps| (measured: below 1e-14 sum|amps|, and 5e-14 sum|amps| for w
-    up to 500 on 2001 points, against direct evaluation).  ``amps`` may be
-    a (k, m) matrix evaluating k series over shared frequencies; the output
-    then has shape (k, n).
+    up to 500 on 2001 points, against direct evaluation).  (k, m)
+    amplitudes evaluate k series over shared frequencies, of shape (k, n).
     """
-    const_vec, amps, squeeze = _series_rows(const, amps)
+    const_vec, amps = _series_rows(const, amps)
     omegas = np.asarray(omegas, dtype=float)
     rows = amps.shape[0]
     out = np.empty((rows, n))
     out[:] = const_vec[:, None]
     if omegas.size == 0 or n == 0:
-        return out[0] if squeeze else out
+        return out
     block = 1 << math.isqrt(n - 1).bit_length()
     n_blocks = -(-n // block)
     inner_levels = block.bit_length() - 1
@@ -123,7 +141,7 @@ def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
         left = (weights[:, None, :] * outer[None, :, :]).reshape(rows * n_blocks, -1)
         acc += left @ inner.view(float).T
     out += acc.reshape(rows, n_blocks * block)[:, :n]
-    return out[0] if squeeze else out
+    return out
 
 
 def trig_series_at(const, amps, omegas, times, kind: str = "cos") -> np.ndarray:
@@ -133,7 +151,7 @@ def trig_series_at(const, amps, omegas, times, kind: str = "cos") -> np.ndarray:
     result.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    const_vec, amps, squeeze = _series_rows(const, amps)
+    const_vec, amps = _series_rows(const, amps)
     omegas = np.asarray(omegas, dtype=float)
     fun = np.cos if kind == "cos" else np.sin
     out = np.empty(times.shape + (amps.shape[0],))
@@ -143,7 +161,7 @@ def trig_series_at(const, amps, omegas, times, kind: str = "cos") -> np.ndarray:
         for start in range(0, len(omegas), chunk):
             sl = slice(start, start + chunk)
             out += fun(np.outer(times, omegas[sl])) @ amps[:, sl].T
-    return out[:, 0] if squeeze else out.T
+    return out.T
 
 
 def _taylor_degree(reach: float) -> int:
@@ -176,7 +194,7 @@ def trig_series_taylor(const, amps, omegas, centres, radius: float,
     kernel.  (k, m) amplitudes give shape (k, len(centres), P + 1).
     """
     centres = np.atleast_1d(np.asarray(centres, dtype=float))
-    const_vec, amps, squeeze = _series_rows(const, amps)
+    const_vec, amps = _series_rows(const, amps)
     omegas = np.asarray(omegas, dtype=float)
     degree = _taylor_degree(float(omegas.max()) * radius if omegas.size else 0.0)
     moments = np.zeros((amps.shape[0], degree + 1, centres.size), dtype=complex)
@@ -196,19 +214,18 @@ def trig_series_taylor(const, amps, omegas, centres, radius: float,
     moments *= (np.array([1, 1j, -1, -1j])[order % 4] / factorials)[:, None]
     coef = (moments.real if kind == "cos" else moments.imag).transpose(0, 2, 1).copy()
     coef[:, :, 0] += const_vec[:, None]
-    return coef[0] if squeeze else coef
+    return coef
 
 
 @dataclass(frozen=True)
 class SeriesTerms:
-    """Aggregated trigonometric representation of one or several observables.
+    """Aggregated trigonometric representation of k observables over shared gaps.
 
-    A single observable has a float ``const`` and (m,) ``amps``; k
-    observables over shared gaps have (k,) ``const`` and (k, m) ``amps``,
+    ``const`` has shape (k,) and ``amps`` (k, m), one row per observable,
     and every evaluation returns one row per observable.
     """
 
-    const: float | np.ndarray
+    const: np.ndarray
     amps: np.ndarray
     omegas: np.ndarray
     kind: str
@@ -222,23 +239,3 @@ class SeriesTerms:
     def taylor(self, centres, radius: float) -> np.ndarray:
         return trig_series_taylor(self.const, self.amps, self.omegas, centres, radius,
                                   self.kind)
-
-    def evaluate(self, times) -> np.ndarray:
-        """Values at ``times``: the grid kernel when they are uniform, else direct."""
-        times = np.asarray(times, dtype=float)
-        t0, dt, n = _uniform_grid(times)
-        if n is not None:
-            return self.on_grid(t0, dt, n)
-        return self.at(times)
-
-
-def _uniform_grid(times: np.ndarray):
-    """(t0, dt, n) when ``times`` is a uniform ascending grid, else Nones."""
-    if times.ndim != 1 or len(times) < 3:
-        return None, None, None
-    dt = times[1] - times[0]
-    if dt <= 0:
-        return None, None, None
-    if np.max(np.abs(np.diff(times) - dt)) > 1e-12 * max(abs(dt), 1.0):
-        return None, None, None
-    return float(times[0]), float(dt), len(times)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RefrigeratorEngine, energy_keys
+from .series import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -25,12 +26,12 @@ class HeatCurrentSeries:
     qdot_b: np.ndarray  # (pairs, n)
 
 
-def heat_current_series(engine: RefrigeratorEngine, times) -> HeatCurrentSeries:
-    """Heat currents along ``times``, all of them from one pass of the sine series."""
-    times = np.asarray(times, dtype=float)
+def heat_current_series(engine: RefrigeratorEngine, grid: TimeGrid) -> HeatCurrentSeries:
+    """Heat currents on ``grid``, all of them from one pass of the sine series."""
+    times = grid.points()
     pairs = engine.params.pairs
     heat_keys = energy_keys(pairs)[:2 * pairs]  # ("hs", i) then ("hb", i)
-    values = engine.series_terms(heat_keys, "sin").evaluate(times)
+    values = engine.series_terms(heat_keys, "sin").on_grid(grid.start, grid.step, len(times))
     return HeatCurrentSeries(times, values[:pairs], values[pairs:])
 
 
@@ -39,9 +40,11 @@ def energy_balance(engine: RefrigeratorEngine, t: float) -> float:
 
     The channels are each pair's local qubit, local bath and coupling terms,
     and for three pairs the collective interaction; unitary evolution
-    conserves <H>, so the sum is a pure numerical residual.
+    conserves <H>, so the sum is a pure numerical residual.  Each channel is
+    its own one-row series: one series of all rows would hold a dense copy
+    of every gap per row.
     """
     return float(sum(
-        engine.series_terms(key, "sin").at([t])[0]
+        engine.series_terms((key,), "sin").at([t])[0, 0]
         for key in energy_keys(engine.params.pairs)
     ))

@@ -16,6 +16,7 @@ import pytest
 
 from spinfridge import oracle, thermo
 from spinfridge.analysis import (
+    DEFAULT_TIME_GRID,
     coupling_engine_factory,
     fit_power_law,
     neville_extrapolate,
@@ -31,6 +32,7 @@ from spinfridge.markov import (
     temperature_trajectories,
     thermal_product_state,
 )
+from spinfridge.series import TimeGrid
 from spinfridge.spinstar import SingleStarParams
 
 FULL = os.environ.get("SPINFRIDGE_ACCEPTANCE", "").lower() == "full"
@@ -64,13 +66,12 @@ def fig1_run():
     result = optimize_t1(factory, budget=2000, seed=SEED % 1000)
     final_factory = coupling_engine_factory(base, prune_tol=1e-12)
     engine = final_factory(result.best_params)
-    times = np.arange(0.0, 10.0 + 2.5e-3, 0.005)
-    series = engine.qubit_series((1, 2, 3), times)
-    currents = thermo.heat_current_series(engine, times)
+    series = engine.qubit_series((1, 2, 3), DEFAULT_TIME_GRID)
+    currents = thermo.heat_current_series(engine, DEFAULT_TIME_GRID)
     return {
         "result": result,
         "engine": engine,
-        "times": times,
+        "times": currents.time,
         "series": series,
         "currents": currents,
     }
@@ -207,10 +208,10 @@ def test_criterion_3_conservation_suite():
             charge_dev = max(
                 charge_dev, abs(reduced_charge(full, i, t) - charges0[i - 1])
             )
-    grid = np.arange(0.0, 10.0 + 2.5e-3, 0.005)
+    grid = DEFAULT_TIME_GRID
     prune_dev = float(np.max(np.abs(
-        full.series_terms(("pop", 1), "cos").evaluate(grid)
-        - pruned.series_terms(("pop", 1), "cos").evaluate(grid)
+        full.series_terms((("pop", 1),), "cos").on_grid(grid.start, grid.step, len(grid))
+        - pruned.series_terms((("pop", 1),), "cos").on_grid(grid.start, grid.step, len(grid))
     )))
     ok = (
         trace_dev < 1e-12 and charge_dev < 1e-10
@@ -355,11 +356,10 @@ def test_criterion_8_markov_baseline(sweep_run):
         alpha=(7.98e-6, 2.67e-5, 3.13e-5),
         beta=(1.0, 1.0, 0.5),
     )
-    times = np.arange(0.0, 40.0 + 0.025, 0.05)
-    traj = integrate_gksl(params, thermal_product_state(params), times)
+    traj = integrate_gksl(params, thermal_product_state(params), TimeGrid(0.0, 40.0, 0.05))
     _, temps = temperature_trajectories(params, traj)
     k = int(np.argmin(temps[0]))
-    t1_min, t_min = float(temps[0][k]), float(times[k])
+    t1_min, t_min = float(temps[0][k]), float(traj.time[k])
     value_ok = abs(t1_min - 0.842) <= 0.01
     time_ok = abs(t_min - 15.2) <= 0.5 + 1e-9  # grid minimum sits on the edge
 
@@ -370,7 +370,7 @@ def test_criterion_8_markov_baseline(sweep_run):
         g_range=(0.0, 0.1),
         budget=200,
         seed=SEED % 500,
-        time_grid=(0.0, 25.0, 0.05),
+        time_grid=TimeGrid(0.0, 25.0, 0.05),
     )
     opt_ok = optimum.best_t1 <= 0.852
 

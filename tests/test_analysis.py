@@ -1,6 +1,7 @@
 """Optimizer, local-minimum detection, power-law fit and Neville tableau."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from spinfridge.analysis import (
 )
 from spinfridge.analysis import coupling_engine_factory
 from spinfridge.engine import RefrigeratorParams
-from spinfridge.series import SeriesTerms
+from spinfridge.series import SeriesTerms, TimeGrid
 from spinfridge.spinstar import temperature_from_excited
 
 
@@ -63,6 +64,8 @@ class TestFirstLocalMin:
         ([1.0, 1.0, 2.0, 3.0], None),          # leading plateau: no strict drop into it
         ([3.0, 2.0, 1.0, 1.0], 2),             # flat tail counts at its first point
         ([3.0, 1.0, 1.0, 1.0, 2.0], 1),        # flat bottom counts at its first point
+        ([3.0, 2.0, 2.0, 1.0, 2.0], 3),        # a shoulder: the series falls on after it
+        ([3.0, 2.0, 1.0], None),               # falling to the last point: no dip
     ])
     def test_plateaus(self, values, index):
         result = first_local_min(np.arange(len(values)), values)
@@ -107,9 +110,14 @@ class TestBestTimeOnGrid:
 
 def _reference_best_time(terms, grid, refine_tol=1e-5):
     """The sampled search on every grid point, polished on direct values."""
-    values = np.ravel(terms.evaluate(grid))
-    return _best_time_on_grid(values, lambda t: float(np.ravel(terms.at([t]))[0]),
-                              grid, refine_tol)
+    values = terms.on_grid(grid.start, grid.step, len(grid))[0]
+    return _best_time_on_grid(values, lambda t: float(terms.at([t])[0, 0]),
+                              grid.points(), refine_tol)
+
+
+def _grid(t0, dt, n):
+    """The TimeGrid of the n points t0 + k dt."""
+    return TimeGrid(t0, t0 + (n - 0.75) * dt, dt)
 
 
 def _rounding_bound(terms) -> float:
@@ -121,20 +129,17 @@ def _rounding_bound(terms) -> float:
 
 @st.composite
 def _search_case(draw):
-    """A random series (w <= 60) of either row shape and a uniform grid."""
+    """A random one-row series (w <= 60) and a time grid."""
     m = draw(st.integers(0, 12))
     omegas = np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=m, max_size=m)))
     amps = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
     const = draw(st.floats(-1.0, 1.0))
     kind = draw(st.sampled_from(["cos", "sin"]))
-    if draw(st.booleans()):
-        terms = SeriesTerms(np.array([const]), amps[None, :], omegas, kind)
-    else:
-        terms = SeriesTerms(const, amps, omegas, kind)
+    terms = SeriesTerms(np.array([const]), amps[None, :], omegas, kind)
     n = draw(st.one_of(st.integers(1, 4), st.integers(5, 400)))
     dt = draw(st.floats(0.002, 0.1))
     t0 = draw(st.floats(-2.0, 2.0))
-    return terms, t0 + np.arange(n) * dt
+    return terms, _grid(t0, dt, n)
 
 
 class TestBestTimeOnSeries:
@@ -144,9 +149,10 @@ class TestBestTimeOnSeries:
         terms, grid = case
         t_best, p_best = _best_time_on_series(terms, grid)
         t_ref, p_ref = _reference_best_time(terms, grid)
-        assert grid[0] <= t_best <= grid[-1]
+        times = grid.points()
+        assert times[0] <= t_best <= times[-1]
         bound = _rounding_bound(terms)
-        assert p_best == pytest.approx(float(np.ravel(terms.at([t_best]))[0]), abs=bound)
+        assert p_best == pytest.approx(float(terms.at([t_best])[0, 0]), abs=bound)
         assert p_best <= p_ref + bound
 
     def test_zero_amplitudes_return_the_first_time_without_refining(self, monkeypatch):
@@ -154,37 +160,38 @@ class TestBestTimeOnSeries:
             raise AssertionError("a constant series has no cell to refine")
 
         monkeypatch.setattr(SeriesTerms, "taylor", never)
-        terms = SeriesTerms(0.25, np.zeros(3), np.array([1.0, 2.0, 5.0]), "cos")
-        assert _best_time_on_series(terms, 0.5 + np.arange(101) * 0.01) == (0.5, 0.25)
+        terms = SeriesTerms(np.array([0.25]), np.zeros((1, 3)), np.array([1.0, 2.0, 5.0]), "cos")
+        assert _best_time_on_series(terms, _grid(0.5, 0.01, 101)) == (0.5, 0.25)
 
     @pytest.mark.parametrize("sign, end", [(1.0, 0), (-1.0, -1)])
     def test_monotone_series_ends_at_the_grid_edge(self, sign, end):
         # sin(0.1 t) rises on [0, 10]: the minimum is the first or last point
-        terms = SeriesTerms(0.5, np.array([sign * 0.3]), np.array([0.1]), "sin")
-        grid = np.arange(1001) * 0.01
-        t_best, p_best = _best_time_on_series(terms, grid)
-        assert t_best == grid[end]
-        assert p_best == pytest.approx(0.5 + sign * 0.3 * math.sin(0.1 * grid[end]),
+        terms = SeriesTerms(np.array([0.5]), np.array([[sign * 0.3]]), np.array([0.1]), "sin")
+        times = TimeGrid(0.0, 10.0, 0.01).points()
+        t_best, p_best = _best_time_on_series(terms, TimeGrid(0.0, 10.0, 0.01))
+        assert t_best == times[end]
+        assert p_best == pytest.approx(0.5 + sign * 0.3 * math.sin(0.1 * times[end]),
                                        abs=1e-15)
 
     def test_minimum_in_a_last_cell_shorter_than_the_stride(self):
-        terms = SeriesTerms(0.0, np.array([1.0, 1e-3]), np.array([3.0, 7.0]), "cos")
+        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 1e-3]]), np.array([3.0, 7.0]), "cos")
         dt = 0.01
         stride = analysis._stride(terms, dt)
         n = 10 * stride + 6
         assert stride > 1 and (n - 1) % stride
         # cos(3 t) dips at pi/3, placed three steps before the grid end
-        grid = math.pi / 3 + 3.4 * dt + (np.arange(n) - (n - 1)) * dt
+        grid = _grid(math.pi / 3 + 3.4 * dt - (n - 1) * dt, dt, n)
         t_best, p_best = _best_time_on_series(terms, grid)
         t_ref, p_ref = _reference_best_time(terms, grid)
         assert t_best == pytest.approx(t_ref, abs=1e-9)
-        assert grid[-1] - 4 * dt < t_best < grid[-1]
+        end = grid.points()[-1]
+        assert end - 4 * dt < t_best < end
         assert p_best <= p_ref + _rounding_bound(terms)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_or_two_points(self, n):
-        terms = SeriesTerms(0.1, np.array([0.4, -0.2]), np.array([2.0, 9.0]), "cos")
-        grid = 0.3 + np.arange(n) * 0.05
+        terms = SeriesTerms(np.array([0.1]), np.array([[0.4, -0.2]]), np.array([2.0, 9.0]), "cos")
+        grid = _grid(0.3, 0.05, n)
         assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
 
     def test_fast_series_takes_the_sampled_search(self, monkeypatch):
@@ -192,8 +199,8 @@ class TestBestTimeOnSeries:
             raise AssertionError("w_max dt is too large for an expansion")
 
         monkeypatch.setattr(SeriesTerms, "taylor", never)
-        terms = SeriesTerms(0.0, np.array([1.0, 0.5]), np.array([60.0, 3.0]), "cos")
-        grid = np.arange(41) * 0.05
+        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 0.5]]), np.array([60.0, 3.0]), "cos")
+        grid = TimeGrid(0.0, 2.0, 0.05)
         assert analysis._stride(terms, 0.05) == 0
         assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
 
@@ -269,14 +276,14 @@ class TestOptimizeT1:
 
     def test_smoke_run_cools_below_initial(self, base):
         factory = coupling_engine_factory(base, prune_tol=1e-9)
-        result = optimize_t1(factory, budget=150, seed=2, time_grid=(0.0, 10.0, 0.02))
+        result = optimize_t1(factory, budget=150, seed=2, time_grid=TimeGrid(0.0, 10.0, 0.02))
         assert result.best_t1 < 1.0
         assert result.evaluations <= 150
         assert np.all(np.diff(result.incumbent_history) <= 0.0)
 
     def test_result_reproducible_at_reported_point(self, base):
         factory = coupling_engine_factory(base, prune_tol=1e-9)
-        result = optimize_t1(factory, budget=120, seed=7, time_grid=(0.0, 10.0, 0.02))
+        result = optimize_t1(factory, budget=120, seed=7, time_grid=TimeGrid(0.0, 10.0, 0.02))
         engine = factory(result.best_params)
         r = engine.ground_population(1, result.best_time)
         assert float(temperature_from_excited(1.0 - r, base.epsilon[0])) == pytest.approx(
@@ -287,14 +294,14 @@ class TestOptimizeT1:
         factory = coupling_engine_factory(base, prune_tol=1e-9)
         point = ((0.4, 0.4), (0.3, 0.3), (0.2, 0.2), (0.05, 0.05))
         result = optimize_t1(factory, ranges=point, budget=5, seed=0,
-                             time_grid=(0.0, 10.0, 0.02))
+                             time_grid=TimeGrid(0.0, 10.0, 0.02))
         assert np.allclose(result.best_params, [0.4, 0.3, 0.2, 0.05])
 
     def test_tiny_run_reproduces_recorded_result(self, base):
         # exact values of a seeded run: any change to the scoring or the
         # search shows here
         factory = coupling_engine_factory(base, prune_tol=1e-9)
-        result = optimize_t1(factory, budget=12, seed=0, time_grid=(0.0, 2.0, 0.01))
+        result = optimize_t1(factory, budget=12, seed=0, time_grid=TimeGrid(0.0, 2.0, 0.01))
         assert result.best_params == pytest.approx([
             0.9405854671820999, 0.9828415012452751,
             0.3327175902947784, 0.04545501602441072,
@@ -312,7 +319,7 @@ class TestOptimizeT1:
 
     def test_seed_stability(self, base):
         factory = coupling_engine_factory(base, prune_tol=1e-9)
-        kwargs = dict(budget=250, time_grid=(0.0, 10.0, 0.02))
+        kwargs = dict(budget=250, time_grid=TimeGrid(0.0, 10.0, 0.02))
         first = optimize_t1(factory, seed=1, **kwargs)
         second = optimize_t1(factory, seed=42, **kwargs)
         assert abs(first.best_t1 - second.best_t1) < 2e-3
@@ -328,7 +335,7 @@ class TestMinimizeT1:
         def p(t):
             return 0.1 + 0.05 * ((x[0] - 0.7) ** 2 + (x[1] - 0.3) ** 2) + 0.01 * (t - 1.0) ** 2
 
-        return p(grid), p, 1.0
+        return p(grid.points()), p, 1.0
 
     def test_infeasible_half_scores_inf(self, monkeypatch):
         objectives = []
@@ -340,7 +347,7 @@ class TestMinimizeT1:
 
         monkeypatch.setattr(analysis, "minimize_box", spy)
         result = minimize_t1(self.excited, [(0.0, 1.0), (0.0, 1.0)], budget=150,
-                             seed=0, time_grid=(0.0, 2.0, 0.05))
+                             seed=0, time_grid=TimeGrid(0.0, 2.0, 0.05))
         score = objectives[0]
         assert score(np.array([0.2, 0.3])) == math.inf
         assert score(np.array([0.49, 0.9])) == math.inf
@@ -354,7 +361,7 @@ class TestMinimizeT1:
 
     def test_no_feasible_point_reads_inf(self):
         result = minimize_t1(self.excited, [(0.0, 0.4), (0.0, 1.0)], budget=10,
-                             seed=0, time_grid=(0.0, 2.0, 0.05))
+                             seed=0, time_grid=TimeGrid(0.0, 2.0, 0.05))
         assert result.best_t1 == math.inf
         assert np.isnan(result.best_params).all() and len(result.best_params) == 2
         assert math.isnan(result.best_time)
@@ -366,7 +373,7 @@ def test_scaling_sweep_parallel_path_matches_serial(base):
 
     kwargs = dict(
         per_n_budget=40, seed=3, prune_tol=1e-9,
-        series_amp_tol=1e-9, time_grid=(0.0, 6.0, 0.05),
+        series_amp_tol=1e-9, time_grid=TimeGrid(0.0, 6.0, 0.05),
     )
     serial = scaling_sweep(base, [1, 2, 3], workers=1, **kwargs)
     parallel = scaling_sweep(base, [1, 2, 3], workers=2, **kwargs)
@@ -422,6 +429,25 @@ class TestFitPowerLaw:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_power_law([2, 4, 7], [3.0, 2.0, 1.0], t_inf=0.0)
+
+    # Noisy plateaus on which only N = 2 carries signal.  The first drives
+    # N^-b below the smallest double at every N; the second converges to
+    # b = 113, a = 9e32, where N = 2 carries all of N^-b and the Jacobian
+    # [N^-b, -a ln N N^-b] has rank one.
+    @pytest.mark.parametrize("values, message", [
+        ([0.46379272801003385, 0.4316772237300743, 0.42956948576384285,
+          0.41314146936479473, 0.4786728926379152, 0.4621245998272921,
+          0.40716352113289156, 0.4367776401329417, 0.4350582311248465], "diverged"),
+        ([0.5540117079261844, 0.4726588189897189, 0.46575149957764816,
+          0.4799732507179785, 0.4918712697229076, 0.4262253451248262,
+          0.48716456366888916, 0.48240646901332024, 0.46913098569608214], "degenerate"),
+    ])
+    def test_undetermined_fit_is_a_value_error(self, values, message):
+        ns = [2, 4, 7, 10, 14, 20, 30, 40, 50]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                fit_power_law(ns, values)
 
 
 class TestNeville:

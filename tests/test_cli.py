@@ -18,6 +18,7 @@ from spinfridge.config import (
     load_config,
     parse_config,
 )
+from spinfridge.series import TimeGrid
 
 
 def fridge_params():
@@ -82,6 +83,19 @@ class TestConfigParsing:
                 "time_grid": {"start": 0, "stop": 1, "step": 0},
             })
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"step": 0}, "time_grid.step: must be positive"),
+        ({"step": -0.1}, "time_grid.step: must be positive"),
+        ({"start": 1, "stop": 1}, "time_grid.stop: must exceed time_grid.start"),
+        ({"start": 2, "stop": 1}, "time_grid.stop: must exceed time_grid.start"),
+    ])
+    def test_bad_grid_is_exit_1_with_its_field(self, tmp_path, capsys, grid, message):
+        cfg = write_config(tmp_path, "evolve.json", {
+            "mode": "evolve", "params": fridge_params(), "time_grid": grid,
+        })
+        assert main(["evolve", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_scaling_needs_n_list(self):
         with pytest.raises(ConfigError, match="n_list"):
             parse_config({"mode": "scaling", "params": fridge_params()})
@@ -122,6 +136,19 @@ class TestCliCommands:
         assert len(lines) == 3 + 11
         assert main(["evolve", cfg]) == 0
         assert out.read_bytes() == first
+
+    def test_evolve_times_are_the_grid_points(self, tmp_path):
+        # a grid that does not start at 0: the t column is TimeGrid.points()
+        out = tmp_path / "run.csv"
+        cfg = write_config(tmp_path, "evolve.json", {
+            "mode": "evolve",
+            "params": fridge_params(),
+            "time_grid": {"start": 0.3, "stop": 2.0, "step": 0.01},
+            "output": {"path": str(out)},
+        })
+        assert main(["evolve", cfg]) == 0
+        column = [line.split(",", 1)[0] for line in out.read_text().splitlines()[3:]]
+        assert column == [repr(float(t)) for t in TimeGrid(0.3, 2.0, 0.01).points()]
 
     def test_provenance_header_reproduces_run(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -14,7 +14,7 @@ from spinfridge.engine import (
     energy_keys,
     sector_layout,
 )
-from spinfridge.series import trig_series_at, trig_series_taylor, trig_series_uniform
+from spinfridge.series import TimeGrid, trig_series_at, trig_series_taylor, trig_series_uniform
 from spinfridge.spinstar import sector_arrays, temperature_from_excited
 
 
@@ -311,7 +311,7 @@ class TestReducedDynamics:
     def test_temperature_series_starts_at_bath_temperature(self):
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         for i, beta in zip((1, 2, 3), (1.0, 1.0, 0.5)):
-            series = eng.qubit_series((i,), np.array([0.0, 0.1, 0.2]))[0]
+            series = eng.qubit_series((i,), TimeGrid(0.0, 0.2, 0.1))[0]
             assert series.temperature[0] == pytest.approx(1.0 / beta, abs=1e-9)
 
     def test_conservation(self):
@@ -328,29 +328,59 @@ class TestReducedDynamics:
 
     def test_series_matches_single_time_queries(self):
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
-        times = np.arange(0.0, 3.0, 0.01)
-        series = eng.series_terms(("pop", 1), "cos").evaluate(times)
+        grid = TimeGrid(0.0, 2.99, 0.01)
+        times = grid.points()
+        series = eng.series_terms((("pop", 1),), "cos").on_grid(grid.start, grid.step, len(times))[0]
         for k in (0, 117, 250):
             assert series[k] == pytest.approx(
                 eng.ground_population(1, float(times[k])), abs=1e-11
             )
 
-    def test_nonuniform_grid_accepted(self):
-        eng = RefrigeratorEngine(fridge(n=(1, 1, 1)))
-        times = np.array([0.0, 0.3, 1.0, 2.7])
-        series = eng.series_terms(("pop", 1), "cos").evaluate(times)
-        assert series.shape == (4,)
-
     def test_amplitude_compression_bounds_error(self):
         p = fridge(n=(4, 4, 4))
         exact = RefrigeratorEngine(p, prune_tol=0.0)
         squeezed = RefrigeratorEngine(p, prune_tol=0.0, series_amp_tol=1e-8)
-        times = np.arange(0.0, 10.0, 0.1)
         gap = np.max(np.abs(
-            exact.series_terms(("pop", 1), "cos").evaluate(times)
-            - squeezed.series_terms(("pop", 1), "cos").evaluate(times)
+            exact.series_terms((("pop", 1),), "cos").on_grid(0.0, 0.1, 100)
+            - squeezed.series_terms((("pop", 1),), "cos").on_grid(0.0, 0.1, 100)
         ))
         assert gap < 1e-7
+
+
+class TestTimeGrid:
+    def test_points_run_from_start_through_stop(self):
+        grid = TimeGrid(0.3, 2.0, 0.01)
+        assert len(grid) == len(grid.points()) == 171
+        assert grid.points()[0] == 0.3
+        assert grid.points()[-1] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1.0, math.nan),
+        (1.0, 1.0, 0.1), (2.0, 1.0, 0.1), (0.0, math.nan, 0.1),
+    ])
+    def test_rejects_bad_input(self, start, stop, step):
+        with pytest.raises(ValueError, match="time_grid"):
+            TimeGrid(start, stop, step)
+
+    def test_grid_off_zero_matches_direct_evaluation(self):
+        # the engine's kernel starts at grid.start; SeriesTerms.at is the reference
+        eng = RefrigeratorEngine(fridge(n=(2, 1, 1)), prune_tol=0.0)
+        grid = TimeGrid(0.3, 2.0, 0.01)
+        times = grid.points()
+        eps = np.finfo(float).eps
+        exc = eng.excited_terms((1, 2, 3))
+        bound = 1e-14 * np.abs(exc.amps).sum(axis=1) + eps  # r = 1 - p rounds
+        for row, series in enumerate(eng.qubit_series((1, 2, 3), grid)):
+            assert np.array_equal(series.time, times)
+            direct = 1.0 - exc.at(times)[row]
+            assert np.max(np.abs(series.ground_population - direct)) <= bound[row]
+        currents = thermo.heat_current_series(eng, grid)
+        heat = eng.series_terms(energy_keys(3)[:6], "sin")
+        direct = heat.at(times)
+        bound = 1e-14 * np.abs(heat.amps).sum(axis=1)
+        assert np.array_equal(currents.time, times)
+        values = np.concatenate([currents.qdot_s, currents.qdot_b])
+        assert np.all(np.abs(values - direct) <= bound[:, None])
 
 
 class TestTrigSeries:
@@ -447,9 +477,9 @@ class TestMultiKeySeries:
             multi = eng.series_terms(keys, kind)
             assert multi.amps.shape[0] == len(keys)
             for row, key in enumerate(keys):
-                single = eng.series_terms(key, kind)
-                assert multi.const[row] == single.const
-                assert np.array_equal(multi.amps[row], single.amps)
+                single = eng.series_terms((key,), kind)
+                assert multi.const[row] == single.const[0]
+                assert np.array_equal(multi.amps[row], single.amps[0])
                 assert np.array_equal(multi.omegas, single.omegas)
 
     def test_rows_with_absent_observables_evaluate_equal(self):
@@ -457,13 +487,12 @@ class TestMultiKeySeries:
         # terms on their own, so the shared gaps carry zero amplitudes there
         eng = RefrigeratorEngine(fridge(n=(2, 1, 1)), prune_tol=0.0)
         keys = (("hsb", 1), ("hint",), ("hs", 2))
-        times = np.linspace(0.0, 5.0, 37)
         multi = eng.series_terms(keys, "sin")
         for row, key in enumerate(keys):
-            single = eng.series_terms(key, "sin")
-            assert np.allclose(multi.evaluate(times)[row], single.evaluate(times),
-                               rtol=0.0, atol=1e-14)
-            assert np.allclose(multi.at([1.7])[row], single.at([1.7]), rtol=0.0, atol=1e-14)
+            single = eng.series_terms((key,), "sin")
+            assert np.allclose(multi.on_grid(0.0, 5.0 / 36, 37)[row],
+                               single.on_grid(0.0, 5.0 / 36, 37)[0], rtol=0.0, atol=1e-14)
+            assert np.allclose(multi.at([1.7])[row], single.at([1.7])[0], rtol=0.0, atol=1e-14)
 
     def test_compression_bounds_each_row_by_total_magnitude(self):
         p = fridge(n=(4, 4, 4))
@@ -473,8 +502,7 @@ class TestMultiKeySeries:
         squeezed = RefrigeratorEngine(p, prune_tol=0.0, series_amp_tol=tol)
         terms = squeezed.series_terms(keys, "cos")
         assert terms.omegas.size < exact.omegas.size
-        times = np.arange(0.0, 10.0, 0.1)
-        gap = np.abs(terms.evaluate(times) - exact.evaluate(times))
+        gap = np.abs(terms.on_grid(0.0, 0.1, 100) - exact.on_grid(0.0, 0.1, 100))
         assert np.max(gap) <= tol * np.abs(exact.amps).sum() + 1e-14
 
 
@@ -492,26 +520,25 @@ class TestLowTemperature:
         # qubits 1 and 2, so their temperature is a pruning error, not T = 0
         p = RefrigeratorParams(n_bath=(30, 30, 30), **self.COLD)
         eng = RefrigeratorEngine(p, prune_tol=1e-9)
-        times = np.arange(0.0, 10.0 + 0.0025, 0.005)
+        grid = TimeGrid(0.0, 10.0, 0.005)
         for qubit in (1, 2):
             message = f"qubit {qubit} .* prune_tol=1e-09 dropped 32766 of 32768 sectors"
             with pytest.raises(ValueError, match=message):
-                eng.qubit_series((qubit,), times)
+                eng.qubit_series((qubit,), grid)
         with pytest.raises(ValueError, match="qubit 1 "):
-            eng.qubit_series((1, 2, 3), times)
-        assert eng.qubit_series((3,), times)[0].temperature[0] == pytest.approx(0.05, abs=1e-9)
+            eng.qubit_series((1, 2, 3), grid)
+        assert eng.qubit_series((3,), grid)[0].temperature[0] == pytest.approx(0.05, abs=1e-9)
 
     def test_cold_small_bath_matches_dense_oracle(self):
         p = RefrigeratorParams(n_bath=(2, 2, 2), **self.COLD)
         eng = RefrigeratorEngine(p, prune_tol=0.0)
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
-        times = np.array([0.0, 2.0, 5.0])
-        for series in eng.qubit_series((1, 2, 3), times):
+        for series in eng.qubit_series((1, 2, 3), TimeGrid(0.0, 5.0, 2.5)):
             qubit = series.qubit
             eps = p.epsilon[qubit - 1]
             assert series.temperature[0] == pytest.approx(1.0 / p.beta[qubit - 1], rel=1e-12)
-            for k, t in enumerate(times):
+            for k, t in enumerate(series.time):
                 dense = oracle.dense_evolve_and_trace(
                     model, t, 2 * (qubit - 1), spectrum=spectrum
                 )
@@ -588,8 +615,8 @@ class TestOnePairProperty:
         three = RefrigeratorEngine(p, prune_tol=0.0)
         one = RefrigeratorEngine(RefrigeratorParams.from_pairs(p.pair(1)), prune_tol=0.0)
         for key, kind in ((("exc", 1), "cos"), (("hs", 1), "sin"), (("hb", 1), "sin")):
-            a, b = three.series_terms(key, kind), one.series_terms(key, kind)
-            magnitude = max(abs(s.const) + np.abs(s.amps).sum() for s in (a, b))
+            a, b = three.series_terms((key,), kind), one.series_terms((key,), kind)
+            magnitude = max(abs(s.const[0]) + np.abs(s.amps).sum() for s in (a, b))
             assert np.max(np.abs(a.at(times) - b.at(times))) <= 1e-12 * magnitude + 1e-13
 
 
@@ -672,10 +699,10 @@ class TestSecondLaw:
     def test_zero_couplings_produce_nothing(self):
         eng = RefrigeratorEngine(fridge(n=(30, 30, 30), coupling=(0, 0, 0), g=0.0),
                                  prune_tol=1e-9)
-        times = np.linspace(0.0, 10.0, 11)
-        sigma, scale = entropy_production(eng, times)
+        grid = TimeGrid(0.0, 10.0, 1.0)
+        sigma, scale = entropy_production(eng, grid.points())
         assert scale == 0.0 and not sigma.any()
-        currents = thermo.heat_current_series(eng, times)
+        currents = thermo.heat_current_series(eng, grid)
         assert not currents.qdot_s.any() and not currents.qdot_b.any()
-        for s in eng.qubit_series((1, 2, 3), times):
+        for s in eng.qubit_series((1, 2, 3), grid):
             assert np.all(s.temperature == s.temperature[0])

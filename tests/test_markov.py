@@ -25,6 +25,7 @@ from spinfridge.markov import (
     thermal_product_state,
 )
 from spinfridge.oracle import liouvillian_matrix, system_hamiltonian
+from spinfridge.series import TimeGrid
 
 
 def params(**kw):
@@ -182,8 +183,9 @@ class TestIntegration:
         h = system_hamiltonian(p)
         w, v = np.linalg.eigh(h)
         rho0 = thermal_product_state(p)
-        times = np.linspace(0.0, 20.0, 9)
-        traj = integrate_gksl(p, rho0, times)
+        grid = TimeGrid(0.0, 20.0, 2.5)
+        times = grid.points()
+        traj = integrate_gksl(p, rho0, grid)
         pops0 = np.diag(v.T @ rho0.real @ v)
         for state in full_states(traj):
             pops = np.diag(v.T @ state.real @ v)
@@ -197,18 +199,18 @@ class TestIntegration:
     def test_single_bath_relaxation_to_thermal(self):
         p = params(g=0.0, alpha=(5e-4, 0.0, 0.0))
         cold_start = thermal_product_state(params(g=0.0, beta=(2.0, 1.0, 0.5)))
-        times = np.linspace(0.0, 3.0e4, 31)
+        grid = TimeGrid(0.0, 30000.0, 1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
-            traj = integrate_gksl(p, cold_start, times)
+            traj = integrate_gksl(p, cold_start, grid)
         r_end = 1.0 - excited_populations(traj.diagonal[-1])[0]
         expected = math.exp(0.5) / (2.0 * math.cosh(0.5))
         assert r_end == pytest.approx(expected, abs=1e-6)
 
     def test_trace_and_hermiticity_preserved(self):
         p = params()
-        times = np.linspace(0.0, 50.0, 26)
-        traj = integrate_gksl(p, thermal_product_state(p), times)
+        grid = TimeGrid(0.0, 50.0, 2.0)
+        traj = integrate_gksl(p, thermal_product_state(p), grid)
         for state in full_states(traj):
             assert abs(np.trace(state) - 1.0) < 1e-8
             assert np.max(np.abs(state - state.conj().T)) < 1e-8
@@ -219,11 +221,12 @@ class TestIntegration:
         # short horizon; the envelope over one swap period must decrease
         # along a log-spaced tail
         p = params(alpha=(1e-3, 2e-3, 3e-3), g=0.09)
-        times = np.linspace(0.0, 2000.0, 401)
+        grid = TimeGrid(0.0, 2000.0, 5.0)
+        times = grid.points()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
             lv = liouvillian_matrix(p)
-            traj = integrate_gksl(p, thermal_product_state(p), times)
+            traj = integrate_gksl(p, thermal_product_state(p), grid)
         window = max(2, int(35.0 / (times[1] - times[0])))
         norms = np.array([
             np.linalg.norm(lv @ s.ravel()) for s in full_states(traj)
@@ -237,34 +240,28 @@ class TestIntegration:
     def test_bad_initial_state_rejected(self):
         p = params()
         with pytest.raises(ValueError, match="8x8"):
-            integrate_gksl(p, np.eye(4) / 4.0, np.linspace(0, 1, 5))
+            integrate_gksl(p, np.eye(4) / 4.0, TimeGrid(0.0, 1.0, 0.25))
         with pytest.raises(ValueError, match="trace"):
-            integrate_gksl(p, np.eye(8), np.linspace(0, 1, 5))
+            integrate_gksl(p, np.eye(8), TimeGrid(0.0, 1.0, 0.25))
 
     def test_dressed_coherences_other_than_plus_minus_rejected(self):
         p = params()
         rho0 = thermal_product_state(p)
         rho0[0b000, 0b001] = rho0[0b001, 0b000] = 1e-3
         with pytest.raises(ValueError, match=r"coherence other than rho_\{\+-\}"):
-            integrate_gksl(p, rho0, np.linspace(0, 1, 5))
+            integrate_gksl(p, rho0, TimeGrid(0.0, 1.0, 0.25))
         rho0 = thermal_product_state(p)
         rho0[0b000, 0b001] = 1e-3
         with pytest.raises(ValueError, match="not Hermitian"):
-            integrate_gksl(p, rho0, np.linspace(0, 1, 5))
+            integrate_gksl(p, rho0, TimeGrid(0.0, 1.0, 0.25))
         # a coherence between |101> and |010> is one in rho_{+-} and P+ - P-
         rho0 = thermal_product_state(p)
         rho0[0b101, 0b010] = 0.01 + 0.02j
         rho0[0b010, 0b101] = 0.01 - 0.02j
-        times = np.linspace(0.0, 40.0, 9)
-        traj = integrate_gksl(p, rho0, times)
+        grid = TimeGrid(0.0, 40.0, 5.0)
+        times = grid.points()
+        traj = integrate_gksl(p, rho0, grid)
         assert np.max(np.abs(full_states(traj) - oracle_states(p, rho0, times))) < 1e-12
-
-    def test_uneven_times_rejected(self):
-        p = params()
-        with pytest.raises(ValueError, match="evenly spaced"):
-            integrate_gksl(p, thermal_product_state(p), [0.0, 1.0, 3.0])
-        with pytest.raises(ValueError, match="evenly spaced"):
-            integrate_gksl(p, thermal_product_state(p), [1.0, 0.5, 0.0])
 
     def test_every_sample_is_checked(self, monkeypatch):
         import spinfridge.markov as markov
@@ -280,7 +277,7 @@ class TestIntegration:
         monkeypatch.setattr(markov, "_propagate", drifting)
         p = params()
         with pytest.raises(RuntimeError, match="t=0.25"):
-            integrate_gksl(p, thermal_product_state(p), np.linspace(0.0, 1.0, 5))
+            integrate_gksl(p, thermal_product_state(p), TimeGrid(0.0, 1.0, 0.25))
 
     def test_one_broken_coherence_is_caught(self, monkeypatch):
         import spinfridge.markov as markov
@@ -296,13 +293,13 @@ class TestIntegration:
         monkeypatch.setattr(markov, "_propagate", skewed)
         p = params()
         with pytest.raises(RuntimeError, match="positivity at t=0.5"):
-            integrate_gksl(p, thermal_product_state(p), np.linspace(0.0, 1.0, 5))
+            integrate_gksl(p, thermal_product_state(p), TimeGrid(0.0, 1.0, 0.25))
 
     def test_polish_point_at_grid_time_equals_sample(self):
         p = params()
         rho0 = thermal_product_state(p)
-        times = np.linspace(0.0, 10.0, 11)
-        traj = integrate_gksl(p, rho0, times)
+        grid = TimeGrid(0.0, 10.0, 1.0)
+        traj = integrate_gksl(p, rho0, grid)
         assert np.array_equal(traj.diagonal_at(5.0), traj.diagonal[5])
         assert np.array_equal(traj.diagonal_at(0.0), rho0.diagonal().real)
         between = np.diagonal(oracle_states(p, rho0, [5.37])[0]).real
@@ -317,8 +314,8 @@ class TestExactPropagation:
         # T2(40) = 0.0339 here against expm's 0.0308
         p = params(beta=(40.0, 40.0, 20.0))
         rho0 = thermal_product_state(p)
-        times = np.linspace(0.0, 40.0, 801)
-        traj = integrate_gksl(p, rho0, times)
+        grid = TimeGrid(0.0, 40.0, 0.05)
+        traj = integrate_gksl(p, rho0, grid)
         _, temps = temperature_trajectories(p, traj)
         for k in range(3):
             assert temps[k, 0] == pytest.approx(1.0 / p.beta[k], rel=1e-12)
@@ -337,10 +334,11 @@ class TestExactPropagation:
     def test_matches_liouvillian_exponential(self, alpha, g, beta):
         p = params(alpha=alpha, g=g, beta=beta)
         rho0 = thermal_product_state(p)
-        times = np.linspace(0.0, 40.0, 5)
+        grid = TimeGrid(0.0, 40.0, 10.0)
+        times = grid.points()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
-            traj = integrate_gksl(p, rho0, times)
+            traj = integrate_gksl(p, rho0, grid)
             ref = oracle_states(p, rho0, times)
         assert np.max(np.abs(traj.diagonal - np.diagonal(ref, axis1=1, axis2=2).real)) < 1e-12
         assert np.max(np.abs(full_states(traj) - ref)) < 1e-12
@@ -356,8 +354,9 @@ class TestExactPropagation:
         # channels of qubits 1 and 3 approach zero frequency
         p = params(g=g, alpha=(1e-5, 0.0, 3e-5))
         rho0 = thermal_product_state(p)
-        times = np.linspace(0.0, 40.0, 9)
-        traj = integrate_gksl(p, rho0, times)
+        grid = TimeGrid(0.0, 40.0, 5.0)
+        times = grid.points()
+        traj = integrate_gksl(p, rho0, grid)
         ref = oracle_states(p, rho0, times)
         assert np.max(np.abs(full_states(traj) - ref)) < 1e-12
         assert traj.populations.min() >= 0.0
@@ -370,7 +369,7 @@ class TestOptimize:
             alpha_range=(0.0, 1e-4),
             g_range=(0.0, 0.1),
             budget=60,
-            time_grid=(0.0, 20.0, 0.1),
+            time_grid=TimeGrid(0.0, 20.0, 0.1),
         )
         first = markov_optimize(p, seed=1, **kwargs)
         second = markov_optimize(p, seed=12, **kwargs)
@@ -406,7 +405,7 @@ class TestOptimize:
         # search shows here
         p = params(alpha=(0.0, 0.0, 0.0), g=0.0)
         result = markov_optimize(p, g_range=(0.005, 0.1), budget=12, seed=0,
-                                 time_grid=(0.0, 4.0, 0.05))
+                                 time_grid=TimeGrid(0.0, 4.0, 0.05))
         assert result.best_params == pytest.approx([
             5.0200249388813976e-05, 5.4888443037867535e-05,
             6.960237915068867e-05, 0.1,
@@ -419,12 +418,12 @@ class TestOptimize:
         p = params(alpha=(0.0, 0.0, 0.0), g=0.0)
         with pytest.raises(WeakCouplingError, match="every one of 1"):
             markov_optimize(p, alpha_range=(1e-4, 1e-4), g_range=(1e-5, 1e-5),
-                            budget=5, time_grid=(0.0, 1.0, 0.1))
+                            budget=5, time_grid=TimeGrid(0.0, 1.0, 0.1))
 
     def test_vectorized_reduction_equals_per_state_sum(self):
         p = params()
-        times = np.linspace(0.0, 5.0, 6)
-        diagonal = integrate_gksl(p, thermal_product_state(p), times).diagonal
+        grid = TimeGrid(0.0, 5.0, 1.0)
+        diagonal = integrate_gksl(p, thermal_product_state(p), grid).diagonal
         pops = excited_populations(diagonal)
         assert pops.shape == (6, 3)
         for n, diag in enumerate(diagonal):
@@ -437,8 +436,8 @@ class TestOptimize:
 
     def test_temperatures_follow_populations(self):
         p = params()
-        times = np.linspace(0.0, 5.0, 6)
-        traj = integrate_gksl(p, thermal_product_state(p), times)
+        grid = TimeGrid(0.0, 5.0, 1.0)
+        traj = integrate_gksl(p, thermal_product_state(p), grid)
         r, temps = temperature_trajectories(p, traj)
         assert r.shape == temps.shape == (3, 6)
         assert temps[0, 0] == pytest.approx(1.0, abs=1e-9)

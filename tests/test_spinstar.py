@@ -8,7 +8,7 @@ import pytest
 
 from spinfridge import oracle, thermo
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, sector_layout
-from spinfridge.series import SeriesTerms, trig_series_at
+from spinfridge.series import SeriesTerms, TimeGrid, trig_series_at
 from spinfridge.spinstar import (
     SingleStarParams,
     sector_arrays,
@@ -117,7 +117,7 @@ class TestSectorEvolution:
         assert tuple(interior(star(p)).sectors.p0) == (p_g, p_e)
 
     def test_decoupled_sector_is_stationary(self):
-        terms = star(make(a=0.0)).series_terms(("exc", 1), "cos")
+        terms = star(make(a=0.0)).series_terms((("exc", 1),), "cos")
         assert np.all(terms.amps == 0.0)
 
     def test_resonant_sector_rabi(self):
@@ -186,31 +186,31 @@ class TestReducedStates:
 
     def test_series_matches_pointwise(self):
         p = make(n=3)
-        times = np.linspace(0.0, 4.0, 23)
-        (series,) = star(p).qubit_series((1,), times)
-        series = series.ground_population
-        direct = [ground_population(p, float(t)) for t in times]
-        assert np.allclose(series, direct, atol=1e-12)
+        (series,) = star(p).qubit_series((1,), TimeGrid(0.0, 4.0, 4.0 / 22))
+        assert len(series.time) == 23
+        direct = [ground_population(p, float(t)) for t in series.time]
+        assert np.allclose(series.ground_population, direct, atol=1e-12)
 
     def test_uniform_grid_matches_direct_evaluation(self, monkeypatch):
-        # 4001 uniform times take the grid kernel; trig_series_at is the reference
+        # 4001 grid times take the grid kernel; trig_series_at is the reference
         p = make(n=50)
         eng = star(p)
-        times = np.arange(4001) * 0.01
+        grid = TimeGrid(0.0, 40.0, 0.01)
+        times = grid.points()
 
         def direct_only(*args):
             raise AssertionError("a uniform grid must not be evaluated pointwise")
 
         monkeypatch.setattr(SeriesTerms, "at", direct_only)
-        excited = eng.excited_terms((1,)).evaluate(times)[0]
-        currents = thermo.heat_current_series(eng, times)
+        excited = eng.excited_terms((1,)).on_grid(grid.start, grid.step, len(times))[0]
+        currents = thermo.heat_current_series(eng, grid)
         monkeypatch.undo()
         for key, kind, values in (
             (("exc", 1), "cos", excited),
             (("hs", 1), "sin", currents.qdot_s[0]),
             (("hb", 1), "sin", currents.qdot_b[0]),
         ):
-            terms = eng.series_terms(key, kind)
+            terms = eng.series_terms((key,), kind)
             direct = trig_series_at(terms.const, terms.amps, terms.omegas, times, kind)
             assert np.max(np.abs(values - direct)) <= 1e-12 * np.abs(terms.amps).sum()
 
@@ -222,8 +222,10 @@ class TestReducedStates:
         eng = star(p)
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
-        for times in (np.array([0.0, 0.7, 3.1]), np.arange(41) * 0.1):
-            series = eng.excited_terms((1,)).evaluate(times)[0]
+        terms = eng.excited_terms((1,))
+        scattered, grid = np.array([0.0, 0.7, 3.1]), TimeGrid(0.0, 4.0, 0.1)
+        for times, series in ((scattered, terms.at(scattered)[0]),
+                              (grid.points(), terms.on_grid(grid.start, grid.step, len(grid))[0])):
             for k, t in enumerate(times):
                 dense = oracle.dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
                 assert 0.0 < dense[1, 1].real < 1e-16
@@ -234,11 +236,10 @@ class TestReducedStates:
 
     def test_heat_currents_match_population_derivative(self):
         p = make(n=3)
-        times = np.array([0.4, 1.3, 2.8])
-        currents = thermo.heat_current_series(star(p), times)
+        currents = thermo.heat_current_series(star(p), TimeGrid(0.4, 2.8, 1.2))
         qdot_s, qdot_b = currents.qdot_s[0], currents.qdot_b[0]
         h = 1e-6
-        for k, t in enumerate(times):
+        for k, t in enumerate(currents.time):
             drdt = (
                 ground_population(p, t + h) - ground_population(p, t - h)
             ) / (2 * h)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinfridge import oracle, thermo
-from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
+from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, energy_keys
+from spinfridge.series import TimeGrid
 
 
 def fridge(n=(2, 1, 1), **kw):
@@ -20,9 +21,10 @@ def fridge(n=(2, 1, 1), **kw):
 
 
 def currents_at(engine, t):
-    """(qdot_s, qdot_b) at one time; a single time is evaluated directly, not on a grid."""
-    series = thermo.heat_current_series(engine, [t])
-    return series.qdot_s[:, 0], series.qdot_b[:, 0]
+    """(qdot_s, qdot_b) at one time, evaluated directly, not on a grid."""
+    pairs = engine.params.pairs
+    values = engine.series_terms(energy_keys(pairs)[:2 * pairs], "sin").at([t])[:, 0]
+    return values[:pairs], values[pairs:]
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +71,9 @@ class TestHeatCurrents:
                 )
 
     def test_series_matches_pointwise(self, engine):
-        times = np.arange(0.0, 2.0, 0.05)
-        series = thermo.heat_current_series(engine, times)
+        grid = TimeGrid(0.0, 1.95, 0.05)
+        times = grid.points()
+        series = thermo.heat_current_series(engine, grid)
         for k in (3, 17, 30):
             qdot_s, qdot_b = currents_at(engine, float(times[k]))
             assert np.allclose(series.qdot_s[:, k], qdot_s, atol=1e-11)
@@ -90,7 +93,7 @@ class TestEnergyBalance:
                 closed = (
                     qdot_s[i - 1]
                     + qdot_b[i - 1]
-                    + eng.series_terms(("hsb", i), "sin").at([t])[0]
+                    + eng.series_terms((("hsb", i),), "sin").at([t])[0, 0]
                 )
                 assert abs(closed) < 1e-10
 
@@ -132,10 +135,10 @@ class TestSignStructure:
         eng = RefrigeratorEngine(
             fridge(n=(4, 4, 4), coupling=(0.9, 0.8, 0.5), g=0.1), prune_tol=1e-12
         )
-        times = np.arange(0.0, 10.0, 0.01)
-        series = eng.qubit_series((1,), times)[0]
-        currents = thermo.heat_current_series(eng, times)
-        dt_dt = np.gradient(series.temperature, times)
+        grid = TimeGrid(0.0, 9.99, 0.01)
+        series = eng.qubit_series((1,), grid)[0]
+        currents = thermo.heat_current_series(eng, grid)
+        dt_dt = np.gradient(series.temperature, series.time)
         cooling = dt_dt < -1e-6
         assert cooling.sum() > 100
         agree_s = (currents.qdot_s[0][cooling] < 0).mean()
