@@ -753,7 +753,6 @@ class FitResult:
     b: float
     sigma: float
     n_points: int
-    n_params: int = 2
 
 
 def fit_power_law(ns, values, t_inf="plateau") -> FitResult:
@@ -878,9 +877,6 @@ class NevilleTableau:
     tableau[n-1][0] is the extrapolated value.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    target: float
     tableau: list[np.ndarray]
     d_diffs: list[np.ndarray]
     extrapolated: float
@@ -925,7 +921,7 @@ def neville_extrapolate(xs, ys, target: float = 0.0) -> NevilleTableau:
             "be unstable"
         )
     return NevilleTableau(
-        xs=xs, ys=ys, target=target, tableau=tableau, d_diffs=d_diffs,
+        tableau=tableau, d_diffs=d_diffs,
         extrapolated=float(tableau[-1][0]), stability_warning=warning,
     )
 

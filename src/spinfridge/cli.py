@@ -13,6 +13,7 @@ import ctypes
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -154,18 +155,12 @@ def _run_scaling(config: RunConfig) -> None:
         try:
             t_inf = "plateau" if np.any(ns >= PLATEAU_MIN_N) else tab.extrapolated
             fit = fit_power_law(ns, t1, t_inf=t_inf)
-            results["t1_fit"] = {
-                "t_inf": fit.t_inf, "a": fit.a, "b": fit.b,
-                "sigma": fit.sigma, "n_points": fit.n_points,
-            }
+            results["t1_fit"] = asdict(fit)
         except ValueError as exc:
             results["t1_fit"] = {"error": str(exc)}
         try:
             fit_tl = fit_power_law(ns, tl, t_inf=tab_tl.extrapolated)
-            results["local_min_time_fit"] = {
-                "t_inf": fit_tl.t_inf, "a": fit_tl.a, "b": fit_tl.b,
-                "sigma": fit_tl.sigma, "n_points": fit_tl.n_points,
-            }
+            results["local_min_time_fit"] = asdict(fit_tl)
         except ValueError as exc:
             results["local_min_time_fit"] = {"error": str(exc)}
     _write_json(config.output_path, config, results)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .analysis import DEFAULT_TIME_GRID
-from .engine import RefrigeratorParams
+from .engine import DEFAULT_PRUNE_TOL, RefrigeratorParams
 from .markov import DEFAULT_CUTOFF, MarkovParams
 from .series import TimeGrid
 from .spinstar import SingleStarParams
@@ -92,7 +92,7 @@ class RunConfig:
     markov: MarkovParams | None = None
     markov_action: str = "evolve"
     time_grid: TimeGrid = DEFAULT_TIME_GRID
-    prune_tol: float = 1e-12
+    prune_tol: float = DEFAULT_PRUNE_TOL
     optimization: OptimizationConfig = OptimizationConfig()
     n_list: tuple[int, ...] = ()
     output_path: str = "out"
@@ -101,57 +101,52 @@ class RunConfig:
 
 def _parse_refrigerator(data: dict, path: str) -> RefrigeratorParams:
     beta = _resolve_beta(data, f"{path}.beta", triple=True)
-    try:
-        return RefrigeratorParams(
-            epsilon=_triple(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),
-            bath_energy=_triple(
-                _require(data, "bath_energy", f"{path}."), f"{path}.bath_energy"
-            ),
-            coupling=_triple(
-                data.get("coupling", [0.0, 0.0, 0.0]), f"{path}.coupling"
-            ),
-            g=_finite_number(data.get("g", 0.0), f"{path}.g"),
-            n_bath=_triple(_require(data, "n_bath", f"{path}."), f"{path}.n_bath", "int"),
-            beta=beta,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    return RefrigeratorParams(
+        epsilon=_triple(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),
+        bath_energy=_triple(
+            _require(data, "bath_energy", f"{path}."), f"{path}.bath_energy"
+        ),
+        coupling=_triple(
+            data.get("coupling", [0.0, 0.0, 0.0]), f"{path}.coupling"
+        ),
+        g=_finite_number(data.get("g", 0.0), f"{path}.g"),
+        n_bath=_triple(_require(data, "n_bath", f"{path}."), f"{path}.n_bath", "int"),
+        beta=beta,
+    )
 
 
 def _parse_single(data: dict, path: str) -> SingleStarParams:
     beta = _resolve_beta(data, f"{path}.beta", triple=False)
-    try:
-        return SingleStarParams(
-            epsilon=_finite_number(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),
-            bath_energy=_finite_number(
-                _require(data, "bath_energy", f"{path}."), f"{path}.bath_energy"
-            ),
-            coupling=_finite_number(data.get("coupling", 0.0), f"{path}.coupling"),
-            n_bath=_integer(_require(data, "n_bath", f"{path}."), f"{path}.n_bath"),
-            beta=beta,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    return SingleStarParams(
+        epsilon=_finite_number(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),
+        bath_energy=_finite_number(
+            _require(data, "bath_energy", f"{path}."), f"{path}.bath_energy"
+        ),
+        coupling=_finite_number(data.get("coupling", 0.0), f"{path}.coupling"),
+        n_bath=_integer(_require(data, "n_bath", f"{path}."), f"{path}.n_bath"),
+        beta=beta,
+    )
 
 
 def _parse_markov(data: dict, path: str) -> MarkovParams:
     beta = _resolve_beta(data, f"{path}.beta", triple=True)
+    return MarkovParams(
+        epsilon=_triple(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),
+        g=_finite_number(data.get("g", 0.0), f"{path}.g"),
+        alpha=_triple(data.get("alpha", [0.0, 0.0, 0.0]), f"{path}.alpha"),
+        beta=beta,
+        cutoff=_finite_number(data.get("cutoff", DEFAULT_CUTOFF), f"{path}.cutoff"),
+    )
+
+
+def _parse_params(data: dict, parse):
+    """``parse`` applied to ``data["params"]``; a rejected value names the section."""
     try:
-        return MarkovParams(
-            epsilon=_triple(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),
-            g=_finite_number(data.get("g", 0.0), f"{path}.g"),
-            alpha=_triple(data.get("alpha", [0.0, 0.0, 0.0]), f"{path}.alpha"),
-            beta=beta,
-            cutoff=_finite_number(data.get("cutoff", DEFAULT_CUTOFF), f"{path}.cutoff"),
-        )
+        return parse(_require(data, "params", ""), "params")
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"params: {exc}") from exc
 
 
 def _parse_range(value: Any, path: str) -> tuple[float, float]:
@@ -188,7 +183,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     except ValueError as exc:  # the message names the field
         raise ConfigError(str(exc)) from exc
 
-    prune_tol = _finite_number(data.get("prune_tol", 1e-12), "prune_tol")
+    prune_tol = _finite_number(data.get("prune_tol", DEFAULT_PRUNE_TOL), "prune_tol")
     if not 0.0 <= prune_tol < 1.0:
         raise ConfigError(f"prune_tol: must lie in [0, 1), got {prune_tol}")
     if cfg_mode == "single":
@@ -200,16 +195,15 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     opt_data = data.get("optimization", {})
     if not isinstance(opt_data, dict):
         raise ConfigError("optimization: expected an object")
+    defaults = OptimizationConfig()
+    ranges = {
+        name: _parse_range(opt_data.get(name, getattr(defaults, name)), f"optimization.{name}")
+        for name in ("coupling_range", "g_range", "alpha_range")
+    }
     optimization = OptimizationConfig(
-        coupling_range=_parse_range(
-            opt_data.get("coupling_range", [0.0, 1.0]), "optimization.coupling_range"
-        ),
-        g_range=_parse_range(opt_data.get("g_range", [0.0, 0.1]), "optimization.g_range"),
-        alpha_range=_parse_range(
-            opt_data.get("alpha_range", [0.0, 1e-4]), "optimization.alpha_range"
-        ),
-        budget=_integer(opt_data.get("budget", 2000), "optimization.budget"),
-        seed=_integer(opt_data.get("seed", 0), "optimization.seed", least=0),
+        **ranges,
+        budget=_integer(opt_data.get("budget", defaults.budget), "optimization.budget"),
+        seed=_integer(opt_data.get("seed", defaults.seed), "optimization.seed", least=0),
     )
 
     markov_action = data.get("action", "evolve")
@@ -232,12 +226,9 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
 
     refrigerator = single = markov = None
     n_list: tuple[int, ...] = ()
-    if cfg_mode in ("evolve", "optimize", "validate"):
-        refrigerator = _parse_refrigerator(
-            _require(data, "params", ""), "params"
-        )
+    if cfg_mode in ("evolve", "optimize", "validate", "scaling"):
+        refrigerator = _parse_params(data, _parse_refrigerator)
     if cfg_mode == "scaling":
-        refrigerator = _parse_refrigerator(_require(data, "params", ""), "params")
         raw_list = _require(data, "n_list", "")
         if not isinstance(raw_list, list) or not raw_list:
             raise ConfigError("n_list: expected a nonempty list of integers")
@@ -254,9 +245,9 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
                 f"got {len(time_grid)}"
             )
     if cfg_mode == "single":
-        single = _parse_single(_require(data, "params", ""), "params")
+        single = _parse_params(data, _parse_single)
     if cfg_mode == "markov":
-        markov = _parse_markov(_require(data, "params", ""), "params")
+        markov = _parse_params(data, _parse_markov)
 
     return RunConfig(
         mode=cfg_mode,
@@ -288,49 +279,15 @@ def canonical_config(config: RunConfig) -> dict:
     """Fully resolved configuration; re-parsing it reproduces the run."""
     out: dict[str, Any] = {
         "mode": config.mode,
-        "time_grid": {
-            "start": config.time_grid.start,
-            "stop": config.time_grid.stop,
-            "step": config.time_grid.step,
-        },
+        "time_grid": asdict(config.time_grid),
         "prune_tol": config.prune_tol,
-        "optimization": {
-            "coupling_range": list(config.optimization.coupling_range),
-            "g_range": list(config.optimization.g_range),
-            "alpha_range": list(config.optimization.alpha_range),
-            "budget": config.optimization.budget,
-            "seed": config.optimization.seed,
-        },
+        "optimization": asdict(config.optimization),
         "output": {"path": config.output_path, "format": config.output_format},
     }
-    if config.refrigerator is not None:
-        p = config.refrigerator
-        out["params"] = {
-            "epsilon": list(p.epsilon),
-            "bath_energy": list(p.bath_energy),
-            "coupling": list(p.coupling),
-            "g": p.g,
-            "n_bath": list(p.n_bath),
-            "beta": list(p.beta),
-        }
-    if config.single is not None:
-        p = config.single
-        out["params"] = {
-            "epsilon": p.epsilon,
-            "bath_energy": p.bath_energy,
-            "coupling": p.coupling,
-            "n_bath": p.n_bath,
-            "beta": p.beta,
-        }
+    params = config.refrigerator or config.single or config.markov
+    if params is not None:
+        out["params"] = asdict(params)
     if config.markov is not None:
-        p = config.markov
-        out["params"] = {
-            "epsilon": list(p.epsilon),
-            "g": p.g,
-            "alpha": list(p.alpha),
-            "beta": list(p.beta),
-            "cutoff": p.cutoff,
-        }
         out["action"] = config.markov_action
     if config.n_list:
         out["n_list"] = list(config.n_list)

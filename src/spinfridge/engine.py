@@ -367,7 +367,7 @@ class RefrigeratorEngine:
 
     def _diag_observable(self, sectors: SectorGroup, key) -> np.ndarray:
         """Observable diagonal in the sector basis, shape (dim,) or (size, dim)."""
-        kind, i = key[:2]
+        kind, i = key
         k = i - 1
         bits = sectors.basis[:, k].astype(float)
         if kind == "pop":
@@ -379,8 +379,6 @@ class RefrigeratorEngine:
         bath_level = sectors.m_values[:, k:k + 1] - (bits[None, :] - 0.5)
         if kind == "hb":
             return self.params.bath_energy[k] * bath_level
-        if kind == "bath":  # projector on level j, m_B = j - N/2
-            return (bath_level == key[2] - 0.5 * self.params.n_bath[k]).astype(float)
         raise KeyError(key)
 
     def _offdiag_observable(self, sectors: SectorGroup, key) -> np.ndarray | None:
@@ -395,7 +393,7 @@ class RefrigeratorEngine:
 
     def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray | None:
         """V^T O V per sector, shape (size, dim, dim); None if O is absent."""
-        if key[0] in ("pop", "exc", "hs", "hb", "bath"):
+        if key[0] in ("pop", "exc", "hs", "hb"):
             return _rotated_diagonal(group.vecs, self._diag_observable(group.sectors, key))
         dense = self._offdiag_observable(group.sectors, key)
         if dense is None:
@@ -406,8 +404,7 @@ class RefrigeratorEngine:
         """Trig terms of Tr[rho(t) O] (kind="cos") or Tr[drho/dt O] ("sin"), one row per key.
 
         Keys: ("pop", i) and ("exc", i) the ground and excited projectors
-        of qubit i; ("bath", i, j) the projector on level j of bath i;
-        ("hs", i) and ("hb", i) the local qubit/bath Hamiltonians;
+        of qubit i; ("hs", i) and ("hb", i) the local qubit/bath Hamiltonians;
         ("hsb", i) the XY coupling block; ("hint",) the collective
         interaction.  Values are normalized by the retained weight.
 
@@ -516,19 +513,37 @@ class RefrigeratorEngine:
     # -- bath states and invariants -------------------------------------------
 
     def reduced_bath_populations(self, bath: int, t: float) -> np.ndarray:
-        """Bath level populations over m_B = -N/2..N/2 for one bath (1-based)."""
-        n = self.params.n_bath[bath - 1]
-        keys = tuple(("bath", bath, j) for j in range(n + 1))
-        return self.series_terms(keys, "cos").at([t])[:, 0]
+        """Bath level populations over m_B = -N/2..N/2 for one bath (1-based).
+
+        A sector of pair total m holds bath ``bath`` on level m + 1/2 with
+        its qubit in the lower level and on m - 1/2 with it in the upper
+        one.  So each sector adds its weight times 1 - p_s(t) to the first
+        level and times p_s(t) to the second, where p_s is the qubit's
+        excited population in that sector, evaluated from the sector's
+        spectrum alone.  An edge sector has one of the two levels, and its
+        qubit bit is fixed: it adds exactly zero to the level it lacks.
+        """
+        k = bath - 1
+        n = self.params.n_bath[k]
+        levels = np.zeros(n + 3)  # one spare level beyond each end
+        for group in self.groups:
+            sectors = group.sectors
+            if sectors.dims[k] == 1:
+                p = np.full(sectors.size, float(sectors.basis[0, k]))
+            else:
+                bits = sectors.basis[:, k].astype(float)
+                f = group.m_matrix * _rotated_diagonal(group.vecs, bits)
+                gaps = group.lam[:, :, None] - group.lam[:, None, :]
+                p = np.sum(f * np.cos(gaps * t), axis=(1, 2))
+            # index j of level m + 1/2 (m_B = j - N/2), plus the spare level
+            j_plus = np.rint(sectors.m_values[:, k] + 0.5 * n + 0.5).astype(int) + 1
+            levels += np.bincount(j_plus, sectors.weights * (1.0 - p), minlength=n + 3)
+            levels += np.bincount(j_plus - 1, sectors.weights * p, minlength=n + 3)
+        return levels[1:-1] / self.weight_total
 
     def total_trace(self, t: float) -> float:
         """Weighted total trace at time t; equals one up to rounding.
 
-        Summed from qubit 1's two level populations: bath 1's N + 1 level
-        rows would hold N + 1 dense copies of the gap terms.
+        Summed from qubit 1's two level populations.
         """
         return float(self.series_terms((("pop", 1), ("exc", 1)), "cos").at([t]).sum())
-
-    def total_energy(self, t: float) -> float:
-        """Tr[rho(t) H] as the sum of the energy channels' cosine series."""
-        return float(self.series_terms(energy_keys(self.params.pairs), "cos").at([t]).sum())

@@ -16,7 +16,7 @@ In the dressed basis, the computational one with |101>, |010> replaced by
 distinct states.  So the dressed populations obey dP/dt = W P, solved exactly
 by uniformization (Xue and Ye, Math. Comp. 82, 1577 (2013)), and the one
 coherence a state may carry, rho_{+-}, rotates at 2g and decays at
-(W++ + W--)/2.  ``oracle.liouvillian_matrix`` is the tests' reference.
+(W++ + W--)/2.  The tests hold it to the full 64x64 GKSL generator.
 """
 
 from __future__ import annotations

@@ -8,10 +8,6 @@ at 1000; this module is for small baths only.
 
 The eigendecomposition and the unitary evolution are checked: algebraic
 identities are held to 1e-12, spectral reconstructions to 1e-10.
-
-The Markov baseline's reference lives here too: its Hamiltonian and the
-full 64x64 GKSL generator, against which ``markov.integrate_gksl`` is
-tested.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import RefrigeratorParams
-from .markov import MarkovParams, build_jump_channels
 from .spinstar import SingleStarParams
 
 DIMENSION_CAP = 1000
@@ -250,62 +245,3 @@ def dense_evolve_and_trace(model: DenseModel, t: float, subsystem: int,
     if not 0 <= subsystem < len(model.dims):
         raise ValueError(f"subsystem {subsystem} out of range for dims {model.dims}")
     return partial_trace(dense_evolve(model, t, spectrum=spectrum), model.dims, subsystem)
-
-
-def sector_basis_indices(params, label) -> list[int]:
-    """Dense-basis indices of a sector's basis states, in canonical order.
-
-    For SingleStarParams, ``label`` is two_m and the order is (ground,
-    excited); for RefrigeratorParams, ``label`` holds one two_m per pair and
-    the order is the engine's bit order (qubit 1 the most significant bit,
-    bit 0 = ground).  Used to check that the dense Hamiltonian restricted to
-    each sector reproduces the sector blocks.
-    """
-    if isinstance(params, SingleStarParams):
-        return _single_sector_indices(params, label)
-    out = [0]
-    for p, two_m in zip(_pairs(params), label):
-        pair_indices = _single_sector_indices(p, two_m)
-        out = [i * 2 * (p.n_bath + 1) + j for i in out for j in pair_indices]
-    return out
-
-
-def _single_sector_indices(params: SingleStarParams, two_m: int) -> list[int]:
-    n = params.n_bath
-    indices = []
-    two_m_b_ground = two_m + 1
-    if abs(two_m_b_ground) <= n:
-        indices.append(0 * (n + 1) + (two_m_b_ground + n) // 2)
-    two_m_b_excited = two_m - 1
-    if abs(two_m_b_excited) <= n:
-        indices.append(1 * (n + 1) + (two_m_b_excited + n) // 2)
-    return indices
-
-
-def system_hamiltonian(params: MarkovParams) -> np.ndarray:
-    """Markov baseline: free part plus the three-body interaction g(|010><101| + h.c.)."""
-    h = np.zeros((8, 8))
-    for idx in range(8):
-        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-        h[idx, idx] = sum(
-            0.5 * params.epsilon[k] * (1.0 - 2.0 * bits[k]) for k in range(3)
-        )
-    h[0b010, 0b101] += params.g
-    h[0b101, 0b010] += params.g
-    return h
-
-
-def liouvillian_matrix(params: MarkovParams) -> np.ndarray:
-    """The Markov baseline's GKSL generator as a 64x64 matrix on vec(rho), row-major."""
-    h = system_hamiltonian(params).astype(complex)
-    eye = np.eye(8)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for ch in build_jump_channels(params):
-        l_op = ch.operator.astype(complex)
-        ld_l = l_op.conj().T @ l_op
-        lv += ch.rate * (
-            np.kron(l_op, l_op.conj())
-            - 0.5 * np.kron(ld_l, eye)
-            - 0.5 * np.kron(eye, ld_l.T)
-        )
-    return lv

@@ -38,10 +38,12 @@ class TimeGrid:
             raise ValueError("time_grid.stop: must exceed time_grid.start")
 
     def points(self) -> np.ndarray:
-        return np.arange(self.start, self.stop + 0.5 * self.step, self.step)
+        """The points start + k step, as the grid kernel evaluates them."""
+        return self.start + self.step * np.arange(len(self))
 
     def __len__(self) -> int:
-        return len(self.points())
+        """The length of numpy's ``arange(start, stop + step/2, step)``."""
+        return math.ceil((self.stop + 0.5 * self.step - self.start) / self.step)
 
 
 def _series_rows(const, amps):

@@ -1,0 +1,107 @@
+"""References and parameters that only the tests use.
+
+The Markov baseline's Hamiltonian and its full 64x64 GKSL generator, against
+which ``markov.integrate_gksl`` is tested; a pair's sector blocks and the
+map from a sector label to its basis states in the dense oracle's basis;
+and the engine's total energy and per-pair charges, which the dynamics
+conserve.
+"""
+
+import numpy as np
+
+from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, energy_keys
+from spinfridge.markov import MarkovParams, build_jump_channels
+from spinfridge.spinstar import SingleStarParams
+
+
+def fridge(n=(1, 1, 1), **kw):
+    defaults = dict(
+        epsilon=(1.0, 2.0, 1.0),
+        bath_energy=(2.0, 4.0, 2.0),
+        coupling=(0.5, 0.4, 0.3),
+        g=0.05,
+        beta=(1.0, 1.0, 0.5),
+    )
+    defaults.update(kw)
+    return RefrigeratorParams(n_bath=n, **defaults)
+
+
+def pair_block(table, j):
+    """Hamiltonian block of sector row j of a ``sector_arrays`` table."""
+    if table["dim"][j] == 1:
+        return np.array([[table["edge_energy"][j]]])
+    return np.array([[table["b_minus"][j], table["u"][j]],
+                     [table["u"][j], table["b_plus"][j]]])
+
+
+def sector_basis_indices(params, label) -> list[int]:
+    """Dense-basis indices of a sector's basis states, in canonical order.
+
+    For SingleStarParams, ``label`` is two_m and the order is (ground,
+    excited); for RefrigeratorParams, ``label`` holds one two_m per pair and
+    the order is the engine's bit order (qubit 1 the most significant bit,
+    bit 0 = ground).  Used to check that the dense Hamiltonian restricted to
+    each sector reproduces the sector blocks.
+    """
+    if isinstance(params, SingleStarParams):
+        return _single_sector_indices(params, label)
+    out = [0]
+    pairs = [params.pair(i) for i in range(1, params.pairs + 1)]
+    for p, two_m in zip(pairs, label):
+        pair_indices = _single_sector_indices(p, two_m)
+        out = [i * 2 * (p.n_bath + 1) + j for i in out for j in pair_indices]
+    return out
+
+
+def _single_sector_indices(params: SingleStarParams, two_m: int) -> list[int]:
+    n = params.n_bath
+    indices = []
+    two_m_b_ground = two_m + 1
+    if abs(two_m_b_ground) <= n:
+        indices.append(0 * (n + 1) + (two_m_b_ground + n) // 2)
+    two_m_b_excited = two_m - 1
+    if abs(two_m_b_excited) <= n:
+        indices.append(1 * (n + 1) + (two_m_b_excited + n) // 2)
+    return indices
+
+
+def system_hamiltonian(params: MarkovParams) -> np.ndarray:
+    """Markov baseline: free part plus the three-body interaction g(|010><101| + h.c.)."""
+    h = np.zeros((8, 8))
+    for idx in range(8):
+        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
+        h[idx, idx] = sum(
+            0.5 * params.epsilon[k] * (1.0 - 2.0 * bits[k]) for k in range(3)
+        )
+    h[0b010, 0b101] += params.g
+    h[0b101, 0b010] += params.g
+    return h
+
+
+def liouvillian_matrix(params: MarkovParams) -> np.ndarray:
+    """The Markov baseline's GKSL generator as a 64x64 matrix on vec(rho), row-major."""
+    h = system_hamiltonian(params).astype(complex)
+    eye = np.eye(8)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for ch in build_jump_channels(params):
+        l_op = ch.operator.astype(complex)
+        ld_l = l_op.conj().T @ l_op
+        lv += ch.rate * (
+            np.kron(l_op, l_op.conj())
+            - 0.5 * np.kron(ld_l, eye)
+            - 0.5 * np.kron(eye, ld_l.T)
+        )
+    return lv
+
+
+def total_energy(engine: RefrigeratorEngine, t: float) -> float:
+    """Tr[rho(t) H] as the sum of the energy channels' cosine series."""
+    return float(engine.series_terms(energy_keys(engine.params.pairs), "cos").at([t]).sum())
+
+
+def charge(eng, i, t):
+    """S^z_i + J^z_i read from the reduced qubit and bath states at t."""
+    n = eng.params.n_bath[i - 1]
+    m_bath = np.arange(n + 1) - 0.5 * n
+    p = eng.excited_terms((i,)).at([t])[0, 0]
+    return p - 0.5 + m_bath @ eng.reduced_bath_populations(i, t)

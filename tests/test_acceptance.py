@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from dense_reference import charge, total_energy
 from spinfridge import oracle, thermo
 from spinfridge.analysis import (
     DEFAULT_TIME_GRID,
@@ -177,14 +178,6 @@ def test_criterion_2_refrigerator_oracle():
 # Criterion 3: conservation and pruning soundness at N=(10,10,10)
 # ---------------------------------------------------------------------------
 
-def reduced_charge(engine, i, t):
-    """S^z_i + J^z_i read from the reduced qubit and bath states at t."""
-    n = engine.params.n_bath[i - 1]
-    m_bath = np.arange(n + 1) - 0.5 * n
-    p = engine.excited_terms((i,)).at([t])[0, 0]
-    return p - 0.5 + m_bath @ engine.reduced_bath_populations(i, t)
-
-
 def test_criterion_3_conservation_suite():
     rng = np.random.default_rng(SEED)
     p = RefrigeratorParams(
@@ -198,15 +191,15 @@ def test_criterion_3_conservation_suite():
     full = RefrigeratorEngine(p, prune_tol=0.0)
     pruned = RefrigeratorEngine(p, prune_tol=1e-12)
     times = np.linspace(0.0, 10.0, 11)
-    energy0 = full.total_energy(0.0)
-    charges0 = [reduced_charge(full, i, 0.0) for i in (1, 2, 3)]
+    energy0 = total_energy(full, 0.0)
+    charges0 = [charge(full, i, 0.0) for i in (1, 2, 3)]
     trace_dev = charge_dev = energy_dev = 0.0
     for t in times:
         trace_dev = max(trace_dev, abs(full.total_trace(t) - 1.0))
-        energy_dev = max(energy_dev, abs(full.total_energy(t) - energy0))
+        energy_dev = max(energy_dev, abs(total_energy(full, t) - energy0))
         for i in (1, 2, 3):
             charge_dev = max(
-                charge_dev, abs(reduced_charge(full, i, t) - charges0[i - 1])
+                charge_dev, abs(charge(full, i, t) - charges0[i - 1])
             )
     grid = DEFAULT_TIME_GRID
     prune_dev = float(np.max(np.abs(

@@ -393,7 +393,6 @@ class TestFitPowerLaw:
         assert fit.b == pytest.approx(1.089, abs=1e-6)
         assert fit.sigma < 1e-12
         assert fit.n_points == 49
-        assert fit.n_params == 2
 
     def test_sigma_definition_is_reproducible(self):
         rng = np.random.default_rng(0)

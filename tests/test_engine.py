@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dense_reference import charge, fridge, pair_block, sector_basis_indices, total_energy
 from spinfridge import oracle, thermo
 from spinfridge.engine import (
     RefrigeratorEngine,
@@ -16,26 +17,6 @@ from spinfridge.engine import (
 )
 from spinfridge.series import TimeGrid, trig_series_at, trig_series_taylor, trig_series_uniform
 from spinfridge.spinstar import sector_arrays, temperature_from_excited
-
-
-def fridge(n=(1, 1, 1), **kw):
-    defaults = dict(
-        epsilon=(1.0, 2.0, 1.0),
-        bath_energy=(2.0, 4.0, 2.0),
-        coupling=(0.5, 0.4, 0.3),
-        g=0.05,
-        beta=(1.0, 1.0, 0.5),
-    )
-    defaults.update(kw)
-    return RefrigeratorParams(n_bath=n, **defaults)
-
-
-def charge(eng, i, t):
-    """S^z_i + J^z_i read from the reduced qubit and bath states at t."""
-    n = eng.params.n_bath[i - 1]
-    m_bath = np.arange(n + 1) - 0.5 * n
-    p = eng.excited_terms((i,)).at([t])[0, 0]
-    return p - 0.5 + m_bath @ eng.reduced_bath_populations(i, t)
 
 
 class TestParams:
@@ -138,14 +119,6 @@ class TestEnumeration:
             RefrigeratorEngine(fridge(), prune_tol=-1e-3)
 
 
-def pair_block(table, j):
-    """Hamiltonian block of sector row j of a ``sector_arrays`` table."""
-    if table["dim"][j] == 1:
-        return np.array([[table["edge_energy"][j]]])
-    return np.array([[table["b_minus"][j], table["u"][j]],
-                     [table["u"][j], table["b_plus"][j]]])
-
-
 class TestSectorAssembly:
     def test_decoupled_blocks_are_kron_sums(self):
         p = fridge(g=0.0, n=(2, 2, 2))
@@ -216,7 +189,7 @@ class TestSectorAssembly:
         model = oracle.build_dense(p)
         rebuilt = np.zeros_like(model.initial_state)
         for group, row, two_m in kept_sectors(RefrigeratorEngine(p, prune_tol=0.0)):
-            idx = oracle.sector_basis_indices(p, two_m)
+            idx = sector_basis_indices(p, two_m)
             sectors = group.sectors
             rebuilt[np.ix_(idx, idx)] += sectors.weights[row] * np.diag(sectors.p0)
         assert np.max(np.abs(rebuilt - model.initial_state)) < 1e-14
@@ -308,6 +281,19 @@ class TestReducedDynamics:
                     np.diag(dense_b).real - eng.reduced_bath_populations(qubit, t)
                 )) < 1e-9
 
+    def test_bath_levels_beyond_the_dense_oracle(self):
+        # at g = 0 each bath moves with its own qubit only, so the pruned
+        # three-pair engine's bath levels are those of one unpruned pair
+        p = fridge(n=(30, 30, 30), g=0.0)
+        three = RefrigeratorEngine(p, prune_tol=1e-12)
+        for bath in (1, 2, 3):
+            one = RefrigeratorEngine(RefrigeratorParams.from_pairs(p.pair(bath)), prune_tol=0.0)
+            for t in (0.0, 3.7, 9.1):
+                assert np.max(np.abs(
+                    three.reduced_bath_populations(bath, t) - one.reduced_bath_populations(1, t)
+                )) < 1e-11
+        assert not three._series_cache
+
     def test_temperature_series_starts_at_bath_temperature(self):
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         for i, beta in zip((1, 2, 3), (1.0, 1.0, 0.5)):
@@ -316,11 +302,11 @@ class TestReducedDynamics:
 
     def test_conservation(self):
         eng = RefrigeratorEngine(fridge(n=(3, 2, 2), g=0.09), prune_tol=0.0)
-        e0 = eng.total_energy(0.0)
+        e0 = total_energy(eng, 0.0)
         charges0 = [charge(eng, i, 0.0) for i in (1, 2, 3)]
         for t in (1.1, 4.4, 9.7):
             assert eng.total_trace(t) == pytest.approx(1.0, abs=1e-12)
-            assert eng.total_energy(t) == pytest.approx(e0, abs=1e-10)
+            assert total_energy(eng, t) == pytest.approx(e0, abs=1e-10)
             for i in (1, 2, 3):
                 assert charge(eng, i, t) == pytest.approx(
                     charges0[i - 1], abs=1e-10
@@ -353,6 +339,18 @@ class TestTimeGrid:
         assert len(grid) == len(grid.points()) == 171
         assert grid.points()[0] == 0.3
         assert grid.points()[-1] == pytest.approx(2.0, abs=1e-12)
+
+    def test_points_are_start_plus_k_steps(self):
+        # the kernel evaluates at start + k step, not at multiples of (start + step) - start
+        grid = TimeGrid(0.3, 2.0, 0.01)
+        assert np.array_equal(grid.points(), 0.3 + 0.01 * np.arange(171))
+
+    def test_length_is_numpys_arange_length(self):
+        rng = np.random.default_rng(5)
+        for start, span, step in zip(rng.uniform(-5.0, 5.0, 500), rng.uniform(1e-3, 10.0, 500),
+                                     10.0 ** rng.uniform(-3.0, 0.0, 500)):
+            grid = TimeGrid(start, start + span, step)
+            assert len(grid) == len(np.arange(start, grid.stop + 0.5 * step, step))
 
     @pytest.mark.parametrize("start, stop, step", [
         (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1.0, math.nan),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from dense_reference import liouvillian_matrix, system_hamiltonian
 from spinfridge.cli import main
 from spinfridge.markov import (
     MarkovParams,
@@ -24,7 +25,6 @@ from spinfridge.markov import (
     temperature_trajectories,
     thermal_product_state,
 )
-from spinfridge.oracle import liouvillian_matrix, system_hamiltonian
 from spinfridge.series import TimeGrid
 
 

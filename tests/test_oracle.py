@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import fridge, pair_block, sector_basis_indices
 from spinfridge import oracle
-from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
+from spinfridge.engine import RefrigeratorEngine
 from spinfridge.spinstar import SingleStarParams, sector_arrays
 
 
@@ -14,26 +15,6 @@ def single(n=1, **kw):
     defaults = dict(epsilon=1.0, bath_energy=2.0, coupling=0.5, beta=1.0)
     defaults.update(kw)
     return SingleStarParams(n_bath=n, **defaults)
-
-
-def fridge(n=(1, 1, 1), **kw):
-    defaults = dict(
-        epsilon=(1.0, 2.0, 1.0),
-        bath_energy=(2.0, 4.0, 2.0),
-        coupling=(0.5, 0.4, 0.3),
-        g=0.05,
-        beta=(1.0, 1.0, 0.5),
-    )
-    defaults.update(kw)
-    return RefrigeratorParams(n_bath=n, **defaults)
-
-
-def pair_block(table, j):
-    """Hamiltonian block of sector row j of a ``sector_arrays`` table."""
-    if table["dim"][j] == 1:
-        return np.array([[table["edge_energy"][j]]])
-    return np.array([[table["b_minus"][j], table["u"][j]],
-                     [table["u"][j], table["b_plus"][j]]])
 
 
 class TestBuildDense:
@@ -90,7 +71,7 @@ class TestSectorEmbedding:
         p = fridge(n=(2, 1, 1))
         model = oracle.build_dense(p)
         for group, row, two_m in engine_sectors(p):
-            idx = oracle.sector_basis_indices(p, two_m)
+            idx = sector_basis_indices(p, two_m)
             assert len(idx) == group.dim
             block = model.hamiltonian[np.ix_(idx, idx)]
             assert np.max(np.abs(block - group.hamiltonians[row])) < 1e-12
@@ -100,7 +81,7 @@ class TestSectorEmbedding:
         model = oracle.build_dense(p)
         table = sector_arrays(p)
         for j, two_m in enumerate(table["two_m"]):
-            idx = oracle.sector_basis_indices(p, int(two_m))
+            idx = sector_basis_indices(p, int(two_m))
             block = model.hamiltonian[np.ix_(idx, idx)]
             expected = pair_block(table, j)
             assert block.shape == expected.shape
@@ -110,8 +91,8 @@ class TestSectorEmbedding:
         p = fridge(n=(1, 1, 1))
         model = oracle.build_dense(p)
         labels = sorted(two_m for _, _, two_m in engine_sectors(p))
-        idx_a = oracle.sector_basis_indices(p, labels[0])
-        idx_b = oracle.sector_basis_indices(p, labels[5])
+        idx_a = sector_basis_indices(p, labels[0])
+        idx_b = sector_basis_indices(p, labels[5])
         assert np.max(np.abs(model.hamiltonian[np.ix_(idx_a, idx_b)])) == 0.0
 
 

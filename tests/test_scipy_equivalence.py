@@ -33,6 +33,10 @@ class TestSobol:
             analysis._sobol(len(analysis._SOBOL_POLY) + 1, 4, 0)
 
 
+class _BudgetExhausted(Exception):
+    """The reference's evaluation budget ran out inside a probe or a polish."""
+
+
 def _reference_minimize_box(func, bounds, budget, seed, n_starts=None):
     """``minimize_box`` as it was on SciPy's ``qmc.Sobol`` and ``minimize``."""
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -44,7 +48,7 @@ def _reference_minimize_box(func, bounds, budget, seed, n_starts=None):
 
     def wrapped(x):
         if tracker.spent():
-            raise analysis._BudgetExhausted
+            raise _BudgetExhausted
         x = np.clip(x, lo, hi)
         value = float(func(x))
         tracker.used += 1
@@ -72,7 +76,7 @@ def _reference_minimize_box(func, bounds, budget, seed, n_starts=None):
     try:
         for x in probes:
             probe_values.append(wrapped(x))
-    except analysis._BudgetExhausted:
+    except _BudgetExhausted:
         pass
     ranked = list(np.argsort(probe_values, kind="stable"))
     restarts = 0
@@ -94,7 +98,7 @@ def _reference_minimize_box(func, bounds, budget, seed, n_starts=None):
             minimize(wrapped, x0, method="Nelder-Mead", bounds=bounds, options={
                 **options, "initial_simplex": analysis._initial_simplex(x0, lo, hi, scale),
             })
-        except analysis._BudgetExhausted:
+        except _BudgetExhausted:
             pass
     return (tracker.best_x, tracker.best_value, tracker.used, restarts,
             np.array(tracker.history))
