@@ -25,7 +25,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it on first use: at import, not in a run)
 
 from .engine import RefrigeratorEngine, RefrigeratorParams
-from .series import SeriesTerms, TimeGrid
+from .series import TimeGrid
 from .spinstar import temperature_from_excited
 
 DEFAULT_TIME_GRID = TimeGrid(0.0, 10.0, 0.005)
@@ -159,11 +159,11 @@ def _polish(value, value_at, times, k: int, tol: float) -> tuple[float, float]:
     """(time, value) of sample k, whose sampled value is ``value``, polished.
 
     Golden-section search of ``value_at`` on (times[k-1], times[k+1]); the
-    polish never loses to the sample, and an end point of ``times`` or a
-    missing ``value_at`` keeps the sampled value.
+    polish never loses to the sample, and an end point of ``times`` keeps
+    the sampled value.
     """
     t_best, v_best = float(times[k]), float(value)
-    if value_at is not None and 0 < k < len(times) - 1:
+    if 0 < k < len(times) - 1:
         t_gold, v_gold = golden_section_min(
             value_at, float(times[k - 1]), float(times[k + 1]), tol=tol
         )
@@ -557,41 +557,30 @@ class OptimizationResult:
 _INFEASIBLE = (math.inf, math.nan, math.nan)
 
 
-def minimize_t1(excited, bounds, budget: int, seed: int,
-                time_grid: TimeGrid = DEFAULT_TIME_GRID, refine_tol: float = 1e-5
-                ) -> OptimizationResult:
+def minimize_t1(best, bounds, budget: int, seed: int) -> OptimizationResult:
     """Minimize the qubit-1 temperature over the points x of a box and over time.
 
-    ``excited(x, time_grid)`` returns, for point x, qubit 1's excited
-    population p1, a pointwise evaluator of it and qubit 1's gap, or None
-    when x is infeasible, which scores +inf.  p1 is either its values at
-    ``time_grid.points()``, searched by ``_best_time_on_grid``, or its
-    one-row ``SeriesTerms`` (the evaluator then unused), searched by
-    ``_best_time_on_series``.  Minimizing p1 minimizes T1, as the map
+    ``best(x)`` returns, for point x, the time and value of the least
+    excited population p1 of qubit 1 and qubit 1's gap, or None when x is
+    infeasible, which scores +inf.  Minimizing p1 minimizes T1, as the map
     p -> T is strictly increasing, and T1 is read from p1 at the best
     time; the points are searched by ``minimize_box``.  Points are
     memoized by their coordinates rounded to 14 decimals, so the winner is
     not evaluated again.  When no evaluated point is feasible, ``best_t1``
     is +inf and the other values NaN.  Deterministic for a fixed seed.
     """
-    times = time_grid.points()
     memo: dict[tuple, tuple] = {}
 
     def score(x) -> tuple:
         x = np.asarray(x, dtype=float)
         key = tuple(np.round(x, 14))
         if key not in memo:
-            found = excited(x, time_grid)
+            found = best(x)
             if found is None:
                 memo[key] = _INFEASIBLE
             else:
-                p1, value_at, epsilon = found
-                if isinstance(p1, SeriesTerms):
-                    t_best, p_best = _best_time_on_series(p1, time_grid, refine_tol)
-                else:
-                    t_best, p_best = _best_time_on_grid(p1, value_at, times, refine_tol)
-                t1_value = float(temperature_from_excited(p_best, epsilon))
-                memo[key] = (t1_value, t_best, p_best)
+                t_best, p_best, epsilon = found
+                memo[key] = (float(temperature_from_excited(p_best, epsilon)), t_best, p_best)
         return memo[key]
 
     x_best, _, evals, restarts, history = minimize_box(
@@ -619,16 +608,19 @@ def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
     """Minimize the cold-qubit temperature over couplings and time.
 
     ``engine_factory`` maps a coupling vector (A1, A2, A3, g) to a
-    RefrigeratorEngine, whose ("exc", 1) series ``minimize_t1`` searches
-    over time with ``_best_time_on_series``; the couplings are searched by
-    seeded multistart Nelder-Mead.  Deterministic for a fixed seed.
+    RefrigeratorEngine, whose ("exc", 1) series is searched over time by
+    ``_best_time_on_series``; the couplings are searched by seeded
+    multistart Nelder-Mead (``minimize_t1``).  Deterministic for a fixed
+    seed.
     """
 
-    def excited(x, time_grid):
+    def best(x):
         engine = engine_factory(x)
-        return engine.excited_terms((1,)), None, engine.params.epsilon[0]
+        terms, epsilon = engine.excited_terms((1,)), engine.params.epsilon[0]
+        del engine  # the search needs only the series: free the spectra first
+        return _best_time_on_series(terms, time_grid) + (epsilon,)
 
-    return minimize_t1(excited, ranges, budget, seed, time_grid)
+    return minimize_t1(best, ranges, budget, seed)
 
 
 def coupling_engine_factory(base: RefrigeratorParams, prune_tol: float,
@@ -681,10 +673,10 @@ class ScalingReport:
 
 
 def _sweep_point(args) -> ScalingRow:
-    (base, n, budget, seed, prune_tol, series_amp_tol, grid) = args
+    (base, n, ranges, budget, seed, prune_tol, series_amp_tol, grid) = args
     params = replace(base, n_bath=(n, n, n))
     factory = coupling_engine_factory(params, prune_tol, series_amp_tol)
-    result = optimize_t1(factory, budget=budget, seed=seed, time_grid=grid)
+    result = optimize_t1(factory, ranges, budget, seed, grid)
     terms = factory(result.best_params).excited_terms((1,))
     eps = params.epsilon[0]
     times = grid.points()
@@ -711,17 +703,19 @@ def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = 2000,
                   seed: int = 0, prune_tol: float = 1e-9,
                   series_amp_tol: float = 1e-9,
                   time_grid: TimeGrid = DEFAULT_TIME_GRID,
-                  workers: int | None = None) -> ScalingReport:
+                  workers: int | None = None,
+                  ranges=DEFAULT_RANGES) -> ScalingReport:
     """Optimize the cold-qubit temperature for each bath size N1=N2=N3=N.
 
-    Per-N optimizations run in separate processes (``workers`` defaults to
+    Every N searches the same box ``ranges`` of (A1, A2, A3, g).  Per-N
+    optimizations run in separate processes (``workers`` defaults to
     SPINFRIDGE_WORKERS or the core count) and are merged in n_list order, so
     the report does not depend on scheduling.  Each N gets the deterministic
     seed ``seed + 7919 * index``.
     """
     n_list = [int(n) for n in n_list]
     jobs = [
-        (base, n, per_n_budget, seed + 7919 * k, prune_tol, series_amp_tol, time_grid)
+        (base, n, ranges, per_n_budget, seed + 7919 * k, prune_tol, series_amp_tol, time_grid)
         for k, n in enumerate(n_list)
     ]
     workers = workers if workers is not None else worker_count()

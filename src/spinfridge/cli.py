@@ -89,13 +89,18 @@ def _run_evolve(config: RunConfig) -> None:
     _write_csv(config.output_path, config, header, columns)
 
 
+def _coupling_ranges(config: RunConfig) -> tuple:
+    """The configured search box of (A1, A2, A3, g)."""
+    opt = config.optimization
+    return (opt.coupling_range,) * 3 + (opt.g_range,)
+
+
 def _run_optimize(config: RunConfig) -> None:
     opt = config.optimization
     factory = coupling_engine_factory(config.refrigerator, config.prune_tol)
-    ranges = (opt.coupling_range,) * 3 + (opt.g_range,)
     result = optimize_t1(
         factory,
-        ranges=ranges,
+        ranges=_coupling_ranges(config),
         budget=opt.budget,
         seed=opt.seed,
         time_grid=config.time_grid,
@@ -120,6 +125,7 @@ def _run_scaling(config: RunConfig) -> None:
         seed=opt.seed,
         prune_tol=config.prune_tol,
         time_grid=config.time_grid,
+        ranges=_coupling_ranges(config),
     )
     ns, t1 = report.table()
     _, tl = report.local_min_table()

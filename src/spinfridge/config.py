@@ -154,6 +154,8 @@ def _parse_range(value: Any, path: str) -> tuple[float, float]:
         raise ConfigError(f"{path}: expected [low, high], got {value!r}")
     lo = _finite_number(value[0], f"{path}[0]")
     hi = _finite_number(value[1], f"{path}[1]")
+    if lo < 0:  # couplings, g and alpha are all nonnegative
+        raise ConfigError(f"{path}[0]: must be nonnegative, got {lo}")
     if hi < lo:
         raise ConfigError(f"{path}: high bound below low bound")
     return lo, hi

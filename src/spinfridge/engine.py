@@ -265,9 +265,9 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
 # ---------------------------------------------------------------------------
 
 def energy_keys(pairs: int) -> tuple:
-    """Every term of H: local qubits, local baths, couplings, then the
+    """The off-diagonal terms of H: each pair's coupling, then the
     interaction, which joins three pairs and is absent for one."""
-    keys = tuple((kind, i) for kind in ("hs", "hb", "hsb") for i in range(1, pairs + 1))
+    keys = tuple(("hsb", i) for i in range(1, pairs + 1))
     return keys + ((("hint",),) if pairs == 3 else ())
 
 
@@ -322,7 +322,7 @@ def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGrou
     h = np.zeros((sectors.size, sectors.dim, sectors.dim))
     diagonal = np.arange(sectors.dim)
     h[:, diagonal, diagonal] = sectors.level_energy
-    for key in energy_keys(params.pairs)[2 * params.pairs:]:  # the off-diagonal terms
+    for key in energy_keys(params.pairs):
         term = _coupling_term(params, sectors, key)
         if term is not None:
             strength, mask = term
@@ -365,58 +365,36 @@ class RefrigeratorEngine:
 
     # -- observables ----------------------------------------------------------
 
-    def _diag_observable(self, sectors: SectorGroup, key) -> np.ndarray:
-        """Observable diagonal in the sector basis, shape (dim,) or (size, dim)."""
-        kind, i = key
-        k = i - 1
-        bits = sectors.basis[:, k].astype(float)
-        if kind == "pop":
-            return 1.0 - bits
-        if kind == "exc":
-            return bits
-        if kind == "hs":
-            return self.params.epsilon[k] * (bits - 0.5)
-        bath_level = sectors.m_values[:, k:k + 1] - (bits[None, :] - 0.5)
-        if kind == "hb":
-            return self.params.bath_energy[k] * bath_level
-        raise KeyError(key)
-
-    def _offdiag_observable(self, sectors: SectorGroup, key) -> np.ndarray | None:
-        """Dense coupling observable, shape (size, dim, dim); None if absent."""
-        term = _coupling_term(self.params, sectors, key)
+    def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray | None:
+        """V^T O V per sector, shape (size, dim, dim); None if O is absent."""
+        if key[0] in ("pop", "exc"):
+            bits = group.sectors.basis[:, key[1] - 1].astype(float)
+            return _rotated_diagonal(group.vecs, bits if key[0] == "exc" else 1.0 - bits)
+        term = _coupling_term(self.params, group.sectors, key)
         if term is None:
             return None
         strength, mask = term
-        o = np.zeros((sectors.size, sectors.dim, sectors.dim))
-        o[:, mask] = strength
-        return o
-
-    def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray | None:
-        """V^T O V per sector, shape (size, dim, dim); None if O is absent."""
-        if key[0] in ("pop", "exc", "hs", "hb"):
-            return _rotated_diagonal(group.vecs, self._diag_observable(group.sectors, key))
-        dense = self._offdiag_observable(group.sectors, key)
-        if dense is None:
-            return None
+        dense = np.zeros((group.size, group.dim, group.dim))
+        dense[:, mask] = strength
         return np.matmul(np.matmul(group.vecs.transpose(0, 2, 1), dense), group.vecs)
 
-    def series_terms(self, keys: tuple, kind: str) -> SeriesTerms:
-        """Trig terms of Tr[rho(t) O] (kind="cos") or Tr[drho/dt O] ("sin"), one row per key.
+    def series_terms(self, keys: tuple) -> SeriesTerms:
+        """Cosine terms of Tr[rho(t) O], one row per key.
 
         Keys: ("pop", i) and ("exc", i) the ground and excited projectors
-        of qubit i; ("hs", i) and ("hb", i) the local qubit/bath Hamiltonians;
-        ("hsb", i) the XY coupling block; ("hint",) the collective
-        interaction.  Values are normalized by the retained weight.
+        of qubit i; ("hsb", i) the XY coupling block; ("hint",) the
+        collective interaction.  Values are normalized by the retained
+        weight.  Tr[drho/dt O] is the ``derivative()`` of the result.
 
         The rows share the union of the keys' gaps (zero where a key's
         observable is absent) and are compressed on the magnitudes summed
         over rows, so each row's error stays below ``series_amp_tol`` times
-        the total magnitude of all rows.
+        the total magnitude of all rows, and its derivative's error below
+        that bound times the largest gap.
         """
         keys = tuple(keys)
-        cache_key = (keys, kind)
-        if cache_key in self._series_cache:
-            return self._series_cache[cache_key]
+        if keys in self._series_cache:
+            return self._series_cache[keys]
         const = np.zeros(len(keys))
         amp_parts = []
         omega_parts = []
@@ -428,8 +406,7 @@ class RefrigeratorEngine:
                 if o_tilde is None:
                     continue
                 f = group.m_matrix * o_tilde
-                if kind == "cos":
-                    const[row] += float(np.dot(weights, np.trace(f, axis1=1, axis2=2)))
+                const[row] += float(np.dot(weights, np.trace(f, axis1=1, axis2=2)))
                 if group.dim == 1:
                     continue
                 if amp is None:
@@ -438,17 +415,13 @@ class RefrigeratorEngine:
                     amp = np.zeros((len(keys), gaps.size))
                     amp_parts.append(amp)
                     omega_parts.append(gaps.ravel())
-                pair_f = f[:, iu, ju]
-                if kind == "cos":
-                    amp[row] = (2.0 * weights[:, None] * pair_f).ravel()
-                else:
-                    amp[row] = (-2.0 * weights[:, None] * pair_f * gaps).ravel()
+                amp[row] = (2.0 * weights[:, None] * f[:, iu, ju]).ravel()
         amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
         amps, omegas = self._compress(amps, omegas)
         scale = 1.0 / self.weight_total
-        terms = SeriesTerms(const * scale, amps * scale, omegas, kind)
-        self._series_cache[cache_key] = terms
+        terms = SeriesTerms(const * scale, amps * scale, omegas, "cos")
+        self._series_cache[keys] = terms
         return terms
 
     def _compress(self, amps: np.ndarray, omegas: np.ndarray):
@@ -466,7 +439,7 @@ class RefrigeratorEngine:
 
     def ground_population(self, qubit: int, t: float) -> float:
         """Ground population r_i(t) of one qubit (1-based index)."""
-        return float(self.series_terms((("pop", qubit),), "cos").at([t])[0, 0])
+        return float(self.series_terms((("pop", qubit),)).at([t])[0, 0])
 
     def reduced_qubit_state(self, qubit: int, t: float) -> np.ndarray:
         r = self.ground_population(qubit, t)
@@ -480,7 +453,7 @@ class RefrigeratorEngine:
         error, not T = 0: ``prune_tol`` bounds the absolute error of p, not
         its relative error, on which T depends.
         """
-        terms = self.series_terms(tuple(("exc", q) for q in qubits), "cos")
+        terms = self.series_terms(tuple(("exc", q) for q in qubits))
         layout = self.layout
         if layout.dropped:
             for q, const, amps in zip(qubits, terms.const, terms.amps):
@@ -546,4 +519,4 @@ class RefrigeratorEngine:
 
         Summed from qubit 1's two level populations.
         """
-        return float(self.series_terms((("pop", 1), ("exc", 1)), "cos").at([t]).sum())
+        return float(self.series_terms((("pop", 1), ("exc", 1))).at([t]).sum())

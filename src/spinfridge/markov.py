@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import OptimizationResult, minimize_t1
+from .analysis import OptimizationResult, _best_time_on_grid, minimize_t1
 from .series import TimeGrid
 from .spinstar import temperature_from_excited
 
@@ -314,27 +314,31 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
     """Minimize the cold-qubit temperature over (alpha1..3, g) and time.
 
     Same search as the spin-star optimizer, through ``analysis.minimize_t1``,
-    on qubit 1's excited population along each propagated trajectory,
-    polished by ``MarkovTrajectory.diagonal_at``; ``best_params`` =
+    on qubit 1's excited population along each propagated trajectory: its
+    least grid value (``analysis._best_time_on_grid``) is polished by
+    ``MarkovTrajectory.diagonal_at`` to 1e-4 in time; ``best_params`` =
     (alpha1, alpha2, alpha3, g).  Weak-coupling warnings from exploratory
     points are suppressed, and points whose rates break weak coupling
     (``WeakCouplingError``) score +inf, so the search avoids them instead of
     aborting; when every evaluated point does, ``WeakCouplingError`` is raised.
     """
 
-    def excited(x, grid):
+    def best(x):
         params = replace(base, alpha=(float(x[0]), float(x[1]), float(x[2])), g=float(x[3]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
             try:
-                traj = integrate_gksl(params, thermal_product_state(params), grid)
+                traj = integrate_gksl(params, thermal_product_state(params), time_grid)
             except WeakCouplingError:
                 return None
-        return (excited_populations(traj.diagonal)[:, 0],
-                lambda t: excited_populations(traj.diagonal_at(t))[0], base.epsilon[0])
+        t_best, p_best = _best_time_on_grid(
+            excited_populations(traj.diagonal)[:, 0],
+            lambda t: excited_populations(traj.diagonal_at(t))[0], time_grid.points(), 1e-4,
+        )
+        return t_best, p_best, base.epsilon[0]
 
     bounds = [alpha_range, alpha_range, alpha_range, g_range]
-    result = minimize_t1(excited, bounds, budget, seed, time_grid, refine_tol=1e-4)
+    result = minimize_t1(best, bounds, budget, seed)
     if not math.isfinite(result.best_t1):
         raise WeakCouplingError(f"every one of {result.evaluations} evaluated points "
                                 "breaks weak coupling")

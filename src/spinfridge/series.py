@@ -1,7 +1,8 @@
 """Trigonometric series const + sum_j a_j trig(omega_j t), and the time grid.
 
-Every population and current of the exact engine, for one star or three,
-is such a series over spectral gaps.  ``SeriesTerms`` holds one or several
+Every population of the exact engine, for one star or three, is such a
+cosine series over spectral gaps, and every energy current is read from
+its derivative (``SeriesTerms.derivative``).  ``SeriesTerms`` holds one or several
 over shared gaps, one row each, and evaluates them with the blocked grid
 kernel ``trig_series_uniform`` on a ``TimeGrid``, directly with
 ``trig_series_at`` at arbitrary times, or as local Taylor polynomials with
@@ -241,3 +242,8 @@ class SeriesTerms:
     def taylor(self, centres, radius: float) -> np.ndarray:
         return trig_series_taylor(self.const, self.amps, self.omegas, centres, radius,
                                   self.kind)
+
+    def derivative(self) -> SeriesTerms:
+        """The time derivative of a cosine series: amplitudes -a w on sines."""
+        return SeriesTerms(np.zeros_like(self.const), -self.amps * self.omegas, self.omegas,
+                           "sin")

@@ -1,10 +1,13 @@
 """Heat currents through the qubits and baths, plus energy-flow diagnostics.
 
-Currents are computed exactly from drho/dt = -i[H, rho] per sector (units
-with hbar*K = 1), traced against the local qubit or bath Hamiltonian and
-weight-reduced; no finite differencing enters.  The same machinery exposes
-the coupling-energy and interaction-energy flows so the total d<H>/dt can
-be assembled and checked against zero.
+Every sector conserves each pair's S^z_i + J^z_i (Breuer, Burgarth and
+Petruccione, PRB 70, 045323 (2004)), so an excitation that leaves qubit i
+lands one rung up its bath: Qdot_S,i = eps_i dp_i/dt and
+Qdot_B,i = -E_i dp_i/dt exactly (units with hbar*K = 1), where p_i is the
+qubit's excited population.  Both come from the derivative of the
+engine's excited-population series; no finite differencing enters.  The
+coupling and interaction rows' derivatives complete d<H>/dt, which is
+assembled and checked against zero.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RefrigeratorEngine, energy_keys
-from .series import TimeGrid
+from .series import SeriesTerms, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -26,25 +29,34 @@ class HeatCurrentSeries:
     qdot_b: np.ndarray  # (pairs, n)
 
 
-def heat_current_series(engine: RefrigeratorEngine, grid: TimeGrid) -> HeatCurrentSeries:
-    """Heat currents on ``grid``, all of them from one pass of the sine series."""
-    times = grid.points()
+def _excitation_rates(engine: RefrigeratorEngine) -> SeriesTerms:
+    """dp_i/dt of every qubit, one row per pair, from the engine's excited rows."""
     pairs = engine.params.pairs
-    heat_keys = energy_keys(pairs)[:2 * pairs]  # ("hs", i) then ("hb", i)
-    values = engine.series_terms(heat_keys, "sin").on_grid(grid.start, grid.step, len(times))
-    return HeatCurrentSeries(times, values[:pairs], values[pairs:])
+    return engine.series_terms(tuple(("exc", i) for i in range(1, pairs + 1))).derivative()
+
+
+def heat_current_series(engine: RefrigeratorEngine, grid: TimeGrid) -> HeatCurrentSeries:
+    """Heat currents on ``grid``, all of them from one pass of the rate series."""
+    times = grid.points()
+    rates = _excitation_rates(engine).on_grid(grid.start, grid.step, len(times))
+    params = engine.params
+    return HeatCurrentSeries(times, np.array(params.epsilon)[:, None] * rates,
+                             -np.array(params.bath_energy)[:, None] * rates)
 
 
 def energy_balance(engine: RefrigeratorEngine, t: float) -> float:
     """Total d<H>/dt assembled from every energy-flow channel.
 
-    The channels are each pair's local qubit, local bath and coupling terms,
-    and for three pairs the collective interaction; unitary evolution
-    conserves <H>, so the sum is a pure numerical residual.  Each channel is
-    its own one-row series: one series of all rows would hold a dense copy
-    of every gap per row.
+    The channels are each pair's qubit and bath levels, whose flows are
+    (eps_i - E_i) dp_i/dt, each pair's coupling and, for three pairs, the
+    collective interaction; unitary evolution conserves <H>, so the sum is
+    a pure numerical residual.  Each coupling channel is its own one-row
+    series: one series of all rows would hold a dense copy of every gap
+    per row.
     """
-    return float(sum(
-        engine.series_terms((key,), "sin").at([t])[0, 0]
-        for key in energy_keys(engine.params.pairs)
+    params = engine.params
+    levels = np.subtract(params.epsilon, params.bath_energy) @ _excitation_rates(engine).at([t])
+    return float(levels[0] + sum(
+        engine.series_terms((key,)).derivative().at([t])[0, 0]
+        for key in energy_keys(params.pairs)
     ))

@@ -3,9 +3,12 @@
 The Markov baseline's Hamiltonian and its full 64x64 GKSL generator, against
 which ``markov.integrate_gksl`` is tested; a pair's sector blocks and the
 map from a sector label to its basis states in the dense oracle's basis;
-and the engine's total energy and per-pair charges, which the dynamics
-conserve.
+the local qubit and bath Hamiltonians in the dense basis, whose energy
+flows the heat currents are; and the engine's total energy and per-pair
+charges, which the dynamics conserve.
 """
+
+import functools
 
 import numpy as np
 
@@ -94,9 +97,33 @@ def liouvillian_matrix(params: MarkovParams) -> np.ndarray:
     return lv
 
 
+def local_energy_diagonals(params: RefrigeratorParams, model) -> np.ndarray:
+    """Diagonals of H_S,1, H_B,1, H_S,2, ... in the dense oracle's basis, one row each."""
+    rows = []
+    for k in range(params.pairs):
+        n = params.n_bath[k]
+        for slot, levels in ((2 * k, params.epsilon[k] * np.array([-0.5, 0.5])),
+                             (2 * k + 1, params.bath_energy[k] * (np.arange(n + 1) - 0.5 * n))):
+            factors = [levels if j == slot else np.ones(d) for j, d in enumerate(model.dims)]
+            rows.append(functools.reduce(np.kron, factors))
+    return np.array(rows)
+
+
 def total_energy(engine: RefrigeratorEngine, t: float) -> float:
-    """Tr[rho(t) H] as the sum of the energy channels' cosine series."""
-    return float(engine.series_terms(energy_keys(engine.params.pairs), "cos").at([t]).sum())
+    """Tr[rho(t) H]: each qubit's and bath's level energies, then the coupling rows.
+
+    The qubit energy is eps_i (p_i - 1/2), read from its excited-population
+    series; the bath energy E_i <J^z_i> from the bath level populations.
+    """
+    params = engine.params
+    energy = float(engine.series_terms(energy_keys(params.pairs)).at([t]).sum())
+    for i in range(1, params.pairs + 1):
+        n = params.n_bath[i - 1]
+        p = engine.series_terms((("exc", i),)).at([t])[0, 0]
+        m_bath = np.arange(n + 1) - 0.5 * n
+        energy += (params.epsilon[i - 1] * (p - 0.5)
+                   + params.bath_energy[i - 1] * (m_bath @ engine.reduced_bath_populations(i, t)))
+    return energy
 
 
 def charge(eng, i, t):

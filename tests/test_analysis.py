@@ -327,7 +327,7 @@ class TestOptimizeT1:
 
 class TestMinimizeT1:
     @staticmethod
-    def excited(x, grid):
+    def best(x):
         """Half the box (x0 < 0.5) is infeasible; p is least at (0.7, 0.3), t = 1."""
         if x[0] < 0.5:
             return None
@@ -335,7 +335,8 @@ class TestMinimizeT1:
         def p(t):
             return 0.1 + 0.05 * ((x[0] - 0.7) ** 2 + (x[1] - 0.3) ** 2) + 0.01 * (t - 1.0) ** 2
 
-        return p(grid.points()), p, 1.0
+        times = TimeGrid(0.0, 2.0, 0.05).points()
+        return _best_time_on_grid(p(times), p, times) + (1.0,)
 
     def test_infeasible_half_scores_inf(self, monkeypatch):
         objectives = []
@@ -346,8 +347,7 @@ class TestMinimizeT1:
             return real(func, *args, **kwargs)
 
         monkeypatch.setattr(analysis, "minimize_box", spy)
-        result = minimize_t1(self.excited, [(0.0, 1.0), (0.0, 1.0)], budget=150,
-                             seed=0, time_grid=TimeGrid(0.0, 2.0, 0.05))
+        result = minimize_t1(self.best, [(0.0, 1.0), (0.0, 1.0)], budget=150, seed=0)
         score = objectives[0]
         assert score(np.array([0.2, 0.3])) == math.inf
         assert score(np.array([0.49, 0.9])) == math.inf
@@ -360,8 +360,7 @@ class TestMinimizeT1:
         )
 
     def test_no_feasible_point_reads_inf(self):
-        result = minimize_t1(self.excited, [(0.0, 0.4), (0.0, 1.0)], budget=10,
-                             seed=0, time_grid=TimeGrid(0.0, 2.0, 0.05))
+        result = minimize_t1(self.best, [(0.0, 0.4), (0.0, 1.0)], budget=10, seed=0)
         assert result.best_t1 == math.inf
         assert np.isnan(result.best_params).all() and len(result.best_params) == 2
         assert math.isnan(result.best_time)

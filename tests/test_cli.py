@@ -361,6 +361,44 @@ class TestCliCommands:
         assert main(["scaling", cfg]) == 0
         assert seen == [1e-11]
 
+    def test_scaling_searches_the_configured_box(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPINFRIDGE_WORKERS", "1")
+        out = tmp_path / "scaling.json"
+        cfg = write_config(tmp_path, "scaling.json.in", {
+            "mode": "scaling",
+            "params": fridge_params(),
+            "n_list": [1, 3],
+            "time_grid": {"start": 0, "stop": 4, "step": 0.05},
+            "optimization": {"budget": 12, "seed": 5, "coupling_range": [0, 0.2],
+                             "g_range": [0, 0.01]},
+            "output": {"path": str(out)},
+        })
+        assert main(["scaling", cfg]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["optimization"]["coupling_range"] == [0.0, 0.2]
+        for row in report["results"]["sweep"]:
+            assert max(row["best_coupling"]) <= 0.2
+            assert row["best_g"] <= 0.01
+
+    @pytest.mark.parametrize("mode, name", [
+        ("optimize", "coupling_range"),
+        ("scaling", "g_range"),
+        ("markov", "alpha_range"),
+    ])
+    def test_negative_range_bound_is_exit_1(self, tmp_path, capsys, mode, name):
+        params = fridge_params()
+        if mode == "markov":
+            params = {"epsilon": [1, 2, 1], "temperature": [1, 1, 2]}
+        cfg = write_config(tmp_path, "bad.json", {
+            "mode": mode, "action": "optimize", "params": params, "n_list": [1, 2],
+            "optimization": {"budget": 4, name: [-1, 1]},
+            "output": {"path": str(tmp_path / "never.json")},
+        })
+        assert main([mode, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: optimization.{name}[0]: must be nonnegative, got -1.0\n"
+        assert not (tmp_path / "never.json").exists()
+
     def test_failed_fit_is_recorded_not_fatal(self, tmp_path, monkeypatch):
         from spinfridge import analysis
 

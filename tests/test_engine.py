@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_reference import charge, fridge, pair_block, sector_basis_indices, total_energy
+from dense_reference import (
+    charge,
+    fridge,
+    local_energy_diagonals,
+    pair_block,
+    sector_basis_indices,
+    total_energy,
+)
 from spinfridge import oracle, thermo
 from spinfridge.engine import (
     RefrigeratorEngine,
     RefrigeratorParams,
-    energy_keys,
     sector_layout,
 )
 from spinfridge.series import TimeGrid, trig_series_at, trig_series_taylor, trig_series_uniform
@@ -230,10 +236,9 @@ class TestLayoutSharing:
         sector_layout.cache_clear()
         fresh = RefrigeratorEngine(p, prune_tol=1e-9)
         assert fresh.layout is not reused.layout
-        for keys, kind in (((("exc", 1), ("hs", 2)), "cos"),
-                           ((("hsb", 1), ("hint",)), "sin")):
-            a = reused.series_terms(keys, kind)
-            b = fresh.series_terms(keys, kind)
+        for keys in ((("exc", 1), ("pop", 2)), (("hsb", 1), ("hint",))):
+            a = reused.series_terms(keys)
+            b = fresh.series_terms(keys)
             assert np.array_equal(a.const, b.const)
             assert np.array_equal(a.amps, b.amps)
             assert np.array_equal(a.omegas, b.omegas)
@@ -316,7 +321,7 @@ class TestReducedDynamics:
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         grid = TimeGrid(0.0, 2.99, 0.01)
         times = grid.points()
-        series = eng.series_terms((("pop", 1),), "cos").on_grid(grid.start, grid.step, len(times))[0]
+        series = eng.series_terms((("pop", 1),)).on_grid(grid.start, grid.step, len(times))[0]
         for k in (0, 117, 250):
             assert series[k] == pytest.approx(
                 eng.ground_population(1, float(times[k])), abs=1e-11
@@ -327,8 +332,8 @@ class TestReducedDynamics:
         exact = RefrigeratorEngine(p, prune_tol=0.0)
         squeezed = RefrigeratorEngine(p, prune_tol=0.0, series_amp_tol=1e-8)
         gap = np.max(np.abs(
-            exact.series_terms((("pop", 1),), "cos").on_grid(0.0, 0.1, 100)
-            - squeezed.series_terms((("pop", 1),), "cos").on_grid(0.0, 0.1, 100)
+            exact.series_terms((("pop", 1),)).on_grid(0.0, 0.1, 100)
+            - squeezed.series_terms((("pop", 1),)).on_grid(0.0, 0.1, 100)
         ))
         assert gap < 1e-7
 
@@ -373,12 +378,13 @@ class TestTimeGrid:
             direct = 1.0 - exc.at(times)[row]
             assert np.max(np.abs(series.ground_population - direct)) <= bound[row]
         currents = thermo.heat_current_series(eng, grid)
-        heat = eng.series_terms(energy_keys(3)[:6], "sin")
-        direct = heat.at(times)
-        bound = 1e-14 * np.abs(heat.amps).sum(axis=1)
+        rates = exc.derivative()
+        bound = 1e-14 * np.abs(rates.amps).sum(axis=1)
         assert np.array_equal(currents.time, times)
-        values = np.concatenate([currents.qdot_s, currents.qdot_b])
-        assert np.all(np.abs(values - direct) <= bound[:, None])
+        for values, scale in ((currents.qdot_s, np.array(eng.params.epsilon)),
+                              (currents.qdot_b, -np.array(eng.params.bath_energy))):
+            direct = scale[:, None] * rates.at(times)
+            assert np.all(np.abs(values - direct) <= (np.abs(scale) * bound)[:, None])
 
 
 class TestTrigSeries:
@@ -470,24 +476,24 @@ class TestGridKernelProperty:
 class TestMultiKeySeries:
     def test_rows_equal_single_key_terms(self):
         eng = RefrigeratorEngine(fridge(n=(2, 1, 1)), prune_tol=0.0)
-        keys = (("exc", 1), ("pop", 2), ("hs", 3), ("hb", 1))
-        for kind in ("cos", "sin"):
-            multi = eng.series_terms(keys, kind)
-            assert multi.amps.shape[0] == len(keys)
-            for row, key in enumerate(keys):
-                single = eng.series_terms((key,), kind)
-                assert multi.const[row] == single.const[0]
-                assert np.array_equal(multi.amps[row], single.amps[0])
-                assert np.array_equal(multi.omegas, single.omegas)
+        keys = (("exc", 1), ("pop", 2), ("exc", 3), ("pop", 1))
+        multi = eng.series_terms(keys)
+        assert multi.amps.shape[0] == len(keys)
+        for row, key in enumerate(keys):
+            single = eng.series_terms((key,))
+            for m, s in ((multi, single), (multi.derivative(), single.derivative())):
+                assert m.const[row] == s.const[0]
+                assert np.array_equal(m.amps[row], s.amps[0])
+                assert np.array_equal(m.omegas, s.omegas)
 
     def test_rows_with_absent_observables_evaluate_equal(self):
         # hsb of an edge pair and hint outside full sectors contribute no
         # terms on their own, so the shared gaps carry zero amplitudes there
         eng = RefrigeratorEngine(fridge(n=(2, 1, 1)), prune_tol=0.0)
-        keys = (("hsb", 1), ("hint",), ("hs", 2))
-        multi = eng.series_terms(keys, "sin")
+        keys = (("hsb", 1), ("hint",), ("exc", 2))
+        multi = eng.series_terms(keys).derivative()
         for row, key in enumerate(keys):
-            single = eng.series_terms((key,), "sin")
+            single = eng.series_terms((key,)).derivative()
             assert np.allclose(multi.on_grid(0.0, 5.0 / 36, 37)[row],
                                single.on_grid(0.0, 5.0 / 36, 37)[0], rtol=0.0, atol=1e-14)
             assert np.allclose(multi.at([1.7])[row], single.at([1.7])[0], rtol=0.0, atol=1e-14)
@@ -496,9 +502,9 @@ class TestMultiKeySeries:
         p = fridge(n=(4, 4, 4))
         tol = 1e-6
         keys = (("exc", 1), ("exc", 2), ("exc", 3))
-        exact = RefrigeratorEngine(p, prune_tol=0.0).series_terms(keys, "cos")
+        exact = RefrigeratorEngine(p, prune_tol=0.0).series_terms(keys)
         squeezed = RefrigeratorEngine(p, prune_tol=0.0, series_amp_tol=tol)
-        terms = squeezed.series_terms(keys, "cos")
+        terms = squeezed.series_terms(keys)
         assert terms.omegas.size < exact.omegas.size
         gap = np.abs(terms.on_grid(0.0, 0.1, 100) - exact.on_grid(0.0, 0.1, 100))
         assert np.max(gap) <= tol * np.abs(exact.amps).sum() + 1e-14
@@ -584,6 +590,14 @@ class TestOracleProperty:
             assert abs(charge(eng, i, t) - charge(eng, i, 0.0)) < 1e-12
         assert abs(eng.total_trace(t) - 1.0) < 1e-12
         assert abs(thermo.energy_balance(eng, t)) < 1e-10
+        # Qdot = Tr(-i[H, rho(t)] H_S,i) and Tr(-i[H, rho(t)] H_B,i), both diagonal
+        rho = oracle.dense_evolve(model, t, spectrum=spectrum)
+        rho_dot = np.diag(-1j * (model.hamiltonian @ rho - rho @ model.hamiltonian)).real
+        diagonals = local_energy_diagonals(p, model)
+        h_s, h_b = diagonals[0::2], diagonals[1::2]
+        currents = thermo.heat_current_series(eng, TimeGrid(t, t + 1.0, 1.0))
+        assert np.max(np.abs(currents.qdot_s[:, 0] - h_s @ rho_dot)) < 1e-10
+        assert np.max(np.abs(currents.qdot_b[:, 0] - h_b @ rho_dot)) < 1e-10
 
 
 # pair 1 alone coupled: A2 = A3 = g = 0, baths up to N = 6
@@ -612,8 +626,8 @@ class TestOnePairProperty:
     def test_decoupled_qubit_matches_one_pair_engine(self, p, times):
         three = RefrigeratorEngine(p, prune_tol=0.0)
         one = RefrigeratorEngine(RefrigeratorParams.from_pairs(p.pair(1)), prune_tol=0.0)
-        for key, kind in ((("exc", 1), "cos"), (("hs", 1), "sin"), (("hb", 1), "sin")):
-            a, b = three.series_terms((key,), kind), one.series_terms((key,), kind)
+        exc = [eng.series_terms((("exc", 1),)) for eng in (three, one)]
+        for a, b in (exc, [s.derivative() for s in exc]):
             magnitude = max(abs(s.const[0]) + np.abs(s.amps).sum() for s in (a, b))
             assert np.max(np.abs(a.at(times) - b.at(times))) <= 1e-12 * magnitude + 1e-13
 
@@ -621,14 +635,16 @@ class TestOnePairProperty:
 def entropy_production(eng, times):
     """sigma(t) = sum_k beta_k (E_k(t) - E_k(0)), E_k = <H_S,k + H_B,k>, and its scale.
 
-    From the ("hs", k) and ("hb", k) cosine rows: E_k(t) - E_k(0) =
-    -2 sum_j a_kj sin^2(w_j t / 2), so sigma has no cancellation against
-    its value at t = 0.  The scale is sum_j |sum_k beta_k a_kj|, which
-    bounds the terms the sum rounds.
+    Each pair conserves S^z_k + J^z_k, so E_k(t) - E_k(0) =
+    (eps_k - E_k)(p_k(t) - p_k(0)), and from the ("exc", k) cosine rows
+    p_k(t) - p_k(0) = -2 sum_j a_kj sin^2(w_j t / 2): sigma has no
+    cancellation against its value at t = 0.  The scale is
+    sum_j |sum_k c_k a_kj|, c_k = beta_k (eps_k - E_k), which bounds the
+    terms the sum rounds.
     """
-    pairs = eng.params.pairs
-    terms = eng.series_terms(energy_keys(pairs)[:2 * pairs], "cos")
-    amps = np.array(eng.params.beta * 2) @ terms.amps  # hs rows, then hb rows
+    p = eng.params
+    terms = eng.series_terms(tuple(("exc", k) for k in range(1, p.pairs + 1)))
+    amps = np.array(p.beta) * np.subtract(p.epsilon, p.bath_energy) @ terms.amps
     phase = np.multiply.outer(np.asarray(times, dtype=float), 0.5 * terms.omegas)
     return -2.0 * np.sin(phase) ** 2 @ amps, float(np.abs(amps).sum())
 

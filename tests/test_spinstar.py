@@ -117,7 +117,7 @@ class TestSectorEvolution:
         assert tuple(interior(star(p)).sectors.p0) == (p_g, p_e)
 
     def test_decoupled_sector_is_stationary(self):
-        terms = star(make(a=0.0)).series_terms((("exc", 1),), "cos")
+        terms = star(make(a=0.0)).series_terms((("exc", 1),))
         assert np.all(terms.amps == 0.0)
 
     def test_resonant_sector_rabi(self):
@@ -205,14 +205,15 @@ class TestReducedStates:
         excited = eng.excited_terms((1,)).on_grid(grid.start, grid.step, len(times))[0]
         currents = thermo.heat_current_series(eng, grid)
         monkeypatch.undo()
-        for key, kind, values in (
-            (("exc", 1), "cos", excited),
-            (("hs", 1), "sin", currents.qdot_s[0]),
-            (("hb", 1), "sin", currents.qdot_b[0]),
+        exc = eng.series_terms((("exc", 1),))
+        for terms, scale, values in (
+            (exc, 1.0, excited),
+            (exc.derivative(), p.epsilon, currents.qdot_s[0]),
+            (exc.derivative(), -p.bath_energy, currents.qdot_b[0]),
         ):
-            terms = eng.series_terms((key,), kind)
-            direct = trig_series_at(terms.const, terms.amps, terms.omegas, times, kind)
-            assert np.max(np.abs(values - direct)) <= 1e-12 * np.abs(terms.amps).sum()
+            direct = scale * trig_series_at(terms.const, terms.amps, terms.omegas, times,
+                                            terms.kind)
+            assert np.max(np.abs(values - direct)) <= 1e-12 * abs(scale) * np.abs(terms.amps).sum()
 
     def test_cold_excited_population_matches_dense_oracle(self):
         # r = 1 - p rounds to 1 at beta = 40; p keeps its relative precision.

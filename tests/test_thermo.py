@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinfridge import oracle, thermo
-from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, energy_keys
+from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
 from spinfridge.series import TimeGrid
 
 
@@ -22,9 +22,9 @@ def fridge(n=(2, 1, 1), **kw):
 
 def currents_at(engine, t):
     """(qdot_s, qdot_b) at one time, evaluated directly, not on a grid."""
-    pairs = engine.params.pairs
-    values = engine.series_terms(energy_keys(pairs)[:2 * pairs], "sin").at([t])[:, 0]
-    return values[:pairs], values[pairs:]
+    keys = tuple(("exc", i) for i in range(1, engine.params.pairs + 1))
+    rates = engine.series_terms(keys).derivative().at([t])[:, 0]
+    return np.array(engine.params.epsilon) * rates, -np.array(engine.params.bath_energy) * rates
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ class TestEnergyBalance:
                 closed = (
                     qdot_s[i - 1]
                     + qdot_b[i - 1]
-                    + eng.series_terms((("hsb", i),), "sin").at([t])[0, 0]
+                    + eng.series_terms((("hsb", i),)).derivative().at([t])[0, 0]
                 )
                 assert abs(closed) < 1e-10
 
