@@ -14,14 +14,12 @@ from .engine import (  # noqa: E402
     TimeSeries,
 )
 from .series import TimeGrid  # noqa: E402
-from .spinstar import SingleStarParams  # noqa: E402
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RefrigeratorEngine",
     "RefrigeratorParams",
-    "SingleStarParams",
     "TimeGrid",
     "TimeSeries",
     "__version__",

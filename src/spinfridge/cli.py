@@ -36,7 +36,6 @@ from .markov import (
     thermal_product_state,
 )
 from .oracle import build_dense, dense_evolve_and_trace
-from .spinstar import SingleStarParams
 from . import thermo
 
 ORACLE_TOLERANCE = 1e-9
@@ -68,11 +67,7 @@ def _write_json(path: str, config: RunConfig, results: dict) -> None:
 
 def _run_evolve(config: RunConfig) -> None:
     """Time series of every qubit: the refrigerator's three, a single star's one."""
-    if config.single is not None:
-        params = RefrigeratorParams.from_pairs(config.single)
-    else:
-        params = config.refrigerator
-    engine = RefrigeratorEngine(params, prune_tol=config.prune_tol)
+    engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
     qubits = range(1, engine.params.pairs + 1)
     series = engine.qubit_series(qubits, config.time_grid)
     currents = thermo.heat_current_series(engine, config.time_grid)
@@ -230,7 +225,8 @@ def _oracle_deviation(params: RefrigeratorParams, times) -> tuple[float, int]:
 
 def _run_validate(config: RunConfig) -> None:
     report: dict = {"tolerance": ORACLE_TOLERANCE}
-    stars = [RefrigeratorParams.from_pairs(SingleStarParams(eps, bath_e, 0.5, n, 1.0))
+    stars = [RefrigeratorParams(epsilon=(eps,), bath_energy=(bath_e,), coupling=(0.5,),
+                                g=0.0, n_bath=(n,), beta=(1.0,))
              for n in (1, 2, 3) for eps, bath_e in ((1.0, 2.0), (2.0, 1.0))]
     single = max(_oracle_deviation(star, (0.0, 0.7, 3.1))[0] for star in stars)
     fridge, dimension = _oracle_deviation(config.refrigerator, (0.0, 2.0, 5.0))

@@ -17,7 +17,6 @@ from .analysis import DEFAULT_TIME_GRID
 from .engine import DEFAULT_PRUNE_TOL, RefrigeratorParams
 from .markov import DEFAULT_CUTOFF, MarkovParams
 from .series import TimeGrid
-from .spinstar import SingleStarParams
 
 MODES = ("single", "evolve", "optimize", "scaling", "markov", "validate")
 JSON_COMMANDS = ("optimize", "scaling", "validate", "markov optimize")
@@ -56,23 +55,26 @@ def _triple(value: Any, path: str, kind="number") -> tuple:
     return tuple(_finite_number(v, f"{path}[{k}]") for k, v in enumerate(value))
 
 
-def _resolve_beta(data: dict, path: str, triple: bool):
-    """Exactly one of beta / temperature, converted to beta."""
+def _per_pair(value: Any, path: str, triple: bool, kind="number") -> tuple:
+    """Three per-pair entries from a list, or one pair's entry from a scalar."""
+    if triple:
+        return _triple(value, path, kind)
+    return ((_integer if kind == "int" else _finite_number)(value, path),)
+
+
+def _resolve_beta(data: dict, path: str, triple: bool) -> tuple:
+    """Exactly one of beta / temperature, converted to a tuple of betas."""
     has_beta = "beta" in data
     has_temp = "temperature" in data
     if has_beta == has_temp:
         raise ConfigError(
             f"{path}: provide exactly one of 'beta' or 'temperature'"
         )
-    if triple:
-        raw = _triple(data.get("beta", data.get("temperature")), path)
-    else:
-        raw = (_finite_number(data.get("beta", data.get("temperature")), path),)
+    raw = _per_pair(data.get("beta", data.get("temperature")), path, triple)
     for v in raw:
         if v <= 0:
             raise ConfigError(f"{path}: values must be positive, got {v}")
-    values = raw if has_beta else tuple(1.0 / v for v in raw)
-    return values if triple else values[0]
+    return raw if has_beta else tuple(1.0 / v for v in raw)
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,7 @@ class OptimizationConfig:
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
-    refrigerator: RefrigeratorParams | None = None
-    single: SingleStarParams | None = None
+    refrigerator: RefrigeratorParams | None = None  # one pair for 'single'
     markov: MarkovParams | None = None
     markov_action: str = "evolve"
     time_grid: TimeGrid = DEFAULT_TIME_GRID
@@ -99,31 +100,20 @@ class RunConfig:
     output_format: str = "csv"
 
 
-def _parse_refrigerator(data: dict, path: str) -> RefrigeratorParams:
-    beta = _resolve_beta(data, f"{path}.beta", triple=True)
+def _parse_refrigerator(data: dict, path: str, triple: bool = True) -> RefrigeratorParams:
+    """Three pairs from per-pair lists or, unless ``triple``, one pair from
+    scalars: a single star, which has no interaction (g = 0)."""
+    beta = _resolve_beta(data, f"{path}.beta", triple)
     return RefrigeratorParams(
-        epsilon=_triple(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),
-        bath_energy=_triple(
-            _require(data, "bath_energy", f"{path}."), f"{path}.bath_energy"
+        epsilon=_per_pair(_require(data, "epsilon", f"{path}."), f"{path}.epsilon", triple),
+        bath_energy=_per_pair(
+            _require(data, "bath_energy", f"{path}."), f"{path}.bath_energy", triple
         ),
-        coupling=_triple(
-            data.get("coupling", [0.0, 0.0, 0.0]), f"{path}.coupling"
+        coupling=_per_pair(
+            data.get("coupling", [0.0, 0.0, 0.0] if triple else 0.0), f"{path}.coupling", triple
         ),
-        g=_finite_number(data.get("g", 0.0), f"{path}.g"),
-        n_bath=_triple(_require(data, "n_bath", f"{path}."), f"{path}.n_bath", "int"),
-        beta=beta,
-    )
-
-
-def _parse_single(data: dict, path: str) -> SingleStarParams:
-    beta = _resolve_beta(data, f"{path}.beta", triple=False)
-    return SingleStarParams(
-        epsilon=_finite_number(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),
-        bath_energy=_finite_number(
-            _require(data, "bath_energy", f"{path}."), f"{path}.bath_energy"
-        ),
-        coupling=_finite_number(data.get("coupling", 0.0), f"{path}.coupling"),
-        n_bath=_integer(_require(data, "n_bath", f"{path}."), f"{path}.n_bath"),
+        g=_finite_number(data.get("g", 0.0), f"{path}.g") if triple else 0.0,
+        n_bath=_per_pair(_require(data, "n_bath", f"{path}."), f"{path}.n_bath", triple, "int"),
         beta=beta,
     )
 
@@ -139,10 +129,10 @@ def _parse_markov(data: dict, path: str) -> MarkovParams:
     )
 
 
-def _parse_params(data: dict, parse):
+def _parse_params(data: dict, parse, *args):
     """``parse`` applied to ``data["params"]``; a rejected value names the section."""
     try:
-        return parse(_require(data, "params", ""), "params")
+        return parse(_require(data, "params", ""), "params", *args)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -184,6 +174,8 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         time_grid = TimeGrid(*fields)
     except ValueError as exc:  # the message names the field
         raise ConfigError(str(exc)) from exc
+    if time_grid.start < 0:  # every command starts from the initial state at t = 0
+        raise ConfigError(f"time_grid.start: must be nonnegative, got {time_grid.start}")
 
     prune_tol = _finite_number(data.get("prune_tol", DEFAULT_PRUNE_TOL), "prune_tol")
     if not 0.0 <= prune_tol < 1.0:
@@ -226,10 +218,10 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     if not isinstance(output_path, str) or not output_path:
         raise ConfigError("output.path: expected a nonempty string")
 
-    refrigerator = single = markov = None
+    refrigerator = markov = None
     n_list: tuple[int, ...] = ()
-    if cfg_mode in ("evolve", "optimize", "validate", "scaling"):
-        refrigerator = _parse_params(data, _parse_refrigerator)
+    if cfg_mode in ("single", "evolve", "optimize", "validate", "scaling"):
+        refrigerator = _parse_params(data, _parse_refrigerator, cfg_mode != "single")
     if cfg_mode == "scaling":
         raw_list = _require(data, "n_list", "")
         if not isinstance(raw_list, list) or not raw_list:
@@ -237,7 +229,9 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         n_list = tuple(
             _integer(v, f"n_list[{k}]") for k, v in enumerate(raw_list)
         )
-        if len(set(n_list)) < 2:
+        if len(set(n_list)) < len(n_list):
+            raise ConfigError(f"n_list: sizes must be distinct, got {list(n_list)}")
+        if len(n_list) < 2:
             raise ConfigError(
                 f"n_list: the extrapolation needs at least two distinct sizes, got {list(n_list)}"
             )
@@ -246,15 +240,18 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
                 "time_grid: the local minimum needs at least three time points, "
                 f"got {len(time_grid)}"
             )
-    if cfg_mode == "single":
-        single = _parse_params(data, _parse_single)
     if cfg_mode == "markov":
         markov = _parse_params(data, _parse_markov)
+        # the dressed frequencies eps_i - g of every probed g must stay positive
+        if markov_action == "optimize" and optimization.g_range[1] >= min(markov.epsilon):
+            raise ConfigError(
+                f"optimization.g_range: must stay below min(epsilon) = {min(markov.epsilon)}, "
+                f"got {list(optimization.g_range)}"
+            )
 
     return RunConfig(
         mode=cfg_mode,
         refrigerator=refrigerator,
-        single=single,
         markov=markov,
         markov_action=markov_action,
         time_grid=time_grid,
@@ -286,9 +283,11 @@ def canonical_config(config: RunConfig) -> dict:
         "optimization": asdict(config.optimization),
         "output": {"path": config.output_path, "format": config.output_format},
     }
-    params = config.refrigerator or config.single or config.markov
+    params = config.refrigerator or config.markov
     if params is not None:
         out["params"] = asdict(params)
+    if config.mode == "single":  # one pair in the scalar schema, which has no g
+        out["params"] = {name: v[0] for name, v in out["params"].items() if name != "g"}
     if config.markov is not None:
         out["action"] = config.markov_action
     if config.n_list:

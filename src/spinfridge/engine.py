@@ -32,7 +32,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .series import SeriesTerms, TimeGrid
-from .spinstar import SingleStarParams, sector_arrays, temperature_from_excited
+from .spinstar import sector_arrays, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
 _INTERACTION_BITS = ((0, 1, 0), (1, 0, 1))
@@ -64,30 +64,23 @@ class RefrigeratorParams:
             raise ValueError(f"g must be finite and nonnegative, got {self.g}")
         if self.pairs == 1 and self.g != 0.0:
             raise ValueError(f"g couples three pairs; one pair needs g = 0, got {self.g}")
-        for i in range(1, self.pairs + 1):
-            self.pair(i)  # delegates per-pair validation
+        for eps, bath_e, a, n, b in zip(self.epsilon, self.bath_energy, self.coupling,
+                                        self.n_bath, self.beta):
+            if int(n) != n or n < 1:
+                raise ValueError(f"n_bath must be a positive integer, got {n}")
+            if a < 0:
+                raise ValueError(f"coupling must be nonnegative, got {a}")
+            if not b > 0:
+                raise ValueError(f"beta must be positive, got {b}")
+            for name, value in (("epsilon", eps), ("bath_energy", bath_e),
+                                ("coupling", a), ("beta", b)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite")
 
     @property
     def pairs(self) -> int:
         """Number of qubit-bath pairs, one or three."""
         return len(self.n_bath)
-
-    @classmethod
-    def from_pairs(cls, *pairs: SingleStarParams, g: float = 0.0) -> RefrigeratorParams:
-        """Parameters joining the given qubit-bath pairs; the inverse of ``pair``."""
-        fields = ("epsilon", "bath_energy", "coupling", "n_bath", "beta")
-        return cls(g=g, **{name: tuple(getattr(p, name) for p in pairs) for name in fields})
-
-    def pair(self, i: int) -> SingleStarParams:
-        """Parameters of qubit-bath pair i (1-based)."""
-        k = i - 1
-        return SingleStarParams(
-            epsilon=self.epsilon[k],
-            bath_energy=self.bath_energy[k],
-            coupling=self.coupling[k],
-            n_bath=self.n_bath[k],
-            beta=self.beta[k],
-        )
 
     def is_autonomous(self, tol: float = 1e-12) -> bool:
         """Whether the two interaction-coupled states are degenerate (never for one pair)."""
@@ -228,14 +221,7 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
     so the layout is built once and shared by every engine on the same
     arguments; its arrays are read-only.
     """
-    # coupling 1 makes the table's "u" the bare ladder factor of each sector
-    pairs = [
-        sector_arrays(SingleStarParams(
-            epsilon=epsilon[k], bath_energy=bath_energy[k], coupling=1.0,
-            n_bath=n_bath[k], beta=beta[k],
-        ))
-        for k in range(len(n_bath))
-    ]
+    pairs = [sector_arrays(*args) for args in zip(epsilon, bath_energy, n_bath, beta)]
     keep, fractions, dropped = _enumerate_arrays(pairs, prune_tol)
     idx = np.unravel_index(keep, tuple(len(p["two_m"]) for p in pairs))
     dims = np.stack([p["dim"][i] for p, i in zip(pairs, idx)], axis=1)

@@ -259,14 +259,16 @@ class MarkovTrajectory:
 
 
 def integrate_gksl(params: MarkovParams, initial_state, grid: TimeGrid) -> MarkovTrajectory:
-    """Propagate the master equation exactly on ``grid``.
+    """Propagate the master equation exactly on ``grid``, from ``initial_state`` at t = 0.
 
-    The initial state may carry no dressed-basis coherence but rho_{+-}.  At
-    the grid's start the bare populations are the initial state's own, as
-    forming a rho_101 far below rho_010 (or the reverse) from the dressed
-    pair would cancel.  Every sample is checked to be a density matrix: trace within
+    The initial state may carry no dressed-basis coherence but rho_{+-}.  A
+    grid starting at t = 0 keeps the initial state's own bare populations
+    there, as forming a rho_101 far below rho_010 (or the reverse) from the
+    dressed pair would cancel.  Every sample is checked to be a density matrix: trace within
     1e-8 of 1, and, to rounding, P >= 0 and |rho_{+-}|^2 <= P+ P-.
     """
+    if grid.start < 0:
+        raise ValueError(f"time_grid.start: must be nonnegative, got {grid.start}")
     rho0 = np.asarray(initial_state, dtype=complex)
     if rho0.shape != (8, 8):
         raise ValueError(f"initial state must be 8x8, got {rho0.shape}")
@@ -281,14 +283,18 @@ def integrate_gksl(params: MarkovParams, initial_state, grid: TimeGrid) -> Marko
     times = grid.points()
     w = rate_matrix(params)
     rate = 0.5 * (w[_P, _P] + w[_M, _M]) - 2j * params.g
-    pops, coherence, diagonal = _propagate(w, rate, model.diagonal().real, model[_P, _M],
-                                           times, grid.step)
+    pops0, coherence0 = model.diagonal().real, model[_P, _M]
+    if grid.start > 0:
+        pops0 = _rate_expm(w, grid.start) @ pops0
+        coherence0 = coherence0 * np.exp(rate * grid.start)
+    pops, coherence, diagonal = _propagate(w, rate, pops0, coherence0, times, grid.step)
     bad = np.flatnonzero(
         (np.abs(pops.sum(axis=1) - 1.0) > 1e-8) | (pops.min(axis=1) < -1e-12)
         | (np.abs(coherence) ** 2 > (1.0 + 1e-12) * pops[:, _P] * pops[:, _M]))
     if bad.size:
         raise RuntimeError(f"propagator lost trace or positivity at t={times[bad[0]]:.6g}")
-    diagonal[0] = rho0.diagonal().real
+    if grid.start == 0:
+        diagonal[0] = rho0.diagonal().real
     return MarkovTrajectory(times, pops, coherence, diagonal, w, rate)
 
 

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import RefrigeratorParams
-from .spinstar import SingleStarParams
 
 DIMENSION_CAP = 1000
 HERMITICITY_ATOL = 1e-12
@@ -162,12 +161,12 @@ def _embed(op: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
     return _kron_all([op if k == slot else np.eye(d) for k, d in enumerate(dims)])
 
 
-def _pair_hamiltonian(p: SingleStarParams) -> np.ndarray:
-    jz, jp, jm = _collective_ladder(p.n_bath)
-    dim_b = p.n_bath + 1
-    h = p.epsilon * np.kron(_SZ, np.eye(dim_b))
-    h += p.bath_energy * np.kron(np.eye(2), jz)
-    h += p.coupling * (np.kron(_SP, jm) + np.kron(_SM, jp))
+def _pair_hamiltonian(epsilon: float, bath_energy: float, coupling: float,
+                      n_bath: int) -> np.ndarray:
+    jz, jp, jm = _collective_ladder(n_bath)
+    h = epsilon * np.kron(_SZ, np.eye(n_bath + 1))
+    h += bath_energy * np.kron(np.eye(2), jz)
+    h += coupling * (np.kron(_SP, jm) + np.kron(_SM, jp))
     return h
 
 
@@ -176,10 +175,11 @@ def _thermal_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _pair_thermal_state(p: SingleStarParams) -> np.ndarray:
-    qubit = _thermal_weights(p.epsilon * np.array([-0.5, 0.5]), p.beta)
-    j = 0.5 * p.n_bath
-    bath = _thermal_weights(p.bath_energy * np.arange(-j, j + 1), p.beta)
+def _pair_thermal_state(epsilon: float, bath_energy: float, n_bath: int,
+                        beta: float) -> np.ndarray:
+    qubit = _thermal_weights(epsilon * np.array([-0.5, 0.5]), beta)
+    j = 0.5 * n_bath
+    bath = _thermal_weights(bath_energy * np.arange(-j, j + 1), beta)
     return np.diag(np.kron(qubit, bath))
 
 
@@ -190,33 +190,27 @@ def _check_cap(dim: int) -> None:
         )
 
 
-def _pairs(params) -> list[SingleStarParams]:
-    """The qubit-bath pairs of SingleStarParams or RefrigeratorParams."""
-    if isinstance(params, SingleStarParams):
-        return [params]
-    if isinstance(params, RefrigeratorParams):
-        return [params.pair(i) for i in range(1, params.pairs + 1)]
-    raise TypeError(f"unsupported parameter type {type(params).__name__}")
-
-
-def build_dense(params) -> DenseModel:
-    """Dense model for SingleStarParams, or RefrigeratorParams of one or three pairs."""
-    pairs = _pairs(params)
-    dims = tuple(d for p in pairs for d in (2, p.n_bath + 1))
+def build_dense(params: RefrigeratorParams) -> DenseModel:
+    """Dense model of one qubit-bath pair (a single star) or of the three-pair refrigerator."""
+    dims = tuple(d for n in params.n_bath for d in (2, n + 1))
     dim = int(np.prod(dims))
     _check_cap(dim)
-    pair_dims = [2 * (p.n_bath + 1) for p in pairs]
+    pair_dims = tuple(2 * (n + 1) for n in params.n_bath)
     h = np.zeros((dim, dim))
-    for i, p in enumerate(pairs):
-        h += _embed(_pair_hamiltonian(p), i, tuple(pair_dims))
-    if len(pairs) == 3:
+    for k, pair in enumerate(zip(params.epsilon, params.bath_energy, params.coupling,
+                                 params.n_bath)):
+        h += _embed(_pair_hamiltonian(*pair), k, pair_dims)
+    if params.pairs == 3:
         # Interaction: couples (qubit down, bath m+1/2) with (qubit up, bath
         # m-1/2) patterns across the three pairs, with unit bath matrix elements.
-        lower = [np.kron(_SM, _bath_shift(p.n_bath)) for p in pairs]   # up -> down, bath +1
-        raiser = [np.kron(_SP, _bath_shift(p.n_bath).T) for p in pairs]
+        lower = [np.kron(_SM, _bath_shift(n)) for n in params.n_bath]   # up -> down, bath +1
+        raiser = [np.kron(_SP, _bath_shift(n).T) for n in params.n_bath]
         hop = _kron_all([lower[0], raiser[1], lower[2]])
         h += params.g * (hop + hop.T)
-    rho0 = _kron_all([_pair_thermal_state(p) for p in pairs])
+    rho0 = _kron_all([
+        _pair_thermal_state(*pair)
+        for pair in zip(params.epsilon, params.bath_energy, params.n_bath, params.beta)
+    ])
     return DenseModel(dims, h, rho0)
 
 

@@ -7,9 +7,10 @@ splits into sectors of dimension at most two, labelled by the half-integer
 m.  Half-integers are stored doubled (``two_m``) so sector arithmetic stays
 exact.  Within a sector the Hamiltonian is the real symmetric block
 
-    [[b_minus, u], [u, b_plus]]
+    [[b_minus, A u], [A u, b_plus]]
 
 in the basis {qubit down & bath level m+1/2, qubit up & bath level m-1/2},
+with A the XY coupling and u the sector's ladder factor,
 and the full state is a Boltzmann-weighted sum of independently evolving
 sector states.  The dynamics of one star or three live in ``engine``, which
 builds its sectors from ``sector_arrays``.
@@ -18,74 +19,53 @@ builds its sectors from ``sector_arrays``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SingleStarParams:
-    """Qubit energy, bath level splitting, XY coupling, bath size and initial 1/T."""
-
-    epsilon: float
-    bath_energy: float
-    coupling: float
-    n_bath: int
-    beta: float
-
-    def __post_init__(self):
-        if int(self.n_bath) != self.n_bath or self.n_bath < 1:
-            raise ValueError(f"n_bath must be a positive integer, got {self.n_bath}")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        for name in ("epsilon", "bath_energy", "coupling", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-def sector_log_weights(params: SingleStarParams) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the unnormalized weight of each sector, ascending two_m order.
+def sector_log_weights(epsilon: float, bath_energy: float, n_bath: int,
+                       beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log of the unnormalized weight of each sector of one pair, ascending two_m order.
 
     The weight is the Boltzmann factor exp(-beta*E*m) times the trace of the
     unnormalized in-sector thermal block, so summing exp() over sectors
     reproduces Z_qubit * Z_bath.  Kept in log space: for large beta*E*N the
     raw factors overflow double precision.
     """
-    beta, eps, bath_e, n = params.beta, params.epsilon, params.bath_energy, params.n_bath
+    n = n_bath
     labels = np.arange(-(n + 1), n + 2, 2)  # two_m of every sector
     m = 0.5 * labels
-    half_gap = 0.5 * beta * (eps - bath_e)
+    half_gap = 0.5 * beta * (epsilon - bath_energy)
     log_trace = np.logaddexp(half_gap, -half_gap)  # interior sectors hold both levels
-    logw = -beta * bath_e * m + log_trace
-    logw[labels == -(n + 1)] = -beta * bath_e * m[0] + half_gap
-    logw[labels == n + 1] = -beta * bath_e * m[-1] - half_gap
+    logw = -beta * bath_energy * m + log_trace
+    logw[labels == -(n + 1)] = -beta * bath_energy * m[0] + half_gap
+    logw[labels == n + 1] = -beta * bath_energy * m[-1] - half_gap
     return labels, logw
 
 
-def sector_arrays(p: SingleStarParams) -> dict:
+def sector_arrays(epsilon: float, bath_energy: float, n_bath: int, beta: float) -> dict:
     """Sector blocks and weights of one pair, ascending two_m.
 
-    Interior sectors (``dim`` 2) hold the block [[b_minus, u], [u, b_plus]];
-    an edge sector (``dim`` 1) holds the single level ``edge_energy``.
+    Interior sectors (``dim`` 2) hold the block [[b_minus, A u], [A u, b_plus]]
+    for XY coupling A, where ``u`` is the bare ladder factor; an edge sector
+    (``dim`` 1) holds the single level ``edge_energy``.
     ``p_level`` holds the in-sector thermal (ground, excited) populations,
     each from its own ``expit`` so neither rounds to 0 when the other nears 1.
     """
-    two_m, logw = sector_log_weights(p)
+    two_m, logw = sector_log_weights(epsilon, bath_energy, n_bath, beta)
     m = 0.5 * two_m
-    n = p.n_bath
-    b_minus = -0.5 * p.epsilon + p.bath_energy * (m + 0.5)
-    b_plus = 0.5 * p.epsilon + p.bath_energy * (m - 0.5)
+    n = n_bath
+    b_minus = -0.5 * epsilon + bath_energy * (m + 0.5)
+    b_plus = 0.5 * epsilon + bath_energy * (m - 0.5)
     inner = (0.5 * n + m + 0.5) * (0.5 * n - m + 0.5)
-    x = p.beta * (p.epsilon - p.bath_energy)
+    x = beta * (epsilon - bath_energy)
     return {
         "two_m": two_m,
         "m": m,
         "dim": np.where(np.abs(two_m) == n + 1, 1, 2),
         "b_minus": b_minus,
         "b_plus": b_plus,
-        "u": p.coupling * np.sqrt(np.clip(inner, 0.0, None)),
+        "u": np.sqrt(np.clip(inner, 0.0, None)),
         "edge_energy": np.where(two_m > 0, b_plus, b_minus),
         "edge_state": np.where(two_m > 0, 1, 0),  # level surviving in an edge sector
         "logw": logw,

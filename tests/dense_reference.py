@@ -1,7 +1,8 @@
 """References and parameters that only the tests use.
 
 The Markov baseline's Hamiltonian and its full 64x64 GKSL generator, against
-which ``markov.integrate_gksl`` is tested; a pair's sector blocks and the
+which ``markov.integrate_gksl`` is tested; one-pair parameters (a single
+star, or pair i of a refrigerator), a pair's sector blocks and the
 map from a sector label to its basis states in the dense oracle's basis;
 the local qubit and bath Hamiltonians in the dense basis, whose energy
 flows the heat currents are; and the engine's total energy and per-pair
@@ -14,7 +15,7 @@ import numpy as np
 
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, energy_keys
 from spinfridge.markov import MarkovParams, build_jump_channels
-from spinfridge.spinstar import SingleStarParams
+from spinfridge.spinstar import sector_arrays
 
 
 def fridge(n=(1, 1, 1), **kw):
@@ -29,35 +30,49 @@ def fridge(n=(1, 1, 1), **kw):
     return RefrigeratorParams(n_bath=n, **defaults)
 
 
-def pair_block(table, j):
-    """Hamiltonian block of sector row j of a ``sector_arrays`` table."""
+def star(eps=1.0, bath_e=2.0, a=0.5, n=2, beta=1.0):
+    """A single spin star: one-pair parameters."""
+    return RefrigeratorParams(epsilon=(eps,), bath_energy=(bath_e,), coupling=(a,), g=0.0,
+                              n_bath=(n,), beta=(beta,))
+
+
+def pair_of(params, i):
+    """Pair i (1-based) of ``params`` as a single star."""
+    k = i - 1
+    return star(params.epsilon[k], params.bath_energy[k], params.coupling[k],
+                params.n_bath[k], params.beta[k])
+
+
+def pair_table(params, i=1):
+    """The ``sector_arrays`` table of pair i (1-based) of ``params``."""
+    k = i - 1
+    return sector_arrays(params.epsilon[k], params.bath_energy[k], params.n_bath[k],
+                         params.beta[k])
+
+
+def pair_block(table, j, coupling):
+    """Hamiltonian block of sector row j of a ``sector_arrays`` table at XY coupling A."""
     if table["dim"][j] == 1:
         return np.array([[table["edge_energy"][j]]])
-    return np.array([[table["b_minus"][j], table["u"][j]],
-                     [table["u"][j], table["b_plus"][j]]])
+    u = coupling * table["u"][j]
+    return np.array([[table["b_minus"][j], u], [u, table["b_plus"][j]]])
 
 
-def sector_basis_indices(params, label) -> list[int]:
+def sector_basis_indices(n_bath, label) -> list[int]:
     """Dense-basis indices of a sector's basis states, in canonical order.
 
-    For SingleStarParams, ``label`` is two_m and the order is (ground,
-    excited); for RefrigeratorParams, ``label`` holds one two_m per pair and
+    ``n_bath`` holds each pair's bath size and ``label`` one two_m per pair;
     the order is the engine's bit order (qubit 1 the most significant bit,
     bit 0 = ground).  Used to check that the dense Hamiltonian restricted to
     each sector reproduces the sector blocks.
     """
-    if isinstance(params, SingleStarParams):
-        return _single_sector_indices(params, label)
     out = [0]
-    pairs = [params.pair(i) for i in range(1, params.pairs + 1)]
-    for p, two_m in zip(pairs, label):
-        pair_indices = _single_sector_indices(p, two_m)
-        out = [i * 2 * (p.n_bath + 1) + j for i in out for j in pair_indices]
+    for n, two_m in zip(n_bath, label):
+        out = [i * 2 * (n + 1) + j for i in out for j in _pair_sector_indices(n, two_m)]
     return out
 
 
-def _single_sector_indices(params: SingleStarParams, two_m: int) -> list[int]:
-    n = params.n_bath
+def _pair_sector_indices(n: int, two_m: int) -> list[int]:
     indices = []
     two_m_b_ground = two_m + 1
     if abs(two_m_b_ground) <= n:

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from dense_reference import charge, total_energy
+from dense_reference import charge, star, total_energy
 from spinfridge import oracle, thermo
 from spinfridge.analysis import (
     DEFAULT_TIME_GRID,
@@ -34,7 +34,6 @@ from spinfridge.markov import (
     thermal_product_state,
 )
 from spinfridge.series import TimeGrid
-from spinfridge.spinstar import SingleStarParams
 
 FULL = os.environ.get("SPINFRIDGE_ACCEPTANCE", "").lower() == "full"
 SEED = 20260809
@@ -106,10 +105,8 @@ def test_criterion_1_single_star_oracle():
             for bath_e in (0.5, 1.0, 2.0):
                 for a in (0.1, 0.5):
                     for beta in (0.5, 1.0):
-                        p = SingleStarParams(eps, bath_e, a, n, beta)
-                        engine = RefrigeratorEngine(
-                            RefrigeratorParams.from_pairs(p), prune_tol=0.0
-                        )
+                        p = star(eps, bath_e, a, n, beta)
+                        engine = RefrigeratorEngine(p, prune_tol=0.0)
                         model = oracle.build_dense(p)
                         spectrum = model.spectrum()
                         for t in (0.0, 0.7, 3.1):

@@ -88,6 +88,7 @@ class TestConfigParsing:
         ({"step": -0.1}, "time_grid.step: must be positive"),
         ({"start": 1, "stop": 1}, "time_grid.stop: must exceed time_grid.start"),
         ({"start": 2, "stop": 1}, "time_grid.stop: must exceed time_grid.start"),
+        ({"start": -0.5}, "time_grid.start: must be nonnegative, got -0.5"),
     ])
     def test_bad_grid_is_exit_1_with_its_field(self, tmp_path, capsys, grid, message):
         cfg = write_config(tmp_path, "evolve.json", {
@@ -150,19 +151,26 @@ class TestCliCommands:
         column = [line.split(",", 1)[0] for line in out.read_text().splitlines()[3:]]
         assert column == [repr(float(t)) for t in TimeGrid(0.3, 2.0, 0.01).points()]
 
-    def test_provenance_header_reproduces_run(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["evolve", "single"])
+    def test_provenance_header_reproduces_run(self, tmp_path, mode):
         out = tmp_path / "run.csv"
-        cfg = write_config(tmp_path, "evolve.json", {
-            "mode": "evolve",
-            "params": fridge_params(),
+        params = fridge_params() if mode == "evolve" else {
+            "epsilon": 1.0, "bath_energy": 2.0, "coupling": 0.5, "n_bath": 3, "temperature": 2.0,
+        }
+        cfg = write_config(tmp_path, "run.json", {
+            "mode": mode,
+            "params": params,
             "time_grid": {"start": 0, "stop": 0.5, "step": 0.1},
             "output": {"path": str(out)},
         })
-        assert main(["evolve", cfg]) == 0
+        assert main([mode, cfg]) == 0
         first = out.read_bytes()
-        header = first.decode().splitlines()[1].split("# config: ", 1)[1]
-        replay = write_config(tmp_path, "replay.json", json.loads(header))
-        assert main(["evolve", replay]) == 0
+        header = json.loads(first.decode().splitlines()[1].split("# config: ", 1)[1])
+        if mode == "single":  # one pair in its scalar schema, as it was written
+            assert header["params"] == {"epsilon": 1.0, "bath_energy": 2.0, "coupling": 0.5,
+                                        "n_bath": 3, "beta": 0.5}
+        replay = write_config(tmp_path, "replay.json", header)
+        assert main([mode, replay]) == 0
         assert out.read_bytes() == first
 
     def test_single_command(self, tmp_path):
@@ -305,6 +313,7 @@ class TestCliCommands:
         ("optimization.seed", -1),
         ("n_list", [1]),
         ("n_list", [1, 1]),
+        ("n_list", [1, 2, 2, 3]),
     ])
     def test_bad_seed_or_n_list_is_exit_1(self, tmp_path, capsys, field, value):
         data = {
@@ -420,6 +429,21 @@ class TestCliCommands:
         assert len(results["sweep"]) == 4
         # every local-minimum time lies above its extrapolation, so that fit runs
         assert "did not converge" in results["local_min_time_fit"]["error"]
+
+    def test_markov_g_range_reaching_min_epsilon_is_exit_1(self, tmp_path, capsys):
+        # at g >= min(epsilon) a dressed frequency eps_i - g is nonpositive
+        cfg = write_config(tmp_path, "mopt.json", {
+            "mode": "markov",
+            "action": "optimize",
+            "params": {"epsilon": [1, 2, 1], "alpha": [0, 0, 0], "temperature": [1, 1, 2]},
+            "time_grid": {"start": 0, "stop": 4, "step": 0.1},
+            "optimization": {"budget": 12, "seed": 0, "g_range": [0.005, 1.5]},
+            "output": {"path": str(tmp_path / "never.json")},
+        })
+        assert main(["markov", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "optimization.g_range" in err
+        assert not (tmp_path / "never.json").exists()
 
     def test_numerical_failure_is_exit_2(self, tmp_path, capsys):
         # qubit energy below g makes a dressed transition frequency negative

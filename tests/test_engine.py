@@ -12,6 +12,8 @@ from dense_reference import (
     fridge,
     local_energy_diagonals,
     pair_block,
+    pair_of,
+    pair_table,
     sector_basis_indices,
     total_energy,
 )
@@ -22,7 +24,7 @@ from spinfridge.engine import (
     sector_layout,
 )
 from spinfridge.series import TimeGrid, trig_series_at, trig_series_taylor, trig_series_uniform
-from spinfridge.spinstar import sector_arrays, temperature_from_excited
+from spinfridge.spinstar import temperature_from_excited
 
 
 class TestParams:
@@ -47,14 +49,6 @@ class TestParams:
             RefrigeratorParams(n_bath=(3,), g=0.05, **one)
         with pytest.raises(ValueError, match="one entry per pair"):
             fridge(n=(3,))
-
-    def test_pair_extraction(self):
-        p = fridge()
-        pair2 = p.pair(2)
-        assert pair2.epsilon == 2.0
-        assert pair2.bath_energy == 4.0
-        assert pair2.coupling == 0.4
-        assert RefrigeratorParams.from_pairs(p.pair(1), p.pair(2), p.pair(3), g=p.g) == p
 
 
 def layout(p, prune_tol=0.0):
@@ -128,11 +122,12 @@ class TestEnumeration:
 class TestSectorAssembly:
     def test_decoupled_blocks_are_kron_sums(self):
         p = fridge(g=0.0, n=(2, 2, 2))
-        tables = [sector_arrays(p.pair(i)) for i in (1, 2, 3)]
+        tables = [pair_table(p, i) for i in (1, 2, 3)]
         for group, row, two_m in kept_sectors(RefrigeratorEngine(p, prune_tol=0.0)):
             # rows run over two_m = -(N+1), -(N-1), ..., N+1
             addends = [
-                pair_block(tables[k], (two_m[k] + p.n_bath[k] + 1) // 2) for k in range(3)
+                pair_block(tables[k], (two_m[k] + p.n_bath[k] + 1) // 2, p.coupling[k])
+                for k in range(3)
             ]
             expected = sorted(
                 a + b + c
@@ -195,7 +190,7 @@ class TestSectorAssembly:
         model = oracle.build_dense(p)
         rebuilt = np.zeros_like(model.initial_state)
         for group, row, two_m in kept_sectors(RefrigeratorEngine(p, prune_tol=0.0)):
-            idx = sector_basis_indices(p, two_m)
+            idx = sector_basis_indices(p.n_bath, two_m)
             sectors = group.sectors
             rebuilt[np.ix_(idx, idx)] += sectors.weights[row] * np.diag(sectors.p0)
         assert np.max(np.abs(rebuilt - model.initial_state)) < 1e-14
@@ -292,7 +287,7 @@ class TestReducedDynamics:
         p = fridge(n=(30, 30, 30), g=0.0)
         three = RefrigeratorEngine(p, prune_tol=1e-12)
         for bath in (1, 2, 3):
-            one = RefrigeratorEngine(RefrigeratorParams.from_pairs(p.pair(bath)), prune_tol=0.0)
+            one = RefrigeratorEngine(pair_of(p, bath), prune_tol=0.0)
             for t in (0.0, 3.7, 9.1):
                 assert np.max(np.abs(
                     three.reduced_bath_populations(bath, t) - one.reduced_bath_populations(1, t)
@@ -625,7 +620,7 @@ class TestOnePairProperty:
     @given(_DECOUPLED_FRIDGE, st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5))
     def test_decoupled_qubit_matches_one_pair_engine(self, p, times):
         three = RefrigeratorEngine(p, prune_tol=0.0)
-        one = RefrigeratorEngine(RefrigeratorParams.from_pairs(p.pair(1)), prune_tol=0.0)
+        one = RefrigeratorEngine(pair_of(p, 1), prune_tol=0.0)
         exc = [eng.series_terms((("exc", 1),)) for eng in (three, one)]
         for a, b in (exc, [s.derivative() for s in exc]):
             magnitude = max(abs(s.const[0]) + np.abs(s.amps).sum() for s in (a, b))

@@ -361,6 +361,30 @@ class TestExactPropagation:
         assert np.max(np.abs(full_states(traj) - ref)) < 1e-12
         assert traj.populations.min() >= 0.0
 
+    def test_clock_starts_at_zero_whatever_the_grid_start(self):
+        # a grid from 0.5 samples the same trajectory as one from 0: the
+        # state at 0.5 is the initial state propagated by 0.5, not the
+        # initial state itself
+        p = params()
+        rho0 = thermal_product_state(p)
+        from_zero = integrate_gksl(p, rho0, TimeGrid(0.0, 4.0, 0.05))
+        later = integrate_gksl(p, rho0, TimeGrid(0.5, 4.0, 0.05))
+        assert np.allclose(later.time, from_zero.time[10:], rtol=0.0, atol=1e-14)
+        # the bare pair (P+ + P-)/2 +- Re rho_{+-} agrees only to the rounding
+        # of its sum, the dressed state entrywise
+        for a, b in ((later.populations, from_zero.populations[10:]),
+                     (later.coherence, from_zero.coherence[10:])):
+            assert np.all(np.abs(a - b) <= 1e-14 * np.abs(b))
+        assert np.max(np.abs(later.diagonal - from_zero.diagonal[10:])) < 1e-14
+        ref = np.diagonal(oracle_states(p, rho0, [0.5])[0]).real
+        assert np.max(np.abs(later.diagonal[0] - ref)) < 1e-14
+        assert np.max(np.abs(later.diagonal[0] - rho0.diagonal().real)) > 1e-7
+
+    def test_negative_start_rejected(self):
+        p = params()
+        with pytest.raises(ValueError, match="time_grid.start"):
+            integrate_gksl(p, thermal_product_state(p), TimeGrid(-0.5, 1.0, 0.5))
+
 
 class TestOptimize:
     def test_two_seeds_agree(self):

@@ -5,21 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import fridge, pair_block, sector_basis_indices
+from dense_reference import fridge, pair_block, pair_table, sector_basis_indices, star
 from spinfridge import oracle
 from spinfridge.engine import RefrigeratorEngine
-from spinfridge.spinstar import SingleStarParams, sector_arrays
-
-
-def single(n=1, **kw):
-    defaults = dict(epsilon=1.0, bath_energy=2.0, coupling=0.5, beta=1.0)
-    defaults.update(kw)
-    return SingleStarParams(n_bath=n, **defaults)
 
 
 class TestBuildDense:
     def test_single_star_n1_ladder_factors(self):
-        model = oracle.build_dense(single(n=1))
+        model = oracle.build_dense(star(n=1))
         assert model.dimension == 4
         # spin-1/2 ladder: <up,down| H_SB |down,up> = A * 1
         h = model.hamiltonian
@@ -30,13 +23,13 @@ class TestBuildDense:
         assert np.max(np.abs(h - h.T)) == 0.0
 
     def test_single_star_spectrum_is_union_of_sector_spectra(self):
-        p = single(n=2)
+        p = star(n=2)
         model = oracle.build_dense(p)
         dense = np.sort(np.linalg.eigvalsh(model.hamiltonian))
-        table = sector_arrays(p)
+        table = pair_table(p)
         collected = []
         for j in range(len(table["two_m"])):
-            collected.extend(np.linalg.eigvalsh(pair_block(table, j)))
+            collected.extend(np.linalg.eigvalsh(pair_block(table, j, 0.5)))
         assert np.allclose(dense, np.sort(collected), atol=1e-12)
 
     def test_refrigerator_dimension(self):
@@ -48,7 +41,7 @@ class TestBuildDense:
             oracle.build_dense(fridge(n=(5, 5, 5)))  # (2 * 6)^3 = 1728
 
     def test_initial_state_is_normalized_thermal(self):
-        model = oracle.build_dense(single(n=3, beta=0.7))
+        model = oracle.build_dense(star(n=3, beta=0.7))
         rho = model.initial_state
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-13)
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
@@ -71,19 +64,19 @@ class TestSectorEmbedding:
         p = fridge(n=(2, 1, 1))
         model = oracle.build_dense(p)
         for group, row, two_m in engine_sectors(p):
-            idx = sector_basis_indices(p, two_m)
+            idx = sector_basis_indices(p.n_bath, two_m)
             assert len(idx) == group.dim
             block = model.hamiltonian[np.ix_(idx, idx)]
             assert np.max(np.abs(block - group.hamiltonians[row])) < 1e-12
 
     def test_single_star_sector_blocks_match(self):
-        p = single(n=3)
+        p = star(n=3)
         model = oracle.build_dense(p)
-        table = sector_arrays(p)
+        table = pair_table(p)
         for j, two_m in enumerate(table["two_m"]):
-            idx = sector_basis_indices(p, int(two_m))
+            idx = sector_basis_indices(p.n_bath, (int(two_m),))
             block = model.hamiltonian[np.ix_(idx, idx)]
-            expected = pair_block(table, j)
+            expected = pair_block(table, j, 0.5)
             assert block.shape == expected.shape
             assert np.max(np.abs(block - expected)) < 1e-12
 
@@ -91,21 +84,21 @@ class TestSectorEmbedding:
         p = fridge(n=(1, 1, 1))
         model = oracle.build_dense(p)
         labels = sorted(two_m for _, _, two_m in engine_sectors(p))
-        idx_a = sector_basis_indices(p, labels[0])
-        idx_b = sector_basis_indices(p, labels[5])
+        idx_a = sector_basis_indices(p.n_bath, labels[0])
+        idx_b = sector_basis_indices(p.n_bath, labels[5])
         assert np.max(np.abs(model.hamiltonian[np.ix_(idx_a, idx_b)])) == 0.0
 
 
 class TestEvolution:
     def test_thermal_marginals_at_t0(self):
-        p = single(n=2, beta=1.2)
+        p = star(n=2, beta=1.2)
         model = oracle.build_dense(p)
         spin = oracle.dense_evolve_and_trace(model, 0.0, 0)
         z = 2.0 * math.cosh(0.6)
         assert spin[0, 0].real == pytest.approx(math.exp(0.6) / z, abs=1e-12)
 
     def test_group_property(self):
-        p = single(n=3)
+        p = star(n=3)
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
         one = oracle.dense_evolve(model, 1.3, spectrum=spectrum)
@@ -114,7 +107,7 @@ class TestEvolution:
         assert np.max(np.abs(stepped - direct)) < 1e-10
 
     def test_subsystem_selector_bounds(self):
-        model = oracle.build_dense(single(n=1))
+        model = oracle.build_dense(star(n=1))
         with pytest.raises(ValueError, match="subsystem"):
             oracle.dense_evolve_and_trace(model, 0.0, 5)
 
@@ -125,7 +118,3 @@ class TestEvolution:
         rho_q2 = oracle.dense_evolve_and_trace(model, 1.7, 2, spectrum=spectrum)
         assert np.trace(rho_q2).real == pytest.approx(1.0, abs=1e-12)
         assert rho_q2.shape == (2, 2)
-
-    def test_unsupported_params_type(self):
-        with pytest.raises(TypeError):
-            oracle.build_dense(42)

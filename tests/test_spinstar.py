@@ -6,24 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import fridge, pair_block, pair_table, star as make
 from spinfridge import oracle, thermo
-from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, sector_layout
+from spinfridge.engine import RefrigeratorEngine, sector_layout
 from spinfridge.series import SeriesTerms, TimeGrid, trig_series_at
-from spinfridge.spinstar import (
-    SingleStarParams,
-    sector_arrays,
-    sector_log_weights,
-    temperature_from_excited,
-)
-
-
-def make(eps=1.0, bath_e=2.0, a=0.5, n=2, beta=1.0):
-    return SingleStarParams(eps, bath_e, a, n, beta)
+from spinfridge.spinstar import sector_log_weights, temperature_from_excited
 
 
 def star(p):
     """The unpruned one-pair engine of a single star."""
-    return RefrigeratorEngine(RefrigeratorParams.from_pairs(p), prune_tol=0.0)
+    return RefrigeratorEngine(p, prune_tol=0.0)
 
 
 def interior(eng):
@@ -44,74 +36,67 @@ def row(table, two_m):
     return int(np.flatnonzero(table["two_m"] == two_m)[0])
 
 
-def block(table, j):
-    """2x2 Hamiltonian block of interior sector row j."""
-    return np.array([[table["b_minus"][j], table["u"][j]],
-                     [table["u"][j], table["b_plus"][j]]])
-
-
 def ground_population(p, t):
     return star(p).reduced_qubit_state(1, t)[0, 0]
 
 
 class TestSectors:
     def test_smallest_bath_labels(self):
-        table = sector_arrays(make(n=1))
+        table = pair_table(make(n=1))
         assert table["two_m"].tolist() == [-2, 0, 2]  # m in {-1, 0, 1}
         assert table["dim"].tolist() == [1, 2, 1]
 
     def test_label_count_is_n_plus_2(self):
-        assert len(sector_arrays(make(n=2))["two_m"]) == 4
-        assert len(sector_arrays(make(n=30))["two_m"]) == 32
+        assert len(pair_table(make(n=2))["two_m"]) == 4
+        assert len(pair_table(make(n=30))["two_m"]) == 32
 
     def test_block_fields_match_definitions(self):
-        # epsilon = E = 1, N = 2, m = 1/2: levels degenerate, u = A*sqrt(2)
+        # epsilon = E = 1, N = 2, m = 1/2: levels degenerate, ladder factor
+        # u = sqrt(2), coupling A*u
         p = make(eps=1.0, bath_e=1.0, a=0.7, n=2)
-        table = sector_arrays(p)
+        table = pair_table(p)
         j = row(table, 1)
         assert table["dim"][j] == 2
         assert table["b_minus"][j] - table["b_plus"][j] == pytest.approx(0.0, abs=1e-15)
-        assert table["u"][j] == pytest.approx(0.7 * math.sqrt(2.0))
+        assert table["u"][j] == pytest.approx(math.sqrt(2.0))
         assert 0.5 * sector_gap(p, 1) == pytest.approx(0.7 * math.sqrt(2.0))
 
     def test_level_difference_is_bath_minus_qubit_gap(self):
-        table = sector_arrays(make(eps=1.0, bath_e=2.0, n=4))
+        table = pair_table(make(eps=1.0, bath_e=2.0, n=4))
         for two_m in (-3, -1, 1, 3):
             j = row(table, two_m)
             assert table["b_minus"][j] - table["b_plus"][j] == pytest.approx(1.0)
 
     def test_decoupled_limit(self):
         p = make(eps=1.0, bath_e=2.0, a=0.0, n=3)
-        table = sector_arrays(p)
-        j = row(table, 0)
-        assert table["u"][j] == 0.0
+        assert np.all(interior(star(p)).hamiltonians[:, 0, 1] == 0.0)
         assert 0.5 * sector_gap(p, 0) == pytest.approx(0.5)  # |E - eps| / 2
 
     def test_edge_sectors_expose_single_level(self):
-        table = sector_arrays(make(eps=1.0, bath_e=2.0, n=2))
+        table = pair_table(make(eps=1.0, bath_e=2.0, n=2))
         top, bottom = row(table, 3), row(table, -3)
         assert table["dim"][top] == table["dim"][bottom] == 1
         assert table["edge_energy"][top] == pytest.approx(0.5 * 1.0 + 2.0 * 1.0)
         assert table["edge_energy"][bottom] == pytest.approx(-0.5 * 1.0 - 2.0 * 1.0)
 
     def test_weights_reproduce_partition_functions(self):
-        p = make(eps=0.7, bath_e=1.3, n=4, beta=0.9)
-        labels, logw = sector_log_weights(p)
-        z_qubit = 2.0 * math.cosh(0.5 * p.beta * p.epsilon)
-        j = np.arange(p.n_bath + 1) - 0.5 * p.n_bath
-        z_bath = np.exp(-p.beta * p.bath_energy * j).sum()
+        eps, bath_e, n, beta = 0.7, 1.3, 4, 0.9
+        labels, logw = sector_log_weights(eps, bath_e, n, beta)
+        z_qubit = 2.0 * math.cosh(0.5 * beta * eps)
+        j = np.arange(n + 1) - 0.5 * n
+        z_bath = np.exp(-beta * bath_e * j).sum()
         assert np.exp(logw).sum() == pytest.approx(z_qubit * z_bath, rel=1e-13)
-        layout = sector_layout((p.epsilon,), (p.bath_energy,), (p.n_bath,), (p.beta,), 0.0)
+        layout = sector_layout((eps,), (bath_e,), (n,), (beta,), 0.0)
         w = np.concatenate([group.weights for group in layout.groups])
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
-        assert len(labels) == layout.kept == p.n_bath + 2
+        assert len(labels) == layout.kept == n + 2
         assert np.all(w > 0)
 
 
 class TestSectorEvolution:
     def test_initial_state_is_sector_thermal(self):
         p = make(eps=1.0, bath_e=2.0, beta=1.3)
-        p_g, p_e = sector_arrays(p)["p_level"]
+        p_g, p_e = pair_table(p)["p_level"]
         assert p_g == pytest.approx(1.0 / (1.0 + math.exp(1.3)), abs=1e-12)
         assert p_g + p_e == pytest.approx(1.0, abs=1e-13)
         assert tuple(interior(star(p)).sectors.p0) == (p_g, p_e)
@@ -124,12 +109,12 @@ class TestSectorEvolution:
         # pure ground start on resonance flips with sin^2(u t); brute-force
         # matrix evolution is the reference
         p = make(eps=1.5, bath_e=1.5, a=0.4, n=2)
-        table = sector_arrays(p)
+        table = pair_table(p)
         j = row(table, 1)
         for t in (0.3, 1.1, 2.9):
-            rho = oracle.evolve_density(block(table, j), np.diag([1.0, 0.0]), t)
+            rho = oracle.evolve_density(pair_block(table, j, 0.4), np.diag([1.0, 0.0]), t)
             assert rho[1, 1].real == pytest.approx(
-                math.sin(table["u"][j] * t) ** 2, abs=1e-12
+                math.sin(0.4 * table["u"][j] * t) ** 2, abs=1e-12
             )
 
 
@@ -152,7 +137,7 @@ class TestReducedStates:
             )
 
     def test_bath_thermal_at_t0(self):
-        p = SingleStarParams(1.0, 1.0, 0.5, 1, 1.0)
+        p = make(1.0, 1.0, 0.5, 1, 1.0)
         pops = star(p).reduced_bath_populations(1, 0.0)
         expected = np.array([math.exp(0.5), math.exp(-0.5)])
         expected /= expected.sum()
@@ -174,7 +159,7 @@ class TestReducedStates:
     def test_conserved_total_z(self):
         p = make(n=4, beta=0.7)
         eng = star(p)
-        m_bath = 0.5 * np.arange(-p.n_bath, p.n_bath + 1, 2)
+        m_bath = 0.5 * np.arange(-p.n_bath[0], p.n_bath[0] + 1, 2)
 
         def charge(t):
             qubit = np.diag(eng.reduced_qubit_state(1, t)) @ np.array([-0.5, 0.5])
@@ -208,8 +193,8 @@ class TestReducedStates:
         exc = eng.series_terms((("exc", 1),))
         for terms, scale, values in (
             (exc, 1.0, excited),
-            (exc.derivative(), p.epsilon, currents.qdot_s[0]),
-            (exc.derivative(), -p.bath_energy, currents.qdot_b[0]),
+            (exc.derivative(), p.epsilon[0], currents.qdot_s[0]),
+            (exc.derivative(), -p.bath_energy[0], currents.qdot_b[0]),
         ):
             direct = scale * trig_series_at(terms.const, terms.amps, terms.omegas, times,
                                             terms.kind)
@@ -244,8 +229,8 @@ class TestReducedStates:
             drdt = (
                 ground_population(p, t + h) - ground_population(p, t - h)
             ) / (2 * h)
-            assert qdot_s[k] == pytest.approx(-p.epsilon * drdt, abs=1e-8)
-            assert qdot_b[k] == pytest.approx(p.bath_energy * drdt, abs=1e-8)
+            assert qdot_s[k] == pytest.approx(-p.epsilon[0] * drdt, abs=1e-8)
+            assert qdot_b[k] == pytest.approx(p.bath_energy[0] * drdt, abs=1e-8)
 
 
 def thermal_temperature(r, epsilon):
@@ -281,11 +266,23 @@ class TestLocalTemperature:
 
 class TestParamValidation:
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            SingleStarParams(1.0, 1.0, 0.5, 0, 1.0)
-        with pytest.raises(ValueError):
-            SingleStarParams(1.0, 1.0, -0.5, 2, 1.0)
-        with pytest.raises(ValueError):
-            SingleStarParams(1.0, 1.0, 0.5, 2, 0.0)
-        with pytest.raises(ValueError):
-            SingleStarParams(math.inf, 1.0, 0.5, 2, 1.0)
+        # one message per field, checked in this order within a pair
+        for bad, message in (
+            (dict(n=0), "n_bath must be a positive integer"),
+            (dict(a=-0.5), "coupling must be nonnegative"),
+            (dict(beta=0.0), "beta must be positive"),
+            (dict(eps=math.inf), "epsilon must be finite"),
+            (dict(n=0, a=-0.5, beta=0.0), "n_bath"),
+            (dict(a=-0.5, beta=-1.0), "coupling"),
+            (dict(beta=-1.0, eps=math.nan), "beta"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make(**{**dict(eps=1.0, bath_e=1.0, a=0.5, n=2, beta=1.0), **bad})
+
+    def test_rejects_a_bad_second_pair(self):
+        with pytest.raises(ValueError, match="coupling must be nonnegative, got -0.4"):
+            fridge(coupling=(0.5, -0.4, 0.3))
+        with pytest.raises(ValueError, match="bath_energy must be finite"):
+            fridge(bath_energy=(2.0, math.nan, 2.0))
+        with pytest.raises(ValueError, match="n_bath must be a positive integer, got 0"):
+            fridge(n=(1, 0, 1))
