@@ -29,7 +29,9 @@ from .series import TimeGrid
 from .spinstar import temperature_from_excited
 
 DEFAULT_TIME_GRID = TimeGrid(0.0, 10.0, 0.005)
-DEFAULT_RANGES = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 0.1))
+# The default search box of (A1, A2, A3, g) and the default evaluation budget.
+DEFAULT_RANGES = ((0.0, 1.0),) * 3 + ((0.0, 0.1),)
+DEFAULT_BUDGET = 2000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 WORKERS_ENV = "SPINFRIDGE_WORKERS"
@@ -602,47 +604,45 @@ def minimize_t1(best, bounds, budget: int, seed: int) -> OptimizationResult:
     )
 
 
-def optimize_t1(engine_factory, ranges=DEFAULT_RANGES, budget: int = 2000,
-                seed: int = 0, time_grid: TimeGrid = DEFAULT_TIME_GRID
+def _qubit1_series(base: RefrigeratorParams, x, prune_tol: float, tol: float):
+    """Qubit 1's excited-population series of ``base`` at the point
+    x = (A1, A2, A3, g) of the search box, ``compressed(tol)``.
+
+    The engine is dropped on return: a search needs only the series.
+    """
+    params = replace(base, coupling=(float(x[0]), float(x[1]), float(x[2])), g=float(x[3]))
+    return RefrigeratorEngine(params, prune_tol).excited_terms((1,)).compressed(tol)
+
+
+def optimize_t1(base: RefrigeratorParams, prune_tol: float, ranges=DEFAULT_RANGES,
+                budget: int = DEFAULT_BUDGET, seed: int = 0,
+                time_grid: TimeGrid = DEFAULT_TIME_GRID, series_amp_tol: float = 0.0
                 ) -> OptimizationResult:
     """Minimize the cold-qubit temperature over couplings and time.
 
-    ``engine_factory`` maps a coupling vector (A1, A2, A3, g) to a
-    RefrigeratorEngine, whose ("exc", 1) series is searched over time by
-    ``_best_time_on_series``; the couplings are searched by seeded
-    multistart Nelder-Mead (``minimize_t1``).  Deterministic for a fixed
-    seed.
+    Each point x = (A1, A2, A3, g) builds an engine on ``base`` at those
+    couplings, whose qubit-1 excited-population series, compressed at
+    ``series_amp_tol`` (``SeriesTerms.compressed``; 0 keeps every term),
+    is searched over time by ``_best_time_on_series``; the couplings are
+    searched by seeded multistart Nelder-Mead (``minimize_t1``).
+    Deterministic for a fixed seed.
     """
 
     def best(x):
-        engine = engine_factory(x)
-        terms, epsilon = engine.excited_terms((1,)), engine.params.epsilon[0]
-        del engine  # the search needs only the series: free the spectra first
-        return _best_time_on_series(terms, time_grid) + (epsilon,)
+        return _best_time_on_series(_qubit1_series(base, x, prune_tol, series_amp_tol),
+                                    time_grid) + (base.epsilon[0],)
 
     return minimize_t1(best, ranges, budget, seed)
-
-
-def coupling_engine_factory(base: RefrigeratorParams, prune_tol: float,
-                            series_amp_tol: float = 0.0):
-    """Factory mapping (A1, A2, A3, g) onto engines that share ``base``."""
-
-    def make(x) -> RefrigeratorEngine:
-        params = replace(
-            base,
-            coupling=(float(x[0]), float(x[1]), float(x[2])),
-            g=float(x[3]),
-        )
-        return RefrigeratorEngine(
-            params, prune_tol=prune_tol, series_amp_tol=series_amp_tol
-        )
-
-    return make
 
 
 # ---------------------------------------------------------------------------
 # Bath-size scaling sweep
 # ---------------------------------------------------------------------------
+
+# Each sweep N scans series compressed at this fraction of their summed
+# amplitudes (``SeriesTerms.compressed``).
+_SWEEP_SERIES_AMP_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ScalingRow:
@@ -657,27 +657,11 @@ class ScalingRow:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    rows: list[ScalingRow]
-
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        ns = np.array([row.n for row in self.rows], dtype=float)
-        t1 = np.array([row.best_t1 for row in self.rows])
-        return ns, t1
-
-    def local_min_table(self) -> tuple[np.ndarray, np.ndarray]:
-        ns = np.array([row.n for row in self.rows], dtype=float)
-        tl = np.array([row.local_min_time for row in self.rows])
-        return ns, tl
-
-
 def _sweep_point(args) -> ScalingRow:
-    (base, n, ranges, budget, seed, prune_tol, series_amp_tol, grid) = args
+    (base, n, ranges, budget, seed, prune_tol, grid) = args
     params = replace(base, n_bath=(n, n, n))
-    factory = coupling_engine_factory(params, prune_tol, series_amp_tol)
-    result = optimize_t1(factory, ranges, budget, seed, grid)
-    terms = factory(result.best_params).excited_terms((1,))
+    result = optimize_t1(params, prune_tol, ranges, budget, seed, grid, _SWEEP_SERIES_AMP_TOL)
+    terms = _qubit1_series(params, result.best_params, prune_tol, _SWEEP_SERIES_AMP_TOL)
     eps = params.epsilon[0]
     times = grid.points()
     p1 = terms.on_grid(grid.start, grid.step, len(times))[0]
@@ -699,32 +683,26 @@ def _sweep_point(args) -> ScalingRow:
     )
 
 
-def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = 2000,
+def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = DEFAULT_BUDGET,
                   seed: int = 0, prune_tol: float = 1e-9,
-                  series_amp_tol: float = 1e-9,
                   time_grid: TimeGrid = DEFAULT_TIME_GRID,
-                  workers: int | None = None,
-                  ranges=DEFAULT_RANGES) -> ScalingReport:
+                  ranges=DEFAULT_RANGES) -> list[ScalingRow]:
     """Optimize the cold-qubit temperature for each bath size N1=N2=N3=N.
 
     Every N searches the same box ``ranges`` of (A1, A2, A3, g).  Per-N
-    optimizations run in separate processes (``workers`` defaults to
-    SPINFRIDGE_WORKERS or the core count) and are merged in n_list order, so
-    the report does not depend on scheduling.  Each N gets the deterministic
-    seed ``seed + 7919 * index``.
+    optimizations run in ``worker_count()`` processes and are merged in
+    n_list order, so the rows do not depend on scheduling.  Each N gets the
+    deterministic seed ``seed + 7919 * index``.
     """
-    n_list = [int(n) for n in n_list]
     jobs = [
-        (base, n, ranges, per_n_budget, seed + 7919 * k, prune_tol, series_amp_tol, time_grid)
+        (base, int(n), ranges, per_n_budget, seed + 7919 * k, prune_tol, time_grid)
         for k, n in enumerate(n_list)
     ]
-    workers = workers if workers is not None else worker_count()
+    workers = worker_count()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(job) for job in jobs]
-    return ScalingReport(rows)
+            return list(pool.map(_sweep_point, jobs))
+    return [_sweep_point(job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------

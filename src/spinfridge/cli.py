@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     PLATEAU_MIN_N,
-    coupling_engine_factory,
     fit_power_law,
     neville_extrapolate,
     neville_lower_diagonal_diffs,
@@ -35,7 +34,7 @@ from .markov import (
     temperature_trajectories,
     thermal_product_state,
 )
-from .oracle import build_dense, dense_evolve_and_trace
+from .oracle import build_dense, dense_evolve, partial_trace
 from . import thermo
 
 ORACLE_TOLERANCE = 1e-9
@@ -92,9 +91,9 @@ def _coupling_ranges(config: RunConfig) -> tuple:
 
 def _run_optimize(config: RunConfig) -> None:
     opt = config.optimization
-    factory = coupling_engine_factory(config.refrigerator, config.prune_tol)
     result = optimize_t1(
-        factory,
+        config.refrigerator,
+        config.prune_tol,
         ranges=_coupling_ranges(config),
         budget=opt.budget,
         seed=opt.seed,
@@ -113,7 +112,7 @@ def _run_optimize(config: RunConfig) -> None:
 
 def _run_scaling(config: RunConfig) -> None:
     opt = config.optimization
-    report = scaling_sweep(
+    sweep = scaling_sweep(
         config.refrigerator,
         config.n_list,
         per_n_budget=opt.budget,
@@ -122,8 +121,9 @@ def _run_scaling(config: RunConfig) -> None:
         time_grid=config.time_grid,
         ranges=_coupling_ranges(config),
     )
-    ns, t1 = report.table()
-    _, tl = report.local_min_table()
+    ns = np.array([row.n for row in sweep], dtype=float)
+    t1 = np.array([row.best_t1 for row in sweep])
+    tl = np.array([row.local_min_time for row in sweep])
     rows = [
         {
             "n": row.n,
@@ -135,7 +135,7 @@ def _run_scaling(config: RunConfig) -> None:
             "local_min_t1": row.local_min_t1,
             "evaluations": row.evaluations,
         }
-        for row in report.rows
+        for row in sweep
     ]
     results: dict = {"sweep": rows}
     h = 1.0 / ns
@@ -202,21 +202,21 @@ def _oracle_deviation(params: RefrigeratorParams, times) -> tuple[float, int]:
     """Largest deviation of every qubit state and bath population from the dense
     oracle at ``times``, and the oracle's dimension.
 
-    Qubit q is the oracle's subsystem 2(q - 1) and its bath 2q - 1, for one
-    pair (a single star) as for three.
+    The dense state is evolved once per time.  Qubit q is its subsystem
+    2(q - 1) and its bath 2q - 1, for one pair (a single star) as for three.
     """
     model = build_dense(params)
     spectrum = model.spectrum()
     engine = RefrigeratorEngine(params, prune_tol=0.0)
     worst = 0.0
     for t in times:
+        rho = dense_evolve(model, t, spectrum=spectrum)
         for q in range(1, params.pairs + 1):
             dev_q = np.max(np.abs(
-                dense_evolve_and_trace(model, t, 2 * (q - 1), spectrum=spectrum)
-                - engine.reduced_qubit_state(q, t)
+                partial_trace(rho, model.dims, 2 * (q - 1)) - engine.reduced_qubit_state(q, t)
             ))
             dev_b = np.max(np.abs(
-                np.diag(dense_evolve_and_trace(model, t, 2 * q - 1, spectrum=spectrum)).real
+                np.diag(partial_trace(rho, model.dims, 2 * q - 1)).real
                 - engine.reduced_bath_populations(q, t)
             ))
             worst = max(worst, float(dev_q), float(dev_b))

@@ -13,9 +13,9 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from .analysis import DEFAULT_TIME_GRID
+from .analysis import DEFAULT_BUDGET, DEFAULT_RANGES, DEFAULT_TIME_GRID
 from .engine import DEFAULT_PRUNE_TOL, RefrigeratorParams
-from .markov import DEFAULT_CUTOFF, MarkovParams
+from .markov import DEFAULT_ALPHA_RANGE, DEFAULT_CUTOFF, MarkovParams
 from .series import TimeGrid
 
 MODES = ("single", "evolve", "optimize", "scaling", "markov", "validate")
@@ -79,10 +79,10 @@ def _resolve_beta(data: dict, path: str, triple: bool) -> tuple:
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    coupling_range: tuple[float, float] = (0.0, 1.0)
-    g_range: tuple[float, float] = (0.0, 0.1)
-    alpha_range: tuple[float, float] = (0.0, 1e-4)
-    budget: int = 2000
+    coupling_range: tuple[float, float] = DEFAULT_RANGES[0]
+    g_range: tuple[float, float] = DEFAULT_RANGES[3]
+    alpha_range: tuple[float, float] = DEFAULT_ALPHA_RANGE
+    budget: int = DEFAULT_BUDGET
     seed: int = 0
 
 

@@ -72,6 +72,8 @@ class RefrigeratorParams:
                 raise ValueError(f"coupling must be nonnegative, got {a}")
             if not b > 0:
                 raise ValueError(f"beta must be positive, got {b}")
+            if eps == 0:  # a qubit without a gap has no temperature
+                raise ValueError(f"epsilon must be nonzero, got {eps}")
             for name, value in (("epsilon", eps), ("bath_energy", bath_e),
                                 ("coupling", a), ("beta", b)):
                 if not math.isfinite(value):
@@ -327,21 +329,13 @@ class RefrigeratorEngine:
     Spectra of all retained sectors are computed once at construction, on
     the sector layout shared by every engine with the same epsilon, E, N,
     beta and ``prune_tol``; a parameter change means building a new engine.
-    All queries are pure, so concurrent reads are safe.
-
-    ``series_amp_tol`` optionally compresses aggregated trigonometric
-    series: the smallest-amplitude terms are dropped while their cumulative
-    magnitude stays below ``series_amp_tol`` times the total magnitude,
-    which bounds the absolute series error by the same relative amount.
-    The default keeps every term.
+    All queries are pure, so concurrent reads are safe.  Its series keep
+    every term; ``SeriesTerms.compressed`` drops the smallest.
     """
 
-    def __init__(self, params: RefrigeratorParams,
-                 prune_tol: float = DEFAULT_PRUNE_TOL,
-                 series_amp_tol: float = 0.0):
+    def __init__(self, params: RefrigeratorParams, prune_tol: float = DEFAULT_PRUNE_TOL):
         self.params = params
         self.prune_tol = prune_tol
-        self.series_amp_tol = series_amp_tol
         self.layout = sector_layout(
             params.epsilon, params.bath_energy, params.n_bath, params.beta, prune_tol
         )
@@ -373,10 +367,7 @@ class RefrigeratorEngine:
         weight.  Tr[drho/dt O] is the ``derivative()`` of the result.
 
         The rows share the union of the keys' gaps (zero where a key's
-        observable is absent) and are compressed on the magnitudes summed
-        over rows, so each row's error stays below ``series_amp_tol`` times
-        the total magnitude of all rows, and its derivative's error below
-        that bound times the largest gap.
+        observable is absent) and keep every term.
         """
         keys = tuple(keys)
         if keys in self._series_cache:
@@ -404,22 +395,10 @@ class RefrigeratorEngine:
                 amp[row] = (2.0 * weights[:, None] * f[:, iu, ju]).ravel()
         amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
-        amps, omegas = self._compress(amps, omegas)
         scale = 1.0 / self.weight_total
         terms = SeriesTerms(const * scale, amps * scale, omegas, "cos")
         self._series_cache[keys] = terms
         return terms
-
-    def _compress(self, amps: np.ndarray, omegas: np.ndarray):
-        """Drop the terms of smallest row-summed magnitude, see ``series_terms``."""
-        if self.series_amp_tol <= 0.0 or amps.size == 0:
-            return amps, omegas
-        magnitude = np.abs(amps).sum(axis=0)
-        order = np.argsort(magnitude, kind="stable")
-        cum = np.cumsum(magnitude[order])
-        n_drop = int(np.searchsorted(cum, self.series_amp_tol * cum[-1], side="left"))
-        keep = np.sort(order[n_drop:])
-        return amps[:, keep], omegas[keep]
 
     # -- populations and temperatures -------------------------------------------
 

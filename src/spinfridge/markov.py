@@ -27,14 +27,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import OptimizationResult, _best_time_on_grid, minimize_t1
+from .analysis import DEFAULT_RANGES, OptimizationResult, _best_time_on_grid, minimize_t1
 from .series import TimeGrid
 from .spinstar import temperature_from_excited
 
 DEFAULT_CUTOFF = 1e3
 DEFAULT_TIME_GRID = TimeGrid(0.0, 40.0, 0.05)
 DEFAULT_ALPHA_RANGE = (0.0, 1e-4)
-DEFAULT_G_RANGE = (0.0, 0.1)
 
 
 class WeakCouplingWarning(UserWarning):
@@ -61,6 +60,8 @@ class MarkovParams:
             if len(value) != 3:
                 raise ValueError(f"{name} must have three entries, got {value}")
             object.__setattr__(self, name, value)
+        if any(e <= 0 for e in self.epsilon):
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if any(a < 0 for a in self.alpha):
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if any(b <= 0 for b in self.beta):
@@ -315,7 +316,7 @@ def temperature_trajectories(params: MarkovParams, traj: MarkovTrajectory):
 
 
 def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
-                    g_range=DEFAULT_G_RANGE, budget: int = 300, seed: int = 0,
+                    g_range=DEFAULT_RANGES[3], budget: int = 300, seed: int = 0,
                     time_grid: TimeGrid = DEFAULT_TIME_GRID) -> OptimizationResult:
     """Minimize the cold-qubit temperature over (alpha1..3, g) and time.
 

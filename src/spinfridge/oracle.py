@@ -228,14 +228,3 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarr
         rho = np.trace(rho, axis1=slot, axis2=slot + rho.ndim // 2)
     return rho
 
-
-def dense_evolve_and_trace(model: DenseModel, t: float, subsystem: int,
-                           *, spectrum: Spectrum | None = None) -> np.ndarray:
-    """Evolve then reduce to one subsystem.
-
-    Subsystems are indexed in the dims order: 0 = qubit 1, 1 = bath 1,
-    2 = qubit 2, ... (a single star has just 0 = qubit, 1 = bath).
-    """
-    if not 0 <= subsystem < len(model.dims):
-        raise ValueError(f"subsystem {subsystem} out of range for dims {model.dims}")
-    return partial_trace(dense_evolve(model, t, spectrum=spectrum), model.dims, subsystem)

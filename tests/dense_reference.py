@@ -5,8 +5,8 @@ which ``markov.integrate_gksl`` is tested; one-pair parameters (a single
 star, or pair i of a refrigerator), a pair's sector blocks and the
 map from a sector label to its basis states in the dense oracle's basis;
 the local qubit and bath Hamiltonians in the dense basis, whose energy
-flows the heat currents are; and the engine's total energy and per-pair
-charges, which the dynamics conserve.
+flows the heat currents are; the dense state reduced to one subsystem; and
+the engine's total energy and per-pair charges, which the dynamics conserve.
 """
 
 import functools
@@ -15,6 +15,7 @@ import numpy as np
 
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, energy_keys
 from spinfridge.markov import MarkovParams, build_jump_channels
+from spinfridge.oracle import DenseModel, Spectrum, dense_evolve, partial_trace
 from spinfridge.spinstar import sector_arrays
 
 
@@ -122,6 +123,18 @@ def local_energy_diagonals(params: RefrigeratorParams, model) -> np.ndarray:
             factors = [levels if j == slot else np.ones(d) for j, d in enumerate(model.dims)]
             rows.append(functools.reduce(np.kron, factors))
     return np.array(rows)
+
+
+def dense_evolve_and_trace(model: DenseModel, t: float, subsystem: int,
+                           *, spectrum: Spectrum | None = None) -> np.ndarray:
+    """Evolve then reduce to one subsystem.
+
+    Subsystems are indexed in the dims order: 0 = qubit 1, 1 = bath 1,
+    2 = qubit 2, ... (a single star has just 0 = qubit, 1 = bath).
+    """
+    if not 0 <= subsystem < len(model.dims):
+        raise ValueError(f"subsystem {subsystem} out of range for dims {model.dims}")
+    return partial_trace(dense_evolve(model, t, spectrum=spectrum), model.dims, subsystem)
 
 
 def total_energy(engine: RefrigeratorEngine, t: float) -> float:

@@ -10,15 +10,15 @@ The default profile is a reduced smoke run sized for a single core
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dense_reference import charge, star, total_energy
+from dense_reference import charge, dense_evolve_and_trace, star, total_energy
 from spinfridge import oracle, thermo
 from spinfridge.analysis import (
     DEFAULT_TIME_GRID,
-    coupling_engine_factory,
     fit_power_law,
     neville_extrapolate,
     neville_lower_diagonal_diffs,
@@ -62,10 +62,9 @@ def paper_fridge(n, coupling=(0.0, 0.0, 0.0), g=0.0):
 def fig1_run():
     """Optimized N=30 refrigerator: engine, temperatures, currents."""
     base = paper_fridge(30)
-    factory = coupling_engine_factory(base, prune_tol=1e-9, series_amp_tol=1e-9)
-    result = optimize_t1(factory, budget=2000, seed=SEED % 1000)
-    final_factory = coupling_engine_factory(base, prune_tol=1e-12)
-    engine = final_factory(result.best_params)
+    result = optimize_t1(base, 1e-9, budget=2000, seed=SEED % 1000, series_amp_tol=1e-9)
+    x = [float(v) for v in result.best_params]
+    engine = RefrigeratorEngine(replace(base, coupling=tuple(x[:3]), g=x[3]), prune_tol=1e-12)
     series = engine.qubit_series((1, 2, 3), DEFAULT_TIME_GRID)
     currents = thermo.heat_current_series(engine, DEFAULT_TIME_GRID)
     return {
@@ -82,16 +81,18 @@ def sweep_run():
     """Bath-size scaling sweep (smoke: N <= 14; full: N up to 50)."""
     n_list = [2, 4, 7, 10, 14, 20, 30, 40, 50] if FULL else [2, 4, 7, 10, 14]
     budget = 2500 if FULL else 1600
-    report_obj = scaling_sweep(
+    return scaling_sweep(
         paper_fridge(2),
         n_list,
         per_n_budget=budget,
         seed=SEED % 100,
         prune_tol=1e-9,
-        series_amp_tol=1e-9,
-        workers=None,
     )
-    return report_obj
+
+
+def column(rows, name):
+    """One field of every sweep row, as an array in n_list order."""
+    return np.array([getattr(row, name) for row in rows], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +111,13 @@ def test_criterion_1_single_star_oracle():
                         model = oracle.build_dense(p)
                         spectrum = model.spectrum()
                         for t in (0.0, 0.7, 3.1):
-                            spin = oracle.dense_evolve_and_trace(
+                            spin = dense_evolve_and_trace(
                                 model, t, 0, spectrum=spectrum
                             )
                             dev = np.max(np.abs(
                                 spin - engine.reduced_qubit_state(1, t)
                             ))
-                            bath = oracle.dense_evolve_and_trace(
+                            bath = dense_evolve_and_trace(
                                 model, t, 1, spectrum=spectrum
                             )
                             dev_b = np.max(np.abs(
@@ -153,13 +154,13 @@ def test_criterion_2_refrigerator_oracle():
             for t in (0.0, 2.0, 5.0):
                 for qubit in (1, 2, 3):
                     dev_q = np.max(np.abs(
-                        oracle.dense_evolve_and_trace(
+                        dense_evolve_and_trace(
                             model, t, 2 * (qubit - 1), spectrum=spectrum
                         )
                         - engine.reduced_qubit_state(qubit, t)
                     ))
                     dev_b = np.max(np.abs(
-                        np.diag(oracle.dense_evolve_and_trace(
+                        np.diag(dense_evolve_and_trace(
                             model, t, 2 * qubit - 1, spectrum=spectrum
                         )).real
                         - engine.reduced_bath_populations(qubit, t)
@@ -268,7 +269,7 @@ def test_criterion_5_heat_current_signs(fig1_run):
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_scaling_asymptote(sweep_run):
-    ns, t1 = sweep_run.table()
+    ns, t1 = column(sweep_run, "n"), column(sweep_run, "best_t1")
     ladder_n = [2, 4, 7, 14, 50] if FULL else [2, 4, 7, 14]
     sel = [int(np.where(ns == n)[0][0]) for n in ladder_n]
     tab = neville_extrapolate(1.0 / ns[sel], t1[sel], 0.0)
@@ -303,8 +304,7 @@ def test_criterion_6_scaling_asymptote(sweep_run):
 
 
 def test_criterion_7_timing_scaling(sweep_run):
-    ns, _ = sweep_run.table()
-    _, tl = sweep_run.local_min_table()
+    ns, tl = column(sweep_run, "n"), column(sweep_run, "local_min_time")
     ladder_n = [2, 4, 7, 14, 50] if FULL else [2, 4, 7, 14]
     sel = [int(np.where(ns == n)[0][0]) for n in ladder_n]
     tab = neville_extrapolate(1.0 / ns[sel], tl[sel], 0.0)
@@ -364,8 +364,7 @@ def test_criterion_8_markov_baseline(sweep_run):
     )
     opt_ok = optimum.best_t1 <= 0.852
 
-    _, t1 = sweep_run.table()
-    _, tl = sweep_run.local_min_table()
+    t1, tl = column(sweep_run, "best_t1"), column(sweep_run, "local_min_time")
     advantage_ok = bool(np.all(t1 < 0.842) and np.all(tl < 15.2 / 2.0))
 
     ok = value_ok and time_ok and opt_ok and advantage_ok

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,7 @@ from spinfridge.analysis import (
     optimize_t1,
     worker_count,
 )
-from spinfridge.analysis import coupling_engine_factory
-from spinfridge.engine import RefrigeratorParams
+from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
 from spinfridge.series import SeriesTerms, TimeGrid
 from spinfridge.spinstar import temperature_from_excited
 
@@ -275,33 +275,30 @@ def base():
 class TestOptimizeT1:
 
     def test_smoke_run_cools_below_initial(self, base):
-        factory = coupling_engine_factory(base, prune_tol=1e-9)
-        result = optimize_t1(factory, budget=150, seed=2, time_grid=TimeGrid(0.0, 10.0, 0.02))
+        result = optimize_t1(base, 1e-9, budget=150, seed=2, time_grid=TimeGrid(0.0, 10.0, 0.02))
         assert result.best_t1 < 1.0
         assert result.evaluations <= 150
         assert np.all(np.diff(result.incumbent_history) <= 0.0)
 
     def test_result_reproducible_at_reported_point(self, base):
-        factory = coupling_engine_factory(base, prune_tol=1e-9)
-        result = optimize_t1(factory, budget=120, seed=7, time_grid=TimeGrid(0.0, 10.0, 0.02))
-        engine = factory(result.best_params)
+        result = optimize_t1(base, 1e-9, budget=120, seed=7, time_grid=TimeGrid(0.0, 10.0, 0.02))
+        x = [float(v) for v in result.best_params]
+        engine = RefrigeratorEngine(replace(base, coupling=tuple(x[:3]), g=x[3]), prune_tol=1e-9)
         r = engine.ground_population(1, result.best_time)
         assert float(temperature_from_excited(1.0 - r, base.epsilon[0])) == pytest.approx(
             result.best_t1, abs=1e-9
         )
 
     def test_degenerate_ranges_return_objective_there(self, base):
-        factory = coupling_engine_factory(base, prune_tol=1e-9)
         point = ((0.4, 0.4), (0.3, 0.3), (0.2, 0.2), (0.05, 0.05))
-        result = optimize_t1(factory, ranges=point, budget=5, seed=0,
+        result = optimize_t1(base, 1e-9, ranges=point, budget=5, seed=0,
                              time_grid=TimeGrid(0.0, 10.0, 0.02))
         assert np.allclose(result.best_params, [0.4, 0.3, 0.2, 0.05])
 
     def test_tiny_run_reproduces_recorded_result(self, base):
         # exact values of a seeded run: any change to the scoring or the
         # search shows here
-        factory = coupling_engine_factory(base, prune_tol=1e-9)
-        result = optimize_t1(factory, budget=12, seed=0, time_grid=TimeGrid(0.0, 2.0, 0.01))
+        result = optimize_t1(base, 1e-9, budget=12, seed=0, time_grid=TimeGrid(0.0, 2.0, 0.01))
         assert result.best_params == pytest.approx([
             0.9405854671820999, 0.9828415012452751,
             0.3327175902947784, 0.04545501602441072,
@@ -318,10 +315,9 @@ class TestOptimizeT1:
         )
 
     def test_seed_stability(self, base):
-        factory = coupling_engine_factory(base, prune_tol=1e-9)
         kwargs = dict(budget=250, time_grid=TimeGrid(0.0, 10.0, 0.02))
-        first = optimize_t1(factory, seed=1, **kwargs)
-        second = optimize_t1(factory, seed=42, **kwargs)
+        first = optimize_t1(base, 1e-9, seed=1, **kwargs)
+        second = optimize_t1(base, 1e-9, seed=42, **kwargs)
         assert abs(first.best_t1 - second.best_t1) < 2e-3
 
 
@@ -367,16 +363,17 @@ class TestMinimizeT1:
         assert result.evaluations == 10
 
 
-def test_scaling_sweep_parallel_path_matches_serial(base):
+def test_scaling_sweep_parallel_path_matches_serial(base, monkeypatch):
     from spinfridge.analysis import scaling_sweep
 
     kwargs = dict(
-        per_n_budget=40, seed=3, prune_tol=1e-9,
-        series_amp_tol=1e-9, time_grid=TimeGrid(0.0, 6.0, 0.05),
+        per_n_budget=40, seed=3, prune_tol=1e-9, time_grid=TimeGrid(0.0, 6.0, 0.05),
     )
-    serial = scaling_sweep(base, [1, 2, 3], workers=1, **kwargs)
-    parallel = scaling_sweep(base, [1, 2, 3], workers=2, **kwargs)
-    for a, b in zip(serial.rows, parallel.rows):
+    monkeypatch.setenv("SPINFRIDGE_WORKERS", "1")
+    serial = scaling_sweep(base, [1, 2, 3], **kwargs)
+    monkeypatch.setenv("SPINFRIDGE_WORKERS", "2")
+    parallel = scaling_sweep(base, [1, 2, 3], **kwargs)
+    for a, b in zip(serial, parallel):
         assert a.n == b.n
         assert a.best_t1 == b.best_t1
         assert np.array_equal(a.best_params, b.best_params)

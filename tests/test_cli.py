@@ -445,6 +445,24 @@ class TestCliCommands:
         assert err.startswith("config error") and "optimization.g_range" in err
         assert not (tmp_path / "never.json").exists()
 
+    @pytest.mark.parametrize("mode", ["evolve", "optimize", "markov"])
+    def test_zero_qubit_gap_is_exit_1(self, tmp_path, capsys, mode):
+        # evolve and optimize used to write T1 = 0 and Markov to exit 2 mid-run
+        params = dict(fridge_params(), epsilon=[0, 2, 1])
+        if mode == "markov":
+            params = {"epsilon": [0, 1, 1], "alpha": [1e-5, 2e-5, 3e-5],
+                      "temperature": [1, 1, 2]}
+        cfg = write_config(tmp_path, "zero.json", {
+            "mode": mode, "params": params,
+            "time_grid": {"start": 0, "stop": 1, "step": 0.1},
+            "optimization": {"budget": 4, "seed": 0},
+            "output": {"path": str(tmp_path / "never.out")},
+        })
+        assert main([mode, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: params: epsilon must be"), err
+        assert not (tmp_path / "never.out").exists()
+
     def test_numerical_failure_is_exit_2(self, tmp_path, capsys):
         # qubit energy below g makes a dressed transition frequency negative
         cfg = write_config(tmp_path, "bad_markov.json", {
@@ -479,6 +497,7 @@ class TestLowTemperatureCommands:
     }
 
     def test_optimize_matches_dense_oracle(self, tmp_path):
+        from dense_reference import dense_evolve_and_trace
         from spinfridge import oracle
         from spinfridge.engine import RefrigeratorParams
         from spinfridge.spinstar import temperature_from_excited
@@ -499,7 +518,7 @@ class TestLowTemperatureCommands:
             coupling=tuple(best["best_coupling"]), g=best["best_g"],
             n_bath=(2, 2, 2), beta=(40, 40, 20),
         )
-        rho1 = oracle.dense_evolve_and_trace(oracle.build_dense(params), best["best_time"], 0)
+        rho1 = dense_evolve_and_trace(oracle.build_dense(params), best["best_time"], 0)
         p_exc = rho1[1, 1].real
         assert 0.0 < p_exc < 1e-8
         assert best["best_t1"] == pytest.approx(
@@ -620,9 +639,10 @@ class TestBlasThreadPolicy:
                 return [f() for f in analysis._openblas_functions("get_num_threads")]
 
             analysis._sweep_point = threads
-            print(analysis.scaling_sweep(None, [1, 2], workers=2).rows)
+            print(analysis.scaling_sweep(None, [1, 2]))
         """)
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["SPINFRIDGE_WORKERS"] = "2"
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spinfridge.__file__))
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dense_reference import (
     charge,
+    dense_evolve_and_trace,
     fridge,
     local_energy_diagonals,
     pair_block,
@@ -23,7 +24,13 @@ from spinfridge.engine import (
     RefrigeratorParams,
     sector_layout,
 )
-from spinfridge.series import TimeGrid, trig_series_at, trig_series_taylor, trig_series_uniform
+from spinfridge.series import (
+    SeriesTerms,
+    TimeGrid,
+    trig_series_at,
+    trig_series_taylor,
+    trig_series_uniform,
+)
 from spinfridge.spinstar import temperature_from_excited
 
 
@@ -268,13 +275,13 @@ class TestReducedDynamics:
         spectrum = model.spectrum()
         for t in (0.0, 2.0, 5.0):
             for qubit in (1, 2, 3):
-                dense_q = oracle.dense_evolve_and_trace(
+                dense_q = dense_evolve_and_trace(
                     model, t, 2 * (qubit - 1), spectrum=spectrum
                 )
                 assert np.max(np.abs(
                     dense_q - eng.reduced_qubit_state(qubit, t)
                 )) < 1e-9
-                dense_b = oracle.dense_evolve_and_trace(
+                dense_b = dense_evolve_and_trace(
                     model, t, 2 * qubit - 1, spectrum=spectrum
                 )
                 assert np.max(np.abs(
@@ -324,12 +331,9 @@ class TestReducedDynamics:
 
     def test_amplitude_compression_bounds_error(self):
         p = fridge(n=(4, 4, 4))
-        exact = RefrigeratorEngine(p, prune_tol=0.0)
-        squeezed = RefrigeratorEngine(p, prune_tol=0.0, series_amp_tol=1e-8)
-        gap = np.max(np.abs(
-            exact.series_terms((("pop", 1),)).on_grid(0.0, 0.1, 100)
-            - squeezed.series_terms((("pop", 1),)).on_grid(0.0, 0.1, 100)
-        ))
+        exact = RefrigeratorEngine(p, prune_tol=0.0).series_terms((("pop", 1),))
+        squeezed = exact.compressed(1e-8)
+        gap = np.max(np.abs(exact.on_grid(0.0, 0.1, 100) - squeezed.on_grid(0.0, 0.1, 100)))
         assert gap < 1e-7
 
 
@@ -498,8 +502,7 @@ class TestMultiKeySeries:
         tol = 1e-6
         keys = (("exc", 1), ("exc", 2), ("exc", 3))
         exact = RefrigeratorEngine(p, prune_tol=0.0).series_terms(keys)
-        squeezed = RefrigeratorEngine(p, prune_tol=0.0, series_amp_tol=tol)
-        terms = squeezed.series_terms(keys)
+        terms = exact.compressed(tol)
         assert terms.omegas.size < exact.omegas.size
         gap = np.abs(terms.on_grid(0.0, 0.1, 100) - exact.on_grid(0.0, 0.1, 100))
         assert np.max(gap) <= tol * np.abs(exact.amps).sum() + 1e-14
@@ -538,7 +541,7 @@ class TestLowTemperature:
             eps = p.epsilon[qubit - 1]
             assert series.temperature[0] == pytest.approx(1.0 / p.beta[qubit - 1], rel=1e-12)
             for k, t in enumerate(series.time):
-                dense = oracle.dense_evolve_and_trace(
+                dense = dense_evolve_and_trace(
                     model, t, 2 * (qubit - 1), spectrum=spectrum
                 )
                 p_exc = dense[1, 1].real
@@ -568,6 +571,55 @@ _SMALL_FRIDGE = st.builds(
 )
 
 
+@st.composite
+def _wide_series(draw):
+    """(rows, m) amplitudes spanning 14 decades, gaps up to 50 and a compression tol."""
+    m = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 3))
+    amp = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-14.0, 0.0)).map(
+        lambda sign_exp: sign_exp[0] * 10.0 ** sign_exp[1])
+    amps = np.array(draw(st.lists(st.lists(amp, min_size=m, max_size=m),
+                                  min_size=rows, max_size=rows)))
+    omegas = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=m, max_size=m)))
+    const = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=rows, max_size=rows)))
+    tol = 10.0 ** draw(st.floats(-12.0, -0.3))
+    return SeriesTerms(const, amps, omegas, "cos"), tol
+
+
+class TestStatedBounds:
+    """The error bounds of series compression and of sector pruning."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_wide_series(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5))
+    def test_compression_error_within_tol_of_summed_amplitudes(self, case, times):
+        exact, tol = case
+        kept = exact.compressed(tol)
+        total = float(np.abs(exact.amps).sum())
+        w_max = float(exact.omegas.max())
+        bound = tol * total
+        rounding = 1e-13 * total
+        assert np.array_equal(kept.const, exact.const)
+        assert np.isin(kept.omegas, exact.omegas).all()
+        assert np.all(np.abs(kept.at(times) - exact.at(times)) <= bound + rounding)
+        slope = np.abs(kept.derivative().at(times) - exact.derivative().at(times))
+        assert np.all(slope <= (bound + rounding) * w_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _triple(st.floats(0.1, 3.0)),
+        _triple(st.floats(0.1, 4.0)),
+        _triple(st.integers(1, 12)),
+        _triple(st.floats(0.05, 50.0)),
+        st.one_of(st.just(0.0), st.floats(1e-15, 0.5)),
+    )
+    def test_pruning_drops_less_than_prune_tol(self, eps, bath_e, n, beta, prune_tol):
+        layout = sector_layout(eps, bath_e, n, beta, prune_tol)
+        kept = sum(float(group.weights.sum()) for group in layout.groups)
+        assert layout.dropped_weight <= prune_tol
+        assert kept == pytest.approx(1.0 - layout.dropped_weight, abs=1e-12)
+        assert layout.kept + layout.dropped == math.prod(k + 2 for k in n)
+
+
 class TestOracleProperty:
     @settings(max_examples=20, deadline=None)
     @given(_SMALL_FRIDGE, st.floats(0.0, 10.0))
@@ -576,9 +628,9 @@ class TestOracleProperty:
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
         for i in (1, 2, 3):
-            dense_q = oracle.dense_evolve_and_trace(model, t, 2 * (i - 1), spectrum=spectrum)
+            dense_q = dense_evolve_and_trace(model, t, 2 * (i - 1), spectrum=spectrum)
             assert np.max(np.abs(dense_q - eng.reduced_qubit_state(i, t))) < 1e-10
-            dense_b = oracle.dense_evolve_and_trace(model, t, 2 * i - 1, spectrum=spectrum)
+            dense_b = dense_evolve_and_trace(model, t, 2 * i - 1, spectrum=spectrum)
             assert np.max(np.abs(
                 np.diag(dense_b).real - eng.reduced_bath_populations(i, t)
             )) < 1e-10

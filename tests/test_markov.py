@@ -116,6 +116,11 @@ class TestChannels:
         with pytest.raises(ValueError, match="nonpositive frequency"):
             build_jump_channels(params(epsilon=(0.05, 2.0, 1.0), g=0.08))
 
+    @pytest.mark.parametrize("epsilon", [(0.0, 1.0, 1.0), (-1.0, 2.0, 3.0), (1.0, 1.0, 0.0)])
+    def test_nonpositive_gap_rejected_up_front(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            params(epsilon=epsilon)
+
     def test_non_autonomous_gaps_rejected(self, tmp_path, capsys):
         bad = params(epsilon=(1.0, 2.5, 1.0), g=0.05, beta=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match=r"eps2 = eps1 \+ eps3"):

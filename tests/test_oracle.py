@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import fridge, pair_block, pair_table, sector_basis_indices, star
+from dense_reference import (
+    dense_evolve_and_trace,
+    fridge,
+    pair_block,
+    pair_table,
+    sector_basis_indices,
+    star,
+)
 from spinfridge import oracle
 from spinfridge.engine import RefrigeratorEngine
 
@@ -93,7 +100,7 @@ class TestEvolution:
     def test_thermal_marginals_at_t0(self):
         p = star(n=2, beta=1.2)
         model = oracle.build_dense(p)
-        spin = oracle.dense_evolve_and_trace(model, 0.0, 0)
+        spin = dense_evolve_and_trace(model, 0.0, 0)
         z = 2.0 * math.cosh(0.6)
         assert spin[0, 0].real == pytest.approx(math.exp(0.6) / z, abs=1e-12)
 
@@ -109,12 +116,12 @@ class TestEvolution:
     def test_subsystem_selector_bounds(self):
         model = oracle.build_dense(star(n=1))
         with pytest.raises(ValueError, match="subsystem"):
-            oracle.dense_evolve_and_trace(model, 0.0, 5)
+            dense_evolve_and_trace(model, 0.0, 5)
 
     def test_partial_trace_partitions_unity(self):
         p = fridge(n=(1, 1, 1))
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
-        rho_q2 = oracle.dense_evolve_and_trace(model, 1.7, 2, spectrum=spectrum)
+        rho_q2 = dense_evolve_and_trace(model, 1.7, 2, spectrum=spectrum)
         assert np.trace(rho_q2).real == pytest.approx(1.0, abs=1e-12)
         assert rho_q2.shape == (2, 2)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import fridge, pair_block, pair_table, star as make
+from dense_reference import dense_evolve_and_trace, fridge, pair_block, pair_table, star as make
 from spinfridge import oracle, thermo
 from spinfridge.engine import RefrigeratorEngine, sector_layout
 from spinfridge.series import SeriesTerms, TimeGrid, trig_series_at
@@ -149,9 +149,9 @@ class TestReducedStates:
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
         for t in (0.0, 1.0, 3.1):
-            spin = oracle.dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
+            spin = dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
             assert np.max(np.abs(spin - eng.reduced_qubit_state(1, t))) < 1e-9
-            bath = oracle.dense_evolve_and_trace(model, t, 1, spectrum=spectrum)
+            bath = dense_evolve_and_trace(model, t, 1, spectrum=spectrum)
             assert np.max(np.abs(
                 np.diag(bath).real - eng.reduced_bath_populations(1, t)
             )) < 1e-9
@@ -213,7 +213,7 @@ class TestReducedStates:
         for times, series in ((scattered, terms.at(scattered)[0]),
                               (grid.points(), terms.on_grid(grid.start, grid.step, len(grid))[0])):
             for k, t in enumerate(times):
-                dense = oracle.dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
+                dense = dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
                 assert 0.0 < dense[1, 1].real < 1e-16
                 assert series[k] == pytest.approx(dense[1, 1].real, rel=1e-10)
             assert temperature_from_excited(series[0], 1.0) == pytest.approx(
@@ -278,6 +278,14 @@ class TestParamValidation:
         ):
             with pytest.raises(ValueError, match=message):
                 make(**{**dict(eps=1.0, bath_e=1.0, a=0.5, n=2, beta=1.0), **bad})
+
+    def test_rejects_a_zero_gap(self):
+        # a qubit without a gap has no temperature: it used to read T = 0
+        with pytest.raises(ValueError, match="epsilon must be nonzero, got 0.0"):
+            make(eps=0.0)
+        with pytest.raises(ValueError, match="epsilon must be nonzero"):
+            fridge(epsilon=(1.0, 0.0, 1.0))
+        assert make(eps=-1.0).epsilon == (-1.0,)
 
     def test_rejects_a_bad_second_pair(self):
         with pytest.raises(ValueError, match="coupling must be nonnegative, got -0.4"):

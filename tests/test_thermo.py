@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import dense_evolve_and_trace
 from spinfridge import oracle, thermo
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
 from spinfridge.series import TimeGrid
@@ -122,8 +123,8 @@ class TestEnergyBalance:
         spectrum = model.spectrum()
         step = 1e-5
         for t in (0.8, 3.0):
-            r_up = oracle.dense_evolve_and_trace(model, t + step, 0, spectrum=spectrum)
-            r_dn = oracle.dense_evolve_and_trace(model, t - step, 0, spectrum=spectrum)
+            r_up = dense_evolve_and_trace(model, t + step, 0, spectrum=spectrum)
+            r_dn = dense_evolve_and_trace(model, t - step, 0, spectrum=spectrum)
             drdt = (r_up[0, 0] - r_dn[0, 0]).real / (2 * step)
             qdot_s, _ = currents_at(eng, t)
             assert qdot_s[0] == pytest.approx(-1.0 * drdt, abs=1e-7)
