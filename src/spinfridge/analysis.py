@@ -5,10 +5,13 @@ simplex refinement; time is not a search dimension.  For each coupling set
 the best time of qubit 1's excited population (whose minimum is the
 cold-qubit temperature's) is found over the time grid and polished by
 golden-section search, which removes the most oscillatory direction from
-the simplex.  A spectral series is scanned on a coarse sub-grid, and only
-the cells a curvature bound cannot rule out are refined, from local Taylor
-expansions (``_best_time_on_series``); a sampled trajectory is searched on
-every grid point (``_best_time_on_grid``).
+the simplex.  A spectral series is screened on its head, the terms that
+carry all but a bounded tail of its amplitude: the head is scanned on a
+coarse sub-grid and refined from local Taylor expansions in the cells a
+curvature bound widened by the tail cannot rule out, and the full series
+is expanded only about the cells where its minimum can still lie
+(``_best_time_on_series``); a sampled trajectory is searched on every grid
+point (``_best_time_on_grid``).
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def _one_blas_thread() -> None:
 
 
 def worker_count() -> int:
-    """Worker processes for parallel sweeps, from SPINFRIDGE_WORKERS or cores."""
+    """Worker processes for parallel sweeps, from SPINFRIDGE_WORKERS or else
+    the cores this process may run on (all cores where that is unknown)."""
     raw = os.environ.get(WORKERS_ENV, "")
     if raw.strip():
         try:
@@ -90,6 +94,8 @@ def worker_count() -> int:
         if count < 1:
             raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
         return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -183,6 +189,10 @@ _MAX_STRIDE = 16
 # Rounding slack of a cell's lower bound, in units of sum|a|: the error bound
 # the tests hold the grid kernel to.
 _SCAN_SLACK = 1e-12
+# The series time search screens cells on the head ``compressed(_HEAD_TOL)``
+# of the series, whose dropped tail moves no value by more than its summed
+# amplitudes.
+_HEAD_TOL = 1e-3
 
 
 def _stride(terms, dt: float) -> int:
@@ -240,22 +250,32 @@ def _best_time_on_series(terms, grid: TimeGrid, refine_tol: float = 1e-5
     """(time, value) of the minimum of a one-row series over ``grid``.
 
     Finds the point ``_best_time_on_grid`` finds on the sampled series with
-    a pointwise polish, without sampling every grid point:
+    a pointwise polish, without sampling every grid point.  Cells are
+    screened on the head ``compressed(_HEAD_TOL)`` of the series, a few
+    hundred of its thousands of terms; the tail it drops moves no value by
+    more than tau, its summed amplitudes (0 when the head is the series):
 
-    - scan every s-th point (``_stride``), the last cell overhanging the
-      grid end when s does not divide n - 1;
+    - scan the head at every s-th point (``_stride`` of the series), the
+      last cell overhanging the grid end when s does not divide n - 1;
     - drop each cell whose lower bound min(ends) - L2 h^2/8, L2 = sum|a|w^2
-      bounding |p''| on a cell of length h, minus ``_SCAN_SLACK`` sum|a|, is
-      not below the coarse minimum: no point in it can beat that minimum;
-    - take the grid values of the other cells from a Taylor expansion about
-      each cell's midpoint, of radius (s/2 + 1) dt, so it also covers the
-      neighbours of the cell's end points;
-    - polish the grid minimum, the first one on ties, by golden-section
-      search on its cell's polynomial, and read the value at the time found
-      from one direct evaluation.
+      of the head bounding its |p''| on a cell of length h, minus
+      ``_SCAN_SLACK`` sum|a| and 2 tau, is not below the coarse minimum: no
+      point in it can beat the series there;
+    - take the head's grid values in the other cells from a Taylor
+      expansion about each cell's midpoint, of radius (s/2 + 1) dt, so it
+      also covers the neighbours of the cell's end points;
+    - expand the series itself, in the same way, about only the cells whose
+      least head value, minus the same slack and 2 tau, is below the
+      head's grid minimum (when tau is 0 the head's expansions are the
+      series');
+    - polish the series' grid minimum, the first one on ties, by
+      golden-section search on its cell's polynomial, and read the value at
+      the time found from one direct evaluation.
 
-    Grids of fewer than three points, and series whose w_max dt is too large
-    for an expansion per grid step, take ``_best_time_on_grid``.
+    Every bound holds for the series itself, so the result does not depend
+    on ``_HEAD_TOL``; only the work does.  Grids of fewer than three points,
+    and series whose w_max dt is too large for an expansion per grid step,
+    take ``_best_time_on_grid``.
     """
     times = grid.points()
     n, t0, dt = len(times), grid.start, grid.step
@@ -263,26 +283,38 @@ def _best_time_on_series(terms, grid: TimeGrid, refine_tol: float = 1e-5
     if n < 3 or stride == 0:
         return _best_time_on_grid(terms.on_grid(t0, dt, n)[0], partial(_series_value, terms),
                                   times, refine_tol)
+    total = float(np.sum(np.abs(terms.amps)))
+    head = terms.compressed(_HEAD_TOL)
+    tail = total - float(np.sum(np.abs(head.amps)))  # tau, bounds |series - head|
+    slack = _SCAN_SLACK * total + 2.0 * tail
     cells = -(-(n - 1) // stride)
-    coarse = terms.on_grid(t0, stride * dt, cells + 1)[0]
+    coarse = head.on_grid(t0, stride * dt, cells + 1)[0]
     best = coarse[:(n - 1) // stride + 1].min()
-    amps = np.abs(terms.amps[0])
-    curvature = float(np.sum(amps * terms.omegas ** 2))  # L2, bounds |p''|
-    lower = (np.minimum(coarse[:-1], coarse[1:]) - curvature * (stride * dt) ** 2 / 8
-             - _SCAN_SLACK * float(np.sum(amps)))
+    curvature = float(np.sum(np.abs(head.amps[0]) * head.omegas ** 2))  # L2, bounds |p''|
+    lower = np.minimum(coarse[:-1], coarse[1:]) - curvature * (stride * dt) ** 2 / 8 - slack
     live = np.flatnonzero(lower < best)
     if live.size == 0:  # a constant series: no point beats the first
         return float(times[0]), _series_value(terms, t0)
-    centres = t0 + (live + 0.5) * stride * dt
-    coef = terms.taylor(centres, (0.5 * stride + 1) * dt)[0]
     steps = np.arange(stride + 1)
     offsets = (steps - 0.5 * stride) * dt
-    fine = coef @ (offsets[:, None] ** np.arange(coef.shape[1])).T
-    index = live[:, None] * stride + steps  # rows ascend, so argmin keeps the first tie
-    j = int(np.argmin(np.where(index < n, fine, np.inf)))
+
+    def expand(series, which):
+        """Taylor coefficients about the midpoints of cells ``which`` and their
+        grid values, those past the grid end +inf."""
+        centres = t0 + (which + 0.5) * stride * dt
+        coef = series.taylor(centres, (0.5 * stride + 1) * dt)[0]
+        fine = coef @ (offsets[:, None] ** np.arange(coef.shape[1])).T
+        return centres, coef, np.where(which[:, None] * stride + steps < n, fine, np.inf)
+
+    centres, coef, fine = expand(head, live)
+    if tail > 0.0:
+        cell_min = fine.min(axis=1)
+        live = live[cell_min - slack < cell_min.min()]
+        centres, coef, fine = expand(terms, live)
+    j = int(np.argmin(fine))  # rows ascend, so argmin keeps the first tie
     cell = j // (stride + 1)
     t_best, _ = _polish(fine.flat[j], _polynomial(coef[cell], float(centres[cell])),
-                        times, int(index.flat[j]), refine_tol)
+                        times, int(live[cell] * stride + j % (stride + 1)), refine_tol)
     return t_best, _series_value(terms, t_best)
 
 
@@ -690,16 +722,17 @@ def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = DEFAULT_
     """Optimize the cold-qubit temperature for each bath size N1=N2=N3=N.
 
     Every N searches the same box ``ranges`` of (A1, A2, A3, g).  Per-N
-    optimizations run in ``worker_count()`` processes and are merged in
-    n_list order, so the rows do not depend on scheduling.  Each N gets the
-    deterministic seed ``seed + 7919 * index``.
+    optimizations run in ``worker_count()`` processes, at most one per N,
+    and are merged in n_list order, so the rows do not depend on
+    scheduling.  Each N gets the deterministic seed ``seed + 7919 * index``.
     """
     jobs = [
         (base, int(n), ranges, per_n_budget, seed + 7919 * k, prune_tol, time_grid)
         for k, n in enumerate(n_list)
     ]
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
+    # a pool starts all its workers at the first submit: no more than jobs
+    workers = min(worker_count(), len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             return list(pool.map(_sweep_point, jobs))
     return [_sweep_point(job) for job in jobs]

@@ -1,6 +1,7 @@
 """Optimizer, local-minimum detection, power-law fit and Neville tableau."""
 
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -127,19 +128,41 @@ def _rounding_bound(terms) -> float:
             + 64 * np.finfo(float).smallest_subnormal)
 
 
-@st.composite
-def _search_case(draw):
-    """A random one-row series (w <= 60) and a time grid."""
-    m = draw(st.integers(0, 12))
-    omegas = np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=m, max_size=m)))
-    amps = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+def _draw_search(draw, amps, omegas):
+    """The one-row series of these terms, a drawn constant and kind, and a drawn grid."""
     const = draw(st.floats(-1.0, 1.0))
     kind = draw(st.sampled_from(["cos", "sin"]))
-    terms = SeriesTerms(np.array([const]), amps[None, :], omegas, kind)
+    terms = SeriesTerms(np.array([const]), np.asarray(amps)[None, :], np.array(omegas), kind)
     n = draw(st.one_of(st.integers(1, 4), st.integers(5, 400)))
     dt = draw(st.floats(0.002, 0.1))
     t0 = draw(st.floats(-2.0, 2.0))
     return terms, _grid(t0, dt, n)
+
+
+@st.composite
+def _search_case(draw):
+    """A random one-row series (w <= 60) and a time grid."""
+    m = draw(st.integers(0, 12))
+    omegas = draw(st.lists(st.floats(0.0, 60.0), min_size=m, max_size=m))
+    amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    return _draw_search(draw, amps, omegas)
+
+
+@st.composite
+def _heavy_tailed_case(draw):
+    """A one-row series whose |a| are log-uniform over 1e-15..1 (w <= 60), so
+    that its head drops terms, and a time grid."""
+    m = draw(st.integers(1, 40))
+    omegas = draw(st.lists(st.floats(0.0, 60.0), min_size=m, max_size=m))
+    exponents = np.array(draw(st.lists(st.floats(-15.0, 0.0), min_size=m, max_size=m)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    return _draw_search(draw, signs * 10.0 ** exponents, omegas)
+
+
+def _search_with_head_tol(terms, grid, tol):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_HEAD_TOL", tol)
+        return _best_time_on_series(terms, grid)
 
 
 class TestBestTimeOnSeries:
@@ -154,6 +177,43 @@ class TestBestTimeOnSeries:
         bound = _rounding_bound(terms)
         assert p_best == pytest.approx(float(terms.at([t_best])[0, 0]), abs=bound)
         assert p_best <= p_ref + bound
+
+    @settings(max_examples=150, deadline=None)
+    @given(_heavy_tailed_case())
+    def test_head_screen_does_not_change_the_result(self, case):
+        # no screen, the default head and a head that drops up to 30 % of sum|a|
+        terms, grid = case
+        found = [_search_with_head_tol(terms, grid, tol)
+                 for tol in (0.0, analysis._HEAD_TOL, 0.3)]
+        t_ref, p_ref = _reference_best_time(terms, grid)
+        bound = _rounding_bound(terms)
+        for t_best, p_best in found:
+            assert p_best == pytest.approx(found[0][1], abs=bound)
+            assert p_best == pytest.approx(p_ref, abs=bound)
+            # another time only where the series ties with the first one's
+            assert t_best == found[0][0] or float(terms.at([found[0][0]])[0, 0]) == (
+                pytest.approx(float(terms.at([t_best])[0, 0]), abs=bound))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.048])
+    def test_tail_breaks_a_tie_of_the_head(self, monkeypatch, eta):
+        # The head cos t + d cos((1/2 + eta) t) has grid minima near pi and
+        # 3 pi, equal at eta = 0 and the later about 6e-4 higher at eta = 0.048.
+        # The dropped tail b cos(t/3), b < _HEAD_TOL sum|a|, adds b/2 near pi
+        # and -b near 3 pi, so the later minimum is the series'.
+        monkeypatch.setattr(analysis, "_HEAD_TOL", 1e-3)
+        d, b = 1e-3, 8e-4
+        terms = SeriesTerms(np.zeros(1), np.array([[1.0, d, b]]),
+                            np.array([1.0, 0.5 + eta, 1.0 / 3.0]), "cos")
+        assert terms.compressed(1e-3).omegas.tolist() == [1.0, 0.5 + eta]
+        dt = math.pi / 200
+        grid = _grid(0.0, dt, 640)
+        stride = analysis._stride(terms, dt)
+        assert 200 // stride != 600 // stride  # the two dips lie in distant cells
+        t_best, p_best = _best_time_on_series(terms, grid)
+        t_ref, p_ref = _reference_best_time(terms, grid)
+        assert t_best == pytest.approx(3 * math.pi, abs=dt)
+        assert t_best == pytest.approx(t_ref, abs=1e-9)
+        assert p_best == pytest.approx(p_ref, abs=_rounding_bound(terms))
 
     def test_zero_amplitudes_return_the_first_time_without_refining(self, monkeypatch):
         def never(*args):
@@ -529,3 +589,40 @@ def test_worker_count_env_override(monkeypatch):
             worker_count()
     monkeypatch.delenv("SPINFRIDGE_WORKERS")
     assert worker_count() >= 1
+
+
+def test_worker_count_defaults_to_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("SPINFRIDGE_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count() == 64
+
+
+def test_scaling_sweep_starts_at_most_one_worker_per_size(monkeypatch, base):
+    pools = []
+
+    class Pool:
+        """Records its size and runs the jobs in this process."""
+
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(analysis, "_sweep_point", lambda job: job[1])
+    monkeypatch.delenv("SPINFRIDGE_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert analysis.scaling_sweep(base, [2, 4, 7]) == [2, 4, 7]
+    assert pools == [3]
+    assert analysis.scaling_sweep(base, [5]) == [5]  # one size runs without a pool
+    assert pools == [3]
