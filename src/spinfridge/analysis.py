@@ -28,7 +28,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it on first use: at import, not in a run)
 
 from .engine import RefrigeratorEngine, RefrigeratorParams
-from .series import TimeGrid
+from .series import SeriesTerms, TimeGrid
 from .spinstar import temperature_from_excited
 
 DEFAULT_TIME_GRID = TimeGrid(0.0, 10.0, 0.005)
@@ -189,10 +189,12 @@ _MAX_STRIDE = 16
 # Rounding slack of a cell's lower bound, in units of sum|a|: the error bound
 # the tests hold the grid kernel to.
 _SCAN_SLACK = 1e-12
-# The series time search screens cells on the head ``compressed(_HEAD_TOL)``
-# of the series, whose dropped tail moves no value by more than its summed
-# amplitudes.
+# The series time search screens cells on a head of the series whose
+# dropped tail sums to less than _HEAD_TOL sum|a| and so moves no value by
+# more than that (``_series_head``).  The head's candidate count starts at
+# _HEAD_START terms and doubles.
 _HEAD_TOL = 1e-3
+_HEAD_START = 256
 
 
 def _stride(terms, dt: float) -> int:
@@ -207,6 +209,27 @@ def _stride(terms, dt: float) -> int:
     if step * (_MAX_STRIDE + 2) <= 2.0 * _TAYLOR_REACH:
         return _MAX_STRIDE
     return max(0, math.floor(2.0 * _TAYLOR_REACH / step) - 2)
+
+
+def _series_head(terms, magnitude: np.ndarray, total: float):
+    """(head, tau): the terms of largest ``magnitude``, in their order in the
+    series, and the summed magnitude tau of the rest, below ``_HEAD_TOL``
+    ``total``.
+
+    ``np.argpartition`` picks the largest ``_HEAD_START`` magnitudes, then
+    twice as many, until what the candidates leave out sums below the cut;
+    a candidate count reaching the series' size keeps every term (tau 0).
+    Ties at the partition's edge resolve the same way on every call.
+    """
+    count = _HEAD_START
+    while count < magnitude.size:
+        keep = np.sort(np.argpartition(magnitude, magnitude.size - count)[-count:])
+        tail = total - float(magnitude[keep].sum())
+        if tail < _HEAD_TOL * total:
+            return SeriesTerms(terms.const, terms.amps[:, keep], terms.omegas[keep],
+                               terms.kind), tail
+        count *= 2
+    return terms, 0.0
 
 
 def _series_value(terms, t: float) -> float:
@@ -251,9 +274,9 @@ def _best_time_on_series(terms, grid: TimeGrid, refine_tol: float = 1e-5
 
     Finds the point ``_best_time_on_grid`` finds on the sampled series with
     a pointwise polish, without sampling every grid point.  Cells are
-    screened on the head ``compressed(_HEAD_TOL)`` of the series, a few
-    hundred of its thousands of terms; the tail it drops moves no value by
-    more than tau, its summed amplitudes (0 when the head is the series):
+    screened on a head of the series (``_series_head``), a few hundred of
+    its thousands of terms; the tail it drops moves no value by more than
+    tau, its summed amplitudes (0 when the head is the series):
 
     - scan the head at every s-th point (``_stride`` of the series), the
       last cell overhanging the grid end when s does not divide n - 1;
@@ -273,7 +296,7 @@ def _best_time_on_series(terms, grid: TimeGrid, refine_tol: float = 1e-5
       the time found from one direct evaluation.
 
     Every bound holds for the series itself, so the result does not depend
-    on ``_HEAD_TOL``; only the work does.  Grids of fewer than three points,
+    on the head; only the work does.  Grids of fewer than three points,
     and series whose w_max dt is too large for an expansion per grid step,
     take ``_best_time_on_grid``.
     """
@@ -283,9 +306,9 @@ def _best_time_on_series(terms, grid: TimeGrid, refine_tol: float = 1e-5
     if n < 3 or stride == 0:
         return _best_time_on_grid(terms.on_grid(t0, dt, n)[0], partial(_series_value, terms),
                                   times, refine_tol)
-    total = float(np.sum(np.abs(terms.amps)))
-    head = terms.compressed(_HEAD_TOL)
-    tail = total - float(np.sum(np.abs(head.amps)))  # tau, bounds |series - head|
+    magnitude = np.abs(terms.amps).sum(axis=0)
+    total = float(magnitude.sum())
+    head, tail = _series_head(terms, magnitude, total)  # tail tau bounds |series - head|
     slack = _SCAN_SLACK * total + 2.0 * tail
     cells = -(-(n - 1) // stride)
     coarse = head.on_grid(t0, stride * dt, cells + 1)[0]

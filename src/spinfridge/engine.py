@@ -8,18 +8,22 @@ inside a sector: qubit i contributes bit b_i (0 = qubit in its lower level
 paired with bath level m_i + 1/2, 1 = upper level with bath level
 m_i - 1/2) and the basis index is b1*4 + b2*2 + b3 when all three pairs are
 two-dimensional (b1 for one pair); one-dimensional edge pairs contribute no
-bit but keep the same nesting order (qubit 1 most significant).  The
-collective interaction couples indices 2 = (0,1,0) and 5 = (1,0,1) and
-exists only in full eight-dimensional sectors.
+basis bit but keep the same nesting order (qubit 1 most significant), and
+their qubit's fixed bit is held per sector.  The collective interaction
+couples indices 2 = (0,1,0) and 5 = (1,0,1) and exists only in full
+eight-dimensional sectors.
 
 Which sectors exist, their weights, basis and level energies do not
 depend on the couplings: that layout is built once per (epsilon, E, N,
-beta, prune_tol) and shared, and each coupling set only fills and
-diagonalizes the sector blocks.  Populations and currents are then exact
-trigonometric sums over spectral gaps (``series.SeriesTerms``), so a dense
-time grid costs a few matrix products instead of repeated evolutions.
-Weighted reductions run in a fixed lexicographic sector order, which keeps
-repeated runs bit-identical.
+beta, prune_tol) and shared, with one group per block shape ``dims``, so
+at most eight groups for three pairs.  Each coupling set only fills and
+diagonalizes the sector blocks.  A block without the interaction term is
+a Kronecker sum of 2x2 pair blocks, whose eigenpairs are closed form;
+only the interacting eight-dimensional blocks call ``eigh``.  Populations
+and currents are then exact trigonometric sums over spectral gaps
+(``series.SeriesTerms``), so a dense time grid costs a few matrix products
+instead of repeated evolutions.  Weighted reductions run in a fixed
+lexicographic sector order, which keeps repeated runs bit-identical.
 """
 
 from __future__ import annotations
@@ -129,20 +133,29 @@ def _enumerate_arrays(pairs, prune_tol: float):
 
 @dataclass(frozen=True, eq=False)
 class SectorGroup:
-    """Kept sectors sharing a (dims, edge-side) signature, couplings left out.
+    """Kept sectors sharing a block shape ``dims``, couplings left out.
 
-    Rows are sectors in lexicographic (two_m1, ...) order.  ``basis`` holds
-    the bits (b1, ...) of each basis state, one per pair,
-    ``level_energy`` the diagonal of every sector block and ``p0`` the
-    initial populations, which are the same in every row.  The XY coupling
-    of pair k sits at the entries of ``flip_masks[k]`` with strength A_k
-    times ``unit_coupling[k]`` (one ladder factor per row), the interaction
-    at ``interaction_mask`` with strength g; either is None where the group
-    has no such coupling.
+    Groups are keyed by ``dims`` alone, so an edge pair's sectors at both
+    ends of its ladder share a group.  Rows are sectors in lexicographic
+    (two_m1, ...) order.  ``basis`` holds the bits (b1, ...) of each basis
+    state, one per pair, with 0 in an edge pair's column: that qubit's
+    fixed bit differs between rows and sits in ``edge_bits`` (rows x
+    pairs, 0 in two-dimensional columns); ``qubit_bits`` reads either.
+    ``pair_rows`` holds each sector's row in each pair's ``sector_arrays``
+    table (``SectorLayout.pairs``), ``level_energy`` the diagonal of every
+    sector block and ``p0`` the initial populations, which are the same in
+    every row.  The XY coupling of pair k sits at the entries of
+    ``flip_masks[k]`` with strength A_k times ``unit_coupling[k]`` (one
+    ladder factor per row), the interaction at ``interaction_mask`` with
+    strength g; either is None where the group has no such coupling.  Only
+    blocks with the interaction term need ``eigh``; the others have
+    closed-form spectra (``_kronecker_spectra``).
     """
 
     dims: tuple[int, ...]
     basis: np.ndarray
+    edge_bits: np.ndarray
+    pair_rows: np.ndarray
     weights: np.ndarray
     m_values: np.ndarray
     level_energy: np.ndarray
@@ -159,24 +172,32 @@ class SectorGroup:
     def dim(self) -> int:
         return len(self.basis)
 
+    def qubit_bits(self, k: int) -> np.ndarray:
+        """Qubit k's bit (0-based pair) in each basis state: shape (dim,) for a
+        two-dimensional pair, (size, 1) per row for an edge pair."""
+        if self.dims[k] == 2:
+            return self.basis[:, k]
+        return self.edge_bits[:, k, None]
+
 
 @dataclass(frozen=True, eq=False)
 class SectorLayout:
-    """The kept sector groups in signature order, and what pruning dropped."""
+    """The kept sector groups in ``dims`` order, each pair's ``sector_arrays``
+    table, and what pruning dropped."""
 
     groups: tuple[SectorGroup, ...]
+    pairs: tuple[dict, ...]
     kept: int
     dropped: int
     dropped_weight: float
 
 
-def _layout_group(pairs, sel, weights, dims, sides) -> SectorGroup:
+def _layout_group(pairs, sel, weights, dims) -> SectorGroup:
     """Coupling-independent arrays of the sectors selected by per-pair indices."""
-    basis = np.array(list(iter_product(*(
-        (0, 1) if dims[k] == 2 else (sides[k],) for k in range(len(pairs))
-    ))))
+    basis = np.array(list(iter_product(*((0, 1) if d == 2 else (0,) for d in dims))))
     flips = basis[:, None, :] != basis[None, :, :]
     single_flip = flips.sum(axis=2) == 1
+    edge_bits = np.zeros((len(weights), len(pairs)), dtype=int)
     level_energy = np.zeros((len(weights), len(basis)))
     p0 = np.ones(len(basis))
     unit_coupling = []
@@ -190,6 +211,7 @@ def _layout_group(pairs, sel, weights, dims, sides) -> SectorGroup:
         else:
             edge = pk["edge_energy"][sel[k]]
             levels = np.stack([edge, edge], axis=1)
+            edge_bits[:, k] = pk["edge_state"][sel[k]]
             p_level = np.ones(2)
             unit_coupling.append(None)
             flip_masks.append(None)
@@ -200,12 +222,14 @@ def _layout_group(pairs, sel, weights, dims, sides) -> SectorGroup:
         lower, upper = ((basis == bits).all(axis=1) for bits in _INTERACTION_BITS)
         interaction_mask = np.outer(lower, upper) | np.outer(upper, lower)
     group = SectorGroup(
-        dims=dims, basis=basis, weights=weights,
+        dims=dims, basis=basis, edge_bits=edge_bits, pair_rows=np.stack(sel, axis=1),
+        weights=weights,
         m_values=np.stack([pk["m"][sel[k]] for k, pk in enumerate(pairs)], axis=1),
         level_energy=level_energy, p0=p0, unit_coupling=tuple(unit_coupling),
         flip_masks=tuple(flip_masks), interaction_mask=interaction_mask,
     )
-    arrays = [basis, weights, group.m_values, level_energy, p0, interaction_mask]
+    arrays = [basis, edge_bits, group.pair_rows, weights, group.m_values, level_energy, p0,
+              interaction_mask]
     for array in arrays + unit_coupling + flip_masks:
         if array is not None:
             array.setflags(write=False)
@@ -221,30 +245,26 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
     sectors are kept, their weights, grouping, basis, level energies and
     initial populations depend on none of the couplings (A_k and g),
     so the layout is built once and shared by every engine on the same
-    arguments; its arrays are read-only.
+    arguments; its arrays are read-only.  There is one group per block
+    shape ``dims``, in ascending order of it.
     """
     pairs = [sector_arrays(*args) for args in zip(epsilon, bath_energy, n_bath, beta)]
     keep, fractions, dropped = _enumerate_arrays(pairs, prune_tol)
     idx = np.unravel_index(keep, tuple(len(p["two_m"]) for p in pairs))
     dims = np.stack([p["dim"][i] for p, i in zip(pairs, idx)], axis=1)
-    sides = np.stack([
-        np.where(dims[:, k] == 1, p["edge_state"][i], 0)
-        for k, (p, i) in enumerate(zip(pairs, idx))
-    ], axis=1)
-    signatures, inverse = np.unique(
-        np.hstack([dims, sides]), axis=0, return_inverse=True
-    )
+    shapes, inverse = np.unique(dims, axis=0, return_inverse=True)
     groups = []
-    for g, signature in enumerate(signatures.tolist()):
+    for g, shape in enumerate(shapes.tolist()):
         rows = np.flatnonzero(inverse == g)
-        sel = [i[rows] for i in idx]
-        groups.append(_layout_group(
-            pairs, sel, fractions[rows],
-            tuple(signature[:len(pairs)]), tuple(signature[len(pairs):]),
-        ))
+        groups.append(_layout_group(pairs, [i[rows] for i in idx], fractions[rows],
+                                    tuple(shape)))
+    for table in pairs:
+        for array in table.values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
     kept = len(keep)
     return SectorLayout(
-        tuple(groups), kept, math.prod(n + 2 for n in n_bath) - kept, dropped
+        tuple(groups), tuple(pairs), kept, math.prod(n + 2 for n in n_bath) - kept, dropped
     )
 
 
@@ -282,15 +302,33 @@ def _rotated_diagonal(vecs: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return np.matmul(vecs.transpose(0, 2, 1) * diag[..., None, :], vecs)
 
 
+def _hamiltonians(params: RefrigeratorParams, sectors: SectorGroup) -> np.ndarray:
+    """One group's sector blocks, shape (size, dim, dim), filled from its layout."""
+    h = np.zeros((sectors.size, sectors.dim, sectors.dim))
+    diagonal = np.arange(sectors.dim)
+    h[:, diagonal, diagonal] = sectors.level_energy
+    for key in energy_keys(params.pairs):
+        term = _coupling_term(params, sectors, key)
+        if term is not None:
+            strength, mask = term
+            h[:, mask] = strength
+    return h
+
+
 @dataclass(frozen=True, eq=False)
 class SectorGroupData:
-    """One layout group with its Hamiltonians and spectra for one coupling set."""
+    """One layout group with its spectra for one coupling set."""
 
     sectors: SectorGroup
-    hamiltonians: np.ndarray
+    params: RefrigeratorParams
     lam: np.ndarray
     vecs: np.ndarray
     m_matrix: np.ndarray  # V^T diag(p0) V, the initial state in the eigenbasis
+
+    @functools.cached_property
+    def hamiltonians(self) -> np.ndarray:
+        """The sector blocks, V diag(lam) V^T, assembled from the layout on first use."""
+        return _hamiltonians(self.params, self.sectors)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -305,18 +343,75 @@ class SectorGroupData:
         return self.sectors.dim
 
 
-def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGroupData:
-    """Fill one group's Hamiltonians from its layout and diagonalize them."""
-    h = np.zeros((sectors.size, sectors.dim, sectors.dim))
-    diagonal = np.arange(sectors.dim)
-    h[:, diagonal, diagonal] = sectors.level_energy
-    for key in energy_keys(params.pairs):
-        term = _coupling_term(params, sectors, key)
-        if term is not None:
-            strength, mask = term
-            h[:, mask] = strength
-    lam, vecs = np.linalg.eigh(h)
-    return SectorGroupData(sectors, h, lam, vecs, _rotated_diagonal(vecs, sectors.p0))
+def _pair_spectra(table: dict, coupling: float):
+    """Ascending eigenvalues and eigenvectors of every 2x2 block of one pair.
+
+    Row j of a ``sector_arrays`` table is [[b_minus, c], [c, b_plus]] with
+    c = A u >= 0.  With d = (b_plus - b_minus)/2 and r = hypot(d, c) the
+    eigenvalues are the mean -+ r, and the eigenvectors the columns
+    (cos, -sin) and (sin, cos) of half the angle phi with cos phi = d/r,
+    sin phi = c/r.  With s = r + |d| and q = sqrt(2 r s), the larger of cos
+    and sin is s/q and the other c/q, so c = 0 gives exactly the identity
+    (d >= 0) or a swap (d < 0), and d = 0 (epsilon = E) equal weights;
+    r = 0 gives the identity.  Returns (rows, 2) eigenvalues and
+    (rows, 2, 2) eigenvectors; edge rows are not blocks and go unread.
+    """
+    lower, upper = table["b_minus"], table["b_plus"]
+    c = coupling * table["u"]
+    half = 0.5 * (upper - lower)
+    radius = np.hypot(half, c)
+    s = radius + np.abs(half)
+    q = np.sqrt(2.0 * radius * s)
+    split = q > 0.0
+    big = np.divide(s, q, out=np.ones_like(q), where=split)
+    small = np.divide(c, q, out=np.zeros_like(q), where=split)
+    ascending = half >= 0.0
+    vecs = np.empty((len(q), 2, 2))
+    vecs[:, 0, 0] = vecs[:, 1, 1] = np.where(ascending, big, small)
+    vecs[:, 0, 1] = np.where(ascending, small, big)
+    vecs[:, 1, 0] = -vecs[:, 0, 1]
+    mean = 0.5 * (upper + lower)
+    lam = np.stack([mean - radius, mean + radius], axis=1)
+    return lam, vecs
+
+
+def _kronecker_spectra(sectors: SectorGroup, pair_spectra, pairs):
+    """Eigenvalues (ascending per row) and eigenvectors of interaction-free blocks.
+
+    Such a block is the Kronecker sum of its pairs' blocks: its
+    eigenvectors are the Kronecker products of the pairs' 2x2 rotations
+    (``_pair_spectra``, one per pair) and its eigenvalues the sums of
+    theirs, plus the edge pairs' fixed levels.
+    """
+    size = sectors.size
+    lam = np.zeros((size, 1))
+    vecs = np.ones((size, 1, 1))
+    for k, dim in enumerate(sectors.dims):
+        rows = sectors.pair_rows[:, k]
+        if dim == 1:
+            lam = lam + pairs[k]["edge_energy"][rows, None]
+            continue
+        pair_lam, rotations = pair_spectra[k][0][rows], pair_spectra[k][1][rows]
+        d = lam.shape[1]
+        lam = (lam[:, :, None] + pair_lam[:, None, :]).reshape(size, 2 * d)
+        vecs = (vecs[:, :, None, :, None] * rotations[:, None, :, None, :]
+                ).reshape(size, 2 * d, 2 * d)
+    if sectors.dims.count(2) > 1:  # one pair's eigenvalues already ascend
+        order = np.argsort(lam, axis=1, kind="stable")
+        rows = np.arange(size)[:, None]
+        lam = lam[rows, order]
+        vecs = vecs.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
+    return lam, vecs
+
+
+def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup, pair_spectra,
+                 pairs) -> SectorGroupData:
+    """One group's spectra: closed form without the interaction, else ``eigh``."""
+    if sectors.interaction_mask is None or params.g == 0.0:
+        lam, vecs = _kronecker_spectra(sectors, pair_spectra, pairs)
+    else:
+        lam, vecs = np.linalg.eigh(_hamiltonians(params, sectors))
+    return SectorGroupData(sectors, params, lam, vecs, _rotated_diagonal(vecs, sectors.p0))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +434,10 @@ class RefrigeratorEngine:
         self.layout = sector_layout(
             params.epsilon, params.bath_energy, params.n_bath, params.beta, prune_tol
         )
-        self.groups = [_diagonalize(params, sectors) for sectors in self.layout.groups]
+        pairs = self.layout.pairs
+        pair_spectra = [_pair_spectra(table, a) for table, a in zip(pairs, params.coupling)]
+        self.groups = [_diagonalize(params, sectors, pair_spectra, pairs)
+                       for sectors in self.layout.groups]
         self.weight_total = float(sum(s.weights.sum() for s in self.layout.groups))
         self._series_cache: dict[tuple, SeriesTerms] = {}
 
@@ -348,7 +446,7 @@ class RefrigeratorEngine:
     def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray | None:
         """V^T O V per sector, shape (size, dim, dim); None if O is absent."""
         if key[0] in ("pop", "exc"):
-            bits = group.sectors.basis[:, key[1] - 1].astype(float)
+            bits = group.sectors.qubit_bits(key[1] - 1).astype(float)
             return _rotated_diagonal(group.vecs, bits if key[0] == "exc" else 1.0 - bits)
         term = _coupling_term(self.params, group.sectors, key)
         if term is None:
@@ -459,7 +557,8 @@ class RefrigeratorEngine:
         level and times p_s(t) to the second, where p_s is the qubit's
         excited population in that sector, evaluated from the sector's
         spectrum alone.  An edge sector has one of the two levels, and its
-        qubit bit is fixed: it adds exactly zero to the level it lacks.
+        qubit bit is fixed (per row: both ends of a ladder share a group): it
+        adds exactly zero to the level it lacks.
         """
         k = bath - 1
         n = self.params.n_bath[k]
@@ -467,7 +566,7 @@ class RefrigeratorEngine:
         for group in self.groups:
             sectors = group.sectors
             if sectors.dims[k] == 1:
-                p = np.full(sectors.size, float(sectors.basis[0, k]))
+                p = sectors.edge_bits[:, k].astype(float)
             else:
                 bits = sectors.basis[:, k].astype(float)
                 f = group.m_matrix * _rotated_diagonal(group.vecs, bits)

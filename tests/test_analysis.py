@@ -265,6 +265,94 @@ class TestBestTimeOnSeries:
         assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
 
 
+
+@st.composite
+def _long_tied_case(draw):
+    """A one-row series longer than the head's first candidate count, whose
+    |a| repeat a few values log-uniform over 1e-15..1 (ties and heavy tails),
+    w <= 20, on a grid of step <= 0.02 (fine enough for the screened scan)."""
+    m = draw(st.integers(analysis._HEAD_START + 1, 3000))
+    levels = draw(st.lists(st.floats(-15.0, 0.0), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.choice(levels, m)
+    terms = SeriesTerms(np.array([draw(st.floats(-1.0, 1.0))]), amps[None, :],
+                        rng.uniform(0.0, 20.0, m), draw(st.sampled_from(["cos", "sin"])))
+    grid = _grid(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.002, 0.02)),
+                 draw(st.integers(5, 400)))
+    return terms, grid
+
+
+class TestSeriesHead:
+    @settings(max_examples=60, deadline=None)
+    @given(_long_tied_case())
+    def test_head_drops_less_than_its_tolerance(self, case):
+        terms, _ = case
+        magnitude = np.abs(terms.amps).sum(axis=0)
+        total = float(magnitude.sum())
+        head, tail = analysis._series_head(terms, magnitude, total)
+        again, tail_again = analysis._series_head(terms, magnitude, total)
+        assert np.array_equal(head.omegas, again.omegas) and tail == tail_again
+        # distinct gaps name the kept terms, which keep their order
+        kept = np.flatnonzero(np.isin(terms.omegas, head.omegas))
+        assert np.array_equal(head.omegas, terms.omegas[kept])
+        assert np.array_equal(head.amps, terms.amps[:, kept])
+        assert np.array_equal(head.const, terms.const)
+        count = analysis._HEAD_START
+        while count < kept.size:
+            count *= 2
+        assert kept.size in (count, terms.omegas.size)
+        dropped = np.delete(magnitude, kept)
+        assert tail == total - float(magnitude[kept].sum())
+        assert tail < analysis._HEAD_TOL * total
+        if dropped.size:
+            assert dropped.max() <= magnitude[kept].min()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_heavy_tailed_case())
+    def test_partitioned_heads_of_short_series_do_not_change_the_result(self, case):
+        # a first candidate count of one term puts short series on the
+        # partition path too
+        terms, grid = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_HEAD_START", 1)
+            found = [_search_with_head_tol(terms, grid, tol)
+                     for tol in (0.0, analysis._HEAD_TOL, 0.3)]
+        t_ref, p_ref = _reference_best_time(terms, grid)
+        bound = _rounding_bound(terms)
+        for t_best, p_best in found:
+            assert p_best == pytest.approx(p_ref, abs=bound)
+            assert t_best == found[0][0] or float(terms.at([found[0][0]])[0, 0]) == (
+                pytest.approx(float(terms.at([t_best])[0, 0]), abs=bound))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.048])
+    def test_tail_breaks_a_tie_of_a_partitioned_head(self, monkeypatch, eta):
+        # the tie case of TestBestTimeOnSeries, its head picked by the partition
+        monkeypatch.setattr(analysis, "_HEAD_START", 2)
+        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 1e-3, 8e-4]]),
+                            np.array([1.0, 0.5 + eta, 1.0 / 3.0]), "cos")
+        magnitude = np.abs(terms.amps).sum(axis=0)
+        head, tail = analysis._series_head(terms, magnitude, float(magnitude.sum()))
+        assert head.omegas.tolist() == [1.0, 0.5 + eta] and tail > 0.0
+        TestBestTimeOnSeries().test_tail_breaks_a_tie_of_the_head(monkeypatch, eta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_long_tied_case())
+    def test_search_equals_the_compressed_head_search(self, case):
+        terms, grid = case
+        found = _best_time_on_series(terms, grid)
+        with pytest.MonkeyPatch.context() as patch:
+            def compressed_head(terms, magnitude, total):
+                head = terms.compressed(analysis._HEAD_TOL)
+                return head, total - float(np.sum(np.abs(head.amps)))
+
+            patch.setattr(analysis, "_series_head", compressed_head)
+            t_ref, p_ref = _best_time_on_series(terms, grid)
+        bound = _rounding_bound(terms)
+        assert found[1] == pytest.approx(p_ref, abs=bound)
+        # another time only where the series ties with the first one's
+        assert found[0] == t_ref or float(terms.at([t_ref])[0, 0]) == (
+            pytest.approx(float(terms.at([found[0]])[0, 0]), abs=bound))
+
 class TestMinimizeBox:
     def test_finds_quadratic_minimum(self):
         target = np.array([0.3, 0.05])

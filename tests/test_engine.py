@@ -16,6 +16,7 @@ from dense_reference import (
     pair_of,
     pair_table,
     sector_basis_indices,
+    star,
     total_energy,
 )
 from spinfridge import oracle, thermo
@@ -678,6 +679,97 @@ class TestOnePairProperty:
             magnitude = max(abs(s.const[0]) + np.abs(s.amps).sum() for s in (a, b))
             assert np.max(np.abs(a.at(times) - b.at(times))) <= 1e-12 * magnitude + 1e-13
 
+
+
+@st.composite
+def _closed_form_params(draw):
+    """One pair or three with epsilon_k = E_k, A_k = 0 and g = 0 each drawn often."""
+    pairs = draw(st.sampled_from([1, 3]))
+
+    def per_pair(values):
+        return draw(st.lists(values, min_size=pairs, max_size=pairs))
+
+    epsilon = per_pair(st.floats(0.2, 3.0))
+    bath_energy = [eps if resonant else other for eps, resonant, other in zip(
+        epsilon, per_pair(st.booleans()), per_pair(st.floats(0.2, 4.0)))]
+    g = 0.0
+    if pairs == 3:
+        g = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2, exclude_min=True)))
+    return RefrigeratorParams(
+        epsilon=epsilon, bath_energy=bath_energy,
+        coupling=per_pair(st.one_of(st.just(0.0), st.floats(0.0, 1.5))), g=g,
+        n_bath=per_pair(st.integers(1, 8)), beta=per_pair(st.floats(0.1, 5.0)),
+    )
+
+
+class TestClosedFormSpectra:
+    """Blocks without the interaction are diagonalized in closed form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_closed_form_params())
+    def test_matches_eigh_of_each_block(self, p):
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        for group in eng.groups:
+            if group.sectors.interaction_mask is not None and p.g > 0.0:
+                continue  # the interacting blocks take eigh itself
+            h = group.hamiltonians
+            lam, vecs = group.lam, group.vecs
+            scale = 1.0 + np.abs(lam).max()
+            assert np.all(np.diff(lam, axis=1) >= 0.0)
+            assert np.max(np.abs(lam - np.linalg.eigh(h)[0])) <= 1e-13 * scale
+            rebuilt = np.matmul(vecs * lam[:, None, :], vecs.transpose(0, 2, 1))
+            assert np.max(np.abs(rebuilt - h)) <= 1e-14 * scale
+            gram = np.matmul(vecs.transpose(0, 2, 1), vecs)
+            assert np.max(np.abs(gram - np.eye(group.dim))) <= 1e-14
+            inner = [k for k, d in enumerate(group.dims) if d == 2]
+            if all(p.coupling[k] == 0.0 for k in inner):
+                # no coupling: exactly a signed permutation
+                assert np.all(np.isin(vecs, (-1.0, 0.0, 1.0)))
+
+    def test_only_interacting_blocks_call_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(h):
+            calls.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        RefrigeratorEngine(star(n=30))
+        RefrigeratorEngine(fridge(n=(30, 30, 30), g=0.0))
+        assert calls == []
+        eng = RefrigeratorEngine(fridge(n=(30, 30, 30), g=0.05))
+        (full,) = [group for group in eng.groups if group.dims == (2, 2, 2)]
+        assert calls == [(full.size, 8, 8)]
+
+
+class TestShapeGroups:
+    """One group per block shape: edge pairs carry their fixed bit per row."""
+
+    @pytest.mark.parametrize("n", [(1, 1, 1), (2, 2, 2), (1, 2, 1)])
+    def test_rows_and_bath_levels_match_dense_oracle(self, n):
+        p = fridge(n=n)
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        assert len(eng.groups) == 8
+        # some group holds the sectors at both ends of an edge pair's ladder
+        assert any(
+            len(np.unique(group.sectors.edge_bits[:, k])) == 2
+            for group in eng.groups for k, d in enumerate(group.dims) if d == 1
+        )
+        keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop"))
+        terms = eng.series_terms(keys)
+        model = oracle.build_dense(p)
+        spectrum = model.spectrum()
+        for t in (0.0, 1.3, 4.7):
+            rows = terms.at([t])[:, 0]
+            for i in (1, 2, 3):
+                qubit = np.diag(dense_evolve_and_trace(model, t, 2 * (i - 1),
+                                                       spectrum=spectrum)).real
+                assert abs(rows[keys.index(("exc", i))] - qubit[1]) <= 1e-12
+                assert abs(rows[keys.index(("pop", i))] - qubit[0]) <= 1e-12
+                bath = np.diag(dense_evolve_and_trace(model, t, 2 * i - 1,
+                                                      spectrum=spectrum)).real
+                assert np.max(np.abs(eng.reduced_bath_populations(i, t) - bath)) <= 1e-12
 
 def entropy_production(eng, times):
     """sigma(t) = sum_k beta_k (E_k(t) - E_k(0)), E_k = <H_S,k + H_B,k>, and its scale.
