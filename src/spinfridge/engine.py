@@ -2,28 +2,33 @@
 
 One qubit-bath pair is a single spin star; three pairs joined by the
 collective interaction are the refrigerator.  The conserved per-pair total
-z spins split the joint Hilbert space into (m1, ...) sectors of dimension
-at most 2 per pair, so 8 = 2*2*2 for the refrigerator.  Basis convention
-inside a sector: qubit i contributes bit b_i (0 = qubit in its lower level
-paired with bath level m_i + 1/2, 1 = upper level with bath level
-m_i - 1/2) and the basis index is b1*4 + b2*2 + b3 when all three pairs are
-two-dimensional (b1 for one pair); one-dimensional edge pairs contribute no
-basis bit but keep the same nesting order (qubit 1 most significant), and
-their qubit's fixed bit is held per sector.  The collective interaction
-couples indices 2 = (0,1,0) and 5 = (1,0,1) and exists only in full
-eight-dimensional sectors.
+z spins split the joint Hilbert space into (m1, ...) sectors, one row of
+each pair's ``sector_arrays`` table: a two-level interior row or a
+one-level edge row.
 
-Which sectors exist, their weights, basis and level energies do not
-depend on the couplings: that layout is built once per (epsilon, E, N,
-beta, prune_tol) and shared, with one group per block shape ``dims``, so
-at most eight groups for three pairs.  Each coupling set only fills and
-diagonalizes the sector blocks.  A block without the interaction term is
-a Kronecker sum of 2x2 pair blocks, whose eigenpairs are closed form;
-only the interacting eight-dimensional blocks call ``eigh``.  Populations
-and currents are then exact trigonometric sums over spectral gaps
-(``series.SeriesTerms``), so a dense time grid costs a few matrix products
-instead of repeated evolutions.  Weighted reductions run in a fixed
-lexicographic sector order, which keeps repeated runs bit-identical.
+A sector without the collective interaction (every sector of one pair,
+every sector with an edge row, every sector at g = 0) is a Kronecker sum
+of its pairs' 2x2 blocks and starts in a product state, so it evolves pair
+by pair: in every one-pair observable (a qubit's populations, its coupling
+energy, its bath's levels) it counts as its row of that pair alone.  The
+weights of those sectors, summed per row of pair k's table, fold them into
+one ladder per pair (``PairLadder``): a closed-form Rabi series with one
+gap per interior row and a constant per edge row.
+
+Only the (2, 2, 2) sectors hold the interaction.  Inside them qubit i
+contributes bit b_i (0 = qubit in its lower level paired with bath level
+m_i + 1/2, 1 = upper level with bath level m_i - 1/2), the basis index is
+b1*4 + b2*2 + b3, and the interaction couples indices 2 = (0,1,0) and
+5 = (1,0,1).  They form the one interacting group, whose 8x8 blocks call
+``eigh`` when g > 0; at g = 0 their weights join the ladders instead.
+
+Which sectors are kept, the ladder weights and the interacting group's
+level energies depend on none of the couplings: that layout is built once
+per (epsilon, E, N, beta, prune_tol) and shared.  Populations and currents
+are exact cosine sums over spectral gaps (``series.SeriesTerms``), so a
+dense time grid costs a few matrix products instead of repeated
+evolutions.  Weighted reductions run in a fixed order, which keeps
+repeated runs bit-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import numpy as np
 
@@ -39,7 +44,6 @@ from .series import SeriesTerms, TimeGrid
 from .spinstar import sector_arrays, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
-_INTERACTION_BITS = ((0, 1, 0), (1, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,7 @@ class TimeSeries:
     temperature: np.ndarray
 
 
+
 # ---------------------------------------------------------------------------
 # Sector layout: everything the couplings do not change
 # ---------------------------------------------------------------------------
@@ -131,109 +136,86 @@ def _enumerate_arrays(pairs, prune_tol: float):
     return keep, fractions[keep], dropped
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+# The interacting blocks' basis: the bits (b1, b2, b3) of each index; pair
+# k's XY coupling joins the indices that differ in bit k alone, the
+# interaction (0,1,0) and (1,0,1); the level pairs i < j of a block.
+_BASIS = _read_only(np.array(list(iter_product((0, 1), repeat=3))))
+_FLIP_MASKS = tuple(
+    _read_only(np.array([[i ^ j == 4 >> k for j in range(8)] for i in range(8)]))
+    for k in range(3)
+)
+_INTERACTION_MASK = _read_only(np.array([[{i, j} == {2, 5} for j in range(8)] for i in range(8)]))
+_UPPER = tuple(_read_only(np.array(index)) for index in zip(*combinations(range(8), 2)))
+
+
 @dataclass(frozen=True, eq=False)
 class SectorGroup:
-    """Kept sectors sharing a block shape ``dims``, couplings left out.
+    """The kept (2, 2, 2) sectors, couplings left out: the only blocks the
+    collective interaction joins.
 
-    Groups are keyed by ``dims`` alone, so an edge pair's sectors at both
-    ends of its ladder share a group.  Rows are sectors in lexicographic
-    (two_m1, ...) order.  ``basis`` holds the bits (b1, ...) of each basis
-    state, one per pair, with 0 in an edge pair's column: that qubit's
-    fixed bit differs between rows and sits in ``edge_bits`` (rows x
-    pairs, 0 in two-dimensional columns); ``qubit_bits`` reads either.
+    Rows are sectors in lexicographic (two_m1, two_m2, two_m3) order.
     ``pair_rows`` holds each sector's row in each pair's ``sector_arrays``
     table (``SectorLayout.pairs``), ``level_energy`` the diagonal of every
-    sector block and ``p0`` the initial populations, which are the same in
-    every row.  The XY coupling of pair k sits at the entries of
-    ``flip_masks[k]`` with strength A_k times ``unit_coupling[k]`` (one
-    ladder factor per row), the interaction at ``interaction_mask`` with
-    strength g; either is None where the group has no such coupling.  Only
-    blocks with the interaction term need ``eigh``; the others have
-    closed-form spectra (``_kronecker_spectra``).
+    block in the basis ``_BASIS`` and ``p0`` the initial populations, which
+    are the same in every row.  Pair k's XY coupling sits at
+    ``_FLIP_MASKS[k]`` with strength A_k times ``unit_coupling[k]`` (one
+    ladder factor per row), the interaction at ``_INTERACTION_MASK`` with
+    strength g.
     """
 
-    dims: tuple[int, ...]
-    basis: np.ndarray
-    edge_bits: np.ndarray
     pair_rows: np.ndarray
     weights: np.ndarray
-    m_values: np.ndarray
     level_energy: np.ndarray
     p0: np.ndarray
     unit_coupling: tuple
-    flip_masks: tuple
-    interaction_mask: np.ndarray | None
+
+    dims = (2, 2, 2)
+    dim = 8
 
     @property
     def size(self) -> int:
         return len(self.weights)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def qubit_bits(self, k: int) -> np.ndarray:
-        """Qubit k's bit (0-based pair) in each basis state: shape (dim,) for a
-        two-dimensional pair, (size, 1) per row for an edge pair."""
-        if self.dims[k] == 2:
-            return self.basis[:, k]
-        return self.edge_bits[:, k, None]
-
 
 @dataclass(frozen=True, eq=False)
 class SectorLayout:
-    """The kept sector groups in ``dims`` order, each pair's ``sector_arrays``
-    table, and what pruning dropped."""
+    """The kept sectors, each pair's ``sector_arrays`` table, and what
+    pruning dropped.
 
-    groups: tuple[SectorGroup, ...]
+    ``interacting`` holds the kept (2, 2, 2) sectors (None for one pair or
+    when none is kept).  ``marginals[k][j]`` is the kept weight of the
+    sectors in row j of pair k's table and ``free_weights[k][j]`` its part
+    outside ``interacting``: a g > 0 engine's ladders carry the free
+    weights, a g = 0 engine's the marginals.  ``kept_weight`` is the kept
+    sectors' total.
+    """
+
+    interacting: SectorGroup | None
     pairs: tuple[dict, ...]
+    marginals: tuple[np.ndarray, ...]
+    free_weights: tuple[np.ndarray, ...]
+    kept_weight: float
     kept: int
     dropped: int
     dropped_weight: float
 
 
-def _layout_group(pairs, sel, weights, dims) -> SectorGroup:
-    """Coupling-independent arrays of the sectors selected by per-pair indices."""
-    basis = np.array(list(iter_product(*((0, 1) if d == 2 else (0,) for d in dims))))
-    flips = basis[:, None, :] != basis[None, :, :]
-    single_flip = flips.sum(axis=2) == 1
-    edge_bits = np.zeros((len(weights), len(pairs)), dtype=int)
-    level_energy = np.zeros((len(weights), len(basis)))
-    p0 = np.ones(len(basis))
-    unit_coupling = []
-    flip_masks = []
-    for k, pk in enumerate(pairs):
-        if dims[k] == 2:
-            levels = np.stack([pk["b_minus"][sel[k]], pk["b_plus"][sel[k]]], axis=1)
-            p_level = np.array(pk["p_level"])
-            unit_coupling.append(pk["u"][sel[k]])
-            flip_masks.append(flips[:, :, k] & single_flip)
-        else:
-            edge = pk["edge_energy"][sel[k]]
-            levels = np.stack([edge, edge], axis=1)
-            edge_bits[:, k] = pk["edge_state"][sel[k]]
-            p_level = np.ones(2)
-            unit_coupling.append(None)
-            flip_masks.append(None)
-        level_energy += levels[:, basis[:, k]]
-        p0 *= p_level[basis[:, k]]
-    interaction_mask = None
-    if dims == (2, 2, 2):
-        lower, upper = ((basis == bits).all(axis=1) for bits in _INTERACTION_BITS)
-        interaction_mask = np.outer(lower, upper) | np.outer(upper, lower)
-    group = SectorGroup(
-        dims=dims, basis=basis, edge_bits=edge_bits, pair_rows=np.stack(sel, axis=1),
-        weights=weights,
-        m_values=np.stack([pk["m"][sel[k]] for k, pk in enumerate(pairs)], axis=1),
-        level_energy=level_energy, p0=p0, unit_coupling=tuple(unit_coupling),
-        flip_masks=tuple(flip_masks), interaction_mask=interaction_mask,
-    )
-    arrays = [basis, edge_bits, group.pair_rows, weights, group.m_values, level_energy, p0,
-              interaction_mask]
-    for array in arrays + unit_coupling + flip_masks:
-        if array is not None:
-            array.setflags(write=False)
-    return group
+def _interacting_group(pairs, rows, weights) -> SectorGroup:
+    """Coupling-independent arrays of the (2, 2, 2) sectors at per-pair rows."""
+    level_energy = np.zeros((len(weights), 8))
+    p0 = np.ones(8)
+    for k, (pk, r) in enumerate(zip(pairs, rows)):
+        levels = np.stack([pk["b_minus"][r], pk["b_plus"][r]], axis=1)
+        level_energy += levels[:, _BASIS[:, k]]
+        p0 *= np.array(pk["p_level"])[_BASIS[:, k]]
+    unit_coupling = tuple(_read_only(pk["u"][r]) for pk, r in zip(pairs, rows))
+    return SectorGroup(_read_only(np.stack(rows, axis=1)), _read_only(weights),
+                       _read_only(level_energy), _read_only(p0), unit_coupling)
 
 
 # bounded: an unpruned N=30 layout holds a few MB
@@ -242,29 +224,33 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
     """The sector layout for per-pair epsilon, E, N, beta and one prune_tol.
 
     The per-pair tuples hold one entry per pair, one or three.  Which
-    sectors are kept, their weights, grouping, basis, level energies and
-    initial populations depend on none of the couplings (A_k and g),
-    so the layout is built once and shared by every engine on the same
-    arguments; its arrays are read-only.  There is one group per block
-    shape ``dims``, in ascending order of it.
+    sectors are kept, their weights per pair row and the interacting
+    group depend on none of the couplings (A_k and g), so the layout is
+    built once and shared by every engine on the same arguments; its
+    arrays are read-only.
     """
     pairs = [sector_arrays(*args) for args in zip(epsilon, bath_energy, n_bath, beta)]
     keep, fractions, dropped = _enumerate_arrays(pairs, prune_tol)
     idx = np.unravel_index(keep, tuple(len(p["two_m"]) for p in pairs))
-    dims = np.stack([p["dim"][i] for p, i in zip(pairs, idx)], axis=1)
-    shapes, inverse = np.unique(dims, axis=0, return_inverse=True)
-    groups = []
-    for g, shape in enumerate(shapes.tolist()):
-        rows = np.flatnonzero(inverse == g)
-        groups.append(_layout_group(pairs, [i[rows] for i in idx], fractions[rows],
-                                    tuple(shape)))
+    full = np.zeros(len(keep), dtype=bool)
+    if len(pairs) == 3:
+        full = np.all([p["dim"][i] == 2 for p, i in zip(pairs, idx)], axis=0)
+    marginals, free_weights = [], []
+    for p, i in zip(pairs, idx):
+        marginals.append(_read_only(np.bincount(i, fractions, minlength=len(p["two_m"]))))
+        free_weights.append(_read_only(np.bincount(i[~full], fractions[~full],
+                                                   minlength=len(p["two_m"]))))
+    interacting = None
+    if full.any():
+        interacting = _interacting_group(pairs, [i[full] for i in idx], fractions[full])
     for table in pairs:
         for array in table.values():
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
     kept = len(keep)
     return SectorLayout(
-        tuple(groups), tuple(pairs), kept, math.prod(n + 2 for n in n_bath) - kept, dropped
+        interacting, tuple(pairs), tuple(marginals), tuple(free_weights),
+        float(fractions.sum()), kept, math.prod(n + 2 for n in n_bath) - kept, dropped,
     )
 
 
@@ -279,21 +265,75 @@ def energy_keys(pairs: int) -> tuple:
     return keys + ((("hint",),) if pairs == 3 else ())
 
 
+@dataclass(frozen=True, eq=False)
+class PairLadder:
+    """One pair's interaction-free sectors at one coupling, folded per row
+    of its ``sector_arrays`` table.
+
+    Row j carries the summed weight ``weights[j]`` and starts with the
+    (ground, excited) populations ``p_row[j]``.  Its block
+    [[b_minus, c], [c, b_plus]], c = A u, has one gap ``gap[j]``, and its
+    excited population is p_j(t) = p_j(0) + shift_j (1 - cos(gap_j t)):
+    the two-level Rabi formula.  ``live`` marks the rows that carry a
+    term, weighted and exchanging population.
+    """
+
+    weights: np.ndarray
+    p_row: np.ndarray
+    half_detuning: np.ndarray  # (b_plus - b_minus) / 2
+    gap: np.ndarray
+    shift: np.ndarray
+    live: np.ndarray
+
+    def series(self, kind: str) -> tuple[float, np.ndarray]:
+        """Weighted constant and live amplitudes of one observable's cosine terms.
+
+        "exc" and "pop" are the qubit's excited and ground populations,
+        "hsb" the coupling energy, which in every row moves opposite to the
+        level energy 2 d p_j(t), d the half detuning.
+        """
+        if kind == "exc":
+            start, amp = self.p_row[:, 1], -self.shift
+        elif kind == "pop":
+            start, amp = self.p_row[:, 0], self.shift
+        elif kind == "hsb":
+            start, amp = 0.0, 2.0 * self.half_detuning * self.shift
+        else:
+            raise KeyError(kind)
+        return float(self.weights @ (start - amp)), (self.weights * amp)[self.live]
+
+
+def _pair_spectra(table: dict, coupling: float, weights: np.ndarray) -> PairLadder:
+    """One pair's ladder at XY coupling A, every 2x2 block in closed form.
+
+    Row j of a ``sector_arrays`` table is [[b_minus, c], [c, b_plus]] with
+    c = A u >= 0.  With d = (b_plus - b_minus)/2 and r = hypot(d, c) its
+    eigenvalues are the mean -+ r, so its one gap is 2r, and a level that
+    starts alone reaches the other with probability (c/r)^2 sin^2(r t),
+    0 where r = 0.  The excited population therefore moves by
+    (p_g - p_e)(c/r)^2 (1 - cos 2rt)/2.  Edge rows have u = 0: no shift.
+    """
+    half = 0.5 * (table["b_plus"] - table["b_minus"])
+    c = coupling * table["u"]
+    radius = np.hypot(half, c)
+    depth = np.divide(c, radius, out=np.zeros_like(radius), where=radius > 0.0) ** 2
+    p_row = table["p_row"]
+    shift = 0.5 * (p_row[:, 0] - p_row[:, 1]) * depth
+    return PairLadder(weights, p_row, half, 2.0 * radius, shift,
+                      (weights > 0.0) & (shift != 0.0))
+
+
 def _coupling_term(params: RefrigeratorParams, sectors: SectorGroup, key):
-    """(strength, mask) of one coupling term of a group; None where it is absent.
+    """(strength, mask) of one coupling term in the interacting blocks.
 
     The term holds ``strength`` at the entries of ``mask``: A_k times the
     rows' ladder factors for ("hsb", k), g for ("hint",).
     """
     if key[0] == "hsb":
         k = key[1] - 1
-        if sectors.flip_masks[k] is None:
-            return None
-        return (params.coupling[k] * sectors.unit_coupling[k])[:, None], sectors.flip_masks[k]
+        return (params.coupling[k] * sectors.unit_coupling[k])[:, None], _FLIP_MASKS[k]
     if key[0] == "hint":
-        if sectors.interaction_mask is None or params.g == 0.0:
-            return None
-        return params.g, sectors.interaction_mask
+        return params.g, _INTERACTION_MASK
     raise KeyError(key)
 
 
@@ -303,21 +343,19 @@ def _rotated_diagonal(vecs: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 
 def _hamiltonians(params: RefrigeratorParams, sectors: SectorGroup) -> np.ndarray:
-    """One group's sector blocks, shape (size, dim, dim), filled from its layout."""
-    h = np.zeros((sectors.size, sectors.dim, sectors.dim))
-    diagonal = np.arange(sectors.dim)
+    """The interacting sector blocks, shape (size, 8, 8), filled from the layout."""
+    h = np.zeros((sectors.size, 8, 8))
+    diagonal = np.arange(8)
     h[:, diagonal, diagonal] = sectors.level_energy
-    for key in energy_keys(params.pairs):
-        term = _coupling_term(params, sectors, key)
-        if term is not None:
-            strength, mask = term
-            h[:, mask] = strength
+    for key in energy_keys(3):
+        strength, mask = _coupling_term(params, sectors, key)
+        h[:, mask] = strength
     return h
 
 
 @dataclass(frozen=True, eq=False)
 class SectorGroupData:
-    """One layout group with its spectra for one coupling set."""
+    """The interacting group with its spectra for one coupling set."""
 
     sectors: SectorGroup
     params: RefrigeratorParams
@@ -343,74 +381,9 @@ class SectorGroupData:
         return self.sectors.dim
 
 
-def _pair_spectra(table: dict, coupling: float):
-    """Ascending eigenvalues and eigenvectors of every 2x2 block of one pair.
-
-    Row j of a ``sector_arrays`` table is [[b_minus, c], [c, b_plus]] with
-    c = A u >= 0.  With d = (b_plus - b_minus)/2 and r = hypot(d, c) the
-    eigenvalues are the mean -+ r, and the eigenvectors the columns
-    (cos, -sin) and (sin, cos) of half the angle phi with cos phi = d/r,
-    sin phi = c/r.  With s = r + |d| and q = sqrt(2 r s), the larger of cos
-    and sin is s/q and the other c/q, so c = 0 gives exactly the identity
-    (d >= 0) or a swap (d < 0), and d = 0 (epsilon = E) equal weights;
-    r = 0 gives the identity.  Returns (rows, 2) eigenvalues and
-    (rows, 2, 2) eigenvectors; edge rows are not blocks and go unread.
-    """
-    lower, upper = table["b_minus"], table["b_plus"]
-    c = coupling * table["u"]
-    half = 0.5 * (upper - lower)
-    radius = np.hypot(half, c)
-    s = radius + np.abs(half)
-    q = np.sqrt(2.0 * radius * s)
-    split = q > 0.0
-    big = np.divide(s, q, out=np.ones_like(q), where=split)
-    small = np.divide(c, q, out=np.zeros_like(q), where=split)
-    ascending = half >= 0.0
-    vecs = np.empty((len(q), 2, 2))
-    vecs[:, 0, 0] = vecs[:, 1, 1] = np.where(ascending, big, small)
-    vecs[:, 0, 1] = np.where(ascending, small, big)
-    vecs[:, 1, 0] = -vecs[:, 0, 1]
-    mean = 0.5 * (upper + lower)
-    lam = np.stack([mean - radius, mean + radius], axis=1)
-    return lam, vecs
-
-
-def _kronecker_spectra(sectors: SectorGroup, pair_spectra, pairs):
-    """Eigenvalues (ascending per row) and eigenvectors of interaction-free blocks.
-
-    Such a block is the Kronecker sum of its pairs' blocks: its
-    eigenvectors are the Kronecker products of the pairs' 2x2 rotations
-    (``_pair_spectra``, one per pair) and its eigenvalues the sums of
-    theirs, plus the edge pairs' fixed levels.
-    """
-    size = sectors.size
-    lam = np.zeros((size, 1))
-    vecs = np.ones((size, 1, 1))
-    for k, dim in enumerate(sectors.dims):
-        rows = sectors.pair_rows[:, k]
-        if dim == 1:
-            lam = lam + pairs[k]["edge_energy"][rows, None]
-            continue
-        pair_lam, rotations = pair_spectra[k][0][rows], pair_spectra[k][1][rows]
-        d = lam.shape[1]
-        lam = (lam[:, :, None] + pair_lam[:, None, :]).reshape(size, 2 * d)
-        vecs = (vecs[:, :, None, :, None] * rotations[:, None, :, None, :]
-                ).reshape(size, 2 * d, 2 * d)
-    if sectors.dims.count(2) > 1:  # one pair's eigenvalues already ascend
-        order = np.argsort(lam, axis=1, kind="stable")
-        rows = np.arange(size)[:, None]
-        lam = lam[rows, order]
-        vecs = vecs.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
-    return lam, vecs
-
-
-def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup, pair_spectra,
-                 pairs) -> SectorGroupData:
-    """One group's spectra: closed form without the interaction, else ``eigh``."""
-    if sectors.interaction_mask is None or params.g == 0.0:
-        lam, vecs = _kronecker_spectra(sectors, pair_spectra, pairs)
-    else:
-        lam, vecs = np.linalg.eigh(_hamiltonians(params, sectors))
+def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGroupData:
+    """The interacting group's spectra, from ``eigh`` of its blocks."""
+    lam, vecs = np.linalg.eigh(_hamiltonians(params, sectors))
     return SectorGroupData(sectors, params, lam, vecs, _rotated_diagonal(vecs, sectors.p0))
 
 
@@ -421,38 +394,39 @@ def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup, pair_spectra,
 class RefrigeratorEngine:
     """Immutable sector-resolved simulator for one parameter set.
 
-    Spectra of all retained sectors are computed once at construction, on
-    the sector layout shared by every engine with the same epsilon, E, N,
-    beta and ``prune_tol``; a parameter change means building a new engine.
-    All queries are pure, so concurrent reads are safe.  Its series keep
-    every term; ``SeriesTerms.compressed`` drops the smallest.
+    Each pair's ladder and, at g > 0, the interacting group's spectra are
+    computed once at construction, on the sector layout shared by every
+    engine with the same epsilon, E, N, beta and ``prune_tol``; a parameter
+    change means building a new engine.  All queries are pure, so
+    concurrent reads are safe.  Its series keep every term;
+    ``SeriesTerms.compressed`` drops the smallest.
     """
 
     def __init__(self, params: RefrigeratorParams, prune_tol: float = DEFAULT_PRUNE_TOL):
         self.params = params
         self.prune_tol = prune_tol
-        self.layout = sector_layout(
+        self.layout = layout = sector_layout(
             params.epsilon, params.bath_energy, params.n_bath, params.beta, prune_tol
         )
-        pairs = self.layout.pairs
-        pair_spectra = [_pair_spectra(table, a) for table, a in zip(pairs, params.coupling)]
-        self.groups = [_diagonalize(params, sectors, pair_spectra, pairs)
-                       for sectors in self.layout.groups]
-        self.weight_total = float(sum(s.weights.sum() for s in self.layout.groups))
+        folded = params.g == 0.0  # the (2, 2, 2) sectors evolve pair by pair too
+        weights = layout.marginals if folded else layout.free_weights
+        self.ladders = tuple(_pair_spectra(table, a, w)
+                             for table, a, w in zip(layout.pairs, params.coupling, weights))
+        self.groups = ()  # the blocks that take eigh: the interacting group at g > 0
+        if layout.interacting is not None and not folded:
+            self.groups = (_diagonalize(params, layout.interacting),)
+        self.weight_total = layout.kept_weight
         self._series_cache: dict[tuple, SeriesTerms] = {}
 
     # -- observables ----------------------------------------------------------
 
-    def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray | None:
-        """V^T O V per sector, shape (size, dim, dim); None if O is absent."""
+    def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray:
+        """V^T O V per interacting sector, shape (size, 8, 8)."""
         if key[0] in ("pop", "exc"):
-            bits = group.sectors.qubit_bits(key[1] - 1).astype(float)
+            bits = _BASIS[:, key[1] - 1].astype(float)
             return _rotated_diagonal(group.vecs, bits if key[0] == "exc" else 1.0 - bits)
-        term = _coupling_term(self.params, group.sectors, key)
-        if term is None:
-            return None
-        strength, mask = term
-        dense = np.zeros((group.size, group.dim, group.dim))
+        strength, mask = _coupling_term(self.params, group.sectors, key)
+        dense = np.zeros((group.size, 8, 8))
         dense[:, mask] = strength
         return np.matmul(np.matmul(group.vecs.transpose(0, 2, 1), dense), group.vecs)
 
@@ -464,7 +438,8 @@ class RefrigeratorEngine:
         collective interaction.  Values are normalized by the retained
         weight.  Tr[drho/dt O] is the ``derivative()`` of the result.
 
-        The rows share the union of the keys' gaps (zero where a key's
+        Each row sums its pair's ladder and the interacting blocks.  The
+        rows share the union of the keys' gaps (zero where a key's
         observable is absent) and keep every term.
         """
         keys = tuple(keys)
@@ -473,24 +448,24 @@ class RefrigeratorEngine:
         const = np.zeros(len(keys))
         amp_parts = []
         omega_parts = []
+        for pair, ladder in enumerate(self.ladders, 1):
+            rows = [row for row, key in enumerate(keys) if key[0] != "hint" and key[1] == pair]
+            if rows:
+                amp = np.zeros((len(keys), int(ladder.live.sum())))
+                for row in rows:
+                    const[row], amp[row] = ladder.series(keys[row][0])
+                amp_parts.append(amp)
+                omega_parts.append(ladder.gap[ladder.live])
         for group in self.groups:
             weights = group.sectors.weights
-            amp = None  # this group's (rows, gaps) block, made on first use
+            gaps = group.lam[:, _UPPER[1]] - group.lam[:, _UPPER[0]]  # nonnegative
+            amp = np.zeros((len(keys), gaps.size))
             for row, row_key in enumerate(keys):
-                o_tilde = self._observable_in_eigenbasis(group, row_key)
-                if o_tilde is None:
-                    continue
-                f = group.m_matrix * o_tilde
-                const[row] += float(np.dot(weights, np.trace(f, axis1=1, axis2=2)))
-                if group.dim == 1:
-                    continue
-                if amp is None:
-                    iu, ju = np.triu_indices(group.dim, k=1)
-                    gaps = group.lam[:, ju] - group.lam[:, iu]  # nonnegative
-                    amp = np.zeros((len(keys), gaps.size))
-                    amp_parts.append(amp)
-                    omega_parts.append(gaps.ravel())
-                amp[row] = (2.0 * weights[:, None] * f[:, iu, ju]).ravel()
+                f = group.m_matrix * self._observable_in_eigenbasis(group, row_key)
+                const[row] += float(weights @ np.einsum("sii->s", f))
+                amp[row] = (2.0 * weights[:, None] * f[:, _UPPER[0], _UPPER[1]]).ravel()
+            amp_parts.append(amp)
+            omega_parts.append(gaps.ravel())
         amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
         scale = 1.0 / self.weight_total
@@ -553,29 +528,26 @@ class RefrigeratorEngine:
 
         A sector of pair total m holds bath ``bath`` on level m + 1/2 with
         its qubit in the lower level and on m - 1/2 with it in the upper
-        one.  So each sector adds its weight times 1 - p_s(t) to the first
-        level and times p_s(t) to the second, where p_s is the qubit's
-        excited population in that sector, evaluated from the sector's
-        spectrum alone.  An edge sector has one of the two levels, and its
-        qubit bit is fixed (per row: both ends of a ladder share a group): it
-        adds exactly zero to the level it lacks.
+        one.  So row j of the pair's ladder adds its weight times its
+        ground population to level j - N/2 and times its excited one to
+        the level below (an edge row starts, and stays, in one of them),
+        and each interacting sector adds the same from its own spectrum.
         """
         k = bath - 1
         n = self.params.n_bath[k]
+        ladder = self.ladders[k]
+        moved = ladder.shift * (1.0 - np.cos(ladder.gap * t))
         levels = np.zeros(n + 3)  # one spare level beyond each end
+        levels[1:] += ladder.weights * (ladder.p_row[:, 0] - moved)
+        levels[:-1] += ladder.weights * (ladder.p_row[:, 1] + moved)
         for group in self.groups:
             sectors = group.sectors
-            if sectors.dims[k] == 1:
-                p = sectors.edge_bits[:, k].astype(float)
-            else:
-                bits = sectors.basis[:, k].astype(float)
-                f = group.m_matrix * _rotated_diagonal(group.vecs, bits)
-                gaps = group.lam[:, :, None] - group.lam[:, None, :]
-                p = np.sum(f * np.cos(gaps * t), axis=(1, 2))
-            # index j of level m + 1/2 (m_B = j - N/2), plus the spare level
-            j_plus = np.rint(sectors.m_values[:, k] + 0.5 * n + 0.5).astype(int) + 1
-            levels += np.bincount(j_plus, sectors.weights * (1.0 - p), minlength=n + 3)
-            levels += np.bincount(j_plus - 1, sectors.weights * p, minlength=n + 3)
+            f = group.m_matrix * _rotated_diagonal(group.vecs, _BASIS[:, k].astype(float))
+            gaps = group.lam[:, :, None] - group.lam[:, None, :]
+            p = np.sum(f * np.cos(gaps * t), axis=(1, 2))
+            j = sectors.pair_rows[:, k]
+            levels += np.bincount(j + 1, sectors.weights * (1.0 - p), minlength=n + 3)
+            levels += np.bincount(j, sectors.weights * p, minlength=n + 3)
         return levels[1:-1] / self.weight_total
 
     def total_trace(self, t: float) -> float:

@@ -51,6 +51,8 @@ def sector_arrays(epsilon: float, bath_energy: float, n_bath: int, beta: float) 
     (``dim`` 1) holds the single level ``edge_energy``.
     ``p_level`` holds the in-sector thermal (ground, excited) populations,
     each from its own ``expit`` so neither rounds to 0 when the other nears 1.
+    ``p_row`` holds every row's initial (ground, excited) populations:
+    ``p_level`` in interior rows, the qubit's one level in an edge row.
     """
     two_m, logw = sector_log_weights(epsilon, bath_energy, n_bath, beta)
     m = 0.5 * two_m
@@ -59,6 +61,9 @@ def sector_arrays(epsilon: float, bath_energy: float, n_bath: int, beta: float) 
     b_plus = 0.5 * epsilon + bath_energy * (m - 0.5)
     inner = (0.5 * n + m + 0.5) * (0.5 * n - m + 0.5)
     x = beta * (epsilon - bath_energy)
+    p_level = (expit(x), expit(-x))
+    p_row = np.tile(p_level, (len(two_m), 1))
+    p_row[0], p_row[-1] = (1.0, 0.0), (0.0, 1.0)  # edge rows: qubit down, qubit up
     return {
         "two_m": two_m,
         "m": m,
@@ -67,9 +72,9 @@ def sector_arrays(epsilon: float, bath_energy: float, n_bath: int, beta: float) 
         "b_plus": b_plus,
         "u": np.sqrt(np.clip(inner, 0.0, None)),
         "edge_energy": np.where(two_m > 0, b_plus, b_minus),
-        "edge_state": np.where(two_m > 0, 1, 0),  # level surviving in an edge sector
         "logw": logw,
-        "p_level": (expit(x), expit(-x)),
+        "p_level": p_level,
+        "p_row": p_row,
     }
 
 

@@ -1,7 +1,9 @@
 """Triple-sector engine: enumeration, pruning, assembly, reduced dynamics."""
 
+import functools
 import math
 from dataclasses import replace
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from spinfridge import oracle, thermo
 from spinfridge.engine import (
     RefrigeratorEngine,
     RefrigeratorParams,
+    _enumerate_arrays,
     sector_layout,
 )
 from spinfridge.series import (
@@ -63,30 +66,29 @@ def layout(p, prune_tol=0.0):
     return sector_layout(p.epsilon, p.bath_energy, p.n_bath, p.beta, prune_tol)
 
 
-def kept_sectors(eng):
-    """(group, row, two_m triple) of every kept sector, as the engine holds them."""
-    for group in eng.groups:
-        for row, m in enumerate(group.sectors.m_values):
-            yield group, row, tuple(int(x) for x in np.rint(2.0 * m))
-
-
 class TestEnumeration:
     def test_counts_without_pruning(self):
         assert layout(fridge()).kept == 27
         big = layout(fridge(n=(30, 30, 30)))
-        assert big.kept == sum(s.size for s in big.groups) == 32768
+        assert big.kept == 32768
+        assert big.interacting.size == 30 ** 3  # every sector without an edge row
         assert big.dropped == 0
         assert big.dropped_weight == 0.0
 
     def test_weights_are_normalized_fractions(self):
-        total = sum(s.weights.sum() for s in layout(fridge(n=(2, 2, 2))).groups)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        lay = layout(fridge(n=(2, 2, 2)))
+        assert lay.kept_weight == pytest.approx(1.0, abs=1e-12)
+        for marginal, free in zip(lay.marginals, lay.free_weights):
+            assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
+            assert free.sum() + lay.interacting.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(free <= marginal)
 
     def test_pruning_drops_low_weight_sectors(self):
         pruned = layout(fridge(n=(6, 6, 6)), 1e-9)
-        assert pruned.kept == sum(s.size for s in pruned.groups) < 8 ** 3
+        assert pruned.interacting.size < pruned.kept < 8 ** 3
         assert pruned.kept + pruned.dropped == 8 ** 3
         assert pruned.dropped_weight <= 1e-9
+        assert pruned.kept_weight == pytest.approx(1.0 - pruned.dropped_weight, abs=1e-12)
 
     def test_pruning_perturbs_population_below_budget(self):
         p = fridge(n=(6, 6, 6))
@@ -113,12 +115,15 @@ class TestEnumeration:
         ) < 1e-10
 
     def test_dims_flag_edges(self):
-        dims = {two_m: group.dims for group, _, two_m in kept_sectors(
-            RefrigeratorEngine(fridge(), prune_tol=0.0)
-        )}
-        assert dims[(-2, -2, -2)] == (1, 1, 1)
-        assert dims[(0, 0, 0)] == (2, 2, 2)
-        assert dims[(2, 0, -2)] == (1, 2, 1)
+        # N = 1: rows two_m = -2, 0, 2; only (0, 0, 0) has no edge row, so it is
+        # the one interacting sector, and (2, 0, -2) sits in the ladders
+        lay = layout(fridge())
+        assert [table["dim"].tolist() for table in lay.pairs] == [[1, 2, 1]] * 3
+        assert lay.interacting.pair_rows.tolist() == [[1, 1, 1]]
+        assert all(free[row] > 0.0 for free, row in zip(lay.free_weights, (2, 1, 0)))
+        assert [free[1] for free in lay.free_weights] == pytest.approx(
+            [marginal[1] - lay.interacting.weights[0] for marginal in lay.marginals], abs=1e-16
+        )
 
     def test_prune_tol_validation(self):
         with pytest.raises(ValueError):
@@ -127,81 +132,141 @@ class TestEnumeration:
             RefrigeratorEngine(fridge(), prune_tol=-1e-3)
 
 
+def sector_reference(p, times, keys):
+    """Every key's row at ``times``, each sector evolved whole, without the engine.
+
+    A sector is one row per pair; its block is the Kronecker sum of the
+    pairs' blocks, plus g at the interaction entries when no row is an edge,
+    its initial state the product of the rows' thermal states, its weight
+    the product of the rows' Boltzmann weights.  Unpruned.
+    """
+    tables = [pair_table(p, i) for i in range(1, p.pairs + 1)]
+    total = math.prod(np.exp(t["logw"]).sum() for t in tables)
+    out = np.zeros((len(keys), len(times)))
+    for rows in iter_product(*(range(len(t["two_m"])) for t in tables)):
+        blocks, states, excited, couplings = [], [], [], []
+        for t, j, a in zip(tables, rows, p.coupling):
+            block = pair_block(t, j, a)
+            blocks.append(block)
+            two_level = len(block) == 2
+            states.append(np.array(t["p_level"]) if two_level else np.ones(1))
+            up = float(t["two_m"][j] > 0)  # an edge row's one level
+            excited.append(np.array([0.0, 1.0]) if two_level else np.array([up]))
+            couplings.append(block - np.diag(np.diag(block)))
+        dims = [len(b) for b in blocks]
+
+        def embed(op, k):
+            factors = [op if i == k else np.eye(d) for i, d in enumerate(dims)]
+            return functools.reduce(np.kron, factors)
+
+        ops = {("exc", k + 1): embed(np.diag(excited[k]), k) for k in range(p.pairs)}
+        ops.update({("pop", k + 1): np.eye(math.prod(dims)) - ops["exc", k + 1]
+                    for k in range(p.pairs)})
+        ops.update({("hsb", k + 1): embed(couplings[k], k) for k in range(p.pairs)})
+        h = sum(embed(b, k) for k, b in enumerate(blocks))
+        hint = np.zeros_like(h)
+        if dims == [2, 2, 2]:
+            hint[[2, 5], [5, 2]] = p.g
+        ops["hint",] = hint
+        lam, vecs = np.linalg.eigh(h + hint)
+        rho0 = functools.reduce(np.kron, states)
+        weight = math.prod(np.exp(t["logw"][j]) for t, j in zip(tables, rows)) / total
+        for c, time in enumerate(times):
+            u = (vecs * np.exp(-1j * lam * time)) @ vecs.T
+            rho = u @ np.diag(rho0) @ u.conj().T
+            for row, key in enumerate(keys):
+                out[row, c] += weight * np.trace(rho @ ops[key]).real
+    return out
+
+
 class TestSectorAssembly:
     def test_decoupled_blocks_are_kron_sums(self):
-        p = fridge(g=0.0, n=(2, 2, 2))
-        tables = [pair_table(p, i) for i in (1, 2, 3)]
-        for group, row, two_m in kept_sectors(RefrigeratorEngine(p, prune_tol=0.0)):
-            # rows run over two_m = -(N+1), -(N-1), ..., N+1
-            addends = [
-                pair_block(tables[k], (two_m[k] + p.n_bath[k] + 1) // 2, p.coupling[k])
-                for k in range(3)
-            ]
-            expected = sorted(
-                a + b + c
-                for a in np.linalg.eigvalsh(addends[0])
-                for b in np.linalg.eigvalsh(addends[1])
-                for c in np.linalg.eigvalsh(addends[2])
-            )
-            assert np.allclose(group.lam[row], expected, atol=1e-12)
+        # at g = 0 every sector, (2, 2, 2) ones included, is the Kronecker sum
+        # of its pairs' blocks, so the ladders give every row exactly
+        p = fridge(g=0.0, n=(2, 1, 2))
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        assert eng.groups == ()
+        keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop", "hsb"))
+        times = [0.0, 1.3, 4.7]
+        expected = sector_reference(p, times, keys + (("hint",),))
+        assert np.max(np.abs(eng.series_terms(keys + (("hint",),)).at(times) - expected)) < 1e-13
+        for k, (table, ladder) in enumerate(zip(eng.layout.pairs, eng.ladders)):
+            interior = range(1, len(table["two_m"]) - 1)
+            blocks = [pair_block(table, j, p.coupling[k]) for j in interior]
+            gaps = np.diff(np.linalg.eigvalsh(np.array(blocks)), axis=1)[:, 0]
+            assert np.allclose(ladder.gap[1:-1], gaps, rtol=0.0, atol=1e-13)
 
     def test_autonomous_interaction_states_degenerate(self):
         p = fridge(n=(3, 3, 3), g=0.07)
         assert p.is_autonomous()
-        full = [g for g in RefrigeratorEngine(p, prune_tol=0.0).groups if g.dims == (2, 2, 2)]
-        assert full
-        for group in full:
-            h = group.hamiltonians
-            assert np.allclose(h[:, 2, 2], h[:, 5, 5], rtol=0.0, atol=1e-12)
-            assert np.allclose(h[:, 2, 5], p.g, rtol=0.0, atol=1e-15)
+        (group,) = RefrigeratorEngine(p, prune_tol=0.0).groups
+        h = group.hamiltonians
+        assert np.allclose(h[:, 2, 2], h[:, 5, 5], rtol=0.0, atol=1e-12)
+        assert np.allclose(h[:, 2, 5], p.g, rtol=0.0, atol=1e-15)
 
     def test_interaction_absent_in_edge_sectors(self):
-        # sectors missing a basis bit carry no collective coupling: their
-        # blocks are identical with and without g
+        # sectors missing a basis bit carry no collective coupling: at any g
+        # they stay in the ladders, and only the (2, 2, 2) blocks gain g
         p = fridge(n=(1, 1, 1), g=0.3)
         eng = RefrigeratorEngine(p, prune_tol=0.0)
         eng_free = RefrigeratorEngine(fridge(n=(1, 1, 1), g=0.0), prune_tol=0.0)
         assert eng_free.layout is eng.layout
-        touched = 0
-        for group, group_free in zip(eng.groups, eng_free.groups):
-            gap = np.abs(group.hamiltonians - group_free.hamiltonians).max(axis=(1, 2))
-            if group.dims == (2, 2, 2):
-                assert gap == pytest.approx(0.3)
-            else:
-                assert np.all(gap == 0.0)
-                touched += group.size
-        assert touched == 26  # all but the single full sector at N=(1,1,1)
+        assert eng_free.groups == ()
+        (group,) = eng.groups
+        assert group.size == 1  # the single full sector at N=(1,1,1); 26 are free
+        tables = eng.layout.pairs
+        blocks = [pair_block(t, 1, a) for t, a in zip(tables, p.coupling)]
+        kron_sum = sum(functools.reduce(np.kron, [b if i == k else np.eye(2) for i in range(3)])
+                       for k, b in enumerate(blocks))
+        gap = group.hamiltonians[0] - kron_sum
+        assert gap[2, 5] == gap[5, 2] == pytest.approx(0.3, abs=1e-15)
+        gap[[2, 5], [5, 2]] = 0.0
+        assert np.max(np.abs(gap)) < 1e-15
+        for k in range(3):
+            assert np.array_equal(eng.ladders[k].weights, eng.layout.free_weights[k])
+            assert np.array_equal(eng_free.ladders[k].weights, eng.layout.marginals[k])
 
     def test_initial_sector_state_normalized(self):
         # the engine evolves m_matrix = V^T diag(p0) V; rotated back it must
-        # be a unit-trace state diagonal in the sector basis
+        # be a unit-trace state diagonal in the sector basis, and every
+        # ladder row starts with unit population
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)), prune_tol=0.0)
-        for group in eng.groups:
-            rho = group.vecs @ group.m_matrix @ group.vecs.transpose(0, 2, 1)
-            assert np.allclose(np.trace(rho, axis1=1, axis2=2), 1.0, rtol=0.0, atol=1e-12)
-            off = rho - np.einsum("gk,kl->gkl", np.diagonal(rho, axis1=1, axis2=2),
-                                  np.eye(group.dim))
-            assert np.max(np.abs(off)) < 1e-14
-            assert np.allclose(np.diagonal(rho, axis1=1, axis2=2), group.sectors.p0,
-                               rtol=0.0, atol=1e-14)
+        (group,) = eng.groups
+        rho = group.vecs @ group.m_matrix @ group.vecs.transpose(0, 2, 1)
+        assert np.allclose(np.trace(rho, axis1=1, axis2=2), 1.0, rtol=0.0, atol=1e-12)
+        off = rho - np.einsum("gk,kl->gkl", np.diagonal(rho, axis1=1, axis2=2),
+                              np.eye(group.dim))
+        assert np.max(np.abs(off)) < 1e-14
+        assert np.allclose(np.diagonal(rho, axis1=1, axis2=2), group.sectors.p0,
+                           rtol=0.0, atol=1e-14)
+        for ladder in eng.ladders:
+            assert np.allclose(ladder.p_row.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
 
     def test_flat_initial_state_when_gaps_vanish(self):
         p = fridge(epsilon=(1.0, 2.0, 1.0), bath_energy=(1.0, 2.0, 1.0))
-        full = [s for s in layout(p).groups if s.dims == (2, 2, 2)]
-        assert len(full) == 1
-        assert np.allclose(full[0].p0, 1.0 / 8.0, atol=1e-12)
+        full = layout(p).interacting
+        assert full.size == 1
+        assert np.allclose(full.p0, 1.0 / 8.0, atol=1e-12)
 
     def test_weight_reassembly_reproduces_product_state(self):
-        # weighted embedding of all sector initial states rebuilds the
-        # dense thermal product state exactly
-        p = fridge(n=(1, 1, 1))
+        # unpruned, each pair's ladder rows rebuild that pair's dense thermal
+        # state exactly, and each interacting sector weighs the product of its
+        # rows' marginals: the kept set is a product
+        p = fridge(n=(1, 2, 1))
+        lay = layout(p)
         model = oracle.build_dense(p)
-        rebuilt = np.zeros_like(model.initial_state)
-        for group, row, two_m in kept_sectors(RefrigeratorEngine(p, prune_tol=0.0)):
-            idx = sector_basis_indices(p.n_bath, two_m)
-            sectors = group.sectors
-            rebuilt[np.ix_(idx, idx)] += sectors.weights[row] * np.diag(sectors.p0)
-        assert np.max(np.abs(rebuilt - model.initial_state)) < 1e-14
+        diagonal = np.diag(model.initial_state).reshape(model.dims)
+        for k, n in enumerate(p.n_bath):
+            others = tuple(i for i in range(6) if i not in (2 * k, 2 * k + 1))
+            pair = diagonal.sum(axis=others)  # (qubit level, bath level m_B + N/2)
+            rebuilt = np.zeros((2, n + 3))  # one spare bath level beyond each end
+            rebuilt[0, 1:] = lay.marginals[k] * lay.pairs[k]["p_row"][:, 0]  # bath at m + 1/2
+            rebuilt[1, :-1] = lay.marginals[k] * lay.pairs[k]["p_row"][:, 1]  # and at m - 1/2
+            assert not rebuilt[0, -1] and not rebuilt[1, 0]
+            assert np.max(np.abs(rebuilt[:, 1:-1] - pair)) < 1e-15
+        group = lay.interacting
+        product = math.prod(m[r] for m, r in zip(lay.marginals, group.pair_rows.T))
+        assert np.allclose(group.weights, product, rtol=1e-14, atol=0.0)
 
 
 class TestLayoutSharing:
@@ -211,18 +276,21 @@ class TestLayoutSharing:
             fridge(n=(2, 1, 1), coupling=(0.1, 0.9, 0.0), g=0.0), prune_tol=1e-6
         )
         assert second.layout is first.layout
-        assert [g.sectors for g in second.groups] == list(first.layout.groups)
+        assert [g.sectors for g in first.groups] == [first.layout.interacting]
+        assert second.groups == ()  # at g = 0 the interacting sectors join the ladders
 
     def test_layout_arrays_are_read_only(self):
-        for sectors in layout(fridge(n=(2, 1, 3))).groups:
-            arrays = [sectors.basis, sectors.weights, sectors.m_values,
-                      sectors.level_energy, sectors.p0, sectors.interaction_mask]
-            arrays += list(sectors.unit_coupling) + list(sectors.flip_masks)
-            for array in arrays:
-                if array is not None:
-                    assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                sectors.weights[0] = 1.0
+        lay = layout(fridge(n=(2, 1, 3)))
+        sectors = lay.interacting
+        arrays = [sectors.pair_rows, sectors.weights, sectors.level_energy, sectors.p0]
+        arrays += list(sectors.unit_coupling) + list(lay.marginals) + list(lay.free_weights)
+        arrays += [a for table in lay.pairs for a in table.values() if isinstance(a, np.ndarray)]
+        for array in arrays:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            sectors.weights[0] = 1.0
+        with pytest.raises(ValueError):
+            lay.free_weights[0][0] = 1.0
 
     def test_base_change_gives_a_new_layout(self):
         base = layout(fridge(n=(2, 2, 2)), 1e-9)
@@ -481,10 +549,13 @@ class TestMultiKeySeries:
         assert multi.amps.shape[0] == len(keys)
         for row, key in enumerate(keys):
             single = eng.series_terms((key,))
+            # a row is zero in the columns of the other pairs' ladders
+            own = np.isin(multi.omegas, single.omegas)
+            assert not multi.amps[row, ~own].any()
             for m, s in ((multi, single), (multi.derivative(), single.derivative())):
                 assert m.const[row] == s.const[0]
-                assert np.array_equal(m.amps[row], s.amps[0])
-                assert np.array_equal(m.omegas, s.omegas)
+                assert np.array_equal(m.amps[row, own], s.amps[0])
+                assert np.array_equal(m.omegas[own], s.omegas)
 
     def test_rows_with_absent_observables_evaluate_equal(self):
         # hsb of an edge pair and hint outside full sectors contribute no
@@ -615,9 +686,12 @@ class TestStatedBounds:
     )
     def test_pruning_drops_less_than_prune_tol(self, eps, bath_e, n, beta, prune_tol):
         layout = sector_layout(eps, bath_e, n, beta, prune_tol)
-        kept = sum(float(group.weights.sum()) for group in layout.groups)
         assert layout.dropped_weight <= prune_tol
-        assert kept == pytest.approx(1.0 - layout.dropped_weight, abs=1e-12)
+        assert layout.kept_weight == pytest.approx(1.0 - layout.dropped_weight, abs=1e-12)
+        for marginal, free in zip(layout.marginals, layout.free_weights):
+            assert marginal.sum() == pytest.approx(layout.kept_weight, abs=1e-12)
+            full = 0.0 if layout.interacting is None else layout.interacting.weights.sum()
+            assert free.sum() + full == pytest.approx(layout.kept_weight, abs=1e-12)
         assert layout.kept + layout.dropped == math.prod(k + 2 for k in n)
 
 
@@ -702,29 +776,57 @@ def _closed_form_params(draw):
     )
 
 
+def ladder_reference(table, coupling, kind):
+    """Each row's constant and amplitude of one observable, from ``eigh`` of its block.
+
+    With V the block's eigenvectors, M = V^T diag(p) V and O~ = V^T O V, the
+    row is Tr(M o O~) + 2 (M o O~)_01 cos(gap t); an edge row is the
+    constant its fixed level gives.
+    """
+    const = np.zeros(len(table["two_m"]))
+    amp = np.zeros_like(const)
+    for j in range(len(const)):
+        block = pair_block(table, j, coupling)
+        if len(block) == 1:
+            up = float(table["two_m"][j] > 0)
+            const[j] = {"exc": up, "pop": 1.0 - up, "hsb": 0.0}[kind]
+            continue
+        observable = {"exc": np.diag([0.0, 1.0]), "pop": np.diag([1.0, 0.0]),
+                      "hsb": block - np.diag(np.diag(block))}[kind]
+        _, vecs = np.linalg.eigh(block)
+        f = (vecs.T @ np.diag(table["p_level"]) @ vecs) * (vecs.T @ observable @ vecs)
+        const[j], amp[j] = np.trace(f), 2.0 * f[0, 1]
+    return const, amp
+
+
 class TestClosedFormSpectra:
-    """Blocks without the interaction are diagonalized in closed form."""
+    """Blocks without the interaction evolve pair by pair, in closed form."""
 
     @settings(max_examples=80, deadline=None)
     @given(_closed_form_params())
     def test_matches_eigh_of_each_block(self, p):
         eng = RefrigeratorEngine(p, prune_tol=0.0)
-        for group in eng.groups:
-            if group.sectors.interaction_mask is not None and p.g > 0.0:
-                continue  # the interacting blocks take eigh itself
-            h = group.hamiltonians
-            lam, vecs = group.lam, group.vecs
+        lay = eng.layout
+        for k, (table, ladder) in enumerate(zip(lay.pairs, eng.ladders)):
+            weights = lay.marginals[k] if p.g == 0.0 else lay.free_weights[k]
+            assert np.array_equal(ladder.weights, weights)
+            interior = table["dim"] == 2
+            blocks = np.array([pair_block(table, j, p.coupling[k])
+                               for j in np.flatnonzero(interior)])
+            lam = np.linalg.eigvalsh(blocks)
             scale = 1.0 + np.abs(lam).max()
-            assert np.all(np.diff(lam, axis=1) >= 0.0)
-            assert np.max(np.abs(lam - np.linalg.eigh(h)[0])) <= 1e-13 * scale
-            rebuilt = np.matmul(vecs * lam[:, None, :], vecs.transpose(0, 2, 1))
-            assert np.max(np.abs(rebuilt - h)) <= 1e-14 * scale
-            gram = np.matmul(vecs.transpose(0, 2, 1), vecs)
-            assert np.max(np.abs(gram - np.eye(group.dim))) <= 1e-14
-            inner = [k for k, d in enumerate(group.dims) if d == 2]
-            if all(p.coupling[k] == 0.0 for k in inner):
-                # no coupling: exactly a signed permutation
-                assert np.all(np.isin(vecs, (-1.0, 0.0, 1.0)))
+            gaps = np.diff(lam, axis=1)[:, 0]
+            assert np.max(np.abs(ladder.gap[interior] - gaps)) <= 1e-13 * scale
+            if p.coupling[k] == 0.0:  # no coupling: nothing moves
+                assert not ladder.live.any()
+            for kind in ("exc", "pop", "hsb"):
+                const, amp = ladder_reference(table, p.coupling[k], kind)
+                size = 1.0 + np.abs(blocks).max() if kind == "hsb" else 1.0
+                got_const, got_amps = ladder.series(kind)
+                assert abs(got_const - weights @ const) <= 1e-14 * size
+                rows = np.zeros_like(amp)
+                rows[ladder.live] = got_amps
+                assert np.max(np.abs(rows - weights * amp)) <= 1e-14 * size
 
     def test_only_interacting_blocks_call_eigh(self, monkeypatch):
         calls = []
@@ -735,41 +837,135 @@ class TestClosedFormSpectra:
             return eigh(h)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        RefrigeratorEngine(star(n=30))
-        RefrigeratorEngine(fridge(n=(30, 30, 30), g=0.0))
-        assert calls == []
+        assert RefrigeratorEngine(star(n=30)).groups == ()
+        free = RefrigeratorEngine(fridge(n=(30, 30, 30), g=0.0))
+        assert calls == [] and free.groups == ()
+        # at g = 0 qubit 1 is its own ladder: one term per interior row at most
+        assert free.series_terms((("exc", 1),)).omegas.size <= 30 + 1
         eng = RefrigeratorEngine(fridge(n=(30, 30, 30), g=0.05))
-        (full,) = [group for group in eng.groups if group.dims == (2, 2, 2)]
+        (full,) = eng.groups
         assert calls == [(full.size, 8, 8)]
+        # the one call sees the (2, 2, 2) sectors and only those
+        for table, rows in zip(eng.layout.pairs, full.sectors.pair_rows.T):
+            assert np.all(table["dim"][rows] == 2)
+        for free_weights in eng.layout.free_weights:
+            assert free_weights.sum() + full.sectors.weights.sum() == pytest.approx(
+                eng.layout.kept_weight, abs=1e-12)
 
 
 class TestShapeGroups:
-    """One group per block shape: edge pairs carry their fixed bit per row."""
+    """Every block shape: the (2, 2, 2) sectors in the interacting group,
+    every other shape folded into the pair ladders."""
 
     @pytest.mark.parametrize("n", [(1, 1, 1), (2, 2, 2), (1, 2, 1)])
     def test_rows_and_bath_levels_match_dense_oracle(self, n):
-        p = fridge(n=n)
-        eng = RefrigeratorEngine(p, prune_tol=0.0)
-        assert len(eng.groups) == 8
-        # some group holds the sectors at both ends of an edge pair's ladder
-        assert any(
-            len(np.unique(group.sectors.edge_bits[:, k])) == 2
-            for group in eng.groups for k, d in enumerate(group.dims) if d == 1
-        )
         keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop"))
-        terms = eng.series_terms(keys)
-        model = oracle.build_dense(p)
-        spectrum = model.spectrum()
-        for t in (0.0, 1.3, 4.7):
-            rows = terms.at([t])[:, 0]
+        for g in (0.05, 0.0):
+            p = fridge(n=n, g=g)
+            eng = RefrigeratorEngine(p, prune_tol=0.0)
+            assert len(eng.groups) == (g > 0.0)
+            terms = eng.series_terms(keys)
+            model = oracle.build_dense(p)
+            spectrum = model.spectrum()
+            for t in (0.0, 1.3, 4.7):
+                rows = terms.at([t])[:, 0]
+                for i in (1, 2, 3):
+                    qubit = np.diag(dense_evolve_and_trace(model, t, 2 * (i - 1),
+                                                           spectrum=spectrum)).real
+                    assert abs(rows[keys.index(("exc", i))] - qubit[1]) <= 1e-12
+                    assert abs(rows[keys.index(("pop", i))] - qubit[0]) <= 1e-12
+                    bath = np.diag(dense_evolve_and_trace(model, t, 2 * i - 1,
+                                                          spectrum=spectrum)).real
+                    assert np.max(np.abs(eng.reduced_bath_populations(i, t) - bath)) <= 1e-12
+
+
+@st.composite
+def _fold_params(draw):
+    """Three pairs at g = 0 with unequal N_k <= 40; A_k = 0 and epsilon_k = E_k drawn often."""
+    def per_pair(values):
+        return tuple(draw(st.lists(values, min_size=3, max_size=3)))
+
+    epsilon = per_pair(st.floats(0.2, 3.0))
+    bath_energy = tuple(eps if resonant else other for eps, resonant, other in zip(
+        epsilon, per_pair(st.booleans()), per_pair(st.floats(0.2, 4.0))))
+    return RefrigeratorParams(
+        epsilon=epsilon, bath_energy=bath_energy,
+        coupling=per_pair(st.one_of(st.just(0.0), st.floats(0.0, 1.5))), g=0.0,
+        n_bath=tuple(draw(st.lists(st.integers(1, 40), min_size=3, max_size=3, unique=True))),
+        beta=per_pair(st.floats(0.1, 5.0)),
+    )
+
+
+def pruned_dense_reference(p, prune_tol, times, keys):
+    """Every key's row and every bath's levels from the dense model, started in
+    the kept sectors' part of the thermal state, renormalized."""
+    model = oracle.build_dense(p)
+    lay = layout(p, prune_tol)
+    keep, _, _ = _enumerate_arrays(lay.pairs, prune_tol)
+    kept = np.zeros(model.dimension, dtype=bool)
+    for rows in zip(*np.unravel_index(keep, tuple(len(t["two_m"]) for t in lay.pairs))):
+        label = tuple(int(t["two_m"][j]) for t, j in zip(lay.pairs, rows))
+        kept[sector_basis_indices(p.n_bath, label)] = True
+    rho0 = np.where(kept, np.diag(model.initial_state), 0.0)
+    rho0 = np.diag(rho0 / rho0.sum())
+    bare = oracle.build_dense(replace(p, coupling=(0.0, 0.0, 0.0), g=0.0)).hamiltonian
+    diagonals = local_energy_diagonals(p, model)
+    ops = {}
+    for k in range(3):
+        alone = tuple(a if i == k else 0.0 for i, a in enumerate(p.coupling))
+        ops["hsb", k + 1] = oracle.build_dense(replace(p, coupling=alone, g=0.0)).hamiltonian - bare
+        ops["exc", k + 1] = np.diag(diagonals[2 * k] / p.epsilon[k] + 0.5)
+        ops["pop", k + 1] = np.eye(model.dimension) - ops["exc", k + 1]
+    ops["hint",] = oracle.build_dense(replace(p, coupling=(0.0, 0.0, 0.0))).hamiltonian - bare
+    spectrum = model.spectrum()
+    rows, baths = [], []
+    for t in times:
+        rho = oracle.evolve_density(model.hamiltonian, rho0, t, spectrum=spectrum)
+        rows.append([np.trace(rho @ ops[key]).real for key in keys])
+        baths.append([np.diag(oracle.partial_trace(rho, model.dims, 2 * i + 1)).real
+                      for i in range(3)])
+    return np.array(rows).T, baths
+
+
+class TestPairLadders:
+    """Interaction-free sectors folded per pair row, against one-pair engines and
+    the dense model."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_fold_params(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4))
+    def test_g0_rows_equal_one_pair_engines(self, p, times):
+        three = RefrigeratorEngine(p, prune_tol=0.0)
+        for k in (1, 2, 3):
+            one = RefrigeratorEngine(pair_of(p, k), prune_tol=0.0)
+            keys = (("exc", k), ("pop", k), ("hsb", k))
+            single = tuple((kind, 1) for kind, _ in keys)
+            assert np.max(np.abs(three.series_terms(keys).at(times)
+                                 - one.series_terms(single).at(times))) <= 1e-13
+            for t in times:
+                assert np.max(np.abs(three.reduced_bath_populations(k, t)
+                                     - one.reduced_bath_populations(1, t))) <= 1e-13
+        sector_layout.cache_clear()  # an unpruned N = 40 layout holds megabytes
+
+    @pytest.mark.parametrize("n", [(2, 3, 1), (3, 3, 3), (3, 1, 2)])
+    def test_pruned_rows_match_pruned_dense_oracle(self, n):
+        # prune_tol 1e-3 keeps a set that is not a product, so the ladder
+        # weights are not the marginals of one
+        p = fridge(n=n, epsilon=(1.0, 1.7, 0.8), bath_energy=(2.0, 3.0, 1.5),
+                   coupling=(0.3, 0.6, 0.2), g=0.08, beta=(0.8, 1.2, 0.6))
+        eng = RefrigeratorEngine(p, prune_tol=1e-3)
+        lay = eng.layout
+        assert lay.dropped > 0 and eng.groups
+        product = math.prod(m[r] for m, r in zip(lay.marginals, lay.interacting.pair_rows.T))
+        assert np.max(np.abs(lay.interacting.weights * lay.kept_weight ** 2 - product)) > 1e-6
+        keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop", "hsb")) + (("hint",),)
+        times = [0.0, 1.3, 4.7, 9.1]
+        rows, baths = pruned_dense_reference(p, 1e-3, times, keys)
+        assert np.max(np.abs(eng.series_terms(keys).at(times) - rows)) <= 1e-12
+        for t, levels in zip(times, baths):
+            assert abs(eng.total_trace(t) - 1.0) <= 1e-12
+            assert abs(thermo.energy_balance(eng, t)) <= 1e-12
             for i in (1, 2, 3):
-                qubit = np.diag(dense_evolve_and_trace(model, t, 2 * (i - 1),
-                                                       spectrum=spectrum)).real
-                assert abs(rows[keys.index(("exc", i))] - qubit[1]) <= 1e-12
-                assert abs(rows[keys.index(("pop", i))] - qubit[0]) <= 1e-12
-                bath = np.diag(dense_evolve_and_trace(model, t, 2 * i - 1,
-                                                      spectrum=spectrum)).real
-                assert np.max(np.abs(eng.reduced_bath_populations(i, t) - bath)) <= 1e-12
+                assert np.max(np.abs(eng.reduced_bath_populations(i, t) - levels[i - 1])) <= 1e-12
 
 def entropy_production(eng, times):
     """sigma(t) = sum_k beta_k (E_k(t) - E_k(0)), E_k = <H_S,k + H_B,k>, and its scale.

@@ -1,6 +1,8 @@
 """Brute-force dense model: construction, evolution, partial traces, sector maps."""
 
+import functools
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -54,27 +56,48 @@ class TestBuildDense:
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
 
 
-def engine_sectors(p):
-    """(group, row, two_m triple) of every sector of an unpruned engine."""
-    for group in RefrigeratorEngine(p, prune_tol=0.0).groups:
-        for row, m in enumerate(group.sectors.m_values):
-            yield group, row, tuple(int(x) for x in np.rint(2.0 * m))
+def sector_labels(p):
+    """(rows, two_m triple) of every sector, one row of each pair's table."""
+    tables = [pair_table(p, i) for i in range(1, p.pairs + 1)]
+    for rows in product(*(range(len(t["two_m"])) for t in tables)):
+        yield rows, tuple(int(t["two_m"][j]) for t, j in zip(tables, rows))
 
 
 class TestSectorEmbedding:
     def test_sector_dimensions_cover_dense_space(self):
         p = fridge(n=(2, 1, 1))
-        total = sum(group.dim for group, _, _ in engine_sectors(p))
+        tables = [pair_table(p, i) for i in (1, 2, 3)]
+        total = sum(math.prod(int(t["dim"][j]) for t, j in zip(tables, rows))
+                    for rows, _ in sector_labels(p))
         assert total == oracle.build_dense(p).dimension
+        # the interacting group holds exactly the eight-dimensional sectors
+        full = {rows for rows, _ in sector_labels(p)
+                if all(t["dim"][j] == 2 for t, j in zip(tables, rows))}
+        (group,) = RefrigeratorEngine(p, prune_tol=0.0).groups
+        assert {tuple(r) for r in group.sectors.pair_rows.tolist()} == full
 
     def test_dense_hamiltonian_restricted_to_sectors(self):
+        # each sector block is the Kronecker sum of its pairs' blocks, which
+        # the ladders evolve, plus g at the interaction entries in the
+        # interacting group's blocks
         p = fridge(n=(2, 1, 1))
         model = oracle.build_dense(p)
-        for group, row, two_m in engine_sectors(p):
+        (group,) = RefrigeratorEngine(p, prune_tol=0.0).groups
+        group_rows = [tuple(r) for r in group.sectors.pair_rows.tolist()]
+        tables = [pair_table(p, i) for i in (1, 2, 3)]
+        for rows, two_m in sector_labels(p):
             idx = sector_basis_indices(p.n_bath, two_m)
-            assert len(idx) == group.dim
             block = model.hamiltonian[np.ix_(idx, idx)]
-            assert np.max(np.abs(block - group.hamiltonians[row])) < 1e-12
+            pair_blocks = [pair_block(t, j, a) for t, j, a in zip(tables, rows, p.coupling)]
+            dims = [len(b) for b in pair_blocks]
+            assert len(idx) == math.prod(dims)
+            kron_sum = sum(
+                functools.reduce(np.kron, [b if i == k else np.eye(d) for i, d in enumerate(dims)])
+                for k, b in enumerate(pair_blocks))
+            if rows in group_rows:
+                assert np.max(np.abs(block - group.hamiltonians[group_rows.index(rows)])) < 1e-12
+                kron_sum[[2, 5], [5, 2]] += p.g
+            assert np.max(np.abs(block - kron_sum)) < 1e-12
 
     def test_single_star_sector_blocks_match(self):
         p = star(n=3)
@@ -90,7 +113,7 @@ class TestSectorEmbedding:
     def test_off_sector_blocks_vanish(self):
         p = fridge(n=(1, 1, 1))
         model = oracle.build_dense(p)
-        labels = sorted(two_m for _, _, two_m in engine_sectors(p))
+        labels = sorted(two_m for _, two_m in sector_labels(p))
         idx_a = sector_basis_indices(p.n_bath, labels[0])
         idx_b = sector_basis_indices(p.n_bath, labels[5])
         assert np.max(np.abs(model.hamiltonian[np.ix_(idx_a, idx_b)])) == 0.0

@@ -18,22 +18,15 @@ def star(p):
     return RefrigeratorEngine(p, prune_tol=0.0)
 
 
-def interior(eng):
-    """The engine's group of two-level sectors."""
-    (group,) = [g for g in eng.groups if g.dims == (2,)]
-    return group
-
-
-def sector_gap(p, two_m):
-    """Level splitting 2*theta of interior sector two_m on the engine."""
-    group = interior(star(p))
-    j = int(np.flatnonzero(np.rint(2.0 * group.sectors.m_values[:, 0]) == two_m)[0])
-    return group.lam[j, 1] - group.lam[j, 0]
-
-
 def row(table, two_m):
     """Index of sector two_m in a ``sector_arrays`` table."""
     return int(np.flatnonzero(table["two_m"] == two_m)[0])
+
+
+def sector_gap(p, two_m):
+    """Level splitting 2*theta of interior sector two_m on the engine's ladder."""
+    eng = star(p)
+    return eng.ladders[0].gap[row(eng.layout.pairs[0], two_m)]
 
 
 def ground_population(p, t):
@@ -69,7 +62,8 @@ class TestSectors:
 
     def test_decoupled_limit(self):
         p = make(eps=1.0, bath_e=2.0, a=0.0, n=3)
-        assert np.all(interior(star(p)).hamiltonians[:, 0, 1] == 0.0)
+        ladder = star(p).ladders[0]
+        assert not ladder.shift.any() and not ladder.live.any()  # no row exchanges population
         assert 0.5 * sector_gap(p, 0) == pytest.approx(0.5)  # |E - eps| / 2
 
     def test_edge_sectors_expose_single_level(self):
@@ -87,7 +81,8 @@ class TestSectors:
         z_bath = np.exp(-beta * bath_e * j).sum()
         assert np.exp(logw).sum() == pytest.approx(z_qubit * z_bath, rel=1e-13)
         layout = sector_layout((eps,), (bath_e,), (n,), (beta,), 0.0)
-        w = np.concatenate([group.weights for group in layout.groups])
+        (w,) = layout.marginals
+        assert layout.interacting is None
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
         assert len(labels) == layout.kept == n + 2
         assert np.all(w > 0)
@@ -99,7 +94,9 @@ class TestSectorEvolution:
         p_g, p_e = pair_table(p)["p_level"]
         assert p_g == pytest.approx(1.0 / (1.0 + math.exp(1.3)), abs=1e-12)
         assert p_g + p_e == pytest.approx(1.0, abs=1e-13)
-        assert tuple(interior(star(p)).sectors.p0) == (p_g, p_e)
+        p_row = star(p).ladders[0].p_row
+        assert p_row[1:-1].tolist() == [[p_g, p_e]] * (p.n_bath[0])
+        assert p_row[[0, -1]].tolist() == [[1.0, 0.0], [0.0, 1.0]]  # the edges' one level
 
     def test_decoupled_sector_is_stationary(self):
         terms = star(make(a=0.0)).series_terms((("exc", 1),))
