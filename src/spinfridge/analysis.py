@@ -659,33 +659,31 @@ def minimize_t1(best, bounds, budget: int, seed: int) -> OptimizationResult:
     )
 
 
-def _qubit1_series(base: RefrigeratorParams, x, prune_tol: float, tol: float):
+def _qubit1_series(base: RefrigeratorParams, x, prune_tol: float):
     """Qubit 1's excited-population series of ``base`` at the point
-    x = (A1, A2, A3, g) of the search box, ``compressed(tol)``.
+    x = (A1, A2, A3, g) of the search box, every term kept.
 
     The engine is dropped on return: a search needs only the series.
     """
     params = replace(base, coupling=(float(x[0]), float(x[1]), float(x[2])), g=float(x[3]))
-    return RefrigeratorEngine(params, prune_tol).excited_terms((1,)).compressed(tol)
+    return RefrigeratorEngine(params, prune_tol).excited_terms((1,))
 
 
 def optimize_t1(base: RefrigeratorParams, prune_tol: float, ranges=DEFAULT_RANGES,
                 budget: int = DEFAULT_BUDGET, seed: int = 0,
-                time_grid: TimeGrid = DEFAULT_TIME_GRID, series_amp_tol: float = 0.0
-                ) -> OptimizationResult:
+                time_grid: TimeGrid = DEFAULT_TIME_GRID) -> OptimizationResult:
     """Minimize the cold-qubit temperature over couplings and time.
 
     Each point x = (A1, A2, A3, g) builds an engine on ``base`` at those
-    couplings, whose qubit-1 excited-population series, compressed at
-    ``series_amp_tol`` (``SeriesTerms.compressed``; 0 keeps every term),
-    is searched over time by ``_best_time_on_series``; the couplings are
-    searched by seeded multistart Nelder-Mead (``minimize_t1``).
-    Deterministic for a fixed seed.
+    couplings, whose exact qubit-1 excited-population series
+    (``_qubit1_series``) is searched over time by ``_best_time_on_series``;
+    the couplings are searched by seeded multistart Nelder-Mead
+    (``minimize_t1``).  Deterministic for a fixed seed.
     """
 
     def best(x):
-        return _best_time_on_series(_qubit1_series(base, x, prune_tol, series_amp_tol),
-                                    time_grid) + (base.epsilon[0],)
+        terms = _qubit1_series(base, x, prune_tol)
+        return _best_time_on_series(terms, time_grid) + (base.epsilon[0],)
 
     return minimize_t1(best, ranges, budget, seed)
 
@@ -693,11 +691,6 @@ def optimize_t1(base: RefrigeratorParams, prune_tol: float, ranges=DEFAULT_RANGE
 # ---------------------------------------------------------------------------
 # Bath-size scaling sweep
 # ---------------------------------------------------------------------------
-
-# Each sweep N scans series compressed at this fraction of their summed
-# amplitudes (``SeriesTerms.compressed``).
-_SWEEP_SERIES_AMP_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ScalingRow:
@@ -715,8 +708,8 @@ class ScalingRow:
 def _sweep_point(args) -> ScalingRow:
     (base, n, ranges, budget, seed, prune_tol, grid) = args
     params = replace(base, n_bath=(n, n, n))
-    result = optimize_t1(params, prune_tol, ranges, budget, seed, grid, _SWEEP_SERIES_AMP_TOL)
-    terms = _qubit1_series(params, result.best_params, prune_tol, _SWEEP_SERIES_AMP_TOL)
+    result = optimize_t1(params, prune_tol, ranges, budget, seed, grid)
+    terms = _qubit1_series(params, result.best_params, prune_tol)
     eps = params.epsilon[0]
     times = grid.points()
     p1 = terms.on_grid(grid.start, grid.step, len(times))[0]

@@ -25,10 +25,10 @@ b1*4 + b2*2 + b3, and the interaction couples indices 2 = (0,1,0) and
 Which sectors are kept, the ladder weights and the interacting group's
 level energies depend on none of the couplings: that layout is built once
 per (epsilon, E, N, beta, prune_tol) and shared.  Populations and currents
-are exact cosine sums over spectral gaps (``series.SeriesTerms``), so a
-dense time grid costs a few matrix products instead of repeated
-evolutions.  Weighted reductions run in a fixed order, which keeps
-repeated runs bit-identical.
+are exact cosine sums over spectral gaps (``series.SeriesTerms``), every
+term kept, so a dense time grid costs a few matrix products instead of
+repeated evolutions.  Weighted reductions run in a fixed order, which
+keeps repeated runs bit-identical.
 """
 
 from __future__ import annotations
@@ -358,15 +358,9 @@ class SectorGroupData:
     """The interacting group with its spectra for one coupling set."""
 
     sectors: SectorGroup
-    params: RefrigeratorParams
     lam: np.ndarray
     vecs: np.ndarray
     m_matrix: np.ndarray  # V^T diag(p0) V, the initial state in the eigenbasis
-
-    @functools.cached_property
-    def hamiltonians(self) -> np.ndarray:
-        """The sector blocks, V diag(lam) V^T, assembled from the layout on first use."""
-        return _hamiltonians(self.params, self.sectors)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -384,7 +378,7 @@ class SectorGroupData:
 def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGroupData:
     """The interacting group's spectra, from ``eigh`` of its blocks."""
     lam, vecs = np.linalg.eigh(_hamiltonians(params, sectors))
-    return SectorGroupData(sectors, params, lam, vecs, _rotated_diagonal(vecs, sectors.p0))
+    return SectorGroupData(sectors, lam, vecs, _rotated_diagonal(vecs, sectors.p0))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +392,7 @@ class RefrigeratorEngine:
     computed once at construction, on the sector layout shared by every
     engine with the same epsilon, E, N, beta and ``prune_tol``; a parameter
     change means building a new engine.  All queries are pure, so
-    concurrent reads are safe.  Its series keep every term;
-    ``SeriesTerms.compressed`` drops the smallest.
+    concurrent reads are safe.  Its series keep every term.
     """
 
     def __init__(self, params: RefrigeratorParams, prune_tol: float = DEFAULT_PRUNE_TOL):

@@ -6,9 +6,8 @@ its derivative (``SeriesTerms.derivative``).  ``SeriesTerms`` holds one or sever
 over shared gaps, one row each, and evaluates them with the blocked grid
 kernel ``trig_series_uniform`` on a ``TimeGrid``, directly with
 ``trig_series_at`` at arbitrary times, or as local Taylor polynomials with
-``trig_series_taylor``; ``SeriesTerms.compressed`` drops its smallest
-terms within a stated error bound.  ``TimeGrid`` is the one uniform grid
-a run reads every result on, from its configuration down to the kernel.
+``trig_series_taylor``.  ``TimeGrid`` is the one uniform grid a run reads
+every result on, from its configuration down to the kernel.
 """
 
 from __future__ import annotations
@@ -248,21 +247,3 @@ class SeriesTerms:
         """The time derivative of a cosine series: amplitudes -a w on sines."""
         return SeriesTerms(np.zeros_like(self.const), -self.amps * self.omegas, self.omegas,
                            "sin")
-
-    def compressed(self, tol: float) -> SeriesTerms:
-        """These rows without the terms of smallest magnitude summed over rows.
-
-        Terms are dropped in stable ascending order of sum_rows |a_j| while
-        their cumulative magnitude stays strictly below ``tol`` sum|a|, the
-        sum over every row and term.  So each row's error is at most
-        tol sum|a| at every time, and its derivative's at most that bound
-        times the largest gap w_max.  ``tol`` <= 0 keeps every term.
-        """
-        if tol <= 0.0 or self.amps.size == 0:
-            return self
-        magnitude = np.abs(self.amps).sum(axis=0)
-        order = np.argsort(magnitude, kind="stable")
-        cum = np.cumsum(magnitude[order])
-        n_drop = int(np.searchsorted(cum, tol * cum[-1], side="left"))
-        keep = np.sort(order[n_drop:])
-        return SeriesTerms(self.const, self.amps[:, keep], self.omegas[keep], self.kind)

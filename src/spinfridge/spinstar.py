@@ -48,7 +48,8 @@ def sector_arrays(epsilon: float, bath_energy: float, n_bath: int, beta: float) 
 
     Interior sectors (``dim`` 2) hold the block [[b_minus, A u], [A u, b_plus]]
     for XY coupling A, where ``u`` is the bare ladder factor; an edge sector
-    (``dim`` 1) holds the single level ``edge_energy``.
+    (``dim`` 1) holds the single level ``b_minus`` (the bottom row, qubit
+    down) or ``b_plus`` (the top row, qubit up).
     ``p_level`` holds the in-sector thermal (ground, excited) populations,
     each from its own ``expit`` so neither rounds to 0 when the other nears 1.
     ``p_row`` holds every row's initial (ground, excited) populations:
@@ -66,12 +67,10 @@ def sector_arrays(epsilon: float, bath_energy: float, n_bath: int, beta: float) 
     p_row[0], p_row[-1] = (1.0, 0.0), (0.0, 1.0)  # edge rows: qubit down, qubit up
     return {
         "two_m": two_m,
-        "m": m,
         "dim": np.where(np.abs(two_m) == n + 1, 1, 2),
         "b_minus": b_minus,
         "b_plus": b_plus,
         "u": np.sqrt(np.clip(inner, 0.0, None)),
-        "edge_energy": np.where(two_m > 0, b_plus, b_minus),
         "logw": logw,
         "p_level": p_level,
         "p_row": p_row,

@@ -53,8 +53,8 @@ def pair_table(params, i=1):
 
 def pair_block(table, j, coupling):
     """Hamiltonian block of sector row j of a ``sector_arrays`` table at XY coupling A."""
-    if table["dim"][j] == 1:
-        return np.array([[table["edge_energy"][j]]])
+    if table["dim"][j] == 1:  # the bottom row keeps b_minus, the top row b_plus
+        return np.array([[table["b_plus" if table["two_m"][j] > 0 else "b_minus"][j]]])
     u = coupling * table["u"][j]
     return np.array([[table["b_minus"][j], u], [u, table["b_plus"][j]]])
 

@@ -62,7 +62,7 @@ def paper_fridge(n, coupling=(0.0, 0.0, 0.0), g=0.0):
 def fig1_run():
     """Optimized N=30 refrigerator: engine, temperatures, currents."""
     base = paper_fridge(30)
-    result = optimize_t1(base, 1e-9, budget=2000, seed=SEED % 1000, series_amp_tol=1e-9)
+    result = optimize_t1(base, 1e-9, budget=2000, seed=SEED % 1000)
     x = [float(v) for v in result.best_params]
     engine = RefrigeratorEngine(replace(base, coupling=tuple(x[:3]), g=x[3]), prune_tol=1e-12)
     series = engine.qubit_series((1, 2, 3), DEFAULT_TIME_GRID)

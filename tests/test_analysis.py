@@ -204,7 +204,8 @@ class TestBestTimeOnSeries:
         d, b = 1e-3, 8e-4
         terms = SeriesTerms(np.zeros(1), np.array([[1.0, d, b]]),
                             np.array([1.0, 0.5 + eta, 1.0 / 3.0]), "cos")
-        assert terms.compressed(1e-3).omegas.tolist() == [1.0, 0.5 + eta]
+        # the cut drops b alone: b sums below it, b + d does not
+        assert b < analysis._HEAD_TOL * float(np.abs(terms.amps).sum()) <= b + d
         dt = math.pi / 200
         grid = _grid(0.0, dt, 640)
         stride = analysis._stride(terms, dt)
@@ -341,11 +342,18 @@ class TestSeriesHead:
         terms, grid = case
         found = _best_time_on_series(terms, grid)
         with pytest.MonkeyPatch.context() as patch:
-            def compressed_head(terms, magnitude, total):
-                head = terms.compressed(analysis._HEAD_TOL)
-                return head, total - float(np.sum(np.abs(head.amps)))
+            def sorted_head(terms, magnitude, total):
+                # drop the smallest terms, in stable ascending order, while
+                # their cumulative magnitude stays below the cut
+                order = np.argsort(magnitude, kind="stable")
+                cut = analysis._HEAD_TOL * total
+                n_drop = int(np.searchsorted(np.cumsum(magnitude[order]), cut, side="left"))
+                keep = np.sort(order[n_drop:])
+                head = SeriesTerms(terms.const, terms.amps[:, keep], terms.omegas[keep],
+                                   terms.kind)
+                return head, total - float(magnitude[keep].sum())
 
-            patch.setattr(analysis, "_series_head", compressed_head)
+            patch.setattr(analysis, "_series_head", sorted_head)
             t_ref, p_ref = _best_time_on_series(terms, grid)
         bound = _rounding_bound(terms)
         assert found[1] == pytest.approx(p_ref, abs=bound)
@@ -526,6 +534,20 @@ def test_scaling_sweep_parallel_path_matches_serial(base, monkeypatch):
         assert a.best_t1 == b.best_t1
         assert np.array_equal(a.best_params, b.best_params)
         assert a.local_min_time == b.local_min_time
+
+
+def test_scaling_sweep_rows_equal_optimize_t1(base, monkeypatch):
+    # each sweep row is the search optimize_t1 runs at that N, bit for bit
+    monkeypatch.setenv("SPINFRIDGE_WORKERS", "1")
+    grid = TimeGrid(0.0, 6.0, 0.05)
+    ranges = ((0.0, 0.5),) * 3 + ((0.0, 0.1),)
+    rows = analysis.scaling_sweep(base, [6, 3], 12, 5, 1e-9, grid, ranges)
+    for k, row in enumerate(rows):
+        alone = optimize_t1(replace(base, n_bath=(row.n,) * 3), 1e-9, ranges, 12,
+                            5 + 7919 * k, grid)
+        assert row.best_t1 == alone.best_t1
+        assert np.array_equal(row.best_params, alone.best_params)
+        assert row.best_time == alone.best_time
 
 
 class TestFitPowerLaw:

@@ -16,7 +16,7 @@ from dense_reference import (
     star,
 )
 from spinfridge import oracle
-from spinfridge.engine import RefrigeratorEngine
+from spinfridge.engine import RefrigeratorEngine, _hamiltonians
 
 
 class TestBuildDense:
@@ -84,6 +84,7 @@ class TestSectorEmbedding:
         model = oracle.build_dense(p)
         (group,) = RefrigeratorEngine(p, prune_tol=0.0).groups
         group_rows = [tuple(r) for r in group.sectors.pair_rows.tolist()]
+        hamiltonians = _hamiltonians(p, group.sectors)
         tables = [pair_table(p, i) for i in (1, 2, 3)]
         for rows, two_m in sector_labels(p):
             idx = sector_basis_indices(p.n_bath, two_m)
@@ -95,7 +96,7 @@ class TestSectorEmbedding:
                 functools.reduce(np.kron, [b if i == k else np.eye(d) for i, d in enumerate(dims)])
                 for k, b in enumerate(pair_blocks))
             if rows in group_rows:
-                assert np.max(np.abs(block - group.hamiltonians[group_rows.index(rows)])) < 1e-12
+                assert np.max(np.abs(block - hamiltonians[group_rows.index(rows)])) < 1e-12
                 kron_sum[[2, 5], [5, 2]] += p.g
             assert np.max(np.abs(block - kron_sum)) < 1e-12
 

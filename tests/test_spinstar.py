@@ -70,8 +70,8 @@ class TestSectors:
         table = pair_table(make(eps=1.0, bath_e=2.0, n=2))
         top, bottom = row(table, 3), row(table, -3)
         assert table["dim"][top] == table["dim"][bottom] == 1
-        assert table["edge_energy"][top] == pytest.approx(0.5 * 1.0 + 2.0 * 1.0)
-        assert table["edge_energy"][bottom] == pytest.approx(-0.5 * 1.0 - 2.0 * 1.0)
+        assert table["b_plus"][top] == pytest.approx(0.5 * 1.0 + 2.0 * 1.0)
+        assert table["b_minus"][bottom] == pytest.approx(-0.5 * 1.0 - 2.0 * 1.0)
 
     def test_weights_reproduce_partition_functions(self):
         eps, bath_e, n, beta = 0.7, 1.3, 4, 0.9
