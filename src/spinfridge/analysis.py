@@ -739,8 +739,9 @@ def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = DEFAULT_
 
     Every N searches the same box ``ranges`` of (A1, A2, A3, g).  Per-N
     optimizations run in ``worker_count()`` processes, at most one per N,
-    and are merged in n_list order, so the rows do not depend on
-    scheduling.  Each N gets the deterministic seed ``seed + 7919 * index``.
+    largest N first, so the longest job does not start last; they are
+    merged in n_list order, so the rows do not depend on scheduling.  Each
+    N gets the deterministic seed ``seed + 7919 * index``.
     """
     jobs = [
         (base, int(n), ranges, per_n_budget, seed + 7919 * k, prune_tol, time_grid)
@@ -750,7 +751,9 @@ def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = DEFAULT_
     workers = min(worker_count(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            return list(pool.map(_sweep_point, jobs))
+            order = sorted(range(len(jobs)), key=lambda k: -jobs[k][1])
+            rows = dict(zip(order, pool.map(_sweep_point, [jobs[k] for k in order])))
+            return [rows[k] for k in range(len(jobs))]
     return [_sweep_point(job) for job in jobs]
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,12 +210,22 @@ def _rate_expm(w: np.ndarray, t: float) -> np.ndarray:
     return step
 
 
+def _bare(pops, coherence):
+    """Bare populations from dressed ones and rho_{+-}, (..., 8) and (...) -> (..., 8).
+
+    rho_101, rho_010 = (P+ + P-)/2 +- Re rho_{+-}; the other entries are P.
+    """
+    diagonal = np.array(pops, dtype=float)
+    mean = 0.5 * (diagonal[..., _P] + diagonal[..., _M])
+    diagonal[..., _P], diagonal[..., _M] = mean + np.real(coherence), mean - np.real(coherence)
+    return diagonal
+
+
 def _propagate(w, rate, pops0, coherence0, times, step: float):
     """Dressed populations P^k pops0, P = exp(W step), rho_{+-} and bare populations.
 
-    ``times`` are times[0] + k step.  P^1..P^B are stacked once and applied
-    to the last sample of each block of B; rho_101, rho_010 =
-    (P+ + P-)/2 +- Re rho_{+-}.
+    ``times`` are times[0] + k step.  P^1..P^B are stacked once, by
+    doubling, and applied to the last sample of each block of B.
     """
     n = times.size
     pops = np.empty((n, 8))
@@ -224,21 +234,43 @@ def _propagate(w, rate, pops0, coherence0, times, step: float):
         block = min(n - 1, 64)
         powers = np.empty((block, 8, 8))
         powers[0] = _rate_expm(w, step)
-        for j in range(1, block):
-            powers[j] = powers[j - 1] @ powers[0]
+        done = 1
+        while done < block:  # P^(b+1..2b) = P^(1..b) P^b
+            more = min(done, block - done)
+            powers[done:done + more] = powers[:more] @ powers[done - 1]
+            done += more
         for start in range(1, n, block):
             pops[start:start + block] = powers[:n - start] @ pops[start - 1]
     coherence = coherence0 * np.exp(rate * (times - times[0]))
-    diagonal = pops.copy()
-    mean = 0.5 * (pops[:, _P] + pops[:, _M])
-    diagonal[:, _P], diagonal[:, _M] = mean + coherence.real, mean - coherence.real
-    return pops, coherence, diagonal
+    return pops, coherence, _bare(pops, coherence)
+
+
+def _uniformized(w, pops, tau_max: float):
+    """(q, s): exp(W x tau_max) pops = e^(-q x tau_max) sum_j s_j x^j for 0 <= x <= 1.
+
+    s_j = ((W + qI) tau_max)^j pops / j!, q = max(-W_ii), every entry
+    nonnegative.  Terms run until each is below 2^-53 of the sum in every
+    entry at x = 1, the rule of ``_rate_expm``; they fall factorially once j
+    passes q tau_max, so the order cap 2 q tau_max + 64 only ends a sum that
+    overflowed, beyond q tau_max of about 700.
+    """
+    q = float(-w.diagonal().min())
+    a = (w + q * np.eye(8)) * tau_max
+    terms = [np.asarray(pops, dtype=float)]
+    total = terms[0]
+    for j in range(1, 64 + math.ceil(2.0 * q * tau_max)):
+        terms.append(a @ terms[-1] / j)
+        total = total + terms[-1]
+        if np.all(terms[-1] <= 2.0 ** -53 * total):
+            break
+    return q, np.array(terms)
 
 
 @dataclass(frozen=True)
 class MarkovTrajectory:
     """The state on a ``TimeGrid``'s points: dressed populations (|+> at index
-    0b101, |-> at 0b010), rho_{+-} and the bare (computational) populations."""
+    0b101, |-> at 0b010), rho_{+-} and the bare (computational) populations;
+    ``excited_at`` reads a qubit's excited population between the points."""
 
     time: np.ndarray
     populations: np.ndarray  # (n, 8)
@@ -246,17 +278,45 @@ class MarkovTrajectory:
     diagonal: np.ndarray  # (n, 8)
     generator: np.ndarray  # W
     coherence_rate: complex
+    # (sample, qubit) -> the polynomial of ``excited_at`` on the step after it
+    _polynomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def diagonal_at(self, t: float) -> np.ndarray:
-        """Bare populations at t >= time[0], exact from the last sample at or before t."""
+    def excited_at(self, t: float, qubit: int) -> float:
+        """Excited population of qubit 1, 2 or 3 at t in [time[0], time[-1]].
+
+        Exact from the last sample k at or before t, and sample k's own
+        value at t = time[k].  In between, with tau = t - time[k] and x =
+        tau / (time[k+1] - time[k]), it is e^(-q tau) sum_j c_j x^j plus
+        Re(rho_{+-}(time[k]) e^(r tau)) with the qubit's sign in ``_bare``:
+        c_j = u . bare(s_j, 0), u the qubit's upper-level indicator and s_j
+        the uniformized terms of ``_uniformized``.  Every c_j is nonnegative,
+        so the polynomial keeps relative precision at low temperature.  The
+        c_j are formed once per sample and qubit, so each further call is
+        one Horner evaluation.
+        """
         k = int(np.searchsorted(self.time, t, side="right")) - 1
         if k < 0:
             raise ValueError(f"t={t} precedes the trajectory's start {self.time[0]}")
         if t == self.time[k]:
-            return self.diagonal[k]
-        return _propagate(self.generator, self.coherence_rate, self.populations[k],
-                          self.coherence[k], np.array([self.time[k], t]),
-                          t - self.time[k])[2][1]
+            return float(excited_populations(self.diagonal[k])[qubit - 1])
+        if k == self.time.size - 1:
+            raise ValueError(f"t={t} follows the trajectory's end {self.time[-1]}")
+        polynomial = self._polynomials.get((k, qubit))
+        if polynomial is None:
+            gap = float(self.time[k + 1] - self.time[k])
+            q, terms = _uniformized(self.generator, self.populations[k], gap)
+            upper = _UPPER[qubit - 1]
+            coherence = float(_bare(np.zeros(8), 1.0) @ upper) * complex(self.coherence[k])
+            polynomial = (q, gap, (_bare(terms, 0.0) @ upper)[::-1].tolist(), coherence)
+            self._polynomials[(k, qubit)] = polynomial
+        q, gap, coefficients, coherence = polynomial
+        tau = t - float(self.time[k])
+        x, value = tau / gap, 0.0
+        for c in coefficients:
+            value = value * x + c
+        turn = self.coherence_rate.imag * tau  # Re(coherence e^(r tau)) below
+        return math.exp(-q * tau) * value + math.exp(self.coherence_rate.real * tau) * (
+            coherence.real * math.cos(turn) - coherence.imag * math.sin(turn))
 
 
 def integrate_gksl(params: MarkovParams, initial_state, grid: TimeGrid) -> MarkovTrajectory:
@@ -322,8 +382,9 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
 
     Same search as the spin-star optimizer, through ``analysis.minimize_t1``,
     on qubit 1's excited population along each propagated trajectory: its
-    least grid value (``analysis._best_time_on_grid``) is polished by
-    ``MarkovTrajectory.diagonal_at`` to 1e-4 in time; ``best_params`` =
+    least grid value (``analysis._best_time_on_grid``) is polished to 1e-4
+    in time on ``MarkovTrajectory.excited_at``, one polynomial per grid
+    step the golden-section search enters; ``best_params`` =
     (alpha1, alpha2, alpha3, g).  Weak-coupling warnings from exploratory
     points are suppressed, and points whose rates break weak coupling
     (``WeakCouplingError``) score +inf, so the search avoids them instead of
@@ -340,7 +401,7 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
                 return None
         t_best, p_best = _best_time_on_grid(
             excited_populations(traj.diagonal)[:, 0],
-            lambda t: excited_populations(traj.diagonal_at(t))[0], time_grid.points(), 1e-4,
+            lambda t: traj.excited_at(t, 1), time_grid.points(), 1e-4,
         )
         return t_best, p_best, base.epsilon[0]
 

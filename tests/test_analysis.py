@@ -525,12 +525,13 @@ def test_scaling_sweep_parallel_path_matches_serial(base, monkeypatch):
     kwargs = dict(
         per_n_budget=40, seed=3, prune_tol=1e-9, time_grid=TimeGrid(0.0, 6.0, 0.05),
     )
+    # the pool starts the largest N first; rows still come in n_list order
     monkeypatch.setenv("SPINFRIDGE_WORKERS", "1")
-    serial = scaling_sweep(base, [1, 2, 3], **kwargs)
+    serial = scaling_sweep(base, [3, 1, 2], **kwargs)
     monkeypatch.setenv("SPINFRIDGE_WORKERS", "2")
-    parallel = scaling_sweep(base, [1, 2, 3], **kwargs)
+    parallel = scaling_sweep(base, [3, 1, 2], **kwargs)
+    assert [row.n for row in serial] == [row.n for row in parallel] == [3, 1, 2]
     for a, b in zip(serial, parallel):
-        assert a.n == b.n
         assert a.best_t1 == b.best_t1
         assert np.array_equal(a.best_params, b.best_params)
         assert a.local_min_time == b.local_min_time
@@ -711,10 +712,10 @@ def test_worker_count_defaults_to_the_usable_cores(monkeypatch):
 
 
 def test_scaling_sweep_starts_at_most_one_worker_per_size(monkeypatch, base):
-    pools = []
+    pools, mapped = [], []
 
     class Pool:
-        """Records its size and runs the jobs in this process."""
+        """Records its size and job order and runs the jobs in this process."""
 
         def __init__(self, max_workers, initializer):
             pools.append(max_workers)
@@ -726,13 +727,15 @@ def test_scaling_sweep_starts_at_most_one_worker_per_size(monkeypatch, base):
             return False
 
         def map(self, fn, jobs):
+            mapped.extend(job[1] for job in jobs)
             return map(fn, jobs)
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(analysis, "_sweep_point", lambda job: job[1])
     monkeypatch.delenv("SPINFRIDGE_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert analysis.scaling_sweep(base, [2, 4, 7]) == [2, 4, 7]
+    assert analysis.scaling_sweep(base, [4, 7, 2]) == [4, 7, 2]
     assert pools == [3]
+    assert mapped == [7, 4, 2]  # largest N first
     assert analysis.scaling_sweep(base, [5]) == [5]  # one size runs without a pool
     assert pools == [3]

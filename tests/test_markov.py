@@ -305,12 +305,17 @@ class TestIntegration:
         rho0 = thermal_product_state(p)
         grid = TimeGrid(0.0, 10.0, 1.0)
         traj = integrate_gksl(p, rho0, grid)
-        assert np.array_equal(traj.diagonal_at(5.0), traj.diagonal[5])
-        assert np.array_equal(traj.diagonal_at(0.0), rho0.diagonal().real)
-        between = np.diagonal(oracle_states(p, rho0, [5.37])[0]).real
-        assert np.max(np.abs(traj.diagonal_at(5.37) - between)) < 1e-14
+        sampled = excited_populations(traj.diagonal)
+        initial = excited_populations(rho0.diagonal().real)
+        between = excited_populations(np.diagonal(oracle_states(p, rho0, [5.37])[0]).real)
+        for qubit in (1, 2, 3):
+            assert traj.excited_at(5.0, qubit) == sampled[5, qubit - 1]
+            assert traj.excited_at(0.0, qubit) == initial[qubit - 1]
+            assert abs(traj.excited_at(5.37, qubit) - between[qubit - 1]) < 1e-14
         with pytest.raises(ValueError, match="precedes"):
-            traj.diagonal_at(-0.1)
+            traj.excited_at(-0.1, 1)
+        with pytest.raises(ValueError, match="follows"):
+            traj.excited_at(10.1, 1)
 
 
 class TestExactPropagation:
@@ -335,8 +340,9 @@ class TestExactPropagation:
         st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1e-4))] * 3),
         st.one_of(st.just(0.0), st.floats(0.005, 0.1)),
         st.tuples(*[st.floats(0.5, 40.0)] * 3),
+        st.lists(st.floats(0.0, 40.0, exclude_max=True), min_size=1, max_size=4),
     )
-    def test_matches_liouvillian_exponential(self, alpha, g, beta):
+    def test_matches_liouvillian_exponential(self, alpha, g, beta, between):
         p = params(alpha=alpha, g=g, beta=beta)
         rho0 = thermal_product_state(p)
         grid = TimeGrid(0.0, 40.0, 10.0)
@@ -345,6 +351,16 @@ class TestExactPropagation:
             warnings.simplefilter("ignore", WeakCouplingWarning)
             traj = integrate_gksl(p, rho0, grid)
             ref = oracle_states(p, rho0, times)
+            ref_between = excited_populations(
+                np.diagonal(oracle_states(p, rho0, between), axis1=1, axis2=2).real)
+        # between samples, excited_at is exact from the sample before; at a
+        # sample it is that sample
+        sampled = excited_populations(traj.diagonal)
+        for qubit in (1, 2, 3):
+            for t, expected in zip(between, ref_between):
+                assert abs(traj.excited_at(t, qubit) - expected[qubit - 1]) < 1e-14
+            for k, t in enumerate(times):
+                assert traj.excited_at(t, qubit) == sampled[k, qubit - 1]
         assert np.max(np.abs(traj.diagonal - np.diagonal(ref, axis1=1, axis2=2).real)) < 1e-12
         assert np.max(np.abs(full_states(traj) - ref)) < 1e-12
         assert np.max(np.abs(traj.diagonal.sum(axis=1) - 1.0)) < 1e-12
@@ -352,6 +368,36 @@ class TestExactPropagation:
         # rho_101, rho_010 = (P+ + P-)/2 +- Re rho_{+-}: where no rotation
         # mixes the pair (g = 0), the smaller keeps the larger's rounding only
         assert traj.diagonal.min() >= -1e-15
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.floats(0.1, 40.0, exclude_max=True), min_size=1, max_size=4))
+    def test_low_temperature_keeps_relative_precision(self, times):
+        # p2 stays between 1e-35 and 1e-26: an absolute bound would pass any
+        # value of it.  Times start at 0.1, where rho_101 has risen well
+        # above its initial 1.8e-35 (see the next test)
+        p = params(beta=(40.0, 40.0, 20.0))
+        rho0 = thermal_product_state(p)
+        traj = integrate_gksl(p, rho0, TimeGrid(0.0, 40.0, 10.0))
+        ref = excited_populations(np.diagonal(oracle_states(p, rho0, times), axis1=1,
+                                              axis2=2).real)
+        for t, expected in zip(times, ref):
+            assert traj.excited_at(t, 2) == pytest.approx(expected[1], rel=1e-9, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason="rho_101 = (P+ + P-)/2 + Re rho_{+-} cancels "
+                       "to 1.8e-35 from 4.4e-27 and keeps only the rounding of the larger")
+    def test_low_temperature_relative_precision_right_after_the_start(self):
+        p = params(beta=(40.0, 40.0, 20.0))
+        rho0 = thermal_product_state(p)
+        traj = integrate_gksl(p, rho0, TimeGrid(0.0, 40.0, 10.0))
+        ref = excited_populations(np.diagonal(oracle_states(p, rho0, [1e-6])[0]).real)
+        assert traj.excited_at(1e-6, 2) == pytest.approx(ref[1], rel=1e-9, abs=0.0)
+
+    def test_repeated_reads_reuse_one_polynomial(self):
+        p = params()
+        traj = integrate_gksl(p, thermal_product_state(p), TimeGrid(0.0, 4.0, 0.05))
+        first = [traj.excited_at(t, 1) for t in (1.01, 1.02, 1.03)]
+        assert len(traj._polynomials) == 1
+        assert [traj.excited_at(t, 1) for t in (1.01, 1.02, 1.03)] == first
 
     @pytest.mark.parametrize("g", [0.0, 1.0 - 1e-9])
     def test_degenerate_edges_match_liouvillian_exponential(self, g):
