@@ -19,10 +19,10 @@ Only the (2, 2, 2) sectors hold the interaction.  Inside them qubit i
 contributes bit b_i (0 = qubit in its lower level paired with bath level
 m_i + 1/2, 1 = upper level with bath level m_i - 1/2), the basis index is
 b1*4 + b2*2 + b3, and the interaction couples indices 2 = (0,1,0) and
-5 = (1,0,1).  They form the one interacting group, whose 8x8 blocks call
-``eigh`` when g > 0; at g = 0 their weights join the ladders instead.
+5 = (1,0,1).  At g > 0 one batched ``eigh`` of their 8x8 blocks is the
+engine's ``spectrum``; at g = 0 their weights join the ladders instead.
 
-Which sectors are kept, the ladder weights and the interacting group's
+Which sectors are kept, the ladder weights and the interacting blocks'
 level energies depend on none of the couplings: that layout is built once
 per (epsilon, E, N, beta, prune_tol) and shared.  Populations and currents
 are exact cosine sums over spectral gaps (``series.SeriesTerms``), every
@@ -173,9 +173,6 @@ class SectorGroup:
     level_energy: np.ndarray
     p0: np.ndarray
     unit_coupling: tuple
-
-    dims = (2, 2, 2)
-    dim = 8
 
     @property
     def size(self) -> int:
@@ -353,34 +350,6 @@ def _hamiltonians(params: RefrigeratorParams, sectors: SectorGroup) -> np.ndarra
     return h
 
 
-@dataclass(frozen=True, eq=False)
-class SectorGroupData:
-    """The interacting group with its spectra for one coupling set."""
-
-    sectors: SectorGroup
-    lam: np.ndarray
-    vecs: np.ndarray
-    m_matrix: np.ndarray  # V^T diag(p0) V, the initial state in the eigenbasis
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.sectors.dims
-
-    @property
-    def size(self) -> int:
-        return self.sectors.size
-
-    @property
-    def dim(self) -> int:
-        return self.sectors.dim
-
-
-def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGroupData:
-    """The interacting group's spectra, from ``eigh`` of its blocks."""
-    lam, vecs = np.linalg.eigh(_hamiltonians(params, sectors))
-    return SectorGroupData(sectors, lam, vecs, _rotated_diagonal(vecs, sectors.p0))
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -388,7 +357,7 @@ def _diagonalize(params: RefrigeratorParams, sectors: SectorGroup) -> SectorGrou
 class RefrigeratorEngine:
     """Immutable sector-resolved simulator for one parameter set.
 
-    Each pair's ladder and, at g > 0, the interacting group's spectra are
+    Each pair's ladder and, at g > 0, the interacting blocks' spectra are
     computed once at construction, on the sector layout shared by every
     engine with the same epsilon, E, N, beta and ``prune_tol``; a parameter
     change means building a new engine.  All queries are pure, so
@@ -405,23 +374,28 @@ class RefrigeratorEngine:
         weights = layout.marginals if folded else layout.free_weights
         self.ladders = tuple(_pair_spectra(table, a, w)
                              for table, a, w in zip(layout.pairs, params.coupling, weights))
-        self.groups = ()  # the blocks that take eigh: the interacting group at g > 0
+        # (lam, vecs, m_matrix) of the interacting blocks, m_matrix = V^T diag(p0) V
+        # being their initial state in the eigenbasis; None where they join the ladders
+        self.spectrum = None
         if layout.interacting is not None and not folded:
-            self.groups = (_diagonalize(params, layout.interacting),)
+            lam, vecs = np.linalg.eigh(_hamiltonians(params, layout.interacting))
+            self.spectrum = lam, vecs, _rotated_diagonal(vecs, layout.interacting.p0)
         self.weight_total = layout.kept_weight
         self._series_cache: dict[tuple, SeriesTerms] = {}
 
     # -- observables ----------------------------------------------------------
 
-    def _observable_in_eigenbasis(self, group: SectorGroupData, key) -> np.ndarray:
+    def _observable_in_eigenbasis(self, key) -> np.ndarray:
         """V^T O V per interacting sector, shape (size, 8, 8)."""
+        vecs = self.spectrum[1]
         if key[0] in ("pop", "exc"):
             bits = _BASIS[:, key[1] - 1].astype(float)
-            return _rotated_diagonal(group.vecs, bits if key[0] == "exc" else 1.0 - bits)
-        strength, mask = _coupling_term(self.params, group.sectors, key)
-        dense = np.zeros((group.size, 8, 8))
+            return _rotated_diagonal(vecs, bits if key[0] == "exc" else 1.0 - bits)
+        sectors = self.layout.interacting
+        strength, mask = _coupling_term(self.params, sectors, key)
+        dense = np.zeros((sectors.size, 8, 8))
         dense[:, mask] = strength
-        return np.matmul(np.matmul(group.vecs.transpose(0, 2, 1), dense), group.vecs)
+        return np.matmul(np.matmul(vecs.transpose(0, 2, 1), dense), vecs)
 
     def series_terms(self, keys: tuple) -> SeriesTerms:
         """Cosine terms of Tr[rho(t) O], one row per key.
@@ -449,12 +423,13 @@ class RefrigeratorEngine:
                     const[row], amp[row] = ladder.series(keys[row][0])
                 amp_parts.append(amp)
                 omega_parts.append(ladder.gap[ladder.live])
-        for group in self.groups:
-            weights = group.sectors.weights
-            gaps = group.lam[:, _UPPER[1]] - group.lam[:, _UPPER[0]]  # nonnegative
+        if self.spectrum is not None:
+            lam, _, m_matrix = self.spectrum
+            weights = self.layout.interacting.weights
+            gaps = lam[:, _UPPER[1]] - lam[:, _UPPER[0]]  # nonnegative
             amp = np.zeros((len(keys), gaps.size))
             for row, row_key in enumerate(keys):
-                f = group.m_matrix * self._observable_in_eigenbasis(group, row_key)
+                f = m_matrix * self._observable_in_eigenbasis(row_key)
                 const[row] += float(weights @ np.einsum("sii->s", f))
                 amp[row] = (2.0 * weights[:, None] * f[:, _UPPER[0], _UPPER[1]]).ravel()
             amp_parts.append(amp)
@@ -533,10 +508,11 @@ class RefrigeratorEngine:
         levels = np.zeros(n + 3)  # one spare level beyond each end
         levels[1:] += ladder.weights * (ladder.p_row[:, 0] - moved)
         levels[:-1] += ladder.weights * (ladder.p_row[:, 1] + moved)
-        for group in self.groups:
-            sectors = group.sectors
-            f = group.m_matrix * _rotated_diagonal(group.vecs, _BASIS[:, k].astype(float))
-            gaps = group.lam[:, :, None] - group.lam[:, None, :]
+        if self.spectrum is not None:
+            lam, vecs, m_matrix = self.spectrum
+            sectors = self.layout.interacting
+            f = m_matrix * _rotated_diagonal(vecs, _BASIS[:, k].astype(float))
+            gaps = lam[:, :, None] - lam[:, None, :]
             p = np.sum(f * np.cos(gaps * t), axis=(1, 2))
             j = sectors.pair_rows[:, k]
             levels += np.bincount(j + 1, sectors.weights * (1.0 - p), minlength=n + 3)

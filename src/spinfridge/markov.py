@@ -2,21 +2,23 @@
 
 Works in the computational basis |q1 q2 q3> (index q1*4 + q2*2 + q3) in
 which |1> is the *lower* level of each qubit: the local Hamiltonians are
-(eps_i/2) * sigma_z_i with sigma_z = |0><0| - |1><1|, the three-body
-interaction couples |010> and |101>, and the tabulated jump operators then
-lower the dressed energy by exactly their labelled frequency.  That holds
-only at the autonomous point eps2 = eps1 + eps3, where |010> and |101> are
-degenerate; elsewhere the channels are an error.  Rates follow
-the Ohmic spectral density J(w) = alpha * w * exp(-w/cutoff) with the
-Bose-Einstein occupation, which is the unique choice obeying detailed
-balance gamma(-w) = exp(-beta w) * gamma(w).
+(eps_i/2) * sigma_z_i with sigma_z = |0><0| - |1><1| and the three-body
+interaction couples |010> and |101>.  The nine jump channels are one table
+of transitions between dressed states (``_CHANNELS``), each lowering the
+dressed energy by exactly its labelled frequency.  That holds only at the
+autonomous point eps2 = eps1 + eps3, where |010> and |101> are degenerate;
+elsewhere the channels are an error.  Rates follow the Ohmic spectral
+density J(w) = alpha * w * exp(-w/cutoff) with the Bose-Einstein
+occupation, which is the unique choice obeying detailed balance
+gamma(-w) = exp(-beta w) * gamma(w).
 
 In the dressed basis, the computational one with |101>, |010> replaced by
 |+-> = (|101> +- |010>)/sqrt(2), each jump operator maps distinct states to
-distinct states.  So the dressed populations obey dP/dt = W P, solved exactly
-by uniformization (Xue and Ye, Math. Comp. 82, 1577 (2013)), and the one
-coherence a state may carry, rho_{+-}, rotates at 2g and decays at
-(W++ + W--)/2.  The tests hold it to the full 64x64 GKSL generator.
+distinct states, so a channel is its moves alone.  The dressed populations
+obey dP/dt = W P (``rate_matrix``), solved exactly by uniformization (Xue
+and Ye, Math. Comp. 82, 1577 (2013)), and the one coherence a state may
+carry, rho_{+-}, rotates at 2g and decays at (W++ + W--)/2.  The tests hold
+it to the full 64x64 GKSL generator of the jump operators themselves.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ class MarkovParams:
             if len(value) != 3:
                 raise ValueError(f"{name} must have three entries, got {value}")
             object.__setattr__(self, name, value)
+        for name in ("epsilon", "g", "alpha", "beta", "cutoff"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} must be finite, got {value}")
         if any(e <= 0 for e in self.epsilon):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if any(a < 0 for a in self.alpha):
@@ -72,48 +78,27 @@ class MarkovParams:
             raise ValueError(f"g must be nonnegative, got {self.g}")
 
 
-@dataclass(frozen=True)
-class JumpChannel:
-    """One dissipation channel: qubit, transition frequency, operator, rate."""
-
-    qubit: int
-    frequency: float
-    operator: np.ndarray
-    rate: float
-
-
-def _ket(bits: str) -> np.ndarray:
-    return np.eye(8)[int(bits, 2)]
-
-
-_PLUS = (_ket("101") + _ket("010")) / math.sqrt(2.0)
-_MINUS = (_ket("101") - _ket("010")) / math.sqrt(2.0)
-
-# The nine positive-frequency jump operators, shared read-only by every channel
-# list, tagged "e" for eps_i and "e+g"/"e-g" for the pair split by the interaction.
-_S = 1.0 / math.sqrt(2.0)
-_OPERATORS = [
-    (1, "e", np.outer(_ket("111"), _ket("011")) + np.outer(_ket("100"), _ket("000"))),
-    (1, "e+g", _S * (np.outer(_ket("110"), _PLUS) + np.outer(_MINUS, _ket("001")))),
-    (1, "e-g", _S * (np.outer(_PLUS, _ket("001")) - np.outer(_ket("110"), _MINUS))),
-    (2, "e", np.outer(_ket("110"), _ket("100")) + np.outer(_ket("011"), _ket("001"))),
-    (2, "e+g", _S * (np.outer(_ket("111"), _PLUS) - np.outer(_MINUS, _ket("000")))),
-    (2, "e-g", _S * (np.outer(_PLUS, _ket("000")) + np.outer(_ket("111"), _MINUS))),
-    (3, "e", np.outer(_ket("111"), _ket("110")) + np.outer(_ket("001"), _ket("000"))),
-    (3, "e+g", _S * (np.outer(_ket("011"), _PLUS) + np.outer(_MINUS, _ket("100")))),
-    (3, "e-g", _S * (np.outer(_PLUS, _ket("100")) - np.outer(_ket("011"), _MINUS))),
-]
-for _, _, _op in _OPERATORS:
-    _op.flags.writeable = False
-# Dressed kets as columns, |+> and |-> in the places of |101> and |010>; row c of
-# _TRANSITIONS is |<i|L_c|j>|^2 there, flat in [i, j], for ``build_jump_channels``' c.
+# The nine emission channels: channel (i, s) lowers the dressed energy by
+# eps_i + s g along its (from, to) moves in the dressed basis, the
+# computational one with |+> = (|101> + |010>)/sqrt(2) at index 0b101 and
+# |-> = (|101> - |010>)/sqrt(2) at 0b010; |<to|L|from>|^2 is 1 at s = 0 and
+# 1/2 otherwise.  Each one's adjoint runs the moves backwards at gamma(-w).
 _P, _M = 0b101, 0b010
+_CHANNELS = (
+    (1, 0, ((0b011, 0b111), (0b000, 0b100))),
+    (1, 1, ((_P, 0b110), (0b001, _M))),
+    (1, -1, ((0b001, _P), (_M, 0b110))),
+    (2, 0, ((0b100, 0b110), (0b001, 0b011))),
+    (2, 1, ((_P, 0b111), (0b000, _M))),
+    (2, -1, ((0b000, _P), (_M, 0b111))),
+    (3, 0, ((0b110, 0b111), (0b000, 0b001))),
+    (3, 1, ((_P, 0b011), (0b100, _M))),
+    (3, -1, ((0b100, _P), (_M, 0b011))),
+)
+_TAGS = {0: "e", 1: "e+g", -1: "e-g"}
+# Dressed kets as columns, |+> and |-> in the places of |101> and |010>
 _DRESS = np.eye(8)
-_DRESS[:, _P], _DRESS[:, _M] = _PLUS, _MINUS
-_TRANSITIONS = np.stack([
-    m.ravel() for _, _, op in _OPERATORS
-    for m in ((_DRESS.T @ op @ _DRESS) ** 2, (_DRESS.T @ op.T @ _DRESS) ** 2)
-])
+_DRESS[np.ix_((_P, _M), (_P, _M))] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def spectral_density(omega: float, alpha: float, cutoff: float) -> float:
@@ -137,41 +122,6 @@ def decay_rate(omega: float, alpha: float, beta: float, cutoff: float) -> float:
     return spectral_density(mag, alpha, cutoff) * bose_occupation(mag, beta)
 
 
-def build_jump_channels(params: MarkovParams) -> list[JumpChannel]:
-    """All 18 channels: nine tabulated operators plus their adjoints.
-
-    Positive-frequency channels carry gamma(w) = J(w)(1+f); the adjoint
-    (absorption) channels carry gamma(-w).  Any nonpositive transition
-    frequency is an error, and so is |eps2 - (eps1 + eps3)| > 1e-12, where
-    the operators are no eigenoperators of H; a largest rate above 10% of
-    min(eps_i, g) is an error and above 1% a WeakCouplingWarning.
-    """
-    channels = []
-    for qubit, tag, op in _OPERATORS:
-        eps, alpha, beta = (getattr(params, f)[qubit - 1] for f in ("epsilon", "alpha", "beta"))
-        frequency = {"e": eps, "e+g": eps + params.g, "e-g": eps - params.g}[tag]
-        if frequency <= 0:
-            raise ValueError(f"channel (qubit {qubit}, {tag}) has nonpositive "
-                             f"frequency {frequency}")
-        for omega, l_op in ((frequency, op), (-frequency, op.T)):
-            rate = decay_rate(omega, alpha, beta, params.cutoff)
-            channels.append(JumpChannel(qubit, omega, l_op, rate))
-    eps1, eps2, eps3 = params.epsilon
-    if abs(eps2 - (eps1 + eps3)) > 1e-12:  # RefrigeratorParams.is_autonomous's tolerance
-        raise ValueError(
-            f"the jump operators need eps2 = eps1 + eps3, got epsilon={params.epsilon}")
-    scale = min(min(params.epsilon), params.g) if params.g > 0 else min(params.epsilon)
-    gamma_max = max(ch.rate for ch in channels)
-    if gamma_max >= 0.1 * scale:
-        raise WeakCouplingError(f"largest rate {gamma_max:.3e} breaks weak coupling "
-                                f"(>= 10% of the smallest system scale {scale:.3e})")
-    if gamma_max > 0.01 * scale:
-        warnings.warn(f"largest rate {gamma_max:.3e} above 1% of the smallest system "
-                      f"scale {scale:.3e}; the weak-coupling description degrades",
-                      WeakCouplingWarning, stacklevel=2)
-    return channels
-
-
 def thermal_product_state(params: MarkovParams) -> np.ndarray:
     """Tensor product of single-qubit thermal states (|1> the lower level)."""
     rho = np.ones(1)
@@ -183,28 +133,55 @@ def thermal_product_state(params: MarkovParams) -> np.ndarray:
 
 
 def rate_matrix(params: MarkovParams) -> np.ndarray:
-    """Generator W of the dressed populations, dP/dt = W P; raises as ``build_jump_channels``."""
-    w = (np.array([ch.rate for ch in build_jump_channels(params)]) @ _TRANSITIONS).reshape(8, 8)
+    """Generator W of the dressed populations, dP/dt = W P.
+
+    Channel (i, s) of ``_CHANNELS`` moves population at gamma(w), w = eps_i
+    + s g, and back at gamma(-w), each move weighted by its |<to|L|from>|^2.
+    Any nonpositive transition frequency is an error, and so is
+    |eps2 - (eps1 + eps3)| > 1e-12, where the channels lower no energy of H;
+    a largest rate above 10% of min(eps_i, g) is an error and above 1% a
+    WeakCouplingWarning.
+    """
+    w = np.zeros((8, 8))
+    gamma_max = 0.0
+    for qubit, sign, moves in _CHANNELS:
+        k = qubit - 1
+        frequency = params.epsilon[k] + sign * params.g
+        if frequency <= 0:
+            raise ValueError(f"channel (qubit {qubit}, {_TAGS[sign]}) has nonpositive "
+                             f"frequency {frequency}")
+        bath = (params.alpha[k], params.beta[k], params.cutoff)
+        down, up = decay_rate(frequency, *bath), decay_rate(-frequency, *bath)
+        weight = 0.5 if sign else 1.0
+        for source, target in moves:
+            w[target, source] += weight * down
+            w[source, target] += weight * up
+        gamma_max = max(gamma_max, down, up)
+    eps1, eps2, eps3 = params.epsilon
+    if abs(eps2 - (eps1 + eps3)) > 1e-12:  # RefrigeratorParams.is_autonomous's tolerance
+        raise ValueError(
+            f"the jump operators need eps2 = eps1 + eps3, got epsilon={params.epsilon}")
+    scale = min(min(params.epsilon), params.g) if params.g > 0 else min(params.epsilon)
+    if gamma_max >= 0.1 * scale:
+        raise WeakCouplingError(f"largest rate {gamma_max:.3e} breaks weak coupling "
+                                f"(>= 10% of the smallest system scale {scale:.3e})")
+    if gamma_max > 0.01 * scale:
+        warnings.warn(f"largest rate {gamma_max:.3e} above 1% of the smallest system "
+                      f"scale {scale:.3e}; the weak-coupling description degrades",
+                      WeakCouplingWarning, stacklevel=2)
     return w - np.diag(w.sum(axis=0))
 
 
 def _rate_expm(w: np.ndarray, t: float) -> np.ndarray:
     """exp(W t), t >= 0, to relative precision in every entry, by uniformization.
 
-    With q = max(-W_ii) every Taylor term of e^(-q tau) exp((W + qI) tau) is
-    nonnegative.  At q tau <= 1, terms run until each is below 2^-53 of the
-    sum in every entry; an entry first reached at order j fails that at j.
+    The terms of ``_uniformized`` on the identity at tau = t / 2^s, with
+    q tau <= 1, summed and squared s times.
     """
     q = float(-w.diagonal().min())
     squarings = max(0, math.ceil(math.log2(q * t))) if q * t > 0 else 0
-    a = (w + q * np.eye(8)) * (t / 2.0 ** squarings)
-    term = total = np.eye(8)
-    for j in range(1, 40):
-        term = term @ a / j
-        total = total + term
-        if np.all(term <= 2.0 ** -53 * total):
-            break
-    step = math.exp(-q * t / 2.0 ** squarings) * total
+    tau = t / 2.0 ** squarings
+    step = math.exp(-q * tau) * _uniformized(w, np.eye(8), tau)[1].sum(axis=0)
     for _ in range(squarings):
         step = step @ step
     return step
@@ -248,10 +225,11 @@ def _propagate(w, rate, pops0, coherence0, times, step: float):
 def _uniformized(w, pops, tau_max: float):
     """(q, s): exp(W x tau_max) pops = e^(-q x tau_max) sum_j s_j x^j for 0 <= x <= 1.
 
-    s_j = ((W + qI) tau_max)^j pops / j!, q = max(-W_ii), every entry
-    nonnegative.  Terms run until each is below 2^-53 of the sum in every
-    entry at x = 1, the rule of ``_rate_expm``; they fall factorially once j
-    passes q tau_max, so the order cap 2 q tau_max + 64 only ends a sum that
+    ``pops`` is a vector or a matrix of columns.  s_j = ((W + qI) tau_max)^j
+    pops / j!, q = max(-W_ii), every entry nonnegative.  Terms run until each
+    is below 2^-53 of the sum in every entry at x = 1, which an entry first
+    reached at order j fails at j; they fall factorially once j passes
+    q tau_max, so the order cap 2 q tau_max + 64 only ends a sum that
     overflowed, beyond q tau_max of about 700.
     """
     q = float(-w.diagonal().min())
@@ -349,9 +327,9 @@ def integrate_gksl(params: MarkovParams, initial_state, grid: TimeGrid) -> Marko
         pops0 = _rate_expm(w, grid.start) @ pops0
         coherence0 = coherence0 * np.exp(rate * grid.start)
     pops, coherence, diagonal = _propagate(w, rate, pops0, coherence0, times, grid.step)
-    bad = np.flatnonzero(
-        (np.abs(pops.sum(axis=1) - 1.0) > 1e-8) | (pops.min(axis=1) < -1e-12)
-        | (np.abs(coherence) ** 2 > (1.0 + 1e-12) * pops[:, _P] * pops[:, _M]))
+    bad = np.flatnonzero(~(  # fails closed: a NaN sample passes no comparison
+        (np.abs(pops.sum(axis=1) - 1.0) <= 1e-8) & (pops.min(axis=1) >= -1e-12)
+        & (np.abs(coherence) ** 2 <= (1.0 + 1e-12) * pops[:, _P] * pops[:, _M])))
     if bad.size:
         raise RuntimeError(f"propagator lost trace or positivity at t={times[bad[0]]:.6g}")
     if grid.start == 0:
@@ -391,12 +369,14 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
     aborting; when every evaluated point does, ``WeakCouplingError`` is raised.
     """
 
+    rho0 = thermal_product_state(base)  # depends on beta and epsilon alone
+
     def best(x):
         params = replace(base, alpha=(float(x[0]), float(x[1]), float(x[2])), g=float(x[3]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
             try:
-                traj = integrate_gksl(params, thermal_product_state(params), time_grid)
+                traj = integrate_gksl(params, rho0, time_grid)
             except WeakCouplingError:
                 return None
         t_best, p_best = _best_time_on_grid(

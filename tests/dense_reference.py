@@ -1,20 +1,23 @@
 """References and parameters that only the tests use.
 
-The Markov baseline's Hamiltonian and its full 64x64 GKSL generator, against
-which ``markov.integrate_gksl`` is tested; one-pair parameters (a single
-star, or pair i of a refrigerator), a pair's sector blocks and the
-map from a sector label to its basis states in the dense oracle's basis;
-the local qubit and bath Hamiltonians in the dense basis, whose energy
-flows the heat currents are; the dense state reduced to one subsystem; and
-the engine's total energy and per-pair charges, which the dynamics conserve.
+The Markov baseline's Hamiltonian, its nine jump operators as dense 8x8
+matrices in the bare basis and the full 64x64 GKSL generator they make,
+against which ``markov.rate_matrix`` and ``markov.integrate_gksl`` are
+tested; one-pair parameters (a single star, or pair i of a refrigerator),
+a pair's sector blocks and the map from a sector label to its basis states
+in the dense oracle's basis; the local qubit and bath Hamiltonians in the
+dense basis, whose energy flows the heat currents are; the dense state
+reduced to one subsystem; and the engine's total energy and per-pair
+charges, which the dynamics conserve.
 """
 
 import functools
+import math
 
 import numpy as np
 
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, energy_keys
-from spinfridge.markov import MarkovParams, build_jump_channels
+from spinfridge.markov import MarkovParams, decay_rate
 from spinfridge.oracle import DenseModel, Spectrum, dense_evolve, partial_trace
 from spinfridge.spinstar import sector_arrays
 
@@ -97,15 +100,51 @@ def system_hamiltonian(params: MarkovParams) -> np.ndarray:
     return h
 
 
+def _ket(bits: str) -> np.ndarray:
+    return np.eye(8)[int(bits, 2)]
+
+
+_PLUS = (_ket("101") + _ket("010")) / math.sqrt(2.0)
+_MINUS = (_ket("101") - _ket("010")) / math.sqrt(2.0)
+_S = 1.0 / math.sqrt(2.0)
+
+# (qubit i, s, L): the nine emission operators of the Markov baseline, each
+# lowering the energy of ``system_hamiltonian`` by eps_i + s g at eps2 = eps1 + eps3
+JUMP_OPERATORS = (
+    (1, 0, np.outer(_ket("111"), _ket("011")) + np.outer(_ket("100"), _ket("000"))),
+    (1, 1, _S * (np.outer(_ket("110"), _PLUS) + np.outer(_MINUS, _ket("001")))),
+    (1, -1, _S * (np.outer(_PLUS, _ket("001")) - np.outer(_ket("110"), _MINUS))),
+    (2, 0, np.outer(_ket("110"), _ket("100")) + np.outer(_ket("011"), _ket("001"))),
+    (2, 1, _S * (np.outer(_ket("111"), _PLUS) - np.outer(_MINUS, _ket("000")))),
+    (2, -1, _S * (np.outer(_PLUS, _ket("000")) + np.outer(_ket("111"), _MINUS))),
+    (3, 0, np.outer(_ket("111"), _ket("110")) + np.outer(_ket("001"), _ket("000"))),
+    (3, 1, _S * (np.outer(_ket("011"), _PLUS) + np.outer(_MINUS, _ket("100")))),
+    (3, -1, _S * (np.outer(_PLUS, _ket("100")) - np.outer(_ket("011"), _MINUS))),
+)
+
+
+def jump_channels(params: MarkovParams):
+    """(rate, L) of all 18 channels: each operator at gamma(w), w = eps_i + s g,
+    and its adjoint at gamma(-w)."""
+    channels = []
+    for qubit, sign, op in JUMP_OPERATORS:
+        k = qubit - 1
+        frequency = params.epsilon[k] + sign * params.g
+        for omega, l_op in ((frequency, op), (-frequency, op.T)):
+            channels.append((decay_rate(omega, params.alpha[k], params.beta[k], params.cutoff),
+                             l_op))
+    return channels
+
+
 def liouvillian_matrix(params: MarkovParams) -> np.ndarray:
     """The Markov baseline's GKSL generator as a 64x64 matrix on vec(rho), row-major."""
     h = system_hamiltonian(params).astype(complex)
     eye = np.eye(8)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for ch in build_jump_channels(params):
-        l_op = ch.operator.astype(complex)
+    for rate, op in jump_channels(params):
+        l_op = op.astype(complex)
         ld_l = l_op.conj().T @ l_op
-        lv += ch.rate * (
+        lv += rate * (
             np.kron(l_op, l_op.conj())
             - 0.5 * np.kron(ld_l, eye)
             - 0.5 * np.kron(eye, ld_l.T)

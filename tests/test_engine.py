@@ -185,7 +185,7 @@ class TestSectorAssembly:
         # of its pairs' blocks, so the ladders give every row exactly
         p = fridge(g=0.0, n=(2, 1, 2))
         eng = RefrigeratorEngine(p, prune_tol=0.0)
-        assert eng.groups == ()
+        assert eng.spectrum is None
         keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop", "hsb"))
         times = [0.0, 1.3, 4.7]
         expected = sector_reference(p, times, keys + (("hint",),))
@@ -199,8 +199,9 @@ class TestSectorAssembly:
     def test_autonomous_interaction_states_degenerate(self):
         p = fridge(n=(3, 3, 3), g=0.07)
         assert p.is_autonomous()
-        (group,) = RefrigeratorEngine(p, prune_tol=0.0).groups
-        h = _hamiltonians(p, group.sectors)
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        assert eng.spectrum is not None
+        h = _hamiltonians(p, eng.layout.interacting)
         assert np.allclose(h[:, 2, 2], h[:, 5, 5], rtol=0.0, atol=1e-12)
         assert np.allclose(h[:, 2, 5], p.g, rtol=0.0, atol=1e-15)
 
@@ -211,14 +212,14 @@ class TestSectorAssembly:
         eng = RefrigeratorEngine(p, prune_tol=0.0)
         eng_free = RefrigeratorEngine(fridge(n=(1, 1, 1), g=0.0), prune_tol=0.0)
         assert eng_free.layout is eng.layout
-        assert eng_free.groups == ()
-        (group,) = eng.groups
-        assert group.size == 1  # the single full sector at N=(1,1,1); 26 are free
+        assert eng_free.spectrum is None and eng.spectrum is not None
+        sectors = eng.layout.interacting
+        assert sectors.size == 1  # the single full sector at N=(1,1,1); 26 are free
         tables = eng.layout.pairs
         blocks = [pair_block(t, 1, a) for t, a in zip(tables, p.coupling)]
         kron_sum = sum(functools.reduce(np.kron, [b if i == k else np.eye(2) for i in range(3)])
                        for k, b in enumerate(blocks))
-        gap = _hamiltonians(p, group.sectors)[0] - kron_sum
+        gap = _hamiltonians(p, sectors)[0] - kron_sum
         assert gap[2, 5] == gap[5, 2] == pytest.approx(0.3, abs=1e-15)
         gap[[2, 5], [5, 2]] = 0.0
         assert np.max(np.abs(gap)) < 1e-15
@@ -231,13 +232,13 @@ class TestSectorAssembly:
         # be a unit-trace state diagonal in the sector basis, and every
         # ladder row starts with unit population
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)), prune_tol=0.0)
-        (group,) = eng.groups
-        rho = group.vecs @ group.m_matrix @ group.vecs.transpose(0, 2, 1)
+        _, vecs, m_matrix = eng.spectrum
+        rho = vecs @ m_matrix @ vecs.transpose(0, 2, 1)
         assert np.allclose(np.trace(rho, axis1=1, axis2=2), 1.0, rtol=0.0, atol=1e-12)
         off = rho - np.einsum("gk,kl->gkl", np.diagonal(rho, axis1=1, axis2=2),
-                              np.eye(group.dim))
+                              np.eye(8))
         assert np.max(np.abs(off)) < 1e-14
-        assert np.allclose(np.diagonal(rho, axis1=1, axis2=2), group.sectors.p0,
+        assert np.allclose(np.diagonal(rho, axis1=1, axis2=2), eng.layout.interacting.p0,
                            rtol=0.0, atol=1e-14)
         for ladder in eng.ladders:
             assert np.allclose(ladder.p_row.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
@@ -276,8 +277,9 @@ class TestLayoutSharing:
             fridge(n=(2, 1, 1), coupling=(0.1, 0.9, 0.0), g=0.0), prune_tol=1e-6
         )
         assert second.layout is first.layout
-        assert [g.sectors for g in first.groups] == [first.layout.interacting]
-        assert second.groups == ()  # at g = 0 the interacting sectors join the ladders
+        lam, _, _ = first.spectrum  # one spectrum row per interacting sector of the layout
+        assert lam.shape == (first.layout.interacting.size, 8)
+        assert second.spectrum is None  # at g = 0 the interacting sectors join the ladders
 
     def test_layout_arrays_are_read_only(self):
         lay = layout(fridge(n=(2, 1, 3)))
@@ -790,19 +792,19 @@ class TestClosedFormSpectra:
             return eigh(h)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        assert RefrigeratorEngine(star(n=30)).groups == ()
+        assert RefrigeratorEngine(star(n=30)).spectrum is None
         free = RefrigeratorEngine(fridge(n=(30, 30, 30), g=0.0))
-        assert calls == [] and free.groups == ()
+        assert calls == [] and free.spectrum is None
         # at g = 0 qubit 1 is its own ladder: one term per interior row at most
         assert free.series_terms((("exc", 1),)).omegas.size <= 30 + 1
         eng = RefrigeratorEngine(fridge(n=(30, 30, 30), g=0.05))
-        (full,) = eng.groups
-        assert calls == [(full.size, 8, 8)]
+        full = eng.layout.interacting
+        assert eng.spectrum is not None and calls == [(full.size, 8, 8)]
         # the one call sees the (2, 2, 2) sectors and only those
-        for table, rows in zip(eng.layout.pairs, full.sectors.pair_rows.T):
+        for table, rows in zip(eng.layout.pairs, full.pair_rows.T):
             assert np.all(table["dim"][rows] == 2)
         for free_weights in eng.layout.free_weights:
-            assert free_weights.sum() + full.sectors.weights.sum() == pytest.approx(
+            assert free_weights.sum() + full.weights.sum() == pytest.approx(
                 eng.layout.kept_weight, abs=1e-12)
 
 
@@ -816,7 +818,7 @@ class TestShapeGroups:
         for g in (0.05, 0.0):
             p = fridge(n=n, g=g)
             eng = RefrigeratorEngine(p, prune_tol=0.0)
-            assert len(eng.groups) == (g > 0.0)
+            assert (eng.spectrum is not None) == (g > 0.0)
             terms = eng.series_terms(keys)
             model = oracle.build_dense(p)
             spectrum = model.spectrum()
@@ -907,7 +909,7 @@ class TestPairLadders:
                    coupling=(0.3, 0.6, 0.2), g=0.08, beta=(0.8, 1.2, 0.6))
         eng = RefrigeratorEngine(p, prune_tol=1e-3)
         lay = eng.layout
-        assert lay.dropped > 0 and eng.groups
+        assert lay.dropped > 0 and eng.spectrum is not None
         product = math.prod(m[r] for m, r in zip(lay.marginals, lay.interacting.pair_rows.T))
         assert np.max(np.abs(lay.interacting.weights * lay.kept_weight ** 2 - product)) > 1e-6
         keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop", "hsb")) + (("hint",),)

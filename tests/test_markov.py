@@ -9,18 +9,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_reference import liouvillian_matrix, system_hamiltonian
+from dense_reference import (
+    JUMP_OPERATORS,
+    jump_channels,
+    liouvillian_matrix,
+    system_hamiltonian,
+)
+from spinfridge import markov
 from spinfridge.cli import main
 from spinfridge.markov import (
     MarkovParams,
     WeakCouplingError,
     WeakCouplingWarning,
     bose_occupation,
-    build_jump_channels,
     decay_rate,
     excited_populations,
     integrate_gksl,
     markov_optimize,
+    rate_matrix,
     spectral_density,
     temperature_trajectories,
     thermal_product_state,
@@ -45,16 +51,19 @@ def ket(bits):
     return v
 
 
+# dressed kets as columns: |+-> = (|101> +- |010>)/sqrt(2) in the places of |101>, |010>
+DRESS = np.eye(8)
+DRESS[:, 0b101] = (ket("101") + ket("010")) / math.sqrt(2.0)
+DRESS[:, 0b010] = (ket("101") - ket("010")) / math.sqrt(2.0)
+
+
 def full_states(traj):
     """Computational-basis density matrices from the dressed populations and rho_{+-}."""
-    dress = np.eye(8)
-    dress[:, 0b101] = (ket("101") + ket("010")) / math.sqrt(2.0)
-    dress[:, 0b010] = (ket("101") - ket("010")) / math.sqrt(2.0)
     dressed = np.zeros((len(traj.time), 8, 8), dtype=complex)
     dressed[:, range(8), range(8)] = traj.populations
     dressed[:, 0b101, 0b010] = traj.coherence
     dressed[:, 0b010, 0b101] = traj.coherence.conj()
-    return dress @ dressed @ dress.T
+    return DRESS @ dressed @ DRESS.T
 
 
 def oracle_states(p, rho0, times):
@@ -65,22 +74,54 @@ def oracle_states(p, rho0, times):
 
 class TestChannels:
     def test_channel_count_and_pairing(self):
-        channels = build_jump_channels(params())
-        assert len(channels) == 18
-        positive = [c for c in channels if c.frequency > 0]
-        negative = [c for c in channels if c.frequency < 0]
-        assert len(positive) == len(negative) == 9
-        for pos, neg in zip(positive, negative):
-            assert neg.frequency == -pos.frequency
-            assert np.max(np.abs(neg.operator - pos.operator.T)) == 0.0
+        # each reference operator lowers the energy by its frequency, is the
+        # table's channel in the dressed basis, and its adjoint runs the
+        # channel's moves backwards at the detailed-balance rate
+        p = params()
+        h = system_hamiltonian(p)
+        channels = jump_channels(p)
+        assert len(JUMP_OPERATORS) == len(markov._CHANNELS) == 9 and len(channels) == 18
+        for (qubit, sign, op), (table_qubit, table_sign, moves), down, up in zip(
+                JUMP_OPERATORS, markov._CHANNELS, channels[::2], channels[1::2]):
+            assert (qubit, sign) == (table_qubit, table_sign)
+            frequency = p.epsilon[qubit - 1] + sign * p.g
+            assert frequency > 0
+            assert np.max(np.abs(h @ op - op @ h + frequency * op)) < 1e-15
+            expected = np.zeros((8, 8))
+            for source, target in moves:
+                expected[target, source] = 0.5 if sign else 1.0
+            assert np.max(np.abs((DRESS.T @ op @ DRESS) ** 2 - expected)) < 1e-15
+            assert np.max(np.abs((DRESS.T @ op.T @ DRESS) ** 2 - expected.T)) < 1e-15
+            assert down[1] is op and np.array_equal(up[1], op.T)
+            assert up[0] / down[0] == pytest.approx(
+                math.exp(-p.beta[qubit - 1] * frequency), rel=1e-12)
 
     def test_bare_channel_maps_states(self):
-        channels = build_jump_channels(params())
-        l1 = channels[0]  # qubit 1 at frequency eps_1
-        assert l1.frequency == pytest.approx(1.0)
-        image = l1.operator @ ket("011")
+        qubit, sign, l1 = JUMP_OPERATORS[0]  # qubit 1 at frequency eps_1
+        assert (qubit, sign) == (1, 0)
+        image = l1 @ ket("011")
         assert np.allclose(image, ket("111"))
-        assert np.allclose(l1.operator @ ket("000"), ket("100"))
+        assert np.allclose(l1 @ ket("000"), ket("100"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+        st.one_of(st.just(0.0), st.floats(0.005, 0.4)),
+        st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1e-5))] * 3),
+        st.tuples(*[st.floats(0.2, 40.0)] * 3), st.floats(1.0, 1e3),
+    )
+    def test_rate_matrix_is_the_reference_channels_in_the_dressed_basis(
+            self, eps1, eps3, g, alpha, beta, cutoff):
+        p = MarkovParams((eps1, eps1 + eps3, eps3), g, alpha, beta, cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakCouplingWarning)
+            w = rate_matrix(p)
+        expected = sum(rate * (DRESS.T @ op @ DRESS) ** 2 for rate, op in jump_channels(p))
+        off = ~np.eye(8, dtype=bool)
+        scale = np.abs(w).max()
+        assert np.max(np.abs(w - expected)[off]) <= 1e-15 * scale
+        column_sums = np.where(off, w, 0.0).sum(axis=0)
+        assert np.max(np.abs(np.diag(w) + column_sums)) <= 1e-15 * scale
 
     def test_rate_value_against_independent_scalar(self):
         # independent evaluation: J = alpha*w*exp(-w/cutoff), f Bose-Einstein
@@ -104,9 +145,8 @@ class TestChannels:
             assert up / down == pytest.approx(math.exp(-beta * omega), abs=1e-12)
 
     def test_sigma_x_reconstruction(self):
-        channels = build_jump_channels(params())
         for qubit in (1, 2, 3):
-            total = sum(c.operator for c in channels if c.qubit == qubit)
+            total = sum(op + op.T for q, _, op in JUMP_OPERATORS if q == qubit)
             expected = np.zeros((8, 8))
             for idx in range(8):
                 expected[idx ^ (1 << (3 - qubit)), idx] = 1.0
@@ -114,17 +154,28 @@ class TestChannels:
 
     def test_negative_transition_frequency_rejected(self):
         with pytest.raises(ValueError, match="nonpositive frequency"):
-            build_jump_channels(params(epsilon=(0.05, 2.0, 1.0), g=0.08))
+            rate_matrix(params(epsilon=(0.05, 2.0, 1.0), g=0.08))
 
     @pytest.mark.parametrize("epsilon", [(0.0, 1.0, 1.0), (-1.0, 2.0, 3.0), (1.0, 1.0, 0.0)])
     def test_nonpositive_gap_rejected_up_front(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             params(epsilon=epsilon)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon", (math.nan, 2.0, 1.0)), ("epsilon", (1.0, math.inf, 1.0)),
+        ("g", math.nan), ("g", math.inf),
+        ("alpha", (math.nan, 0.0, 0.0)), ("alpha", (0.0, 0.0, math.inf)),
+        ("beta", (1.0, math.nan, 1.0)), ("beta", (math.inf, 1.0, 1.0)),
+        ("cutoff", math.nan), ("cutoff", math.inf),
+    ])
+    def test_non_finite_fields_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            params(**{name: value})
+
     def test_non_autonomous_gaps_rejected(self, tmp_path, capsys):
         bad = params(epsilon=(1.0, 2.5, 1.0), g=0.05, beta=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match=r"eps2 = eps1 \+ eps3"):
-            build_jump_channels(bad)
+            rate_matrix(bad)
         cfg = tmp_path / "markov.json"
         cfg.write_text(json.dumps({
             "mode": "markov",
@@ -138,9 +189,9 @@ class TestChannels:
 
     def test_weak_coupling_warning_and_error(self):
         with pytest.warns(WeakCouplingWarning):
-            build_jump_channels(params(alpha=(8e-4, 0.0, 0.0)))
+            rate_matrix(params(alpha=(8e-4, 0.0, 0.0)))
         with pytest.raises(ValueError, match="weak coupling"):
-            build_jump_channels(params(alpha=(0.05, 0.0, 0.0)))
+            rate_matrix(params(alpha=(0.05, 0.0, 0.0)))
 
     def test_spectral_density_shape(self):
         assert spectral_density(2.0, 0.5, 1000.0) == pytest.approx(
@@ -160,6 +211,7 @@ class TestDetailedBalance:
         p = params(epsilon=(eps1, eps1 + eps3, eps3), g=g, alpha=alpha, beta=(beta,) * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", WeakCouplingWarning)
+            rate_matrix(p)
             lv = liouvillian_matrix(p)
         steady = np.linalg.svd(lv)[2][-1].conj().reshape(8, 8)
         steady /= np.trace(steady)
@@ -282,6 +334,24 @@ class TestIntegration:
         monkeypatch.setattr(markov, "_propagate", drifting)
         p = params()
         with pytest.raises(RuntimeError, match="t=0.25"):
+            integrate_gksl(p, thermal_product_state(p), TimeGrid(0.0, 1.0, 0.25))
+
+    @pytest.mark.parametrize("where", ["populations", "coherence"])
+    def test_nan_sample_is_caught(self, monkeypatch, where):
+        real = markov._propagate
+
+        def poisoned(*args, **kwargs):
+            pops, coherence, diagonal = real(*args, **kwargs)
+            if len(pops) > 3:  # NaN at the fourth sample only
+                if where == "populations":
+                    pops[3, 4] = math.nan
+                else:
+                    coherence[3] = math.nan
+            return pops, coherence, diagonal
+
+        monkeypatch.setattr(markov, "_propagate", poisoned)
+        p = params()
+        with pytest.raises(RuntimeError, match="t=0.75"):
             integrate_gksl(p, thermal_product_state(p), TimeGrid(0.0, 1.0, 0.25))
 
     def test_one_broken_coherence_is_caught(self, monkeypatch):
@@ -471,7 +541,7 @@ class TestOptimize:
         best = json.loads(out.read_text())["results"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
-            build_jump_channels(params(
+            rate_matrix(params(
                 alpha=tuple(best["best_alpha"]), g=best["best_g"], beta=(1.0, 1.0, 0.5)
             ))
 

@@ -73,8 +73,9 @@ class TestSectorEmbedding:
         # the interacting group holds exactly the eight-dimensional sectors
         full = {rows for rows, _ in sector_labels(p)
                 if all(t["dim"][j] == 2 for t, j in zip(tables, rows))}
-        (group,) = RefrigeratorEngine(p, prune_tol=0.0).groups
-        assert {tuple(r) for r in group.sectors.pair_rows.tolist()} == full
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        assert eng.spectrum is not None
+        assert {tuple(r) for r in eng.layout.interacting.pair_rows.tolist()} == full
 
     def test_dense_hamiltonian_restricted_to_sectors(self):
         # each sector block is the Kronecker sum of its pairs' blocks, which
@@ -82,9 +83,10 @@ class TestSectorEmbedding:
         # interacting group's blocks
         p = fridge(n=(2, 1, 1))
         model = oracle.build_dense(p)
-        (group,) = RefrigeratorEngine(p, prune_tol=0.0).groups
-        group_rows = [tuple(r) for r in group.sectors.pair_rows.tolist()]
-        hamiltonians = _hamiltonians(p, group.sectors)
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        assert eng.spectrum is not None
+        group_rows = [tuple(r) for r in eng.layout.interacting.pair_rows.tolist()]
+        hamiltonians = _hamiltonians(p, eng.layout.interacting)
         tables = [pair_table(p, i) for i in (1, 2, 3)]
         for rows, two_m in sector_labels(p):
             idx = sector_basis_indices(p.n_bath, two_m)
