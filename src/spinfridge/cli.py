@@ -68,8 +68,8 @@ def _run_evolve(config: RunConfig) -> None:
     """Time series of every qubit: the refrigerator's three, a single star's one."""
     engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
     qubits = range(1, engine.params.pairs + 1)
-    series = engine.qubit_series(qubits, config.time_grid)
     currents = thermo.heat_current_series(engine, config.time_grid)
+    series = engine.qubit_series(qubits, config.time_grid, currents.excited)
     header = ["t"] + [
         f"{name}{i}" for name in ("T", "r", "QdotS", "QdotB") for i in qubits
     ]

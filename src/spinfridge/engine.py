@@ -473,10 +473,16 @@ class RefrigeratorEngine:
                     )
         return terms
 
-    def qubit_series(self, qubits, grid: TimeGrid) -> list[TimeSeries]:
-        """Ground populations and temperatures of several qubits on ``grid`` in one pass."""
+    def qubit_series(self, qubits, grid: TimeGrid, excited=None) -> list[TimeSeries]:
+        """Ground populations and temperatures of several qubits on ``grid`` in one pass.
+
+        ``excited`` takes rows p_i of ``qubits`` already read on ``grid`` (as
+        ``thermo.heat_current_series`` reads them with the currents) in
+        place of that pass.
+        """
         times = grid.points()
-        p = self.excited_terms(qubits).on_grid(grid.start, grid.step, len(times))
+        terms = self.excited_terms(qubits)
+        p = terms.on_grid(grid.start, grid.step, len(times)) if excited is None else excited
         if np.any(p < 0.0):  # the true p lies below the rounding of its series
             q = list(qubits)[int(p.min(axis=1).argmin())]
             raise ValueError(f"qubit {q}'s excited population reads {p.min():.3g}, "

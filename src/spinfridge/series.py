@@ -4,7 +4,8 @@ Every population of the exact engine, for one star or three, is such a
 cosine series over spectral gaps, and every energy current is read from
 its derivative (``SeriesTerms.derivative``).  ``SeriesTerms`` holds one or several
 over shared gaps, one row each, and evaluates them with the blocked grid
-kernel ``trig_series_uniform`` on a ``TimeGrid``, directly with
+kernel ``trig_series_uniform`` on a ``TimeGrid`` (with their derivative
+from the same pass when asked), directly with
 ``trig_series_at`` at arbitrary times, or as local Taylor polynomials with
 ``trig_series_taylor``.  ``TimeGrid`` is the one uniform grid a run reads
 every result on, from its configuration down to the kernel.
@@ -22,6 +23,8 @@ _CHUNK_BYTES = 1 << 20
 # Doubling levels per direct cos/sin in the grid kernel; the levels between
 # are squared (``_squared_phases``).
 _ANCHOR_EVERY = 4
+# Rows of a grid pass above which its blocks are twice as long.
+_LONG_BLOCK_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -97,54 +100,91 @@ def _squared_phases(steps: np.ndarray, w: np.ndarray) -> np.ndarray:
     return rows
 
 
-def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
-                        kind: str = "cos") -> np.ndarray:
-    """Evaluate const + sum_j amps[.,j]*trig(omegas[j]*t) on a uniform grid.
+def _weighted(amps: np.ndarray, phases: np.ndarray, out: np.ndarray) -> None:
+    """out[r, b] = amps[r] times phases[b], over interleaved (real, imag) pairs."""
+    np.multiply(np.repeat(amps, 2, axis=1)[:, None, :], phases.view(float)[None, :, :], out=out)
 
-    The grid t = t0 + (b*B + q)*dt is cut into blocks of B points, B the
-    power of two at or above sqrt(n).  Since
-    e^{iwt} = e^{iw(t0 + bB dt)} e^{iwq dt}, one chunk of terms costs one
-    real matrix product over interleaved (cos, sin) pairs: the
-    amplitude-weighted block phases (a cos, a sin) (rows: series x block)
-    against the in-block phases (cos, -sin) for cosines or (sin, cos) for
-    sines.  Both phase tables are doubled (``_doubled``) from the phases
-    e^{iw 2^p dt}, of which only every ``_ANCHOR_EVERY``-th is a direct
-    cos/sin and the others are squares (``_squared_phases``): 8 instead of
-    24 transcendentals per term for n = 2001.  Chunks are sized so the
-    scratch stays near ``_CHUNK_BYTES``.  Each doubling phase is within
-    about 2^_ANCHOR_EVERY ulps and each table entry is a product of at most
-    log2(n) + 1 of them, so the absolute error is a few tens of ulps times
-    sum|amps| (measured: below 1e-14 sum|amps|, and 5e-14 sum|amps| for w
-    up to 500 on 2001 points, against direct evaluation).  (k, m)
-    amplitudes evaluate k series over shared frequencies, of shape (k, n).
+
+def _grid_pass(cos_amps, sin_amps, omegas, t0: float, dt: float, n: int) -> np.ndarray:
+    """sum_j a_j cos(w_j t) for each row of ``cos_amps``, then sum_j a_j sin(w_j t)
+    for each row of ``sin_amps``, at t = t0 + k dt for k < n.
+
+    The blocked kernel of ``trig_series_uniform``; both row groups share
+    its phase tables and its matrix product.  A sine row is a cosine row
+    whose block phase is turned a quarter period back,
+    a sin(x + y) = Re[(-i a e^{ix}) e^{iy}], so its left block is
+    (a sin, -a cos) against the same in-block phases (cos, -sin).
     """
-    const_vec, amps = _series_rows(const, amps)
-    omegas = np.asarray(omegas, dtype=float)
-    rows = amps.shape[0]
-    out = np.empty((rows, n))
-    out[:] = const_vec[:, None]
+    n_cos = cos_amps.shape[0]
+    rows = n_cos + sin_amps.shape[0]
     if omegas.size == 0 or n == 0:
-        return out
-    block = 1 << math.isqrt(n - 1).bit_length()
+        return np.zeros((rows, n))
+    block = (2 if rows > _LONG_BLOCK_ROWS else 1) << math.isqrt(n - 1).bit_length()
     n_blocks = -(-n // block)
     inner_levels = block.bit_length() - 1
     steps = dt * 2.0 ** np.arange(inner_levels + (n_blocks - 1).bit_length())
-    per_term = 16 * (len(steps) + n_blocks + block + rows * (n_blocks + 1))
+    tables = n_blocks * (2 if n_cos < rows else 1)
+    per_term = 16 * (len(steps) + tables + block + rows * (n_blocks + 1))
     chunk = max(1, _CHUNK_BYTES // per_term)
     acc = np.zeros((rows * n_blocks, block))
     for start in range(0, omegas.size, chunk):
-        w = omegas[start:start + chunk]
+        sl = slice(start, start + chunk)
+        w = omegas[sl]
         doubling = _squared_phases(steps, w)
-        outer = _doubled(_cis(w * t0), doubling[inner_levels:], n_blocks).view(float)
+        outer = _doubled(_cis(w * t0), doubling[inner_levels:], n_blocks)
         inner = _doubled(np.ones(w.size, dtype=complex), doubling, block)
         np.conjugate(inner, out=inner)
+        left = np.empty((rows, n_blocks, 2 * w.size))
+        if n_cos:
+            _weighted(cos_amps[:, sl], outer, left[:n_cos])
+        if n_cos < rows:
+            _weighted(sin_amps[:, sl], outer * -1j, left[n_cos:])
+        acc += left.reshape(rows * n_blocks, -1) @ inner.view(float).T
+    return acc.reshape(rows, n_blocks * block)[:, :n]
+
+
+def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
+                        kind: str = "cos", derivative: bool = False):
+    """Evaluate const + sum_j amps[.,j]*trig(omegas[j]*t) on a uniform grid.
+
+    The grid t = t0 + (b*B + q)*dt is cut into blocks of B points, B the
+    power of two at or above sqrt(n), doubled for more than
+    ``_LONG_BLOCK_ROWS`` rows (the weighted block phases grow with the rows,
+    the shared tables do not; 22 -> 19 ms for six rows of 18.6k terms on
+    2001 points).  Since
+    e^{iwt} = e^{iw(t0 + bB dt)} e^{iwq dt}, one chunk of terms costs one
+    real matrix product over interleaved (cos, sin) pairs: the
+    amplitude-weighted block phases, (a cos, a sin) for cosines and
+    (a sin, -a cos) for sines (rows: series x block), against the in-block
+    phases (cos, -sin).  Both phase tables are doubled (``_doubled``) from
+    the phases e^{iw 2^p dt}, of which only every ``_ANCHOR_EVERY``-th is a
+    direct cos/sin and the others are squares (``_squared_phases``): 8
+    instead of 24 transcendentals per term for n = 2001.  Chunks are sized
+    so the scratch stays near ``_CHUNK_BYTES``.  Each doubling phase is
+    within about 2^_ANCHOR_EVERY ulps and each table entry is a product of
+    at most log2(n) + 1 of them, so the absolute error is a few tens of
+    ulps times sum|amps| (measured: below 1e-14 sum|amps|, and 5e-14
+    sum|amps| for w up to 500 on 2001 points, against direct evaluation of
+    hundreds of terms).  The phase w t itself rounds relative to w|t|, in
+    the kernel as in direct evaluation, so one term alone differs from its
+    direct value by up to 3e-14 |a| at w|t| <= 64 and 1e-13 |a| at 500.
+    (k, m) amplitudes evaluate k series over shared frequencies, of shape
+    (k, n).
+
+    With ``derivative``, a cosine series also yields its time derivative,
+    the sines of amplitudes -a w (``SeriesTerms.derivative``), from the
+    same pass and its phase tables: returns (values, rates), each (k, n).
+    """
+    const_vec, amps = _series_rows(const, amps)
+    omegas = np.asarray(omegas, dtype=float)
+    if derivative:
         if kind != "cos":
-            inner *= 1j
-        weights = np.repeat(amps[:, start:start + chunk], 2, axis=1)
-        left = (weights[:, None, :] * outer[None, :, :]).reshape(rows * n_blocks, -1)
-        acc += left @ inner.view(float).T
-    out += acc.reshape(rows, n_blocks * block)[:, :n]
-    return out
+            raise ValueError("derivative: only a cosine series")
+        both = _grid_pass(amps, -amps * omegas, omegas, t0, dt, n)
+        return const_vec[:, None] + both[:amps.shape[0]], both[amps.shape[0]:]
+    none = amps[:0]
+    values = _grid_pass(*((amps, none) if kind == "cos" else (none, amps)), omegas, t0, dt, n)
+    return const_vec[:, None] + values
 
 
 def trig_series_at(const, amps, omegas, times, kind: str = "cos") -> np.ndarray:
@@ -236,8 +276,10 @@ class SeriesTerms:
     def at(self, times) -> np.ndarray:
         return trig_series_at(self.const, self.amps, self.omegas, times, self.kind)
 
-    def on_grid(self, t0: float, dt: float, n: int) -> np.ndarray:
-        return trig_series_uniform(self.const, self.amps, self.omegas, t0, dt, n, self.kind)
+    def on_grid(self, t0: float, dt: float, n: int, derivative: bool = False):
+        """Values on the grid; with ``derivative``, (values, rates) from one pass."""
+        return trig_series_uniform(self.const, self.amps, self.omegas, t0, dt, n, self.kind,
+                                   derivative)
 
     def taylor(self, centres, radius: float) -> np.ndarray:
         return trig_series_taylor(self.const, self.amps, self.omegas, centres, radius,

@@ -5,7 +5,8 @@ Petruccione, PRB 70, 045323 (2004)), so an excitation that leaves qubit i
 lands one rung up its bath: Qdot_S,i = eps_i dp_i/dt and
 Qdot_B,i = -E_i dp_i/dt exactly (units with hbar*K = 1), where p_i is the
 qubit's excited population.  Both come from the derivative of the
-engine's excited-population series; no finite differencing enters.  The
+engine's excited-population series, read in the same grid pass as p_i
+itself; no finite differencing enters.  The
 coupling and interaction rows' derivatives complete d<H>/dt, which is
 assembled and checked against zero.
 """
@@ -22,25 +23,29 @@ from .series import SeriesTerms, TimeGrid
 
 @dataclass(frozen=True)
 class HeatCurrentSeries:
-    """Heat currents sampled along a time grid."""
+    """Heat currents sampled along a time grid, with the excited populations
+    p_i they flow from."""
 
     time: np.ndarray
+    excited: np.ndarray  # (pairs, n)
     qdot_s: np.ndarray  # (pairs, n)
     qdot_b: np.ndarray  # (pairs, n)
 
 
-def _excitation_rates(engine: RefrigeratorEngine) -> SeriesTerms:
-    """dp_i/dt of every qubit, one row per pair, from the engine's excited rows."""
+def _excited_rows(engine: RefrigeratorEngine) -> SeriesTerms:
+    """p_i of every qubit, one row per pair, from the engine's excited rows."""
     pairs = engine.params.pairs
-    return engine.series_terms(tuple(("exc", i) for i in range(1, pairs + 1))).derivative()
+    return engine.series_terms(tuple(("exc", i) for i in range(1, pairs + 1)))
 
 
 def heat_current_series(engine: RefrigeratorEngine, grid: TimeGrid) -> HeatCurrentSeries:
-    """Heat currents on ``grid``, all of them from one pass of the rate series."""
-    times = grid.points()
-    rates = _excitation_rates(engine).on_grid(grid.start, grid.step, len(times))
+    """Excited populations and heat currents on ``grid``, all from one grid
+    pass of the excited rows and their derivative."""
+    excited, rates = _excited_rows(engine).on_grid(grid.start, grid.step, len(grid),
+                                                     derivative=True)
     params = engine.params
-    return HeatCurrentSeries(times, np.array(params.epsilon)[:, None] * rates,
+    return HeatCurrentSeries(grid.points(), excited,
+                             np.array(params.epsilon)[:, None] * rates,
                              -np.array(params.bath_energy)[:, None] * rates)
 
 
@@ -55,7 +60,8 @@ def energy_balance(engine: RefrigeratorEngine, t: float) -> float:
     per row.
     """
     params = engine.params
-    levels = np.subtract(params.epsilon, params.bath_energy) @ _excitation_rates(engine).at([t])
+    rates = _excited_rows(engine).derivative().at([t])
+    levels = np.subtract(params.epsilon, params.bath_energy) @ rates
     return float(levels[0] + sum(
         engine.series_terms((key,)).derivative().at([t])[0, 0]
         for key in energy_keys(params.pairs)

@@ -6,7 +6,7 @@ The default profile is a reduced smoke run sized for a single core
 (bath-size sweep capped at N = 14, extrapolation-only asymptote check at
 +-0.03).  Set SPINFRIDGE_ACCEPTANCE=full for the full-depth profile
 (N up to 50, fit and extrapolation at the tight tolerances); it took
-166 s on 2 vCPUs.
+22 s on 2 vCPUs (Python 3.11, numpy 2.4).
 """
 
 import os

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import spinfridge
+from spinfridge import series
 from spinfridge.cli import main
 from spinfridge.config import (
     ConfigError,
@@ -137,6 +138,26 @@ class TestCliCommands:
         assert len(lines) == 3 + 11
         assert main(["evolve", cfg]) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("mode", ["evolve", "single"])
+    def test_evolve_makes_one_grid_pass(self, tmp_path, monkeypatch, mode):
+        # temperatures, populations and heat currents share one kernel pass
+        passes = []
+        kernel = series._grid_pass
+        monkeypatch.setattr(series, "_grid_pass",
+                            lambda *args: passes.append(args) or kernel(*args))
+        params = fridge_params() if mode == "evolve" else {
+            "epsilon": 1.0, "bath_energy": 2.0, "coupling": 0.5, "n_bath": 3, "beta": 1.0,
+        }
+        cfg = write_config(tmp_path, "run.json", {
+            "mode": mode,
+            "params": params,
+            "time_grid": {"start": 0, "stop": 1, "step": 0.1},
+            "output": {"path": str(tmp_path / "run.csv")},
+        })
+        assert main([mode, cfg]) == 0
+        pairs = len(fridge_params()["epsilon"]) if mode == "evolve" else 1
+        assert [(len(a[0]), len(a[1])) for a in passes] == [(pairs, pairs)]
 
     def test_evolve_times_are_the_grid_points(self, tmp_path):
         # a grid that does not start at 0: the t column is TimeGrid.points()

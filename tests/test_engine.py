@@ -30,6 +30,7 @@ from spinfridge.engine import (
     sector_layout,
 )
 from spinfridge.series import (
+    SeriesTerms,
     TimeGrid,
     trig_series_at,
     trig_series_taylor,
@@ -534,6 +535,56 @@ class TestGridKernelProperty:
         assert np.all(np.abs(grid - direct) <= bound[:, None])
         single = trig_series_uniform(const[0], amps[0], omegas, t0, dt, n, kind)
         assert np.all(np.abs(single - direct[0]) <= bound[0])
+
+
+@st.composite
+def _fused_case(draw):
+    """Grid and (rows, m) cosine amplitudes, m = 0 included, with w|t| <= 64.
+
+    The reach w|t| is capped because direct evaluation itself rounds the
+    phase w t relative to w|t|, so no absolute bound holds for both at any
+    reach; gaps near the Nyquist frequency pi/dt come in where the cap
+    allows them.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 2001]))
+    dt = draw(st.floats(0.05, 0.5) if n < 2001 else st.floats(1e-4, 5e-3))
+    t0 = draw(st.floats(-3.0, 3.0))
+    top = 64.0 / max(abs(t0), abs(t0 + (n - 1) * dt), 0.1)
+    omega = [st.just(0.0), st.floats(0.0, top)]
+    if math.pi / dt < top:
+        omega.append(st.floats(-1e-6, 1e-6).map(lambda d: math.pi / dt * (1.0 + d)))
+    omegas = np.array(draw(st.lists(st.one_of(omega), max_size=30)), dtype=float)
+    rows = draw(st.integers(1, 3))
+    amp = st.floats(-1.0, 1.0)
+    amps = np.array(draw(st.lists(
+        st.lists(amp, min_size=omegas.size, max_size=omegas.size),
+        min_size=rows, max_size=rows,
+    )), dtype=float).reshape(rows, omegas.size)
+    const = np.array(draw(st.lists(amp, min_size=rows, max_size=rows)))
+    return n, dt, t0, omegas, amps, const
+
+
+class TestFusedGridPass:
+    @settings(max_examples=100, deadline=None)
+    @given(_fused_case())
+    @example((5, 0.1, 0.7, np.empty(0), np.empty((2, 0)), np.array([0.25, -1.0])))
+    def test_rows_match_direct_series_and_derivative(self, case):
+        n, dt, t0, omegas, amps, const = case
+        terms = SeriesTerms(const, amps, omegas, "cos")
+        values, rates = terms.on_grid(t0, dt, n, derivative=True)
+        times = t0 + np.arange(n) * dt
+        rate_terms = terms.derivative()
+        floor = 64 * np.finfo(float).smallest_subnormal
+        for got, want, size in (
+            (values, terms.at(times), np.abs(amps).sum(axis=1) + np.abs(const)),
+            (rates, rate_terms.at(times), np.abs(rate_terms.amps).sum(axis=1)),
+        ):
+            assert got.shape == want.shape == (amps.shape[0], n)
+            assert np.all(np.abs(got - want) <= (5e-14 * size + floor)[:, None])
+
+    def test_sine_series_has_no_fused_derivative(self):
+        with pytest.raises(ValueError, match="cosine"):
+            trig_series_uniform(0.0, [1.0], [1.0], 0.0, 0.1, 5, "sin", derivative=True)
 
 
 class TestMultiKeySeries:
