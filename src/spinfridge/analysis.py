@@ -688,30 +688,6 @@ def optimize_t1(base: RefrigeratorParams, prune_tol: float, ranges=DEFAULT_RANGE
     return minimize_t1(best, ranges, budget, seed)
 
 
-def _optimize_with_series(base: RefrigeratorParams, prune_tol: float, ranges, budget: int,
-                          seed: int, time_grid: TimeGrid):
-    """``optimize_t1``'s search, its result and the qubit-1 series of its best point.
-
-    Only the incumbent's series is kept, replaced when a point scores
-    strictly lower, as ``minimize_box`` ranks them; a point the memo
-    answers never does, so the series kept is the winner's (None when no
-    point scored below +inf).  ``optimize_t1`` keeps no series: the
-    scores read here cost it time and the kept series memory.
-    """
-    eps = base.epsilon[0]
-    incumbent = [math.inf, None]
-
-    def best(x):
-        terms = _qubit1_series(base, x, prune_tol)
-        t_best, p_best = _best_time_on_series(terms, time_grid)
-        t1 = float(temperature_from_excited(p_best, eps))
-        if t1 < incumbent[0]:
-            incumbent[:] = t1, terms
-        return t_best, p_best, eps
-
-    return minimize_t1(best, ranges, budget, seed), incumbent[1]
-
-
 # ---------------------------------------------------------------------------
 # Bath-size scaling sweep
 # ---------------------------------------------------------------------------
@@ -732,7 +708,8 @@ class ScalingRow:
 def _sweep_point(args) -> ScalingRow:
     (base, n, ranges, budget, seed, prune_tol, grid) = args
     params = replace(base, n_bath=(n, n, n))
-    result, terms = _optimize_with_series(params, prune_tol, ranges, budget, seed, grid)
+    result = optimize_t1(params, prune_tol, ranges, budget, seed, grid)
+    terms = _qubit1_series(params, result.best_params, prune_tol)
     eps = params.epsilon[0]
     times = grid.points()
     p1 = terms.on_grid(grid.start, grid.step, len(times))[0]

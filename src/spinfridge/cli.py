@@ -69,7 +69,7 @@ def _run_evolve(config: RunConfig) -> None:
     engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
     qubits = range(1, engine.params.pairs + 1)
     currents = thermo.heat_current_series(engine, config.time_grid)
-    series = engine.qubit_series(qubits, config.time_grid, currents.excited)
+    series = engine.qubit_series(qubits, currents.time, currents.excited)
     header = ["t"] + [
         f"{name}{i}" for name in ("T", "r", "QdotS", "QdotB") for i in qubits
     ]

@@ -40,7 +40,7 @@ from itertools import combinations, product as iter_product
 
 import numpy as np
 
-from .series import SeriesTerms, TimeGrid
+from .series import SeriesTerms
 from .spinstar import sector_arrays, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
@@ -473,24 +473,22 @@ class RefrigeratorEngine:
                     )
         return terms
 
-    def qubit_series(self, qubits, grid: TimeGrid, excited=None) -> list[TimeSeries]:
-        """Ground populations and temperatures of several qubits on ``grid`` in one pass.
+    def qubit_series(self, qubits, times, excited: np.ndarray) -> list[TimeSeries]:
+        """Ground populations and temperatures of several qubits at ``times``.
 
-        ``excited`` takes rows p_i of ``qubits`` already read on ``grid`` (as
-        ``thermo.heat_current_series`` reads them with the currents) in
-        place of that pass.
+        ``excited`` holds their rows of ``excited_terms(qubits)`` read at
+        ``times``, as ``thermo.heat_current_series`` reads them on a grid
+        with the currents; the checks of ``excited_terms`` run here.
         """
-        times = grid.points()
-        terms = self.excited_terms(qubits)
-        p = terms.on_grid(grid.start, grid.step, len(times)) if excited is None else excited
-        if np.any(p < 0.0):  # the true p lies below the rounding of its series
-            q = list(qubits)[int(p.min(axis=1).argmin())]
-            raise ValueError(f"qubit {q}'s excited population reads {p.min():.3g}, "
+        self.excited_terms(qubits)
+        if np.any(excited < 0.0):  # the true p lies below the rounding of its series
+            q = list(qubits)[int(excited.min(axis=1).argmin())]
+            raise ValueError(f"qubit {q}'s excited population reads {excited.min():.3g}, "
                              "below the rounding of its series")
         return [
             TimeSeries(
-                q, times, 1.0 - p[row],
-                temperature_from_excited(p[row], self.params.epsilon[q - 1]),
+                q, times, 1.0 - excited[row],
+                temperature_from_excited(excited[row], self.params.epsilon[q - 1]),
             )
             for row, q in enumerate(qubits)
         ]

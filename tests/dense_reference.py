@@ -3,12 +3,12 @@
 The Markov baseline's Hamiltonian, its nine jump operators as dense 8x8
 matrices in the bare basis and the full 64x64 GKSL generator they make,
 against which ``markov.rate_matrix`` and ``markov.integrate_gksl`` are
-tested; one-pair parameters (a single star, or pair i of a refrigerator),
-a pair's sector blocks and the map from a sector label to its basis states
-in the dense oracle's basis; the local qubit and bath Hamiltonians in the
-dense basis, whose energy flows the heat currents are; the dense state
-reduced to one subsystem; and the engine's total energy and per-pair
-charges, which the dynamics conserve.
+tested; qubit temperature series on a grid; one-pair parameters (a single
+star, or pair i of a refrigerator), a pair's sector blocks and the map
+from a sector label to its basis states in the dense oracle's basis; the
+local qubit and bath Hamiltonians in the dense basis, whose energy flows
+the heat currents are; the dense state reduced to one subsystem; and the
+engine's total energy and per-pair charges, which the dynamics conserve.
 """
 
 import functools
@@ -38,6 +38,12 @@ def star(eps=1.0, bath_e=2.0, a=0.5, n=2, beta=1.0):
     """A single spin star: one-pair parameters."""
     return RefrigeratorParams(epsilon=(eps,), bath_energy=(bath_e,), coupling=(a,), g=0.0,
                               n_bath=(n,), beta=(beta,))
+
+
+def grid_qubit_series(engine: RefrigeratorEngine, qubits, grid):
+    """``engine.qubit_series`` on ``grid``, the excited rows read in one grid pass."""
+    rows = engine.excited_terms(qubits).on_grid(grid.start, grid.step, len(grid))
+    return engine.qubit_series(qubits, grid.points(), rows)
 
 
 def pair_of(params, i):

@@ -15,7 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dense_reference import charge, dense_evolve_and_trace, star, total_energy
+from dense_reference import (
+    charge,
+    dense_evolve_and_trace,
+    grid_qubit_series,
+    star,
+    total_energy,
+)
 from spinfridge import oracle, thermo
 from spinfridge.analysis import (
     DEFAULT_TIME_GRID,
@@ -65,7 +71,7 @@ def fig1_run():
     result = optimize_t1(base, 1e-9, budget=2000, seed=SEED % 1000)
     x = [float(v) for v in result.best_params]
     engine = RefrigeratorEngine(replace(base, coupling=tuple(x[:3]), g=x[3]), prune_tol=1e-12)
-    series = engine.qubit_series((1, 2, 3), DEFAULT_TIME_GRID)
+    series = grid_qubit_series(engine, (1, 2, 3), DEFAULT_TIME_GRID)
     currents = thermo.heat_current_series(engine, DEFAULT_TIME_GRID)
     return {
         "result": result,

@@ -13,7 +13,6 @@ from spinfridge import analysis
 from spinfridge.analysis import (
     _best_time_on_grid,
     _best_time_on_series,
-    _qubit1_series,
     fit_power_law,
     first_local_min,
     golden_section_min,
@@ -550,31 +549,6 @@ def test_scaling_sweep_rows_equal_optimize_t1(base, monkeypatch):
         assert row.best_t1 == alone.best_t1
         assert np.array_equal(row.best_params, alone.best_params)
         assert row.best_time == alone.best_time
-
-
-@pytest.mark.parametrize("ranges", [
-    ((0.0, 0.5),) * 3 + ((0.0, 0.1),),
-    # pinned coordinates: clipped simplex points repeat, and the memo answers
-    ((0.0, 0.5), (0.3, 0.3), (0.0, 0.0), (0.05, 0.05)),
-])
-def test_sweep_keeps_the_winners_series(base, monkeypatch, ranges):
-    # the series the sweep reads its local minimum from is the one a rebuild
-    # of the winning point gives, and the search is optimize_t1's
-    grid = TimeGrid(0.0, 6.0, 0.05)
-    params = replace(base, n_bath=(4, 4, 4))
-    built = []
-    monkeypatch.setattr(analysis, "_qubit1_series",
-                        lambda *args: built.append(args) or _qubit1_series(*args))
-    result, terms = analysis._optimize_with_series(params, 1e-9, ranges, 16, 5, grid)
-    builds = len(built)
-    alone = optimize_t1(params, 1e-9, ranges, 16, 5, grid)
-    assert result.best_t1 == alone.best_t1 and result.best_time == alone.best_time
-    assert np.array_equal(result.best_params, alone.best_params)
-    winner = _qubit1_series(params, result.best_params, 1e-9)
-    for field in ("const", "amps", "omegas"):
-        assert np.array_equal(getattr(terms, field), getattr(winner, field))
-    if ranges[1][0] == ranges[1][1]:
-        assert builds < result.evaluations
 
 
 class TestFitPowerLaw:

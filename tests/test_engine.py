@@ -13,6 +13,7 @@ from dense_reference import (
     charge,
     dense_evolve_and_trace,
     fridge,
+    grid_qubit_series,
     local_energy_diagonals,
     pair_block,
     pair_of,
@@ -376,7 +377,7 @@ class TestReducedDynamics:
     def test_temperature_series_starts_at_bath_temperature(self):
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         for i, beta in zip((1, 2, 3), (1.0, 1.0, 0.5)):
-            series = eng.qubit_series((i,), TimeGrid(0.0, 0.2, 0.1))[0]
+            series = grid_qubit_series(eng, (i,), TimeGrid(0.0, 0.2, 0.1))[0]
             assert series.temperature[0] == pytest.approx(1.0 / beta, abs=1e-9)
 
     def test_conservation(self):
@@ -437,7 +438,7 @@ class TestTimeGrid:
         eps = np.finfo(float).eps
         exc = eng.excited_terms((1, 2, 3))
         bound = 1e-14 * np.abs(exc.amps).sum(axis=1) + eps  # r = 1 - p rounds
-        for row, series in enumerate(eng.qubit_series((1, 2, 3), grid)):
+        for row, series in enumerate(grid_qubit_series(eng, (1, 2, 3), grid)):
             assert np.array_equal(series.time, times)
             direct = 1.0 - exc.at(times)[row]
             assert np.max(np.abs(series.ground_population - direct)) <= bound[row]
@@ -583,8 +584,11 @@ class TestFusedGridPass:
             assert np.all(np.abs(got - want) <= (5e-14 * size + floor)[:, None])
 
     def test_sine_series_has_no_fused_derivative(self):
+        sine = SeriesTerms(np.zeros(1), np.ones((1, 1)), np.ones(1), "sin")
         with pytest.raises(ValueError, match="cosine"):
-            trig_series_uniform(0.0, [1.0], [1.0], 0.0, 0.1, 5, "sin", derivative=True)
+            sine.on_grid(0.0, 0.1, 5, derivative=True)
+        with pytest.raises(ValueError, match="cosine"):
+            sine.derivative()
 
 
 class TestMultiKeySeries:
@@ -634,17 +638,18 @@ class TestLowTemperature:
         for qubit in (1, 2):
             message = f"qubit {qubit} .* prune_tol=1e-09 dropped 32766 of 32768 sectors"
             with pytest.raises(ValueError, match=message):
-                eng.qubit_series((qubit,), grid)
+                grid_qubit_series(eng, (qubit,), grid)
         with pytest.raises(ValueError, match="qubit 1 "):
-            eng.qubit_series((1, 2, 3), grid)
-        assert eng.qubit_series((3,), grid)[0].temperature[0] == pytest.approx(0.05, abs=1e-9)
+            grid_qubit_series(eng, (1, 2, 3), grid)
+        (third,) = grid_qubit_series(eng, (3,), grid)
+        assert third.temperature[0] == pytest.approx(0.05, abs=1e-9)
 
     def test_cold_small_bath_matches_dense_oracle(self):
         p = RefrigeratorParams(n_bath=(2, 2, 2), **self.COLD)
         eng = RefrigeratorEngine(p, prune_tol=0.0)
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
-        for series in eng.qubit_series((1, 2, 3), TimeGrid(0.0, 5.0, 2.5)):
+        for series in grid_qubit_series(eng, (1, 2, 3), TimeGrid(0.0, 5.0, 2.5)):
             qubit = series.qubit
             eps = p.epsilon[qubit - 1]
             assert series.temperature[0] == pytest.approx(1.0 / p.beta[qubit - 1], rel=1e-12)
@@ -1059,5 +1064,5 @@ class TestSecondLaw:
         assert scale == 0.0 and not sigma.any()
         currents = thermo.heat_current_series(eng, grid)
         assert not currents.qdot_s.any() and not currents.qdot_b.any()
-        for s in eng.qubit_series((1, 2, 3), grid):
+        for s in grid_qubit_series(eng, (1, 2, 3), grid):
             assert np.all(s.temperature == s.temperature[0])

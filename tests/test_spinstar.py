@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import dense_evolve_and_trace, fridge, pair_block, pair_table, star as make
+from dense_reference import (
+    dense_evolve_and_trace,
+    fridge,
+    grid_qubit_series,
+    pair_block,
+    pair_table,
+    star as make,
+)
 from spinfridge import oracle, thermo
 from spinfridge.engine import RefrigeratorEngine, sector_layout
 from spinfridge.series import SeriesTerms, TimeGrid, trig_series_at
@@ -168,7 +175,7 @@ class TestReducedStates:
 
     def test_series_matches_pointwise(self):
         p = make(n=3)
-        (series,) = star(p).qubit_series((1,), TimeGrid(0.0, 4.0, 4.0 / 22))
+        (series,) = grid_qubit_series(star(p), (1,), TimeGrid(0.0, 4.0, 4.0 / 22))
         assert len(series.time) == 23
         direct = [ground_population(p, float(t)) for t in series.time]
         assert np.allclose(series.ground_population, direct, atol=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import dense_evolve_and_trace
+from dense_reference import dense_evolve_and_trace, grid_qubit_series
 from spinfridge import oracle, thermo
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
 from spinfridge.series import TimeGrid
@@ -137,7 +137,7 @@ class TestSignStructure:
             fridge(n=(4, 4, 4), coupling=(0.9, 0.8, 0.5), g=0.1), prune_tol=1e-12
         )
         grid = TimeGrid(0.0, 9.99, 0.01)
-        series = eng.qubit_series((1,), grid)[0]
+        series = grid_qubit_series(eng, (1,), grid)[0]
         currents = thermo.heat_current_series(eng, grid)
         dt_dt = np.gradient(series.temperature, series.time)
         cooling = dt_dt < -1e-6
