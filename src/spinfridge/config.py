@@ -180,11 +180,6 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     prune_tol = _finite_number(data.get("prune_tol", DEFAULT_PRUNE_TOL), "prune_tol")
     if not 0.0 <= prune_tol < 1.0:
         raise ConfigError(f"prune_tol: must lie in [0, 1), got {prune_tol}")
-    if cfg_mode == "single":
-        # unpruned: a default prune_tol drops every excited sector at low temperature
-        if "prune_tol" in data and prune_tol != 0.0:
-            raise ConfigError(f"prune_tol: 'single' runs unpruned (0), got {prune_tol}")
-        prune_tol = 0.0
 
     opt_data = data.get("optimization", {})
     if not isinstance(opt_data, dict):

@@ -20,10 +20,12 @@ contributes bit b_i (0 = qubit in its lower level paired with bath level
 m_i + 1/2, 1 = upper level with bath level m_i - 1/2), the basis index is
 b1*4 + b2*2 + b3, and the interaction couples indices 2 = (0,1,0) and
 5 = (1,0,1).  At g > 0 one batched ``eigh`` of their 8x8 blocks is the
-engine's ``spectrum``; at g = 0 their weights join the ladders instead.
+engine's ``spectrum``; at g = 0 their weights join the ladders instead, and
+so, at any g, do the lightest ones that ``prune_tol`` folds: those evolve
+as at g = 0, and nothing is dropped.
 
-Which sectors are kept, the ladder weights and the interacting blocks'
-level energies depend on none of the couplings: that layout is built once
+The row weights, which (2, 2, 2) sectors are kept and their level
+energies depend on none of the couplings: that layout is built once
 per (epsilon, E, N, beta, prune_tol) and shared.  Populations and currents
 are exact cosine sums over spectral gaps (``series.SeriesTerms``), every
 term kept, so a dense time grid costs a few matrix products instead of
@@ -113,29 +115,6 @@ class TimeSeries:
 # Sector layout: everything the couplings do not change
 # ---------------------------------------------------------------------------
 
-def _enumerate_arrays(pairs, prune_tol: float):
-    """Kept flat sector indices, their weight fractions and the dropped weight.
-
-    Sector weights are products of per-pair Boltzmann weights (thermal trace
-    factors included), normalized to the full sum; the log weights add in
-    pair order.  Sectors are dropped greedily from the smallest weight up
-    while the dropped cumulative fraction stays strictly below
-    ``prune_tol``; the kept set is returned in lexicographic (two_m1, ...)
-    order.
-    """
-    if not 0.0 <= prune_tol < 1.0:
-        raise ValueError(f"prune_tol must lie in [0, 1), got {prune_tol}")
-    logw = functools.reduce(np.add.outer, [p["logw"] for p in pairs]).ravel()
-    w = np.exp(logw - logw.max())
-    fractions = w / w.sum()
-    order = np.argsort(fractions, kind="stable")
-    cum = np.cumsum(fractions[order])
-    n_drop = int(np.searchsorted(cum, prune_tol, side="left"))
-    dropped = float(cum[n_drop - 1]) if n_drop else 0.0
-    keep = np.sort(order[n_drop:])
-    return keep, fractions[keep], dropped
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -179,29 +158,6 @@ class SectorGroup:
         return len(self.weights)
 
 
-@dataclass(frozen=True, eq=False)
-class SectorLayout:
-    """The kept sectors, each pair's ``sector_arrays`` table, and what
-    pruning dropped.
-
-    ``interacting`` holds the kept (2, 2, 2) sectors (None for one pair or
-    when none is kept).  ``marginals[k][j]`` is the kept weight of the
-    sectors in row j of pair k's table and ``free_weights[k][j]`` its part
-    outside ``interacting``: a g > 0 engine's ladders carry the free
-    weights, a g = 0 engine's the marginals.  ``kept_weight`` is the kept
-    sectors' total.
-    """
-
-    interacting: SectorGroup | None
-    pairs: tuple[dict, ...]
-    marginals: tuple[np.ndarray, ...]
-    free_weights: tuple[np.ndarray, ...]
-    kept_weight: float
-    kept: int
-    dropped: int
-    dropped_weight: float
-
-
 def _interacting_group(pairs, rows, weights) -> SectorGroup:
     """Coupling-independent arrays of the (2, 2, 2) sectors at per-pair rows."""
     level_energy = np.zeros((len(weights), 8))
@@ -215,40 +171,93 @@ def _interacting_group(pairs, rows, weights) -> SectorGroup:
                        _read_only(level_energy), _read_only(p0), unit_coupling)
 
 
-# bounded: an unpruned N=30 layout holds a few MB
+@dataclass(frozen=True, eq=False)
+class SectorLayout:
+    """Each pair's ``sector_arrays`` table and row weights, and the kept
+    interacting sectors.
+
+    ``marginals[k][j]`` is w_k(j), the normalized weight of row j of pair
+    k's table and so the summed weight of its sectors, a sector weighing
+    the product of its rows'.  ``free_weights[k][j]`` is row j's weight
+    outside ``interacting``: a g > 0 engine's ladders carry the free
+    weights, a g = 0 engine's the marginals.  Pruned (2, 2, 2) sectors are
+    folded, not dropped: they stay in the free weights, evolving as at
+    g = 0, so every engine's weights sum to 1.  Both are built on first
+    use, so a one-pair or g = 0 engine enumerates no sector.
+    """
+
+    pairs: tuple[dict, ...]
+    marginals: tuple[np.ndarray, ...]
+    prune_tol: float
+
+    @functools.cached_property
+    def interacting(self) -> SectorGroup | None:
+        """The kept (2, 2, 2) sectors; None for one pair or when none is kept.
+
+        A sector weighs w_1(j_1) w_2(j_2) w_3(j_3) over interior rows.  One
+        weighing at least c has w_k(j_k) prod_{l != k} max w_l >= c in every
+        pair, so only that sub-cube is enumerated, with c lowered by 10^3
+        from ``prune_tol`` until the weight below c is under ``prune_tol``.
+        Sectors are then pruned from the smallest weight up while the
+        pruned weight, the sub-cube's outside counted first, stays strictly
+        below ``prune_tol``: the set one greedy pass over all of them keeps.
+        """
+        if len(self.pairs) != 3:
+            return None
+        interior = [w[1:-1] for w in self.marginals]
+        top = [float(w.max()) for w in interior]
+        total = math.prod(float(w.sum()) for w in interior)
+        reach = [w * math.prod(top[:k] + top[k + 1:]) for k, w in enumerate(interior)]
+        cutoff = self.prune_tol
+        while True:
+            rows = [np.flatnonzero(r >= cutoff) for r in reach]
+            weights = functools.reduce(np.multiply.outer, [w[r] for w, r in zip(interior, rows)])
+            whole = all(len(r) == len(w) for r, w in zip(rows, interior))
+            if whole or total - weights[weights >= cutoff].sum() < self.prune_tol:
+                break
+            cutoff *= 1e-3
+        outside = 0.0 if whole else max(total - float(weights.sum()), 0.0)
+        order = np.argsort(weights, axis=None, kind="stable")
+        cum = outside + np.cumsum(weights.ravel()[order])
+        keep = np.sort(order[np.searchsorted(cum, self.prune_tol, side="left"):])
+        if not keep.size:
+            return None
+        index = np.unravel_index(keep, weights.shape)
+        return _interacting_group(self.pairs, [r[i] + 1 for r, i in zip(rows, index)],
+                                  weights.ravel()[keep])
+
+    @functools.cached_property
+    def free_weights(self) -> tuple[np.ndarray, ...]:
+        sectors = self.interacting
+        if sectors is None:
+            return self.marginals
+        # w_k less the kept sectors' share, clipped at the subtraction's rounding
+        return tuple(
+            _read_only(np.maximum(w - np.bincount(rows, sectors.weights, minlength=len(w)), 0.0))
+            for w, rows in zip(self.marginals, sectors.pair_rows.T)
+        )
+
+
+# bounded: a layout holds its pair tables and, once asked, its kept sectors
 @functools.lru_cache(maxsize=16)
 def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> SectorLayout:
     """The sector layout for per-pair epsilon, E, N, beta and one prune_tol.
 
-    The per-pair tuples hold one entry per pair, one or three.  Which
-    sectors are kept, their weights per pair row and the interacting
-    group depend on none of the couplings (A_k and g), so the layout is
-    built once and shared by every engine on the same arguments; its
-    arrays are read-only.
+    The per-pair tuples hold one entry per pair, one or three.  The row
+    weights, the kept interacting sectors and the free weights depend on
+    none of the couplings (A_k and g), so the layout is built once and
+    shared by every engine on the same arguments; its arrays are
+    read-only.
     """
-    pairs = [sector_arrays(*args) for args in zip(epsilon, bath_energy, n_bath, beta)]
-    keep, fractions, dropped = _enumerate_arrays(pairs, prune_tol)
-    idx = np.unravel_index(keep, tuple(len(p["two_m"]) for p in pairs))
-    full = np.zeros(len(keep), dtype=bool)
-    if len(pairs) == 3:
-        full = np.all([p["dim"][i] == 2 for p, i in zip(pairs, idx)], axis=0)
-    marginals, free_weights = [], []
-    for p, i in zip(pairs, idx):
-        marginals.append(_read_only(np.bincount(i, fractions, minlength=len(p["two_m"]))))
-        free_weights.append(_read_only(np.bincount(i[~full], fractions[~full],
-                                                   minlength=len(p["two_m"]))))
-    interacting = None
-    if full.any():
-        interacting = _interacting_group(pairs, [i[full] for i in idx], fractions[full])
+    if not 0.0 <= prune_tol < 1.0:
+        raise ValueError(f"prune_tol must lie in [0, 1), got {prune_tol}")
+    pairs = tuple(sector_arrays(*args) for args in zip(epsilon, bath_energy, n_bath, beta))
     for table in pairs:
         for array in table.values():
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
-    kept = len(keep)
-    return SectorLayout(
-        interacting, tuple(pairs), tuple(marginals), tuple(free_weights),
-        float(fractions.sum()), kept, math.prod(n + 2 for n in n_bath) - kept, dropped,
-    )
+    weights = (np.exp(table["logw"] - table["logw"].max()) for table in pairs)
+    return SectorLayout(pairs, tuple(_read_only(w / w.sum()) for w in weights), prune_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +375,6 @@ class RefrigeratorEngine:
 
     def __init__(self, params: RefrigeratorParams, prune_tol: float = DEFAULT_PRUNE_TOL):
         self.params = params
-        self.prune_tol = prune_tol
         self.layout = layout = sector_layout(
             params.epsilon, params.bath_energy, params.n_bath, params.beta, prune_tol
         )
@@ -377,10 +385,9 @@ class RefrigeratorEngine:
         # (lam, vecs, m_matrix) of the interacting blocks, m_matrix = V^T diag(p0) V
         # being their initial state in the eigenbasis; None where they join the ladders
         self.spectrum = None
-        if layout.interacting is not None and not folded:
+        if not folded and layout.interacting is not None:
             lam, vecs = np.linalg.eigh(_hamiltonians(params, layout.interacting))
             self.spectrum = lam, vecs, _rotated_diagonal(vecs, layout.interacting.p0)
-        self.weight_total = layout.kept_weight
         self._series_cache: dict[tuple, SeriesTerms] = {}
 
     # -- observables ----------------------------------------------------------
@@ -402,8 +409,7 @@ class RefrigeratorEngine:
 
         Keys: ("pop", i) and ("exc", i) the ground and excited projectors
         of qubit i; ("hsb", i) the XY coupling block; ("hint",) the
-        collective interaction.  Values are normalized by the retained
-        weight.  Tr[drho/dt O] is the ``derivative()`` of the result.
+        collective interaction.  Tr[drho/dt O] is the ``derivative()`` of the result.
 
         Each row sums its pair's ladder and the interacting blocks.  The
         rows share the union of the keys' gaps (zero where a key's
@@ -436,8 +442,7 @@ class RefrigeratorEngine:
             omega_parts.append(gaps.ravel())
         amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
-        scale = 1.0 / self.weight_total
-        terms = SeriesTerms(const * scale, amps * scale, omegas, "cos")
+        terms = SeriesTerms(const, amps, omegas, "cos")
         self._series_cache[keys] = terms
         return terms
 
@@ -455,22 +460,15 @@ class RefrigeratorEngine:
         """Excited populations p_i(t) of ``qubits``, one series row each.
 
         Every temperature is read from these rows.  A row that is zero
-        because pruning dropped every sector holding that excitation is an
-        error, not T = 0: ``prune_tol`` bounds the absolute error of p, not
-        its relative error, on which T depends.
+        at every time is an error, not T = 0: the thermal excited
+        population is positive, so it has underflowed (at beta eps beyond
+        about 700 the weights of every row holding the excitation do).
         """
         terms = self.series_terms(tuple(("exc", q) for q in qubits))
-        layout = self.layout
-        if layout.dropped:
-            for q, const, amps in zip(qubits, terms.const, terms.amps):
-                if const == 0.0 and not np.any(amps):
-                    raise ValueError(
-                        f"qubit {q} has no excited population in the kept "
-                        f"sectors: prune_tol={self.prune_tol:g} dropped "
-                        f"{layout.dropped} of {layout.kept + layout.dropped} "
-                        f"sectors, of weight {layout.dropped_weight:.3g}; lower "
-                        "prune_tol to read its temperature"
-                    )
+        for q, const, amps in zip(qubits, terms.const, terms.amps):
+            if const == 0.0 and not np.any(amps):
+                raise ValueError(f"qubit {q}'s excited population underflows to 0: "
+                                 "its temperature lies below what double precision reads")
         return terms
 
     def qubit_series(self, qubits, times, excited: np.ndarray) -> list[TimeSeries]:
@@ -521,7 +519,7 @@ class RefrigeratorEngine:
             j = sectors.pair_rows[:, k]
             levels += np.bincount(j + 1, sectors.weights * (1.0 - p), minlength=n + 3)
             levels += np.bincount(j, sectors.weights * p, minlength=n + 3)
-        return levels[1:-1] / self.weight_total
+        return levels[1:-1]
 
     def total_trace(self, t: float) -> float:
         """Weighted total trace at time t; equals one up to rounding.

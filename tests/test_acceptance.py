@@ -2,14 +2,11 @@
 
 Run with ``pytest -s tests/test_acceptance.py -v`` to see the lines.
 
-The default profile is a reduced smoke run sized for a single core
-(bath-size sweep capped at N = 14, extrapolation-only asymptote check at
-+-0.03).  Set SPINFRIDGE_ACCEPTANCE=full for the full-depth profile
-(N up to 50, fit and extrapolation at the tight tolerances); it took
-22 s on 2 vCPUs (Python 3.11, numpy 2.4).
+One profile, the paper's: the bath-size sweep runs N up to 50, and the
+fit and extrapolation of criteria 6 and 7 are held to the tight
+tolerances.
 """
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +38,6 @@ from spinfridge.markov import (
 )
 from spinfridge.series import TimeGrid
 
-FULL = os.environ.get("SPINFRIDGE_ACCEPTANCE", "").lower() == "full"
 SEED = 20260809
 
 
@@ -84,13 +80,11 @@ def fig1_run():
 
 @pytest.fixture(scope="session")
 def sweep_run():
-    """Bath-size scaling sweep (smoke: N <= 14; full: N up to 50)."""
-    n_list = [2, 4, 7, 10, 14, 20, 30, 40, 50] if FULL else [2, 4, 7, 10, 14]
-    budget = 2500 if FULL else 1600
+    """Bath-size scaling sweep, N up to 50."""
     return scaling_sweep(
         paper_fridge(2),
-        n_list,
-        per_n_budget=budget,
+        [2, 4, 7, 10, 14, 20, 30, 40, 50],
+        per_n_budget=2500,
         seed=SEED % 100,
         prune_tol=1e-9,
     )
@@ -274,70 +268,44 @@ def test_criterion_5_heat_current_signs(fig1_run):
 # Criteria 6 and 7: scaling of the optimal temperature and its timing
 # ---------------------------------------------------------------------------
 
+LADDER_N = [2, 4, 7, 14, 50]  # the sweep sizes the Neville ladder uses
+
+
 def test_criterion_6_scaling_asymptote(sweep_run):
     ns, t1 = column(sweep_run, "n"), column(sweep_run, "best_t1")
-    ladder_n = [2, 4, 7, 14, 50] if FULL else [2, 4, 7, 14]
-    sel = [int(np.where(ns == n)[0][0]) for n in ladder_n]
+    sel = [int(np.where(ns == n)[0][0]) for n in LADDER_N]
     tab = neville_extrapolate(1.0 / ns[sel], t1[sel], 0.0)
     chain = neville_lower_diagonal_diffs(tab)
-    if FULL:
-        fit = fit_power_law(ns, t1)
-        ok = (
-            abs(fit.t_inf - 0.457) <= 0.01
-            and abs(fit.b - 1.089) <= 0.2
-            and abs(tab.extrapolated - 0.454) <= 0.01
-            and 2e-4 <= abs(chain[0]) <= 2e-2
-            and abs(fit.t_inf - tab.extrapolated) <= 0.01
-        )
-        report(
-            "criterion 6 (scaling asymptote, full)",
-            ok,
-            f"fit t_inf = {fit.t_inf:.4f} (0.457 +- 0.01), b = {fit.b:.3f} "
-            f"(1.089 +- 0.2); Neville = {tab.extrapolated:.4f} (0.454 +- 0.01), "
-            f"D[1,4] = {chain[0]:.2e} (order 2e-3); estimators agree within 0.01",
-        )
-    else:
-        ok = abs(tab.extrapolated - 0.457) <= 0.03 and np.all(np.diff(t1[sel]) < 0)
-        report(
-            "criterion 6 (scaling asymptote, smoke N<=14)",
-            ok,
-            f"Neville extrapolation = {tab.extrapolated:.4f} within 0.457 +- 0.03; "
-            f"values decrease along the ladder "
-            f"(stability margin violated as documented: "
-            f"{tab.stability_warning is not None})",
-        )
+    fit = fit_power_law(ns, t1)
+    ok = (
+        abs(fit.t_inf - 0.457) <= 0.01
+        and abs(fit.b - 1.089) <= 0.2
+        and abs(tab.extrapolated - 0.454) <= 0.01
+        and 2e-4 <= abs(chain[0]) <= 2e-2
+        and abs(fit.t_inf - tab.extrapolated) <= 0.01
+    )
+    report(
+        "criterion 6 (scaling asymptote)",
+        ok,
+        f"fit t_inf = {fit.t_inf:.4f} (0.457 +- 0.01), b = {fit.b:.3f} "
+        f"(1.089 +- 0.2); Neville = {tab.extrapolated:.4f} (0.454 +- 0.01), "
+        f"D[1,4] = {chain[0]:.2e} (order 2e-3); estimators agree within 0.01",
+    )
     assert ok
 
 
 def test_criterion_7_timing_scaling(sweep_run):
     ns, tl = column(sweep_run, "n"), column(sweep_run, "local_min_time")
-    ladder_n = [2, 4, 7, 14, 50] if FULL else [2, 4, 7, 14]
-    sel = [int(np.where(ns == n)[0][0]) for n in ladder_n]
+    sel = [int(np.where(ns == n)[0][0]) for n in LADDER_N]
     tab = neville_extrapolate(1.0 / ns[sel], tl[sel], 0.0)
     fit = fit_power_law(ns, tl, t_inf=tab.extrapolated)
-    if FULL:
-        ok = abs(fit.b - 0.62) <= 0.15 and abs(tab.extrapolated - 0.10) <= 0.05
-        report(
-            "criterion 7 (timing scaling, full)",
-            ok,
-            f"t_l fit exponent y = {fit.b:.3f} (0.62 +- 0.15), "
-            f"t_l_inf = {tab.extrapolated:.4f} (0.10 +- 0.05)",
-        )
-    else:
-        # reduced profile: the N<=14 ladder cannot pin the asymptote to the
-        # full tolerance; check the exponent loosely and the timing trend
-        ok = (
-            0.3 <= fit.b <= 1.0
-            and np.all(np.diff(tl) < 0)
-            and 0.0 <= tab.extrapolated <= 0.35
-        )
-        report(
-            "criterion 7 (timing scaling, smoke N<=14)",
-            ok,
-            f"t_l decreasing in N; fit exponent y = {fit.b:.3f} in [0.3, 1.0]; "
-            f"extrapolated t_l_inf = {tab.extrapolated:.4f} in [0, 0.35] "
-            f"(full tolerances need SPINFRIDGE_ACCEPTANCE=full)",
-        )
+    ok = abs(fit.b - 0.62) <= 0.15 and abs(tab.extrapolated - 0.10) <= 0.05
+    report(
+        "criterion 7 (timing scaling)",
+        ok,
+        f"t_l fit exponent y = {fit.b:.3f} (0.62 +- 0.15), "
+        f"t_l_inf = {tab.extrapolated:.4f} (0.10 +- 0.05)",
+    )
     assert ok
 
 

@@ -16,7 +16,6 @@ from spinfridge.cli import main
 from spinfridge.config import (
     ConfigError,
     dump_canonical,
-    load_config,
     parse_config,
 )
 from spinfridge.series import TimeGrid
@@ -576,8 +575,9 @@ class TestLowTemperatureCommands:
         first = [float(v) for v in out.read_text().splitlines()[3].split(",")]
         assert first[1] == pytest.approx(1 / 40, rel=1e-12)
 
-    def test_single_runs_unpruned_and_says_so(self, tmp_path, capsys):
-        out = tmp_path / "single.csv"
+    def test_single_rows_do_not_depend_on_prune_tol(self, tmp_path):
+        # one pair has no interacting sector to prune: its ladder carries
+        # every row weight at any prune_tol
         config = {
             "mode": "single",
             "params": {
@@ -585,31 +585,39 @@ class TestLowTemperatureCommands:
                 "n_bath": 5, "beta": 40.0,
             },
             "time_grid": {"start": 0, "stop": 1, "step": 0.5},
-            "output": {"path": str(out)},
         }
-        cfg = write_config(tmp_path, "single.json", dict(config, prune_tol=1e-9))
-        assert main(["single", cfg]) == 1
-        assert "prune_tol" in capsys.readouterr().err
-        assert not out.exists()
-        # the header records the tolerance the run used, and re-running it works
-        cfg = write_config(tmp_path, "single.json", config)
-        assert main(["single", cfg]) == 0
-        recorded = parse_config(json.loads(dump_canonical(load_config(cfg))))
-        assert recorded.prune_tol == 0.0
-        assert '"prune_tol":0.0' in out.read_text().splitlines()[1]
+        outputs = []
+        for prune_tol in (0.0, 1e-3):
+            out = tmp_path / f"single-{prune_tol}.csv"
+            cfg = write_config(tmp_path, "single.json", dict(
+                config, prune_tol=prune_tol, output={"path": str(out)}))
+            assert main(["single", cfg]) == 0
+            lines = out.read_text().splitlines()
+            assert f'"prune_tol":{prune_tol}' in lines[1]  # the header records it
+            outputs.append(lines[2:])
+        assert outputs[0] == outputs[1]
 
-    def test_pruned_excitation_is_a_precise_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "evolve.json", {
-            "mode": "evolve",
-            "params": dict(self.COLD, n_bath=[30, 30, 30]),
-            "prune_tol": 1e-9,
-            "time_grid": {"start": 0, "stop": 1, "step": 0.5},
-            "output": {"path": str(tmp_path / "never.csv")},
-        })
-        assert main(["evolve", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "qubit 1 has no excited population in the kept sectors" in err
-        assert "prune_tol=1e-09 dropped 32766 of 32768 sectors" in err
+    def test_cold_config_reads_every_temperature(self, tmp_path):
+        # prune_tol 1e-9 folds the sectors holding the excitation of qubits 1
+        # and 2 into the ladders, where they still carry it: every
+        # temperature reads as the unpruned run's (p_k measured within 2.9e-15)
+        temperatures = []
+        for prune_tol in (1e-9, 0.0):
+            out = tmp_path / f"cold-{prune_tol}.csv"
+            cfg = write_config(tmp_path, "evolve.json", {
+                "mode": "evolve",
+                "params": dict(self.COLD, n_bath=[30, 30, 30]),
+                "prune_tol": prune_tol,
+                "time_grid": {"start": 0, "stop": 1, "step": 0.5},
+                "output": {"path": str(out)},
+            })
+            assert main(["evolve", cfg]) == 0
+            rows = out.read_text().splitlines()[3:]
+            temperatures.append(np.array([[float(v) for v in row.split(",")[1:4]]
+                                          for row in rows]))
+        assert temperatures[0][0] == pytest.approx([1 / 40, 1 / 40, 1 / 20], rel=1e-12)
+        assert np.all(temperatures[1] > 0.0)
+        assert np.max(np.abs(temperatures[0] / temperatures[1] - 1.0)) <= 1e-12
 
 
 class TestHeapPolicy:

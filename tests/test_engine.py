@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from dataclasses import replace
 from itertools import product as iter_product
 
@@ -26,7 +27,6 @@ from spinfridge import oracle, thermo
 from spinfridge.engine import (
     RefrigeratorEngine,
     RefrigeratorParams,
-    _enumerate_arrays,
     _hamiltonians,
     sector_layout,
 )
@@ -68,29 +68,35 @@ def layout(p, prune_tol=0.0):
     return sector_layout(p.epsilon, p.bath_energy, p.n_bath, p.beta, prune_tol)
 
 
+def interacting_weight(lay):
+    return 0.0 if lay.interacting is None else float(lay.interacting.weights.sum())
+
+
 class TestEnumeration:
     def test_counts_without_pruning(self):
-        assert layout(fridge()).kept == 27
+        assert layout(fridge()).interacting.size == 1
         big = layout(fridge(n=(30, 30, 30)))
-        assert big.kept == 32768
+        assert [len(table["two_m"]) for table in big.pairs] == [32] * 3
         assert big.interacting.size == 30 ** 3  # every sector without an edge row
-        assert big.dropped == 0
-        assert big.dropped_weight == 0.0
 
     def test_weights_are_normalized_fractions(self):
         lay = layout(fridge(n=(2, 2, 2)))
-        assert lay.kept_weight == pytest.approx(1.0, abs=1e-12)
         for marginal, free in zip(lay.marginals, lay.free_weights):
             assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
             assert free.sum() + lay.interacting.weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(free <= marginal)
 
     def test_pruning_drops_low_weight_sectors(self):
+        # pruned (2, 2, 2) sectors leave the interacting group for the
+        # ladders: the weights still sum to 1
+        full = layout(fridge(n=(6, 6, 6)))
         pruned = layout(fridge(n=(6, 6, 6)), 1e-9)
-        assert pruned.interacting.size < pruned.kept < 8 ** 3
-        assert pruned.kept + pruned.dropped == 8 ** 3
-        assert pruned.dropped_weight <= 1e-9
-        assert pruned.kept_weight == pytest.approx(1.0 - pruned.dropped_weight, abs=1e-12)
+        assert pruned.interacting.size < full.interacting.size == 6 ** 3
+        assert 0.0 < interacting_weight(full) - interacting_weight(pruned) < 1e-9
+        for k, free in enumerate(pruned.free_weights):
+            assert np.array_equal(pruned.marginals[k], full.marginals[k])
+            assert np.all(free >= full.free_weights[k])
+            assert free.sum() + interacting_weight(pruned) == pytest.approx(1.0, abs=1e-12)
 
     def test_pruning_perturbs_population_below_budget(self):
         p = fridge(n=(6, 6, 6))
@@ -107,8 +113,8 @@ class TestEnumeration:
         # population moves by less than the conservation budget
         p = fridge(n=(30, 30, 30), coupling=(0.6, 0.5, 0.4), g=0.08)
         pruned_layout = layout(p, 1e-12)
-        assert pruned_layout.kept < 32768
-        assert pruned_layout.dropped_weight <= 1e-12
+        assert pruned_layout.interacting.size < 30 ** 3
+        assert interacting_weight(layout(p)) - interacting_weight(pruned_layout) < 1e-12
         full = RefrigeratorEngine(p, prune_tol=0.0)
         pruned = RefrigeratorEngine(p, prune_tol=1e-12)
         assert pruned.layout is pruned_layout
@@ -630,19 +636,30 @@ class TestLowTemperature:
     )
 
     def test_cold_production_config_runs(self):
-        # the sectors kept at prune_tol=1e-9 hold no excited population of
-        # qubits 1 and 2, so their temperature is a pruning error, not T = 0
+        # prune_tol 1e-9 folds every (2, 2, 2) sector here, the ones holding
+        # the excitation of qubits 1 and 2 among them: on the ladders they
+        # still carry it, so all three temperatures read, and every p_k
+        # matches the unpruned engine (measured: 2.9e-15 relative)
         p = RefrigeratorParams(n_bath=(30, 30, 30), **self.COLD)
         eng = RefrigeratorEngine(p, prune_tol=1e-9)
+        assert eng.layout.interacting is None
         grid = TimeGrid(0.0, 10.0, 0.005)
-        for qubit in (1, 2):
-            message = f"qubit {qubit} .* prune_tol=1e-09 dropped 32766 of 32768 sectors"
-            with pytest.raises(ValueError, match=message):
-                grid_qubit_series(eng, (qubit,), grid)
-        with pytest.raises(ValueError, match="qubit 1 "):
-            grid_qubit_series(eng, (1, 2, 3), grid)
-        (third,) = grid_qubit_series(eng, (3,), grid)
-        assert third.temperature[0] == pytest.approx(0.05, abs=1e-9)
+        series = grid_qubit_series(eng, (1, 2, 3), grid)
+        assert [s.temperature[0] for s in series] == pytest.approx([1 / 40, 1 / 40, 1 / 20],
+                                                                    rel=1e-12)
+        coarse = TimeGrid(0.0, 10.0, 0.05)
+        rows = [e.excited_terms((1, 2, 3)).on_grid(coarse.start, coarse.step, len(coarse))
+                for e in (eng, RefrigeratorEngine(p, prune_tol=0.0))]
+        assert np.all(rows[1] > 0.0)
+        assert np.max(np.abs(rows[0] / rows[1] - 1.0)) <= 1e-12
+
+    def test_underflowed_excitation_is_an_error(self):
+        # at beta = 1000 every row holding an excitation weighs e^-1000 of
+        # the bottom edge row, which underflows to 0: p_k reads 0 at every time
+        p = RefrigeratorParams(n_bath=(3, 3, 3), **dict(self.COLD, beta=(1000.0,) * 3))
+        eng = RefrigeratorEngine(p)
+        with pytest.raises(ValueError, match="qubit 1's excited population underflows"):
+            eng.excited_terms((1, 2, 3))
 
     def test_cold_small_bath_matches_dense_oracle(self):
         p = RefrigeratorParams(n_bath=(2, 2, 2), **self.COLD)
@@ -685,7 +702,7 @@ _SMALL_FRIDGE = st.builds(
 
 
 class TestStatedBounds:
-    """The error bound of sector pruning."""
+    """The error bound of folding pruned sectors."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -697,13 +714,65 @@ class TestStatedBounds:
     )
     def test_pruning_drops_less_than_prune_tol(self, eps, bath_e, n, beta, prune_tol):
         layout = sector_layout(eps, bath_e, n, beta, prune_tol)
-        assert layout.dropped_weight <= prune_tol
-        assert layout.kept_weight == pytest.approx(1.0 - layout.dropped_weight, abs=1e-12)
+        kept = interacting_weight(layout)
+        folded = interacting_weight(sector_layout(eps, bath_e, n, beta, 0.0)) - kept
+        assert folded <= prune_tol + 1e-15
         for marginal, free in zip(layout.marginals, layout.free_weights):
-            assert marginal.sum() == pytest.approx(layout.kept_weight, abs=1e-12)
-            full = 0.0 if layout.interacting is None else layout.interacting.weights.sum()
-            assert free.sum() + full == pytest.approx(layout.kept_weight, abs=1e-12)
-        assert layout.kept + layout.dropped == math.prod(k + 2 for k in n)
+            assert np.all(free >= 0.0)
+            assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
+            assert free.sum() + kept == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        _triple(st.floats(0.5, 2.0)),
+        _triple(st.floats(0.5, 4.0)),
+        _triple(st.floats(0.0, 1.0)),
+        st.floats(0.01, 0.1),
+        _triple(st.integers(1, 30)),
+        _triple(st.floats(0.2, 5.0)),
+        st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4, 1e-2]),
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4),
+    )
+    @example((1.0, 2.0, 1.0), (2.0, 4.0, 2.0), (0.7, 0.5, 0.4), 0.1, (30, 30, 30),
+             (1.0, 1.0, 0.5), 1e-4, [0.0, 2.5, 6.0, 10.0])
+    def test_fold_moves_every_population_less_than_prune_tol(
+            self, eps, bath_e, coupling, g, n, beta, prune_tol, times):
+        # a folded sector evolves as at g = 0 instead of at g: its share of
+        # any population, at most its weight, is all that moves
+        p = RefrigeratorParams(epsilon=eps, bath_energy=bath_e, coupling=coupling, g=g,
+                               n_bath=n, beta=beta)
+        keys = (("exc", 1), ("exc", 2), ("exc", 3))
+        fold = RefrigeratorEngine(p, prune_tol=prune_tol).series_terms(keys).at(times)
+        full = RefrigeratorEngine(p, prune_tol=0.0).series_terms(keys).at(times)
+        assert np.max(np.abs(fold - full)) <= prune_tol + 1e-14
+        sector_layout.cache_clear()  # an unpruned N = 30 layout holds megabytes
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(1, 60), st.integers(1, 60), st.integers(1, 60),
+        st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.3]),
+        st.booleans(),
+    )
+    @example(4, 4, 4, 1e-3, True)
+    @example(60, 55, 60, 1e-9, True)
+    @example(60, 40, 30, 1e-6, False)
+    def test_kept_set_is_one_greedy_pass(self, n1, n2, n3, prune_tol, identical):
+        # identical pairs weigh permuted sectors alike: ties at the cut are
+        # broken in lexicographic order, as a stable sort of the whole cube does
+        p = fridge(n=(n1, n2, n3), beta=(0.3, 0.3, 0.3) if identical else (1.0, 0.4, 0.2),
+                   **(dict(epsilon=(1.0,) * 3, bath_energy=(2.0,) * 3) if identical else {}))
+        lay = layout(p, prune_tol)
+        interior = [w[1:-1] for w in lay.marginals]
+        weights = functools.reduce(np.multiply.outer, interior).ravel()
+        order = np.argsort(weights, kind="stable")
+        n_drop = int(np.searchsorted(np.cumsum(weights[order]), prune_tol, side="left"))
+        keep = np.sort(order[n_drop:])
+        rows = np.stack(np.unravel_index(keep, tuple(len(w) for w in interior)), axis=1) + 1
+        kept = lay.interacting
+        assert (kept is None) == (keep.size == 0)
+        if kept is not None:
+            assert np.array_equal(kept.pair_rows, rows)
+            assert np.array_equal(kept.weights, weights[keep])
 
 
 class TestOracleProperty:
@@ -860,8 +929,7 @@ class TestClosedFormSpectra:
         for table, rows in zip(eng.layout.pairs, full.pair_rows.T):
             assert np.all(table["dim"][rows] == 2)
         for free_weights in eng.layout.free_weights:
-            assert free_weights.sum() + full.weights.sum() == pytest.approx(
-                eng.layout.kept_weight, abs=1e-12)
+            assert free_weights.sum() + full.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestShapeGroups:
@@ -907,18 +975,18 @@ def _fold_params(draw):
     )
 
 
-def pruned_dense_reference(p, prune_tol, times, keys):
-    """Every key's row and every bath's levels from the dense model, started in
-    the kept sectors' part of the thermal state, renormalized."""
+def fold_dense_reference(p, prune_tol, times, keys):
+    """Every key's row and every bath's levels from the dense model with g
+    removed inside the (2, 2, 2) sectors that pruning folds, started in the
+    full thermal state, unnormalized."""
     model = oracle.build_dense(p)
     lay = layout(p, prune_tol)
-    keep, _, _ = _enumerate_arrays(lay.pairs, prune_tol)
-    kept = np.zeros(model.dimension, dtype=bool)
-    for rows in zip(*np.unravel_index(keep, tuple(len(t["two_m"]) for t in lay.pairs))):
-        label = tuple(int(t["two_m"][j]) for t, j in zip(lay.pairs, rows))
-        kept[sector_basis_indices(p.n_bath, label)] = True
-    rho0 = np.where(kept, np.diag(model.initial_state), 0.0)
-    rho0 = np.diag(rho0 / rho0.sum())
+    kept = {tuple(rows) for rows in lay.interacting.pair_rows.tolist()}
+    folded = np.zeros(model.dimension, dtype=bool)
+    for rows in iter_product(*(range(1, n + 1) for n in p.n_bath)):  # the interior rows
+        if rows not in kept:
+            label = tuple(int(t["two_m"][j]) for t, j in zip(lay.pairs, rows))
+            folded[sector_basis_indices(p.n_bath, label)] = True
     bare = oracle.build_dense(replace(p, coupling=(0.0, 0.0, 0.0), g=0.0)).hamiltonian
     diagonals = local_energy_diagonals(p, model)
     ops = {}
@@ -927,11 +995,13 @@ def pruned_dense_reference(p, prune_tol, times, keys):
         ops["hsb", k + 1] = oracle.build_dense(replace(p, coupling=alone, g=0.0)).hamiltonian - bare
         ops["exc", k + 1] = np.diag(diagonals[2 * k] / p.epsilon[k] + 0.5)
         ops["pop", k + 1] = np.eye(model.dimension) - ops["exc", k + 1]
-    ops["hint",] = oracle.build_dense(replace(p, coupling=(0.0, 0.0, 0.0))).hamiltonian - bare
-    spectrum = model.spectrum()
+    hint = oracle.build_dense(replace(p, coupling=(0.0, 0.0, 0.0))).hamiltonian - bare
+    ops["hint",] = np.where(np.outer(folded, folded), 0.0, hint)
+    h = model.hamiltonian - hint + ops["hint",]
+    spectrum = oracle.eig_hermitian(h)
     rows, baths = [], []
     for t in times:
-        rho = oracle.evolve_density(model.hamiltonian, rho0, t, spectrum=spectrum)
+        rho = oracle.evolve_density(h, model.initial_state, t, spectrum=spectrum)
         rows.append([np.trace(rho @ ops[key]).real for key in keys])
         baths.append([np.diag(oracle.partial_trace(rho, model.dims, 2 * i + 1)).real
                       for i in range(3)])
@@ -955,22 +1025,33 @@ class TestPairLadders:
             for t in times:
                 assert np.max(np.abs(three.reduced_bath_populations(k, t)
                                      - one.reduced_bath_populations(1, t))) <= 1e-13
-        sector_layout.cache_clear()  # an unpruned N = 40 layout holds megabytes
+
+    def test_g0_rows_equal_one_pair_engines_at_large_n(self):
+        # at g = 0 each pair's ladder carries its row weights w_k in closed
+        # form, exactly as a one-pair engine's does; enumerating the kept
+        # interacting sectors of the same layout warns of nothing either
+        p = fridge(n=(1000, 900, 1100), g=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            three = RefrigeratorEngine(p)
+            assert three.layout.interacting.size > 0
+        times = [0.0, 0.7, 3.1, 9.9]
+        for k in (1, 2, 3):
+            one = RefrigeratorEngine(pair_of(p, k))
+            a, b = three.series_terms((("exc", k),)), one.series_terms((("exc", 1),))
+            assert np.array_equal(a.const, b.const) and np.array_equal(a.amps, b.amps)
+            assert np.array_equal(a.at(times), b.at(times))
 
     @pytest.mark.parametrize("n", [(2, 3, 1), (3, 3, 3), (3, 1, 2)])
     def test_pruned_rows_match_pruned_dense_oracle(self, n):
-        # prune_tol 1e-3 keeps a set that is not a product, so the ladder
-        # weights are not the marginals of one
+        # prune_tol 1e-3 folds some (2, 2, 2) sectors and keeps others
         p = fridge(n=n, epsilon=(1.0, 1.7, 0.8), bath_energy=(2.0, 3.0, 1.5),
                    coupling=(0.3, 0.6, 0.2), g=0.08, beta=(0.8, 1.2, 0.6))
         eng = RefrigeratorEngine(p, prune_tol=1e-3)
-        lay = eng.layout
-        assert lay.dropped > 0 and eng.spectrum is not None
-        product = math.prod(m[r] for m, r in zip(lay.marginals, lay.interacting.pair_rows.T))
-        assert np.max(np.abs(lay.interacting.weights * lay.kept_weight ** 2 - product)) > 1e-6
+        assert 0 < eng.layout.interacting.size < math.prod(n) and eng.spectrum is not None
         keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop", "hsb")) + (("hint",),)
         times = [0.0, 1.3, 4.7, 9.1]
-        rows, baths = pruned_dense_reference(p, 1e-3, times, keys)
+        rows, baths = fold_dense_reference(p, 1e-3, times, keys)
         assert np.max(np.abs(eng.series_terms(keys).at(times) - rows)) <= 1e-12
         for t, levels in zip(times, baths):
             assert abs(eng.total_trace(t) - 1.0) <= 1e-12

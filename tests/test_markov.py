@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from dense_reference import (
@@ -110,6 +110,8 @@ class TestChannels:
         st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1e-5))] * 3),
         st.tuples(*[st.floats(0.2, 40.0)] * 3), st.floats(1.0, 1e3),
     )
+    # a subnormal alpha: the relative bound alone underflows below one ulp
+    @example(1.0, 2.0, 0.0, (0.0, 0.0, 2.2250738585e-313), (1.0, 1.0, 1.0), 1.0)
     def test_rate_matrix_is_the_reference_channels_in_the_dressed_basis(
             self, eps1, eps3, g, alpha, beta, cutoff):
         p = MarkovParams((eps1, eps1 + eps3, eps3), g, alpha, beta, cutoff)
@@ -118,10 +120,10 @@ class TestChannels:
             w = rate_matrix(p)
         expected = sum(rate * (DRESS.T @ op @ DRESS) ** 2 for rate, op in jump_channels(p))
         off = ~np.eye(8, dtype=bool)
-        scale = np.abs(w).max()
-        assert np.max(np.abs(w - expected)[off]) <= 1e-15 * scale
+        bound = 1e-15 * np.abs(w).max() + 64 * np.finfo(float).smallest_subnormal
+        assert np.max(np.abs(w - expected)[off]) <= bound
         column_sums = np.where(off, w, 0.0).sum(axis=0)
-        assert np.max(np.abs(np.diag(w) + column_sums)) <= 1e-15 * scale
+        assert np.max(np.abs(np.diag(w) + column_sums)) <= bound
 
     def test_rate_value_against_independent_scalar(self):
         # independent evaluation: J = alpha*w*exp(-w/cutoff), f Bose-Einstein

@@ -91,7 +91,7 @@ class TestSectors:
         (w,) = layout.marginals
         assert layout.interacting is None
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
-        assert len(labels) == layout.kept == n + 2
+        assert len(labels) == len(w) == n + 2
         assert np.all(w > 0)
 
 
