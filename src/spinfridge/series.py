@@ -5,7 +5,8 @@ cosine series over spectral gaps, and every energy current is read from
 its derivative (``SeriesTerms.derivative``).  ``SeriesTerms`` holds one or several
 over shared gaps, one row each, and evaluates them with the blocked grid
 kernel ``trig_series_uniform`` on a ``TimeGrid`` (with their derivative
-from the same pass when asked), directly with
+from the same pass when asked; a pass with many gaps sorts them into
+frequency bins and expands each bin about its centre), directly with
 ``trig_series_at`` at arbitrary times, or as local Taylor polynomials with
 ``trig_series_taylor``.  ``TimeGrid`` is the one uniform grid a run reads
 every result on, from its configuration down to the kernel.
@@ -23,10 +24,23 @@ _CHUNK_BYTES = 1 << 20
 # Doubling levels per direct cos/sin in the grid kernel; the levels between
 # are squared (``_squared_phases``).
 _ANCHOR_EVERY = 4
-# Rows of a grid pass above which its blocks are twice as long.  For 18.6k
-# terms on 2001 points the longer block lost at 2 rows (11.5 vs 12.2 ms),
-# tied at 3 and 4, and won from 5 (20.7 vs 17.4 ms; 23.1 vs 19.5 at 6).
+# Rows of a direct grid pass above which its blocks are twice as long.  For
+# 18.6k terms on 2001 points the longer block lost at 2 rows (11.5 vs
+# 12.2 ms), tied at 3 and 4, and won from 5.  Just below the binning
+# threshold it still wins at 5 and 6 rows: 1200 terms on 2001 points
+# 1.56 vs 1.73 ms (5 rows) and 1.76 vs 1.82 ms (6 rows), 4500 terms with
+# w_max dt = 1 5.32 vs 5.97 ms, 1200 terms on 8001 points 4.1 vs 5.1 ms.
 _LONG_BLOCK_ROWS = 4
+# The largest |w - W| |x| of the binned grid kernel, for a gap w in the bin
+# of centre W and a point at offset x from its block's midpoint; its Taylor
+# degree is ``_taylor_degree(_BIN_REACH)`` = 14.
+_BIN_REACH = 0.5
+# Weight of the binned kernel's flop count against the direct kernel's: its
+# elementwise products and small matrix products run slower per flop.  At
+# a weighted ratio below 1 the binned pass was the faster in every measured
+# shape (1 and 6 rows, 100-10k gaps, 127-8001 points, w_max dt 0.05-1, one
+# BLAS thread and two).
+_BIN_FLOP_WEIGHT = 3
 
 
 @dataclass(frozen=True)
@@ -107,20 +121,143 @@ def _weighted(amps: np.ndarray, phases: np.ndarray, out: np.ndarray) -> None:
     np.multiply(np.repeat(amps, 2, axis=1)[:, None, :], phases.view(float)[None, :, :], out=out)
 
 
+def _binned_block(rows: int, m: int, n: int, dt: float, span: float) -> int:
+    """Block length of the binned form of a grid pass, or 0 where the direct one is cheaper.
+
+    From the pass's shape alone: ``rows`` series over m gaps spanning
+    ``span``, on n points dt apart.  The binned form takes blocks of L =
+    2B points (B the direct form's block at one row); each block costs a
+    row m (P + 1) multiply-adds for the moments and bins (P + 1) L for the
+    table, with bins = span (L - 1) dt / (4 ``_BIN_REACH``) + 1 when the
+    gaps fill their range, against m per point of the direct form.  The
+    binned count, times ``_BIN_FLOP_WEIGHT``, must be the smaller.
+    """
+    block = 2 << math.isqrt(n - 1).bit_length()
+    bins = span * 0.25 * (block - 1) * dt / _BIN_REACH + 1
+    binned = rows * (_taylor_degree(_BIN_REACH) + 1) * -(-n // block) * (m + bins * block)
+    return block if _BIN_FLOP_WEIGHT * binned < rows * m * n else 0
+
+
+def _binned_pass(cos_amps, sin_amps, omegas, t0: float, dt: float, n: int,
+                 block: int) -> np.ndarray:
+    """``_grid_pass`` with the gaps sorted into bins, each expanded about its centre.
+
+    Block b of ``block`` points has the midpoint T_b; its points lie at
+    offsets |x| <= h = (block - 1) dt / 2 from it.  A gap w in the bin of
+    centre W and half-width r = ``_BIN_REACH`` / h has
+    e^{iw(T_b + x)} = e^{iw T_b} e^{iWx} sum_p (i u r x)^p / p!, with
+    u = (w - W) / r in [-1, 1] and |u r x| <= ``_BIN_REACH``, so the
+    degree P = ``_taylor_degree(_BIN_REACH)`` leaves a remainder below an
+    ulp of sum|a|.  Each bin's moments sum_j a_j u_j^p e^{iw_j T_b}, over
+    the block phases doubled as in the direct form, are one small real
+    matrix product; the moments of the bins a chunk completes meet the
+    table e^{iWx} (i r x)^p / p! of those bins in one more.  Gaps go in
+    chunks, sorted by bin and gathered by that order; a bin cut by a
+    chunk's end carries its moments into the next chunk, so the scratch
+    stays near ``_CHUNK_BYTES`` per chunk of gaps and per group of bins.
+    A sine row takes its moments turned a quarter period back, as in the
+    direct form.
+    """
+    n_cos = cos_amps.shape[0]
+    rows = n_cos + sin_amps.shape[0]
+    n_blocks = -(-n // block)
+    terms = _taylor_degree(_BIN_REACH) + 1
+    half = 0.5 * (block - 1) * dt
+    radius = _BIN_REACH / half
+    offsets = (np.arange(block) - 0.5 * (block - 1)) * dt
+    powers = np.empty((terms, block), dtype=complex)  # (i r x)^p / p!
+    powers[0] = 1.0
+    for p in range(1, terms):
+        np.multiply(powers[p - 1], 1j * radius * offsets / p, out=powers[p])
+    low = omegas.min()
+    cell = np.floor((omegas - low) / (2.0 * radius))
+    cell = cell.astype(np.min_scalar_type(int(cell.max())))  # small integers sort by radix
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    firsts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))  # bin starts
+    centres = low + (cell[firsts] + 0.5) * (2.0 * radius)
+    sorted_w = omegas[order]
+    u = (sorted_w - np.repeat(centres, np.diff(firsts, append=omegas.size))) / radius
+    steps = block * dt * 2.0 ** np.arange((n_blocks - 1).bit_length())
+    per_term = 16 * (len(steps) + 2 * n_blocks) + 8 * (rows + 2) * terms
+    per_bin = 32 * terms * (rows * n_blocks + block)
+    chunk = min(omegas.size, max(1, _CHUNK_BYTES // per_term))
+    most_bins = max(1, _CHUNK_BYTES // per_bin)
+    # scratch reused by every chunk, its first ``size`` columns in use
+    upow = np.empty((terms, chunk))
+    weights = np.empty((rows, terms, chunk))  # a_j u_j^p
+    phases = np.empty((2, n_blocks, chunk))  # (real, imag) of e^{iw_j T_b}
+    acc = np.zeros((rows * n_blocks, block))
+    carry = None
+    start = 0
+    while start < omegas.size:
+        first_bin = int(np.searchsorted(firsts, start, "right")) - 1
+        stop = min(start + chunk, *firsts[first_bin + most_bins:first_bin + most_bins + 1],
+                   omegas.size)
+        end_bin = int(np.searchsorted(firsts, stop))  # bins [first_bin, end_bin) meet the chunk
+        cuts = np.concatenate(([start], firsts[first_bin + 1:end_bin], [stop])) - start
+        size = stop - start
+        w = sorted_w[start:stop]
+        upow[0, :size] = 1.0
+        for p in range(1, terms):
+            np.multiply(upow[p - 1, :size], u[start:stop], out=upow[p, :size])
+        idx = order[start:stop]
+        for group, amps in ((slice(0, n_cos), cos_amps), (slice(n_cos, rows), sin_amps)):
+            np.multiply(np.take(amps, idx, axis=1)[:, None, :], upow[:, :size],
+                        out=weights[group, :, :size])
+        outer = _doubled(_cis(w * (t0 + half)), _squared_phases(steps, w), n_blocks)
+        phases[0, :, :size] = outer.real
+        phases[1, :, :size] = outer.imag
+        left_cols = weights.reshape(rows * terms, chunk)
+        right_rows = phases.reshape(2 * n_blocks, chunk)
+        # the moments sum_j a_j u_j^p e^{iw_j T_b} of each bin met: for each row
+        # and p, the real parts over the blocks, then the imaginary parts
+        moments = np.empty((len(cuts) - 1, rows * terms, 2 * n_blocks))
+        for c in range(len(cuts) - 1):
+            piece = slice(cuts[c], cuts[c + 1])
+            np.matmul(left_cols[:, piece], right_rows[:, piece].T, out=moments[c])
+        if carry is not None:
+            moments[0] += carry
+        done = len(moments)
+        carry = None
+        if stop < omegas.size and stop not in firsts[end_bin:end_bin + 1]:
+            done -= 1
+            carry = moments[done]
+        if done:
+            mom = moments[:done].reshape(done, rows, terms, 2, n_blocks).transpose(1, 4, 0, 2, 3)
+            left = np.empty(mom.shape)  # (rows, blocks, bins, terms, real/imag)
+            left[:n_cos] = mom[:n_cos]
+            left[n_cos:, ..., 0] = mom[n_cos:, ..., 1]
+            np.negative(mom[n_cos:, ..., 0], out=left[n_cos:, ..., 1])
+            table = (_cis(np.multiply.outer(centres[first_bin:first_bin + done], offsets))
+                     [:, None, :] * powers)
+            right = np.empty((done, terms, 2, block))
+            right[:, :, 0] = table.real
+            np.negative(table.imag, out=right[:, :, 1])
+            acc += left.reshape(rows * n_blocks, -1) @ right.reshape(-1, block)
+        start = stop
+    return acc.reshape(rows, n_blocks * block)[:, :n]
+
+
 def _grid_pass(cos_amps, sin_amps, omegas, t0: float, dt: float, n: int) -> np.ndarray:
     """sum_j a_j cos(w_j t) for each row of ``cos_amps``, then sum_j a_j sin(w_j t)
     for each row of ``sin_amps``, at t = t0 + k dt for k < n.
 
     The blocked kernel of ``trig_series_uniform``; both row groups share
-    its phase tables and its matrix product.  A sine row is a cosine row
+    its phase tables and its matrix products.  A sine row is a cosine row
     whose block phase is turned a quarter period back,
     a sin(x + y) = Re[(-i a e^{ix}) e^{iy}], so its left block is
-    (a sin, -a cos) against the same in-block phases (cos, -sin).
+    (a sin, -a cos) against the same in-block phases (cos, -sin).  The
+    pass takes the binned form (``_binned_pass``) where ``_binned_block``
+    counts it cheaper for this shape, the direct form below otherwise.
     """
     n_cos = cos_amps.shape[0]
     rows = n_cos + sin_amps.shape[0]
     if omegas.size == 0 or n == 0:
         return np.zeros((rows, n))
+    binned = _binned_block(rows, omegas.size, n, dt, float(omegas.max() - omegas.min()))
+    if binned:
+        return _binned_pass(cos_amps, sin_amps, omegas, t0, dt, n, binned)
     block = (2 if rows > _LONG_BLOCK_ROWS else 1) << math.isqrt(n - 1).bit_length()
     n_blocks = -(-n // block)
     inner_levels = block.bit_length() - 1
@@ -152,8 +289,7 @@ def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
     The grid t = t0 + (b*B + q)*dt is cut into blocks of B points, B the
     power of two at or above sqrt(n), doubled for more than
     ``_LONG_BLOCK_ROWS`` rows (the weighted block phases grow with the rows,
-    the shared tables do not; 22 -> 19 ms for six rows of 18.6k terms on
-    2001 points).  Since
+    the shared tables do not).  In the direct form, since
     e^{iwt} = e^{iw(t0 + bB dt)} e^{iwq dt}, one chunk of terms costs one
     real matrix product over interleaved (cos, sin) pairs: the
     amplitude-weighted block phases, (a cos, a sin) for cosines and
@@ -170,6 +306,21 @@ def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
     hundreds of terms).  The phase w t itself rounds relative to w|t|, in
     the kernel as in direct evaluation, so one term alone differs from its
     direct value by up to 3e-14 |a| at w|t| <= 64 and 1e-13 |a| at 500.
+
+    A pass whose direct cost k m n dominates takes the binned form instead
+    (``_binned_pass``): blocks of 2B points, each expanded about its
+    midpoint, the gaps sorted into bins whose half-width times the half
+    block is ``_BIN_REACH``, and each gap expanded about its bin's centre
+    to the Taylor degree P whose remainder ``_BIN_REACH``^(P+1)/(P+1)! is
+    below 2^-53 (P = 14).  A row and block then cost
+    m (P + 1) + bins (P + 1) 2B instead of 2B m.  ``_binned_block`` picks
+    the form from the flop counts of the pass's shape (rows, m, n, the
+    gaps' span times dt), with no option: six rows of 17.7k gaps on 2001
+    points (``evolve``) bin, and run in 5.8-6.4 instead of 21-27 ms (one
+    BLAS thread); one row of 256 gaps on 127 points (a coarse scan) stays
+    direct.  Its error is the direct form's: at most 1.9e-14 sum|amps|
+    against direct evaluation for those six rows, where the direct form
+    reaches 1.8e-14.
     (k, m) amplitudes evaluate k series over shared frequencies, of shape
     (k, n).  ``SeriesTerms.on_grid`` also reads a series' derivative in the
     same pass.

@@ -23,7 +23,7 @@ from dense_reference import (
     star,
     total_energy,
 )
-from spinfridge import oracle, thermo
+from spinfridge import oracle, series, thermo
 from spinfridge.engine import (
     RefrigeratorEngine,
     RefrigeratorParams,
@@ -380,6 +380,19 @@ class TestReducedDynamics:
                 )) < 1e-11
         assert not three._series_cache
 
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_one_pair_matches_dense_oracle_at_large_n(self, n):
+        # dense dimension 2 (n + 1): 82 and 402
+        p = star(eps=1.0, bath_e=2.0, a=0.5, n=n, beta=1.0)
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        model = oracle.build_dense(p)
+        spectrum = model.spectrum()
+        for t in (0.0, 0.7, 3.1, 9.4, 25.0):
+            qubit = dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
+            assert np.max(np.abs(qubit - eng.reduced_qubit_state(1, t))) < 1e-10
+            bath = np.diag(dense_evolve_and_trace(model, t, 1, spectrum=spectrum)).real
+            assert np.max(np.abs(bath - eng.reduced_bath_populations(1, t))) < 1e-10
+
     def test_temperature_series_starts_at_bath_temperature(self):
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         for i, beta in zip((1, 2, 3), (1.0, 1.0, 0.5)):
@@ -595,6 +608,88 @@ class TestFusedGridPass:
             sine.on_grid(0.0, 0.1, 5, derivative=True)
         with pytest.raises(ValueError, match="cosine"):
             sine.derivative()
+
+
+@st.composite
+def _binned_case(draw):
+    """A pass the selection bins: thousands of gaps on a long grid, t0 != 0.
+
+    Gaps hold omega = 0, two values repeated past a chunk of gaps (so a bin
+    is cut between chunks; one sits on a bin edge, where the Taylor
+    remainder peaks), gaps on bin edges and gaps filling [0, top] with
+    w|t| <= 64 as in ``_fused_case``.  Amplitudes of one sign add those
+    remainders up.  A few gaps at omega dt near pi widen the span by about
+    200 bins, so they come with 16k more gaps to keep the pass binned.
+    Their w|t| reaches 10^4, and the phase w t rounds relative to it in
+    direct evaluation as in the kernel, so their amplitudes are below
+    1/omega, where that rounding stays under the bound.  Amplitudes and
+    gaps come from a drawn seed: drawing 10^4 floats one by one is too slow
+    for the suite.  Rows are 1-6 plain rows of one kind, or 1-3 cosine rows
+    with their fused derivative rows.
+    """
+    n = draw(st.sampled_from([2001, 1537]))
+    dt = draw(st.floats(1e-3, 5e-3))
+    t0 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 3.0))
+    fused = draw(st.booleans())
+    rows = draw(st.integers(1, 3 if fused else 6))
+    kind = "cos" if fused else draw(st.sampled_from(["cos", "sin"]))
+    near_pi = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = 64.0 / max(abs(t0), abs(t0 + (n - 1) * dt))
+    block = series._binned_block(1, 10**6, n, dt, 0.0)  # the binned form's block length
+    edge = 4.0 * series._BIN_REACH / ((block - 1) * dt)  # bin width, bins starting at 0
+    omegas = np.concatenate((
+        np.zeros(draw(st.integers(1, 50))),
+        np.repeat([edge * rng.integers(0, int(top / edge) + 1), rng.uniform(0.0, top)],
+                  draw(st.integers(1, 2000))),
+        edge * rng.integers(0, int(top / edge) + 1, draw(st.integers(0, 200))),
+        rng.uniform(0.0, top, draw(st.integers(2000, 4000)) + (16_000 if near_pi else 0)),
+        np.pi / dt * (1.0 + rng.uniform(-1e-6, 1e-6, near_pi)),
+    ))
+    amps = rng.uniform(-draw(st.sampled_from([0.0, 1.0])), 1.0, (rows, omegas.size))
+    amps[:, omegas.size - near_pi:] /= omegas[omegas.size - near_pi:]
+    const = rng.uniform(-1.0, 1.0, rows)
+    return n, dt, t0, fused, kind, omegas, amps, const
+
+
+class TestBinnedGridPass:
+    @settings(max_examples=10, deadline=None)
+    @given(_binned_case())
+    def test_rows_match_direct_evaluation(self, case):
+        n, dt, t0, fused, kind, omegas, amps, const = case
+        rows = amps.shape[0] * (1 + fused)
+        assert series._binned_block(rows, omegas.size, n, dt, float(np.ptp(omegas)))
+        terms = SeriesTerms(const, amps, omegas, kind)
+        got = terms.on_grid(t0, dt, n, derivative=True) if fused else (terms.on_grid(t0, dt, n),)
+        want = (terms, terms.derivative()) if fused else (terms,)
+        sampled = np.unique(np.r_[np.arange(0, n, 7), n - 1])  # direct evaluation is slow
+        times = t0 + sampled * dt
+        floor = 64 * np.finfo(float).smallest_subnormal
+        for values, reference in zip(got, want):
+            size = np.abs(reference.amps).sum(axis=1) + np.abs(reference.const)
+            assert values.shape == (amps.shape[0], n)
+            assert np.all(np.abs(values[:, sampled] - reference.at(times))
+                          <= (5e-14 * size + floor)[:, None])
+
+    def test_selection_bins_the_evolve_pass_only(self, monkeypatch):
+        binned = []
+        kernel = series._binned_pass
+        monkeypatch.setattr(series, "_binned_pass",
+                            lambda *args: binned.append(args) or kernel(*args))
+        rng = np.random.default_rng(7)
+        # evolve: three excited rows and their derivatives, 17.7k gaps up to
+        # w_max dt = 0.27, on the default grid of 2001 points
+        evolve = SeriesTerms(np.zeros(3), rng.uniform(-1.0, 1.0, (3, 17_730)),
+                             rng.uniform(0.0, 54.0, 17_730), "cos")
+        evolve.on_grid(0.0, 0.005, 2001, derivative=True)
+        assert len(binned) == 1
+        # a coarse scan of a search head: one row of 256 gaps on 127 points
+        scan = SeriesTerms(np.zeros(1), rng.uniform(-1.0, 1.0, (1, 256)),
+                           rng.uniform(0.0, 13.0, 256), "cos")
+        scan.on_grid(0.0, 0.08, 127)
+        assert len(binned) == 1
+        assert series._binned_block(6, 17_730, 2001, 0.005, 54.0)
+        assert not series._binned_block(1, 256, 127, 0.08, 0.0)
 
 
 class TestMultiKeySeries:
