@@ -36,6 +36,9 @@ DEFAULT_TIME_GRID = TimeGrid(0.0, 10.0, 0.005)
 DEFAULT_RANGES = ((0.0, 1.0),) * 3 + ((0.0, 0.1),)
 DEFAULT_BUDGET = 2000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Most iterations of ``golden_section_min``; it returns its best point then,
+# tolerance met or not.
+_GOLDEN_MAX_ITER = 200
 
 WORKERS_ENV = "SPINFRIDGE_WORKERS"
 
@@ -103,13 +106,12 @@ def worker_count() -> int:
 # Scalar minimization helpers
 # ---------------------------------------------------------------------------
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-6,
-                       max_iter: int = 200) -> tuple[float, float]:
+def golden_section_min(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, float]:
     """Golden-section minimum of a unimodal function on [a, b]."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if f1 <= f2:
@@ -226,8 +228,7 @@ def _series_head(terms, magnitude: np.ndarray, total: float):
         keep = np.sort(np.argpartition(magnitude, magnitude.size - count)[-count:])
         tail = total - float(magnitude[keep].sum())
         if tail < _HEAD_TOL * total:
-            return SeriesTerms(terms.const, terms.amps[:, keep], terms.omegas[keep],
-                               terms.kind), tail
+            return SeriesTerms(terms.const, terms.amps[:, keep], terms.omegas[keep]), tail
         count *= 2
     return terms, 0.0
 

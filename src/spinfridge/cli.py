@@ -47,8 +47,7 @@ def _provenance_lines(config: RunConfig) -> list[str]:
 def _write_csv(path: str, config: RunConfig, header: list[str], columns) -> None:
     lines = _provenance_lines(config)
     lines.append(",".join(header))
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in np.column_stack(columns).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -46,6 +46,9 @@ from .series import SeriesTerms
 from .spinstar import sector_arrays, temperature_from_excited
 
 DEFAULT_PRUNE_TOL = 1e-12
+# Tolerance of the resonance conditions: |(E2 - eps2) - (E1 - eps1) - (E3 - eps3)|
+# of an autonomous refrigerator, |eps2 - (eps1 + eps3)| of the Markov jump operators.
+AUTONOMY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,10 @@ class RefrigeratorParams:
         """Number of qubit-bath pairs, one or three."""
         return len(self.n_bath)
 
-    def is_autonomous(self, tol: float = 1e-12) -> bool:
+    def is_autonomous(self) -> bool:
         """Whether the two interaction-coupled states are degenerate (never for one pair)."""
         gaps = [self.bath_energy[k] - self.epsilon[k] for k in range(self.pairs)]
-        return self.pairs == 3 and abs(gaps[1] - (gaps[0] + gaps[2])) <= tol
+        return self.pairs == 3 and abs(gaps[1] - (gaps[0] + gaps[2])) <= AUTONOMY_TOL
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,14 @@ class SectorLayout:
             if whole or total - weights[weights >= cutoff].sum() < self.prune_tol:
                 break
             cutoff *= 1e-3
-        outside = 0.0 if whole else max(total - float(weights.sum()), 0.0)
+        # the weight outside the sub-cube, summed as slabs (pair k's row outside,
+        # the rows of pairs before k inside, those after k anywhere): the
+        # difference total - weights.sum() rounds at eps total, enough to move
+        # the cut past a partial sum that close to prune_tol
+        inside = [float(w[r].sum()) for w, r in zip(interior, rows)]
+        outside = sum(math.prod(inside[:k]) * float(np.delete(w, r).sum())
+                      * math.prod(float(v.sum()) for v in interior[k + 1:])
+                      for k, (w, r) in enumerate(zip(interior, rows)))
         order = np.argsort(weights, axis=None, kind="stable")
         cum = outside + np.cumsum(weights.ravel()[order])
         keep = np.sort(order[np.searchsorted(cum, self.prune_tol, side="left"):])
@@ -405,11 +415,12 @@ class RefrigeratorEngine:
         return np.matmul(np.matmul(vecs.transpose(0, 2, 1), dense), vecs)
 
     def series_terms(self, keys: tuple) -> SeriesTerms:
-        """Cosine terms of Tr[rho(t) O], one row per key.
+        """The cosine series of Tr[rho(t) O], one row per key.
 
         Keys: ("pop", i) and ("exc", i) the ground and excited projectors
         of qubit i; ("hsb", i) the XY coupling block; ("hint",) the
-        collective interaction.  Tr[drho/dt O] is the ``derivative()`` of the result.
+        collective interaction.  The result's ``on_grid`` and ``at`` with
+        ``derivative`` also return the rates Tr[drho/dt O].
 
         Each row sums its pair's ladder and the interacting blocks.  The
         rows share the union of the keys' gaps (zero where a key's
@@ -442,7 +453,7 @@ class RefrigeratorEngine:
             omega_parts.append(gaps.ravel())
         amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
-        terms = SeriesTerms(const, amps, omegas, "cos")
+        terms = SeriesTerms(const, amps, omegas)
         self._series_cache[keys] = terms
         return terms
 

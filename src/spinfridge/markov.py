@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import DEFAULT_RANGES, OptimizationResult, _best_time_on_grid, minimize_t1
+from .engine import AUTONOMY_TOL
 from .series import TimeGrid
 from .spinstar import temperature_from_excited
 
@@ -138,9 +139,9 @@ def rate_matrix(params: MarkovParams) -> np.ndarray:
     Channel (i, s) of ``_CHANNELS`` moves population at gamma(w), w = eps_i
     + s g, and back at gamma(-w), each move weighted by its |<to|L|from>|^2.
     Any nonpositive transition frequency is an error, and so is
-    |eps2 - (eps1 + eps3)| > 1e-12, where the channels lower no energy of H;
-    a largest rate above 10% of min(eps_i, g) is an error and above 1% a
-    WeakCouplingWarning.
+    |eps2 - (eps1 + eps3)| > ``engine.AUTONOMY_TOL``, where the channels
+    lower no energy of H; a largest rate above 10% of min(eps_i, g) is an
+    error and above 1% a WeakCouplingWarning.
     """
     w = np.zeros((8, 8))
     gamma_max = 0.0
@@ -158,7 +159,7 @@ def rate_matrix(params: MarkovParams) -> np.ndarray:
             w[source, target] += weight * up
         gamma_max = max(gamma_max, down, up)
     eps1, eps2, eps3 = params.epsilon
-    if abs(eps2 - (eps1 + eps3)) > 1e-12:  # RefrigeratorParams.is_autonomous's tolerance
+    if abs(eps2 - (eps1 + eps3)) > AUTONOMY_TOL:
         raise ValueError(
             f"the jump operators need eps2 = eps1 + eps3, got epsilon={params.epsilon}")
     scale = min(min(params.epsilon), params.g) if params.g > 0 else min(params.epsilon)

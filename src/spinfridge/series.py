@@ -1,15 +1,15 @@
-"""Trigonometric series const + sum_j a_j trig(omega_j t), and the time grid.
+"""Cosine series const + sum_j a_j cos(omega_j t), and the time grid.
 
 Every population of the exact engine, for one star or three, is such a
 cosine series over spectral gaps, and every energy current is read from
-its derivative (``SeriesTerms.derivative``).  ``SeriesTerms`` holds one or several
-over shared gaps, one row each, and evaluates them with the blocked grid
-kernel ``trig_series_uniform`` on a ``TimeGrid`` (with their derivative
-from the same pass when asked; a pass with many gaps sorts them into
-frequency bins and expands each bin about its centre), directly with
-``trig_series_at`` at arbitrary times, or as local Taylor polynomials with
-``trig_series_taylor``.  ``TimeGrid`` is the one uniform grid a run reads
-every result on, from its configuration down to the kernel.
+its rates, -sum_j a_j omega_j sin(omega_j t).  ``SeriesTerms`` holds one or
+several over shared gaps, one row each, and is their one evaluator: on a
+``TimeGrid`` by the blocked grid kernel ``_grid_pass`` (a pass with many
+gaps sorts them into frequency bins and expands each bin about its
+centre), directly at arbitrary times, or as local Taylor polynomials.  The
+grid and the direct forms return the rates with the values when asked.
+``TimeGrid`` is the one uniform grid a run reads every result on, from its
+configuration down to the kernel.
 """
 
 from __future__ import annotations
@@ -24,13 +24,6 @@ _CHUNK_BYTES = 1 << 20
 # Doubling levels per direct cos/sin in the grid kernel; the levels between
 # are squared (``_squared_phases``).
 _ANCHOR_EVERY = 4
-# Rows of a direct grid pass above which its blocks are twice as long.  For
-# 18.6k terms on 2001 points the longer block lost at 2 rows (11.5 vs
-# 12.2 ms), tied at 3 and 4, and won from 5.  Just below the binning
-# threshold it still wins at 5 and 6 rows: 1200 terms on 2001 points
-# 1.56 vs 1.73 ms (5 rows) and 1.76 vs 1.82 ms (6 rows), 4500 terms with
-# w_max dt = 1 5.32 vs 5.97 ms, 1200 terms on 8001 points 4.1 vs 5.1 ms.
-_LONG_BLOCK_ROWS = 4
 # The largest |w - W| |x| of the binned grid kernel, for a gap w in the bin
 # of centre W and a point at offset x from its block's midpoint; its Taylor
 # degree is ``_taylor_degree(_BIN_REACH)`` = 14.
@@ -64,12 +57,6 @@ class TimeGrid:
     def __len__(self) -> int:
         """The length of numpy's ``arange(start, stop + step/2, step)``."""
         return math.ceil((self.stop + 0.5 * self.step - self.start) / self.step)
-
-
-def _series_rows(const, amps):
-    """(k,) constants and (k, m) amplitudes; one (m,) series is one row."""
-    amps = np.atleast_2d(np.asarray(amps, dtype=float))
-    return np.broadcast_to(np.asarray(const, dtype=float).ravel(), (amps.shape[0],)), amps
 
 
 def _cis(x: np.ndarray) -> np.ndarray:
@@ -126,8 +113,8 @@ def _binned_block(rows: int, m: int, n: int, dt: float, span: float) -> int:
 
     From the pass's shape alone: ``rows`` series over m gaps spanning
     ``span``, on n points dt apart.  The binned form takes blocks of L =
-    2B points (B the direct form's block at one row); each block costs a
-    row m (P + 1) multiply-adds for the moments and bins (P + 1) L for the
+    2B points (B the direct form's block); each block costs a row
+    m (P + 1) multiply-adds for the moments and bins (P + 1) L for the
     table, with bins = span (L - 1) dt / (4 ``_BIN_REACH``) + 1 when the
     gaps fill their range, against m per point of the direct form.  The
     binned count, times ``_BIN_FLOP_WEIGHT``, must be the smaller.
@@ -243,13 +230,44 @@ def _grid_pass(cos_amps, sin_amps, omegas, t0: float, dt: float, n: int) -> np.n
     """sum_j a_j cos(w_j t) for each row of ``cos_amps``, then sum_j a_j sin(w_j t)
     for each row of ``sin_amps``, at t = t0 + k dt for k < n.
 
-    The blocked kernel of ``trig_series_uniform``; both row groups share
-    its phase tables and its matrix products.  A sine row is a cosine row
-    whose block phase is turned a quarter period back,
-    a sin(x + y) = Re[(-i a e^{ix}) e^{iy}], so its left block is
-    (a sin, -a cos) against the same in-block phases (cos, -sin).  The
-    pass takes the binned form (``_binned_pass``) where ``_binned_block``
-    counts it cheaper for this shape, the direct form below otherwise.
+    The blocked kernel of ``SeriesTerms.on_grid``, whose sine rows are the
+    rates of its cosine rows; both row groups share the phase tables and
+    the matrix products.  The grid t = t0 + (b*B + q)*dt is cut into
+    blocks of B points, B the power of two at or above sqrt(n).  In the
+    direct form, since e^{iwt} = e^{iw(t0 + bB dt)} e^{iwq dt}, one chunk
+    of terms costs one real matrix product over interleaved (cos, sin)
+    pairs: the amplitude-weighted block phases (rows: series x block)
+    against the in-block phases (cos, -sin).  A cosine row's left block is
+    (a cos, a sin); a sine row is a cosine row whose block phase is turned
+    a quarter period back, a sin(x + y) = Re[(-i a e^{ix}) e^{iy}], so its
+    left block is (a sin, -a cos).  Both phase tables are doubled
+    (``_doubled``) from the phases e^{iw 2^p dt}, of which only every
+    ``_ANCHOR_EVERY``-th is a direct cos/sin and the others are squares
+    (``_squared_phases``): 8 instead of 24 transcendentals per term for
+    n = 2001.  Chunks are sized so the scratch stays near ``_CHUNK_BYTES``.
+    Each doubling phase is within about 2^_ANCHOR_EVERY ulps and each table
+    entry is a product of at most log2(n) + 1 of them, so the absolute
+    error is a few tens of ulps times sum|a| (measured: below 1e-14 sum|a|,
+    and 5e-14 sum|a| for w up to 500 on 2001 points, against direct
+    evaluation of hundreds of terms).  The phase w t itself rounds relative
+    to w|t|, in the kernel as in direct evaluation, so one term alone
+    differs from its direct value by up to 3e-14 |a| at w|t| <= 64 and
+    1e-13 |a| at 500.
+
+    A pass whose direct cost k m n dominates takes the binned form instead
+    (``_binned_pass``): blocks of 2B points, each expanded about its
+    midpoint, the gaps sorted into bins whose half-width times the half
+    block is ``_BIN_REACH``, and each gap expanded about its bin's centre
+    to the Taylor degree P whose remainder ``_BIN_REACH``^(P+1)/(P+1)! is
+    below 2^-53 (P = 14).  A row and block then cost
+    m (P + 1) + bins (P + 1) 2B instead of 2B m.  ``_binned_block`` picks
+    the form from the flop counts of the pass's shape (rows, m, n, the
+    gaps' span times dt), with no option: six rows of 17.7k gaps on 2001
+    points (``evolve``) bin, and run in 5.8-6.4 instead of 21-27 ms (one
+    BLAS thread); one row of 256 gaps on 127 points (a coarse scan) stays
+    direct.  Its error is the direct form's: at most 1.9e-14 sum|a|
+    against direct evaluation for those six rows, where the direct form
+    reaches 1.8e-14.
     """
     n_cos = cos_amps.shape[0]
     rows = n_cos + sin_amps.shape[0]
@@ -258,7 +276,7 @@ def _grid_pass(cos_amps, sin_amps, omegas, t0: float, dt: float, n: int) -> np.n
     binned = _binned_block(rows, omegas.size, n, dt, float(omegas.max() - omegas.min()))
     if binned:
         return _binned_pass(cos_amps, sin_amps, omegas, t0, dt, n, binned)
-    block = (2 if rows > _LONG_BLOCK_ROWS else 1) << math.isqrt(n - 1).bit_length()
+    block = 1 << math.isqrt(n - 1).bit_length()
     n_blocks = -(-n // block)
     inner_levels = block.bit_length() - 1
     steps = dt * 2.0 ** np.arange(inner_levels + (n_blocks - 1).bit_length())
@@ -282,76 +300,6 @@ def _grid_pass(cos_amps, sin_amps, omegas, t0: float, dt: float, n: int) -> np.n
     return acc.reshape(rows, n_blocks * block)[:, :n]
 
 
-def trig_series_uniform(const, amps, omegas, t0: float, dt: float, n: int,
-                        kind: str = "cos") -> np.ndarray:
-    """Evaluate const + sum_j amps[.,j]*trig(omegas[j]*t) on a uniform grid.
-
-    The grid t = t0 + (b*B + q)*dt is cut into blocks of B points, B the
-    power of two at or above sqrt(n), doubled for more than
-    ``_LONG_BLOCK_ROWS`` rows (the weighted block phases grow with the rows,
-    the shared tables do not).  In the direct form, since
-    e^{iwt} = e^{iw(t0 + bB dt)} e^{iwq dt}, one chunk of terms costs one
-    real matrix product over interleaved (cos, sin) pairs: the
-    amplitude-weighted block phases, (a cos, a sin) for cosines and
-    (a sin, -a cos) for sines (rows: series x block), against the in-block
-    phases (cos, -sin).  Both phase tables are doubled (``_doubled``) from
-    the phases e^{iw 2^p dt}, of which only every ``_ANCHOR_EVERY``-th is a
-    direct cos/sin and the others are squares (``_squared_phases``): 8
-    instead of 24 transcendentals per term for n = 2001.  Chunks are sized
-    so the scratch stays near ``_CHUNK_BYTES``.  Each doubling phase is
-    within about 2^_ANCHOR_EVERY ulps and each table entry is a product of
-    at most log2(n) + 1 of them, so the absolute error is a few tens of
-    ulps times sum|amps| (measured: below 1e-14 sum|amps|, and 5e-14
-    sum|amps| for w up to 500 on 2001 points, against direct evaluation of
-    hundreds of terms).  The phase w t itself rounds relative to w|t|, in
-    the kernel as in direct evaluation, so one term alone differs from its
-    direct value by up to 3e-14 |a| at w|t| <= 64 and 1e-13 |a| at 500.
-
-    A pass whose direct cost k m n dominates takes the binned form instead
-    (``_binned_pass``): blocks of 2B points, each expanded about its
-    midpoint, the gaps sorted into bins whose half-width times the half
-    block is ``_BIN_REACH``, and each gap expanded about its bin's centre
-    to the Taylor degree P whose remainder ``_BIN_REACH``^(P+1)/(P+1)! is
-    below 2^-53 (P = 14).  A row and block then cost
-    m (P + 1) + bins (P + 1) 2B instead of 2B m.  ``_binned_block`` picks
-    the form from the flop counts of the pass's shape (rows, m, n, the
-    gaps' span times dt), with no option: six rows of 17.7k gaps on 2001
-    points (``evolve``) bin, and run in 5.8-6.4 instead of 21-27 ms (one
-    BLAS thread); one row of 256 gaps on 127 points (a coarse scan) stays
-    direct.  Its error is the direct form's: at most 1.9e-14 sum|amps|
-    against direct evaluation for those six rows, where the direct form
-    reaches 1.8e-14.
-    (k, m) amplitudes evaluate k series over shared frequencies, of shape
-    (k, n).  ``SeriesTerms.on_grid`` also reads a series' derivative in the
-    same pass.
-    """
-    const_vec, amps = _series_rows(const, amps)
-    omegas = np.asarray(omegas, dtype=float)
-    none = amps[:0]
-    values = _grid_pass(*((amps, none) if kind == "cos" else (none, amps)), omegas, t0, dt, n)
-    return const_vec[:, None] + values
-
-
-def trig_series_at(const, amps, omegas, times, kind: str = "cos") -> np.ndarray:
-    """Direct evaluation of the trigonometric sum at arbitrary times.
-
-    Like ``trig_series_uniform``, (k, m) amplitudes give a (k, len(times))
-    result.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    const_vec, amps = _series_rows(const, amps)
-    omegas = np.asarray(omegas, dtype=float)
-    fun = np.cos if kind == "cos" else np.sin
-    out = np.empty(times.shape + (amps.shape[0],))
-    out[:] = const_vec
-    if omegas.size:
-        chunk = max(1, int(4e6) // max(len(times), 1))
-        for start in range(0, len(omegas), chunk):
-            sl = slice(start, start + chunk)
-            out += fun(np.outer(times, omegas[sl])) @ amps[:, sl].T
-    return out.T
-
-
 def _taylor_degree(reach: float) -> int:
     """Smallest P with reach^(P+1)/(P+1)! <= 2^-53.
 
@@ -366,80 +314,78 @@ def _taylor_degree(reach: float) -> int:
     return degree
 
 
-def trig_series_taylor(const, amps, omegas, centres, radius: float,
-                       kind: str = "cos") -> np.ndarray:
-    """Taylor coefficients of const + sum_j amps[.,j]*trig(omegas[j]*t) about each centre.
-
-    Row c holds the expansion about centres[c]: the series at
-    centres[c] + x is sum_k coef[c, k] x^k for |x| <= ``radius``.  The
-    k-th derivative of trig(w t) is w^k trig(w t + k pi/2), so
-    coef[c, k] is the real (cos) or imaginary (sin) part of
-    i^k sum_j a_j w_j^k e^{i w_j centres[c]} / k!: one cos and one sin per
-    term and centre, the powers of w by repeated products.  The degree is
-    ``_taylor_degree(max(omegas) * radius)``, so the remainder stays within
-    an ulp times sum|a|, and rounding adds a few ulps times
-    sum|a| e^{max(omegas) radius}.  Terms are chunked as in the grid
-    kernel.  (k, m) amplitudes give shape (k, len(centres), P + 1).
-    """
-    centres = np.atleast_1d(np.asarray(centres, dtype=float))
-    const_vec, amps = _series_rows(const, amps)
-    omegas = np.asarray(omegas, dtype=float)
-    degree = _taylor_degree(float(omegas.max()) * radius if omegas.size else 0.0)
-    moments = np.zeros((amps.shape[0], degree + 1, centres.size), dtype=complex)
-    per_term = 8 * (3 * centres.size + amps.shape[0] * (degree + 1))
-    chunk = max(1, _CHUNK_BYTES // per_term)
-    for start in range(0, omegas.size, chunk):
-        w = omegas[start:start + chunk]
-        weighted = np.empty((amps.shape[0], degree + 1, w.size))
-        weighted[:, 0] = amps[:, start:start + chunk]
-        for k in range(degree):
-            np.multiply(weighted[:, k], w, out=weighted[:, k + 1])
-        phase = np.multiply.outer(w, centres)
-        moments.real += weighted @ np.cos(phase)
-        moments.imag += weighted @ np.sin(phase)
-    order = np.arange(degree + 1)
-    factorials = np.array([math.factorial(k) for k in order], dtype=float)
-    moments *= (np.array([1, 1j, -1, -1j])[order % 4] / factorials)[:, None]
-    coef = (moments.real if kind == "cos" else moments.imag).transpose(0, 2, 1).copy()
-    coef[:, :, 0] += const_vec[:, None]
-    return coef
-
-
 @dataclass(frozen=True)
 class SeriesTerms:
-    """Aggregated trigonometric representation of k observables over shared gaps.
+    """const[r] + sum_j amps[r, j] cos(omegas[j] t): k observables over shared gaps.
 
     ``const`` has shape (k,) and ``amps`` (k, m), one row per observable,
-    and every evaluation returns one row per observable.
+    and every evaluation returns one row per observable.  The rates of row
+    r are its time derivative, -sum_j amps[r, j] omegas[j] sin(omegas[j] t).
     """
 
     const: np.ndarray
     amps: np.ndarray
     omegas: np.ndarray
-    kind: str
-
-    def at(self, times) -> np.ndarray:
-        return trig_series_at(self.const, self.amps, self.omegas, times, self.kind)
 
     def on_grid(self, t0: float, dt: float, n: int, derivative: bool = False):
-        """Values on the grid (``trig_series_uniform``); with ``derivative``,
-        (values, rates), the rates those of ``derivative()``, as the cosine
-        and sine rows of one kernel pass (``_grid_pass``)."""
-        if not derivative:
-            return trig_series_uniform(self.const, self.amps, self.omegas, t0, dt, n,
-                                       self.kind)
-        const, amps = _series_rows(self.const, self.amps)
-        rates = np.atleast_2d(self.derivative().amps)
-        both = _grid_pass(amps, rates, self.omegas, t0, dt, n)
-        return const[:, None] + both[:len(const)], both[len(const):]
+        """Values at t = t0 + k dt for k < n, shape (k, n), by the grid kernel
+        (``_grid_pass``); with ``derivative``, (values, rates), as the cosine
+        and sine rows of one kernel pass."""
+        rows = len(self.const)
+        rates = -self.amps * self.omegas if derivative else self.amps[:0]
+        both = _grid_pass(self.amps, rates, self.omegas, t0, dt, n)
+        values = self.const[:, None] + both[:rows]
+        return (values, both[rows:]) if derivative else values
+
+    def at(self, times, derivative: bool = False):
+        """Values at arbitrary ``times`` by direct summation, shape
+        (k, len(times)); with ``derivative``, (values, rates)."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        values = np.empty(times.shape + self.const.shape)
+        values[:] = self.const
+        if derivative:
+            slopes = -self.amps * self.omegas
+            rates = np.zeros(values.shape)
+        chunk = max(1, int(4e6) // max(len(times), 1))
+        for start in range(0, self.omegas.size, chunk):
+            sl = slice(start, start + chunk)
+            phase = np.outer(times, self.omegas[sl])
+            values += np.cos(phase) @ self.amps[:, sl].T
+            if derivative:
+                rates += np.sin(phase) @ slopes[:, sl].T
+        return (values.T, rates.T) if derivative else values.T
 
     def taylor(self, centres, radius: float) -> np.ndarray:
-        return trig_series_taylor(self.const, self.amps, self.omegas, centres, radius,
-                                  self.kind)
+        """Taylor coefficients about each centre, shape (k, len(centres), P + 1).
 
-    def derivative(self) -> SeriesTerms:
-        """The time derivative of a cosine series: amplitudes -a w on sines."""
-        if self.kind != "cos":
-            raise ValueError("derivative: only of a cosine series")
-        return SeriesTerms(np.zeros_like(self.const), -self.amps * self.omegas, self.omegas,
-                           "sin")
+        Row c holds the expansion about centres[c]: the series at
+        centres[c] + x is sum_p coef[c, p] x^p for |x| <= ``radius``.  The
+        p-th derivative of cos(w t) is w^p cos(w t + p pi/2), so coef[c, p]
+        is the real part of i^p sum_j a_j w_j^p e^{i w_j centres[c]} / p!:
+        one cos and one sin per term and centre, the powers of w by repeated
+        products.  The degree is ``_taylor_degree(max(omegas) * radius)``,
+        so the remainder stays within an ulp times sum|a|, and rounding adds
+        a few ulps times sum|a| e^{max(omegas) radius}.  Terms are chunked as
+        in the grid kernel.
+        """
+        centres = np.atleast_1d(np.asarray(centres, dtype=float))
+        rows, omegas = len(self.const), self.omegas
+        degree = _taylor_degree(float(omegas.max()) * radius if omegas.size else 0.0)
+        moments = np.zeros((rows, degree + 1, centres.size), dtype=complex)
+        per_term = 8 * (3 * centres.size + rows * (degree + 1))
+        chunk = max(1, _CHUNK_BYTES // per_term)
+        for start in range(0, omegas.size, chunk):
+            w = omegas[start:start + chunk]
+            weighted = np.empty((rows, degree + 1, w.size))
+            weighted[:, 0] = self.amps[:, start:start + chunk]
+            for p in range(degree):
+                np.multiply(weighted[:, p], w, out=weighted[:, p + 1])
+            phase = np.multiply.outer(w, centres)
+            moments.real += weighted @ np.cos(phase)
+            moments.imag += weighted @ np.sin(phase)
+        order = np.arange(degree + 1)
+        factorials = np.array([math.factorial(p) for p in order], dtype=float)
+        moments *= (np.array([1, 1j, -1, -1j])[order % 4] / factorials)[:, None]
+        coef = moments.real.transpose(0, 2, 1).copy()
+        coef[:, :, 0] += self.const[:, None]
+        return coef

@@ -60,9 +60,9 @@ def energy_balance(engine: RefrigeratorEngine, t: float) -> float:
     per row.
     """
     params = engine.params
-    rates = _excited_rows(engine).derivative().at([t])
+    rates = _excited_rows(engine).at([t], derivative=True)[1]
     levels = np.subtract(params.epsilon, params.bath_energy) @ rates
     return float(levels[0] + sum(
-        engine.series_terms((key,)).derivative().at([t])[0, 0]
+        engine.series_terms((key,)).at([t], derivative=True)[1][0, 0]
         for key in energy_keys(params.pairs)
     ))

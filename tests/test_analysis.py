@@ -129,10 +129,9 @@ def _rounding_bound(terms) -> float:
 
 
 def _draw_search(draw, amps, omegas):
-    """The one-row series of these terms, a drawn constant and kind, and a drawn grid."""
+    """The one-row series of these terms, a drawn constant, and a drawn grid."""
     const = draw(st.floats(-1.0, 1.0))
-    kind = draw(st.sampled_from(["cos", "sin"]))
-    terms = SeriesTerms(np.array([const]), np.asarray(amps)[None, :], np.array(omegas), kind)
+    terms = SeriesTerms(np.array([const]), np.asarray(amps)[None, :], np.array(omegas))
     n = draw(st.one_of(st.integers(1, 4), st.integers(5, 400)))
     dt = draw(st.floats(0.002, 0.1))
     t0 = draw(st.floats(-2.0, 2.0))
@@ -203,7 +202,7 @@ class TestBestTimeOnSeries:
         monkeypatch.setattr(analysis, "_HEAD_TOL", 1e-3)
         d, b = 1e-3, 8e-4
         terms = SeriesTerms(np.zeros(1), np.array([[1.0, d, b]]),
-                            np.array([1.0, 0.5 + eta, 1.0 / 3.0]), "cos")
+                            np.array([1.0, 0.5 + eta, 1.0 / 3.0]))
         # the cut drops b alone: b sums below it, b + d does not
         assert b < analysis._HEAD_TOL * float(np.abs(terms.amps).sum()) <= b + d
         dt = math.pi / 200
@@ -221,21 +220,22 @@ class TestBestTimeOnSeries:
             raise AssertionError("a constant series has no cell to refine")
 
         monkeypatch.setattr(SeriesTerms, "taylor", never)
-        terms = SeriesTerms(np.array([0.25]), np.zeros((1, 3)), np.array([1.0, 2.0, 5.0]), "cos")
+        terms = SeriesTerms(np.array([0.25]), np.zeros((1, 3)), np.array([1.0, 2.0, 5.0]))
         assert _best_time_on_series(terms, _grid(0.5, 0.01, 101)) == (0.5, 0.25)
 
     @pytest.mark.parametrize("sign, end", [(1.0, 0), (-1.0, -1)])
     def test_monotone_series_ends_at_the_grid_edge(self, sign, end):
-        # sin(0.1 t) rises on [0, 10]: the minimum is the first or last point
-        terms = SeriesTerms(np.array([0.5]), np.array([[sign * 0.3]]), np.array([0.1]), "sin")
+        # cos(0.1 t) falls on [0, 10], so the series rises where sign > 0 and
+        # falls where sign < 0: the minimum is the first or last point
+        terms = SeriesTerms(np.array([0.5]), np.array([[-sign * 0.3]]), np.array([0.1]))
         times = TimeGrid(0.0, 10.0, 0.01).points()
         t_best, p_best = _best_time_on_series(terms, TimeGrid(0.0, 10.0, 0.01))
         assert t_best == times[end]
-        assert p_best == pytest.approx(0.5 + sign * 0.3 * math.sin(0.1 * times[end]),
+        assert p_best == pytest.approx(0.5 - sign * 0.3 * math.cos(0.1 * times[end]),
                                        abs=1e-15)
 
     def test_minimum_in_a_last_cell_shorter_than_the_stride(self):
-        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 1e-3]]), np.array([3.0, 7.0]), "cos")
+        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 1e-3]]), np.array([3.0, 7.0]))
         dt = 0.01
         stride = analysis._stride(terms, dt)
         n = 10 * stride + 6
@@ -251,7 +251,7 @@ class TestBestTimeOnSeries:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_or_two_points(self, n):
-        terms = SeriesTerms(np.array([0.1]), np.array([[0.4, -0.2]]), np.array([2.0, 9.0]), "cos")
+        terms = SeriesTerms(np.array([0.1]), np.array([[0.4, -0.2]]), np.array([2.0, 9.0]))
         grid = _grid(0.3, 0.05, n)
         assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
 
@@ -260,7 +260,7 @@ class TestBestTimeOnSeries:
             raise AssertionError("w_max dt is too large for an expansion")
 
         monkeypatch.setattr(SeriesTerms, "taylor", never)
-        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 0.5]]), np.array([60.0, 3.0]), "cos")
+        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 0.5]]), np.array([60.0, 3.0]))
         grid = TimeGrid(0.0, 2.0, 0.05)
         assert analysis._stride(terms, 0.05) == 0
         assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
@@ -277,7 +277,7 @@ def _long_tied_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.choice(levels, m)
     terms = SeriesTerms(np.array([draw(st.floats(-1.0, 1.0))]), amps[None, :],
-                        rng.uniform(0.0, 20.0, m), draw(st.sampled_from(["cos", "sin"])))
+                        rng.uniform(0.0, 20.0, m))
     grid = _grid(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.002, 0.02)),
                  draw(st.integers(5, 400)))
     return terms, grid
@@ -330,7 +330,7 @@ class TestSeriesHead:
         # the tie case of TestBestTimeOnSeries, its head picked by the partition
         monkeypatch.setattr(analysis, "_HEAD_START", 2)
         terms = SeriesTerms(np.zeros(1), np.array([[1.0, 1e-3, 8e-4]]),
-                            np.array([1.0, 0.5 + eta, 1.0 / 3.0]), "cos")
+                            np.array([1.0, 0.5 + eta, 1.0 / 3.0]))
         magnitude = np.abs(terms.amps).sum(axis=0)
         head, tail = analysis._series_head(terms, magnitude, float(magnitude.sum()))
         assert head.omegas.tolist() == [1.0, 0.5 + eta] and tail > 0.0
@@ -349,8 +349,7 @@ class TestSeriesHead:
                 cut = analysis._HEAD_TOL * total
                 n_drop = int(np.searchsorted(np.cumsum(magnitude[order]), cut, side="left"))
                 keep = np.sort(order[n_drop:])
-                head = SeriesTerms(terms.const, terms.amps[:, keep], terms.omegas[keep],
-                                   terms.kind)
+                head = SeriesTerms(terms.const, terms.amps[:, keep], terms.omegas[keep])
                 return head, total - float(magnitude[keep].sum())
 
             patch.setattr(analysis, "_series_head", sorted_head)

@@ -16,7 +16,7 @@ from dense_reference import (
 )
 from spinfridge import oracle, thermo
 from spinfridge.engine import RefrigeratorEngine, sector_layout
-from spinfridge.series import SeriesTerms, TimeGrid, trig_series_at
+from spinfridge.series import SeriesTerms, TimeGrid
 from spinfridge.spinstar import sector_log_weights, temperature_from_excited
 
 
@@ -181,7 +181,7 @@ class TestReducedStates:
         assert np.allclose(series.ground_population, direct, atol=1e-12)
 
     def test_uniform_grid_matches_direct_evaluation(self, monkeypatch):
-        # 4001 grid times take the grid kernel; trig_series_at is the reference
+        # 4001 grid times take the grid kernel; SeriesTerms.at is the reference
         p = make(n=50)
         eng = star(p)
         grid = TimeGrid(0.0, 40.0, 0.01)
@@ -195,14 +195,14 @@ class TestReducedStates:
         currents = thermo.heat_current_series(eng, grid)
         monkeypatch.undo()
         exc = eng.series_terms((("exc", 1),))
-        for terms, scale, values in (
-            (exc, 1.0, excited),
-            (exc.derivative(), p.epsilon[0], currents.qdot_s[0]),
-            (exc.derivative(), -p.bath_energy[0], currents.qdot_b[0]),
+        values, rates = exc.at(times, derivative=True)
+        sizes = np.abs(exc.amps).sum(), np.abs(exc.amps * exc.omegas).sum()
+        for direct, size, scale, got in (
+            (values, sizes[0], 1.0, excited),
+            (rates, sizes[1], p.epsilon[0], currents.qdot_s[0]),
+            (rates, sizes[1], -p.bath_energy[0], currents.qdot_b[0]),
         ):
-            direct = scale * trig_series_at(terms.const, terms.amps, terms.omegas, times,
-                                            terms.kind)
-            assert np.max(np.abs(values - direct)) <= 1e-12 * abs(scale) * np.abs(terms.amps).sum()
+            assert np.max(np.abs(got - scale * direct[0])) <= 1e-12 * abs(scale) * size
 
     def test_cold_excited_population_matches_dense_oracle(self):
         # r = 1 - p rounds to 1 at beta = 40; p keeps its relative precision.

@@ -24,7 +24,7 @@ def fridge(n=(2, 1, 1), **kw):
 def currents_at(engine, t):
     """(qdot_s, qdot_b) at one time, evaluated directly, not on a grid."""
     keys = tuple(("exc", i) for i in range(1, engine.params.pairs + 1))
-    rates = engine.series_terms(keys).derivative().at([t])[:, 0]
+    rates = engine.series_terms(keys).at([t], derivative=True)[1][:, 0]
     return np.array(engine.params.epsilon) * rates, -np.array(engine.params.bath_energy) * rates
 
 
@@ -94,7 +94,7 @@ class TestEnergyBalance:
                 closed = (
                     qdot_s[i - 1]
                     + qdot_b[i - 1]
-                    + eng.series_terms((("hsb", i),)).derivative().at([t])[0, 0]
+                    + eng.series_terms((("hsb", i),)).at([t], derivative=True)[1][0, 0]
                 )
                 assert abs(closed) < 1e-10
 
