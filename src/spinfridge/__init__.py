@@ -8,11 +8,7 @@ import os
 # user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .engine import (  # noqa: E402
-    RefrigeratorEngine,
-    RefrigeratorParams,
-    TimeSeries,
-)
+from .engine import RefrigeratorEngine, RefrigeratorParams  # noqa: E402
 from .series import TimeGrid  # noqa: E402
 
 __version__ = "0.1.0"
@@ -21,6 +17,5 @@ __all__ = [
     "RefrigeratorEngine",
     "RefrigeratorParams",
     "TimeGrid",
-    "TimeSeries",
     "__version__",
 ]

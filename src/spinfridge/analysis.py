@@ -20,14 +20,14 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import product as iter_product
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it on first use: at import, not in a run)
 
-from .engine import RefrigeratorEngine, RefrigeratorParams
+from .engine import DEFAULT_PRUNE_TOL, RefrigeratorEngine, RefrigeratorParams
 from .series import SeriesTerms, TimeGrid
 from .spinstar import temperature_from_excited
 
@@ -125,15 +125,9 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-6) -> tuple[float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-@dataclass(frozen=True)
-class LocalMinimum:
-    time: float
-    value: float
-    grid_index: int
-
-
-def first_local_min(times, values):
-    """First local minimum of a sampled series, or None if the series is monotone.
+def first_local_min(times, values) -> int | None:
+    """Grid index of the first local minimum of a sampled series, or None if
+    the series is monotone.
 
     The first interior grid point k with values[k] < values[k-1] whose run
     of equal values k..j is followed by a rise, values[j+1] > values[k], or
@@ -151,7 +145,7 @@ def first_local_min(times, values):
             while j + 1 < n and values[j + 1] == values[k]:
                 j += 1
             if j == n - 1 or values[j + 1] > values[k]:
-                return LocalMinimum(float(times[k]), float(values[k]), k)
+                return k
     return None
 
 
@@ -313,12 +307,14 @@ def _best_time_on_series(terms, grid: TimeGrid, refine_tol: float = 1e-5
     slack = _SCAN_SLACK * total + 2.0 * tail
     cells = -(-(n - 1) // stride)
     coarse = head.on_grid(t0, stride * dt, cells + 1)[0]
-    best = coarse[:(n - 1) // stride + 1].min()
+    first = int(np.argmin(coarse[:(n - 1) // stride + 1]))
+    best = coarse[first]
     curvature = float(np.sum(np.abs(head.amps[0]) * head.omegas ** 2))  # L2, bounds |p''|
     lower = np.minimum(coarse[:-1], coarse[1:]) - curvature * (stride * dt) ** 2 / 8 - slack
     live = np.flatnonzero(lower < best)
-    if live.size == 0:  # a constant series: no point beats the first
-        return float(times[0]), _series_value(terms, t0)
+    if live.size == 0:  # no bound falls below the coarse minimum, even by its rounding
+        t_best = float(times[first * stride])
+        return t_best, _series_value(terms, t_best)
     steps = np.arange(stride + 1)
     offsets = (steps - 0.5 * stride) * dt
 
@@ -489,7 +485,6 @@ class _Budget:
     used: int = 0
     best_value: float = math.inf
     best_x: np.ndarray | None = None
-    history: list[float] = field(default_factory=list)
 
     def spent(self) -> bool:
         return self.used >= self.limit
@@ -505,7 +500,7 @@ def minimize_box(func, bounds, budget: int, seed: int):
     call for call, so results do not depend on an installed SciPy.  The
     probes number at most budget - 1 (one for a one-call budget), and each
     refinement's ``maxfev`` is at most the budget left, so no call exceeds
-    the budget.  Returns (x_best, f_best, evaluations, restarts, incumbent_history).
+    the budget.  Returns (x_best, f_best, evaluations, restarts).
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     for lo, hi in bounds:
@@ -527,12 +522,11 @@ def minimize_box(func, bounds, budget: int, seed: int):
         if value < tracker.best_value:
             tracker.best_value = value
             tracker.best_x = x.copy()
-        tracker.history.append(tracker.best_value)
         return value
 
     if np.all(span == 0.0):  # fully degenerate box: a single point
         wrapped(lo)
-        return lo, tracker.best_value, tracker.used, 0, np.array(tracker.history)
+        return lo, tracker.best_value, tracker.used, 0
 
     n_starts = max(2, min(10, budget // 150))
     n_probe = min(max(2 * n_starts, budget // 8), max(budget - 1, 1))
@@ -567,13 +561,7 @@ def minimize_box(func, bounds, budget: int, seed: int):
         else:
             break
         _nelder_mead(wrapped, _initial_simplex(x0, lo, hi, scale), lo, hi, **options)
-    return (
-        tracker.best_x,
-        tracker.best_value,
-        tracker.used,
-        restarts,
-        np.array(tracker.history),
-    )
+    return tracker.best_x, tracker.best_value, tracker.used, restarts
 
 
 def _initial_simplex(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -609,7 +597,6 @@ class OptimizationResult:
     best_ground_population: float
     evaluations: int
     restarts: int
-    incumbent_history: np.ndarray
 
 
 _INFEASIBLE = (math.inf, math.nan, math.nan)
@@ -641,7 +628,7 @@ def minimize_t1(best, bounds, budget: int, seed: int) -> OptimizationResult:
                 memo[key] = (float(temperature_from_excited(p_best, epsilon)), t_best, p_best)
         return memo[key]
 
-    x_best, _, evals, restarts, history = minimize_box(
+    x_best, _, evals, restarts = minimize_box(
         lambda x: score(x)[0], bounds, budget, seed
     )
     if x_best is None:  # no evaluated point was feasible
@@ -656,7 +643,6 @@ def minimize_t1(best, bounds, budget: int, seed: int) -> OptimizationResult:
         best_ground_population=1.0 - p_best,
         evaluations=evals,
         restarts=restarts,
-        incumbent_history=history,
     )
 
 
@@ -714,26 +700,25 @@ def _sweep_point(args) -> ScalingRow:
     eps = params.epsilon[0]
     times = grid.points()
     p1 = terms.on_grid(grid.start, grid.step, len(times))[0]
-    local = first_local_min(times, temperature_from_excited(p1, eps))
-    if local is None:  # no interior dip: fall back to the global best
-        local = LocalMinimum(result.best_time, result.best_t1, -1)
+    k = first_local_min(times, temperature_from_excited(p1, eps))
+    if k is None:  # no interior dip: fall back to the global best
+        t_local, t1_local = result.best_time, result.best_t1
     else:  # polish p1, whose minima are T1's: T is strictly increasing in p
-        k = local.grid_index
         t_local, p_local = _polish_series_point(terms, grid, k, p1[k], 1e-6)
-        local = LocalMinimum(t_local, float(temperature_from_excited(p_local, eps)), k)
+        t1_local = float(temperature_from_excited(p_local, eps))
     return ScalingRow(
         n=n,
         best_params=result.best_params,
         best_time=result.best_time,
         best_t1=result.best_t1,
-        local_min_time=local.time,
-        local_min_t1=local.value,
+        local_min_time=t_local,
+        local_min_t1=t1_local,
         evaluations=result.evaluations,
     )
 
 
 def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = DEFAULT_BUDGET,
-                  seed: int = 0, prune_tol: float = 1e-9,
+                  seed: int = 0, prune_tol: float = DEFAULT_PRUNE_TOL,
                   time_grid: TimeGrid = DEFAULT_TIME_GRID,
                   ranges=DEFAULT_RANGES) -> list[ScalingRow]:
     """Optimize the cold-qubit temperature for each bath size N1=N2=N3=N.

@@ -13,7 +13,7 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .markov import (
     thermal_product_state,
 )
 from .oracle import build_dense, dense_evolve, partial_trace
+from .spinstar import temperature_from_excited
 from . import thermo
 
 ORACLE_TOLERANCE = 1e-9
@@ -64,18 +65,19 @@ def _write_json(path: str, config: RunConfig, results: dict) -> None:
 
 
 def _run_evolve(config: RunConfig) -> None:
-    """Time series of every qubit: the refrigerator's three, a single star's one."""
+    """Time series of every qubit (the refrigerator's three, a single star's one):
+    T_i and r_i = 1 - p_i from the excited populations p_i the heat currents flow from."""
     engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
     qubits = range(1, engine.params.pairs + 1)
     currents = thermo.heat_current_series(engine, config.time_grid)
-    series = engine.qubit_series(qubits, currents.time, currents.excited)
     header = ["t"] + [
         f"{name}{i}" for name in ("T", "r", "QdotS", "QdotB") for i in qubits
     ]
     columns = (
         [currents.time]
-        + [s.temperature for s in series]
-        + [s.ground_population for s in series]
+        + [temperature_from_excited(p, eps)
+           for p, eps in zip(currents.excited, engine.params.epsilon)]
+        + list(1.0 - currents.excited)
         + list(currents.qdot_s)
         + list(currents.qdot_b)
     )
@@ -201,19 +203,21 @@ def _oracle_deviation(params: RefrigeratorParams, times) -> tuple[float, int]:
     """Largest deviation of every qubit state and bath population from the dense
     oracle at ``times``, and the oracle's dimension.
 
-    The dense state is evolved once per time.  Qubit q is its subsystem
-    2(q - 1) and its bath 2q - 1, for one pair (a single star) as for three.
+    The dense state is evolved once per time and compared with the engine's
+    qubit states diag(1 - p_i, p_i).  Qubit q is its subsystem 2(q - 1) and
+    its bath 2q - 1, for one pair (a single star) as for three.
     """
     model = build_dense(params)
     spectrum = model.spectrum()
     engine = RefrigeratorEngine(params, prune_tol=0.0)
+    qubits = range(1, params.pairs + 1)
+    excited = engine.excited_terms(qubits).at(times)
     worst = 0.0
-    for t in times:
+    for t, p_at in zip(times, excited.T):
         rho = dense_evolve(model, t, spectrum=spectrum)
-        for q in range(1, params.pairs + 1):
-            dev_q = np.max(np.abs(
-                partial_trace(rho, model.dims, 2 * (q - 1)) - engine.reduced_qubit_state(q, t)
-            ))
+        for q, p in zip(qubits, p_at):
+            dev_q = np.max(np.abs(partial_trace(rho, model.dims, 2 * (q - 1))
+                                  - np.diag([1.0 - p, p])))
             dev_b = np.max(np.abs(
                 np.diag(partial_trace(rho, model.dims, 2 * q - 1)).real
                 - engine.reduced_bath_populations(q, t)
@@ -311,7 +315,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.command)
         if args.output:
-            object.__setattr__(config, "output_path", args.output)
+            config = replace(config, output_path=args.output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -29,8 +29,10 @@ energies depend on none of the couplings: that layout is built once
 per (epsilon, E, N, beta, prune_tol) and shared.  Populations and currents
 are exact cosine sums over spectral gaps (``series.SeriesTerms``), every
 term kept, so a dense time grid costs a few matrix products instead of
-repeated evolutions.  Weighted reductions run in a fixed order, which
-keeps repeated runs bit-identical.
+repeated evolutions.  A qubit's excited population p_i, from which its
+temperature, ground population 1 - p_i and heat currents are read, leaves
+the engine only as a row of ``excited_terms``.  Weighted reductions run in
+a fixed order, which keeps repeated runs bit-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from itertools import combinations, product as iter_product
 import numpy as np
 
 from .series import SeriesTerms
-from .spinstar import sector_arrays, temperature_from_excited
+from .spinstar import sector_arrays
 
 DEFAULT_PRUNE_TOL = 1e-12
 # Tolerance of the resonance conditions: |(E2 - eps2) - (E1 - eps1) - (E3 - eps3)|
@@ -101,17 +103,6 @@ class RefrigeratorParams:
         """Whether the two interaction-coupled states are degenerate (never for one pair)."""
         gaps = [self.bath_energy[k] - self.epsilon[k] for k in range(self.pairs)]
         return self.pairs == 3 and abs(gaps[1] - (gaps[0] + gaps[2])) <= AUTONOMY_TOL
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Sampled trajectory of one qubit's ground population and temperature."""
-
-    qubit: int
-    time: np.ndarray
-    ground_population: np.ndarray
-    temperature: np.ndarray
-
 
 
 # ---------------------------------------------------------------------------
@@ -457,23 +448,16 @@ class RefrigeratorEngine:
         self._series_cache[keys] = terms
         return terms
 
-    # -- populations and temperatures -------------------------------------------
-
-    def ground_population(self, qubit: int, t: float) -> float:
-        """Ground population r_i(t) of one qubit (1-based index)."""
-        return float(self.series_terms((("pop", qubit),)).at([t])[0, 0])
-
-    def reduced_qubit_state(self, qubit: int, t: float) -> np.ndarray:
-        r = self.ground_population(qubit, t)
-        return np.diag([r, 1.0 - r])
+    # -- populations ----------------------------------------------------------
 
     def excited_terms(self, qubits) -> SeriesTerms:
         """Excited populations p_i(t) of ``qubits``, one series row each.
 
-        Every temperature is read from these rows.  A row that is zero
-        at every time is an error, not T = 0: the thermal excited
-        population is positive, so it has underflowed (at beta eps beyond
-        about 700 the weights of every row holding the excitation do).
+        Every population, temperature and heat current is read from these
+        rows; ``spinstar.temperature_from_excited`` checks a value read.  A
+        row that is zero at every time is an error, not T = 0: the thermal
+        excited population is positive, so it has underflowed (at beta eps
+        beyond about 700 the weights of every row holding the excitation do).
         """
         terms = self.series_terms(tuple(("exc", q) for q in qubits))
         for q, const, amps in zip(qubits, terms.const, terms.amps):
@@ -481,26 +465,6 @@ class RefrigeratorEngine:
                 raise ValueError(f"qubit {q}'s excited population underflows to 0: "
                                  "its temperature lies below what double precision reads")
         return terms
-
-    def qubit_series(self, qubits, times, excited: np.ndarray) -> list[TimeSeries]:
-        """Ground populations and temperatures of several qubits at ``times``.
-
-        ``excited`` holds their rows of ``excited_terms(qubits)`` read at
-        ``times``, as ``thermo.heat_current_series`` reads them on a grid
-        with the currents; the checks of ``excited_terms`` run here.
-        """
-        self.excited_terms(qubits)
-        if np.any(excited < 0.0):  # the true p lies below the rounding of its series
-            q = list(qubits)[int(excited.min(axis=1).argmin())]
-            raise ValueError(f"qubit {q}'s excited population reads {excited.min():.3g}, "
-                             "below the rounding of its series")
-        return [
-            TimeSeries(
-                q, times, 1.0 - excited[row],
-                temperature_from_excited(excited[row], self.params.epsilon[q - 1]),
-            )
-            for row, q in enumerate(qubits)
-        ]
 
     # -- bath states and invariants -------------------------------------------
 

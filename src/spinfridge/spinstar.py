@@ -91,9 +91,14 @@ def temperature_from_excited(p: np.ndarray, epsilon: float) -> np.ndarray:
     Every reported temperature is read here rather than from r = 1 - p,
     which rounds to 1 at low temperature while p keeps its relative
     precision.  p = 0 maps to 0 (the T -> 0+ limit) and p = 1/2 to +inf.
+    A p below 0 is an error: the true p then lies below the rounding of
+    the series it was read from.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p >= 1.0):
+    if np.any(p < 0.0):
+        raise ValueError(f"excited population reads {p.min():.3g}, "
+                         "below the rounding of its series")
+    if np.any(p >= 1.0):
         raise ValueError("excited population outside the interval [0, 1)")
     with np.errstate(divide="ignore"):
         return np.where(p == 0.5, np.inf, epsilon / np.log((1.0 - p) / p))

@@ -5,9 +5,9 @@ Petruccione, PRB 70, 045323 (2004)), so an excitation that leaves qubit i
 lands one rung up its bath: Qdot_S,i = eps_i dp_i/dt and
 Qdot_B,i = -E_i dp_i/dt exactly (units with hbar*K = 1), where p_i is the
 qubit's excited population.  Both come from the derivative of the
-engine's excited-population series, read in the same grid pass as p_i
-itself; no finite differencing enters.  The
-coupling and interaction rows' derivatives complete d<H>/dt, which is
+engine's excited-population rows (``RefrigeratorEngine.excited_terms``),
+read in the same grid pass as p_i itself; no finite differencing enters.
+The coupling and interaction rows' derivatives complete d<H>/dt, which is
 assembled and checked against zero.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RefrigeratorEngine, energy_keys
-from .series import SeriesTerms, TimeGrid
+from .series import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -32,18 +32,12 @@ class HeatCurrentSeries:
     qdot_b: np.ndarray  # (pairs, n)
 
 
-def _excited_rows(engine: RefrigeratorEngine) -> SeriesTerms:
-    """p_i of every qubit, one row per pair, from the engine's excited rows."""
-    pairs = engine.params.pairs
-    return engine.series_terms(tuple(("exc", i) for i in range(1, pairs + 1)))
-
-
 def heat_current_series(engine: RefrigeratorEngine, grid: TimeGrid) -> HeatCurrentSeries:
     """Excited populations and heat currents on ``grid``, all from one grid
     pass of the excited rows and their derivative."""
-    excited, rates = _excited_rows(engine).on_grid(grid.start, grid.step, len(grid),
-                                                     derivative=True)
     params = engine.params
+    excited, rates = engine.excited_terms(range(1, params.pairs + 1)).on_grid(
+        grid.start, grid.step, len(grid), derivative=True)
     return HeatCurrentSeries(grid.points(), excited,
                              np.array(params.epsilon)[:, None] * rates,
                              -np.array(params.bath_energy)[:, None] * rates)
@@ -60,7 +54,7 @@ def energy_balance(engine: RefrigeratorEngine, t: float) -> float:
     per row.
     """
     params = engine.params
-    rates = _excited_rows(engine).at([t], derivative=True)[1]
+    rates = engine.excited_terms(range(1, params.pairs + 1)).at([t], derivative=True)[1]
     levels = np.subtract(params.epsilon, params.bath_energy) @ rates
     return float(levels[0] + sum(
         engine.series_terms((key,)).at([t], derivative=True)[1][0, 0]

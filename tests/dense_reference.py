@@ -3,7 +3,8 @@
 The Markov baseline's Hamiltonian, its nine jump operators as dense 8x8
 matrices in the bare basis and the full 64x64 GKSL generator they make,
 against which ``markov.rate_matrix`` and ``markov.integrate_gksl`` are
-tested; qubit temperature series on a grid; one-pair parameters (a single
+tested; a qubit's excited population, reduced state and temperatures on
+a grid, all read from the engine's excited rows; one-pair parameters (a single
 star, or pair i of a refrigerator), a pair's sector blocks and the map
 from a sector label to its basis states in the dense oracle's basis; the
 local qubit and bath Hamiltonians in the dense basis, whose energy flows
@@ -19,7 +20,7 @@ import numpy as np
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams, energy_keys
 from spinfridge.markov import MarkovParams, decay_rate
 from spinfridge.oracle import DenseModel, Spectrum, dense_evolve, partial_trace
-from spinfridge.spinstar import sector_arrays
+from spinfridge.spinstar import sector_arrays, temperature_from_excited
 
 
 def fridge(n=(1, 1, 1), **kw):
@@ -40,10 +41,24 @@ def star(eps=1.0, bath_e=2.0, a=0.5, n=2, beta=1.0):
                               n_bath=(n,), beta=(beta,))
 
 
-def grid_qubit_series(engine: RefrigeratorEngine, qubits, grid):
-    """``engine.qubit_series`` on ``grid``, the excited rows read in one grid pass."""
+def excited_at(engine: RefrigeratorEngine, qubit: int, t: float) -> float:
+    """Excited population p of one qubit at time t, its ``excited_terms`` row
+    summed directly."""
+    return float(engine.excited_terms((qubit,)).at([t])[0, 0])
+
+
+def qubit_state(engine: RefrigeratorEngine, qubit: int, t: float) -> np.ndarray:
+    """One qubit's reduced state diag(1 - p, p) at time t."""
+    p = excited_at(engine, qubit, t)
+    return np.diag([1.0 - p, p])
+
+
+def grid_temperatures(engine: RefrigeratorEngine, qubits, grid) -> np.ndarray:
+    """Temperatures of ``qubits`` on ``grid``, one row each, read from their
+    excited rows in one grid pass."""
     rows = engine.excited_terms(qubits).on_grid(grid.start, grid.step, len(grid))
-    return engine.qubit_series(qubits, grid.points(), rows)
+    return np.array([temperature_from_excited(p, engine.params.epsilon[q - 1])
+                     for q, p in zip(qubits, rows)])
 
 
 def pair_of(params, i):

@@ -15,7 +15,8 @@ import pytest
 from dense_reference import (
     charge,
     dense_evolve_and_trace,
-    grid_qubit_series,
+    grid_temperatures,
+    qubit_state,
     star,
     total_energy,
 )
@@ -67,13 +68,13 @@ def fig1_run():
     result = optimize_t1(base, 1e-9, budget=2000, seed=SEED % 1000)
     x = [float(v) for v in result.best_params]
     engine = RefrigeratorEngine(replace(base, coupling=tuple(x[:3]), g=x[3]), prune_tol=1e-12)
-    series = grid_qubit_series(engine, (1, 2, 3), DEFAULT_TIME_GRID)
+    temperatures = grid_temperatures(engine, (1, 2, 3), DEFAULT_TIME_GRID)
     currents = thermo.heat_current_series(engine, DEFAULT_TIME_GRID)
     return {
         "result": result,
         "engine": engine,
         "times": currents.time,
-        "series": series,
+        "temperatures": temperatures,
         "currents": currents,
     }
 
@@ -115,7 +116,7 @@ def test_criterion_1_single_star_oracle():
                                 model, t, 0, spectrum=spectrum
                             )
                             dev = np.max(np.abs(
-                                spin - engine.reduced_qubit_state(1, t)
+                                spin - qubit_state(engine, 1, t)
                             ))
                             bath = dense_evolve_and_trace(
                                 model, t, 1, spectrum=spectrum
@@ -157,7 +158,7 @@ def test_criterion_2_refrigerator_oracle():
                         dense_evolve_and_trace(
                             model, t, 2 * (qubit - 1), spectrum=spectrum
                         )
-                        - engine.reduced_qubit_state(qubit, t)
+                        - qubit_state(engine, qubit, t)
                     ))
                     dev_b = np.max(np.abs(
                         np.diag(dense_evolve_and_trace(
@@ -222,9 +223,9 @@ def test_criterion_3_conservation_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_transient_cooling(fig1_run):
-    t1_min = float(fig1_run["series"][0].temperature.min())
-    t2 = fig1_run["series"][1].temperature
-    t3 = fig1_run["series"][2].temperature
+    t1_min = float(fig1_run["temperatures"][0].min())
+    t2 = fig1_run["temperatures"][1]
+    t3 = fig1_run["temperatures"][2]
     t2_dips = float(t2.min()) < t2[0] - 1e-3
     t3_dips = float(t3.min()) < t3[0] - 1e-3
     evals = fig1_run["result"].evaluations
@@ -244,7 +245,7 @@ def test_criterion_4_transient_cooling(fig1_run):
 
 def test_criterion_5_heat_current_signs(fig1_run):
     times = fig1_run["times"]
-    temperature = fig1_run["series"][0].temperature
+    temperature = fig1_run["temperatures"][0]
     currents = fig1_run["currents"]
     dt1 = np.gradient(temperature, times)
     cooling = dt1 < 0.0

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinfridge import analysis
 from spinfridge.analysis import (
@@ -39,22 +39,16 @@ class TestFirstLocalMin:
     def test_cosine_dip_near_pi(self):
         # the grid point nearest pi, unpolished
         times = np.arange(0.0, 10.0, 0.01)
-        result = first_local_min(times, np.cos(times))
-        assert result.grid_index == 314
-        assert result.time == times[314]
-        assert result.value == np.cos(times[314])
+        assert first_local_min(times, np.cos(times)) == 314
 
     def test_monotone_series_has_no_minimum(self):
         assert first_local_min([0, 1, 2, 3], [0.0, 0.1, 0.2, 0.3]) is None
 
     def test_grid_only_refinement(self):
-        result = first_local_min([0, 1, 2, 3], [3.0, 1.0, 2.0, 0.5])
-        assert result.time == 1.0
-        assert result.grid_index == 1
+        assert first_local_min([0, 1, 2, 3], [3.0, 1.0, 2.0, 0.5]) == 1
 
     def test_plateau_counts_as_minimum(self):
-        result = first_local_min([0, 1, 2, 3], [2.0, 1.0, 1.0, 3.0])
-        assert result.grid_index == 1
+        assert first_local_min([0, 1, 2, 3], [2.0, 1.0, 1.0, 3.0]) == 1
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
@@ -69,14 +63,12 @@ class TestFirstLocalMin:
         ([3.0, 2.0, 1.0], None),               # falling to the last point: no dip
     ])
     def test_plateaus(self, values, index):
-        result = first_local_min(np.arange(len(values)), values)
-        assert (result and result.grid_index) == index
+        assert first_local_min(np.arange(len(values)), values) == index
 
     def test_picks_first_of_several_dips(self):
         times = np.arange(0.0, 20.0, 0.01)
         values = np.cos(times) + 0.01 * times  # dips near pi, 3*pi, ...
-        result = first_local_min(times, values)
-        assert result.time < 4.0
+        assert times[first_local_min(times, values)] < 4.0
 
 
 class TestBestTimeOnGrid:
@@ -167,6 +159,10 @@ def _search_with_head_tol(terms, grid, tol):
 class TestBestTimeOnSeries:
     @settings(max_examples=150, deadline=None)
     @given(_search_case())
+    # a curvature bound and slack below an ulp of the constant screen out every
+    # cell: the coarse minimum, not the first point, is the answer
+    @example((SeriesTerms(np.array([1.0]), np.array([[-4.1e-10]]), np.array([1.59e-3])),
+              _grid(-1.93, 0.0398, 288)))
     def test_never_above_the_sampled_search(self, case):
         terms, grid = case
         t_best, p_best = _best_time_on_series(terms, grid)
@@ -363,7 +359,7 @@ class TestSeriesHead:
 class TestMinimizeBox:
     def test_finds_quadratic_minimum(self):
         target = np.array([0.3, 0.05])
-        x, fx, evals, restarts, history = minimize_box(
+        x, fx, evals, restarts = minimize_box(
             lambda v: float(np.sum((v - target) ** 2)),
             [(0.0, 1.0), (0.0, 0.1)],
             budget=300,
@@ -373,14 +369,18 @@ class TestMinimizeBox:
         assert evals <= 300
         assert restarts >= 1
 
-    def test_incumbent_history_is_monotone(self):
-        _, _, _, _, history = minimize_box(
-            lambda v: float(np.cos(5 * v[0]) + v[1] ** 2),
-            [(0.0, 2.0), (-1.0, 1.0)],
-            budget=200,
-            seed=4,
-        )
-        assert np.all(np.diff(history) <= 0.0)
+    def test_returns_the_least_call(self):
+        calls = []
+
+        def func(v):
+            calls.append((v.copy(), float(np.cos(5 * v[0]) + v[1] ** 2)))
+            return calls[-1][1]
+
+        x, fx, evals, _ = minimize_box(func, [(0.0, 2.0), (-1.0, 1.0)], budget=200, seed=4)
+        k = min(range(len(calls)), key=lambda j: calls[j][1])  # the first of the least
+        assert evals == len(calls) <= 200
+        assert fx == calls[k][1]
+        assert np.array_equal(x, calls[k][0])
 
     def test_deterministic_for_fixed_seed(self):
         func = lambda v: float((v[0] - 0.4) ** 2 + math.sin(3 * v[1]) ** 2)
@@ -433,14 +433,13 @@ class TestOptimizeT1:
         result = optimize_t1(base, 1e-9, budget=150, seed=2, time_grid=TimeGrid(0.0, 10.0, 0.02))
         assert result.best_t1 < 1.0
         assert result.evaluations <= 150
-        assert np.all(np.diff(result.incumbent_history) <= 0.0)
 
     def test_result_reproducible_at_reported_point(self, base):
         result = optimize_t1(base, 1e-9, budget=120, seed=7, time_grid=TimeGrid(0.0, 10.0, 0.02))
         x = [float(v) for v in result.best_params]
         engine = RefrigeratorEngine(replace(base, coupling=tuple(x[:3]), g=x[3]), prune_tol=1e-9)
-        r = engine.ground_population(1, result.best_time)
-        assert float(temperature_from_excited(1.0 - r, base.epsilon[0])) == pytest.approx(
+        p = engine.excited_terms((1,)).at([result.best_time])[0, 0]
+        assert float(temperature_from_excited(p, base.epsilon[0])) == pytest.approx(
             result.best_t1, abs=1e-9
         )
 
@@ -450,9 +449,20 @@ class TestOptimizeT1:
                              time_grid=TimeGrid(0.0, 10.0, 0.02))
         assert np.allclose(result.best_params, [0.4, 0.3, 0.2, 0.05])
 
-    def test_tiny_run_reproduces_recorded_result(self, base):
+    def test_tiny_run_reproduces_recorded_result(self, base, monkeypatch):
         # exact values of a seeded run: any change to the scoring or the
         # search shows here
+        scores = []
+        real = analysis.minimize_box
+
+        def recording(func, *args, **kwargs):
+            def score(x):
+                scores.append(func(x))
+                return scores[-1]
+
+            return real(score, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "minimize_box", recording)
         result = optimize_t1(base, 1e-9, budget=12, seed=0, time_grid=TimeGrid(0.0, 2.0, 0.01))
         assert result.best_params == pytest.approx([
             0.9405854671820999, 0.9828415012452751,
@@ -464,7 +474,7 @@ class TestOptimizeT1:
             0.8776552182066182, rel=1e-12
         )
         assert (result.evaluations, result.restarts) == (12, 1)
-        assert result.incumbent_history == pytest.approx(
+        assert np.minimum.accumulate(scores) == pytest.approx(
             [0.516992104145156] * 5 + [0.5084482186677982] * 6
             + [0.5075084125346581], rel=1e-12
         )

@@ -496,6 +496,25 @@ class TestCliCommands:
         assert main(["markov", cfg]) == 2
         assert "nonpositive frequency" in capsys.readouterr().err
 
+    def test_negative_excited_population_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a p_1 below the rounding of its series reads negative: optimize
+        # reports it as every other command does
+        from spinfridge import analysis
+
+        monkeypatch.setattr(analysis, "_best_time_on_series", lambda terms, grid: (0.5, -3e-17))
+        out = tmp_path / "never.json"
+        cfg = write_config(tmp_path, "opt.json", {
+            "mode": "optimize",
+            "params": fridge_params(),
+            "time_grid": {"start": 0, "stop": 1, "step": 0.1},
+            "optimization": {"budget": 4, "seed": 0},
+            "output": {"path": str(out)},
+        })
+        assert main(["optimize", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "excited population reads -3e-17, below the rounding of its series" in err
+        assert not out.exists()
+
     def test_output_override(self, tmp_path):
         target = tmp_path / "override.csv"
         cfg = write_config(tmp_path, "evolve.json", {

@@ -13,12 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from dense_reference import (
     charge,
     dense_evolve_and_trace,
+    excited_at,
     fridge,
-    grid_qubit_series,
+    grid_temperatures,
     local_energy_diagonals,
     pair_block,
     pair_of,
     pair_table,
+    qubit_state,
     sector_basis_indices,
     star,
     total_energy,
@@ -97,9 +99,7 @@ class TestEnumeration:
         full = RefrigeratorEngine(p, prune_tol=0.0)
         pruned = RefrigeratorEngine(p, prune_tol=1e-12)
         for t in (0.0, 2.0, 5.0):
-            assert abs(
-                full.ground_population(1, t) - pruned.ground_population(1, t)
-            ) < 1e-10
+            assert abs(excited_at(full, 1, t) - excited_at(pruned, 1, t)) < 1e-10
 
     def test_pruning_at_production_size(self):
         # N=(30,30,30): pruning keeps a small fraction of the 32768 sectors
@@ -112,9 +112,7 @@ class TestEnumeration:
         full = RefrigeratorEngine(p, prune_tol=0.0)
         pruned = RefrigeratorEngine(p, prune_tol=1e-12)
         assert pruned.layout is pruned_layout
-        assert abs(
-            full.ground_population(1, 5.0) - pruned.ground_population(1, 5.0)
-        ) < 1e-10
+        assert abs(excited_at(full, 1, 5.0) - excited_at(pruned, 1, 5.0)) < 1e-10
 
     def test_dims_flag_edges(self):
         # N = 1: rows two_m = -2, 0, 2; only (0, 0, 0) has no edge row, so it is
@@ -324,13 +322,13 @@ class TestReducedDynamics:
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         for i, (eps, beta) in enumerate(zip((1.0, 2.0, 1.0), (1.0, 1.0, 0.5)), 1):
             expected = math.exp(beta * eps / 2) / (2 * math.cosh(beta * eps / 2))
-            assert eng.ground_population(i, 0.0) == pytest.approx(expected, abs=1e-10)
+            assert 1.0 - excited_at(eng, i, 0.0) == pytest.approx(expected, abs=1e-10)
 
     def test_frozen_without_couplings(self):
         eng = RefrigeratorEngine(fridge(coupling=(0, 0, 0), g=0.0, n=(2, 2, 2)))
         for i in (1, 2, 3):
-            r0 = eng.ground_population(i, 0.0)
-            assert eng.ground_population(i, 7.3) == pytest.approx(r0, abs=1e-12)
+            p0 = excited_at(eng, i, 0.0)
+            assert excited_at(eng, i, 7.3) == pytest.approx(p0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [(1, 1, 1), (2, 1, 1)])
     @pytest.mark.parametrize("autonomous", [True, False])
@@ -352,7 +350,7 @@ class TestReducedDynamics:
                     model, t, 2 * (qubit - 1), spectrum=spectrum
                 )
                 assert np.max(np.abs(
-                    dense_q - eng.reduced_qubit_state(qubit, t)
+                    dense_q - qubit_state(eng, qubit, t)
                 )) < 1e-9
                 dense_b = dense_evolve_and_trace(
                     model, t, 2 * qubit - 1, spectrum=spectrum
@@ -383,15 +381,15 @@ class TestReducedDynamics:
         spectrum = model.spectrum()
         for t in (0.0, 0.7, 3.1, 9.4, 25.0):
             qubit = dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
-            assert np.max(np.abs(qubit - eng.reduced_qubit_state(1, t))) < 1e-10
+            assert np.max(np.abs(qubit - qubit_state(eng, 1, t))) < 1e-10
             bath = np.diag(dense_evolve_and_trace(model, t, 1, spectrum=spectrum)).real
             assert np.max(np.abs(bath - eng.reduced_bath_populations(1, t))) < 1e-10
 
     def test_temperature_series_starts_at_bath_temperature(self):
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         for i, beta in zip((1, 2, 3), (1.0, 1.0, 0.5)):
-            series = grid_qubit_series(eng, (i,), TimeGrid(0.0, 0.2, 0.1))[0]
-            assert series.temperature[0] == pytest.approx(1.0 / beta, abs=1e-9)
+            (temperature,) = grid_temperatures(eng, (i,), TimeGrid(0.0, 0.2, 0.1))
+            assert temperature[0] == pytest.approx(1.0 / beta, abs=1e-9)
 
     def test_conservation(self):
         eng = RefrigeratorEngine(fridge(n=(3, 2, 2), g=0.09), prune_tol=0.0)
@@ -409,11 +407,9 @@ class TestReducedDynamics:
         eng = RefrigeratorEngine(fridge(n=(2, 2, 2)))
         grid = TimeGrid(0.0, 2.99, 0.01)
         times = grid.points()
-        series = eng.series_terms((("pop", 1),)).on_grid(grid.start, grid.step, len(times))[0]
+        series = eng.excited_terms((1,)).on_grid(grid.start, grid.step, len(times))[0]
         for k in (0, 117, 250):
-            assert series[k] == pytest.approx(
-                eng.ground_population(1, float(times[k])), abs=1e-11
-            )
+            assert series[k] == pytest.approx(excited_at(eng, 1, float(times[k])), abs=1e-11)
 
 
 class TestTimeGrid:
@@ -450,12 +446,9 @@ class TestTimeGrid:
         times = grid.points()
         eps = np.finfo(float).eps
         exc = eng.excited_terms((1, 2, 3))
-        bound = 1e-14 * np.abs(exc.amps).sum(axis=1) + eps  # r = 1 - p rounds
-        for row, series in enumerate(grid_qubit_series(eng, (1, 2, 3), grid)):
-            assert np.array_equal(series.time, times)
-            direct = 1.0 - exc.at(times)[row]
-            assert np.max(np.abs(series.ground_population - direct)) <= bound[row]
         currents = thermo.heat_current_series(eng, grid)
+        bound = 1e-14 * np.abs(exc.amps).sum(axis=1) + eps
+        assert np.all(np.abs(currents.excited - exc.at(times)) <= bound[:, None])
         rates = exc.at(times, derivative=True)[1]
         bound = 1e-14 * np.abs(exc.amps * exc.omegas).sum(axis=1)
         assert np.array_equal(currents.time, times)
@@ -767,9 +760,8 @@ class TestLowTemperature:
         eng = RefrigeratorEngine(p, prune_tol=1e-9)
         assert eng.layout.interacting is None
         grid = TimeGrid(0.0, 10.0, 0.005)
-        series = grid_qubit_series(eng, (1, 2, 3), grid)
-        assert [s.temperature[0] for s in series] == pytest.approx([1 / 40, 1 / 40, 1 / 20],
-                                                                    rel=1e-12)
+        temperatures = grid_temperatures(eng, (1, 2, 3), grid)
+        assert temperatures[:, 0] == pytest.approx([1 / 40, 1 / 40, 1 / 20], rel=1e-12)
         coarse = TimeGrid(0.0, 10.0, 0.05)
         rows = [e.excited_terms((1, 2, 3)).on_grid(coarse.start, coarse.step, len(coarse))
                 for e in (eng, RefrigeratorEngine(p, prune_tol=0.0))]
@@ -789,11 +781,11 @@ class TestLowTemperature:
         eng = RefrigeratorEngine(p, prune_tol=0.0)
         model = oracle.build_dense(p)
         spectrum = model.spectrum()
-        for series in grid_qubit_series(eng, (1, 2, 3), TimeGrid(0.0, 5.0, 2.5)):
-            qubit = series.qubit
+        grid = TimeGrid(0.0, 5.0, 2.5)
+        for qubit, temperature in zip((1, 2, 3), grid_temperatures(eng, (1, 2, 3), grid)):
             eps = p.epsilon[qubit - 1]
-            assert series.temperature[0] == pytest.approx(1.0 / p.beta[qubit - 1], rel=1e-12)
-            for k, t in enumerate(series.time):
+            assert temperature[0] == pytest.approx(1.0 / p.beta[qubit - 1], rel=1e-12)
+            for k, t in enumerate(grid.points()):
                 dense = dense_evolve_and_trace(
                     model, t, 2 * (qubit - 1), spectrum=spectrum
                 )
@@ -801,9 +793,9 @@ class TestLowTemperature:
                 assert 0.0 < p_exc < 1e-8
                 p_at = eng.excited_terms((qubit,)).at([t])[0]
                 assert temperature_from_excited(p_at, eps)[0] == pytest.approx(
-                    series.temperature[k], rel=1e-12
+                    temperature[k], rel=1e-12
                 )
-                assert series.temperature[k] == pytest.approx(
+                assert temperature[k] == pytest.approx(
                     temperature_from_excited(p_exc, eps), rel=1e-10
                 )
 
@@ -909,7 +901,7 @@ class TestOracleProperty:
         spectrum = model.spectrum()
         for i in (1, 2, 3):
             dense_q = dense_evolve_and_trace(model, t, 2 * (i - 1), spectrum=spectrum)
-            assert np.max(np.abs(dense_q - eng.reduced_qubit_state(i, t))) < 1e-10
+            assert np.max(np.abs(dense_q - qubit_state(eng, i, t))) < 1e-10
             dense_b = dense_evolve_and_trace(model, t, 2 * i - 1, spectrum=spectrum)
             assert np.max(np.abs(
                 np.diag(dense_b).real - eng.reduced_bath_populations(i, t)
@@ -1272,5 +1264,5 @@ class TestSecondLaw:
         assert scale == 0.0 and not sigma.any()
         currents = thermo.heat_current_series(eng, grid)
         assert not currents.qdot_s.any() and not currents.qdot_b.any()
-        for s in grid_qubit_series(eng, (1, 2, 3), grid):
-            assert np.all(s.temperature == s.temperature[0])
+        for temperature in grid_temperatures(eng, (1, 2, 3), grid):
+            assert np.all(temperature == temperature[0])

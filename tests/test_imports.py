@@ -16,6 +16,10 @@ _FRIDGE = {"epsilon": [1, 2, 1], "bath_energy": [2, 4, 2], "coupling": [0.5, 0.4
 _GRID = {"start": 0, "stop": 1, "step": 0.05}
 _RUNS = [
     (None, {"mode": "evolve", "params": _FRIDGE, "time_grid": _GRID}),
+    (None, {"mode": "single", "params": {"epsilon": 1, "bath_energy": 2, "coupling": 0.5,
+                                         "n_bath": 3, "temperature": 1},
+            "time_grid": _GRID}),
+    (None, {"mode": "validate", "params": dict(_FRIDGE, n_bath=[1, 1, 1])}),
     (None, {"mode": "optimize", "params": _FRIDGE, "time_grid": _GRID,
             "optimization": {"budget": 12, "seed": 1}}),
     ("1", {"mode": "scaling", "params": _FRIDGE, "time_grid": _GRID, "n_list": [1, 2, 3, 4],

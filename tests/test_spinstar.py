@@ -8,10 +8,11 @@ import pytest
 
 from dense_reference import (
     dense_evolve_and_trace,
+    excited_at,
     fridge,
-    grid_qubit_series,
     pair_block,
     pair_table,
+    qubit_state,
     star as make,
 )
 from spinfridge import oracle, thermo
@@ -37,7 +38,7 @@ def sector_gap(p, two_m):
 
 
 def ground_population(p, t):
-    return star(p).reduced_qubit_state(1, t)[0, 0]
+    return 1.0 - excited_at(star(p), 1, t)
 
 
 class TestSectors:
@@ -154,7 +155,7 @@ class TestReducedStates:
         spectrum = model.spectrum()
         for t in (0.0, 1.0, 3.1):
             spin = dense_evolve_and_trace(model, t, 0, spectrum=spectrum)
-            assert np.max(np.abs(spin - eng.reduced_qubit_state(1, t))) < 1e-9
+            assert np.max(np.abs(spin - qubit_state(eng, 1, t))) < 1e-9
             bath = dense_evolve_and_trace(model, t, 1, spectrum=spectrum)
             assert np.max(np.abs(
                 np.diag(bath).real - eng.reduced_bath_populations(1, t)
@@ -166,7 +167,7 @@ class TestReducedStates:
         m_bath = 0.5 * np.arange(-p.n_bath[0], p.n_bath[0] + 1, 2)
 
         def charge(t):
-            qubit = np.diag(eng.reduced_qubit_state(1, t)) @ np.array([-0.5, 0.5])
+            qubit = excited_at(eng, 1, t) - 0.5
             return qubit + m_bath @ eng.reduced_bath_populations(1, t)
 
         ref = charge(0.0)
@@ -175,10 +176,11 @@ class TestReducedStates:
 
     def test_series_matches_pointwise(self):
         p = make(n=3)
-        (series,) = grid_qubit_series(star(p), (1,), TimeGrid(0.0, 4.0, 4.0 / 22))
-        assert len(series.time) == 23
-        direct = [ground_population(p, float(t)) for t in series.time]
-        assert np.allclose(series.ground_population, direct, atol=1e-12)
+        grid = TimeGrid(0.0, 4.0, 4.0 / 22)
+        (series,) = star(p).excited_terms((1,)).on_grid(grid.start, grid.step, len(grid))
+        assert len(series) == 23
+        direct = [excited_at(star(p), 1, float(t)) for t in grid.points()]
+        assert np.allclose(series, direct, atol=1e-12)
 
     def test_uniform_grid_matches_direct_evaluation(self, monkeypatch):
         # 4001 grid times take the grid kernel; SeriesTerms.at is the reference

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import dense_evolve_and_trace, grid_qubit_series
+from dense_reference import dense_evolve_and_trace, excited_at, grid_temperatures
 from spinfridge import oracle, thermo
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
 from spinfridge.series import TimeGrid
@@ -52,12 +52,9 @@ class TestHeatCurrents:
         for t in (0.4, 2.2, 7.0):
             qdot_s, _ = currents_at(engine, t)
             for i in (1, 2, 3):
-                drdt = (
-                    engine.ground_population(i, t + h)
-                    - engine.ground_population(i, t - h)
-                ) / (2 * h)
+                dpdt = (excited_at(engine, i, t + h) - excited_at(engine, i, t - h)) / (2 * h)
                 eps = engine.params.epsilon[i - 1]
-                assert qdot_s[i - 1] == pytest.approx(-eps * drdt, abs=1e-8)
+                assert qdot_s[i - 1] == pytest.approx(eps * dpdt, abs=1e-8)
 
     def test_bath_current_from_level_motion(self, engine):
         # every exchanged quantum moves one bath rung: Qdot_B = -(E/eps) Qdot_S
@@ -137,9 +134,9 @@ class TestSignStructure:
             fridge(n=(4, 4, 4), coupling=(0.9, 0.8, 0.5), g=0.1), prune_tol=1e-12
         )
         grid = TimeGrid(0.0, 9.99, 0.01)
-        series = grid_qubit_series(eng, (1,), grid)[0]
+        (temperature,) = grid_temperatures(eng, (1,), grid)
         currents = thermo.heat_current_series(eng, grid)
-        dt_dt = np.gradient(series.temperature, series.time)
+        dt_dt = np.gradient(temperature, grid.points())
         cooling = dt_dt < -1e-6
         assert cooling.sum() > 100
         agree_s = (currents.qdot_s[0][cooling] < 0).mean()
