@@ -125,7 +125,7 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-6) -> tuple[float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def first_local_min(times, values) -> int | None:
+def first_local_min(values) -> int | None:
     """Grid index of the first local minimum of a sampled series, or None if
     the series is monotone.
 
@@ -134,10 +134,9 @@ def first_local_min(times, values) -> int | None:
     reaches the end of the series; unpolished.  A run followed by a further
     drop is a shoulder, not a minimum.
     """
-    times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(values)
-    if len(times) < 3:
+    if n < 3:
         raise ValueError("need at least three samples to locate a local minimum")
     for k in range(1, n - 1):
         if values[k] < values[k - 1]:
@@ -700,7 +699,7 @@ def _sweep_point(args) -> ScalingRow:
     eps = params.epsilon[0]
     times = grid.points()
     p1 = terms.on_grid(grid.start, grid.step, len(times))[0]
-    k = first_local_min(times, temperature_from_excited(p1, eps))
+    k = first_local_min(temperature_from_excited(p1, eps))
     if k is None:  # no interior dip: fall back to the global best
         t_local, t1_local = result.best_time, result.best_t1
     else:  # polish p1, whose minima are T1's: T is strictly increasing in p

@@ -29,9 +29,9 @@ from .analysis import (
 from .config import ConfigError, RunConfig, dump_canonical, load_config
 from .engine import RefrigeratorEngine, RefrigeratorParams
 from .markov import (
+    excited_populations,
     integrate_gksl,
     markov_optimize,
-    temperature_trajectories,
     thermal_product_state,
 )
 from .oracle import build_dense, dense_evolve, partial_trace
@@ -64,9 +64,16 @@ def _write_json(path: str, config: RunConfig, results: dict) -> None:
         fh.write("\n")
 
 
+def _qubit_columns(excited, epsilon) -> list:
+    """The T_i columns, then the r_i = 1 - p_i columns, of excited populations
+    p_i (one row per qubit) at qubit energies epsilon_i."""
+    return ([temperature_from_excited(p, eps) for p, eps in zip(excited, epsilon)]
+            + list(1.0 - excited))
+
+
 def _run_evolve(config: RunConfig) -> None:
     """Time series of every qubit (the refrigerator's three, a single star's one):
-    T_i and r_i = 1 - p_i from the excited populations p_i the heat currents flow from."""
+    T_i and r_i from the excited populations p_i the heat currents flow from."""
     engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
     qubits = range(1, engine.params.pairs + 1)
     currents = thermo.heat_current_series(engine, config.time_grid)
@@ -75,9 +82,7 @@ def _run_evolve(config: RunConfig) -> None:
     ]
     columns = (
         [currents.time]
-        + [temperature_from_excited(p, eps)
-           for p, eps in zip(currents.excited, engine.params.epsilon)]
-        + list(1.0 - currents.excited)
+        + _qubit_columns(currents.excited, engine.params.epsilon)
         + list(currents.qdot_s)
         + list(currents.qdot_b)
     )
@@ -190,12 +195,11 @@ def _run_markov(config: RunConfig) -> None:
         })
         return
     traj = integrate_gksl(params, thermal_product_state(params), config.time_grid)
-    r, temps = temperature_trajectories(params, traj)
     _write_csv(
         config.output_path,
         config,
         ["t", "T1", "T2", "T3", "r1", "r2", "r3"],
-        [traj.time, temps[0], temps[1], temps[2], r[0], r[1], r[2]],
+        [traj.time] + _qubit_columns(excited_populations(traj.diagonal).T, params.epsilon),
     )
 
 

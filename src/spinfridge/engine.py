@@ -81,7 +81,7 @@ class RefrigeratorParams:
             raise ValueError(f"g couples three pairs; one pair needs g = 0, got {self.g}")
         for eps, bath_e, a, n, b in zip(self.epsilon, self.bath_energy, self.coupling,
                                         self.n_bath, self.beta):
-            if int(n) != n or n < 1:
+            if isinstance(n, (bool, np.bool_)) or int(n) != n or n < 1:
                 raise ValueError(f"n_bath must be a positive integer, got {n}")
             if a < 0:
                 raise ValueError(f"coupling must be nonnegative, got {a}")
@@ -93,6 +93,8 @@ class RefrigeratorParams:
                                 ("coupling", a), ("beta", b)):
                 if not math.isfinite(value):
                     raise ValueError(f"{name} must be finite")
+        # whole bath sizes size and index the sector tables: 3.0 is stored as 3
+        object.__setattr__(self, "n_bath", tuple(map(int, self.n_bath)))
 
     @property
     def pairs(self) -> int:
@@ -389,7 +391,6 @@ class RefrigeratorEngine:
         if not folded and layout.interacting is not None:
             lam, vecs = np.linalg.eigh(_hamiltonians(params, layout.interacting))
             self.spectrum = lam, vecs, _rotated_diagonal(vecs, layout.interacting.p0)
-        self._series_cache: dict[tuple, SeriesTerms] = {}
 
     # -- observables ----------------------------------------------------------
 
@@ -418,8 +419,6 @@ class RefrigeratorEngine:
         observable is absent) and keep every term.
         """
         keys = tuple(keys)
-        if keys in self._series_cache:
-            return self._series_cache[keys]
         const = np.zeros(len(keys))
         amp_parts = []
         omega_parts = []
@@ -444,9 +443,7 @@ class RefrigeratorEngine:
             omega_parts.append(gaps.ravel())
         amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
         omegas = np.concatenate(omega_parts) if omega_parts else np.empty(0)
-        terms = SeriesTerms(const, amps, omegas)
-        self._series_cache[keys] = terms
-        return terms
+        return SeriesTerms(const, amps, omegas)
 
     # -- populations ----------------------------------------------------------
 
@@ -486,9 +483,9 @@ class RefrigeratorEngine:
         levels[1:] += ladder.weights * (ladder.p_row[:, 0] - moved)
         levels[:-1] += ladder.weights * (ladder.p_row[:, 1] + moved)
         if self.spectrum is not None:
-            lam, vecs, m_matrix = self.spectrum
+            lam, _, m_matrix = self.spectrum
             sectors = self.layout.interacting
-            f = m_matrix * _rotated_diagonal(vecs, _BASIS[:, k].astype(float))
+            f = m_matrix * self._observable_in_eigenbasis(("exc", bath))
             gaps = lam[:, :, None] - lam[:, None, :]
             p = np.sum(f * np.cos(gaps * t), axis=(1, 2))
             j = sectors.pair_rows[:, k]

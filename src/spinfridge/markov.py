@@ -29,13 +29,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import DEFAULT_RANGES, OptimizationResult, _best_time_on_grid, minimize_t1
+from .analysis import (DEFAULT_BUDGET, DEFAULT_RANGES, DEFAULT_TIME_GRID, OptimizationResult,
+                       _best_time_on_grid, _polynomial, minimize_t1)
 from .engine import AUTONOMY_TOL
 from .series import TimeGrid
-from .spinstar import temperature_from_excited
 
 DEFAULT_CUTOFF = 1e3
-DEFAULT_TIME_GRID = TimeGrid(0.0, 40.0, 0.05)
 DEFAULT_ALPHA_RANGE = (0.0, 1e-4)
 
 
@@ -271,7 +270,7 @@ class MarkovTrajectory:
         the uniformized terms of ``_uniformized``.  Every c_j is nonnegative,
         so the polynomial keeps relative precision at low temperature.  The
         c_j are formed once per sample and qubit, so each further call is
-        one Horner evaluation.
+        one ``analysis._polynomial`` evaluation.
         """
         k = int(np.searchsorted(self.time, t, side="right")) - 1
         if k < 0:
@@ -286,16 +285,14 @@ class MarkovTrajectory:
             q, terms = _uniformized(self.generator, self.populations[k], gap)
             upper = _UPPER[qubit - 1]
             coherence = float(_bare(np.zeros(8), 1.0) @ upper) * complex(self.coherence[k])
-            polynomial = (q, gap, (_bare(terms, 0.0) @ upper)[::-1].tolist(), coherence)
+            polynomial = (q, gap, _polynomial(_bare(terms, 0.0) @ upper, 0.0), coherence)
             self._polynomials[(k, qubit)] = polynomial
-        q, gap, coefficients, coherence = polynomial
+        q, gap, value_at, coherence = polynomial
         tau = t - float(self.time[k])
-        x, value = tau / gap, 0.0
-        for c in coefficients:
-            value = value * x + c
         turn = self.coherence_rate.imag * tau  # Re(coherence e^(r tau)) below
-        return math.exp(-q * tau) * value + math.exp(self.coherence_rate.real * tau) * (
+        coherent = math.exp(self.coherence_rate.real * tau) * (
             coherence.real * math.cos(turn) - coherence.imag * math.sin(turn))
+        return math.exp(-q * tau) * value_at(tau / gap) + coherent
 
 
 def integrate_gksl(params: MarkovParams, initial_state, grid: TimeGrid) -> MarkovTrajectory:
@@ -347,15 +344,8 @@ def excited_populations(diagonal) -> np.ndarray:
     return np.einsum("...i,ki->...k", diagonal, _UPPER)
 
 
-def temperature_trajectories(params: MarkovParams, traj: MarkovTrajectory):
-    """(r, T) arrays of shape (3, n) along the trajectory, T read from p = 1 - r."""
-    p = excited_populations(traj.diagonal).T
-    temps = np.stack([temperature_from_excited(p[k], params.epsilon[k]) for k in range(3)])
-    return 1.0 - p, temps
-
-
 def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
-                    g_range=DEFAULT_RANGES[3], budget: int = 300, seed: int = 0,
+                    g_range=DEFAULT_RANGES[3], budget: int = DEFAULT_BUDGET, seed: int = 0,
                     time_grid: TimeGrid = DEFAULT_TIME_GRID) -> OptimizationResult:
     """Minimize the cold-qubit temperature over (alpha1..3, g) and time.
 
@@ -368,6 +358,7 @@ def markov_optimize(base: MarkovParams, alpha_range=DEFAULT_ALPHA_RANGE,
     points are suppressed, and points whose rates break weak coupling
     (``WeakCouplingError``) score +inf, so the search avoids them instead of
     aborting; when every evaluated point does, ``WeakCouplingError`` is raised.
+    The budget and time grid default to ``analysis``'s, as ``optimize_t1``'s do.
     """
 
     rho0 = thermal_product_state(base)  # depends on beta and epsilon alone

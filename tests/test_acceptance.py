@@ -32,12 +32,13 @@ from spinfridge.analysis import (
 from spinfridge.engine import RefrigeratorEngine, RefrigeratorParams
 from spinfridge.markov import (
     MarkovParams,
+    excited_populations,
     integrate_gksl,
     markov_optimize,
-    temperature_trajectories,
     thermal_product_state,
 )
 from spinfridge.series import TimeGrid
+from spinfridge.spinstar import temperature_from_excited
 
 SEED = 20260809
 
@@ -322,9 +323,9 @@ def test_criterion_8_markov_baseline(sweep_run):
         beta=(1.0, 1.0, 0.5),
     )
     traj = integrate_gksl(params, thermal_product_state(params), TimeGrid(0.0, 40.0, 0.05))
-    _, temps = temperature_trajectories(params, traj)
-    k = int(np.argmin(temps[0]))
-    t1_min, t_min = float(temps[0][k]), float(traj.time[k])
+    t1 = temperature_from_excited(excited_populations(traj.diagonal)[:, 0], params.epsilon[0])
+    k = int(np.argmin(t1))
+    t1_min, t_min = float(t1[k]), float(traj.time[k])
     value_ok = abs(t1_min - 0.842) <= 0.01
     time_ok = abs(t_min - 15.2) <= 0.5 + 1e-9  # grid minimum sits on the edge
 

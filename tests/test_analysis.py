@@ -39,20 +39,20 @@ class TestFirstLocalMin:
     def test_cosine_dip_near_pi(self):
         # the grid point nearest pi, unpolished
         times = np.arange(0.0, 10.0, 0.01)
-        assert first_local_min(times, np.cos(times)) == 314
+        assert first_local_min(np.cos(times)) == 314
 
     def test_monotone_series_has_no_minimum(self):
-        assert first_local_min([0, 1, 2, 3], [0.0, 0.1, 0.2, 0.3]) is None
+        assert first_local_min([0.0, 0.1, 0.2, 0.3]) is None
 
     def test_grid_only_refinement(self):
-        assert first_local_min([0, 1, 2, 3], [3.0, 1.0, 2.0, 0.5]) == 1
+        assert first_local_min([3.0, 1.0, 2.0, 0.5]) == 1
 
     def test_plateau_counts_as_minimum(self):
-        assert first_local_min([0, 1, 2, 3], [2.0, 1.0, 1.0, 3.0]) == 1
+        assert first_local_min([2.0, 1.0, 1.0, 3.0]) == 1
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
-            first_local_min([0, 1], [1.0, 0.0])
+            first_local_min([1.0, 0.0])
 
     @pytest.mark.parametrize("values, index", [
         ([1.0, 1.0, 1.0, 1.0], None),          # constant: no dip
@@ -63,12 +63,12 @@ class TestFirstLocalMin:
         ([3.0, 2.0, 1.0], None),               # falling to the last point: no dip
     ])
     def test_plateaus(self, values, index):
-        assert first_local_min(np.arange(len(values)), values) == index
+        assert first_local_min(values) == index
 
     def test_picks_first_of_several_dips(self):
         times = np.arange(0.0, 20.0, 0.01)
         values = np.cos(times) + 0.01 * times  # dips near pi, 3*pi, ...
-        assert times[first_local_min(times, values)] < 4.0
+        assert times[first_local_min(values)] < 4.0
 
 
 class TestBestTimeOnGrid:

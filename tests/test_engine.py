@@ -30,6 +30,7 @@ from spinfridge.engine import (
     RefrigeratorEngine,
     RefrigeratorParams,
     _hamiltonians,
+    energy_keys,
     sector_layout,
 )
 from spinfridge.series import SeriesTerms, TimeGrid
@@ -48,6 +49,22 @@ class TestParams:
             fridge(epsilon=(1.0, 2.0))
         with pytest.raises(ValueError):
             fridge(n=(0, 1, 1))
+
+    @pytest.mark.parametrize("n", [(3.0, 3.0, 3.0), (np.int64(3), 3, 3)])
+    def test_whole_bath_sizes_are_stored_as_int(self, n):
+        p = fridge(n=n)
+        assert p.n_bath == (3, 3, 3)
+        assert all(type(v) is int for v in p.n_bath)
+        eng = RefrigeratorEngine(p, prune_tol=0.0)
+        levels = eng.reduced_bath_populations(1, 2.0)
+        assert levels.shape == (4,)
+        assert levels.sum() == pytest.approx(1.0, abs=1e-12)
+        assert oracle.build_dense(p).dimension == 8 * 4 ** 3
+
+    @pytest.mark.parametrize("n", [(True, 1, 1), (1, 1, np.True_), (2.5, 1, 1)])
+    def test_bath_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n_bath must be a positive integer"):
+            fridge(n=n)
 
     def test_one_pair(self):
         one = dict(epsilon=(1.0,), bath_energy=(2.0,), coupling=(0.5,), beta=(1.0,))
@@ -370,7 +387,6 @@ class TestReducedDynamics:
                 assert np.max(np.abs(
                     three.reduced_bath_populations(bath, t) - one.reduced_bath_populations(1, t)
                 )) < 1e-11
-        assert not three._series_cache
 
     @pytest.mark.parametrize("n", [40, 200])
     def test_one_pair_matches_dense_oracle_at_large_n(self, n):
@@ -410,6 +426,44 @@ class TestReducedDynamics:
         series = eng.excited_terms((1,)).on_grid(grid.start, grid.step, len(times))[0]
         for k in (0, 117, 250):
             assert series[k] == pytest.approx(excited_at(eng, 1, float(times[k])), abs=1e-11)
+
+
+def _state(obj):
+    """Everything reachable from ``obj``'s attributes: each array's identity
+    and bytes, each container's contents, each object's identity."""
+    if isinstance(obj, np.ndarray):
+        return ("array", id(obj), obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, dict):
+        return ("dict", id(obj), {key: _state(value) for key, value in obj.items()})
+    if isinstance(obj, (tuple, list)):
+        return (type(obj).__name__, id(obj), [_state(value) for value in obj])
+    if hasattr(obj, "__dict__"):
+        return (type(obj).__name__, id(obj), _state(vars(obj)))
+    return obj
+
+
+class TestEngineIsImmutable:
+    """Queries add, rebind and mutate no engine attribute: all queries are pure."""
+
+    @pytest.mark.parametrize("params", [
+        fridge(n=(3, 2, 2), g=0.09),
+        fridge(n=(3, 2, 2), g=0.0),
+        star(n=3),
+    ], ids=["three-pairs-g", "three-pairs-g0", "one-pair"])
+    def test_queries_leave_the_engine_unchanged(self, params):
+        eng = RefrigeratorEngine(params, prune_tol=0.0)
+        before = _state(eng)
+        qubits = range(1, params.pairs + 1)
+        keys = tuple(("exc", q) for q in qubits) + energy_keys(params.pairs)
+        for _ in range(2):  # a cache would be read back on the second round
+            eng.excited_terms(qubits)
+            eng.series_terms(keys)
+            eng.series_terms((("pop", 1),))
+            eng.total_trace(1.3)
+            for bath in qubits:
+                eng.reduced_bath_populations(bath, 2.1)
+            thermo.energy_balance(eng, 0.7)
+        assert _state(eng) == before
 
 
 class TestTimeGrid:

@@ -17,6 +17,7 @@ from dense_reference import (
 )
 from spinfridge import markov
 from spinfridge.cli import main
+from spinfridge.config import parse_config
 from spinfridge.markov import (
     MarkovParams,
     WeakCouplingError,
@@ -28,10 +29,16 @@ from spinfridge.markov import (
     markov_optimize,
     rate_matrix,
     spectral_density,
-    temperature_trajectories,
     thermal_product_state,
 )
 from spinfridge.series import TimeGrid
+from spinfridge.spinstar import temperature_from_excited
+
+
+def temperatures(p: MarkovParams, traj) -> np.ndarray:
+    """T_i along a trajectory, shape (3, n), read from its excited populations."""
+    excited = excited_populations(traj.diagonal).T
+    return np.stack([temperature_from_excited(excited[k], p.epsilon[k]) for k in range(3)])
 
 
 def params(**kw):
@@ -398,7 +405,7 @@ class TestExactPropagation:
         rho0 = thermal_product_state(p)
         grid = TimeGrid(0.0, 40.0, 0.05)
         traj = integrate_gksl(p, rho0, grid)
-        _, temps = temperature_trajectories(p, traj)
+        temps = temperatures(p, traj)
         for k in range(3):
             assert temps[k, 0] == pytest.approx(1.0 / p.beta[k], rel=1e-12)
         ref = np.diagonal(oracle_states(p, rho0, [40.0])[0]).real
@@ -509,6 +516,47 @@ class TestExactPropagation:
             integrate_gksl(p, thermal_product_state(p), TimeGrid(-0.5, 1.0, 0.5))
 
 
+class TestEvolveTable:
+    """Markov ``evolve``'s T_i and r_i columns are the trajectory's excited rows."""
+
+    @staticmethod
+    def run(tmp_path, start: float):
+        out = tmp_path / f"markov-{start}.csv"
+        config = {
+            "mode": "markov", "action": "evolve",
+            "params": {"epsilon": [1, 2, 1], "g": 0.08,
+                       "alpha": [1e-5, 2e-5, 3e-5], "beta": [40, 40, 20]},
+            "time_grid": {"start": start, "stop": 4, "step": 0.05},
+            "output": {"path": str(out)},
+        }
+        cfg = tmp_path / f"markov-{start}.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["markov", str(cfg)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[2] == "t,T1,T2,T3,r1,r2,r3"
+        return parse_config(config, "markov"), np.array(
+            [[float(v) for v in line.split(",")] for line in lines[3:]])
+
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    def test_columns_are_the_excited_rows_bit_for_bit(self, tmp_path, start):
+        config, table = self.run(tmp_path, start)
+        p = config.markov
+        traj = integrate_gksl(p, thermal_product_state(p), config.time_grid)
+        excited, temps = excited_populations(traj.diagonal).T, temperatures(p, traj)
+        assert table[0, 0] == start
+        assert np.array_equal(table[:, 0], traj.time)
+        for k in range(3):
+            assert np.array_equal(table[:, 1 + k], temps[k])
+            assert np.array_equal(table[:, 4 + k], 1.0 - excited[k])
+
+    def test_later_start_samples_the_same_trajectory(self, tmp_path):
+        # a start of 0.5 propagates the initial state there first
+        _, from_zero = self.run(tmp_path, 0.0)
+        _, later = self.run(tmp_path, 0.5)
+        assert later.shape == (71, 7)
+        assert np.max(np.abs(later - from_zero[10:])) <= 1e-12
+
+
 class TestOptimize:
     def test_two_seeds_agree(self):
         p = params(alpha=(0.0, 0.0, 0.0), g=0.0)
@@ -585,7 +633,7 @@ class TestOptimize:
         p = params()
         grid = TimeGrid(0.0, 5.0, 1.0)
         traj = integrate_gksl(p, thermal_product_state(p), grid)
-        r, temps = temperature_trajectories(p, traj)
-        assert r.shape == temps.shape == (3, 6)
+        temps = temperatures(p, traj)
+        assert temps.shape == (3, 6)
         assert temps[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert temps[2, 0] == pytest.approx(2.0, abs=1e-9)
