@@ -278,11 +278,13 @@ def _keep_freed_blocks() -> bool:
     glibc maps every block above its mmap threshold (128 kB at start) afresh
     and unmaps it when freed, raising the threshold only as larger blocks
     are freed, and returns free heap above its trim threshold to the
-    system.  Each engine's megabyte temporaries then cost fresh page
-    faults: 29k minor faults and 0.08 s of system time in one N=30
-    ``optimize`` of 60 evaluations, against 550 with both thresholds set
-    here.  Linux only; a process that sets glibc's malloc tunables itself
-    is left alone.  Returns whether the thresholds were set.
+    system, so freed temporaries cost fresh page faults.  After import, on
+    2 vCPUs, an N=30 ``optimize`` of 60 evaluations took 520 minor faults
+    with both thresholds set here against 743 without, at the same wall
+    time (0.24 s); three N=30 ``evolve`` runs took 1698 against 4160, and
+    0.107-0.110 s against 0.113-0.123 s.  Linux only; a process that sets
+    glibc's malloc tunables itself is left alone.  Returns whether the
+    thresholds were set.
     """
     if not sys.platform.startswith("linux") or any(v in os.environ for v in _MALLOC_SETTINGS):
         return False

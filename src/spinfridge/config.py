@@ -20,6 +20,18 @@ from .series import TimeGrid
 
 MODES = ("single", "evolve", "optimize", "scaling", "markov", "validate")
 JSON_COMMANDS = ("optimize", "scaling", "validate", "markov optimize")
+# The fields each object may hold: those parse_config reads for the mode
+_TOP_LEVEL = ("mode", "params", "time_grid", "prune_tol", "optimization", "output")
+_FIELDS = {
+    "time_grid": ("start", "stop", "step"),
+    "optimization": ("coupling_range", "g_range", "alpha_range", "budget", "seed"),
+    "output": ("path", "format"),
+}
+_PARAMS = {
+    "single": ("epsilon", "bath_energy", "coupling", "n_bath", "beta", "temperature"),
+    "markov": ("epsilon", "g", "alpha", "beta", "temperature", "cutoff"),
+}
+_REFRIGERATOR_PARAMS = _PARAMS["single"] + ("g",)
 
 
 class ConfigError(ValueError):
@@ -131,8 +143,11 @@ def _parse_markov(data: dict, path: str) -> MarkovParams:
 
 def _parse_params(data: dict, parse, *args):
     """``parse`` applied to ``data["params"]``; a rejected value names the section."""
+    params = _require(data, "params", "")
+    if not isinstance(params, dict):
+        raise ConfigError("params: expected an object")
     try:
-        return parse(_require(data, "params", ""), "params", *args)
+        return parse(params, "params", *args)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -169,7 +184,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     if not isinstance(grid_data, dict):
         raise ConfigError("time_grid: expected an object")
     fields = [_finite_number(grid_data.get(name, getattr(DEFAULT_TIME_GRID, name)),
-                             f"time_grid.{name}") for name in ("start", "stop", "step")]
+                             f"time_grid.{name}") for name in _FIELDS["time_grid"]]
     try:
         time_grid = TimeGrid(*fields)
     except ValueError as exc:  # the message names the field
@@ -244,6 +259,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
                 f"got {list(optimization.g_range)}"
             )
 
+    _reject_unknown_fields(data, cfg_mode)
     return RunConfig(
         mode=cfg_mode,
         refrigerator=refrigerator,
@@ -256,6 +272,20 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
         output_path=output_path,
         output_format=output_format,
     )
+
+
+def _reject_unknown_fields(data: dict, mode: str) -> None:
+    """A ConfigError naming the first field, in any object, that ``mode``
+    does not read: a misspelled field would otherwise run on its default."""
+    extra = {"markov": ("action",), "scaling": ("n_list",)}.get(mode, ())
+    objects = {"": (data, _TOP_LEVEL + extra),
+               "params.": (data["params"], _PARAMS.get(mode, _REFRIGERATOR_PARAMS))}
+    objects.update({f"{name}.": (data.get(name, {}), fields) for name, fields in _FIELDS.items()})
+    for path, (obj, fields) in objects.items():
+        for key in obj:
+            if key not in fields:
+                raise ConfigError(f"{path}{key}: unknown field for {mode!r}, expected one "
+                                  f"of {', '.join(fields)}")
 
 
 def load_config(path: str, mode: str | None = None) -> RunConfig:

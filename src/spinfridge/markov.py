@@ -16,16 +16,19 @@ In the dressed basis, the computational one with |101>, |010> replaced by
 |+-> = (|101> +- |010>)/sqrt(2), each jump operator maps distinct states to
 distinct states, so a channel is its moves alone.  The dressed populations
 obey dP/dt = W P (``rate_matrix``), solved exactly by uniformization (Xue
-and Ye, Math. Comp. 82, 1577 (2013)), and the one coherence a state may
-carry, rho_{+-}, rotates at 2g and decays at (W++ + W--)/2.  The tests hold
-it to the full 64x64 GKSL generator of the jump operators themselves.
+and Ye, Math. Comp. 82, 1577 (2013)): from t = 0, on segments of q L <= 1,
+each one polynomial of nonnegative terms that gives both the samples on the
+grid and the reads between them (``_propagate``).  The one coherence a
+state may carry, rho_{+-}, rotates at 2g and decays at (W++ + W--)/2.  The
+tests hold it to the full 64x64 GKSL generator of the jump operators
+themselves and the populations to a 40-digit matrix exponential of W.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,21 +175,6 @@ def rate_matrix(params: MarkovParams) -> np.ndarray:
     return w - np.diag(w.sum(axis=0))
 
 
-def _rate_expm(w: np.ndarray, t: float) -> np.ndarray:
-    """exp(W t), t >= 0, to relative precision in every entry, by uniformization.
-
-    The terms of ``_uniformized`` on the identity at tau = t / 2^s, with
-    q tau <= 1, summed and squared s times.
-    """
-    q = float(-w.diagonal().min())
-    squarings = max(0, math.ceil(math.log2(q * t))) if q * t > 0 else 0
-    tau = t / 2.0 ** squarings
-    step = math.exp(-q * tau) * _uniformized(w, np.eye(8), tau)[1].sum(axis=0)
-    for _ in range(squarings):
-        step = step @ step
-    return step
-
-
 def _bare(pops, coherence):
     """Bare populations from dressed ones and rho_{+-}, (..., 8) and (...) -> (..., 8).
 
@@ -198,41 +186,15 @@ def _bare(pops, coherence):
     return diagonal
 
 
-def _propagate(w, rate, pops0, coherence0, times, step: float):
-    """Dressed populations P^k pops0, P = exp(W step), rho_{+-} and bare populations.
+def _uniformized(w, q: float, pops, tau_max: float) -> np.ndarray:
+    """s: exp(W x tau_max) pops = e^(-q x tau_max) sum_j s_j x^j for 0 <= x <= 1.
 
-    ``times`` are times[0] + k step.  P^1..P^B are stacked once, by
-    doubling, and applied to the last sample of each block of B.
+    s_j = ((W + qI) tau_max)^j pops / j!, q = max(-W_ii), every entry
+    nonnegative.  Terms run until each is below 2^-53 of the sum in every
+    entry at x = 1, which an entry first reached at order j fails at j; they
+    fall factorially once j passes q tau_max, so the order cap
+    2 q tau_max + 64 only ends a sum that overflowed.
     """
-    n = times.size
-    pops = np.empty((n, 8))
-    pops[0] = pops0
-    if n > 1:
-        block = min(n - 1, 64)
-        powers = np.empty((block, 8, 8))
-        powers[0] = _rate_expm(w, step)
-        done = 1
-        while done < block:  # P^(b+1..2b) = P^(1..b) P^b
-            more = min(done, block - done)
-            powers[done:done + more] = powers[:more] @ powers[done - 1]
-            done += more
-        for start in range(1, n, block):
-            pops[start:start + block] = powers[:n - start] @ pops[start - 1]
-    coherence = coherence0 * np.exp(rate * (times - times[0]))
-    return pops, coherence, _bare(pops, coherence)
-
-
-def _uniformized(w, pops, tau_max: float):
-    """(q, s): exp(W x tau_max) pops = e^(-q x tau_max) sum_j s_j x^j for 0 <= x <= 1.
-
-    ``pops`` is a vector or a matrix of columns.  s_j = ((W + qI) tau_max)^j
-    pops / j!, q = max(-W_ii), every entry nonnegative.  Terms run until each
-    is below 2^-53 of the sum in every entry at x = 1, which an entry first
-    reached at order j fails at j; they fall factorially once j passes
-    q tau_max, so the order cap 2 q tau_max + 64 only ends a sum that
-    overflowed, beyond q tau_max of about 700.
-    """
-    q = float(-w.diagonal().min())
     a = (w + q * np.eye(8)) * tau_max
     terms = [np.asarray(pops, dtype=float)]
     total = terms[0]
@@ -241,7 +203,37 @@ def _uniformized(w, pops, tau_max: float):
         total = total + terms[-1]
         if np.all(terms[-1] <= 2.0 ** -53 * total):
             break
-    return q, np.array(terms)
+    return np.array(terms)
+
+
+# Largest q L of a segment of the propagation
+_SEGMENT_REACH = 1.0
+
+
+def _propagate(w, rate, pops0, coherence0, times):
+    """Dressed populations and rho_{+-} at ``times`` from pops0, coherence0 at t = 0,
+    and the segments (q, L, s): s[i] the ``_uniformized`` terms from iL.
+
+    Time is cut into segments of length L from t = 0: one through times[-1]
+    where q times[-1] <= ``_SEGMENT_REACH``, else L = ``_SEGMENT_REACH`` / q.
+    A segment's samples are one Vandermonde product with its terms, and the
+    next segment starts from its value at x = 1.
+    """
+    q = float(-w.diagonal().min())
+    end = float(times[-1])
+    # a grid of the one point t = 0 takes any length
+    length = _SEGMENT_REACH / q if q * end > _SEGMENT_REACH else end or 1.0
+    count = max(1, math.ceil(end / length))
+    # segment i's samples are those from iL on, the last's all through times[-1]
+    cuts = [0, *np.searchsorted(times, length * np.arange(1, count)).tolist(), times.size]
+    pops, terms, start = np.empty((times.size, 8)), [], pops0
+    for i in range(count):
+        terms.append(_uniformized(w, q, start, length))
+        tau = times[cuts[i]:cuts[i + 1]] - i * length
+        pops[cuts[i]:cuts[i + 1]] = np.exp(-q * tau)[:, None] * (
+            np.vander(tau / length, len(terms[-1]), increasing=True) @ terms[-1])
+        start = math.exp(-q * length) * terms[-1].sum(axis=0)
+    return pops, coherence0 * np.exp(rate * times), (q, length, terms)
 
 
 @dataclass(frozen=True)
@@ -254,23 +246,22 @@ class MarkovTrajectory:
     populations: np.ndarray  # (n, 8)
     coherence: np.ndarray  # (n,)
     diagonal: np.ndarray  # (n, 8)
-    generator: np.ndarray  # W
     coherence_rate: complex
-    # (sample, qubit) -> the polynomial of ``excited_at`` on the step after it
-    _polynomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    decay: float  # q of ``_propagate``
+    segment: float  # its L
+    coefficients: tuple  # per segment, (3, terms): c_j of each qubit
 
     def excited_at(self, t: float, qubit: int) -> float:
         """Excited population of qubit 1, 2 or 3 at t in [time[0], time[-1]].
 
-        Exact from the last sample k at or before t, and sample k's own
-        value at t = time[k].  In between, with tau = t - time[k] and x =
-        tau / (time[k+1] - time[k]), it is e^(-q tau) sum_j c_j x^j plus
-        Re(rho_{+-}(time[k]) e^(r tau)) with the qubit's sign in ``_bare``:
-        c_j = u . bare(s_j, 0), u the qubit's upper-level indicator and s_j
-        the uniformized terms of ``_uniformized``.  Every c_j is nonnegative,
-        so the polynomial keeps relative precision at low temperature.  The
-        c_j are formed once per sample and qubit, so each further call is
-        one ``analysis._polynomial`` evaluation.
+        Exact on the segment holding t, and sample k's own value at t =
+        time[k].  In between, with tau = t - iL and x = tau / L on segment
+        i, it is e^(-q tau) sum_j c_j x^j plus Re(rho_{+-}(time[k])
+        e^(r (t - time[k]))), k the last sample before t, with the qubit's
+        sign in ``_bare``: c_j = u . bare(s_j, 0), u the qubit's upper-level
+        indicator and s_j the segment's terms, the ones its samples were
+        formed from.  Every c_j is nonnegative, so the polynomial keeps
+        relative precision at low temperature.
         """
         k = int(np.searchsorted(self.time, t, side="right")) - 1
         if k < 0:
@@ -279,20 +270,15 @@ class MarkovTrajectory:
             return float(excited_populations(self.diagonal[k])[qubit - 1])
         if k == self.time.size - 1:
             raise ValueError(f"t={t} follows the trajectory's end {self.time[-1]}")
-        polynomial = self._polynomials.get((k, qubit))
-        if polynomial is None:
-            gap = float(self.time[k + 1] - self.time[k])
-            q, terms = _uniformized(self.generator, self.populations[k], gap)
-            upper = _UPPER[qubit - 1]
-            coherence = float(_bare(np.zeros(8), 1.0) @ upper) * complex(self.coherence[k])
-            polynomial = (q, gap, _polynomial(_bare(terms, 0.0) @ upper, 0.0), coherence)
-            self._polynomials[(k, qubit)] = polynomial
-        q, gap, value_at, coherence = polynomial
-        tau = t - float(self.time[k])
-        turn = self.coherence_rate.imag * tau  # Re(coherence e^(r tau)) below
-        coherent = math.exp(self.coherence_rate.real * tau) * (
+        i = min(int(t // self.segment), len(self.coefficients) - 1)
+        tau = t - i * self.segment
+        value_at = _polynomial(self.coefficients[i][qubit - 1], 0.0)
+        coherence = _COHERENCE_SIGN[qubit - 1] * complex(self.coherence[k])
+        gap = t - float(self.time[k])
+        turn = self.coherence_rate.imag * gap  # Re(coherence e^(r gap)) below
+        coherent = math.exp(self.coherence_rate.real * gap) * (
             coherence.real * math.cos(turn) - coherence.imag * math.sin(turn))
-        return math.exp(-q * tau) * value_at(tau / gap) + coherent
+        return math.exp(-self.decay * tau) * value_at(tau / self.segment) + coherent
 
 
 def integrate_gksl(params: MarkovParams, initial_state, grid: TimeGrid) -> MarkovTrajectory:
@@ -320,23 +306,24 @@ def integrate_gksl(params: MarkovParams, initial_state, grid: TimeGrid) -> Marko
     times = grid.points()
     w = rate_matrix(params)
     rate = 0.5 * (w[_P, _P] + w[_M, _M]) - 2j * params.g
-    pops0, coherence0 = model.diagonal().real, model[_P, _M]
-    if grid.start > 0:
-        pops0 = _rate_expm(w, grid.start) @ pops0
-        coherence0 = coherence0 * np.exp(rate * grid.start)
-    pops, coherence, diagonal = _propagate(w, rate, pops0, coherence0, times, grid.step)
+    pops, coherence, (q, length, terms) = _propagate(
+        w, rate, model.diagonal().real, model[_P, _M], times)
     bad = np.flatnonzero(~(  # fails closed: a NaN sample passes no comparison
         (np.abs(pops.sum(axis=1) - 1.0) <= 1e-8) & (pops.min(axis=1) >= -1e-12)
         & (np.abs(coherence) ** 2 <= (1.0 + 1e-12) * pops[:, _P] * pops[:, _M])))
     if bad.size:
         raise RuntimeError(f"propagator lost trace or positivity at t={times[bad[0]]:.6g}")
+    diagonal = _bare(pops, coherence)
     if grid.start == 0:
         diagonal[0] = rho0.diagonal().real
-    return MarkovTrajectory(times, pops, coherence, diagonal, w, rate)
+    coefficients = tuple(_UPPER @ _bare(s, 0.0).T for s in terms)
+    return MarkovTrajectory(times, pops, coherence, diagonal, rate, q, length, coefficients)
 
 
 # _UPPER[k, idx] = 1 where basis state idx holds qubit k + 1 in its upper level |0>
 _UPPER = np.array([[1.0 - ((idx >> (2 - k)) & 1) for idx in range(8)] for k in range(3)])
+# the sign of Re rho_{+-} in each qubit's excited population, from ``_bare``
+_COHERENCE_SIGN = (_UPPER[:, _P] - _UPPER[:, _M]).tolist()
 
 
 def excited_populations(diagonal) -> np.ndarray:

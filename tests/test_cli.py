@@ -106,6 +106,54 @@ class TestConfigParsing:
         rebuilt = parse_config(json.loads(dump_canonical(cfg)))
         assert dump_canonical(rebuilt) == dump_canonical(cfg)
 
+    @pytest.mark.parametrize("mode", ["evolve", "markov"])
+    def test_params_must_be_an_object(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, "bad.json", {"mode": mode, "params": 5})
+        assert main([mode, cfg]) == 1
+        assert capsys.readouterr().err == "config error: params: expected an object\n"
+
+    @pytest.mark.parametrize("mode, path", [
+        ("evolve", "prune_tl"),
+        ("evolve", "time_grid.stpe"),
+        ("evolve", "params.cuopling"),
+        ("evolve", "output.pth"),
+        ("evolve", "action"),
+        ("optimize", "optimization.budjet"),
+        ("optimize", "n_list"),
+        ("single", "params.g"),
+        ("markov", "params.n_bath"),
+    ])
+    def test_unread_field_is_exit_1_with_its_path(self, tmp_path, capsys, mode, path):
+        # a misspelled field must not run on its default
+        params = {
+            "single": {"epsilon": 1, "bath_energy": 2, "n_bath": 3, "temperature": 1},
+            "markov": {"epsilon": [1, 2, 1], "temperature": [1, 1, 2]},
+        }.get(mode, fridge_params())
+        data = {"mode": mode, "params": params, "time_grid": {"stop": 0.5, "step": 0.1},
+                "output": {"path": str(tmp_path / "never")}}
+        section, _, name = path.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[name] = 0.1
+        cfg = write_config(tmp_path, "typo.json", data)
+        assert main([mode, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: unknown field for {mode!r}, expected "), err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("mode", ["single", "evolve", "optimize", "scaling", "validate",
+                                      "markov evolve", "markov optimize"])
+    def test_every_canonical_config_parses_back(self, mode):
+        mode, _, action = mode.partition(" ")
+        data = {"mode": mode, "params": {
+            "single": {"epsilon": 1, "bath_energy": 2, "n_bath": 3, "temperature": 1},
+            "markov": {"epsilon": [1, 2, 1], "alpha": [1e-5, 0, 0], "temperature": [1, 1, 2]},
+        }.get(mode, fridge_params())}
+        if action:
+            data["action"] = action
+        if mode == "scaling":
+            data["n_list"] = [2, 3]
+        cfg = parse_config(data)
+        assert dump_canonical(parse_config(json.loads(dump_canonical(cfg)))) == dump_canonical(cfg)
+
 
 class TestCliCommands:
     def test_missing_config_file_is_exit_1(self, capsys):
