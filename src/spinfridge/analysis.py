@@ -16,7 +16,6 @@ point (``_best_time_on_grid``).
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -41,48 +40,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200
 
 WORKERS_ENV = "SPINFRIDGE_WORKERS"
-
-
-def _openblas_functions(name: str) -> list:
-    """The ``name`` entry point (e.g. "set_num_threads") of every loaded OpenBLAS.
-
-    Found through /proc/self/maps, so empty off Linux; the symbol prefix
-    and suffix differ between OpenBLAS builds.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in iter_product(("scipy_openblas", "openblas"), ("64_", "")):
-            function = getattr(lib, f"{prefix}_{name}{suffix}", None)
-            if function is not None:
-                found.append(function)
-                break
-    return found
-
-
-def _one_blas_thread() -> None:
-    """Sweep pool initializer: run every loaded OpenBLAS on one thread.
-
-    ``import spinfridge`` defaults OPENBLAS_NUM_THREADS to 1, but OpenBLAS
-    reads it only when it is loaded: a program that imported numpy first
-    would fork workers that each run threaded BLAS on the same cores.  A
-    thread count the user set is left alone.  The program itself loads
-    only numpy's OpenBLAS; any other a host program loaded is pinned too.
-    """
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        return
-    for set_threads in _openblas_functions("set_num_threads"):
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
 
 
 def worker_count() -> int:
@@ -735,7 +692,7 @@ def scaling_sweep(base: RefrigeratorParams, n_list, per_n_budget: int = DEFAULT_
     # a pool starts all its workers at the first submit: no more than jobs
     workers = min(worker_count(), len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             order = sorted(range(len(jobs)), key=lambda k: -jobs[k][1])
             rows = dict(zip(order, pool.map(_sweep_point, [jobs[k] for k in order])))
             return [rows[k] for k in range(len(jobs))]

@@ -281,8 +281,13 @@ def _keep_freed_blocks() -> bool:
     system, so freed temporaries cost fresh page faults.  After import, on
     2 vCPUs, an N=30 ``optimize`` of 60 evaluations took 520 minor faults
     with both thresholds set here against 743 without, at the same wall
-    time (0.24 s); three N=30 ``evolve`` runs took 1698 against 4160, and
-    0.107-0.110 s against 0.113-0.123 s.  Linux only; a process that sets
+    time (0.24 s); three N=30 ``evolve`` runs took 1698 against 4160.  In
+    paired benchmark runs without this call (6 alternating pairs per
+    workload, 6 s each, 2 vCPUs) evolve-exact's wall time rose from
+    0.1097 to 0.1136 s, slower in 6 of 6 pairs, and scaling-sweep's from
+    0.2885 to 0.3051 s, slower in 5 of 6; optimize-n30 was mixed, its peak
+    RSS reaching 42.1 MB against at most 41.4 MB with the call, and
+    markov-optimize did not change.  Linux only; a process that sets
     glibc's malloc tunables itself is left alone.  Returns whether the
     thresholds were set.
     """
@@ -320,7 +325,9 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config, args.command)
-        if args.output:
+        if args.output == "":
+            raise ConfigError("--output: expected a nonempty path")
+        if args.output is not None:
             config = replace(config, output_path=args.output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

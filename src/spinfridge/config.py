@@ -1,9 +1,10 @@
 """Run configuration: JSON schema, validation with field paths, canonical form.
 
-A config file is a single JSON object.  Commands read the sections they
-need; every run embeds its fully resolved configuration (canonical JSON,
-sorted keys) in the output as a provenance header, and that header parses
-back into an equivalent config.
+A config file is a single JSON object.  Each command form reads a fixed set
+of fields, listed once in ``COMMAND_FIELDS``: a field outside its row is a
+config error, and every run embeds exactly the fields of its row, fully
+resolved (canonical JSON, sorted keys), in the output as a provenance
+header that parses back into an equivalent config.
 """
 
 from __future__ import annotations
@@ -20,18 +21,30 @@ from .series import TimeGrid
 
 MODES = ("single", "evolve", "optimize", "scaling", "markov", "validate")
 JSON_COMMANDS = ("optimize", "scaling", "validate", "markov optimize")
-# The fields each object may hold: those parse_config reads for the mode
-_TOP_LEVEL = ("mode", "params", "time_grid", "prune_tol", "optimization", "output")
-_FIELDS = {
-    "time_grid": ("start", "stop", "step"),
-    "optimization": ("coupling_range", "g_range", "alpha_range", "budget", "seed"),
-    "output": ("path", "format"),
+_GRID = ("start", "stop", "step")
+_OUTPUT = ("path", "format")
+_STAR = ("epsilon", "bath_energy", "coupling", "n_bath", "beta", "temperature")
+_FRIDGE = _STAR + ("g",)
+_MARKOV = ("epsilon", "g", "alpha", "beta", "temperature", "cutoff")
+_SEARCH = ("coupling_range", "g_range", "budget", "seed")
+# The fields each command form reads, per object: "" holds the top level's
+# own values, and every other key is an object the top level holds.
+COMMAND_FIELDS = {
+    "single": {"": ("mode", "prune_tol"), "params": _STAR, "time_grid": _GRID,
+               "output": _OUTPUT},
+    "evolve": {"": ("mode", "prune_tol"), "params": _FRIDGE, "time_grid": _GRID,
+               "output": _OUTPUT},
+    "optimize": {"": ("mode", "prune_tol"), "params": _FRIDGE, "time_grid": _GRID,
+                 "optimization": _SEARCH, "output": _OUTPUT},
+    "scaling": {"": ("mode", "prune_tol", "n_list"), "params": _FRIDGE, "time_grid": _GRID,
+                "optimization": _SEARCH, "output": _OUTPUT},
+    "validate": {"": ("mode",), "params": _FRIDGE, "output": _OUTPUT},
+    "markov evolve": {"": ("mode", "action"), "params": _MARKOV, "time_grid": _GRID,
+                      "output": _OUTPUT},
+    "markov optimize": {"": ("mode", "action"), "params": _MARKOV, "time_grid": _GRID,
+                        "optimization": ("g_range", "alpha_range", "budget", "seed"),
+                        "output": _OUTPUT},
 }
-_PARAMS = {
-    "single": ("epsilon", "bath_energy", "coupling", "n_bath", "beta", "temperature"),
-    "markov": ("epsilon", "g", "alpha", "beta", "temperature", "cutoff"),
-}
-_REFRIGERATOR_PARAMS = _PARAMS["single"] + ("g",)
 
 
 class ConfigError(ValueError):
@@ -112,6 +125,11 @@ class RunConfig:
     output_format: str = "csv"
 
 
+def _command(mode: str, markov_action: str) -> str:
+    """The command form: the mode, with the action for ``markov``."""
+    return f"markov {markov_action}" if mode == "markov" else mode
+
+
 def _parse_refrigerator(data: dict, path: str, triple: bool = True) -> RefrigeratorParams:
     """Three pairs from per-pair lists or, unless ``triple``, one pair from
     scalars: a single star, which has no interaction (g = 0)."""
@@ -167,7 +185,12 @@ def _parse_range(value: Any, path: str) -> tuple[float, float]:
 
 
 def parse_config(data: dict, mode: str | None = None) -> RunConfig:
-    """Validate a parsed JSON object into a RunConfig for ``mode``."""
+    """Validate a parsed JSON object into a RunConfig for ``mode``.
+
+    The mode (and a Markov run's action) names the command form.  A field
+    in its ``COMMAND_FIELDS`` row that is absent takes its default; once
+    every value is checked, a field outside the row is rejected.
+    """
     if not isinstance(data, dict):
         raise ConfigError(": top level must be a JSON object")
     cfg_mode = data.get("mode", mode)
@@ -184,7 +207,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     if not isinstance(grid_data, dict):
         raise ConfigError("time_grid: expected an object")
     fields = [_finite_number(grid_data.get(name, getattr(DEFAULT_TIME_GRID, name)),
-                             f"time_grid.{name}") for name in _FIELDS["time_grid"]]
+                             f"time_grid.{name}") for name in _GRID]
     try:
         time_grid = TimeGrid(*fields)
     except ValueError as exc:  # the message names the field
@@ -218,7 +241,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     if not isinstance(output, dict):
         raise ConfigError("output: expected an object")
     # the command decides the format: JSON reports, CSV time series
-    command = f"markov {markov_action}" if cfg_mode == "markov" else cfg_mode
+    command = _command(cfg_mode, markov_action)
     output_format = "json" if command in JSON_COMMANDS else "csv"
     if output.get("format", output_format) != output_format:
         raise ConfigError(
@@ -259,7 +282,7 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
                 f"got {list(optimization.g_range)}"
             )
 
-    _reject_unknown_fields(data, cfg_mode)
+    _reject_unknown_fields(data, command)
     return RunConfig(
         mode=cfg_mode,
         refrigerator=refrigerator,
@@ -274,17 +297,16 @@ def parse_config(data: dict, mode: str | None = None) -> RunConfig:
     )
 
 
-def _reject_unknown_fields(data: dict, mode: str) -> None:
-    """A ConfigError naming the first field, in any object, that ``mode``
+def _reject_unknown_fields(data: dict, command: str) -> None:
+    """A ConfigError naming the first field, in any object, that ``command``
     does not read: a misspelled field would otherwise run on its default."""
-    extra = {"markov": ("action",), "scaling": ("n_list",)}.get(mode, ())
-    objects = {"": (data, _TOP_LEVEL + extra),
-               "params.": (data["params"], _PARAMS.get(mode, _REFRIGERATOR_PARAMS))}
-    objects.update({f"{name}.": (data.get(name, {}), fields) for name, fields in _FIELDS.items()})
+    row = COMMAND_FIELDS[command]
+    objects = {"": (data, row[""] + tuple(name for name in row if name))}
+    objects.update({f"{name}.": (data.get(name), fields) for name, fields in row.items() if name})
     for path, (obj, fields) in objects.items():
-        for key in obj:
+        for key in obj or ():
             if key not in fields:
-                raise ConfigError(f"{path}{key}: unknown field for {mode!r}, expected one "
+                raise ConfigError(f"{path}{key}: unknown field for {command!r}, expected one "
                                   f"of {', '.join(fields)}")
 
 
@@ -300,23 +322,29 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
 
 
 def canonical_config(config: RunConfig) -> dict:
-    """Fully resolved configuration; re-parsing it reproduces the run."""
-    out: dict[str, Any] = {
+    """The fields of the command form's ``COMMAND_FIELDS`` row, fully
+    resolved: exactly what the run read, and re-parsing it reproduces the run.
+
+    ``params`` holds ``beta``, never ``temperature``; ``single``'s one pair
+    is written in its scalar schema.
+    """
+    params = asdict(config.refrigerator or config.markov)
+    if config.mode == "single":  # one pair in the scalar schema, which has no g
+        params = {name: v[0] for name, v in params.items() if name != "g"}
+    values = {
         "mode": config.mode,
-        "time_grid": asdict(config.time_grid),
+        "action": config.markov_action,
         "prune_tol": config.prune_tol,
+        "n_list": list(config.n_list),
+        "params": params,
+        "time_grid": asdict(config.time_grid),
         "optimization": asdict(config.optimization),
         "output": {"path": config.output_path, "format": config.output_format},
     }
-    params = config.refrigerator or config.markov
-    if params is not None:
-        out["params"] = asdict(params)
-    if config.mode == "single":  # one pair in the scalar schema, which has no g
-        out["params"] = {name: v[0] for name, v in out["params"].items() if name != "g"}
-    if config.markov is not None:
-        out["action"] = config.markov_action
-    if config.n_list:
-        out["n_list"] = list(config.n_list)
+    row = COMMAND_FIELDS[_command(config.mode, config.markov_action)]
+    out = {name: values[name] for name in row[""]}
+    out.update({name: {k: v for k, v in values[name].items() if k in fields}
+                for name, fields in row.items() if name})
     return out
 
 

@@ -726,7 +726,7 @@ def test_scaling_sweep_starts_at_most_one_worker_per_size(monkeypatch, base):
     class Pool:
         """Records its size and job order and runs the jobs in this process."""
 
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             pools.append(max_workers)
 
         def __enter__(self):

@@ -1,11 +1,9 @@
 """Config parsing, CLI commands, output determinism and provenance."""
 
-import ast
 import json
 import os
 import subprocess
 import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -14,6 +12,7 @@ import spinfridge
 from spinfridge import series
 from spinfridge.cli import main
 from spinfridge.config import (
+    COMMAND_FIELDS,
     ConfigError,
     dump_canonical,
     parse_config,
@@ -30,6 +29,27 @@ def fridge_params():
         "n_bath": [1, 1, 1],
         "temperature": [1, 1, 2],
     }
+
+
+def form_config(form):
+    """A small valid config of one command form ("markov" takes its default action)."""
+    mode, _, action = form.partition(" ")
+    data = {"mode": mode, "params": {
+        "single": {"epsilon": 1, "bath_energy": 2, "n_bath": 3, "temperature": 1},
+        "markov": {"epsilon": [1, 2, 1], "alpha": [1e-5, 0, 0], "temperature": [1, 1, 2]},
+    }.get(mode, fridge_params())}
+    if action:
+        data["action"] = action
+    if mode == "scaling":
+        data["n_list"] = [2, 3]
+    return data
+
+
+# A value each field would accept, so that only the field table can reject it
+_VALID = {"start": 0, "stop": 0.5, "step": 0.1, "prune_tol": 1e-9, "coupling_range": [0, 1],
+          "g_range": [0, 0.05], "alpha_range": [0, 1e-4], "budget": 4, "seed": 1}
+_SEARCH = [f"optimization.{name}"
+           for name in ("coupling_range", "g_range", "alpha_range", "budget", "seed")]
 
 
 def write_config(tmp_path, name, data):
@@ -122,37 +142,50 @@ class TestConfigParsing:
         ("optimize", "n_list"),
         ("single", "params.g"),
         ("markov", "params.n_bath"),
+    ] + [  # fields of the schema that a command form does not read
+        *[(form, path) for form in ("evolve", "single") for path in _SEARCH],
+        *[("validate", path) for path in ["time_grid.start", "time_grid.stop",
+                                          "time_grid.step", "prune_tol", *_SEARCH]],
+        ("optimize", "optimization.alpha_range"),
+        ("scaling", "optimization.alpha_range"),
+        *[("markov evolve", path) for path in ["prune_tol", *_SEARCH]],
+        ("markov optimize", "prune_tol"),
+        ("markov optimize", "optimization.coupling_range"),
     ])
     def test_unread_field_is_exit_1_with_its_path(self, tmp_path, capsys, mode, path):
-        # a misspelled field must not run on its default
-        params = {
-            "single": {"epsilon": 1, "bath_energy": 2, "n_bath": 3, "temperature": 1},
-            "markov": {"epsilon": [1, 2, 1], "temperature": [1, 1, 2]},
-        }.get(mode, fridge_params())
-        data = {"mode": mode, "params": params, "time_grid": {"stop": 0.5, "step": 0.1},
-                "output": {"path": str(tmp_path / "never")}}
+        # a misspelled field must not run on its default, and a field the
+        # command does not read must not be echoed as if it shaped the run
+        data = form_config(mode)
+        if mode != "validate":
+            data["time_grid"] = {"stop": 0.5, "step": 0.1}
+        if mode in ("optimize", "scaling", "markov optimize"):
+            data["optimization"] = {"budget": 4}
+        data["output"] = {"path": str(tmp_path / "never")}
         section, _, name = path.rpartition(".")
-        (data.setdefault(section, {}) if section else data)[name] = 0.1
+        # in an object the command reads the field is named, else the object
+        named = path if not section or section in data else section
+        (data.setdefault(section, {}) if section else data)[name] = _VALID.get(name, 0.1)
+        command, _, action = mode.partition(" ")
+        form = f"markov {action or 'evolve'}" if command == "markov" else mode
         cfg = write_config(tmp_path, "typo.json", data)
-        assert main([mode, cfg]) == 1
+        assert main([command, cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path}: unknown field for {mode!r}, expected "), err
+        assert err.startswith(f"config error: {named}: unknown field for {form!r}, "
+                              "expected "), err
         assert not (tmp_path / "never").exists()
 
-    @pytest.mark.parametrize("mode", ["single", "evolve", "optimize", "scaling", "validate",
-                                      "markov evolve", "markov optimize"])
+    @pytest.mark.parametrize("mode", list(COMMAND_FIELDS))
     def test_every_canonical_config_parses_back(self, mode):
-        mode, _, action = mode.partition(" ")
-        data = {"mode": mode, "params": {
-            "single": {"epsilon": 1, "bath_energy": 2, "n_bath": 3, "temperature": 1},
-            "markov": {"epsilon": [1, 2, 1], "alpha": [1e-5, 0, 0], "temperature": [1, 1, 2]},
-        }.get(mode, fridge_params())}
-        if action:
-            data["action"] = action
-        if mode == "scaling":
-            data["n_list"] = [2, 3]
-        cfg = parse_config(data)
-        assert dump_canonical(parse_config(json.loads(dump_canonical(cfg)))) == dump_canonical(cfg)
+        # the echo holds exactly the fields of the form's row, temperatures as beta
+        cfg = parse_config(form_config(mode))
+        canonical = dump_canonical(cfg)
+        echoed = json.loads(canonical)
+        row = COMMAND_FIELDS[mode]
+        assert sorted(echoed) == sorted(row[""] + tuple(name for name in row if name))
+        for name, fields in row.items():
+            if name:
+                assert sorted(echoed[name]) == sorted(set(fields) - {"temperature"}), name
+        assert dump_canonical(parse_config(echoed)) == canonical
 
 
 class TestCliCommands:
@@ -574,6 +607,18 @@ class TestCliCommands:
         assert main(["evolve", cfg, "--output", str(target)]) == 0
         assert target.exists()
 
+    def test_empty_output_is_exit_1(self, tmp_path, capsys):
+        # an empty override must not fall back to the config's own path
+        cfg = write_config(tmp_path, "evolve.json", {
+            "mode": "evolve",
+            "params": fridge_params(),
+            "time_grid": {"start": 0, "stop": 0.2, "step": 0.1},
+            "output": {"path": str(tmp_path / "never.csv")},
+        })
+        assert main(["evolve", cfg, "--output", ""]) == 1
+        assert capsys.readouterr().err == "config error: --output: expected a nonempty path\n"
+        assert not (tmp_path / "never.csv").exists()
+
 
 class TestLowTemperatureCommands:
     """beta = 40: r = 1 - p rounds to 1, so every T is read from p."""
@@ -723,27 +768,3 @@ class TestBlasThreadPolicy:
 
     def test_user_setting_wins(self):
         assert self._threads_after_import("2") == "2"
-
-    def test_sweep_workers_run_one_thread_after_numpy_first(self):
-        # numpy loads OpenBLAS before spinfridge sets its default; the sweep
-        # pool's initializer must still give each forked worker one thread
-        code = textwrap.dedent("""
-            import numpy
-            from spinfridge import analysis
-
-            def threads(job):
-                return [f() for f in analysis._openblas_functions("get_num_threads")]
-
-            analysis._sweep_point = threads
-            print(analysis.scaling_sweep(None, [1, 2]))
-        """)
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["SPINFRIDGE_WORKERS"] = "2"
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spinfridge.__file__))
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120, check=True,
-        )
-        rows = ast.literal_eval(done.stdout.strip().splitlines()[-1])
-        assert len(rows) == 2
-        assert all(count == 1 for row in rows for count in row)
