@@ -6,12 +6,12 @@ the best time of qubit 1's excited population (whose minimum is the
 cold-qubit temperature's) is found over the time grid and polished by
 golden-section search, which removes the most oscillatory direction from
 the simplex.  A spectral series is screened on its head, the terms that
-carry all but a bounded tail of its amplitude: the head is scanned on a
-coarse sub-grid and refined from local Taylor expansions in the cells a
-curvature bound widened by the tail cannot rule out, and the full series
-is expanded only about the cells where its minimum can still lie
-(``_best_time_on_series``); a sampled trajectory is searched on every grid
-point (``_best_time_on_grid``).
+carry all but a bounded tail of its amplitude: the head is sampled on
+every grid point, the full series is read directly only at the points
+within twice the tail's bound of the head's minimum, and its grid minimum
+is polished on a local Taylor expansion (``_best_time_on_series``); a
+sampled trajectory is searched on every grid point
+(``_best_time_on_grid``).
 """
 
 from __future__ import annotations
@@ -132,35 +132,19 @@ def _polish(value, value_at, times, k: int, tol: float) -> tuple[float, float]:
     return t_best, v_best
 
 
-# Largest omega_max * r of a Taylor expansion in the series time search: its
-# degree is then at most 18 (``series._taylor_degree``) and its rounding stays
-# within a few ulps times e * sum|a|.
+# Largest omega_max * dt of the Taylor expansion the series polish runs on:
+# its degree is then at most 18 (``series._taylor_degree``) and its rounding
+# stays within a few ulps times e * sum|a|.
 _TAYLOR_REACH = 1.0
-# Largest stride, in grid steps, of the coarse scan of ``_best_time_on_series``.
-_MAX_STRIDE = 16
-# Rounding slack of a cell's lower bound, in units of sum|a|: the error bound
-# the tests hold the grid kernel to.
+# Rounding slack of a grid value in the series time search, in units of
+# sum|a|: the error bound the tests hold the grid kernel to.
 _SCAN_SLACK = 1e-12
-# The series time search screens cells on a head of the series whose
+# The series time search screens grid points on a head of the series whose
 # dropped tail sums to less than _HEAD_TOL sum|a| and so moves no value by
 # more than that (``_series_head``).  The head's candidate count starts at
 # _HEAD_START terms and doubles.
 _HEAD_TOL = 1e-3
 _HEAD_START = 256
-
-
-def _stride(terms, dt: float) -> int:
-    """Stride s of the coarse scan of a series on a grid of step dt.
-
-    The largest s up to ``_MAX_STRIDE`` for which an expansion about a
-    cell's midpoint reaching a step beyond the cell's ends, of radius
-    r = (s/2 + 1) dt, keeps w_max r within ``_TAYLOR_REACH``; 0 when not
-    even s = 1 does.
-    """
-    step = (float(terms.omegas.max()) if terms.omegas.size else 0.0) * dt
-    if step * (_MAX_STRIDE + 2) <= 2.0 * _TAYLOR_REACH:
-        return _MAX_STRIDE
-    return max(0, math.floor(2.0 * _TAYLOR_REACH / step) - 2)
 
 
 def _series_head(terms, magnitude: np.ndarray, total: float):
@@ -203,19 +187,23 @@ def _polynomial(coef, centre: float):
 
 def _polish_series_point(terms, grid: TimeGrid, k: int, value, tol: float
                          ) -> tuple[float, float]:
-    """(time, value) of grid point k of a one-row series, polished as in ``_polish``.
+    """(time, value) of grid point k of a one-row series, whose grid value is
+    ``value``, polished as in ``_polish``.
 
-    The golden-section search runs on the Taylor expansion about point k,
-    of radius dt, or on direct values when w_max dt is too large for it
-    (``_stride`` 0); the value at the time found is one direct evaluation.
+    An interior point is polished by golden-section search on the Taylor
+    expansion about it, of radius dt, or on direct values where w_max dt
+    exceeds ``_TAYLOR_REACH``; an end point is not polished.  The value
+    returned is one direct evaluation at the time returned.
     """
     times = grid.points()
-    centre = float(times[k])
-    if _stride(terms, grid.step):
-        value_at = _polynomial(terms.taylor([centre], grid.step)[0, 0], centre)
-    else:
-        value_at = partial(_series_value, terms)
-    t_best, _ = _polish(value, value_at, times, k, tol)
+    t_best = float(times[k])
+    if 0 < k < len(times) - 1:
+        reach = (float(terms.omegas.max()) if terms.omegas.size else 0.0) * grid.step
+        if reach <= _TAYLOR_REACH:
+            value_at = _polynomial(terms.taylor([t_best], grid.step)[0, 0], t_best)
+        else:
+            value_at = partial(_series_value, terms)
+        t_best, _ = _polish(value, value_at, times, k, tol)
     return t_best, _series_value(terms, t_best)
 
 
@@ -224,74 +212,28 @@ def _best_time_on_series(terms, grid: TimeGrid, refine_tol: float = 1e-5
     """(time, value) of the minimum of a one-row series over ``grid``.
 
     Finds the point ``_best_time_on_grid`` finds on the sampled series with
-    a pointwise polish, without sampling every grid point.  Cells are
-    screened on a head of the series (``_series_head``), a few hundred of
-    its thousands of terms; the tail it drops moves no value by more than
-    tau, its summed amplitudes (0 when the head is the series):
-
-    - scan the head at every s-th point (``_stride`` of the series), the
-      last cell overhanging the grid end when s does not divide n - 1;
-    - drop each cell whose lower bound min(ends) - L2 h^2/8, L2 = sum|a|w^2
-      of the head bounding its |p''| on a cell of length h, minus
-      ``_SCAN_SLACK`` sum|a| and 2 tau, is not below the coarse minimum: no
-      point in it can beat the series there;
-    - take the head's grid values in the other cells from a Taylor
-      expansion about each cell's midpoint, of radius (s/2 + 1) dt, so it
-      also covers the neighbours of the cell's end points;
-    - expand the series itself, in the same way, about only the cells whose
-      least head value, minus the same slack and 2 tau, is below the
-      head's grid minimum (when tau is 0 the head's expansions are the
-      series');
-    - polish the series' grid minimum, the first one on ties, by
-      golden-section search on its cell's polynomial, and read the value at
-      the time found from one direct evaluation.
-
-    Every bound holds for the series itself, so the result does not depend
-    on the head; only the work does.  Grids of fewer than three points,
-    and series whose w_max dt is too large for an expansion per grid step,
-    take ``_best_time_on_grid``.
+    a pointwise polish, sampling only a head of the series
+    (``_series_head``), a few hundred of its thousands of terms, on every
+    grid point.  The tail the head drops moves no value by more than tau,
+    its summed amplitudes (0 when the head is the series), and the grid
+    kernel rounds by less than ``_SCAN_SLACK`` sum|a|; so a point whose
+    head value exceeds the head's grid minimum by more than
+    2 (tau + ``_SCAN_SLACK`` sum|a|) cannot hold the series' grid minimum.
+    The series is read directly at the other points (when tau is 0 the
+    head's values are the series'), and its grid minimum, the first one on
+    ties, is polished by ``_polish_series_point``.  The bound holds for the
+    series itself, so the result does not depend on the head; only the work
+    does.
     """
     times = grid.points()
-    n, t0, dt = len(times), grid.start, grid.step
-    stride = _stride(terms, dt)
-    if n < 3 or stride == 0:
-        return _best_time_on_grid(terms.on_grid(t0, dt, n)[0], partial(_series_value, terms),
-                                  times, refine_tol)
     magnitude = np.abs(terms.amps).sum(axis=0)
     total = float(magnitude.sum())
     head, tail = _series_head(terms, magnitude, total)  # tail tau bounds |series - head|
-    slack = _SCAN_SLACK * total + 2.0 * tail
-    cells = -(-(n - 1) // stride)
-    coarse = head.on_grid(t0, stride * dt, cells + 1)[0]
-    first = int(np.argmin(coarse[:(n - 1) // stride + 1]))
-    best = coarse[first]
-    curvature = float(np.sum(np.abs(head.amps[0]) * head.omegas ** 2))  # L2, bounds |p''|
-    lower = np.minimum(coarse[:-1], coarse[1:]) - curvature * (stride * dt) ** 2 / 8 - slack
-    live = np.flatnonzero(lower < best)
-    if live.size == 0:  # no bound falls below the coarse minimum, even by its rounding
-        t_best = float(times[first * stride])
-        return t_best, _series_value(terms, t_best)
-    steps = np.arange(stride + 1)
-    offsets = (steps - 0.5 * stride) * dt
-
-    def expand(series, which):
-        """Taylor coefficients about the midpoints of cells ``which`` and their
-        grid values, those past the grid end +inf."""
-        centres = t0 + (which + 0.5) * stride * dt
-        coef = series.taylor(centres, (0.5 * stride + 1) * dt)[0]
-        fine = coef @ (offsets[:, None] ** np.arange(coef.shape[1])).T
-        return centres, coef, np.where(which[:, None] * stride + steps < n, fine, np.inf)
-
-    centres, coef, fine = expand(head, live)
-    if tail > 0.0:
-        cell_min = fine.min(axis=1)
-        live = live[cell_min - slack < cell_min.min()]
-        centres, coef, fine = expand(terms, live)
-    j = int(np.argmin(fine))  # rows ascend, so argmin keeps the first tie
-    cell = j // (stride + 1)
-    t_best, _ = _polish(fine.flat[j], _polynomial(coef[cell], float(centres[cell])),
-                        times, int(live[cell] * stride + j % (stride + 1)), refine_tol)
-    return t_best, _series_value(terms, t_best)
+    values = head.on_grid(grid.start, grid.step, len(times))[0]
+    near = np.flatnonzero(values - values.min() <= 2.0 * (tail + _SCAN_SLACK * total))
+    exact = terms.at(times[near])[0] if tail > 0.0 else values[near]
+    j = int(np.argmin(exact))
+    return _polish_series_point(terms, grid, int(near[j]), exact[j], refine_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ _SEARCH = ("coupling_range", "g_range", "budget", "seed")
 # The fields each command form reads, per object: "" holds the top level's
 # own values, and every other key is an object the top level holds.
 COMMAND_FIELDS = {
-    "single": {"": ("mode", "prune_tol"), "params": _STAR, "time_grid": _GRID,
+    "single": {"": ("mode",), "params": _STAR, "time_grid": _GRID,
                "output": _OUTPUT},
     "evolve": {"": ("mode", "prune_tol"), "params": _FRIDGE, "time_grid": _GRID,
                "output": _OUTPUT},

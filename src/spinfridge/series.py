@@ -264,8 +264,8 @@ def _grid_pass(cos_amps, sin_amps, omegas, t0: float, dt: float, n: int) -> np.n
     the form from the flop counts of the pass's shape (rows, m, n, the
     gaps' span times dt), with no option: six rows of 17.7k gaps on 2001
     points (``evolve``) bin, and run in 5.8-6.4 instead of 21-27 ms (one
-    BLAS thread); one row of 256 gaps on 127 points (a coarse scan) stays
-    direct.  Its error is the direct form's: at most 1.9e-14 sum|a|
+    BLAS thread); one row of 256 gaps on 2001 points (a search's head)
+    stays direct.  Its error is the direct form's: at most 1.9e-14 sum|a|
     against direct evaluation for those six rows, where the direct form
     reaches 1.8e-14.
     """
@@ -339,14 +339,16 @@ class SeriesTerms:
 
     def at(self, times, derivative: bool = False):
         """Values at arbitrary ``times`` by direct summation, shape
-        (k, len(times)); with ``derivative``, (values, rates)."""
+        (k, len(times)); with ``derivative``, (values, rates).  Terms are
+        chunked so that a chunk's phases and their cosines stay near
+        ``_CHUNK_BYTES``."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.empty(times.shape + self.const.shape)
         values[:] = self.const
         if derivative:
             slopes = -self.amps * self.omegas
             rates = np.zeros(values.shape)
-        chunk = max(1, int(4e6) // max(len(times), 1))
+        chunk = max(1, _CHUNK_BYTES // (16 * max(len(times), 1)))
         for start in range(0, self.omegas.size, chunk):
             sl = slice(start, start + chunk)
             phase = np.outer(times, self.omegas[sl])

@@ -159,19 +159,36 @@ def _search_with_head_tol(terms, grid, tol):
 class TestBestTimeOnSeries:
     @settings(max_examples=150, deadline=None)
     @given(_search_case())
-    # a curvature bound and slack below an ulp of the constant screen out every
-    # cell: the coarse minimum, not the first point, is the answer
+    # a series flat to rounding at its minimum (amplitude far below an ulp of
+    # the constant): the grid minimum, not the first point, is the answer
     @example((SeriesTerms(np.array([1.0]), np.array([[-4.1e-10]]), np.array([1.59e-3])),
               _grid(-1.93, 0.0398, 288)))
+    # one and two points: a grid with no interior point to polish
+    @example((SeriesTerms(np.array([0.1]), np.array([[0.4, -0.2]]), np.array([2.0, 9.0])),
+              _grid(0.3, 0.05, 1)))
+    @example((SeriesTerms(np.array([0.1]), np.array([[0.4, -0.2]]), np.array([2.0, 9.0])),
+              _grid(0.3, 0.05, 2)))
+    # cos 3t dips at pi/3, placed three steps before the grid end
+    @example((SeriesTerms(np.zeros(1), np.array([[1.0, 1e-3]]), np.array([3.0, 7.0])),
+              _grid(math.pi / 3 + 3.4 * 0.01 - 165 * 0.01, 0.01, 166)))
+    # polished on its Taylor expansion at w_max dt = 0.8 and on direct values at 3
+    @example((SeriesTerms(np.zeros(1), np.array([[1.0, 0.5]]), np.array([16.0, 3.0])),
+              _grid(0.0, 0.05, 41)))
+    @example((SeriesTerms(np.zeros(1), np.array([[1.0, 0.5]]), np.array([60.0, 3.0])),
+              _grid(0.0, 0.05, 41)))
+    # a head flat to within its tail: every grid point is read directly
+    @example((SeriesTerms(np.array([0.2]), np.concatenate([np.full(256, 1e-3),
+                                                           np.full(44, 1e-8)])[None, :],
+                          np.concatenate([np.zeros(256), np.linspace(1.0, 40.0, 44)])),
+              _grid(0.1, 0.01, 300)))
     def test_never_above_the_sampled_search(self, case):
         terms, grid = case
         t_best, p_best = _best_time_on_series(terms, grid)
         t_ref, p_ref = _reference_best_time(terms, grid)
         times = grid.points()
         assert times[0] <= t_best <= times[-1]
-        bound = _rounding_bound(terms)
-        assert p_best == pytest.approx(float(terms.at([t_best])[0, 0]), abs=bound)
-        assert p_best <= p_ref + bound
+        assert p_best == float(terms.at([t_best])[0, 0])  # one direct evaluation
+        assert p_best <= p_ref + _rounding_bound(terms)
 
     @settings(max_examples=150, deadline=None)
     @given(_heavy_tailed_case())
@@ -203,8 +220,6 @@ class TestBestTimeOnSeries:
         assert b < analysis._HEAD_TOL * float(np.abs(terms.amps).sum()) <= b + d
         dt = math.pi / 200
         grid = _grid(0.0, dt, 640)
-        stride = analysis._stride(terms, dt)
-        assert 200 // stride != 600 // stride  # the two dips lie in distant cells
         t_best, p_best = _best_time_on_series(terms, grid)
         t_ref, p_ref = _reference_best_time(terms, grid)
         assert t_best == pytest.approx(3 * math.pi, abs=dt)
@@ -229,38 +244,6 @@ class TestBestTimeOnSeries:
         assert t_best == times[end]
         assert p_best == pytest.approx(0.5 - sign * 0.3 * math.cos(0.1 * times[end]),
                                        abs=1e-15)
-
-    def test_minimum_in_a_last_cell_shorter_than_the_stride(self):
-        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 1e-3]]), np.array([3.0, 7.0]))
-        dt = 0.01
-        stride = analysis._stride(terms, dt)
-        n = 10 * stride + 6
-        assert stride > 1 and (n - 1) % stride
-        # cos(3 t) dips at pi/3, placed three steps before the grid end
-        grid = _grid(math.pi / 3 + 3.4 * dt - (n - 1) * dt, dt, n)
-        t_best, p_best = _best_time_on_series(terms, grid)
-        t_ref, p_ref = _reference_best_time(terms, grid)
-        assert t_best == pytest.approx(t_ref, abs=1e-9)
-        end = grid.points()[-1]
-        assert end - 4 * dt < t_best < end
-        assert p_best <= p_ref + _rounding_bound(terms)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_one_or_two_points(self, n):
-        terms = SeriesTerms(np.array([0.1]), np.array([[0.4, -0.2]]), np.array([2.0, 9.0]))
-        grid = _grid(0.3, 0.05, n)
-        assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
-
-    def test_fast_series_takes_the_sampled_search(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("w_max dt is too large for an expansion")
-
-        monkeypatch.setattr(SeriesTerms, "taylor", never)
-        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 0.5]]), np.array([60.0, 3.0]))
-        grid = TimeGrid(0.0, 2.0, 0.05)
-        assert analysis._stride(terms, 0.05) == 0
-        assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
-
 
 
 @st.composite

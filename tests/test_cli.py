@@ -144,6 +144,7 @@ class TestConfigParsing:
         ("markov", "params.n_bath"),
     ] + [  # fields of the schema that a command form does not read
         *[(form, path) for form in ("evolve", "single") for path in _SEARCH],
+        ("single", "prune_tol"),
         *[("validate", path) for path in ["time_grid.start", "time_grid.stop",
                                           "time_grid.step", "prune_tol", *_SEARCH]],
         ("optimize", "optimization.alpha_range"),
@@ -686,28 +687,6 @@ class TestLowTemperatureCommands:
         assert main(["single", cfg]) == 0
         first = [float(v) for v in out.read_text().splitlines()[3].split(",")]
         assert first[1] == pytest.approx(1 / 40, rel=1e-12)
-
-    def test_single_rows_do_not_depend_on_prune_tol(self, tmp_path):
-        # one pair has no interacting sector to prune: its ladder carries
-        # every row weight at any prune_tol
-        config = {
-            "mode": "single",
-            "params": {
-                "epsilon": 1.0, "bath_energy": 2.0, "coupling": 0.5,
-                "n_bath": 5, "beta": 40.0,
-            },
-            "time_grid": {"start": 0, "stop": 1, "step": 0.5},
-        }
-        outputs = []
-        for prune_tol in (0.0, 1e-3):
-            out = tmp_path / f"single-{prune_tol}.csv"
-            cfg = write_config(tmp_path, "single.json", dict(
-                config, prune_tol=prune_tol, output={"path": str(out)}))
-            assert main(["single", cfg]) == 0
-            lines = out.read_text().splitlines()
-            assert f'"prune_tol":{prune_tol}' in lines[1]  # the header records it
-            outputs.append(lines[2:])
-        assert outputs[0] == outputs[1]
 
     def test_cold_config_reads_every_temperature(self, tmp_path):
         # prune_tol 1e-9 folds the sectors holding the excitation of qubits 1

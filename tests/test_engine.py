@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import product as iter_product
@@ -597,6 +598,22 @@ class TestDirectRates:
         size = np.abs(terms.amps).sum(axis=1)
         assert np.all(np.abs(rates - central) <= 1e-8 * size[:, None])
 
+    def test_scratch_stays_near_the_chunk_size(self):
+        # 400 times of 5000 terms: one chunk of them would hold 16 MB of phases
+        rng = np.random.default_rng(5)
+        terms = SeriesTerms(np.zeros(1), rng.uniform(-1.0, 1.0, (1, 5000)),
+                            rng.uniform(0.0, 50.0, 5000))
+        times = np.linspace(0.0, 10.0, 400)
+        tracemalloc.start()
+        try:
+            values = terms.at(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * series._CHUNK_BYTES
+        direct = np.cos(np.outer(times, terms.omegas)) @ terms.amps[0]
+        assert np.all(np.abs(values[0] - direct) <= 1e-12 * np.abs(terms.amps).sum())
+
 
 @st.composite
 def _series_case(draw):
@@ -756,13 +773,14 @@ class TestBinnedGridPass:
                              rng.uniform(0.0, 54.0, 17_730))
         evolve.on_grid(0.0, 0.005, 2001, derivative=True)
         assert len(binned) == 1
-        # a coarse scan of a search head: one row of 256 gaps on 127 points
+        # the time search's scan of a series head: one row of 256 gaps on the
+        # same grid
         scan = SeriesTerms(np.zeros(1), rng.uniform(-1.0, 1.0, (1, 256)),
-                           rng.uniform(0.0, 13.0, 256))
-        scan.on_grid(0.0, 0.08, 127)
+                           rng.uniform(0.0, 54.0, 256))
+        scan.on_grid(0.0, 0.005, 2001)
         assert len(binned) == 1
         assert series._binned_block(6, 17_730, 2001, 0.005, 54.0)
-        assert not series._binned_block(1, 256, 127, 0.08, 0.0)
+        assert not series._binned_block(1, 256, 2001, 0.005, 54.0)
 
 
 class TestMultiKeySeries:
