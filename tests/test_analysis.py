@@ -245,6 +245,39 @@ class TestBestTimeOnSeries:
         assert p_best == pytest.approx(0.5 - sign * 0.3 * math.cos(0.1 * times[end]),
                                        abs=1e-15)
 
+    def test_minimum_in_a_last_cell_shorter_than_the_stride(self):
+        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 1e-3]]), np.array([3.0, 7.0]))
+        dt = 0.01
+        n = 166
+        # cos(3 t) dips at pi/3, placed three steps before the grid end
+        grid = _grid(math.pi / 3 + 3.4 * dt - (n - 1) * dt, dt, n)
+        t_best, p_best = _best_time_on_series(terms, grid)
+        t_ref, p_ref = _reference_best_time(terms, grid)
+        assert t_best == pytest.approx(t_ref, abs=1e-9)
+        end = grid.points()[-1]
+        assert end - 4 * dt < t_best < end
+        assert p_best <= p_ref + _rounding_bound(terms)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_points(self, n):
+        terms = SeriesTerms(np.array([0.1]), np.array([[0.4, -0.2]]), np.array([2.0, 9.0]))
+        grid = _grid(0.3, 0.05, n)
+        t_best, p_best = _best_time_on_series(terms, grid)
+        t_ref, p_ref = _reference_best_time(terms, grid)
+        assert t_best == t_ref
+        # p is one direct evaluation; the reference keeps the grid kernel's value
+        assert p_best == float(terms.at([t_best])[0, 0])
+        assert p_best == pytest.approx(p_ref, abs=_rounding_bound(terms))
+
+    def test_fast_series_takes_the_sampled_search(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("w_max dt is too large for an expansion")
+
+        monkeypatch.setattr(SeriesTerms, "taylor", never)
+        terms = SeriesTerms(np.zeros(1), np.array([[1.0, 0.5]]), np.array([60.0, 3.0]))
+        grid = TimeGrid(0.0, 2.0, 0.05)
+        assert _best_time_on_series(terms, grid) == _reference_best_time(terms, grid)
+
 
 @st.composite
 def _long_tied_case(draw):
