@@ -19,14 +19,18 @@ Only the (2, 2, 2) sectors hold the interaction.  Inside them qubit i
 contributes bit b_i (0 = qubit in its lower level paired with bath level
 m_i + 1/2, 1 = upper level with bath level m_i - 1/2), the basis index is
 b1*4 + b2*2 + b3, and the interaction couples indices 2 = (0,1,0) and
-5 = (1,0,1).  At g > 0 one batched ``eigh`` of their 8x8 blocks is the
-engine's ``spectrum``; at g = 0 their weights join the ladders instead, and
-so, at any g, do the lightest ones that ``prune_tol`` folds: those evolve
-as at g = 0, and nothing is dropped.
+5 = (1,0,1).  A block is (sum_k E_k m_k) times the identity, which moves
+no population, plus a centred part fixed by the rows' ladder factors
+(u_1, u_2, u_3).  Rows m and -m of a pair share u, so sectors fall into
+fewer classes of one centred block each.  At g > 0 one batched ``eigh`` of
+the classes' centred 8x8 blocks is the engine's ``spectrum``; at g = 0 the
+sectors' weights join the ladders instead, and so, at any g, do the
+lightest ones that ``prune_tol`` folds: those evolve as at g = 0, and
+nothing is dropped.
 
-The row weights, which (2, 2, 2) sectors are kept and their level
-energies depend on none of the couplings: that layout is built once
-per (epsilon, E, N, beta, prune_tol) and shared.  Populations and currents
+The row weights, which (2, 2, 2) sectors are kept and their classes depend
+on none of the couplings: that layout is built once per (epsilon, E, N,
+beta, prune_tol) and shared.  Populations and currents
 are exact cosine sums over spectral gaps (``series.SeriesTerms``), every
 term kept, so a dense time grid costs a few matrix products instead of
 repeated evolutions.  A qubit's excited population p_i, from which its
@@ -135,17 +139,23 @@ class SectorGroup:
 
     Rows are sectors in lexicographic (two_m1, two_m2, two_m3) order.
     ``pair_rows`` holds each sector's row in each pair's ``sector_arrays``
-    table (``SectorLayout.pairs``), ``level_energy`` the diagonal of every
-    block in the basis ``_BASIS`` and ``p0`` the initial populations, which
-    are the same in every row.  Pair k's XY coupling sits at
-    ``_FLIP_MASKS[k]`` with strength A_k times ``unit_coupling[k]`` (one
-    ladder factor per row), the interaction at ``_INTERACTION_MASK`` with
-    strength g.
+    table (``SectorLayout.pairs``) and ``p0`` the initial populations, which
+    are the same in every row.  A sector's block less (sum_k E_k m_k) I is
+    its centred block: ``diagonal`` in the basis ``_BASIS``, sum_k
+    +-(eps_k - E_k)/2 and the same in every sector; pair k's XY coupling at
+    ``_FLIP_MASKS[k]`` with strength A_k u_k, u_k the row's ladder factor;
+    the interaction at ``_INTERACTION_MASK`` with strength g.  Sectors with
+    one (u_1, u_2, u_3) share it, so they are solved once per class:
+    ``classes`` maps each sector to its class, ``unit_coupling[k]`` holds
+    u_k per class and ``class_weights`` the summed weights of each class's
+    sectors.
     """
 
     pair_rows: np.ndarray
     weights: np.ndarray
-    level_energy: np.ndarray
+    classes: np.ndarray
+    class_weights: np.ndarray
+    diagonal: np.ndarray
     p0: np.ndarray
     unit_coupling: tuple
 
@@ -154,17 +164,21 @@ class SectorGroup:
         return len(self.weights)
 
 
-def _interacting_group(pairs, rows, weights) -> SectorGroup:
+def _interacting_group(pairs, half_detuning, rows, weights) -> SectorGroup:
     """Coupling-independent arrays of the (2, 2, 2) sectors at per-pair rows."""
-    level_energy = np.zeros((len(weights), 8))
     p0 = np.ones(8)
-    for k, (pk, r) in enumerate(zip(pairs, rows)):
-        levels = np.stack([pk["b_minus"][r], pk["b_plus"][r]], axis=1)
-        level_energy += levels[:, _BASIS[:, k]]
+    for k, pk in enumerate(pairs):
         p0 *= np.array(pk["p_level"])[_BASIS[:, k]]
-    unit_coupling = tuple(_read_only(pk["u"][r]) for pk, r in zip(pairs, rows))
+    # u is computed from (N/2 + m + 1/2)(N/2 - m + 1/2), so rows m and -m
+    # match bit for bit and their sectors fall into one class
+    unit, classes = np.unique(np.stack([pk["u"][r] for pk, r in zip(pairs, rows)], axis=1),
+                              axis=0, return_inverse=True)
+    classes = classes.reshape(-1)
+    class_weights = np.bincount(classes, weights, minlength=len(unit))
+    diagonal = (2.0 * _BASIS - 1.0) @ np.array(half_detuning)
     return SectorGroup(_read_only(np.stack(rows, axis=1)), _read_only(weights),
-                       _read_only(level_energy), _read_only(p0), unit_coupling)
+                       _read_only(classes), _read_only(class_weights), _read_only(diagonal),
+                       _read_only(p0), tuple(_read_only(np.ascontiguousarray(u)) for u in unit.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +197,7 @@ class SectorLayout:
     """
 
     pairs: tuple[dict, ...]
+    half_detuning: tuple[float, ...]  # (eps_k - E_k) / 2
     marginals: tuple[np.ndarray, ...]
     prune_tol: float
 
@@ -226,8 +241,8 @@ class SectorLayout:
         if not keep.size:
             return None
         index = np.unravel_index(keep, weights.shape)
-        return _interacting_group(self.pairs, [r[i] + 1 for r, i in zip(rows, index)],
-                                  weights.ravel()[keep])
+        return _interacting_group(self.pairs, self.half_detuning,
+                                  [r[i] + 1 for r, i in zip(rows, index)], weights.ravel()[keep])
 
     @functools.cached_property
     def free_weights(self) -> tuple[np.ndarray, ...]:
@@ -260,7 +275,9 @@ def sector_layout(epsilon, bath_energy, n_bath, beta, prune_tol: float) -> Secto
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
     weights = (np.exp(table["logw"] - table["logw"].max()) for table in pairs)
-    return SectorLayout(pairs, tuple(_read_only(w / w.sum()) for w in weights), prune_tol)
+    half_detuning = tuple(0.5 * (eps - e) for eps, e in zip(epsilon, bath_energy))
+    return SectorLayout(pairs, half_detuning, tuple(_read_only(w / w.sum()) for w in weights),
+                        prune_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +353,7 @@ def _coupling_term(params: RefrigeratorParams, sectors: SectorGroup, key):
     """(strength, mask) of one coupling term in the interacting blocks.
 
     The term holds ``strength`` at the entries of ``mask``: A_k times the
-    rows' ladder factors for ("hsb", k), g for ("hint",).
+    classes' ladder factors for ("hsb", k), g for ("hint",).
     """
     if key[0] == "hsb":
         k = key[1] - 1
@@ -352,10 +369,10 @@ def _rotated_diagonal(vecs: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 
 def _hamiltonians(params: RefrigeratorParams, sectors: SectorGroup) -> np.ndarray:
-    """The interacting sector blocks, shape (size, 8, 8), filled from the layout."""
-    h = np.zeros((sectors.size, 8, 8))
+    """The centred blocks of the interacting classes, shape (classes, 8, 8)."""
+    h = np.zeros((len(sectors.class_weights), 8, 8))
     diagonal = np.arange(8)
-    h[:, diagonal, diagonal] = sectors.level_energy
+    h[:, diagonal, diagonal] = sectors.diagonal
     for key in energy_keys(3):
         strength, mask = _coupling_term(params, sectors, key)
         h[:, mask] = strength
@@ -385,8 +402,9 @@ class RefrigeratorEngine:
         weights = layout.marginals if folded else layout.free_weights
         self.ladders = tuple(_pair_spectra(table, a, w)
                              for table, a, w in zip(layout.pairs, params.coupling, weights))
-        # (lam, vecs, m_matrix) of the interacting blocks, m_matrix = V^T diag(p0) V
-        # being their initial state in the eigenbasis; None where they join the ladders
+        # (lam, vecs, m_matrix) of the interacting classes' centred blocks, m_matrix =
+        # V^T diag(p0) V being their initial state in the eigenbasis; None where the
+        # interacting sectors join the ladders
         self.spectrum = None
         if not folded and layout.interacting is not None:
             lam, vecs = np.linalg.eigh(_hamiltonians(params, layout.interacting))
@@ -395,14 +413,13 @@ class RefrigeratorEngine:
     # -- observables ----------------------------------------------------------
 
     def _observable_in_eigenbasis(self, key) -> np.ndarray:
-        """V^T O V per interacting sector, shape (size, 8, 8)."""
+        """V^T O V per interacting class, shape (classes, 8, 8)."""
         vecs = self.spectrum[1]
         if key[0] in ("pop", "exc"):
             bits = _BASIS[:, key[1] - 1].astype(float)
             return _rotated_diagonal(vecs, bits if key[0] == "exc" else 1.0 - bits)
-        sectors = self.layout.interacting
-        strength, mask = _coupling_term(self.params, sectors, key)
-        dense = np.zeros((sectors.size, 8, 8))
+        strength, mask = _coupling_term(self.params, self.layout.interacting, key)
+        dense = np.zeros(vecs.shape)
         dense[:, mask] = strength
         return np.matmul(np.matmul(vecs.transpose(0, 2, 1), dense), vecs)
 
@@ -414,9 +431,10 @@ class RefrigeratorEngine:
         collective interaction.  The result's ``on_grid`` and ``at`` with
         ``derivative`` also return the rates Tr[drho/dt O].
 
-        Each row sums its pair's ladder and the interacting blocks.  The
-        rows share the union of the keys' gaps (zero where a key's
-        observable is absent) and keep every term.
+        Each row sums its pair's ladder and the interacting classes, each
+        class's terms weighted by its summed weight.  The rows share the
+        union of the keys' gaps (zero where a key's observable is absent)
+        and keep every term.
         """
         keys = tuple(keys)
         const = np.zeros(len(keys))
@@ -432,7 +450,7 @@ class RefrigeratorEngine:
                 omega_parts.append(ladder.gap[ladder.live])
         if self.spectrum is not None:
             lam, _, m_matrix = self.spectrum
-            weights = self.layout.interacting.weights
+            weights = self.layout.interacting.class_weights
             gaps = lam[:, _UPPER[1]] - lam[:, _UPPER[0]]  # nonnegative
             amp = np.zeros((len(keys), gaps.size))
             for row, row_key in enumerate(keys):
@@ -473,7 +491,7 @@ class RefrigeratorEngine:
         one.  So row j of the pair's ladder adds its weight times its
         ground population to level j - N/2 and times its excited one to
         the level below (an edge row starts, and stays, in one of them),
-        and each interacting sector adds the same from its own spectrum.
+        and each interacting sector adds the same from its class's spectrum.
         """
         k = bath - 1
         n = self.params.n_bath[k]
@@ -487,7 +505,7 @@ class RefrigeratorEngine:
             sectors = self.layout.interacting
             f = m_matrix * self._observable_in_eigenbasis(("exc", bath))
             gaps = lam[:, :, None] - lam[:, None, :]
-            p = np.sum(f * np.cos(gaps * t), axis=(1, 2))
+            p = np.sum(f * np.cos(gaps * t), axis=(1, 2))[sectors.classes]
             j = sectors.pair_rows[:, k]
             levels += np.bincount(j + 1, sectors.weights * (1.0 - p), minlength=n + 3)
             levels += np.bincount(j, sectors.weights * p, minlength=n + 3)

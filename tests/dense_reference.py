@@ -5,8 +5,9 @@ matrices in the bare basis and the full 64x64 GKSL generator they make,
 against which ``markov.rate_matrix`` and ``markov.integrate_gksl`` are
 tested; a qubit's excited population, reduced state and temperatures on
 a grid, all read from the engine's excited rows; one-pair parameters (a single
-star, or pair i of a refrigerator), a pair's sector blocks and the map
-from a sector label to its basis states in the dense oracle's basis; the
+star, or pair i of a refrigerator), a pair's sector blocks, the
+interacting (2, 2, 2) blocks uncentred and centred, and the map from a
+sector label to its basis states in the dense oracle's basis; the
 local qubit and bath Hamiltonians in the dense basis, whose energy flows
 the heat currents are; the dense state reduced to one subsystem; and the
 engine's total energy and per-pair charges, which the dynamics conserve.
@@ -81,6 +82,28 @@ def pair_block(table, j, coupling):
         return np.array([[table["b_plus" if table["two_m"][j] > 0 else "b_minus"][j]]])
     u = coupling * table["u"][j]
     return np.array([[table["b_minus"][j], u], [u, table["b_plus"][j]]])
+
+
+def block_shift(params, two_m) -> float:
+    """sum_k E_k m_k of the (2, 2, 2) sector at pair totals ``two_m`` (doubled):
+    the multiple of the identity its block holds beyond the engine's centred one."""
+    return sum(e * 0.5 * float(t) for e, t in zip(params.bath_energy, two_m))
+
+
+def interacting_block(params, tables, rows) -> np.ndarray:
+    """The uncentred 8x8 block of the (2, 2, 2) sector at per-pair ``rows``:
+    the Kronecker sum of its pairs' blocks, plus g at the interaction entries."""
+    blocks = [pair_block(t, j, a) for t, j, a in zip(tables, rows, params.coupling)]
+    h = sum(functools.reduce(np.kron, [b if i == k else np.eye(2) for i in range(3)])
+            for k, b in enumerate(blocks))
+    h[[2, 5], [5, 2]] += params.g
+    return h
+
+
+def centred_block(params, tables, rows) -> np.ndarray:
+    """``interacting_block`` less its ``block_shift`` times the identity."""
+    two_m = [t["two_m"][j] for t, j in zip(tables, rows)]
+    return interacting_block(params, tables, rows) - block_shift(params, two_m) * np.eye(8)
 
 
 def sector_basis_indices(n_bath, label) -> list[int]:

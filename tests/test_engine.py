@@ -5,18 +5,22 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dense_reference import (
+    block_shift,
+    centred_block,
     charge,
     dense_evolve_and_trace,
     excited_at,
     fridge,
     grid_temperatures,
+    interacting_block,
     local_energy_diagonals,
     pair_block,
     pair_of,
@@ -219,9 +223,13 @@ class TestSectorAssembly:
         assert p.is_autonomous()
         eng = RefrigeratorEngine(p, prune_tol=0.0)
         assert eng.spectrum is not None
-        h = _hamiltonians(p, eng.layout.interacting)
+        sectors = eng.layout.interacting
+        h = _hamiltonians(p, sectors)
         assert np.allclose(h[:, 2, 2], h[:, 5, 5], rtol=0.0, atol=1e-12)
         assert np.allclose(h[:, 2, 5], p.g, rtol=0.0, atol=1e-15)
+        # each sector's block, centred, is its class's
+        for rows, c in zip(sectors.pair_rows, sectors.classes):
+            assert np.max(np.abs(h[c] - centred_block(p, eng.layout.pairs, rows))) < 1e-12
 
     def test_interaction_absent_in_edge_sectors(self):
         # sectors missing a basis bit carry no collective coupling: at any g
@@ -237,7 +245,8 @@ class TestSectorAssembly:
         blocks = [pair_block(t, 1, a) for t, a in zip(tables, p.coupling)]
         kron_sum = sum(functools.reduce(np.kron, [b if i == k else np.eye(2) for i in range(3)])
                        for k, b in enumerate(blocks))
-        gap = _hamiltonians(p, sectors)[0] - kron_sum
+        shift = block_shift(p, [t["two_m"][1] for t in tables]) * np.eye(8)
+        gap = _hamiltonians(p, sectors)[sectors.classes[0]] - (kron_sum - shift)
         assert gap[2, 5] == gap[5, 2] == pytest.approx(0.3, abs=1e-15)
         gap[[2, 5], [5, 2]] = 0.0
         assert np.max(np.abs(gap)) < 1e-15
@@ -295,14 +304,17 @@ class TestLayoutSharing:
             fridge(n=(2, 1, 1), coupling=(0.1, 0.9, 0.0), g=0.0), prune_tol=1e-6
         )
         assert second.layout is first.layout
-        lam, _, _ = first.spectrum  # one spectrum row per interacting sector of the layout
-        assert lam.shape == (first.layout.interacting.size, 8)
+        sectors = first.layout.interacting
+        lam, _, _ = first.spectrum  # one spectrum row per interacting class of the layout
+        assert lam.shape == (len(sectors.class_weights), 8) == (1, 8)
+        assert sectors.size == 2 and sectors.classes.tolist() == [0, 0]  # rows m = -1/2, 1/2
         assert second.spectrum is None  # at g = 0 the interacting sectors join the ladders
 
     def test_layout_arrays_are_read_only(self):
         lay = layout(fridge(n=(2, 1, 3)))
         sectors = lay.interacting
-        arrays = [sectors.pair_rows, sectors.weights, sectors.level_energy, sectors.p0]
+        arrays = [sectors.pair_rows, sectors.weights, sectors.classes, sectors.class_weights,
+                  sectors.diagonal, sectors.p0]
         arrays += list(sectors.unit_coupling) + list(lay.marginals) + list(lay.free_weights)
         arrays += [a for table in lay.pairs for a in table.values() if isinstance(a, np.ndarray)]
         for array in arrays:
@@ -333,6 +345,159 @@ class TestLayoutSharing:
             assert np.array_equal(a.const, b.const)
             assert np.array_equal(a.amps, b.amps)
             assert np.array_equal(a.omegas, b.omegas)
+
+
+# (2, 2, 2) sectors -> classes at the paper's epsilon, E and T
+_PAPER_CLASS_COUNTS = [
+    (2, 1e-9, 8, 1), (4, 1e-9, 58, 8), (7, 1e-9, 149, 61), (10, 1e-9, 213, 96),
+    (14, 1e-9, 255, 158), (20, 1e-9, 277, 224), (30, 1e-9, 279, 265), (30, 1e-12, 630, 533),
+]
+
+
+@st.composite
+def _class_case(draw):
+    """Three pairs at g > 0 with unequal N_k <= 12, A_k = 0 drawn often, and a prune_tol."""
+    def per_pair(values):
+        return tuple(draw(st.lists(values, min_size=3, max_size=3)))
+
+    p = RefrigeratorParams(
+        epsilon=per_pair(st.floats(0.2, 3.0)),
+        bath_energy=per_pair(st.floats(0.2, 4.0)),
+        coupling=per_pair(st.one_of(st.just(0.0), st.floats(0.0, 1.5))),
+        g=draw(st.floats(1e-3, 0.5)),
+        n_bath=tuple(draw(st.lists(st.integers(1, 12), min_size=3, max_size=3, unique=True))),
+        beta=per_pair(st.floats(0.1, 5.0)),
+    )
+    return p, draw(st.sampled_from([0.0, 1e-9]))
+
+
+def per_sector_reference(eng, times, keys):
+    """Every key's row, the summed magnitude of its terms and operator, and
+    every bath's levels at ``times``, each kept (2, 2, 2) sector solved from
+    its own uncentred block; the pair ladders as the engine's."""
+    p, lay = eng.params, eng.layout
+    times = np.asarray(times, dtype=float)
+    rows = np.zeros((len(keys), len(times)))
+    magnitude = np.zeros(len(keys))
+    levels = [np.zeros((len(times), n + 3)) for n in p.n_bath]  # a spare level at each end
+    for row, key in enumerate(keys):
+        if key[0] != "hint":
+            ladder = eng.ladders[key[1] - 1]
+            const, amps = ladder.series(key[0])
+            rows[row] = const + amps @ np.cos(np.outer(ladder.gap[ladder.live], times))
+            magnitude[row] = abs(const) + np.abs(amps).sum()
+    for ladder, out in zip(eng.ladders, levels):
+        moved = ladder.shift[:, None] * (1.0 - np.cos(np.outer(ladder.gap, times)))
+        out[:, 1:] += (ladder.weights[:, None] * (ladder.p_row[:, :1] - moved)).T
+        out[:, :-1] += (ladder.weights[:, None] * (ladder.p_row[:, 1:] + moved)).T
+    sectors = lay.interacting
+    if sectors is not None:
+        blocks = np.array([interacting_block(p, lay.pairs, r) for r in sectors.pair_rows])
+        lam, vecs = np.linalg.eigh(blocks)
+        p0 = functools.reduce(np.kron, [np.array(t["p_level"]) for t in lay.pairs])
+        m_matrix = np.einsum("sik,k,skj->sij", vecs.transpose(0, 2, 1), p0, vecs)
+        phases = np.cos((lam[:, :, None, None] - lam[:, None, :, None]) * times)
+        ops = {("hint",): np.zeros((8, 8))}
+        ops["hint",][[2, 5], [5, 2]] = p.g
+        for k, bit in enumerate(np.array(list(iter_product((0.0, 1.0), repeat=3))).T):
+            ops["exc", k + 1] = np.diag(bit)
+            ops["pop", k + 1] = np.diag(1.0 - bit)
+            # the block with only pair k's coupling, its diagonal taken out
+            alone = replace(p, coupling=tuple(a if i == k else 0.0
+                                              for i, a in enumerate(p.coupling)), g=0.0)
+            hsb = np.array([interacting_block(alone, lay.pairs, r) for r in sectors.pair_rows])
+            ops["hsb", k + 1] = hsb * (1.0 - np.eye(8))
+
+        def per_sector(op):
+            # the rotation rounds at eps |O|, which bounds the terms' own rounding
+            # where degenerate levels leave the eigenvectors free
+            f = m_matrix * (vecs.transpose(0, 2, 1) @ op @ vecs)
+            size = np.abs(f).sum(axis=(1, 2)) + np.abs(op).max(axis=(-2, -1))
+            return np.einsum("sij,sijt->st", f, phases), size
+
+        for row, key in enumerate(keys):
+            values, size = per_sector(ops[key])
+            rows[row] += sectors.weights @ values
+            magnitude[row] += sectors.weights @ size
+        for k, out in enumerate(levels):
+            excited = per_sector(ops["exc", k + 1])[0]
+            j = sectors.pair_rows[:, k]
+            for c in range(len(times)):
+                out[c] += np.bincount(j + 1, sectors.weights * (1.0 - excited[:, c]),
+                                      minlength=out.shape[1])
+                out[c] += np.bincount(j, sectors.weights * excited[:, c], minlength=out.shape[1])
+    return rows, magnitude, [out[:, 1:-1] for out in levels]
+
+
+class TestClassSharing:
+    """The interacting sectors solved once per class of equal ladder-factor triples."""
+
+    @pytest.mark.parametrize("n, prune_tol, sectors, classes", _PAPER_CLASS_COUNTS)
+    def test_class_counts_at_paper_parameters(self, n, prune_tol, sectors, classes):
+        kept = layout(fridge(n=(n, n, n)), prune_tol).interacting
+        assert (kept.size, len(kept.class_weights)) == (sectors, classes)
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_gaps_match_high_precision(self, n):
+        # the centred blocks' gaps against 50-digit ones of the exact blocks,
+        # at the 18 heaviest classes: within a few eps times the centred norm
+        # (a block still holding its shift sum_k E_k m_k reaches 25-50 times)
+        p = fridge(n=(n, n, n), coupling=(1.0, 0.992, 0.44), g=0.1)
+        eng = RefrigeratorEngine(p, prune_tol=1e-9)
+        sectors, lam = eng.layout.interacting, eng.spectrum[0]
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            for c in np.argsort(-sectors.class_weights, kind="stable")[:18]:
+                rows = sectors.pair_rows[np.flatnonzero(sectors.classes == c)[0]]
+                h = mpmath.zeros(8, 8)
+                for i, bits in enumerate(iter_product((0, 1), repeat=3)):
+                    for k, (b, table) in enumerate(zip(bits, eng.layout.pairs)):
+                        h[i, i] += (2 * b - 1) * (mpmath.mpf(p.epsilon[k])
+                                                  - mpmath.mpf(p.bath_energy[k])) / 2
+                        m = mpmath.mpf(int(table["two_m"][rows[k]])) / 2
+                        u = mpmath.sqrt((mpmath.mpf(n + 1) / 2) ** 2 - m ** 2)
+                        h[i, i ^ (4 >> k)] = mpmath.mpf(p.coupling[k]) * u
+                h[2, 5] = h[5, 2] = mpmath.mpf(p.g)
+                exact = sorted(mpmath.eigsy(h, eigvals_only=True))
+                norm = float(max(abs(x) for x in exact))
+                for i, j in combinations(range(8), 2):
+                    got = mpmath.mpf(float(lam[c, j])) - mpmath.mpf(float(lam[c, i]))
+                    assert abs(float(got - (exact[j] - exact[i]))) <= 10 * eps * norm
+
+    @settings(max_examples=30, deadline=None)
+    @given(_class_case(), st.floats(0.0, 5.0))
+    def test_matches_per_sector_blocks(self, case, t):
+        p, prune_tol = case
+        eng = RefrigeratorEngine(p, prune_tol=prune_tol)
+        keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop", "hsb")) + (("hint",),)
+        times = [0.0, t]
+        terms = eng.series_terms(keys)
+        rows, magnitude, levels = per_sector_reference(eng, times, keys)
+        # sum|a| of either side's terms, the reference's with |O|: a row whose
+        # terms cancel (E = eps starts every level of a sector equally
+        # populated) reads rounding; the floor is for subnormal couplings
+        scale = np.maximum(np.abs(terms.const) + np.abs(terms.amps).sum(axis=1), magnitude)
+        floor = 64 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(terms.at(times) - rows) <= 1e-14 * scale[:, None] + floor)
+        for k, out in enumerate(levels):
+            for c, time in enumerate(times):
+                assert np.max(np.abs(eng.reduced_bath_populations(k + 1, time) - out[c])) < 1e-14
+        sectors = eng.layout.interacting
+        if sectors is None:
+            assert eng.spectrum is None
+            return
+        tables = eng.layout.pairs
+        triples = {tuple(float(t["u"][j]) for t, j in zip(tables, rows))
+                   for rows in sectors.pair_rows}
+        mirrors = {tuple(abs(int(t["two_m"][j])) for t, j in zip(tables, rows))
+                   for rows in sectors.pair_rows}
+        assert len(sectors.class_weights) == len(triples) == len(mirrors)
+        assert eng.spectrum[0].shape == (len(triples), 8)
+        for k, table in enumerate(tables):
+            assert np.array_equal(sectors.unit_coupling[k][sectors.classes],
+                                  table["u"][sectors.pair_rows[:, k]])
+        assert np.allclose(sectors.class_weights,
+                           np.bincount(sectors.classes, sectors.weights), rtol=1e-15, atol=0.0)
 
 
 class TestReducedDynamics:
@@ -1115,7 +1280,8 @@ class TestClosedFormSpectra:
         assert free.series_terms((("exc", 1),)).omegas.size <= 30 + 1
         eng = RefrigeratorEngine(fridge(n=(30, 30, 30), g=0.05))
         full = eng.layout.interacting
-        assert eng.spectrum is not None and calls == [(full.size, 8, 8)]
+        assert eng.spectrum is not None and calls == [(len(full.class_weights), 8, 8)]
+        assert len(full.class_weights) < full.size
         # the one call sees the (2, 2, 2) sectors and only those
         for table, rows in zip(eng.layout.pairs, full.pair_rows.T):
             assert np.all(table["dim"][rows] == 2)

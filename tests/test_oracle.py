@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dense_reference import (
+    block_shift,
     dense_evolve_and_trace,
     fridge,
     pair_block,
@@ -85,8 +86,9 @@ class TestSectorEmbedding:
         model = oracle.build_dense(p)
         eng = RefrigeratorEngine(p, prune_tol=0.0)
         assert eng.spectrum is not None
-        group_rows = [tuple(r) for r in eng.layout.interacting.pair_rows.tolist()]
-        hamiltonians = _hamiltonians(p, eng.layout.interacting)
+        sectors = eng.layout.interacting
+        group_rows = [tuple(r) for r in sectors.pair_rows.tolist()]
+        hamiltonians = _hamiltonians(p, sectors)  # one centred block per class
         tables = [pair_table(p, i) for i in (1, 2, 3)]
         for rows, two_m in sector_labels(p):
             idx = sector_basis_indices(p.n_bath, two_m)
@@ -98,7 +100,9 @@ class TestSectorEmbedding:
                 functools.reduce(np.kron, [b if i == k else np.eye(d) for i, d in enumerate(dims)])
                 for k, b in enumerate(pair_blocks))
             if rows in group_rows:
-                assert np.max(np.abs(block - hamiltonians[group_rows.index(rows)])) < 1e-12
+                centred = hamiltonians[sectors.classes[group_rows.index(rows)]]
+                shift = block_shift(p, two_m) * np.eye(len(idx))
+                assert np.max(np.abs(block - shift - centred)) < 1e-12
                 kron_sum[[2, 5], [5, 2]] += p.g
             assert np.max(np.abs(block - kron_sum)) < 1e-12
 
