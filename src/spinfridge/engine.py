@@ -28,6 +28,13 @@ sectors' weights join the ladders instead, and so, at any g, do the
 lightest ones that ``prune_tol`` folds: those evolve as at g = 0, and
 nothing is dropped.
 
+A centred block is chiral: the signed flip of every bit, M = Y x Y x Y with
+Y = [[0, 1], [-1, 0]], negates it (M H_c M^T = -H_c), since its diagonal is
+odd under the flip and the XY couplings and the interaction each flip an
+odd number of bits.  So its spectrum is +-sigma_1..+-sigma_4, which the
+engine stores symmetrised, and the level pairs (i, j) and (7 - j, 7 - i)
+share one gap: a class contributes 16 cosine terms, not 28.
+
 The row weights, which (2, 2, 2) sectors are kept and their classes depend
 on none of the couplings: that layout is built once per (epsilon, E, N,
 beta, prune_tol) and shared.  Populations and currents
@@ -130,6 +137,14 @@ _FLIP_MASKS = tuple(
 )
 _INTERACTION_MASK = _read_only(np.array([[{i, j} == {2, 5} for j in range(8)] for i in range(8)]))
 _UPPER = tuple(_read_only(np.array(index)) for index in zip(*combinations(range(8), 2)))
+# A centred block's level pairs (i, j) and (7 - j, 7 - i) share one gap: its
+# 16 distinct gaps are those of the level pairs ``_GAP_LEVELS``, and
+# ``_GAP_MERGE[p, q]`` is 1 where level pair p of ``_UPPER`` has gap q.
+_GAP_LEVELS = tuple(_read_only(np.array(index)) for index in zip(
+    *(pair for pair in combinations(range(8), 2) if pair <= (7 - pair[1], 7 - pair[0]))))
+_GAP_MERGE = _read_only(np.array(
+    [[(i, j) in ((k, l), (7 - l, 7 - k)) for k, l in zip(*_GAP_LEVELS)]
+     for i, j in zip(*_UPPER)], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,13 +417,17 @@ class RefrigeratorEngine:
         weights = layout.marginals if folded else layout.free_weights
         self.ladders = tuple(_pair_spectra(table, a, w)
                              for table, a, w in zip(layout.pairs, params.coupling, weights))
-        # (lam, vecs, m_matrix) of the interacting classes' centred blocks, m_matrix =
+        # (mu, vecs, m_matrix) of the interacting classes' centred blocks, m_matrix =
         # V^T diag(p0) V being their initial state in the eigenbasis; None where the
-        # interacting sectors join the ladders
+        # interacting sectors join the ladders.  A centred block's spectrum is
+        # +-sigma_k, so mu holds it symmetrised from eigh's ascending lam:
+        # sigma_k = (lam_{7-k} - lam_k) / 2, mu_k = -sigma_k and mu_{7-k} = sigma_k
         self.spectrum = None
         if not folded and layout.interacting is not None:
             lam, vecs = np.linalg.eigh(_hamiltonians(params, layout.interacting))
-            self.spectrum = lam, vecs, _rotated_diagonal(vecs, layout.interacting.p0)
+            sigma = 0.5 * (lam[:, :3:-1] - lam[:, :4])
+            self.spectrum = (np.concatenate([-sigma, sigma[:, ::-1]], axis=1), vecs,
+                             _rotated_diagonal(vecs, layout.interacting.p0))
 
     # -- observables ----------------------------------------------------------
 
@@ -432,9 +451,11 @@ class RefrigeratorEngine:
         ``derivative`` also return the rates Tr[drho/dt O].
 
         Each row sums its pair's ladder and the interacting classes, each
-        class's terms weighted by its summed weight.  The rows share the
-        union of the keys' gaps (zero where a key's observable is absent)
-        and keep every term.
+        class's terms weighted by its summed weight, one term per distinct
+        gap: a class's level pairs (i, j) and (7 - j, 7 - i) share a gap of
+        the symmetrised spectrum, so their amplitudes are summed into one of
+        its 16 terms.  The rows share the union of the keys' gaps (zero
+        where a key's observable is absent) and keep every term.
         """
         keys = tuple(keys)
         const = np.zeros(len(keys))
@@ -449,14 +470,15 @@ class RefrigeratorEngine:
                 amp_parts.append(amp)
                 omega_parts.append(ladder.gap[ladder.live])
         if self.spectrum is not None:
-            lam, _, m_matrix = self.spectrum
+            mu, _, m_matrix = self.spectrum
             weights = self.layout.interacting.class_weights
-            gaps = lam[:, _UPPER[1]] - lam[:, _UPPER[0]]  # nonnegative
+            gaps = mu[:, _GAP_LEVELS[1]] - mu[:, _GAP_LEVELS[0]]  # nonnegative
             amp = np.zeros((len(keys), gaps.size))
             for row, row_key in enumerate(keys):
                 f = m_matrix * self._observable_in_eigenbasis(row_key)
                 const[row] += float(weights @ np.einsum("sii->s", f))
-                amp[row] = (2.0 * weights[:, None] * f[:, _UPPER[0], _UPPER[1]]).ravel()
+                amp[row] = (2.0 * weights[:, None]
+                            * (f[:, _UPPER[0], _UPPER[1]] @ _GAP_MERGE)).ravel()
             amp_parts.append(amp)
             omega_parts.append(gaps.ravel())
         amps = np.concatenate(amp_parts, axis=1) if amp_parts else np.empty((len(keys), 0))
@@ -501,10 +523,10 @@ class RefrigeratorEngine:
         levels[1:] += ladder.weights * (ladder.p_row[:, 0] - moved)
         levels[:-1] += ladder.weights * (ladder.p_row[:, 1] + moved)
         if self.spectrum is not None:
-            lam, _, m_matrix = self.spectrum
+            mu, _, m_matrix = self.spectrum
             sectors = self.layout.interacting
             f = m_matrix * self._observable_in_eigenbasis(("exc", bath))
-            gaps = lam[:, :, None] - lam[:, None, :]
+            gaps = mu[:, :, None] - mu[:, None, :]
             p = np.sum(f * np.cos(gaps * t), axis=(1, 2))[sectors.classes]
             j = sectors.pair_rows[:, k]
             levels += np.bincount(j + 1, sectors.weights * (1.0 - p), minlength=n + 3)

@@ -262,12 +262,12 @@ def _grid_pass(cos_amps, sin_amps, omegas, t0: float, dt: float, n: int) -> np.n
     below 2^-53 (P = 14).  A row and block then cost
     m (P + 1) + bins (P + 1) 2B instead of 2B m.  ``_binned_block`` picks
     the form from the flop counts of the pass's shape (rows, m, n, the
-    gaps' span times dt), with no option: six rows of 17.7k gaps on 2001
-    points (``evolve``) bin, and run in 5.8-6.4 instead of 21-27 ms (one
-    BLAS thread); one row of 256 gaps on 2001 points (a search's head)
-    stays direct.  Its error is the direct form's: at most 1.9e-14 sum|a|
-    against direct evaluation for those six rows, where the direct form
-    reaches 1.8e-14.
+    gaps' span times dt), with no option: six rows of 8.6k gaps on 2001
+    points (``evolve`` at N = 30) bin, and run in 6.7-10.6 instead of
+    17-26 ms (one BLAS thread, 2 vCPUs); one row of 256 gaps on 2001
+    points (a search's head) stays direct.  Its error is the direct
+    form's: at most 1.5e-14 sum|a| against direct evaluation for those
+    six rows, where the direct form reaches 1.6e-14.
     """
     n_cos = cos_amps.shape[0]
     rows = n_cos + sin_amps.shape[0]

@@ -32,6 +32,8 @@ from dense_reference import (
 )
 from spinfridge import oracle, series, thermo
 from spinfridge.engine import (
+    _GAP_LEVELS,
+    _UPPER,
     RefrigeratorEngine,
     RefrigeratorParams,
     _hamiltonians,
@@ -441,10 +443,14 @@ class TestClassSharing:
     def test_gaps_match_high_precision(self, n):
         # the centred blocks' gaps against 50-digit ones of the exact blocks,
         # at the 18 heaviest classes: within a few eps times the centred norm
-        # (a block still holding its shift sum_k E_k m_k reaches 25-50 times)
+        # (a block still holding its shift sum_k E_k m_k reaches 25-50 times),
+        # every level pair of the spectrum and the 16 merged gaps of the series
         p = fridge(n=(n, n, n), coupling=(1.0, 0.992, 0.44), g=0.1)
         eng = RefrigeratorEngine(p, prune_tol=1e-9)
         sectors, lam = eng.layout.interacting, eng.spectrum[0]
+        classes = len(sectors.class_weights)
+        # the classes' terms follow qubit 1's ladder, 16 per class in class order
+        merged = eng.series_terms((("exc", 1),)).omegas[-16 * classes:].reshape(classes, 16)
         eps = np.finfo(float).eps
         with mpmath.workdps(50):
             for c in np.argsort(-sectors.class_weights, kind="stable")[:18]:
@@ -463,6 +469,8 @@ class TestClassSharing:
                 for i, j in combinations(range(8), 2):
                     got = mpmath.mpf(float(lam[c, j])) - mpmath.mpf(float(lam[c, i]))
                     assert abs(float(got - (exact[j] - exact[i]))) <= 10 * eps * norm
+                for gap, i, j in zip(merged[c], *_GAP_LEVELS):
+                    assert abs(float(mpmath.mpf(float(gap)) - (exact[j] - exact[i]))) <= 10 * eps * norm
 
     @settings(max_examples=30, deadline=None)
     @given(_class_case(), st.floats(0.0, 5.0))
@@ -498,6 +506,86 @@ class TestClassSharing:
                                   table["u"][sectors.pair_rows[:, k]])
         assert np.allclose(sectors.class_weights,
                            np.bincount(sectors.classes, sectors.weights), rtol=1e-15, atol=0.0)
+
+
+@st.composite
+def _box_case(draw):
+    """Three pairs in the optimizer box at g > 0, A_k on its 0 wall often,
+    epsilon and E drawn independently (non-autonomous), unequal N_k <= 30."""
+    def per_pair(values):
+        return tuple(draw(st.lists(values, min_size=3, max_size=3)))
+
+    p = RefrigeratorParams(
+        epsilon=per_pair(st.floats(0.2, 3.0)),
+        bath_energy=per_pair(st.floats(0.2, 4.0)),
+        coupling=per_pair(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        g=draw(st.floats(1e-6, 0.1)),
+        n_bath=tuple(draw(st.lists(st.integers(1, 30), min_size=3, max_size=3, unique=True))),
+        beta=per_pair(st.floats(0.1, 5.0)),
+    )
+    return p, draw(st.sampled_from([0.0, 1e-9]))
+
+
+# The signed flip of every pair bit, Y x Y x Y with Y = [[0, 1], [-1, 0]]
+_CHIRAL_FLIP = functools.reduce(np.kron, [np.array([[0.0, 1.0], [-1.0, 0.0]])] * 3)
+
+
+class TestChiralSymmetry:
+    """The centred blocks anticommute with the signed flip, so their spectrum
+    is +-sigma and the level pairs (i, j) and (7 - j, 7 - i) share a gap."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_box_case())
+    def test_flip_negates_every_class_block(self, case):
+        p, prune_tol = case
+        sectors = layout(p, prune_tol).interacting
+        if sectors is None:
+            return
+        h = _hamiltonians(p, sectors)
+        assert np.array_equal(_CHIRAL_FLIP @ h @ _CHIRAL_FLIP.T, -h)
+        # eigh's ascending levels pair up to its rounding, a few eps ||H_c||
+        # (at most 17 eps ||H_c|| over 1500 random box points)
+        lam = np.linalg.eigh(h)[0]
+        norm = np.abs(lam).max(axis=1, keepdims=True)
+        assert np.all(np.abs(lam + lam[:, ::-1]) <= 32 * np.finfo(float).eps * norm)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_box_case(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4))
+    def test_merged_series_matches_every_level_pair(self, case, times):
+        # the 16-gap series against the 28-gap one rebuilt from the same
+        # eigenvectors at eigh's own levels: the merged gaps move each term by
+        # at most the levels' pairing error, a few eps ||H_c||, so a value by
+        # that times t sum|a|, plus the sums' rounding (at most 12 eps
+        # (1 + ||H_c|| t) sum|a| over 1500 random box points); the floor is
+        # for subnormal couplings
+        p, prune_tol = case
+        eng = RefrigeratorEngine(p, prune_tol=prune_tol)
+        if eng.spectrum is None:
+            return
+        sectors = eng.layout.interacting
+        mu, vecs, m_matrix = eng.spectrum
+        lam, vecs_again = np.linalg.eigh(_hamiltonians(p, sectors))
+        assert np.array_equal(vecs, vecs_again)
+        assert np.array_equal(mu, -mu[:, ::-1]) and np.all(np.diff(mu, axis=1) >= 0.0)
+        keys = tuple((kind, i) for i in (1, 2, 3) for kind in ("exc", "pop", "hsb")) + (("hint",),)
+        terms = eng.series_terms(keys)
+        classes = len(sectors.class_weights)
+        ladder = terms.omegas.size - 16 * classes  # the ladders' terms come first
+        weights = 2.0 * sectors.class_weights[:, None]
+        pairs = np.stack([
+            (weights * (m_matrix * eng._observable_in_eigenbasis(key))[:, _UPPER[0], _UPPER[1]]).ravel()
+            for key in keys
+        ])
+        reference = SeriesTerms(
+            terms.const, np.concatenate([terms.amps[:, :ladder], pairs], axis=1),
+            np.concatenate([terms.omegas[:ladder], (lam[:, _UPPER[1]] - lam[:, _UPPER[0]]).ravel()]),
+        )
+        times = np.array([0.0] + times)
+        size = np.abs(reference.const) + np.abs(reference.amps).sum(axis=1)
+        norm = float(np.abs(lam).max())
+        bound = 32 * np.finfo(float).eps * np.outer(size, 1.0 + norm * times)
+        bound += 64 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(terms.at(times) - reference.at(times)) <= bound)
 
 
 class TestReducedDynamics:
@@ -932,10 +1020,10 @@ class TestBinnedGridPass:
         monkeypatch.setattr(series, "_binned_pass",
                             lambda *args: binned.append(args) or kernel(*args))
         rng = np.random.default_rng(7)
-        # evolve: three excited rows and their derivatives, 17.7k gaps up to
-        # w_max dt = 0.27, on the default grid of 2001 points
-        evolve = SeriesTerms(np.zeros(3), rng.uniform(-1.0, 1.0, (3, 17_730)),
-                             rng.uniform(0.0, 54.0, 17_730))
+        # evolve at N = 30: three excited rows and their derivatives, 8618 gaps
+        # up to w_max dt = 0.27, on the default grid of 2001 points
+        evolve = SeriesTerms(np.zeros(3), rng.uniform(-1.0, 1.0, (3, 8618)),
+                             rng.uniform(0.0, 54.0, 8618))
         evolve.on_grid(0.0, 0.005, 2001, derivative=True)
         assert len(binned) == 1
         # the time search's scan of a series head: one row of 256 gaps on the
@@ -944,7 +1032,7 @@ class TestBinnedGridPass:
                            rng.uniform(0.0, 54.0, 256))
         scan.on_grid(0.0, 0.005, 2001)
         assert len(binned) == 1
-        assert series._binned_block(6, 17_730, 2001, 0.005, 54.0)
+        assert series._binned_block(6, 8618, 2001, 0.005, 54.0)
         assert not series._binned_block(1, 256, 2001, 0.005, 54.0)
 
 
