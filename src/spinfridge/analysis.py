@@ -26,14 +26,11 @@ from itertools import product as iter_product
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it on first use: at import, not in a run)
 
+from .config import DEFAULT_BUDGET, DEFAULT_RANGES
 from .engine import DEFAULT_PRUNE_TOL, RefrigeratorEngine, RefrigeratorParams
-from .series import SeriesTerms, TimeGrid
+from .series import DEFAULT_TIME_GRID, SeriesTerms, TimeGrid
 from .spinstar import temperature_from_excited
 
-DEFAULT_TIME_GRID = TimeGrid(0.0, 10.0, 0.005)
-# The default search box of (A1, A2, A3, g) and the default evaluation budget.
-DEFAULT_RANGES = ((0.0, 1.0),) * 3 + ((0.0, 0.1),)
-DEFAULT_BUDGET = 2000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Most iterations of ``golden_section_min``; it returns its best point then,
 # tolerance met or not.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import importlib
 import json
 import os
 import sys
@@ -18,25 +19,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    PLATEAU_MIN_N,
-    fit_power_law,
-    neville_extrapolate,
-    neville_lower_diagonal_diffs,
-    optimize_t1,
-    scaling_sweep,
-)
 from .config import ConfigError, RunConfig, dump_canonical, load_config
 from .engine import RefrigeratorEngine, RefrigeratorParams
-from .markov import (
-    excited_populations,
-    integrate_gksl,
-    markov_optimize,
-    thermal_product_state,
-)
-from .oracle import build_dense, dense_evolve, partial_trace
 from .spinstar import temperature_from_excited
-from . import thermo
 
 ORACLE_TOLERANCE = 1e-9
 
@@ -74,9 +59,11 @@ def _qubit_columns(excited, epsilon) -> list:
 def _run_evolve(config: RunConfig) -> None:
     """Time series of every qubit (the refrigerator's three, a single star's one):
     T_i and r_i from the excited populations p_i the heat currents flow from."""
+    from .thermo import heat_current_series
+
     engine = RefrigeratorEngine(config.refrigerator, prune_tol=config.prune_tol)
     qubits = range(1, engine.params.pairs + 1)
-    currents = thermo.heat_current_series(engine, config.time_grid)
+    currents = heat_current_series(engine, config.time_grid)
     header = ["t"] + [
         f"{name}{i}" for name in ("T", "r", "QdotS", "QdotB") for i in qubits
     ]
@@ -96,6 +83,8 @@ def _coupling_ranges(config: RunConfig) -> tuple:
 
 
 def _run_optimize(config: RunConfig) -> None:
+    from .analysis import optimize_t1
+
     opt = config.optimization
     result = optimize_t1(
         config.refrigerator,
@@ -117,6 +106,9 @@ def _run_optimize(config: RunConfig) -> None:
 
 
 def _run_scaling(config: RunConfig) -> None:
+    from .analysis import (PLATEAU_MIN_N, fit_power_law, neville_extrapolate,
+                           neville_lower_diagonal_diffs, scaling_sweep)
+
     opt = config.optimization
     sweep = scaling_sweep(
         config.refrigerator,
@@ -174,6 +166,9 @@ def _run_scaling(config: RunConfig) -> None:
 
 
 def _run_markov(config: RunConfig) -> None:
+    from .markov import (excited_populations, integrate_gksl, markov_optimize,
+                         thermal_product_state)
+
     params = config.markov
     if config.markov_action == "optimize":
         opt = config.optimization
@@ -211,6 +206,8 @@ def _oracle_deviation(params: RefrigeratorParams, times) -> tuple[float, int]:
     qubit states diag(1 - p_i, p_i).  Qubit q is its subsystem 2(q - 1) and
     its bath 2q - 1, for one pair (a single star) as for three.
     """
+    from .oracle import build_dense, dense_evolve, partial_trace
+
     model = build_dense(params)
     spectrum = model.spectrum()
     engine = RefrigeratorEngine(params, prune_tol=0.0)
@@ -251,19 +248,32 @@ def _run_validate(config: RunConfig) -> None:
         )
 
 
+# Each command's runner, and the modules it runs beyond those imported here:
+# ``main`` imports them before the run starts, so a command loads only what
+# it runs and a run imports nothing.
 _RUNNERS = {
-    "single": _run_evolve,
-    "evolve": _run_evolve,
-    "optimize": _run_optimize,
-    "scaling": _run_scaling,
-    "markov": _run_markov,
-    "validate": _run_validate,
+    "single": (_run_evolve, "thermo"),
+    "evolve": (_run_evolve, "thermo"),
+    "optimize": (_run_optimize, "analysis"),
+    "scaling": (_run_scaling, "analysis"),
+    "markov": (_run_markov, "markov"),
+    "validate": (_run_validate, "oracle"),
 }
 
 
 def run(config: RunConfig) -> None:
     """Execute one validated configuration."""
-    _RUNNERS[config.mode](config)
+    _RUNNERS[config.mode][0](config)
+
+
+def _check_output_path(path: str, field: str) -> None:
+    """A ConfigError naming ``path`` unless a file can be written there: its
+    directory exists and the path itself is not a directory."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{field}: {path} is a directory")
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise ConfigError(f"{field}: directory {directory} of {path} does not exist")
 
 
 # glibc's mallopt parameters, and the largest freed block kept for reuse.
@@ -329,9 +339,12 @@ def main(argv=None) -> int:
             raise ConfigError("--output: expected a nonempty path")
         if args.output is not None:
             config = replace(config, output_path=args.output)
+        _check_output_path(config.output_path,
+                           "output.path" if args.output is None else "--output")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    importlib.import_module(f".{_RUNNERS[config.mode][1]}", __package__)
     try:
         run(config)
     except ConfigError as exc:

@@ -4,7 +4,8 @@ A config file is a single JSON object.  Each command form reads a fixed set
 of fields, listed once in ``COMMAND_FIELDS``: a field outside its row is a
 config error, and every run embeds exactly the fields of its row, fully
 resolved (canonical JSON, sorted keys), in the output as a provenance
-header that parses back into an equivalent config.
+header that parses back into an equivalent config.  Parsing a config loads
+no module its command does not run: ``markov`` only for a Markov config.
 """
 
 from __future__ import annotations
@@ -12,12 +13,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .analysis import DEFAULT_BUDGET, DEFAULT_RANGES, DEFAULT_TIME_GRID
 from .engine import DEFAULT_PRUNE_TOL, RefrigeratorParams
-from .markov import DEFAULT_ALPHA_RANGE, DEFAULT_CUTOFF, MarkovParams
-from .series import TimeGrid
+from .series import DEFAULT_TIME_GRID, TimeGrid
+
+if TYPE_CHECKING:  # imported where a Markov config is parsed
+    from .markov import MarkovParams
+
+# The default search box of (A1, A2, A3, g), the Markov baseline's box of
+# each alpha_i, and the default evaluation budget.
+DEFAULT_RANGES = ((0.0, 1.0),) * 3 + ((0.0, 0.1),)
+DEFAULT_ALPHA_RANGE = (0.0, 1e-4)
+DEFAULT_BUDGET = 2000
 
 MODES = ("single", "evolve", "optimize", "scaling", "markov", "validate")
 JSON_COMMANDS = ("optimize", "scaling", "validate", "markov optimize")
@@ -149,6 +157,8 @@ def _parse_refrigerator(data: dict, path: str, triple: bool = True) -> Refrigera
 
 
 def _parse_markov(data: dict, path: str) -> MarkovParams:
+    from .markov import DEFAULT_CUTOFF, MarkovParams
+
     beta = _resolve_beta(data, f"{path}.beta", triple=True)
     return MarkovParams(
         epsilon=_triple(_require(data, "epsilon", f"{path}."), f"{path}.epsilon"),

@@ -32,13 +32,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import (DEFAULT_BUDGET, DEFAULT_RANGES, DEFAULT_TIME_GRID, OptimizationResult,
-                       _best_time_on_grid, _polynomial, minimize_t1)
+from .analysis import OptimizationResult, _best_time_on_grid, _polynomial, minimize_t1
+from .config import DEFAULT_ALPHA_RANGE, DEFAULT_BUDGET, DEFAULT_RANGES
 from .engine import AUTONOMY_TOL
-from .series import TimeGrid
+from .series import DEFAULT_TIME_GRID, TimeGrid
 
 DEFAULT_CUTOFF = 1e3
-DEFAULT_ALPHA_RANGE = (0.0, 1e-4)
 
 
 class WeakCouplingWarning(UserWarning):

@@ -59,6 +59,10 @@ class TimeGrid:
         return math.ceil((self.stop + 0.5 * self.step - self.start) / self.step)
 
 
+# The grid of a config that gives no ``time_grid``.
+DEFAULT_TIME_GRID = TimeGrid(0.0, 10.0, 0.005)
+
+
 def _cis(x: np.ndarray) -> np.ndarray:
     """e^{ix} from a direct cos and sin."""
     out = np.empty(x.shape, dtype=complex)

@@ -449,16 +449,16 @@ class TestCliCommands:
         assert not (tmp_path / "never.json").exists()
 
     def test_scaling_uses_configured_prune_tol(self, tmp_path, monkeypatch):
-        import spinfridge.cli as cli
+        import spinfridge.analysis as analysis
 
         seen = []
-        real = cli.scaling_sweep
+        real = analysis.scaling_sweep
 
         def spy(*args, **kwargs):
             seen.append(kwargs["prune_tol"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "scaling_sweep", spy)
+        monkeypatch.setattr(analysis, "scaling_sweep", spy)
         monkeypatch.setenv("SPINFRIDGE_WORKERS", "1")
         cfg = write_config(tmp_path, "scaling.json", {
             "mode": "scaling",
@@ -619,6 +619,30 @@ class TestCliCommands:
         assert main(["evolve", cfg, "--output", ""]) == 1
         assert capsys.readouterr().err == "config error: --output: expected a nonempty path\n"
         assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    @pytest.mark.parametrize("override", [False, True], ids=["output.path", "--output"])
+    def test_unwritable_output_is_exit_1_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                        target, override):
+        # a missing directory, or a directory as the file: no run is started
+        import spinfridge.cli as cli
+
+        def never(config):
+            raise AssertionError("cli.run entered")
+
+        monkeypatch.setattr(cli, "run", never)
+        path = str(tmp_path / target)
+        data = {"mode": "optimize", "params": fridge_params(),
+                "optimization": {"budget": 4}}
+        if not override:
+            data["output"] = {"path": path}
+        cfg = write_config(tmp_path, "optimize.json", data)
+        argv = ["optimize", cfg] + (["--output", path] if override else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        field = "--output" if override else "output.path"
+        assert err.startswith(f"config error: {field}: ")
+        assert path in err
 
 
 class TestLowTemperatureCommands:

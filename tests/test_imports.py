@@ -6,6 +6,9 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
+import pytest
+
 import spinfridge
 
 # The scaling pool's fork start method and its call queue's locks.
@@ -85,3 +88,62 @@ def test_runs_load_no_scipy_and_import_nothing(tmp_path):
     assert len(report["added"]) == len(_RUNS)
     for added in report["added"]:
         assert set(added) <= POOL_MODULES, added
+
+
+# The spinfridge modules each command loads: those ``import spinfridge.cli``
+# loads, and the ones its run needs.
+_CLI_MODULES = {"spinfridge", "spinfridge.cli", "spinfridge.config", "spinfridge.engine",
+                "spinfridge.series", "spinfridge.spinstar"}
+_COMMAND_MODULES = {
+    "evolve": {"thermo"},
+    "single": {"thermo"},
+    "validate": {"oracle"},
+    "optimize": {"analysis"},
+    "scaling": {"analysis"},
+    "markov": {"analysis", "markov"},
+}
+# Loaded only with spinfridge.analysis: the scaling pool's executor, and
+# numpy.random, which numpy 1.x imports with numpy itself.
+_NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
+_SEARCH_ONLY = {"concurrent.futures"} | ({"numpy.random"} if _NUMPY_2 else set())
+
+# Imports spinfridge.cli and, given a config, runs its command through
+# cli.main; prints the exit code and the spinfridge and search-only modules loaded.
+_MODULES_DRIVER = textwrap.dedent("""
+    import json, sys
+
+    from spinfridge import cli
+
+    watched = set(json.loads(sys.argv[1]))
+    code = cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+    print(json.dumps({"code": code, "modules": sorted(
+        m for m in sys.modules if m.split(".")[0] == "spinfridge" or m in watched)}))
+""")
+
+
+def _loaded_modules(tmp_path, argv=()):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spinfridge.__file__))
+    env["SPINFRIDGE_WORKERS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_DRIVER, json.dumps(sorted(_SEARCH_ONLY)), *argv],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    return set(report["modules"])
+
+
+def test_importing_the_cli_loads_no_command(tmp_path):
+    assert _loaded_modules(tmp_path) == _CLI_MODULES
+
+
+@pytest.mark.parametrize("mode", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_what_it_runs(tmp_path, mode):
+    config = next(config for _, config in _RUNS if config["mode"] == mode)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    loaded = _loaded_modules(tmp_path, (mode, "config.json", "--output", "out"))
+    runs = {f"spinfridge.{name}" for name in _COMMAND_MODULES[mode]}
+    assert {m for m in loaded if m.startswith("spinfridge")} == _CLI_MODULES | runs
+    if "spinfridge.analysis" not in runs:
+        assert not loaded & _SEARCH_ONLY
