@@ -395,6 +395,10 @@ def per_sector_reference(eng, times, keys):
     sectors = lay.interacting
     if sectors is not None:
         blocks = np.array([interacting_block(p, lay.pairs, r) for r in sectors.pair_rows])
+        # each block less its own mean diagonal, which moves no gap: eigh's
+        # levels then round at eps times their spread, not at eps times the
+        # shift sum_k E_k m_k, whose error the phases would grow in t
+        blocks -= np.trace(blocks, axis1=1, axis2=2)[:, None, None] / 8 * np.eye(8)
         lam, vecs = np.linalg.eigh(blocks)
         p0 = functools.reduce(np.kron, [np.array(t["p_level"]) for t in lay.pairs])
         m_matrix = np.einsum("sik,k,skj->sij", vecs.transpose(0, 2, 1), p0, vecs)
